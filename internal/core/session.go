@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"coca/internal/cache"
@@ -134,8 +135,12 @@ func (v *AllocView) NumCells() int { return len(v.cells) }
 // overwrite, because previously materialized Layers()/Allocation() (the
 // frozen-allocation ablation retains one) alias the old slices and must
 // stay bitwise stable. After Apply returns, the delta may be invalidated
-// freely.
+// freely. Delta.Sites is ascending by contract (the wire format and the
+// server both guarantee it); a delta that breaks it is rejected.
 func (v *AllocView) Apply(d Delta) error {
+	if !slices.IsSorted(d.Sites) {
+		return fmt.Errorf("core: delta sites %v not ascending", d.Sites)
+	}
 	if d.Full {
 		clear(v.cells)
 	} else if d.BaseVersion != v.version {
@@ -147,6 +152,11 @@ func (v *AllocView) Apply(d Delta) error {
 	for _, c := range d.Cells {
 		if len(c.Vec) == 0 {
 			return fmt.Errorf("core: delta cell (%d,%d) has empty vector", c.Site, c.Class)
+		}
+		if !activeSite(d.Sites, c.Site) {
+			// The view is an exact function of the delta's declared shape:
+			// a cell outside the activated sites is never materialized.
+			continue
 		}
 		vc := viewCell{vec: c.Vec, wide: c.Wide, norm2: c.Norm2}
 		if len(c.Wide) == len(c.Vec) {
@@ -163,22 +173,38 @@ func (v *AllocView) Apply(d Delta) error {
 		}
 		v.cells[CellRef{Site: c.Site, Class: c.Class}] = vc
 	}
-	// Drop cells at sites no longer activated (shape shrink without
-	// explicit evictions only happens on Full deltas, but keep the view
-	// an exact function of the delta's declared shape either way).
-	active := make(map[int]bool, len(d.Sites))
-	for _, s := range d.Sites {
-		active[s] = true
-	}
-	for ref := range v.cells {
-		if !active[ref.Site] {
-			delete(v.cells, ref)
+	// Cells held at a site this delta deactivates are dropped (shape shrink
+	// without explicit evictions only happens on Full deltas, which start
+	// from an empty view; the common delta deactivates nothing and skips
+	// the sweep).
+	if !d.Full && deactivates(v.sites, d.Sites) {
+		for ref := range v.cells {
+			if !activeSite(d.Sites, ref.Site) {
+				delete(v.cells, ref)
+			}
 		}
 	}
 	v.version = d.Version
 	v.classes = append(v.classes[:0], d.Classes...)
 	v.sites = append(v.sites[:0], d.Sites...)
 	return nil
+}
+
+// activeSite reports whether site is in the ascending list sites.
+func activeSite(sites []int, site int) bool {
+	_, ok := slices.BinarySearch(sites, site)
+	return ok
+}
+
+// deactivates reports whether some site of the ascending list old is
+// missing from the ascending list cur.
+func deactivates(old, cur []int) bool {
+	for _, s := range old {
+		if !activeSite(cur, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // Layers materializes the view as cache layers (sites ascending, classes

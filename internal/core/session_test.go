@@ -206,6 +206,58 @@ func TestAllocViewRejectsBaseMismatch(t *testing.T) {
 	}
 }
 
+// TestAllocViewTracksDeclaredShape pins Apply's shape rule now that it reads
+// Delta.Sites directly instead of building a set per call: the view holds
+// exactly the cells at the delta's activated sites, a deactivated site's
+// cells are swept, and sites out of order are rejected before any change.
+func TestAllocViewTracksDeclaredShape(t *testing.T) {
+	cell := func(site, class int) DeltaCell {
+		return DeltaCell{Site: site, Class: class, Vec: []float32{float32(site), float32(class)}}
+	}
+	v := NewAllocView()
+	if err := v.Apply(Delta{Version: 1, Full: true, Sites: []int{1, 4, 7},
+		Cells: []DeltaCell{cell(1, 0), cell(4, 0), cell(4, 2), cell(7, 1), cell(9, 3)}}); err != nil {
+		t.Fatal(err)
+	}
+	if v.NumCells() != 4 {
+		t.Fatalf("full delta with a cell outside its sites: %d cells held, want 4", v.NumCells())
+	}
+	// Same sites: upsert and evict only, nothing swept.
+	if err := v.Apply(Delta{Version: 2, BaseVersion: 1, Sites: []int{1, 4, 7},
+		Cells: []DeltaCell{cell(1, 5)}, Evict: []CellRef{{Site: 7, Class: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if v.NumCells() != 4 {
+		t.Fatalf("after upsert + evict: %d cells, want 4", v.NumCells())
+	}
+	// Site 4 deactivated without explicit evictions, site 8 activated.
+	if err := v.Apply(Delta{Version: 3, BaseVersion: 2, Sites: []int{1, 8},
+		Cells: []DeltaCell{cell(8, 0), cell(4, 9)}}); err != nil {
+		t.Fatal(err)
+	}
+	var got []CellRef
+	for _, l := range v.Layers() {
+		for _, c := range l.Classes {
+			got = append(got, CellRef{Site: l.Site, Class: c})
+		}
+	}
+	want := []CellRef{{1, 0}, {1, 5}, {8, 0}}
+	if len(got) != len(want) {
+		t.Fatalf("cells after shape change: %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cells after shape change: %v, want %v", got, want)
+		}
+	}
+	if err := v.Apply(Delta{Version: 4, BaseVersion: 3, Sites: []int{8, 1}}); err == nil {
+		t.Fatal("delta with descending sites accepted")
+	}
+	if v.Version() != 3 || v.NumCells() != 3 {
+		t.Fatalf("rejected delta changed the view: v%d, %d cells", v.Version(), v.NumCells())
+	}
+}
+
 func TestConcurrentInProcessSessions(t *testing.T) {
 	srv := smallServer(t)
 	ctx := context.Background()

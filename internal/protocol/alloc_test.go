@@ -5,9 +5,11 @@ package protocol
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"coca/internal/core"
+	"coca/internal/transport"
 )
 
 func benchDeltaMessage() *Message {
@@ -54,6 +56,130 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("steady-state Decoder.Decode: %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// fixedCoord is a coordinator whose one session answers every status with
+// the same delta and accepts every update, without allocating — so an
+// allocation count over an exchange against it is the wire path's alone.
+type fixedCoord struct{ delta core.Delta }
+
+func (c *fixedCoord) Open(context.Context, int) (core.Session, error) { return c, nil }
+func (c *fixedCoord) Info() core.RegisterInfo                         { return core.RegisterInfo{NumClasses: 30, NumLayers: 4} }
+func (c *fixedCoord) Close() error                                    { return nil }
+func (c *fixedCoord) Upload(context.Context, core.UpdateReport) error { return nil }
+func (c *fixedCoord) Allocate(context.Context, core.StatusReport) (core.Delta, error) {
+	return c.delta, nil
+}
+
+// TestWireExchangeSteadyStateAllocs pins the whole wire path, not just the
+// codec: once warm, a Status→Delta→Update→Ack exchange over loopback TCP
+// allocates nothing in transport + protocol on either end (AllocsPerRun
+// counts the serving goroutine's mallocs too).
+func TestWireExchangeSteadyStateAllocs(t *testing.T) {
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		served <- ServeConn(ctx, conn, &fixedCoord{delta: *benchDeltaMessage().Delta})
+	}()
+	conn, err := transport.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewSessionClient(conn, 30, 4)
+	sess, err := client.Open(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := core.StatusReport{Tau: []int{3, 1, 4, 1}, HitRatio: []float64{0.5, 0.25, 0.125, 0}, Budget: 40, RoundFrames: 300}
+	update := core.UpdateReport{Freq: make([]float64, 30)}
+	for _, c := range benchDeltaMessage().Delta.Cells {
+		update.Cells = append(update.Cells, core.UpdateCell{Class: c.Class, Layer: c.Site, Count: 2, Vec: c.Vec})
+	}
+	exchange := func() {
+		d, err := sess.Allocate(ctx, status)
+		if err != nil || len(d.Cells) != 24 || len(d.Cells[23].Vec) != 64 {
+			t.Fatalf("allocate: %d cells, %v", len(d.Cells), err)
+		}
+		status.LastVersion = d.Version
+		if err := sess.Upload(ctx, update); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		exchange() // warm every buffer to its high-water shape
+	}
+	if allocs := testing.AllocsPerRun(50, exchange); allocs != 0 {
+		t.Errorf("steady-state Status→Delta→Update→Ack over TCP: %.1f allocs per exchange, want 0", allocs)
+	}
+	cancel()
+	_ = client.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplyDecodersPooledPerConnection: sessions multiplexed on one
+// connection each hold a decoder only while their reply is live. Two live
+// replies never share one (no tearing), and sessions driven one after the
+// other — allocate, apply, upload, next session — reuse a single decoder
+// instead of pinning one delta-sized arena each.
+func TestReplyDecodersPooledPerConnection(t *testing.T) {
+	ctx := context.Background()
+	cConn, sConn := transport.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(ctx, sConn, &fixedCoord{delta: *benchDeltaMessage().Delta}) }()
+	client := NewSessionClient(cConn, 30, 4)
+	var sessions []core.Session
+	for id := 0; id < 6; id++ {
+		sess, err := client.Open(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, sess)
+	}
+	for round := 0; round < 3; round++ {
+		for _, sess := range sessions {
+			if _, err := sess.Allocate(ctx, core.StatusReport{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Upload(ctx, core.UpdateReport{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(client.free); n != 1 {
+		t.Fatalf("%d pooled decoders after sequential use of %d sessions, want 1", n, len(sessions))
+	}
+	// Two replies live at once: each in its own decoder, neither disturbed
+	// by the other session's round trips.
+	a, err := sessions[0].Allocate(ctx, core.StatusReport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := a.Cells[0].Vec[1]
+	a.Cells[0].Vec[1] = -7 // scribble: a torn reply would overwrite it
+	b, err := sessions[1].Allocate(ctx, core.StatusReport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Cells[0].Vec[0] == &b.Cells[0].Vec[0] {
+		t.Fatal("two live replies share one decoder arena")
+	}
+	if a.Cells[0].Vec[1] != -7 || b.Cells[0].Vec[1] != first {
+		t.Fatalf("session 1's reply disturbed session 0's: %v, %v", a.Cells[0].Vec[1], b.Cells[0].Vec[1])
+	}
+	_ = client.Close()
+	<-served
 }
 
 // TestDecoderMatchesDecode cross-checks the scratch decoder against the

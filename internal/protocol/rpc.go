@@ -26,17 +26,21 @@ type SessionClient struct {
 	// expected model shape, sent with Hello for server-side validation.
 	numClasses, numLayers int
 
-	mu sync.Mutex // serializes round trips; guards enc, dec and proto
+	mu sync.Mutex // serializes round trips; guards enc, proto and free
 	// proto is the wire version negotiated at Open (0 before the first
 	// handshake, meaning the build's latest). Frames after the handshake
 	// are encoded at this version, so a v2 server keeps receiving v2
 	// frames and deadlines are simply not propagated to it.
 	proto byte
-	// enc and dec are the connection's pooled codec scratch: requests are
-	// encoded into a reused buffer and replies decoded into reused arenas,
-	// so steady-state round trips allocate nothing in the codec.
-	enc []byte
-	dec Decoder
+	// enc is the connection's pooled encode buffer, free its pool of reply
+	// decoders: a session holds one while its reply is live (from the
+	// round trip that decoded it until the session's next call has been
+	// answered) and hands it back otherwise, so steady-state round trips
+	// allocate nothing in the codec and a connection multiplexing many
+	// sessions keeps as many decoders as replies are live at once, not one
+	// per session.
+	enc  []byte
+	free []*Decoder
 }
 
 // NewSessionClient wraps a connection. numClasses/numLayers describe the
@@ -45,45 +49,65 @@ func NewSessionClient(conn transport.Conn, numClasses, numLayers int) *SessionCl
 	return &SessionClient{conn: conn, numClasses: numClasses, numLayers: numLayers}
 }
 
-// roundTrip performs one serialized request/response exchange and hands
-// the decoded reply to consume WHILE STILL HOLDING the connection lock.
-// The reply lives in connection-owned decoder scratch that the next round
-// trip — possibly from another session sharing this connection —
-// overwrites, so consume must copy out everything its caller keeps. The
+// roundTrip performs one serialized request/response exchange, decoding the
+// reply into *hold (taken from the connection's pool when nil) while still
+// holding the connection lock: the received frame lives in the connection's
+// receive buffer, which the next round trip — possibly from another session
+// sharing this connection — overwrites. The decoder is the caller's until
+// it calls release, so the returned message stays valid until then. The
 // context gates entry only: an exchange already in flight is not
-// interrupted (the transport has no per-frame cancellation), so a
-// stalled server holds the call until the connection is closed.
-func (c *SessionClient) roundTrip(ctx context.Context, req *Message, consume func(*Message) error) error {
+// interrupted (the transport has no per-frame cancellation), so a stalled
+// server holds the call until the connection is closed.
+func (c *SessionClient) roundTrip(ctx context.Context, req *Message, hold **Decoder) (*Message, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	frame, err := AppendEncode(c.enc[:0], req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c.enc = frame[:0]
 	if err := c.conn.Send(frame); err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.conn.Recv()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m, err := c.dec.Decode(resp)
+	if *hold == nil {
+		if n := len(c.free); n > 0 {
+			*hold, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			*hold = new(Decoder)
+		}
+	}
+	m, err := (*hold).Decode(resp)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if m.Type == TypeError {
-		return fmt.Errorf("protocol: server error: %s", m.Error)
+		return nil, fmt.Errorf("protocol: server error: %s", m.Error)
 	}
 	if m.Type == TypeRedirect && m.Redirect != nil {
 		// Decoded strings are fresh allocations, not decoder scratch, so
 		// the error may outlive this round trip.
-		return &core.RedirectError{Addr: m.Redirect.Addr, Reason: m.Redirect.Reason}
+		return nil, &core.RedirectError{Addr: m.Redirect.Addr, Reason: m.Redirect.Reason}
 	}
-	return consume(m)
+	return m, nil
+}
+
+// release hands a reply decoder back to the connection's pool once nothing
+// decoded into it is needed any more.
+func (c *SessionClient) release(hold **Decoder) {
+	if *hold == nil {
+		return
+	}
+	c.mu.Lock()
+	c.free = append(c.free, *hold)
+	c.mu.Unlock()
+	*hold = nil
 }
 
 // negotiated returns the wire version agreed at Open (the build's latest
@@ -115,40 +139,36 @@ func (c *SessionClient) deadlineMicros(ctx context.Context) uint64 {
 // build's highest version in Proto; the server answers with its choice,
 // which this connection's later frames are encoded at.
 func (c *SessionClient) Open(ctx context.Context, clientID int) (core.Session, error) {
-	var sess *wireSession
-	err := c.roundTrip(ctx, &Message{
+	sess := &wireSession{c: c, clientID: int32(clientID)}
+	m, err := c.roundTrip(ctx, &Message{
 		Version:  V2,
 		Type:     TypeHello,
 		ClientID: int32(clientID),
 		Proto:    Version,
 		Hello:    &Hello{NumClasses: int32(c.numClasses), NumLayers: int32(c.numLayers)},
-	}, func(m *Message) error {
-		if m.Type != TypeHelloAck || m.HelloAck == nil {
-			return fmt.Errorf("protocol: unexpected reply type %d to hello", m.Type)
-		}
-		if m.Proto < V2 || m.Proto > Version {
-			return fmt.Errorf("protocol: server negotiated unsupported version %d", m.Proto)
-		}
-		c.proto = m.Proto // under c.mu: roundTrip holds it through consume
-		if m.SessionID == 0 {
-			return fmt.Errorf("protocol: server did not assign a session id")
-		}
-		// The decoded ack lives in the connection's decoder scratch; the
-		// session retains its registration info, so copy it out.
-		info := *m.HelloAck
-		info.ProfileHitRatio = append([]float64(nil), m.HelloAck.ProfileHitRatio...)
-		info.SavedMs = append([]float64(nil), m.HelloAck.SavedMs...)
-		sess = &wireSession{
-			c:        c,
-			id:       m.SessionID,
-			clientID: int32(clientID),
-			info:     info,
-		}
-		return nil
-	})
+	}, &sess.dec)
+	defer c.release(&sess.dec) // everything kept is copied out below
 	if err != nil {
 		return nil, err
 	}
+	if m.Type != TypeHelloAck || m.HelloAck == nil {
+		return nil, fmt.Errorf("protocol: unexpected reply type %d to hello", m.Type)
+	}
+	if m.Proto < V2 || m.Proto > Version {
+		return nil, fmt.Errorf("protocol: server negotiated unsupported version %d", m.Proto)
+	}
+	if m.SessionID == 0 {
+		return nil, fmt.Errorf("protocol: server did not assign a session id")
+	}
+	c.mu.Lock()
+	c.proto = m.Proto
+	c.mu.Unlock()
+	// The decoded ack lives in decoder scratch that goes back to the pool;
+	// the session retains its registration info, so copy it out.
+	sess.id = m.SessionID
+	sess.info = *m.HelloAck
+	sess.info.ProfileHitRatio = append([]float64(nil), m.HelloAck.ProfileHitRatio...)
+	sess.info.SavedMs = append([]float64(nil), m.HelloAck.SavedMs...)
 	return sess, nil
 }
 
@@ -167,52 +187,13 @@ type wireSession struct {
 	mu     sync.Mutex
 	closed bool
 
-	// Reply-copy scratch: deltas are copied out of the connection's
-	// shared decoder under its lock into these session-owned buffers
-	// (sessions are used sequentially by one client, so one set per
-	// session suffices). The returned Delta is valid until this session's
-	// next Allocate.
-	classes, sites []int
-	cells          []core.DeltaCell
-	evict          []core.CellRef
-	arena          []float32
-}
-
-// copyDelta deep-copies a decoded delta into the session's scratch.
-// Vectors land in one flat arena; if the arena grows mid-copy, earlier
-// cells keep the old backing (already holding their copied values).
-func (s *wireSession) copyDelta(src *core.Delta) core.Delta {
-	d := core.Delta{
-		Version:     src.Version,
-		BaseVersion: src.BaseVersion,
-		Full:        src.Full,
-	}
-	s.classes = append(s.classes[:0], src.Classes...)
-	s.sites = append(s.sites[:0], src.Sites...)
-	s.evict = append(s.evict[:0], src.Evict...)
-	s.cells = s.cells[:0]
-	s.arena = s.arena[:0]
-	for _, c := range src.Cells {
-		start := len(s.arena)
-		s.arena = append(s.arena, c.Vec...)
-		s.cells = append(s.cells, core.DeltaCell{
-			Site: c.Site, Class: c.Class,
-			Vec: s.arena[start:len(s.arena):len(s.arena)],
-		})
-	}
-	if len(s.classes) > 0 {
-		d.Classes = s.classes
-	}
-	if len(s.sites) > 0 {
-		d.Sites = s.sites
-	}
-	if len(s.cells) > 0 {
-		d.Cells = s.cells
-	}
-	if len(s.evict) > 0 {
-		d.Evict = s.evict
-	}
-	return d
+	// dec holds this session's live reply (nil between an answered Upload
+	// and the next Allocate): replies are decoded under the connection lock
+	// straight into a decoder only this session holds, so sessions sharing
+	// one connection cannot tear each other's replies and a delta's
+	// vectors are copied once on their way from the frame to the client's
+	// view. Sessions are used sequentially by one client, so one suffices.
+	dec *Decoder
 }
 
 // Info implements core.Session.
@@ -227,34 +208,28 @@ func (s *wireSession) check() error {
 	return nil
 }
 
-// Allocate implements core.Session. The returned delta lives in
-// session-owned scratch (copied out of the connection's shared decoder
-// under its lock, so sessions sharing one connection cannot tear each
-// other's replies) and is valid until this session's next Allocate;
+// Allocate implements core.Session. The returned delta lives in the
+// decoder the session holds and is valid until this session's next call;
 // core.AllocView.Apply copies what it keeps.
 func (s *wireSession) Allocate(ctx context.Context, status core.StatusReport) (core.Delta, error) {
 	if err := s.check(); err != nil {
 		return core.Delta{}, err
 	}
-	var d core.Delta
-	err := s.c.roundTrip(ctx, &Message{
+	m, err := s.c.roundTrip(ctx, &Message{
 		Version:        s.c.negotiated(),
 		Type:           TypeStatus,
 		ClientID:       s.clientID,
 		SessionID:      s.id,
 		DeadlineMicros: s.c.deadlineMicros(ctx),
 		Status:         &status,
-	}, func(m *Message) error {
-		if m.Type != TypeDelta || m.Delta == nil {
-			return fmt.Errorf("protocol: unexpected reply type %d to status", m.Type)
-		}
-		d = s.copyDelta(m.Delta)
-		return nil
-	})
+	}, &s.dec)
 	if err != nil {
 		return core.Delta{}, err
 	}
-	return d, nil
+	if m.Type != TypeDelta || m.Delta == nil {
+		return core.Delta{}, fmt.Errorf("protocol: unexpected reply type %d to status", m.Type)
+	}
+	return *m.Delta, nil
 }
 
 // Upload implements core.Session.
@@ -262,19 +237,24 @@ func (s *wireSession) Upload(ctx context.Context, upd core.UpdateReport) error {
 	if err := s.check(); err != nil {
 		return err
 	}
-	return s.c.roundTrip(ctx, &Message{
+	m, err := s.c.roundTrip(ctx, &Message{
 		Version:        s.c.negotiated(),
 		Type:           TypeUpdate,
 		ClientID:       s.clientID,
 		SessionID:      s.id,
 		DeadlineMicros: s.c.deadlineMicros(ctx),
 		Update:         &upd,
-	}, func(m *Message) error {
-		if m.Type != TypeAck {
-			return fmt.Errorf("protocol: unexpected reply type %d to update", m.Type)
-		}
-		return nil
-	})
+	}, &s.dec)
+	// By calling Upload the client is done with its last delta, and the ack
+	// carries nothing to keep: the decoder serves the next live reply.
+	defer s.c.release(&s.dec)
+	if err != nil {
+		return err
+	}
+	if m.Type != TypeAck {
+		return fmt.Errorf("protocol: unexpected reply type %d to update", m.Type)
+	}
+	return nil
 }
 
 // Close implements core.Session: it sends Bye so the server can release
@@ -290,9 +270,13 @@ func (s *wireSession) Close() error {
 	s.mu.Unlock()
 	// Bye is best-effort: the connection may already be gone, which
 	// releases the session server-side anyway.
-	_ = s.c.roundTrip(context.Background(), &Message{
+	// Close may overlap the owner's last call on shutdown paths, so the ack
+	// is decoded into a decoder of its own, never the one the session holds.
+	var dec *Decoder
+	_, _ = s.c.roundTrip(context.Background(), &Message{
 		Version: s.c.negotiated(), Type: TypeBye, ClientID: s.clientID, SessionID: s.id,
-	}, func(*Message) error { return nil })
+	}, &dec)
+	s.c.release(&dec)
 	return nil
 }
 
@@ -373,7 +357,7 @@ func (pc *PeerClient) Negotiated() byte {
 // numLayers) and protocol version, and returns the link.
 func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerClient, error) {
 	pc := &PeerClient{conn: conn, localID: localID}
-	m, err := pc.roundTrip(&Message{
+	m, _, err := pc.roundTripSized(&Message{
 		Version: V2, // the peer sync plane is v2-framed (no deadlines)
 		Type:    TypePeerHello,
 		Proto:   Version,
@@ -407,9 +391,7 @@ func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerCli
 // the received snapshot frame size (the joiner's bootstrap traffic).
 func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr string, wantSnapshot bool) (pc *PeerClient, snap *PeerSnapshot, snapBytes int, err error) {
 	pc = &PeerClient{conn: conn, localID: localID}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	frame, err := AppendEncode(pc.enc[:0], &Message{
+	m, _, err := pc.roundTripSized(&Message{
 		Version: V2, // the peer sync plane is v2-framed (no deadlines)
 		Type:    TypePeerJoin,
 		Proto:   Version,
@@ -424,21 +406,6 @@ func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr stri
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	pc.enc = frame[:0]
-	if err := pc.conn.Send(frame); err != nil {
-		return nil, nil, 0, err
-	}
-	resp, err := pc.conn.Recv()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	m, err := pc.dec.Decode(resp)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if m.Type == TypeError {
-		return nil, nil, 0, fmt.Errorf("protocol: peer error: %s", m.Error)
-	}
 	if m.Type != TypePeerSnapshot || m.PeerSnapshot == nil {
 		return nil, nil, 0, fmt.Errorf("protocol: unexpected reply type %d to peer join", m.Type)
 	}
@@ -447,14 +414,14 @@ func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr stri
 	}
 	pc.proto = m.Proto
 	pc.peerID = int(m.PeerSnapshot.NodeID)
-	return pc, m.PeerSnapshot, len(resp), nil
+	return pc, m.PeerSnapshot, pc.lastRespBytes, nil
 }
 
 // Leave announces a clean departure to the peer (best-effort: callers
 // typically ignore the error — the connection may already be gone, which
 // the peer's failure detector handles anyway).
 func (pc *PeerClient) Leave() error {
-	m, err := pc.roundTrip(&Message{
+	m, _, err := pc.roundTripSized(&Message{
 		Version:   pc.Negotiated(),
 		Type:      TypePeerLeave,
 		PeerLeave: &PeerLeave{NodeID: int32(pc.localID)},
@@ -471,13 +438,9 @@ func (pc *PeerClient) Leave() error {
 // PeerID returns the remote node's federation id (from the handshake ack).
 func (pc *PeerClient) PeerID() int { return pc.peerID }
 
-func (pc *PeerClient) roundTrip(req *Message) (*Message, error) {
-	m, _, err := pc.roundTripSized(req)
-	return m, err
-}
-
-// roundTripSized is roundTrip plus the encoded request size, which the
-// federation tier reports as sync traffic.
+// roundTripSized performs one serialized request/response exchange and also
+// returns the encoded request size, which the federation tier reports as
+// sync traffic.
 func (pc *PeerClient) roundTripSized(req *Message) (*Message, int, error) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -597,6 +560,9 @@ type connState struct {
 	// does not retain frames past Send).
 	enc []byte
 	dec Decoder
+	// delta holds the allocation reply through its encode, so the hot
+	// status→delta path builds its reply without touching the heap.
+	delta core.Delta
 }
 
 func (cs *connState) closeAll() {
@@ -638,7 +604,7 @@ func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator)
 			return nil
 		}
 		resp := cs.handle(ctx, frame)
-		out, err := AppendEncode(cs.enc[:0], resp)
+		out, err := AppendEncode(cs.enc[:0], &resp)
 		if err != nil {
 			return fmt.Errorf("protocol: encode reply: %w", err)
 		}
@@ -652,10 +618,10 @@ func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator)
 	}
 }
 
-func (cs *connState) handle(ctx context.Context, frame []byte) *Message {
+func (cs *connState) handle(ctx context.Context, frame []byte) Message {
 	m, err := cs.dec.Decode(frame)
 	if err != nil {
-		return &Message{Type: TypeError, Error: err.Error()}
+		return Message{Type: TypeError, Error: err.Error()}
 	}
 	if m.Version == V1 {
 		return cs.handleV1(ctx, m)
@@ -663,8 +629,8 @@ func (cs *connState) handle(ctx context.Context, frame []byte) *Message {
 	return cs.handleSession(ctx, m, len(frame))
 }
 
-func errorReply(version byte, clientID int32, sessionID uint64, format string, args ...any) *Message {
-	return &Message{Version: version, Type: TypeError, ClientID: clientID, SessionID: sessionID,
+func errorReply(version byte, clientID int32, sessionID uint64, format string, args ...any) Message {
+	return Message{Version: version, Type: TypeError, ClientID: clientID, SessionID: sessionID,
 		Error: fmt.Sprintf(format, args...)}
 }
 
@@ -672,10 +638,10 @@ func errorReply(version byte, clientID int32, sessionID uint64, format string, a
 // core.RedirectError becomes a TypeRedirect frame for v2+ peers (v1 has
 // no redirect concept, so legacy clients see a plain error), everything
 // else a TypeError.
-func failureReply(version byte, clientID int32, sessionID uint64, err error) *Message {
+func failureReply(version byte, clientID int32, sessionID uint64, err error) Message {
 	var re *core.RedirectError
 	if version >= V2 && errors.As(err, &re) {
-		return &Message{Version: version, Type: TypeRedirect, ClientID: clientID, SessionID: sessionID,
+		return Message{Version: version, Type: TypeRedirect, ClientID: clientID, SessionID: sessionID,
 			Redirect: &Redirect{Addr: re.Addr, Reason: re.Reason}}
 	}
 	return errorReply(version, clientID, sessionID, "%v", err)
@@ -716,7 +682,7 @@ func deadlineContext(ctx context.Context, micros uint64) (_ context.Context, can
 // began — the drop-at-dequeue half of deadline propagation. The counter
 // is the overload tier's congestion-collapse sentinel: work the server
 // declined to compute because nobody was waiting for the answer anymore.
-func expiredReply(version byte, clientID int32, sessionID uint64) *Message {
+func expiredReply(version byte, clientID int32, sessionID uint64) Message {
 	telemetry.OverloadDeadlineExpired.Inc()
 	return errorReply(version, clientID, sessionID, "deadline expired at dequeue")
 }
@@ -725,7 +691,7 @@ func expiredReply(version byte, clientID int32, sessionID uint64) *Message {
 // are framed at the version the request arrived in, so a negotiated-down
 // connection never sees frames it cannot decode. frameLen is the
 // received frame's size, accounted as sync traffic for peer deltas.
-func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int) *Message {
+func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int) Message {
 	v := m.Version
 	switch m.Type {
 	case TypeHello:
@@ -744,7 +710,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		}
 		id := sessionID(sess)
 		cs.v2[id] = sess
-		return &Message{Version: v, Type: TypeHelloAck, ClientID: m.ClientID, SessionID: id, Proto: proto, HelloAck: &info}
+		return Message{Version: v, Type: TypeHelloAck, ClientID: m.ClientID, SessionID: id, Proto: proto, HelloAck: &info}
 	case TypeStatus:
 		sess, ok := cs.v2[m.SessionID]
 		if !ok {
@@ -759,7 +725,8 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		if err != nil {
 			return failureReply(v, m.ClientID, m.SessionID, err)
 		}
-		return &Message{Version: v, Type: TypeDelta, ClientID: m.ClientID, SessionID: m.SessionID, Delta: &delta}
+		cs.delta = delta
+		return Message{Version: v, Type: TypeDelta, ClientID: m.ClientID, SessionID: m.SessionID, Delta: &cs.delta}
 	case TypeUpdate:
 		sess, ok := cs.v2[m.SessionID]
 		if !ok {
@@ -774,7 +741,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		if err != nil {
 			return failureReply(v, m.ClientID, m.SessionID, err)
 		}
-		return &Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
+		return Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypeBye:
 		sess, ok := cs.v2[m.SessionID]
 		if !ok {
@@ -782,7 +749,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		}
 		delete(cs.v2, m.SessionID)
 		_ = sess.Close()
-		return &Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
+		return Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypePeerHello:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
@@ -797,7 +764,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		}
 		cs.peerHello = true
 		cs.peerProto = negotiatePeer(m.Proto)
-		return &Message{Version: v, Type: TypePeerAck, Proto: cs.peerProto, PeerAck: &PeerAck{NodeID: int32(localID)}}
+		return Message{Version: v, Type: TypePeerAck, Proto: cs.peerProto, PeerAck: &PeerAck{NodeID: int32(localID)}}
 	case TypePeerDelta:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
@@ -813,7 +780,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		if br, ok := cs.coord.(interface{ NotePeerRecvBytes(int) }); ok {
 			br.NotePeerRecvBytes(frameLen)
 		}
-		return &Message{Version: v, Type: TypePeerAck, Proto: cs.peerProto, PeerAck: &PeerAck{Applied: int32(applied)}}
+		return Message{Version: v, Type: TypePeerAck, Proto: cs.peerProto, PeerAck: &PeerAck{Applied: int32(applied)}}
 	case TypePeerJoin:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
@@ -830,7 +797,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		// this connection next.
 		cs.peerHello = true
 		cs.peerProto = negotiatePeer(m.Proto)
-		return &Message{Version: v, Type: TypePeerSnapshot, Proto: cs.peerProto, PeerSnapshot: snap}
+		return Message{Version: v, Type: TypePeerSnapshot, Proto: cs.peerProto, PeerSnapshot: snap}
 	case TypePeerLeave:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
@@ -841,7 +808,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		if proto == 0 {
 			proto = V2
 		}
-		return &Message{Version: v, Type: TypePeerAck, Proto: proto, PeerAck: &PeerAck{}}
+		return Message{Version: v, Type: TypePeerAck, Proto: proto, PeerAck: &PeerAck{}}
 	case TypePeerDigestRequest:
 		ae, ok := cs.coord.(AntiEntropyHandler)
 		if !ok {
@@ -858,13 +825,13 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 			if err != nil {
 				return errorReply(v, m.ClientID, 0, "%v", err)
 			}
-			return &Message{Version: v, Type: TypePeerPullResponse, PeerPullResponse: pull}
+			return Message{Version: v, Type: TypePeerPullResponse, PeerPullResponse: pull}
 		}
 		dig, err := ae.HandlePeerDigestRequest(m.PeerDigestRequest)
 		if err != nil {
 			return errorReply(v, m.ClientID, 0, "%v", err)
 		}
-		return &Message{Version: v, Type: TypePeerDigest, PeerDigest: dig}
+		return Message{Version: v, Type: TypePeerDigest, PeerDigest: dig}
 	default:
 		return errorReply(v, m.ClientID, m.SessionID, "unexpected request type %d", m.Type)
 	}
@@ -886,7 +853,7 @@ func negotiatePeer(offer byte) byte {
 // handleV1 serves legacy clients: sessions are keyed by client id, and
 // every status reply is the session's delta materialized to a full
 // allocation (v1 clients report no held version, so deltas are full).
-func (cs *connState) handleV1(ctx context.Context, m *Message) *Message {
+func (cs *connState) handleV1(ctx context.Context, m *Message) Message {
 	switch m.Type {
 	case TypeHello:
 		sess, info, err := cs.open(ctx, m.ClientID, m.Hello)
@@ -897,7 +864,7 @@ func (cs *connState) handleV1(ctx context.Context, m *Message) *Message {
 			_ = old.sess.Close()
 		}
 		cs.v1[m.ClientID] = &v1Peer{sess: sess, view: core.NewAllocView()}
-		return &Message{Version: V1, Type: TypeHelloAck, ClientID: m.ClientID, HelloAck: &info}
+		return Message{Version: V1, Type: TypeHelloAck, ClientID: m.ClientID, HelloAck: &info}
 	case TypeStatus:
 		peer, ok := cs.v1[m.ClientID]
 		if !ok {
@@ -913,7 +880,7 @@ func (cs *connState) handleV1(ctx context.Context, m *Message) *Message {
 			return errorReply(V1, m.ClientID, 0, "%v", err)
 		}
 		alloc := peer.view.Allocation()
-		return &Message{Version: V1, Type: TypeAllocation, ClientID: m.ClientID, Allocation: &alloc}
+		return Message{Version: V1, Type: TypeAllocation, ClientID: m.ClientID, Allocation: &alloc}
 	case TypeUpdate:
 		peer, ok := cs.v1[m.ClientID]
 		if !ok {
@@ -922,7 +889,7 @@ func (cs *connState) handleV1(ctx context.Context, m *Message) *Message {
 		if err := peer.sess.Upload(ctx, *m.Update); err != nil {
 			return errorReply(V1, m.ClientID, 0, "%v", err)
 		}
-		return &Message{Version: V1, Type: TypeAck, ClientID: m.ClientID}
+		return Message{Version: V1, Type: TypeAck, ClientID: m.ClientID}
 	default:
 		return errorReply(V1, m.ClientID, 0, "unexpected request type %d", m.Type)
 	}

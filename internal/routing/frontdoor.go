@@ -25,10 +25,19 @@ type FrontDoor struct {
 	addrs []string
 }
 
+// frontDoorMaxClients bounds a front door's client table. A front door
+// redirects and never sees the session close, and its client ids come off
+// untrusted sockets, so without a bound it keeps one record per id ever
+// seen. A record only matters while its rate-limit bucket is refilling, so
+// the bound needs to cover the ids admitted within one refill period; at
+// ≈ 0.5 KiB a record (shard, bucket, map slot) it caps the table near 2 MiB.
+const frontDoorMaxClients = 4096
+
 // NewFrontDoor builds a front door over the backend addresses.
 func NewFrontDoor(addrs []string, cfg Config) *FrontDoor {
 	// The routers' targets are never dereferenced — admission only.
 	f := &FrontDoor{r: NewRouter(make([]core.Coordinator, len(addrs)), cfg), addrs: addrs}
+	f.r.maxClients = frontDoorMaxClients
 	for s, addr := range addrs {
 		f.r.Breaker(s).SetName(addr)
 	}

@@ -59,3 +59,10 @@ func (b *bucket) take(cfg RateConfig, now time.Time) bool {
 	b.tokens--
 	return true
 }
+
+// refilled reports whether the bucket holds (or would hold, once refilled
+// to now) its full burst — the state a fresh bucket starts from.
+func (b *bucket) refilled(cfg RateConfig, now time.Time) bool {
+	return !cfg.enabled() || b.last.IsZero() ||
+		b.tokens+now.Sub(b.last).Seconds()*cfg.PerSec >= cfg.Burst
+}

@@ -47,6 +47,11 @@ type Router struct {
 	mu      sync.Mutex
 	clients map[int]*clientState
 	stats   Stats
+	// maxClients bounds the client table (0 = unbounded). The in-process
+	// Router's records are owned by live sessions and carry their class
+	// profiles; a FrontDoor never sees a Close and takes ids from untrusted
+	// sockets, so it sets a bound and client() evicts at it.
+	maxClients int
 }
 
 // clientState is the router's per-client record.
@@ -149,6 +154,9 @@ func (r *Router) Occupancy() []int {
 func (r *Router) client(clientID int) *clientState {
 	st, ok := r.clients[clientID]
 	if !ok {
+		if r.maxClients > 0 && len(r.clients) >= r.maxClients {
+			r.evict()
+		}
 		st = &clientState{
 			shard:   ShuffleShard(clientID, len(r.targets), r.cfg.ShardSize, r.cfg.Seed),
 			server:  -1,
@@ -157,6 +165,31 @@ func (r *Router) client(clientID int) *clientState {
 		r.clients[clientID] = st
 	}
 	return st
+}
+
+// evict makes room in a bounded client table. Idle records go first: a
+// record whose token bucket has refilled holds nothing a fresh record would
+// not — its next admission starts from a full bucket and a placement
+// recomputed from the ring and the breakers, which is where it was placed
+// unless a breaker has closed again since. If more than half the table is
+// still mid-refill (that many distinct ids inside one refill period),
+// arbitrary records go too, down to half: forgetting one forgives its id
+// one burst, which an id-forging caller gets from a fresh id anyway, and
+// leaving half the table free keeps eviction amortized O(1) per admission.
+// Caller holds r.mu.
+func (r *Router) evict() {
+	now := r.cfg.Now()
+	for id, st := range r.clients {
+		if st.bkt.refilled(r.cfg.Rate, now) {
+			delete(r.clients, id)
+		}
+	}
+	for id := range r.clients {
+		if len(r.clients) <= r.maxClients/2 {
+			break
+		}
+		delete(r.clients, id)
+	}
 }
 
 // Admit is the admission hot path: rate-limit the client, keep its

@@ -479,3 +479,79 @@ func TestFrontDoorRedirects(t *testing.T) {
 		t.Errorf("Opens = %d, want 3", fd.Stats().Opens)
 	}
 }
+
+// TestFrontDoorTableBounded: a front door never sees a Close and takes its
+// client ids off untrusted sockets, so its table must stay bounded however
+// many distinct ids arrive — and forgetting a record must not move the
+// client: every id is redirected exactly where an unbounded router with the
+// same configuration places it, on first sight and again after its record
+// has been evicted.
+func TestFrontDoorTableBounded(t *testing.T) {
+	ctx := context.Background()
+	addrs := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
+	cfg := Config{Policy: PolicyHash, Seed: 9, ShardSize: 3}
+	fd := NewFrontDoor(addrs, cfg)
+	ref := NewRouter(make([]core.Coordinator, len(addrs)), cfg)
+	placed := func(id int) string {
+		t.Helper()
+		_, err := fd.Open(ctx, id)
+		var re *core.RedirectError
+		if !errors.As(err, &re) {
+			t.Fatalf("client %d: front door returned %v, want a redirect", id, err)
+		}
+		return re.Addr
+	}
+	const ids = 200_000
+	for id := 0; id < ids; id++ {
+		want, err := ref.Admit(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := placed(id); got != addrs[want] {
+			t.Fatalf("client %d redirected to %s, unbounded router places it on %s", id, got, addrs[want])
+		}
+		if n := len(fd.r.clients); n > frontDoorMaxClients {
+			t.Fatalf("front door holds %d records after %d ids, bound is %d", n, id+1, frontDoorMaxClients)
+		}
+	}
+	for id := 0; id < ids; id += 997 { // long evicted
+		if got, want := placed(id), addrs[ref.Lookup(id)]; got != want {
+			t.Fatalf("client %d re-opened after eviction: redirected to %s, first placed on %s", id, got, want)
+		}
+	}
+}
+
+// TestFrontDoorEvictionKeepsRateLimits: eviction takes refilled buckets
+// first, so a client that has spent its burst stays limited while idle
+// records around it are dropped; only when more than half the table is
+// mid-refill do live buckets go, and the table still stays bounded.
+func TestFrontDoorEvictionKeepsRateLimits(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(1000, 0)
+	fd := NewFrontDoor([]string{"a:1", "b:1"}, Config{
+		Rate: RateConfig{PerSec: 1, Burst: 1}, Now: func() time.Time { return now }})
+	open := func(id int) error { _, err := fd.Open(ctx, id); return err }
+	// Fill most of the table, then let those buckets refill.
+	for id := 1; id < frontDoorMaxClients; id++ {
+		_ = open(id)
+	}
+	now = now.Add(5 * time.Second)
+	if err := open(0); errors.Is(err, ErrRateLimited) {
+		t.Fatal("first open rate limited")
+	}
+	_ = open(-1) // the table is full: evicts the refilled records, not client 0's
+	if n := len(fd.r.clients); n != 2 {
+		t.Fatalf("%d records after evicting the idle ones, want 2", n)
+	}
+	if err := open(0); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("client 0 after eviction of idle records: %v, want rate limited", err)
+	}
+	// A flood of distinct ids inside one refill period: nothing is idle,
+	// and the table is still bounded.
+	for id := 10; id < 10+3*frontDoorMaxClients; id++ {
+		_ = open(id)
+		if n := len(fd.r.clients); n > frontDoorMaxClients {
+			t.Fatalf("front door holds %d records, bound is %d", n, frontDoorMaxClients)
+		}
+	}
+}

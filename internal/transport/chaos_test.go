@@ -20,7 +20,7 @@ func startEcho(conn Conn) (<-chan []byte, <-chan struct{}) {
 			if err != nil {
 				return
 			}
-			got <- f
+			got <- append([]byte(nil), f...) // f is only valid until the next Recv
 			if conn.Send(f) != nil {
 				return
 			}

@@ -5,6 +5,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -23,9 +24,11 @@ var ErrClosed = errors.New("transport: connection closed")
 
 // Conn is a reliable, ordered, message-oriented connection.
 type Conn interface {
-	// Send transmits one frame.
+	// Send transmits one frame. The frame is not retained past the call.
 	Send(frame []byte) error
-	// Recv blocks for the next frame.
+	// Recv blocks for the next frame. The returned slice is valid until the
+	// next Recv on this connection (implementations may reuse its backing
+	// memory); callers decode or copy before receiving again.
 	Recv() ([]byte, error)
 	// Close releases the connection; pending Recv calls fail.
 	Close() error
@@ -90,16 +93,43 @@ func (c *pipeConn) Close() error {
 	return nil
 }
 
+// maxRetainedFrame bounds the receive buffer a tcpConn keeps between
+// frames. Coordination frames (a delta or an update of up to a few hundred
+// cells) fit and reuse one buffer for the life of the connection; larger
+// frames — peer-sync batches, bootstrap snapshots — get a one-shot buffer, so
+// a first-sync high-water mark is not pinned for the life of a peer link.
+// A constant, not an option: it trades one allocation per oversized frame
+// against resident memory per connection, and no caller needs another value.
+const maxRetainedFrame = 512 << 10
+
+// readBufSize is the per-connection read buffer: the length prefix and a
+// small frame (status, ack, hello) arrive in one read; the body of a large
+// frame bypasses it and is read straight into the frame buffer.
+const readBufSize = 4 << 10
+
+// frameHeader is the size of the length prefix.
+const frameHeader = 4
+
 // tcpConn frames messages over a stream with a 4-byte big-endian length
-// prefix.
+// prefix. One sender and one receiver may use it concurrently.
 type tcpConn struct {
-	nc       net.Conn
+	nc net.Conn
+
 	sendLock sync.Mutex
+	sendHdr  [frameHeader]byte
+	sendVec  [2][]byte   // header and body of the frame being sent
+	sendBufs net.Buffers // sendVec[:], consumed by each write
+
 	recvLock sync.Mutex
+	rd       *bufio.Reader
+	recvHdr  [frameHeader]byte
+	frame    []byte // reused receive buffer, cap ≤ maxRetainedFrame
 }
 
 // NewTCPConn wraps an established net.Conn with message framing.
-func NewTCPConn(nc net.Conn) Conn { return &tcpConn{nc: nc} }
+func NewTCPConn(nc net.Conn) Conn {
+	return &tcpConn{nc: nc, rd: bufio.NewReaderSize(nc, readBufSize)}
+}
 
 // Dial connects to a CoCa server at addr ("host:port").
 func Dial(addr string) (Conn, error) {
@@ -117,36 +147,49 @@ func DialContext(ctx context.Context, addr string) (Conn, error) {
 	return NewTCPConn(nc), nil
 }
 
+// Send hands the kernel the length prefix and the frame in one vectored
+// write (writev on TCP), so the peer is woken once per frame and never
+// between header and body, and the frame is not copied in user space.
 func (c *tcpConn) Send(frame []byte) error {
 	if len(frame) > MaxFrameSize {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(frame))
 	}
 	c.sendLock.Lock()
 	defer c.sendLock.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write header: %w", err)
-	}
-	if _, err := c.nc.Write(frame); err != nil {
+	binary.BigEndian.PutUint32(c.sendHdr[:], uint32(len(frame)))
+	c.sendVec[0], c.sendVec[1] = c.sendHdr[:], frame
+	c.sendBufs = c.sendVec[:]
+	_, err := c.sendBufs.WriteTo(c.nc)
+	c.sendVec[1] = nil // the frame is not retained past the call
+	if err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }
 
+// Recv returns the next frame in the connection's reused frame buffer: the
+// slice is valid until the next Recv. The buffer grows to exactly the
+// largest frame seen (no doubling: it is resident for the connection's
+// life), never past maxRetainedFrame; a larger frame gets a one-shot buffer.
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.recvLock.Lock()
 	defer c.recvLock.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.nc, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.rd, c.recvHdr[:]); err != nil {
 		return nil, fmt.Errorf("transport: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.recvHdr[:])
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(c.nc, frame); err != nil {
+	frame := c.frame
+	if int(n) > cap(frame) {
+		frame = make([]byte, n)
+		if n <= maxRetainedFrame {
+			c.frame = frame
+		}
+	}
+	frame = frame[:n]
+	if _, err := io.ReadFull(c.rd, frame); err != nil {
 		return nil, fmt.Errorf("transport: read frame: %w", err)
 	}
 	return frame, nil
