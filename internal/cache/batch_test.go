@@ -3,6 +3,8 @@ package cache
 import (
 	"math/rand/v2"
 	"testing"
+
+	"coca/internal/vecmath"
 )
 
 func randLayer(r *rand.Rand, site, entries, dim, classSpread int) Layer {
@@ -144,15 +146,21 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 }
 
 // TestBatchProbeBorrowsPublishedStaging asserts the borrowed-staging
-// contract of the tentpole: probing a staged (published) layer must not
-// touch the batch's fallback widening scratch — the layer's own mirrors
-// are used — and steady-state probes of staged layers allocate nothing.
+// contract: a layer that arrives with mirrors handed in by the allocation
+// path (a view's own, or the ones memoised on published entries) keeps
+// exactly those through Stage, probing it must not touch the batch's
+// fallback widening scratch, and steady-state probes allocate nothing.
 func TestBatchProbeBorrowsPublishedStaging(t *testing.T) {
 	r := rand.New(rand.NewPCG(31, 37))
 	cfg := Config{Alpha: DefaultAlpha, Theta: 0.01}
 	const batch, dim = 8, 64
 	layer := randLayer(r, 0, 12, dim, 10)
+	layer.Wide, layer.Norm2 = vecmath.WidenRows(layer.Entries)
+	handed := &layer.Wide[0][0]
 	layer.Stage()
+	if &layer.Wide[0][0] != handed {
+		t.Fatal("Stage re-widened a layer whose mirrors were handed in")
+	}
 	lks := make([]*Lookup, batch)
 	for i := range lks {
 		lks[i] = NewLookup(cfg)

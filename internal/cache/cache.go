@@ -70,12 +70,14 @@ type Layer struct {
 	Entries [][]float32
 
 	// Wide[i] and Norm2[i] are entry i's widened float64 mirror and
-	// squared norm — probe staging computed once when the entry is
-	// published (global-table merge, allocation apply, or Stage) and then
-	// shared read-only by every probe, batch and round. Layers built from
-	// the coordinator's allocation path arrive pre-staged with mirrors
-	// borrowed from the immutable-once-published global-table entries;
-	// Stage fills the staging for layers assembled by hand.
+	// squared norm — probe staging that belongs to the prober, never to a
+	// tier that only stores and forwards entries. Layers materialized from
+	// a client's allocation view arrive with it: the view's own mirrors for
+	// cells a wire delta delivered (staged once when the cell changed), or
+	// the mirror memoised on the published global-table entry for cells an
+	// in-process view shares (built when the first prober asked). Stage
+	// keeps staging that is handed in and fills it for layers assembled by
+	// hand; either way it is read-only while the layer is probed.
 	Wide  [][]float64
 	Norm2 []float64
 
@@ -106,10 +108,9 @@ func (l *Layer) MaxClass() int {
 // Stage computes the layer's probe staging — widened entry mirrors,
 // squared norms and the max class id — unless already present, and marks
 // the layer staged. Entry mirrors handed in by the allocation path (Wide
-// and Norm2 covering every entry) are kept: they were computed when the
-// entries were published and widening is exact, so recomputing could only
-// reproduce them. Stage must complete before a layer is probed
-// concurrently; staged layers are read-only thereafter.
+// and Norm2 covering every entry) are kept: widening is exact, so
+// recomputing could only reproduce them. Stage must complete before a
+// layer is probed concurrently; staged layers are read-only thereafter.
 func (l *Layer) Stage() {
 	if l.staged {
 		return
@@ -316,10 +317,10 @@ func (layer *Layer) maxClass() int {
 // Probe runs the Eq. 1 / Eq. 2 update for one activated layer against the
 // sample's semantic vector at that layer. Staged layers (every layer a
 // client receives through the allocation path) score through the widened
-// row kernel — the query is widened once and the entries' publish-time
-// mirrors and norms are reused, instead of Cosine re-deriving both norms
-// per pair; results are bitwise identical either way. Steady-state calls
-// are allocation-free.
+// row kernel — the query is widened once and the entries' mirrors and
+// norms are reused, instead of Cosine re-deriving both norms per pair;
+// results are bitwise identical either way. Steady-state calls are
+// allocation-free.
 func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 	n := layer.Len()
 	if n == 0 {
@@ -394,9 +395,9 @@ func (l *Lookup) Accumulated() map[int]float64 {
 // BatchProbe probes one layer for a whole batch of samples at once,
 // producing exactly the Results of per-sample Probe calls while running
 // the scoring as one blocked multi-query kernel: the batch's queries are
-// widened once, the layer's publish-time entry staging (widened mirrors
-// and squared norms, computed at merge/publish and shared read-only) is
-// borrowed instead of re-widening the layer per (layer, batch), and
+// widened once, the layer's entry staging (widened mirrors and squared
+// norms, see Layer.Wide) is borrowed instead of re-widening the layer per
+// (layer, batch), and
 // vecmath.CosinesBatchWidenedRows streams the entry rows through cache
 // once per query tile instead of once per sample. Unstaged layers are
 // staged into batch-owned scratch first. The scratch buffers are owned by
@@ -412,8 +413,8 @@ type BatchProbe struct {
 	scores []float32   // batch × entries score matrix, stride = entries
 }
 
-// stage returns the layer's entry staging, borrowing the publish-time
-// mirrors when present and otherwise widening into batch-owned scratch.
+// stage returns the layer's entry staging, borrowing the layer's mirrors
+// when it is staged and otherwise widening into batch-owned scratch.
 func (bp *BatchProbe) stage(layer *Layer, n, dim int) (rows [][]float64, snorm []float64) {
 	if layer.staged {
 		return layer.Wide, layer.snorm

@@ -311,7 +311,9 @@ func (c *Client) BeginRound() error {
 			c.exitShield()
 		}
 		if c.cfg.DisableDynamicAllocation && c.frozen == nil {
-			frozen := alloc
+			// The allocation aliases the view, which the next refresh
+			// overwrites: what is frozen is a copy.
+			frozen := alloc.Clone()
 			c.frozen = &frozen
 		}
 	}
@@ -413,11 +415,10 @@ func (c *Client) EndRound() error {
 	c.updateHitRatio()
 	report := UpdateReport{Freq: c.freq.Snapshot()}
 	if !c.cfg.DisableCollection {
+		// The update table's own vectors travel: Upload borrows the report
+		// for the call and the table is reset only after it returns.
 		c.upd.ForEach(func(class, layer int, vec []float32, count int) {
-			report.Cells = append(report.Cells, UpdateCell{
-				Class: class, Layer: layer, Count: count,
-				Vec: append([]float32(nil), vec...),
-			})
+			report.Cells = append(report.Cells, UpdateCell{Class: class, Layer: layer, Count: count, Vec: vec})
 		})
 	}
 	ctx, cancel := c.reqCtx()
@@ -449,18 +450,13 @@ func (c *Client) updateHitRatio() {
 	if c.roundFrames == 0 || c.local.NumEntries() == 0 {
 		return
 	}
-	active := make(map[int]bool, len(c.local.Sites()))
-	for _, s := range c.local.Sites() {
-		active[s] = true
-	}
-	cum := 0
-	for j := 0; j < c.space.Arch.NumLayers; j++ {
-		cum += c.roundHitsBy[j]
-		if !active[j] {
-			continue
+	cum, j := 0, 0
+	for _, site := range c.local.Sites() { // ascending
+		for ; j <= site; j++ {
+			cum += c.roundHitsBy[j]
 		}
 		obs := float64(cum) / float64(c.roundFrames)
-		c.hitRatio[j] = (1-hitRatioEMA)*c.hitRatio[j] + hitRatioEMA*obs
+		c.hitRatio[site] = (1-hitRatioEMA)*c.hitRatio[site] + hitRatioEMA*obs
 	}
 }
 

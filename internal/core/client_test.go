@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"coca/internal/dataset"
+	"coca/internal/model"
 	"coca/internal/stream"
 )
 
@@ -164,29 +166,80 @@ func TestClientTauTracksClasses(t *testing.T) {
 	}
 }
 
+// wireLikeCoordinator hands its sessions' deltas on the way a wire decoder
+// does: vectors in memory the next call reuses, and no entry handles.
+type wireLikeCoordinator struct{ inner Coordinator }
+
+func (w wireLikeCoordinator) Open(ctx context.Context, clientID int) (Session, error) {
+	sess, err := w.inner.Open(ctx, clientID)
+	return &wireLikeSession{Session: sess}, err
+}
+
+type wireLikeSession struct {
+	Session
+	arena []float32
+	cells []DeltaCell
+}
+
+func (s *wireLikeSession) Allocate(ctx context.Context, st StatusReport) (Delta, error) {
+	d, err := s.Session.Allocate(ctx, st)
+	s.arena, s.cells = s.arena[:0], s.cells[:0]
+	for _, c := range d.Cells {
+		s.arena = append(s.arena, c.Vec...)
+	}
+	for i, c := range d.Cells {
+		s.cells = append(s.cells, DeltaCell{Site: c.Site, Class: c.Class, Vec: s.arena[i*model.Dim : (i+1)*model.Dim]})
+	}
+	d.Cells = s.cells
+	return d, err
+}
+
 func TestClientFrozenAllocation(t *testing.T) {
-	c, _ := smallClient(t, ClientConfig{RoundFrames: 30, DisableDynamicAllocation: true, Budget: 40})
+	space := smallSpace()
+	srv := NewServer(space, ServerConfig{Theta: 0.035, Seed: 3, ProfileSamples: 200, InitSamplesPerClass: 16})
+	c, err := NewClient(context.Background(), space, wireLikeCoordinator{srv},
+		ClientConfig{Theta: 0.035, RoundFrames: 30, DisableDynamicAllocation: true, Budget: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
 	gen := smallGen(t)
 	if err := c.BeginRound(); err != nil {
 		t.Fatal(err)
 	}
 	sites1 := c.Cache().Sites()
-	for f := 0; f < 30; f++ {
-		c.Infer(gen.Next())
+	// What the client froze must stay bit for bit what it was, although the
+	// view it came from overwrites its cells in place on every later apply.
+	frozen := c.frozen.Clone()
+	for round := 0; round < 3; round++ {
+		for f := 0; f < 30; f++ {
+			c.Infer(gen.Next())
+		}
+		if err := c.EndRound(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.BeginRound(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.EndRound(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.BeginRound(); err != nil {
-		t.Fatal(err)
+	if _, merges := srv.Stats(); merges == 0 {
+		t.Fatal("no upload merged: the refreshes overwrote nothing")
 	}
 	sites2 := c.Cache().Sites()
-	if len(sites1) != len(sites2) {
-		t.Fatalf("frozen allocation changed shape: %v vs %v", sites1, sites2)
+	if !slices.Equal(sites1, sites2) {
+		t.Fatalf("frozen allocation changed sites: %v vs %v", sites1, sites2)
 	}
-	for i := range sites1 {
-		if sites1[i] != sites2[i] {
-			t.Fatalf("frozen allocation changed sites: %v vs %v", sites1, sites2)
+	if len(c.frozen.Layers) != len(frozen.Layers) {
+		t.Fatalf("frozen allocation went from %d to %d layers", len(frozen.Layers), len(c.frozen.Layers))
+	}
+	for j, l := range c.frozen.Layers {
+		w := frozen.Layers[j]
+		if l.Site != w.Site || !slices.Equal(l.Classes, w.Classes) {
+			t.Fatalf("frozen layer %d is now site %d %v, was site %d %v", j, l.Site, l.Classes, w.Site, w.Classes)
+		}
+		for i := range l.Entries {
+			if !slices.Equal(l.Entries[i], w.Entries[i]) {
+				t.Fatalf("frozen entry (%d,%d) changed under a later apply", l.Site, l.Classes[i])
+			}
 		}
 	}
 }

@@ -468,15 +468,13 @@ func (s *Server) Open(ctx context.Context, clientID int) (Session, error) {
 	return sess, nil
 }
 
-// targetCell is one cell of a freshly computed allocation, with the table
-// version backing its entry. vec is a borrowed reference to the live
-// (immutable-once-published) global-table entry.
+// targetCell is one cell of a freshly computed allocation: a borrowed handle
+// to the published (immutable) global-table entry and the table version
+// backing it.
 type targetCell struct {
-	ref   CellRef
-	vec   []float32
-	ver   uint64
-	wide  []float64 // publish-time staging of vec (borrowed, immutable)
-	norm2 float64
+	ref CellRef
+	ent *gtable.Entry
+	ver uint64
 }
 
 // allocScratch is the session-owned working memory of the allocation hot
@@ -484,15 +482,13 @@ type targetCell struct {
 // buffers and the computed target-cell list. At steady state a session's
 // Allocate performs no heap allocation at all.
 type allocScratch struct {
-	aca     ACAScratch
-	freq    []float64
-	cls     []int
-	entries [][]float32
-	vers    []uint64
-	wide    [][]float64
-	norm2   []float64
-	cells   []targetCell
-	sites   []int
+	aca   ACAScratch
+	freq  []float64
+	cls   []int
+	ents  []*gtable.Entry
+	vers  []uint64
+	cells []targetCell
+	sites []int
 }
 
 // stageCheck aborts multi-stage work whose context died between stages —
@@ -579,18 +575,16 @@ func (s *Server) computeAllocation(ctx context.Context, clientID int, status Sta
 	sc.cells = sc.cells[:0]
 	sc.sites = sc.sites[:0]
 	for _, site := range res.Layers {
-		sc.cls, sc.entries, sc.vers, sc.wide, sc.norm2 = s.table.ExtractLayerStagedInto(
-			site, res.Classes, sc.cls[:0], sc.entries[:0], sc.vers[:0], sc.wide[:0], sc.norm2[:0])
+		sc.cls, sc.ents, sc.vers = s.table.ExtractLayerEntriesInto(
+			site, res.Classes, sc.cls[:0], sc.ents[:0], sc.vers[:0])
 		if len(sc.cls) > 0 {
 			sc.sites = append(sc.sites, site)
 		}
 		for i := range sc.cls {
 			sc.cells = append(sc.cells, targetCell{
-				ref:   CellRef{Site: site, Class: sc.cls[i]},
-				vec:   sc.entries[i],
-				ver:   sc.vers[i],
-				wide:  sc.wide[i],
-				norm2: sc.norm2[i],
+				ref: CellRef{Site: site, Class: sc.cls[i]},
+				ent: sc.ents[i],
+				ver: sc.vers[i],
 			})
 		}
 	}
@@ -909,8 +903,7 @@ func (ss *ServerSession) Allocate(ctx context.Context, status StatusReport) (Del
 		ss.refs = append(ss.refs, int32(idx))
 		if !unchanged {
 			buf.cells = append(buf.cells, DeltaCell{
-				Site: c.ref.Site, Class: c.ref.Class,
-				Vec: c.vec, Wide: c.wide, Norm2: c.norm2,
+				Site: c.ref.Site, Class: c.ref.Class, Vec: c.ent.Vec, Entry: c.ent,
 			})
 		}
 	}

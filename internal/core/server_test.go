@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
+	"coca/internal/cache"
 	"coca/internal/dataset"
 	"coca/internal/model"
 	"coca/internal/semantics"
+	"coca/internal/telemetry"
 	"coca/internal/vecmath"
 	"coca/internal/xrand"
 )
@@ -305,14 +308,15 @@ func TestNewServerFromSharedInit(t *testing.T) {
 	NewServerFrom(space, ServerConfig{Theta: 0.02, Seed: 8}, init)
 }
 
-// TestAllocationCarriesPublishStaging checks the staging flow of the
-// tentpole end to end in process: delta cells carry the global table's
-// publish-time mirrors, the applied view shares them, and the
-// materialized layers arrive pre-staged with mirrors that match their
-// entries exactly.
+// TestAllocationCarriesPublishStaging checks the in-process half of the
+// staging contract: a delta carries entry handles and nothing is widened by
+// allocating or applying it; the mirror is built when the first view is
+// materialized for probing, exactly once per entry however many clients ask
+// at the same moment, and every client probes the same memory.
 func TestAllocationCarriesPublishStaging(t *testing.T) {
 	srv := smallServer(t)
 	sess := testSession(t, srv, 0)
+	before := telemetry.CoreStagedEntries.Load()
 	d, err := sess.Allocate(context.Background(), neutralStatus(0))
 	if err != nil {
 		t.Fatal(err)
@@ -321,61 +325,112 @@ func TestAllocationCarriesPublishStaging(t *testing.T) {
 		t.Fatal("first allocation delivered no cells")
 	}
 	for _, c := range d.Cells {
-		if len(c.Wide) != len(c.Vec) {
-			t.Fatalf("cell (%d,%d): in-process delta missing staging (%d wide vs %d vec)", c.Site, c.Class, len(c.Wide), len(c.Vec))
-		}
-		if c.Norm2 != vecmath.SquaredNorm(c.Vec) {
-			t.Fatalf("cell (%d,%d): staged norm %v != SquaredNorm %v", c.Site, c.Class, c.Norm2, vecmath.SquaredNorm(c.Vec))
+		if c.Entry == nil || &c.Entry.Vec[0] != &c.Vec[0] {
+			t.Fatalf("cell (%d,%d): in-process delta does not carry its published entry", c.Site, c.Class)
 		}
 	}
-	view := NewAllocView()
-	if err := view.Apply(d); err != nil {
-		t.Fatal(err)
-	}
-	for _, layer := range view.Layers() {
-		if len(layer.Wide) != len(layer.Entries) || len(layer.Norm2) != len(layer.Entries) {
-			t.Fatalf("site %d: materialized layer lost staging", layer.Site)
+	const clients = 8
+	views := make([]*AllocView, clients)
+	for i := range views {
+		views[i] = NewAllocView()
+		if err := views[i].Apply(d); err != nil {
+			t.Fatal(err)
 		}
-		for i, e := range layer.Entries {
-			if layer.Norm2[i] != vecmath.SquaredNorm(e) {
-				t.Fatalf("site %d entry %d: norm %v != SquaredNorm %v", layer.Site, i, layer.Norm2[i], vecmath.SquaredNorm(e))
+	}
+	if got := telemetry.CoreStagedEntries.Load() - before; got != 0 {
+		t.Fatalf("allocate + apply staged %d entries, want none before a prober asks", got)
+	}
+	layers := make([][]cache.Layer, clients)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			layers[i] = views[i].Layers()
+		}(i)
+	}
+	wg.Wait()
+	if got := telemetry.CoreStagedEntries.Load() - before; got != uint64(len(d.Cells)) {
+		t.Fatalf("%d clients materializing %d shared cells staged %d entries, want each exactly once", clients, len(d.Cells), got)
+	}
+	for _, ls := range layers {
+		for j, layer := range ls {
+			if len(layer.Wide) != len(layer.Entries) || len(layer.Norm2) != len(layer.Entries) {
+				t.Fatalf("site %d: materialized layer lacks staging", layer.Site)
 			}
-			for k, x := range e {
-				if layer.Wide[i][k] != float64(x) {
-					t.Fatalf("site %d entry %d[%d]: mirror %v != widened %v", layer.Site, i, k, layer.Wide[i][k], float64(x))
+			for i, e := range layer.Entries {
+				if &layer.Wide[i][0] != &layers[0][j].Wide[i][0] {
+					t.Fatalf("site %d entry %d: clients hold different mirrors of one published entry", layer.Site, i)
+				}
+				wide, norm2 := vecmath.WidenRow(e)
+				if layer.Norm2[i] != norm2 {
+					t.Fatalf("site %d entry %d: norm %v != WidenRow %v", layer.Site, i, layer.Norm2[i], norm2)
+				}
+				for k := range wide {
+					if math.Float64bits(layer.Wide[i][k]) != math.Float64bits(wide[k]) {
+						t.Fatalf("site %d entry %d[%d]: mirror %v != WidenRow %v", layer.Site, i, k, layer.Wide[i][k], wide[k])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestWireDeltaRestagesOnApply checks the wire-side half of the staging
-// contract: a delta whose cells carry no mirrors (what the protocol
-// decoder produces) is restaged by AllocView.Apply, with a view-owned
-// copy of the vector.
-func TestWireDeltaRestagesOnApply(t *testing.T) {
+// TestWireDeltaStagingOnApply checks the wire half of the staging contract:
+// a delta whose cells carry no entry handle (what the protocol decoder
+// produces) is copied into view-owned storage and staged by Apply, a changed
+// cell is overwritten where it lies, and an evicted cell's buffers serve the
+// cell the same delta adds.
+func TestWireDeltaStagingOnApply(t *testing.T) {
 	vec := []float32{0.6, 0.8}
-	d := Delta{
-		Version: 1, Full: true,
-		Sites: []int{2},
-		Cells: []DeltaCell{{Site: 2, Class: 1, Vec: vec}},
-	}
 	view := NewAllocView()
-	if err := view.Apply(d); err != nil {
+	if err := view.Apply(Delta{Version: 1, Full: true, Sites: []int{2},
+		Cells: []DeltaCell{{Site: 2, Class: 1, Vec: vec}}}); err != nil {
 		t.Fatal(err)
 	}
 	layers := view.Layers()
 	if len(layers) != 1 || len(layers[0].Entries) != 1 {
 		t.Fatalf("unexpected view shape: %+v", layers)
 	}
-	if &layers[0].Entries[0][0] == &vec[0] {
+	entry, wide := layers[0].Entries[0], layers[0].Wide[0]
+	if &entry[0] == &vec[0] {
 		t.Fatal("wire-path apply must copy the decoder-owned vector")
 	}
 	if got, want := layers[0].Norm2[0], vecmath.SquaredNorm(vec); got != want {
-		t.Fatalf("restaged norm %v != %v", got, want)
+		t.Fatalf("staged norm %v != %v", got, want)
 	}
 	vec[0] = 99 // decoder reuses its arena; the view must be unaffected
-	if layers[0].Entries[0][0] != 0.6 || layers[0].Wide[0][0] != float64(float32(0.6)) {
+	if entry[0] != 0.6 || wide[0] != float64(float32(0.6)) {
 		t.Fatal("view cell aliases the decoder buffer")
+	}
+
+	// The cell changes: same buffers, new contents, staging redone.
+	if err := view.Apply(Delta{Version: 2, BaseVersion: 1, Sites: []int{2},
+		Cells: []DeltaCell{{Site: 2, Class: 1, Vec: []float32{0.8, 0.6}}}}); err != nil {
+		t.Fatal(err)
+	}
+	layers = view.Layers()
+	if &layers[0].Entries[0][0] != &entry[0] || &layers[0].Wide[0][0] != &wide[0] {
+		t.Fatal("a changed wire cell must be overwritten in the view's own buffers")
+	}
+	if entry[0] != 0.8 || wide[1] != float64(float32(0.6)) || layers[0].Norm2[0] != vecmath.SquaredNorm(entry) {
+		t.Fatalf("overwritten cell holds %v / %v / %v", entry, wide, layers[0].Norm2[0])
+	}
+
+	// The cell is evicted and another added by one delta: the buffers move.
+	if err := view.Apply(Delta{Version: 3, BaseVersion: 2, Sites: []int{2},
+		Cells: []DeltaCell{{Site: 2, Class: 0, Vec: []float32{0, 1}}},
+		Evict: []CellRef{{Site: 2, Class: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	layers = view.Layers()
+	if view.NumCells() != 1 || layers[0].Classes[0] != 0 {
+		t.Fatalf("view after evict + add: %+v", layers)
+	}
+	if &layers[0].Entries[0][0] != &entry[0] || &layers[0].Wide[0][0] != &wide[0] {
+		t.Fatal("the evicted cell's buffers must serve the cell the same delta adds")
+	}
+	if len(view.spare) != 0 {
+		t.Fatalf("%d spare buffers kept past Apply", len(view.spare))
 	}
 }

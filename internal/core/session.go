@@ -14,9 +14,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"coca/internal/cache"
+	"coca/internal/gtable"
 	"coca/internal/vecmath"
 )
 
@@ -40,7 +40,10 @@ type Session interface {
 	// version (first round, reconnect, or divergence) the delta is Full.
 	Allocate(ctx context.Context, status StatusReport) (Delta, error)
 	// Upload merges the client's round update table and frequencies into
-	// the global state.
+	// the global state. The report is borrowed for the call: an
+	// implementation encodes or merges it before returning and retains none
+	// of its slices, so the caller may hand over live vectors and reuse
+	// them afterwards.
 	Upload(ctx context.Context, upd UpdateReport) error
 	// Close releases the session; subsequent calls fail.
 	Close() error
@@ -51,18 +54,16 @@ type CellRef struct {
 	Site, Class int
 }
 
-// DeltaCell is one new or changed cache cell with its entry vector.
-// Wide and Norm2 are the entry's publish-time probe staging (widened
-// float64 mirror and squared norm, computed once when the global-table
-// cell was merged/published). In-process sessions fill them — the mirrors
-// are immutable-once-published table memory, shared read-only — while
-// wire transports ship only Vec and the receiving view restages on apply
-// (once per changed cell, never per round).
+// DeltaCell is one new or changed cache cell with its entry vector. Entry is
+// set by in-process sessions only: it is the published global-table entry
+// Vec belongs to, and lets the receiving view share the table's memory —
+// the vector and the staging memoised on the entry — instead of copying.
+// Wire transports ship Vec alone; the receiving view keeps its own copy and
+// stages it on apply (once per changed cell, never per round).
 type DeltaCell struct {
 	Site, Class int
 	Vec         []float32
-	Wide        []float64
-	Norm2       float64
+	Entry       *gtable.Entry
 }
 
 // Delta is a versioned allocation update. Applying it to the allocation
@@ -91,31 +92,40 @@ type Delta struct {
 }
 
 // AllocView is a client-side materialized view of its current allocation:
-// the cells received so far, keyed by (site, class). Applying successive
-// deltas keeps the view in sync with the server's session record; the
-// view's version is echoed back in StatusReport.LastVersion so the server
-// knows which base the client holds.
+// the cells received so far, stored per site in the shape cache.NewLocal
+// consumes. Applying successive deltas keeps the view in sync with the
+// server's session record; the view's version is echoed back in
+// StatusReport.LastVersion so the server knows which base the client holds.
+//
+// The view owns the storage of the cells a wire delta delivered: a changed
+// cell is overwritten where it lies, and the buffers of an evicted cell serve
+// the cells the same delta adds. Cells of an in-process delta share the
+// published table entry instead. Either way Layers and Allocation hand out
+// the view's own slices, valid until the next Apply.
 type AllocView struct {
 	version uint64
 	classes []int
-	sites   []int
-	cells   map[CellRef]viewCell
+	sites   []viewSite // every site that ever held a cell, ascending
+	ncells  int
+	spare   []cellBuf // released by the running Apply, for the cells it adds
 }
 
-// viewCell is one materialized cell: the entry vector plus its probe
-// staging (see DeltaCell). For in-process deltas all three borrow the
-// immutable published global-table memory; for wire deltas vec is a
-// view-owned copy and the staging is computed at apply time.
-type viewCell struct {
-	vec   []float32
-	wide  []float64
-	norm2 float64
+// viewSite is one site's cells, classes ascending. ents[i] is the published
+// entry cell i shares (its staging is fetched when Layers is asked for it), or
+// nil when the view owns layer.Entries[i] and layer.Wide[i].
+type viewSite struct {
+	layer cache.Layer
+	ents  []*gtable.Entry
+}
+
+// cellBuf is the view-owned storage of one cell.
+type cellBuf struct {
+	vec  []float32
+	wide []float64
 }
 
 // NewAllocView returns an empty view (version 0: nothing allocated yet).
-func NewAllocView() *AllocView {
-	return &AllocView{cells: make(map[CellRef]viewCell)}
-}
+func NewAllocView() *AllocView { return &AllocView{} }
 
 // Version returns the version of the currently held allocation.
 func (v *AllocView) Version() uint64 { return v.version }
@@ -124,69 +134,54 @@ func (v *AllocView) Version() uint64 { return v.version }
 func (v *AllocView) Classes() []int { return v.classes }
 
 // NumCells returns the number of materialized cells.
-func (v *AllocView) NumCells() int { return len(v.cells) }
+func (v *AllocView) NumCells() int { return v.ncells }
 
 // Apply folds a delta into the view. A non-full delta must be based on
-// the view's current version; a full delta resets the view.
+// the view's current version; a full delta resets the view. A delta that is
+// rejected leaves the view untouched.
 //
-// The delta's slices are borrowed (server sessions and wire decoders
-// reuse them between calls), so Apply copies everything it keeps: each
-// changed cell gets a FRESH view-owned vector — never an in-place
-// overwrite, because previously materialized Layers()/Allocation() (the
-// frozen-allocation ablation retains one) alias the old slices and must
-// stay bitwise stable. After Apply returns, the delta may be invalidated
-// freely. Delta.Sites is ascending by contract (the wire format and the
-// server both guarantee it); a delta that breaks it is rejected.
+// The delta's slices are borrowed (server sessions and wire decoders reuse
+// them between calls), so Apply copies every vector that comes without an
+// entry handle into view-owned storage and the delta may be invalidated
+// freely once it returns. What Layers and Allocation returned before is
+// invalidated by Apply: a holder that needs it longer takes a Clone.
+// Delta.Sites is ascending by contract (the wire format and the server both
+// guarantee it); a delta that breaks it is rejected.
 func (v *AllocView) Apply(d Delta) error {
 	if !slices.IsSorted(d.Sites) {
 		return fmt.Errorf("core: delta sites %v not ascending", d.Sites)
 	}
-	if d.Full {
-		clear(v.cells)
-	} else if d.BaseVersion != v.version {
+	if !d.Full && d.BaseVersion != v.version {
 		return fmt.Errorf("core: delta base version %d, view holds %d", d.BaseVersion, v.version)
-	}
-	for _, ref := range d.Evict {
-		delete(v.cells, ref)
 	}
 	for _, c := range d.Cells {
 		if len(c.Vec) == 0 {
 			return fmt.Errorf("core: delta cell (%d,%d) has empty vector", c.Site, c.Class)
 		}
-		if !activeSite(d.Sites, c.Site) {
-			// The view is an exact function of the delta's declared shape:
-			// a cell outside the activated sites is never materialized.
-			continue
-		}
-		vc := viewCell{vec: c.Vec, wide: c.Wide, norm2: c.Norm2}
-		if len(c.Wide) == len(c.Vec) {
-			// In-process delta: Vec and Wide are immutable published
-			// global-table memory (merges replace, never mutate, entry
-			// slices), so the view shares them instead of copying.
-		} else {
-			// Wire delta: the decoder reuses its arena between calls, so
-			// copy the vector, and publish its staging here — once per
-			// changed cell, reused by every probe until the cell changes
-			// again.
-			vc.vec = append([]float32(nil), c.Vec...)
-			vc.wide, vc.norm2 = vecmath.WidenRow(vc.vec)
-		}
-		v.cells[CellRef{Site: c.Site, Class: c.Class}] = vc
 	}
-	// Cells held at a site this delta deactivates are dropped (shape shrink
-	// without explicit evictions only happens on Full deltas, which start
-	// from an empty view; the common delta deactivates nothing and skips
-	// the sweep).
-	if !d.Full && deactivates(v.sites, d.Sites) {
-		for ref := range v.cells {
-			if !activeSite(d.Sites, ref.Site) {
-				delete(v.cells, ref)
+	// The view is an exact function of the delta's declared shape: cells at
+	// a site it does not activate are dropped, and never materialized.
+	for i := range v.sites {
+		if s := &v.sites[i]; d.Full || !activeSite(d.Sites, s.layer.Site) {
+			v.release(s, 0, s.layer.Len())
+		}
+	}
+	for _, ref := range d.Evict {
+		if si, ok := v.site(ref.Site); ok {
+			if i, ok := slices.BinarySearch(v.sites[si].layer.Classes, ref.Class); ok {
+				v.release(&v.sites[si], i, i+1)
 			}
 		}
 	}
+	for _, c := range d.Cells {
+		if activeSite(d.Sites, c.Site) {
+			v.upsert(c)
+		}
+	}
+	clear(v.spare[:cap(v.spare)]) // what no added cell took is dropped
+	v.spare = v.spare[:0]
 	v.version = d.Version
 	v.classes = append(v.classes[:0], d.Classes...)
-	v.sites = append(v.sites[:0], d.Sites...)
 	return nil
 }
 
@@ -196,50 +191,112 @@ func activeSite(sites []int, site int) bool {
 	return ok
 }
 
-// deactivates reports whether some site of the ascending list old is
-// missing from the ascending list cur.
-func deactivates(old, cur []int) bool {
-	for _, s := range old {
-		if !activeSite(cur, s) {
-			return true
+// site returns the position of site in v.sites and whether it is there.
+func (v *AllocView) site(site int) (int, bool) {
+	return slices.BinarySearchFunc(v.sites, site, func(s viewSite, site int) int { return s.layer.Site - site })
+}
+
+// release takes cells [i, j) of a site out of the view; the buffers the view
+// owns among them wait in v.spare for the cells the running Apply adds.
+func (v *AllocView) release(s *viewSite, i, j int) {
+	l := &s.layer
+	for k := i; k < j; k++ {
+		if s.ents[k] == nil {
+			v.spare = append(v.spare, cellBuf{l.Entries[k], l.Wide[k]})
 		}
 	}
-	return false
+	l.Classes = slices.Delete(l.Classes, i, j)
+	l.Entries = slices.Delete(l.Entries, i, j)
+	l.Wide = slices.Delete(l.Wide, i, j)
+	l.Norm2 = slices.Delete(l.Norm2, i, j)
+	s.ents = slices.Delete(s.ents, i, j)
+	v.ncells -= j - i
+}
+
+// upsert stores one delta cell, in place when the view already holds it.
+func (v *AllocView) upsert(c DeltaCell) {
+	si, ok := v.site(c.Site)
+	if !ok {
+		v.sites = slices.Insert(v.sites, si, viewSite{layer: cache.Layer{Site: c.Site}})
+	}
+	s := &v.sites[si]
+	l := &s.layer
+	i, ok := slices.BinarySearch(l.Classes, c.Class)
+	if !ok {
+		l.Classes = slices.Insert(l.Classes, i, c.Class)
+		l.Entries = slices.Insert(l.Entries, i, nil)
+		l.Wide = slices.Insert(l.Wide, i, nil)
+		l.Norm2 = slices.Insert(l.Norm2, i, 0)
+		s.ents = slices.Insert(s.ents, i, nil)
+		v.ncells++
+	}
+	if c.Entry != nil {
+		// In-process cell: the entry is immutable published table memory
+		// (merges replace, never mutate, it), so the view shares it.
+		if s.ents[i] == nil && l.Entries[i] != nil {
+			v.spare = append(v.spare, cellBuf{l.Entries[i], l.Wide[i]})
+		}
+		s.ents[i], l.Entries[i], l.Wide[i], l.Norm2[i] = c.Entry, c.Entry.Vec, nil, 0
+		return
+	}
+	// Wire cell: the decoder reuses its arena between calls, so the view
+	// keeps a copy — in the buffers this cell already has, else in a pair
+	// this delta released — and stages it here, once per changed cell,
+	// for every probe until the cell changes again.
+	if s.ents[i] != nil || len(l.Entries[i]) != len(c.Vec) {
+		var b cellBuf
+		if n := len(v.spare) - 1; n >= 0 {
+			b, v.spare = v.spare[n], v.spare[:n]
+		}
+		if len(b.vec) != len(c.Vec) {
+			b = cellBuf{make([]float32, len(c.Vec)), make([]float64, len(c.Vec))}
+		}
+		s.ents[i], l.Entries[i], l.Wide[i] = nil, b.vec, b.wide
+	}
+	copy(l.Entries[i], c.Vec)
+	l.Norm2[i] = vecmath.WidenVec(c.Vec, l.Wide[i])
 }
 
 // Layers materializes the view as cache layers (sites ascending, classes
-// ascending within a site), the shape cache.NewLocal consumes.
+// ascending within a site), the shape cache.NewLocal consumes. The layers
+// alias the view's storage and are valid until the next Apply. Cells shared
+// with an in-process table get their staging from the published entry here,
+// which is when a prober first asks for it.
 func (v *AllocView) Layers() []cache.Layer {
-	bySite := make(map[int][]int)
-	for ref := range v.cells {
-		bySite[ref.Site] = append(bySite[ref.Site], ref.Class)
-	}
-	sites := make([]int, 0, len(bySite))
-	for s := range bySite {
-		sites = append(sites, s)
-	}
-	sort.Ints(sites)
-	out := make([]cache.Layer, 0, len(sites))
-	for _, s := range sites {
-		cls := bySite[s]
-		sort.Ints(cls)
-		entries := make([][]float32, len(cls))
-		wide := make([][]float64, len(cls))
-		norm2 := make([]float64, len(cls))
-		for i, c := range cls {
-			vc := v.cells[CellRef{Site: s, Class: c}]
-			entries[i] = vc.vec
-			wide[i] = vc.wide
-			norm2[i] = vc.norm2
+	out := make([]cache.Layer, 0, len(v.sites))
+	for i := range v.sites {
+		s := &v.sites[i]
+		if s.layer.Len() == 0 {
+			continue
 		}
-		out = append(out, cache.Layer{Site: s, Classes: cls, Entries: entries, Wide: wide, Norm2: norm2})
+		for k, e := range s.ents {
+			if e != nil && s.layer.Wide[k] == nil {
+				s.layer.Wide[k], s.layer.Norm2[k] = e.Staging()
+			}
+		}
+		out = append(out, s.layer)
 	}
 	return out
 }
 
 // Allocation materializes the view as a v1-style full allocation (used by
 // the wire server to answer protocol-v1 clients and by frozen-allocation
-// refreshes).
+// refreshes). Like Layers, it is valid until the next Apply.
 func (v *AllocView) Allocation() Allocation {
 	return Allocation{Classes: append([]int(nil), v.classes...), Layers: v.Layers()}
+}
+
+// Clone returns a copy of the allocation's shape and entry vectors that
+// shares nothing with the view it was materialized from, for holders that
+// outlive that view's next Apply. Staging is left to whoever probes the copy.
+func (a Allocation) Clone() Allocation {
+	out := Allocation{Classes: slices.Clone(a.Classes), Layers: make([]cache.Layer, len(a.Layers))}
+	for i, l := range a.Layers {
+		entries := make([][]float32, len(l.Entries))
+		for k, e := range l.Entries {
+			entries[k] = slices.Clone(e)
+		}
+		out.Layers[i] = cache.Layer{Site: l.Site, Classes: slices.Clone(l.Classes), Entries: entries}
+	}
+	return out
 }

@@ -177,7 +177,7 @@ func migrationEquivalence(seed uint64) (divergent int, rounds int, err error) {
 			if err := cl.BeginRound(); err != nil {
 				return nil, err
 			}
-			allocs = append(allocs, cl.View().Allocation())
+			allocs = append(allocs, cl.View().Allocation().Clone()) // kept across later rounds
 			for f := 0; f < roundFrames; f++ {
 				cl.Infer(gen.Next())
 			}

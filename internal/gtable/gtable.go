@@ -114,25 +114,22 @@ func (t *Table) Merge(class, layer int, update []float32, gamma, globalFreq, loc
 	if old == nil {
 		return t.Set(class, layer, update)
 	}
-	if merged := mergeEntry(old, update, gamma, globalFreq, localFreq); merged != nil {
+	if merged := make([]float32, t.dim); mergeEntry(merged, old, update, gamma, globalFreq, localFreq) {
 		t.vecs[class][layer] = merged
 	}
 	return nil
 }
 
 // mergeEntry is the Eq. 4 combination shared by Table.Merge and
-// Sharded.Merge: the old entry weighted γ·Φ/(Φ+φ) against the update
-// weighted φ/(Φ+φ), re-normalized. It returns nil on perfect
-// cancellation, in which case callers keep the previous entry rather
-// than storing a degenerate zero.
-func mergeEntry(old, update []float32, gamma, globalFreq, localFreq float64) []float32 {
+// Sharded.Merge, written into dst: the old entry weighted γ·Φ/(Φ+φ)
+// against the update weighted φ/(Φ+φ), re-normalized. It reports false on
+// perfect cancellation, in which case callers keep the previous entry
+// rather than storing a degenerate zero.
+func mergeEntry(dst, old, update []float32, gamma, globalFreq, localFreq float64) bool {
 	wOld := float32(gamma * globalFreq / (globalFreq + localFreq))
 	wNew := float32(localFreq / (globalFreq + localFreq))
-	merged := vecmath.WeightedSum(wOld, old, wNew, update)
-	if vecmath.Normalize(merged) == 0 {
-		return nil
-	}
-	return merged
+	vecmath.WeightedSumInto(dst, wOld, old, wNew, update)
+	return vecmath.Normalize(dst) != 0
 }
 
 // Snapshot returns a deep copy of the table.

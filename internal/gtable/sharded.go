@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 
+	"coca/internal/model"
+	"coca/internal/telemetry"
 	"coca/internal/vecmath"
 )
 
@@ -33,15 +35,9 @@ type Sharded struct {
 
 type shardRow struct {
 	mu      sync.RWMutex
-	vecs    [][]float32 // [layer] -> unit vector or nil
-	vers    []uint64    // [layer] -> write version (0 = never written)
-	support []float64   // [layer] -> evidence count Φ (capped)
-	// wide and norm2 are each entry's probe staging — the widened float64
-	// mirror and squared norm — computed once when the entry is published
-	// (entries are immutable once published, so the staging is too) and
-	// borrowed read-only by every extraction, session, client and round.
-	wide  [][]float64 // [layer] -> widened mirror of vecs[layer] or nil
-	norm2 []float64   // [layer] -> squared norm of vecs[layer]
+	ents    []*Entry  // [layer] -> published entry or nil
+	vers    []uint64  // [layer] -> write version (0 = never written)
+	support []float64 // [layer] -> evidence count Φ (capped)
 	// evtotal is the uncapped, monotone evidence accumulated by the cell
 	// over its lifetime. Where support is the capped sliding-window weight
 	// Eq. 4 merges against, evtotal is the federation tier's ledger: the
@@ -60,12 +56,10 @@ func NewSharded(classes, layers, dim int) *Sharded {
 	s := &Sharded{classes: classes, layers: layers, dim: dim}
 	s.rows = make([]shardRow, classes)
 	for i := range s.rows {
-		s.rows[i].vecs = make([][]float32, layers)
+		s.rows[i].ents = make([]*Entry, layers)
 		s.rows[i].vers = make([]uint64, layers)
 		s.rows[i].support = make([]float64, layers)
 		s.rows[i].evtotal = make([]float64, layers)
-		s.rows[i].wide = make([][]float64, layers)
-		s.rows[i].norm2 = make([]float64, layers)
 	}
 	return s
 }
@@ -79,7 +73,7 @@ func ShardedFromTable(t *Table, initialSupport float64) *Sharded {
 		row := &s.rows[c]
 		for j := 0; j < t.Layers(); j++ {
 			if v := t.Get(c, j); v != nil {
-				row.publish(j, vecmath.Clone(v))
+				row.ents[j] = s.entryOf(v)
 				row.vers[j] = 1
 				row.support[j] = initialSupport
 				row.evtotal[j] = initialSupport
@@ -98,13 +92,55 @@ func (s *Sharded) Layers() int { return s.layers }
 // Dim returns the entry dimensionality.
 func (s *Sharded) Dim() int { return s.dim }
 
-// publish stores v as the cell's entry together with its probe staging
-// (widened mirror + squared norm), computed once here so every later
-// probe borrows it instead of re-widening. Callers hold the row lock and
-// manage version/support bookkeeping themselves.
-func (r *shardRow) publish(layer int, v []float32) {
-	r.vecs[layer] = v
-	r.wide[layer], r.norm2[layer] = vecmath.WidenRow(v)
+// Entry is one published cell of the global table. Vec is immutable from
+// publication on — merges replace the entry, never write through it — so an
+// extraction, a delta and any number of client views may hold the same
+// *Entry. The table stores and forwards Vec only; the probe staging (widened
+// float64 mirror and squared norm) belongs to whoever probes: the first
+// Staging call computes it and memoises it on the entry, so in-process
+// probers of one entry share one mirror, and a server whose clients are all
+// on the wire never builds one.
+type Entry struct {
+	Vec []float32
+
+	once  sync.Once
+	wide  []float64
+	norm2 float64
+}
+
+// Staging returns the entry's widened mirror and squared norm, computed by
+// the first caller. Safe for concurrent use; every caller sees one mirror.
+func (e *Entry) Staging() ([]float64, float64) {
+	e.once.Do(func() {
+		e.wide, e.norm2 = vecmath.WidenRow(e.Vec)
+		telemetry.CoreStagedEntries.Inc()
+	})
+	return e.wide, e.norm2
+}
+
+// entryBlock co-allocates an entry with its vector at the deployed
+// dimensionality, so that publishing a cell is one allocation.
+type entryBlock struct {
+	Entry
+	vec [model.Dim]float32
+}
+
+// newEntry returns an unpublished entry with a zero vector for the caller to
+// fill before storing it in a row.
+func (s *Sharded) newEntry() *Entry {
+	if s.dim != model.Dim {
+		return &Entry{Vec: make([]float32, s.dim)}
+	}
+	b := new(entryBlock)
+	b.Vec = b.vec[:]
+	return &b.Entry
+}
+
+// entryOf returns an unpublished entry holding a copy of v.
+func (s *Sharded) entryOf(v []float32) *Entry {
+	e := s.newEntry()
+	copy(e.Vec, v)
+	return e
 }
 
 func (s *Sharded) check(class, layer int) error {
@@ -122,10 +158,10 @@ func (s *Sharded) Get(class, layer int) []float32 {
 	row := &s.rows[class]
 	row.mu.RLock()
 	defer row.mu.RUnlock()
-	if row.vecs[layer] == nil {
+	if row.ents[layer] == nil {
 		return nil
 	}
-	return vecmath.Clone(row.vecs[layer])
+	return vecmath.Clone(row.ents[layer].Vec)
 }
 
 // CellVersion returns the write version of (class, layer); 0 means the
@@ -162,17 +198,16 @@ func (s *Sharded) Merge(class, layer int, update []float32, gamma, localFreq, su
 	row := &s.rows[class]
 	row.mu.Lock()
 	defer row.mu.Unlock()
-	old := row.vecs[layer]
-	if old == nil {
-		v := vecmath.Clone(update)
-		if vecmath.Normalize(v) == 0 {
+	if old := row.ents[layer]; old == nil {
+		e := s.entryOf(update)
+		if vecmath.Normalize(e.Vec) == 0 {
 			return fmt.Errorf("gtable: Merge zero vector at (%d,%d)", class, layer)
 		}
-		row.publish(layer, v)
-	} else if merged := mergeEntry(old, update, gamma, row.support[layer], localFreq); merged != nil {
-		row.publish(layer, merged)
-		// Perfect cancellation (nil) keeps the previous entry, as in
-		// Table.Merge; it still counts as evidence below.
+		row.ents[layer] = e
+	} else if e := s.newEntry(); mergeEntry(e.Vec, old.Vec, update, gamma, row.support[layer], localFreq) {
+		row.ents[layer] = e
+		// Perfect cancellation keeps the previous entry, as in Table.Merge;
+		// it still counts as evidence below.
 	}
 	row.support[layer] += localFreq
 	if supportCap > 0 && row.support[layer] > supportCap {
@@ -226,15 +261,14 @@ func (s *Sharded) MergePeer(class, layer int, update []float32, evidence, sinceE
 	if localRecent < 0 {
 		localRecent = 0
 	}
-	old := row.vecs[layer]
-	if old == nil {
-		v := vecmath.Clone(update)
-		if vecmath.Normalize(v) == 0 {
+	if old := row.ents[layer]; old == nil {
+		e := s.entryOf(update)
+		if vecmath.Normalize(e.Vec) == 0 {
 			return 0, 0, fmt.Errorf("gtable: MergePeer zero vector at (%d,%d)", class, layer)
 		}
-		row.publish(layer, v)
-	} else if merged := mergeEntry(old, update, 1, localRecent+inertia, evidence); merged != nil {
-		row.publish(layer, merged)
+		row.ents[layer] = e
+	} else if e := s.newEntry(); mergeEntry(e.Vec, old.Vec, update, 1, localRecent+inertia, evidence) {
+		row.ents[layer] = e
 	}
 	row.support[layer] += evidence
 	if supportCap > 0 && row.support[layer] > supportCap {
@@ -277,7 +311,7 @@ func (s *Sharded) AdoptPeer(class, layer int, vec []float32, support, evTotal, s
 	if evTotal <= row.evtotal[layer] {
 		return 0, nil
 	}
-	row.publish(layer, vecmath.Clone(vec))
+	row.ents[layer] = s.entryOf(vec)
 	if supportCap > 0 && support > supportCap {
 		support = supportCap
 	}
@@ -308,9 +342,9 @@ func (s *Sharded) ForEachCell(fn func(class, layer int, vec []float32, ver uint6
 	for c := range s.rows {
 		row := &s.rows[c]
 		row.mu.RLock()
-		for j, v := range row.vecs {
-			if v != nil {
-				fn(c, j, v, row.vers[j], row.support[j], row.evtotal[j])
+		for j, e := range row.ents {
+			if e != nil {
+				fn(c, j, e.Vec, row.vers[j], row.support[j], row.evtotal[j])
 			}
 		}
 		row.mu.RUnlock()
@@ -402,10 +436,10 @@ func (s *Sharded) appendRows(dst []Cell, lo, hi int) []Cell {
 	for c := lo; c < hi; c++ {
 		row := &s.rows[c]
 		row.mu.RLock()
-		for j, v := range row.vecs {
-			if v != nil {
+		for j, e := range row.ents {
+			if e != nil {
 				dst = append(dst, Cell{
-					Class: c, Layer: j, Vec: v,
+					Class: c, Layer: j, Vec: e.Vec,
 					Ver: row.vers[j], Support: row.support[j], EvTotal: row.evtotal[j],
 				})
 			}
@@ -424,87 +458,67 @@ func (s *Sharded) Set(class, layer int, vec []float32, support float64) error {
 	if len(vec) != s.dim {
 		return fmt.Errorf("gtable: Set dim %d, want %d", len(vec), s.dim)
 	}
-	v := vecmath.Clone(vec)
-	if vecmath.Normalize(v) == 0 {
+	e := s.entryOf(vec)
+	if vecmath.Normalize(e.Vec) == 0 {
 		return fmt.Errorf("gtable: Set zero vector at (%d,%d)", class, layer)
 	}
 	row := &s.rows[class]
 	row.mu.Lock()
 	defer row.mu.Unlock()
-	row.publish(layer, v)
+	row.ents[layer] = e
 	row.support[layer] = support
 	row.evtotal[layer] += support // the ledger stays monotone across re-seeds
 	row.vers[layer]++
 	return nil
 }
 
-// ExtractLayerVersionedInto appends the populated entries of the given
-// column restricted to classes — with each entry's current version,
-// preserving class order and skipping absent cells — onto the caller's
-// scratch slices and returns them. Entries are borrowed references (see
-// Cell): the critical section per row is the capture of three words, and
-// no allocation ever happens under a shard lock; at steady state, once the
-// scratch has grown to the working-set size, the extraction allocates
-// nothing at all.
-func (s *Sharded) ExtractLayerVersionedInto(layer int, classes []int, cls []int, entries [][]float32, vers []uint64) ([]int, [][]float32, []uint64) {
+// load captures the published entry and write version of (class, layer)
+// under the row's read lock: two words, no allocation.
+func (s *Sharded) load(class, layer int) (*Entry, uint64) {
+	if err := s.check(class, layer); err != nil {
+		panic(err)
+	}
+	row := &s.rows[class]
+	row.mu.RLock()
+	defer row.mu.RUnlock()
+	return row.ents[layer], row.vers[layer]
+}
+
+// ExtractLayerEntriesInto appends the published entries of the given column
+// restricted to classes — with each entry's current version, preserving
+// class order and skipping absent cells — onto the caller's scratch slices
+// and returns them. Entries are borrowed handles (see Entry), nothing is
+// widened, and at steady state, once the scratch has grown to the
+// working-set size, the extraction allocates nothing at all.
+func (s *Sharded) ExtractLayerEntriesInto(layer int, classes []int, cls []int, ents []*Entry, vers []uint64) ([]int, []*Entry, []uint64) {
 	for _, c := range classes {
-		if err := s.check(c, layer); err != nil {
-			panic(err)
-		}
-		row := &s.rows[c]
-		row.mu.RLock()
-		v := row.vecs[layer]
-		ver := row.vers[layer]
-		row.mu.RUnlock()
-		if v != nil {
+		if e, ver := s.load(c, layer); e != nil {
 			cls = append(cls, c)
-			entries = append(entries, v)
+			ents = append(ents, e)
 			vers = append(vers, ver)
 		}
 	}
-	return cls, entries, vers
+	return cls, ents, vers
 }
 
-// ExtractLayerStagedInto is ExtractLayerVersionedInto extended with each
-// entry's publish-time probe staging: wide[i] and norm2[i] are the widened
-// mirror and squared norm of entries[i], borrowed like the entries
-// themselves (immutable once published, computed exactly once at
-// merge/publish). Passing nil wide/norm2 scratch grows fresh slices; hot
-// paths pass reused scratch and allocate nothing at steady state.
+// ExtractLayerStagedInto is the probing form of ExtractLayerEntriesInto: it
+// returns each entry's vector together with its staging (wide[i] and norm2[i]
+// are the mirror and squared norm of entries[i]), forcing the staging of
+// entries nobody probed yet. For callers that score the extracted cells
+// themselves; the allocation path ships handles and leaves staging to the
+// prober.
 func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, entries [][]float32, vers []uint64, wide [][]float64, norm2 []float64) ([]int, [][]float32, []uint64, [][]float64, []float64) {
 	for _, c := range classes {
-		if err := s.check(c, layer); err != nil {
-			panic(err)
-		}
-		row := &s.rows[c]
-		row.mu.RLock()
-		v := row.vecs[layer]
-		ver := row.vers[layer]
-		w := row.wide[layer]
-		n2 := row.norm2[layer]
-		row.mu.RUnlock()
-		if v != nil {
+		if e, ver := s.load(c, layer); e != nil {
+			w, n2 := e.Staging()
 			cls = append(cls, c)
-			entries = append(entries, v)
+			entries = append(entries, e.Vec)
 			vers = append(vers, ver)
 			wide = append(wide, w)
 			norm2 = append(norm2, n2)
 		}
 	}
 	return cls, entries, vers, wide, norm2
-}
-
-// ExtractLayerVersioned returns copies of the populated entries of the
-// given column restricted to classes, with each entry's current version,
-// preserving class order and skipping absent cells. Cloning happens
-// outside the row locks (entries are immutable once published); hot paths
-// use ExtractLayerVersionedInto and skip the copies entirely.
-func (s *Sharded) ExtractLayerVersioned(layer int, classes []int) (cls []int, entries [][]float32, vers []uint64) {
-	cls, entries, vers = s.ExtractLayerVersionedInto(layer, classes, nil, nil, nil)
-	for i, v := range entries {
-		entries[i] = vecmath.Clone(v)
-	}
-	return cls, entries, vers
 }
 
 // Snapshot copies the sharded table into a plain Table (diagnostics and
@@ -515,15 +529,15 @@ func (s *Sharded) ExtractLayerVersioned(layer int, classes []int) (cls []int, en
 // never wait on a snapshot's allocations.
 func (s *Sharded) Snapshot() *Table {
 	out := New(s.classes, s.layers, s.dim)
-	refs := make([][]float32, s.layers)
+	refs := make([]*Entry, s.layers)
 	for c := range s.rows {
 		row := &s.rows[c]
 		row.mu.RLock()
-		copy(refs, row.vecs)
+		copy(refs, row.ents)
 		row.mu.RUnlock()
-		for j, v := range refs {
-			if v != nil {
-				out.vecs[c][j] = vecmath.Clone(v)
+		for j, e := range refs {
+			if e != nil {
+				out.vecs[c][j] = vecmath.Clone(e.Vec)
 			}
 		}
 	}
@@ -536,8 +550,8 @@ func (s *Sharded) Populated() int {
 	for c := range s.rows {
 		row := &s.rows[c]
 		row.mu.RLock()
-		for _, v := range row.vecs {
-			if v != nil {
+		for _, e := range row.ents {
+			if e != nil {
 				n++
 			}
 		}

@@ -2,6 +2,7 @@ package gtable
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -113,14 +114,14 @@ func TestShardedSupportCap(t *testing.T) {
 	}
 }
 
-func TestShardedExtractLayerVersioned(t *testing.T) {
+func TestShardedExtractLayerEntries(t *testing.T) {
 	s := NewSharded(4, 2, 3)
 	for _, c := range []int{0, 2, 3} {
 		if err := s.Set(c, 1, axis(3, c%3), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cls, entries, vers := s.ExtractLayerVersioned(1, []int{0, 1, 2})
+	cls, entries, vers := s.ExtractLayerEntriesInto(1, []int{0, 1, 2}, nil, nil, nil)
 	if len(cls) != 2 || cls[0] != 0 || cls[1] != 2 {
 		t.Fatalf("cls = %v", cls)
 	}
@@ -133,7 +134,7 @@ func TestShardedExtractLayerVersioned(t *testing.T) {
 	if err := s.Merge(2, 1, axis(3, 1), 0.99, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, vers = s.ExtractLayerVersioned(1, []int{0, 2})
+	_, _, vers = s.ExtractLayerEntriesInto(1, []int{0, 2}, nil, nil, nil)
 	if vers[0] != 1 || vers[1] != 2 {
 		t.Fatalf("post-merge vers = %v", vers)
 	}
@@ -172,7 +173,7 @@ func TestShardedConcurrentMergeAndExtract(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				cls, entries, vers := s.ExtractLayerVersioned((w+i)%layers, all)
+				cls, entries, vers := s.ExtractLayerEntriesInto((w+i)%layers, all, nil, nil, nil)
 				if len(cls) != classes || len(entries) != classes || len(vers) != classes {
 					errs <- fmt.Errorf("partial extract: %d classes", len(cls))
 					return
@@ -346,20 +347,20 @@ func TestAppendCellsMatchesForEachCell(t *testing.T) {
 	}
 }
 
-// TestExtractLayerVersionedIntoBorrowsLiveEntries verifies the Into
-// variant returns the live (immutable) entry slices without copying, and
+// TestExtractLayerEntriesIntoBorrowsLiveEntries verifies the Into
+// variant returns the live (immutable) entries without copying, and
 // that a later merge replaces — not mutates — what was borrowed.
-func TestExtractLayerVersionedIntoBorrowsLiveEntries(t *testing.T) {
+func TestExtractLayerEntriesIntoBorrowsLiveEntries(t *testing.T) {
 	s := NewSharded(3, 2, 4)
 	if err := s.Set(1, 0, axis(4, 1), 8); err != nil {
 		t.Fatal(err)
 	}
-	cls, entries, vers := s.ExtractLayerVersionedInto(0, []int{0, 1, 2}, nil, nil, nil)
+	cls, entries, vers := s.ExtractLayerEntriesInto(0, []int{0, 1, 2}, nil, nil, nil)
 	if len(cls) != 1 || cls[0] != 1 || vers[0] != 1 {
 		t.Fatalf("extract = %v %v", cls, vers)
 	}
-	borrowed := entries[0]
-	if &borrowed[0] != &s.rows[1].vecs[0][0] {
+	borrowed := entries[0].Vec
+	if entries[0] != s.rows[1].ents[0] {
 		t.Fatal("Into variant must borrow the live entry, not copy it")
 	}
 	snap := vecmath.Clone(borrowed)
@@ -373,7 +374,7 @@ func TestExtractLayerVersionedIntoBorrowsLiveEntries(t *testing.T) {
 	}
 	// Scratch reuse: a second extraction into the same buffers must not
 	// grow them.
-	cls, entries, vers = s.ExtractLayerVersionedInto(0, []int{0, 1, 2}, cls[:0], entries[:0], vers[:0])
+	cls, entries, vers = s.ExtractLayerEntriesInto(0, []int{0, 1, 2}, cls[:0], entries[:0], vers[:0])
 	if len(cls) != 1 || vers[0] != 2 {
 		t.Fatalf("re-extract = %v %v", cls, vers)
 	}
@@ -442,9 +443,9 @@ func TestSnapshotAndSweepUnderMergeContention(t *testing.T) {
 		if len(cells) != classes*layers {
 			t.Fatalf("sweep saw %d cells, want %d", len(cells), classes*layers)
 		}
-		_, entries, _ := s.ExtractLayerVersionedInto(i%layers, classList, nil, nil, nil)
-		for _, v := range entries {
-			if n := vecmath.Dot(v, v); n < 0.99 || n > 1.01 {
+		_, entries, _ := s.ExtractLayerEntriesInto(i%layers, classList, nil, nil, nil)
+		for _, e := range entries {
+			if n := vecmath.Dot(e.Vec, e.Vec); n < 0.99 || n > 1.01 {
 				t.Fatalf("torn extract: |v|² = %v", n)
 			}
 		}
@@ -475,11 +476,11 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("AppendCells steady state: %.1f allocs/op, want 0", allocs)
 	}
-	cls, entries, vers := s.ExtractLayerVersionedInto(0, classList, nil, nil, nil)
+	cls, entries, vers := s.ExtractLayerEntriesInto(0, classList, nil, nil, nil)
 	if allocs := testing.AllocsPerRun(50, func() {
-		cls, entries, vers = s.ExtractLayerVersionedInto(1, classList, cls[:0], entries[:0], vers[:0])
+		cls, entries, vers = s.ExtractLayerEntriesInto(1, classList, cls[:0], entries[:0], vers[:0])
 	}); allocs != 0 {
-		t.Errorf("ExtractLayerVersionedInto steady state: %.1f allocs/op, want 0", allocs)
+		t.Errorf("ExtractLayerEntriesInto steady state: %.1f allocs/op, want 0", allocs)
 	}
 	var freqDst []float64
 	f := NewFrequencies(classes)
@@ -488,5 +489,64 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		freqDst = f.SnapshotInto(freqDst)
 	}); allocs != 0 {
 		t.Errorf("SnapshotInto steady state: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestEntryStagingMemoisedOnFirstProbe pins the table's half of the staging
+// contract: publishing, merging and extracting handles widen nothing; the
+// first Staging call builds the mirror, concurrent first callers share one,
+// it is bitwise WidenRow of the entry, and a merge publishes a fresh unstaged
+// entry while holders of the old one keep its mirror.
+func TestEntryStagingMemoisedOnFirstProbe(t *testing.T) {
+	const dim = 8
+	s := NewSharded(2, 1, dim)
+	if err := s.Set(1, 0, []float32{3, 1, 4, 1, 5, 9, 2, 6}, 8); err != nil {
+		t.Fatal(err)
+	}
+	_, ents, _ := s.ExtractLayerEntriesInto(0, []int{0, 1}, nil, nil, nil)
+	if len(ents) != 1 || ents[0].wide != nil {
+		t.Fatalf("extraction of handles returned %d entries, staged=%v", len(ents), len(ents) == 1 && ents[0].wide != nil)
+	}
+	e := ents[0]
+	const probers = 16
+	mirrors := make([][]float64, probers)
+	norms := make([]float64, probers)
+	var wg sync.WaitGroup
+	for i := 0; i < probers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mirrors[i], norms[i] = e.Staging()
+		}(i)
+	}
+	wg.Wait()
+	wide, norm2 := vecmath.WidenRow(e.Vec)
+	for i := range mirrors {
+		if &mirrors[i][0] != &mirrors[0][0] {
+			t.Fatalf("prober %d got its own mirror", i)
+		}
+		if math.Float64bits(norms[i]) != math.Float64bits(norm2) {
+			t.Fatalf("prober %d: norm %v, WidenRow gives %v", i, norms[i], norm2)
+		}
+	}
+	for k := range wide {
+		if math.Float64bits(mirrors[0][k]) != math.Float64bits(wide[k]) {
+			t.Fatalf("mirror[%d] = %v, WidenRow gives %v", k, mirrors[0][k], wide[k])
+		}
+	}
+	if err := s.Merge(1, 0, axis(dim, 2), 0.99, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, ents, _ = s.ExtractLayerEntriesInto(0, []int{1}, nil, nil, nil)
+	if ents[0] == e || ents[0].wide != nil {
+		t.Fatal("a merge must publish a fresh, unstaged entry")
+	}
+	if w, _ := e.Staging(); &w[0] != &mirrors[0][0] {
+		t.Fatal("the superseded entry lost its mirror")
+	}
+	// The probing form of the extraction forces what nobody asked for yet.
+	_, vecs, _, wides, norm2s := s.ExtractLayerStagedInto(0, []int{1}, nil, nil, nil, nil, nil)
+	if len(wides) != 1 || &vecs[0][0] != &ents[0].Vec[0] || &wides[0][0] != &ents[0].wide[0] || norm2s[0] != ents[0].norm2 {
+		t.Fatal("ExtractLayerStagedInto must return the entry's own memoised staging")
 	}
 }

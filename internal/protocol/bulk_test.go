@@ -270,9 +270,10 @@ func sampleMessagesV4() []*Message {
 // FuzzDecode holds the arena decoder to the allocating one on arbitrary
 // frames: neither panics, both accept or both refuse with the same error,
 // and an accepted frame re-encodes to the same bytes from either result — on
-// a fresh Decoder and on one whose scratch earlier inputs have already
-// shaped. The corpus starts from every sample message at every live version
-// it can be framed in.
+// a fresh Decoder, on one whose scratch earlier inputs have already shaped,
+// and on one that comes out of the process-wide reply-decoder pool after a
+// larger message shaped it on some other connection. The corpus starts from
+// every sample message at every live version it can be framed in.
 func FuzzDecode(f *testing.F) {
 	for _, m := range append(sampleMessages(), sampleMessagesV4()...) {
 		versions := []byte{m.Version}
@@ -291,9 +292,21 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	var warm Decoder
+	large, err := Encode(benchDeltaMessage())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		want, wantErr := Decode(frame)
-		for _, dec := range []*Decoder{new(Decoder), &warm} {
+		pooled, _ := replyDecoders.Get().(*Decoder)
+		if pooled == nil { // the pool may drop what it is given
+			pooled = new(Decoder)
+			if _, err := pooled.Decode(large); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer replyDecoders.Put(pooled)
+		for _, dec := range []*Decoder{new(Decoder), &warm, pooled} {
 			got, err := dec.Decode(frame)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("Decoder.Decode error %v, Decode error %v", err, wantErr)

@@ -38,10 +38,16 @@ type SessionClient struct {
 	// answered) and hands it back otherwise, so steady-state round trips
 	// allocate nothing in the codec and a connection multiplexing many
 	// sessions keeps as many decoders as replies are live at once, not one
-	// per session.
+	// per session. The connection draws on the process-wide replyDecoders
+	// when free is empty and returns what is free at Close.
 	enc  []byte
 	free []*Decoder
 }
+
+// replyDecoders recycles reply decoders (*Decoder) between connections: a
+// connection per join would otherwise grow, and leave behind, a delta-sized
+// arena of its own.
+var replyDecoders sync.Pool
 
 // NewSessionClient wraps a connection. numClasses/numLayers describe the
 // client's model and are validated by the server at session open.
@@ -79,7 +85,7 @@ func (c *SessionClient) roundTrip(ctx context.Context, req *Message, hold **Deco
 	if *hold == nil {
 		if n := len(c.free); n > 0 {
 			*hold, c.free = c.free[n-1], c.free[:n-1]
-		} else {
+		} else if *hold, _ = replyDecoders.Get().(*Decoder); *hold == nil {
 			*hold = new(Decoder)
 		}
 	}
@@ -172,8 +178,23 @@ func (c *SessionClient) Open(ctx context.Context, clientID int) (core.Session, e
 	return sess, nil
 }
 
-// Close releases the connection (and with it every session opened on it).
-func (c *SessionClient) Close() error { return c.conn.Close() }
+// Close releases the connection (and with it every session opened on it),
+// and returns what the connection pooled to the process: its free reply
+// decoders — not one a session still holds, whose reply may be being read —
+// and the transport's receive buffer.
+func (c *SessionClient) Close() error {
+	err := c.conn.Close() // a round trip stalled in the transport fails now
+	c.mu.Lock()           // and none is in flight past this line: no frame is being decoded
+	defer c.mu.Unlock()
+	transport.Release(c.conn)
+	for _, d := range c.free {
+		if 4*len(d.f32s.buf) <= transport.MaxScratch {
+			replyDecoders.Put(d)
+		}
+	}
+	c.free = nil
+	return err
+}
 
 var _ core.Coordinator = (*SessionClient)(nil)
 
@@ -186,6 +207,7 @@ type wireSession struct {
 
 	mu     sync.Mutex
 	closed bool
+	calls  int // Allocate/Upload calls in flight: one at most by the Session contract
 
 	// dec holds this session's live reply (nil between an answered Upload
 	// and the next Allocate): replies are decoded under the connection lock
@@ -199,22 +221,33 @@ type wireSession struct {
 // Info implements core.Session.
 func (s *wireSession) Info() core.RegisterInfo { return s.info }
 
-func (s *wireSession) check() error {
+// enter admits one Allocate/Upload call unless the session is closed; exit
+// ends it. Close reads the count to learn whether the reply the session
+// holds can still be being produced.
+func (s *wireSession) enter() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("protocol: session %d closed", s.id)
 	}
+	s.calls++
 	return nil
 }
 
+func (s *wireSession) exit() {
+	s.mu.Lock()
+	s.calls--
+	s.mu.Unlock()
+}
+
 // Allocate implements core.Session. The returned delta lives in the
-// decoder the session holds and is valid until this session's next call;
-// core.AllocView.Apply copies what it keeps.
+// decoder the session holds and is valid until this session's next call,
+// Close included; core.AllocView.Apply copies what it keeps.
 func (s *wireSession) Allocate(ctx context.Context, status core.StatusReport) (core.Delta, error) {
-	if err := s.check(); err != nil {
+	if err := s.enter(); err != nil {
 		return core.Delta{}, err
 	}
+	defer s.exit()
 	m, err := s.c.roundTrip(ctx, &Message{
 		Version:        s.c.negotiated(),
 		Type:           TypeStatus,
@@ -234,9 +267,10 @@ func (s *wireSession) Allocate(ctx context.Context, status core.StatusReport) (c
 
 // Upload implements core.Session.
 func (s *wireSession) Upload(ctx context.Context, upd core.UpdateReport) error {
-	if err := s.check(); err != nil {
+	if err := s.enter(); err != nil {
 		return err
 	}
+	defer s.exit()
 	m, err := s.c.roundTrip(ctx, &Message{
 		Version:        s.c.negotiated(),
 		Type:           TypeUpdate,
@@ -267,6 +301,7 @@ func (s *wireSession) Close() error {
 		return nil
 	}
 	s.closed = true
+	idle := s.calls == 0
 	s.mu.Unlock()
 	// Bye is best-effort: the connection may already be gone, which
 	// releases the session server-side anyway.
@@ -277,6 +312,12 @@ func (s *wireSession) Close() error {
 		Version: s.c.negotiated(), Type: TypeBye, ClientID: s.clientID, SessionID: s.id,
 	}, &dec)
 	s.c.release(&dec)
+	if idle {
+		// No call was in flight and none can start: the delta the session may
+		// still hold ended with this call, so its decoder (the delta-sized
+		// one on a connection per join) goes on to serve other replies.
+		s.c.release(&s.dec)
+	}
 	return nil
 }
 
@@ -557,7 +598,8 @@ type connState struct {
 	// enc and dec are the connection's pooled codec scratch: requests
 	// decode into reused arenas (handlers consume them before the next
 	// frame) and replies encode into one reused buffer (the transport
-	// does not retain frames past Send).
+	// does not retain frames past Send), taken from the transport's
+	// scratch pool and handed back when ServeConn returns.
 	enc []byte
 	dec Decoder
 	// delta holds the allocation reply through its encode, so the hot
@@ -582,6 +624,7 @@ func (cs *connState) closeAll() {
 func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator) error {
 	cs := &connState{coord: coord, v2: make(map[uint64]core.Session), v1: make(map[int32]*v1Peer)}
 	defer cs.closeAll()
+	defer func() { transport.RecycleScratch(cs.enc) }() // only this goroutine encodes
 
 	done := make(chan struct{})
 	defer close(done)
@@ -604,6 +647,9 @@ func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator)
 			return nil
 		}
 		resp := cs.handle(ctx, frame)
+		if need := sizeHint(&resp); need > cap(cs.enc) {
+			cs.enc = transport.TakeScratch(need) // the outgrown buffer is dropped
+		}
 		out, err := AppendEncode(cs.enc[:0], &resp)
 		if err != nil {
 			return fmt.Errorf("protocol: encode reply: %w", err)

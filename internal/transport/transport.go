@@ -100,7 +100,46 @@ func (c *pipeConn) Close() error {
 // a first-sync high-water mark is not pinned for the life of a peer link.
 // A constant, not an option: it trades one allocation per oversized frame
 // against resident memory per connection, and no caller needs another value.
+// It bounds what the scratch pool keeps as well.
 const maxRetainedFrame = 512 << 10
+
+// MaxScratch is the largest buffer the scratch pool keeps, for the layers
+// above that recycle frame-sized state of their own by the same rule.
+const MaxScratch = maxRetainedFrame
+
+// scratch recycles frame-sized byte buffers across the process's
+// connections: a connection per join would otherwise allocate, and leave
+// behind, one buffer per large frame it ever received or encoded. It holds
+// *[]byte with readBufSize < cap ≤ maxRetainedFrame: a smaller buffer costs
+// less to allocate than to share, a larger one is one-shot by design.
+var scratch sync.Pool
+
+// TakeScratch returns an empty buffer with room for n bytes: a recycled one
+// when the pool has one that large, a new one with an eighth to spare
+// otherwise (a pooled buffer that is too small is dropped, so the pool's
+// sizes ratchet up to what the process's frames need). The caller owns the
+// buffer and hands it back with RecycleScratch when nothing reads it any more.
+func TakeScratch(n int) []byte {
+	if n > maxRetainedFrame {
+		return make([]byte, 0, n) // one-shot
+	}
+	if n > readBufSize {
+		if p, _ := scratch.Get().(*[]byte); p != nil && cap(*p) >= n {
+			return (*p)[:0]
+		}
+		n = min(n+n/8, maxRetainedFrame)
+	}
+	return make([]byte, 0, n)
+}
+
+// RecycleScratch offers a buffer to the pool. The caller must not touch it
+// afterwards: pass a buffer, never the address of a field that goes on
+// naming it.
+func RecycleScratch(buf []byte) {
+	if cap(buf) > readBufSize && cap(buf) <= maxRetainedFrame {
+		scratch.Put(&buf)
+	}
+}
 
 // readBufSize is the per-connection read buffer: the length prefix and a
 // small frame (status, ack, hello) arrive in one read; the body of a large
@@ -123,7 +162,7 @@ type tcpConn struct {
 	recvLock sync.Mutex
 	rd       *bufio.Reader
 	recvHdr  [frameHeader]byte
-	frame    []byte // reused receive buffer, cap ≤ maxRetainedFrame
+	frame    []byte // reused receive buffer from the scratch pool, cap ≤ maxRetainedFrame
 }
 
 // NewTCPConn wraps an established net.Conn with message framing.
@@ -168,34 +207,62 @@ func (c *tcpConn) Send(frame []byte) error {
 }
 
 // Recv returns the next frame in the connection's reused frame buffer: the
-// slice is valid until the next Recv. The buffer grows to exactly the
-// largest frame seen (no doubling: it is resident for the connection's
-// life), never past maxRetainedFrame; a larger frame gets a one-shot buffer.
+// slice is valid until the next Recv. The buffer comes from the scratch pool
+// and is replaced when a frame outgrows it (the outgrown one is dropped: too
+// small here, it would be too small for the next connection like this one),
+// never past maxRetainedFrame; a larger frame gets a one-shot buffer. A
+// failed Recv — how a receiver that runs until its peer is gone learns that
+// it is — hands the buffer back to the pool.
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.recvLock.Lock()
 	defer c.recvLock.Unlock()
 	if _, err := io.ReadFull(c.rd, c.recvHdr[:]); err != nil {
+		c.recycle()
 		return nil, fmt.Errorf("transport: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(c.recvHdr[:])
+	n := int(binary.BigEndian.Uint32(c.recvHdr[:]))
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	frame := c.frame
-	if int(n) > cap(frame) {
-		frame = make([]byte, n)
+	if n > cap(frame) {
+		frame = TakeScratch(n)
 		if n <= maxRetainedFrame {
 			c.frame = frame
 		}
 	}
 	frame = frame[:n]
 	if _, err := io.ReadFull(c.rd, frame); err != nil {
+		c.recycle()
 		return nil, fmt.Errorf("transport: read frame: %w", err)
 	}
 	return frame, nil
 }
 
+// recycle hands the receive buffer to the scratch pool; a later Recv takes
+// another. Callers hold recvLock.
+func (c *tcpConn) recycle() {
+	RecycleScratch(c.frame)
+	c.frame = nil
+}
+
+// Close closes the stream. It leaves the receive buffer alone: a frame from
+// it may still be being decoded on another goroutine (see Release).
 func (c *tcpConn) Close() error { return c.nc.Close() }
+
+// Release hands conn's receive buffer back to the scratch pool. Only the
+// connection's receiver may call it, and only when it is done with the frame
+// its last Recv returned and will not call Recv concurrently — which a
+// closer on another goroutine cannot know, so Close itself never recycles.
+// A receiver that runs until Recv fails need not call it: the failed Recv
+// released the buffer. A no-op for connections that do not pool.
+func Release(conn Conn) {
+	if c, ok := conn.(*tcpConn); ok {
+		c.recvLock.Lock()
+		c.recycle()
+		c.recvLock.Unlock()
+	}
+}
 
 // Listener accepts framed connections.
 type Listener struct {

@@ -237,8 +237,8 @@ func CosinesWidened(vec64 []float64, vecNorm2 float64, wide []float64, dim, n in
 }
 
 // dots4r accumulates four dot chains of the widened query against four
-// widened entry rows held as independent slices (the row-based staging the
-// publish-time layer mirrors use), each chain in index order.
+// widened entry rows held as independent slices (the row-based staging
+// cache layers carry), each chain in index order.
 func dots4r(vec, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
 	e0 = e0[:len(vec)]
 	e1 = e1[:len(vec)]
@@ -255,7 +255,7 @@ func dots4r(vec, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
 
 // CosinesWidenedRows fills out[i] with Cosine(vec, entries[i]) where
 // rows[i] is the widened (float64) mirror of entry i and snorm[i] the
-// SQUARE ROOT of its squared norm — the publish-time staging carried by
+// SQUARE ROOT of its squared norm — the probe staging carried by
 // cache layers. vec64 is the widened query and sqrtVecNorm =
 // math.Sqrt(SquaredNorm(vec)), computed once per probe. Rows are tiled
 // four at a time with a convert-free inner loop; every per-pair chain
@@ -505,14 +505,20 @@ func Sub(a, b []float32) []float32 {
 // WeightedSum computes w1*a + w2*b into a fresh vector.
 // It panics on length mismatch.
 func WeightedSum(w1 float32, a []float32, w2 float32, b []float32) []float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vecmath: WeightedSum length mismatch %d != %d", len(a), len(b)))
-	}
 	out := make([]float32, len(a))
-	for i := range a {
-		out[i] = w1*a[i] + w2*b[i]
-	}
+	WeightedSumInto(out, w1, a, w2, b)
 	return out
+}
+
+// WeightedSumInto writes w1*a + w2*b into dst, which may alias a or b.
+// It panics unless all three lengths agree.
+func WeightedSumInto(dst []float32, w1 float32, a []float32, w2 float32, b []float32) {
+	if len(a) != len(b) || len(dst) != len(a) {
+		panic(fmt.Sprintf("vecmath: WeightedSum length mismatch %d / %d != %d", len(dst), len(a), len(b)))
+	}
+	for i := range a {
+		dst[i] = w1*a[i] + w2*b[i]
+	}
 }
 
 // Mean returns the element-wise mean of the given vectors as a fresh vector.
