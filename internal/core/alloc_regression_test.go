@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -119,47 +120,93 @@ func churnDeltas(t testing.TB, rounds int) (Delta, []Delta) {
 	return full, cycle
 }
 
-// TestAllocViewApplySteadyStateAllocs pins the view-owned storage rule:
-// once the view has its buffers, applying wire-style deltas whose changed,
-// evicted and new cells are in balance allocates nothing, and what the view
-// then holds is bit for bit what a Full delta of the same allocation gives.
-func TestAllocViewApplySteadyStateAllocs(t *testing.T) {
-	full, cycle := churnDeltas(t, 100)
-	view := NewAllocView()
-	if err := view.Apply(full); err != nil {
+// walkDeltas builds an unbalanced sequence of wire-style deltas over the same
+// three sites: a seeded walk in which every round evicts up to five held
+// cells, adds up to five free ones and overwrites up to six, so adds and
+// evictions differ round to round and the view grows and shrinks. It returns
+// the two warm-up deltas the walk starts from — a Full one holding every cell
+// of the 3 × 12 shape (the view's high-water mark) and one that evicts three
+// quarters of them (the most it ever parks) — and the walk.
+func walkDeltas(t testing.TB, rounds int) ([]Delta, []Delta) {
+	t.Helper()
+	r := xrand.New(17)
+	unit := func() []float32 {
+		v := xrand.NormalVector(r, model.Dim)
+		vecmath.Normalize(v)
+		return v
+	}
+	sites := []int{1, 4, 7}
+	const classes = 12
+	var refs []CellRef
+	full := Delta{Version: 1, Full: true, Sites: sites, Classes: []int{0, 1, 2}}
+	for _, s := range sites {
+		for c := 0; c < classes; c++ {
+			refs = append(refs, CellRef{s, c})
+			full.Cells = append(full.Cells, DeltaCell{Site: s, Class: c, Vec: unit()})
+		}
+	}
+	held := make([]bool, len(refs))
+	shrink := Delta{Sites: sites, Classes: []int{0, 1, 2}}
+	for i, ref := range refs {
+		if held[i] = i%4 == 0; !held[i] {
+			shrink.Evict = append(shrink.Evict, ref)
+		}
+	}
+	walk := make([]Delta, rounds)
+	for n := range walk {
+		d := Delta{Sites: sites, Classes: []int{0, 1, 2}}
+		evict, add, change := r.IntN(6), r.IntN(6), r.IntN(7)
+		for _, i := range r.Perm(len(refs)) {
+			switch {
+			case held[i] && evict > 0:
+				evict--
+				held[i] = false
+				d.Evict = append(d.Evict, refs[i])
+			case !held[i] && add > 0:
+				add--
+				held[i] = true
+				d.Cells = append(d.Cells, DeltaCell{Site: refs[i].Site, Class: refs[i].Class, Vec: unit()})
+			case held[i] && change > 0:
+				change--
+				d.Cells = append(d.Cells, DeltaCell{Site: refs[i].Site, Class: refs[i].Class, Vec: unit()})
+			}
+		}
+		walk[n] = d
+	}
+	return []Delta{full, shrink}, walk
+}
+
+// ownedPairs counts the buffer pairs the view owns: those its wire cells lie
+// in and those it has parked.
+func ownedPairs(v *AllocView) int {
+	n := len(v.spare)
+	for i := range v.sites {
+		for k, e := range v.sites[i].ents {
+			if e == nil && v.sites[i].layer.Entries[k] != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// applyNext applies d to the view as the delta following the one it holds.
+func applyNext(t testing.TB, view *AllocView, d Delta) {
+	t.Helper()
+	if !d.Full {
+		d.BaseVersion = view.Version()
+	}
+	d.Version = view.Version() + 1
+	if err := view.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	truth := map[CellRef][]float32{}
-	for _, c := range full.Cells {
-		truth[CellRef{c.Site, c.Class}] = c.Vec
-	}
-	next := 0
-	apply := func() {
-		d := cycle[next%len(cycle)]
-		next++
-		d.BaseVersion, d.Version = view.Version(), view.Version()+1
-		if err := view.Apply(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	apply() // warm-up: both halves of the cycle have run once
-	apply()
-	if allocs := testing.AllocsPerRun(len(cycle)-2, apply); allocs != 0 {
-		t.Errorf("steady-state Apply of balanced wire deltas: %.1f allocs/op, want 0", allocs)
-	}
-	if next < 100 {
-		t.Fatalf("only %d rounds applied", next)
-	}
-	for i := 0; i < next; i++ {
-		d := cycle[i%len(cycle)]
-		for _, ref := range d.Evict {
-			delete(truth, ref)
-		}
-		for _, c := range d.Cells {
-			truth[CellRef{c.Site, c.Class}] = c.Vec
-		}
-	}
-	want := Delta{Version: 1, Full: true, Sites: full.Sites, Classes: full.Classes}
+}
+
+// sameAsFull fails unless the view holds, bit for bit, what a fresh view
+// holds after one Full delta of the cells in truth.
+func sameAsFull(t *testing.T, view *AllocView, sites, classes []int, truth map[CellRef][]float32) {
+	t.Helper()
+	want := Delta{Version: 1, Full: true, Sites: sites, Classes: classes}
 	for ref, vec := range truth {
 		want.Cells = append(want.Cells, DeltaCell{Site: ref.Site, Class: ref.Class, Vec: vec})
 	}
@@ -187,5 +234,125 @@ func TestAllocViewApplySteadyStateAllocs(t *testing.T) {
 				t.Fatalf("site %d class %d: norm %v, want %v", g.Site, g.Classes[i], g.Norm2[i], w.Norm2[i])
 			}
 		}
+	}
+}
+
+// TestAllocViewApplySteadyStateAllocs pins the view-owned storage rule: once
+// the view has been at its high-water mark, applying wire-style deltas
+// allocates nothing — whether changed, evicted and new cells are in balance
+// (the cycle) or not (the walk) — and what the view then holds is bit for bit
+// what a Full delta of the same allocation gives.
+func TestAllocViewApplySteadyStateAllocs(t *testing.T) {
+	cycleFull, cycle := churnDeltas(t, 100)
+	walkWarm, walk := walkDeltas(t, 100)
+	for _, tc := range []struct {
+		name   string
+		warm   []Delta // applied before anything is counted
+		rounds []Delta
+	}{
+		// Both halves of the cycle have run once when counting starts.
+		{"balanced", []Delta{cycleFull, cycle[0], cycle[1]}, cycle[2:]},
+		{"unbalanced", walkWarm, walk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			view := NewAllocView()
+			truth := map[CellRef][]float32{}
+			next := 0
+			apply := func(d Delta) {
+				applyNext(t, view, d)
+				for _, ref := range d.Evict {
+					delete(truth, ref)
+				}
+				for _, c := range d.Cells {
+					truth[CellRef{c.Site, c.Class}] = c.Vec
+				}
+			}
+			for _, d := range tc.warm {
+				apply(d)
+			}
+			owned := ownedPairs(view)
+			// AllocsPerRun calls once more than it counts; truth is a map of
+			// refs that all exist by now, so updating it allocates nothing.
+			allocs := testing.AllocsPerRun(len(tc.rounds)-1, func() {
+				apply(tc.rounds[next])
+				next++
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state Apply of %s wire deltas: %.2f allocs/op, want 0", tc.name, allocs)
+			}
+			if next != len(tc.rounds) {
+				t.Fatalf("%d rounds applied, want %d", next, len(tc.rounds))
+			}
+			if got := ownedPairs(view); got != owned {
+				t.Errorf("view owns %d buffer pairs after %d rounds, %d after warm-up", got, next, owned)
+			}
+			sameAsFull(t, view, tc.warm[0].Sites, tc.warm[0].Classes, truth)
+		})
+	}
+}
+
+// joinDelta is a Full wire-style delta shaped like the one a joining client
+// receives: sites × classes cells at the deployed dimension.
+func joinDelta(sites, classes int) Delta {
+	r := xrand.New(23)
+	d := Delta{Version: 1, Full: true, Classes: []int{0}}
+	for s := 0; s < sites; s++ {
+		d.Sites = append(d.Sites, 2*s+1)
+		for c := 0; c < classes; c++ {
+			v := xrand.NormalVector(r, model.Dim)
+			vecmath.Normalize(v)
+			d.Cells = append(d.Cells, DeltaCell{Site: 2*s + 1, Class: c, Vec: v})
+		}
+	}
+	return d
+}
+
+// TestAllocViewSlabSizedFromDeclaredShape pins the cold join: a Full delta
+// into an empty view takes its cells from two slabs and grows every
+// activated site's parallel slices once, instead of a buffer pair per cell
+// and growth by insertion; and a Full delta into a populated view allocates
+// only what the view is short of.
+func TestAllocViewSlabSizedFromDeclaredShape(t *testing.T) {
+	const sites, classes = 8, 36 // join-churn's 288 cells
+	full := joinDelta(sites, classes)
+	// What growing one slice once costs: one allocation — two under the race
+	// detector, which keeps the compiler from eliding slices.Grow's temporary.
+	grow := testing.AllocsPerRun(5, func() { _ = slices.Grow(full.Sites, 1) })
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := NewAllocView().Apply(full); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Two slabs; per activated site its five parallel slices and at most one
+	// growth of the site list; the view itself and its class list.
+	if max := 2 + (5*grow+1)*sites + 2; allocs > max {
+		t.Errorf("Full delta of %d cells into an empty view: %.0f allocs, want <= %.0f", len(full.Cells), allocs, max)
+	}
+
+	// A populated view: the same shape less the last five classes of site 1.
+	part := full
+	part.Cells = nil
+	for _, c := range full.Cells {
+		if c.Site != 1 || c.Class < classes-5 {
+			part.Cells = append(part.Cells, c)
+		}
+	}
+	view := NewAllocView()
+	applyNext(t, view, part)
+	if got := ownedPairs(view); got != len(part.Cells) {
+		t.Fatalf("view owns %d pairs for %d cells", got, len(part.Cells))
+	}
+	allocs = testing.AllocsPerRun(1, func() { applyNext(t, view, full) })
+	// AllocsPerRun applied it twice; the first time the view was five short:
+	// two slabs, site 1's five slices, and the parked list growing by
+	// appends to hold every released pair. The second time nothing is.
+	if max := (2 + 5*grow + float64(bits.Len(uint(len(full.Cells))))) / 2; allocs > max {
+		t.Errorf("Full delta into a view five cells short: %.1f allocs per apply over two applies, want <= %.1f", allocs, max)
+	}
+	if got := ownedPairs(view); got != len(full.Cells) {
+		t.Errorf("view owns %d pairs after growing to %d cells: it allocated more than its shortfall", got, len(full.Cells))
+	}
+	if allocs = testing.AllocsPerRun(3, func() { applyNext(t, view, full) }); allocs != 0 {
+		t.Errorf("Full delta into a view that holds as many cells: %.1f allocs, want 0", allocs)
 	}
 }

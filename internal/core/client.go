@@ -150,7 +150,8 @@ type Client struct {
 	tau      []int
 	freq     *gtable.Frequencies
 	upd      *gtable.UpdateTable
-	hitRatio []float64 // cumulative per-layer estimate R_k
+	report   UpdateReport // EndRound's upload, rebuilt in place
+	hitRatio []float64    // cumulative per-layer estimate R_k
 	savedMs  []float64
 
 	// per-round hit observation (cumulative by construction).
@@ -322,7 +323,7 @@ func (c *Client) BeginRound() error {
 		return fmt.Errorf("core: client %d allocation invalid: %w", c.cfg.ID, err)
 	}
 	c.local = local
-	c.roundHitsBy = make([]int, c.space.Arch.NumLayers)
+	clear(c.roundHitsBy)
 	c.roundFrames = 0
 	return nil
 }
@@ -400,10 +401,11 @@ func refreshEntries(frozen, refreshed Allocation) Allocation {
 	return out
 }
 
+// status lends the session the live τ and R_k (see Session.Allocate).
 func (c *Client) status() StatusReport {
 	return StatusReport{
-		Tau:         append([]int(nil), c.tau...),
-		HitRatio:    append([]float64(nil), c.hitRatio...),
+		Tau:         c.tau,
+		HitRatio:    c.hitRatio,
 		Budget:      c.cfg.Budget,
 		RoundFrames: c.cfg.RoundFrames,
 	}
@@ -413,16 +415,16 @@ func (c *Client) status() StatusReport {
 // upload the round's update table and frequencies.
 func (c *Client) EndRound() error {
 	c.updateHitRatio()
-	report := UpdateReport{Freq: c.freq.Snapshot()}
+	c.report.Freq, c.report.Cells = c.freq.SnapshotInto(c.report.Freq), c.report.Cells[:0]
 	if !c.cfg.DisableCollection {
 		// The update table's own vectors travel: Upload borrows the report
 		// for the call and the table is reset only after it returns.
 		c.upd.ForEach(func(class, layer int, vec []float32, count int) {
-			report.Cells = append(report.Cells, UpdateCell{Class: class, Layer: layer, Count: count, Vec: vec})
+			c.report.Cells = append(c.report.Cells, UpdateCell{Class: class, Layer: layer, Count: count, Vec: vec})
 		})
 	}
 	ctx, cancel := c.reqCtx()
-	err := c.sess.Upload(ctx, report)
+	err := c.sess.Upload(ctx, c.report)
 	cancel()
 	if err != nil {
 		if c.staleRounds == 0 || c.ctx.Err() != nil {

@@ -156,6 +156,9 @@ type Server struct {
 	sessMu   sync.Mutex
 	sessions map[uint64]*ServerSession
 	nextSess uint64
+	// scratch recycles *sessScratch from Close to Open. By pointer: the runtime
+	// keeps a used Pool reachable for two collections, not this server with it.
+	scratch *sync.Pool
 
 	// allocs counts allocation requests; merges counts applied update
 	// cells; peerMerges counts cells merged from federated peer servers
@@ -256,6 +259,7 @@ func NewServerFrom(space *semantics.Space, cfg ServerConfig, init *ServerInit) *
 	s := &Server{
 		cfg: cfg, space: space,
 		sessions: make(map[uint64]*ServerSession),
+		scratch:  new(sync.Pool),
 		load:     overload.NewLoadTracker(nil),
 	}
 	ds := space.DS
@@ -431,13 +435,13 @@ func (s *Server) profileLayers(init *ServerInit) {
 	s.profile = append([]float64(nil), init.profile...)
 }
 
-// registerInfo builds the registration payload.
+// registerInfo builds the registration payload around the server's immutable slices.
 func (s *Server) registerInfo() RegisterInfo {
 	return RegisterInfo{
 		NumClasses:      s.space.DS.NumClasses,
 		NumLayers:       s.space.Arch.NumLayers,
-		ProfileHitRatio: append([]float64(nil), s.profile...),
-		SavedMs:         append([]float64(nil), s.savedMs...),
+		ProfileHitRatio: s.profile,
+		SavedMs:         s.savedMs,
 	}
 }
 
@@ -452,6 +456,10 @@ func (s *Server) Open(ctx context.Context, clientID int) (Session, error) {
 		clientID: clientID,
 		info:     s.registerInfo(),
 		classes:  s.space.DS.NumClasses,
+	}
+	if sess.sessScratch, _ = s.scratch.Get().(*sessScratch); sess.sessScratch == nil {
+		n := sess.classes * s.space.Arch.NumLayers
+		sess.sessScratch = &sessScratch{stamp: make([]uint64, n), ver: make([]uint64, n)}
 	}
 	s.sessMu.Lock()
 	s.nextSess++
@@ -651,7 +659,7 @@ func (s *Server) Table() *gtable.Table {
 func (s *Server) GlobalFreq() []float64 {
 	s.freqMu.RLock()
 	defer s.freqMu.RUnlock()
-	return s.freq.Snapshot()
+	return s.freq.SnapshotInto(nil)
 }
 
 // Profile returns the server's cumulative hit-ratio profile R.
@@ -813,8 +821,16 @@ type ServerSession struct {
 	version uint64
 	closed  bool
 
+	*sessScratch // nil once closed
+}
+
+// sessScratch is the working memory a session borrows from its server's pool
+// from Open until Close; a server's sessions all have one shape, so it fits.
+type sessScratch struct {
 	// epoch stamps the current view; stamp[i] == epoch marks cell i as
 	// held by the client, with ver[i] the table version it last received.
+	// The epoch is carried across sessions and Close skips one, so no stamp
+	// a previous holder left equals an epoch the next one compares against.
 	epoch uint64
 	stamp []uint64
 	ver   []uint64
@@ -826,10 +842,10 @@ type ServerSession struct {
 	// out double-buffers the delta's Cells/Evict slices. The contract is
 	// that a returned Delta (ALL of its slices — Classes and Sites live in
 	// the single-buffered compute scratch) is valid only until the next
-	// Allocate on this session; the second Cells/Evict buffer is merely
-	// hardening so a caller that holds cell contents one call too long
-	// reads stale-but-coherent data instead of torn writes. It is not an
-	// extension of the contract.
+	// Allocate or Close on this session; the second Cells/Evict buffer is
+	// merely hardening so a caller that holds cell contents one call too
+	// long reads stale-but-coherent data instead of torn writes. It is not
+	// an extension of the contract.
 	out     [2]deltaBuf
 	outFlip int
 }
@@ -856,7 +872,7 @@ func (ss *ServerSession) Info() RegisterInfo { return ss.info }
 //
 // The returned Delta borrows session-owned memory — its slices (and the
 // cell vectors, which are borrowed immutable global-table entries) are
-// valid until the next Allocate on this session. Sequential per-client use
+// valid until the next Allocate or Close on this session. Sequential per-client use
 // (the Session contract) makes this safe: the caller applies or encodes
 // the delta before requesting the next one. The session lock is held for
 // the whole call; sessions of different clients still allocate in parallel
@@ -880,11 +896,6 @@ func (ss *ServerSession) Allocate(ctx context.Context, status StatusReport) (Del
 		return Delta{}, err
 	}
 
-	if ss.stamp == nil {
-		n := ss.classes * ss.srv.space.Arch.NumLayers
-		ss.stamp = make([]uint64, n)
-		ss.ver = make([]uint64, n)
-	}
 	full := ss.version == 0 || status.LastVersion != ss.version
 	ss.epoch++
 	epoch := ss.epoch
@@ -953,6 +964,15 @@ func (ss *ServerSession) Close() error {
 		return nil
 	}
 	ss.closed = true
+	// No Allocate runs (it holds ss.mu) or will: the scratch goes to the next
+	// session, without the table entries its last delta named.
+	ss.epoch++
+	clear(ss.sc.ents[:cap(ss.sc.ents)])
+	clear(ss.sc.cells[:cap(ss.sc.cells)])
+	clear(ss.out[0].cells[:cap(ss.out[0].cells)])
+	clear(ss.out[1].cells[:cap(ss.out[1].cells)])
+	ss.srv.scratch.Put(ss.sessScratch)
+	ss.sessScratch = nil
 	ss.mu.Unlock()
 	ss.srv.dropSession(ss.id)
 	return nil

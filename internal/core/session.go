@@ -38,6 +38,9 @@ type Session interface {
 	// versioned delta against the allocation version named by
 	// status.LastVersion. When the server cannot delta against that
 	// version (first round, reconnect, or divergence) the delta is Full.
+	// The status is borrowed for the call, like Upload's report, and retained
+	// by no implementation; the delta is the session's memory, valid until
+	// its next call, Close included.
 	Allocate(ctx context.Context, status StatusReport) (Delta, error)
 	// Upload merges the client's round update table and frequencies into
 	// the global state. The report is borrowed for the call: an
@@ -97,28 +100,40 @@ type Delta struct {
 // server's session record; the view's version is echoed back in
 // StatusReport.LastVersion so the server knows which base the client holds.
 //
-// The view owns the storage of the cells a wire delta delivered: a changed
-// cell is overwritten where it lies, and the buffers of an evicted cell serve
-// the cells the same delta adds. Cells of an in-process delta share the
-// published table entry instead. Either way Layers and Allocation hand out
-// the view's own slices, valid until the next Apply.
+// The view owns the storage of the cells a wire delta delivered, at its
+// high-water mark: a changed cell is overwritten where it lies, the buffer
+// pair of a cell that leaves (evicted, or replaced by a shared entry) waits in
+// spare for whichever later delta adds a cell, and a delta that needs more
+// pairs than the view ever held at once gets them all from one slab per
+// element type. No pair is ever dropped and there is no cap — a slab cell
+// cannot be freed on its own, so dropping would pin whole slabs behind single
+// live cells — hence the view owns exactly as many pairs as the most wire
+// cells it held at once (≤ sites × classes). Cells of an in-process delta
+// share the published table entry instead. Either way Layers and Allocation
+// hand out the view's own slices, valid until the next Apply.
 type AllocView struct {
 	version uint64
 	classes []int
-	sites   []viewSite // every site that ever held a cell, ascending
+	sites   []viewSite // every site a delta ever put a cell at, ascending
 	ncells  int
-	spare   []cellBuf // released by the running Apply, for the cells it adds
+	spare   []cellBuf // owned pairs no cell uses
+	slab32  []float32 // the running Apply's slabs, less what it has carved
+	slab64  []float64
+	layers  []cache.Layer // what Layers hands out
 }
 
 // viewSite is one site's cells, classes ascending. ents[i] is the published
 // entry cell i shares (its staging is fetched when Layers is asked for it), or
-// nil when the view owns layer.Entries[i] and layer.Wide[i].
+// nil when the view owns layer.Entries[i] and layer.Wide[i]. grow counts the
+// cells the running Apply adds to the site.
 type viewSite struct {
 	layer cache.Layer
 	ents  []*gtable.Entry
+	grow  int
 }
 
-// cellBuf is the view-owned storage of one cell.
+// cellBuf is the view-owned storage of one cell; cap == len on both, so an
+// append through Layers cannot reach a neighbouring cell.
 type cellBuf struct {
 	vec  []float32
 	wide []float64
@@ -173,13 +188,12 @@ func (v *AllocView) Apply(d Delta) error {
 			}
 		}
 	}
+	v.reserve(d)
 	for _, c := range d.Cells {
 		if activeSite(d.Sites, c.Site) {
 			v.upsert(c)
 		}
 	}
-	clear(v.spare[:cap(v.spare)]) // what no added cell took is dropped
-	v.spare = v.spare[:0]
 	v.version = d.Version
 	v.classes = append(v.classes[:0], d.Classes...)
 	return nil
@@ -197,7 +211,7 @@ func (v *AllocView) site(site int) (int, bool) {
 }
 
 // release takes cells [i, j) of a site out of the view; the buffers the view
-// owns among them wait in v.spare for the cells the running Apply adds.
+// owns among them are parked in v.spare.
 func (v *AllocView) release(s *viewSite, i, j int) {
 	l := &s.layer
 	for k := i; k < j; k++ {
@@ -213,12 +227,67 @@ func (v *AllocView) release(s *viewSite, i, j int) {
 	v.ncells -= j - i
 }
 
+// reserve sizes the view for the cells d adds, so that upserting them
+// allocates nothing: every site's parallel slices grow once, and the wire cells
+// that neither lie in a pair nor find a parked one of their dimension get
+// theirs from one slab per element type.
+func (v *AllocView) reserve(d Delta) {
+	parked, floats := 0, 0 // spare[:parked] is spoken for
+	for _, c := range d.Cells {
+		if !activeSite(d.Sites, c.Site) {
+			continue
+		}
+		si, ok := v.site(c.Site)
+		if !ok {
+			v.sites = slices.Insert(v.sites, si, viewSite{layer: cache.Layer{Site: c.Site}})
+		}
+		s := &v.sites[si]
+		i, held := slices.BinarySearch(s.layer.Classes, c.Class)
+		if !held {
+			s.grow++
+		}
+		if c.Entry != nil || held && s.owns(i, len(c.Vec)) {
+			continue
+		}
+		if j := slices.IndexFunc(v.spare[parked:], func(b cellBuf) bool { return len(b.vec) == len(c.Vec) }); j >= 0 {
+			v.spare[parked], v.spare[parked+j] = v.spare[parked+j], v.spare[parked]
+			parked++
+		} else {
+			floats += len(c.Vec)
+		}
+	}
+	for i := range v.sites {
+		if s := &v.sites[i]; s.grow > 0 {
+			l := &s.layer
+			l.Classes = slices.Grow(l.Classes, s.grow)
+			l.Entries = slices.Grow(l.Entries, s.grow)
+			l.Wide = slices.Grow(l.Wide, s.grow)
+			l.Norm2 = slices.Grow(l.Norm2, s.grow)
+			s.ents, s.grow = slices.Grow(s.ents, s.grow), 0
+		}
+	}
+	v.slab32, v.slab64 = make([]float32, floats), make([]float64, floats)
+}
+
+// owns reports whether cell i lies in a pair of the view's of dimension n.
+func (s *viewSite) owns(i, n int) bool { return s.ents[i] == nil && len(s.layer.Entries[i]) == n }
+
+// take hands out an owned pair of dimension n that no cell uses: a parked one,
+// else the next of the running Apply's slabs (reserve sized them for it).
+func (v *AllocView) take(n int) cellBuf {
+	if j := slices.IndexFunc(v.spare, func(b cellBuf) bool { return len(b.vec) == n }); j >= 0 {
+		b, last := v.spare[j], len(v.spare)-1
+		v.spare[j], v.spare = v.spare[last], v.spare[:last]
+		return b
+	}
+	b := cellBuf{v.slab32[:n:n], v.slab64[:n:n]}
+	v.slab32, v.slab64 = v.slab32[n:], v.slab64[n:]
+	return b
+}
+
 // upsert stores one delta cell, in place when the view already holds it.
 func (v *AllocView) upsert(c DeltaCell) {
-	si, ok := v.site(c.Site)
-	if !ok {
-		v.sites = slices.Insert(v.sites, si, viewSite{layer: cache.Layer{Site: c.Site}})
-	}
+	si, _ := v.site(c.Site)
 	s := &v.sites[si]
 	l := &s.layer
 	i, ok := slices.BinarySearch(l.Classes, c.Class)
@@ -230,27 +299,22 @@ func (v *AllocView) upsert(c DeltaCell) {
 		s.ents = slices.Insert(s.ents, i, nil)
 		v.ncells++
 	}
+	keep := c.Entry == nil && s.owns(i, len(c.Vec))
+	if !keep && s.ents[i] == nil && l.Entries[i] != nil {
+		v.spare = append(v.spare, cellBuf{l.Entries[i], l.Wide[i]}) // the pair the cell leaves
+	}
 	if c.Entry != nil {
 		// In-process cell: the entry is immutable published table memory
 		// (merges replace, never mutate, it), so the view shares it.
-		if s.ents[i] == nil && l.Entries[i] != nil {
-			v.spare = append(v.spare, cellBuf{l.Entries[i], l.Wide[i]})
-		}
 		s.ents[i], l.Entries[i], l.Wide[i], l.Norm2[i] = c.Entry, c.Entry.Vec, nil, 0
 		return
 	}
 	// Wire cell: the decoder reuses its arena between calls, so the view
-	// keeps a copy — in the buffers this cell already has, else in a pair
-	// this delta released — and stages it here, once per changed cell,
-	// for every probe until the cell changes again.
-	if s.ents[i] != nil || len(l.Entries[i]) != len(c.Vec) {
-		var b cellBuf
-		if n := len(v.spare) - 1; n >= 0 {
-			b, v.spare = v.spare[n], v.spare[:n]
-		}
-		if len(b.vec) != len(c.Vec) {
-			b = cellBuf{make([]float32, len(c.Vec)), make([]float64, len(c.Vec))}
-		}
+	// keeps a copy — in the pair this cell already has, else in one nothing
+	// uses — and stages it here, once per changed cell, for every probe until
+	// the cell changes again.
+	if !keep {
+		b := v.take(len(c.Vec))
 		s.ents[i], l.Entries[i], l.Wide[i] = nil, b.vec, b.wide
 	}
 	copy(l.Entries[i], c.Vec)
@@ -263,7 +327,7 @@ func (v *AllocView) upsert(c DeltaCell) {
 // with an in-process table get their staging from the published entry here,
 // which is when a prober first asks for it.
 func (v *AllocView) Layers() []cache.Layer {
-	out := make([]cache.Layer, 0, len(v.sites))
+	out := v.layers[:0]
 	for i := range v.sites {
 		s := &v.sites[i]
 		if s.layer.Len() == 0 {
@@ -276,6 +340,7 @@ func (v *AllocView) Layers() []cache.Layer {
 		}
 		out = append(out, s.layer)
 	}
+	v.layers = out
 	return out
 }
 
@@ -283,7 +348,7 @@ func (v *AllocView) Layers() []cache.Layer {
 // the wire server to answer protocol-v1 clients and by frozen-allocation
 // refreshes). Like Layers, it is valid until the next Apply.
 func (v *AllocView) Allocation() Allocation {
-	return Allocation{Classes: append([]int(nil), v.classes...), Layers: v.Layers()}
+	return Allocation{Classes: v.classes, Layers: v.Layers()}
 }
 
 // Clone returns a copy of the allocation's shape and entry vectors that

@@ -6,12 +6,14 @@ package federation
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"coca/internal/core"
 	"coca/internal/protocol"
+	"coca/internal/telemetry"
 	"coca/internal/transport"
 )
 
@@ -419,5 +421,91 @@ func TestWireAntiEntropyOnce(t *testing.T) {
 	}
 	if after := local.Stats(); after.PullBytes != before.PullBytes {
 		t.Fatal("converged wire round still shipped pull payload")
+	}
+}
+
+// TestPoisonedNodeCannotChangeHealthyPeer: a node fed a cell with a NaN (or
+// Inf) component refuses it — its own table stays as it was — so a push sync
+// and an anti-entropy round with a healthy peer leave that peer's table
+// bitwise unchanged; and a peer that ships the poisoned cell regardless, on
+// either plane, is refused at the healthy node's merge with the same result.
+func TestPoisonedNodeCannotChangeHealthyPeer(t *testing.T) {
+	space := testSpace()
+	cfg := testServerConfig()
+	sick := NewNode(core.NewServer(space, cfg), NodeConfig{ID: 0})
+	healthy := NewNode(core.NewServer(space, cfg), NodeConfig{ID: 1})
+
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _ = protocol.ServeConn(context.Background(), conn, healthy) }()
+		}
+	}()
+
+	poison := unitVec(4)
+	poison[17] = float32(math.NaN())
+	want, sickWant := snapshotCells(healthy), snapshotCells(sick)
+	rejected := telemetry.CoreRejectedVecs.Load()
+
+	ctx := context.Background()
+	sess, err := sick.Open(ctx, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes, _ := sick.Server().Shape()
+	err = sess.Upload(ctx, core.UpdateReport{
+		Freq:  make([]float64, classes),
+		Cells: []core.UpdateCell{{Class: 3, Layer: 6, Count: 8, Vec: poison}},
+	})
+	_ = sess.Close()
+	if err == nil {
+		t.Fatal("the upload of a NaN vector was accepted")
+	}
+	if !reflect.DeepEqual(snapshotCells(sick), sickWant) {
+		t.Fatal("the refused upload changed the node's own table")
+	}
+	peers := NewPeerSet(sick, []string{l.Addr()})
+	defer peers.Close()
+	if _, err := peers.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peers.AntiEntropyOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snapshotCells(healthy), want) {
+		t.Fatal("SyncOnce + AntiEntropyOnce with a node that was fed a poisoned cell changed the healthy peer's table")
+	}
+
+	// A peer past saving ships the cell itself: push, then pull.
+	origins := []protocol.OriginHeight{{Origin: int32(sick.ID()), Height: 8}}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+		poison[17] = bad
+		if _, err := healthy.HandlePeerDelta(&protocol.PeerDelta{NodeID: int32(sick.ID()), Cells: []protocol.PeerCell{
+			{Class: 3, Layer: 6, Evidence: 8, Vec: poison, Origins: origins},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := healthy.ApplyPull(sick.ID(), &protocol.PeerPullResponse{NodeID: int32(sick.ID()), Cells: []protocol.PullCell{
+			{Class: 3, Layer: 6, Support: 160, EvTotal: 1e6, Vec: poison, Origins: []protocol.OriginHeight{{Origin: int32(sick.ID()), Height: 1e6}, {Origin: int32(healthy.ID()), Height: 1e6}}},
+		}}); err != nil || rep != 0 {
+			t.Fatalf("a pulled cell with a %v component: repaired %d, err %v", bad, rep, err)
+		}
+	}
+	if !reflect.DeepEqual(snapshotCells(healthy), want) {
+		t.Fatal("a poisoned cell shipped by a peer changed the healthy node's table")
+	}
+	if got := healthy.Stats().Errors; got != 4 {
+		t.Errorf("healthy node counted %d refused peer cells, want 4", got)
+	}
+	if got := telemetry.CoreRejectedVecs.Load() - rejected; got != 5 {
+		t.Errorf("coca_core_rejected_vectors_total grew by %d, want 5 (one upload, four peer cells)", got)
 	}
 }

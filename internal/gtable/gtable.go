@@ -13,7 +13,9 @@ package gtable
 
 import (
 	"fmt"
+	"math"
 
+	"coca/internal/telemetry"
 	"coca/internal/vecmath"
 )
 
@@ -87,8 +89,8 @@ func (t *Table) Set(class, layer int, vec []float32) error {
 		return fmt.Errorf("gtable: Set dim %d, want %d", len(vec), t.dim)
 	}
 	v := vecmath.Clone(vec)
-	if vecmath.Normalize(v) == 0 {
-		return fmt.Errorf("gtable: Set zero vector at (%d,%d)", class, layer)
+	if n := vecmath.Normalize(v); !usable(n) {
+		return rejected("Set", class, layer, n)
 	}
 	t.vecs[class][layer] = v
 	return nil
@@ -114,22 +116,37 @@ func (t *Table) Merge(class, layer int, update []float32, gamma, globalFreq, loc
 	if old == nil {
 		return t.Set(class, layer, update)
 	}
-	if merged := make([]float32, t.dim); mergeEntry(merged, old, update, gamma, globalFreq, localFreq) {
+	merged := make([]float32, t.dim)
+	if n := mergeEntry(merged, old, update, gamma, globalFreq, localFreq); usable(n) {
 		t.vecs[class][layer] = merged
+	} else if n != 0 {
+		return rejected("Merge", class, layer, n)
 	}
 	return nil
 }
 
 // mergeEntry is the Eq. 4 combination shared by Table.Merge and
 // Sharded.Merge, written into dst: the old entry weighted γ·Φ/(Φ+φ)
-// against the update weighted φ/(Φ+φ), re-normalized. It reports false on
-// perfect cancellation, in which case callers keep the previous entry
-// rather than storing a degenerate zero.
-func mergeEntry(dst, old, update []float32, gamma, globalFreq, localFreq float64) bool {
+// against the update weighted φ/(Φ+φ), re-normalized. It returns the norm of
+// the combination: 0 on perfect cancellation, where callers keep the previous
+// entry rather than a degenerate zero; not usable when the update is refused.
+func mergeEntry(dst, old, update []float32, gamma, globalFreq, localFreq float64) float32 {
 	wOld := float32(gamma * globalFreq / (globalFreq + localFreq))
 	wNew := float32(localFreq / (globalFreq + localFreq))
 	vecmath.WeightedSumInto(dst, wOld, old, wNew, update)
-	return vecmath.Normalize(dst) != 0
+	return vecmath.Normalize(dst)
+}
+
+// usable reports whether n, the norm of a vector about to be published, is
+// finite and positive: one NaN or Inf component makes it NaN or +Inf, so the
+// norm every merge computes anyway is the whole finiteness check.
+func usable(n float32) bool { return n > 0 && n <= math.MaxFloat32 }
+
+// rejected counts, and returns the error for, a vector refused for its norm,
+// before anything (vector, support, ledger, version) is written.
+func rejected(op string, class, layer int, n float32) error {
+	telemetry.CoreRejectedVecs.Inc()
+	return fmt.Errorf("gtable: %s vector at (%d,%d) has norm %v, want finite and positive", op, class, layer, n)
 }
 
 // Snapshot returns a deep copy of the table.
@@ -182,7 +199,8 @@ type UpdateTable struct {
 	dim    int
 	vecs   map[cell][]float32
 	counts map[cell]int
-	tmp    []float32 // Absorb staging buffer, so failures leave cells intact
+	tmp    []float32   // Absorb staging buffer, so failures leave cells intact
+	free   [][]float32 // what Reset took out of vecs, for the cells Absorb adds
 }
 
 type cell struct{ class, layer int }
@@ -205,9 +223,9 @@ func NewUpdateTable(beta float64, dim int) *UpdateTable {
 }
 
 // Absorb folds a sample's semantic vector at (class, layer) into the
-// table per Eq. 3 and re-normalizes. Absorbing into an existing cell is
-// allocation-free: the combination is staged in a reused buffer and copied
-// over the cell's vector in place.
+// table per Eq. 3 and re-normalizes. The combination is staged in a reused
+// buffer and copied over the cell's vector, which a new cell takes from those
+// Reset freed: the table allocates only for more cells than a round ever held.
 func (u *UpdateTable) Absorb(class, layer int, vec []float32) error {
 	if len(vec) != u.dim {
 		return fmt.Errorf("gtable: Absorb dim %d, want %d", len(vec), u.dim)
@@ -227,10 +245,14 @@ func (u *UpdateTable) Absorb(class, layer int, vec []float32) error {
 		return fmt.Errorf("gtable: Absorb degenerate vector at (%d,%d)", class, layer)
 	}
 	if old == nil {
-		u.vecs[key] = vecmath.Clone(v)
-	} else {
-		copy(old, v)
+		if n := len(u.free); n > 0 {
+			old, u.free = u.free[n-1], u.free[:n-1]
+		} else {
+			old = make([]float32, u.dim)
+		}
+		u.vecs[key] = old
 	}
+	copy(old, v)
 	u.counts[key]++
 	return nil
 }
@@ -238,8 +260,12 @@ func (u *UpdateTable) Absorb(class, layer int, vec []float32) error {
 // Len returns the number of populated cells.
 func (u *UpdateTable) Len() int { return len(u.vecs) }
 
-// Reset clears the table for the next round.
+// Reset clears the table for the next round. Its vectors stay the table's and
+// are overwritten by later rounds: whoever was lent one is done with it.
 func (u *UpdateTable) Reset() {
+	for _, v := range u.vecs {
+		u.free = append(u.free, v)
+	}
 	clear(u.vecs)
 	clear(u.counts)
 }
@@ -318,16 +344,8 @@ func (f *Frequencies) Reset() {
 	}
 }
 
-// Snapshot returns a copy of the counts.
-func (f *Frequencies) Snapshot() []float64 {
-	out := make([]float64, len(f.counts))
-	copy(out, f.counts)
-	return out
-}
-
 // SnapshotInto copies the counts into dst, growing it only when its
-// capacity is short — the allocation-free form of Snapshot hot paths reuse
-// a scratch buffer with.
+// capacity is short: hot paths reuse a scratch buffer, others pass nil.
 func (f *Frequencies) SnapshotInto(dst []float64) []float64 {
 	dst = append(dst[:0], f.counts...)
 	return dst

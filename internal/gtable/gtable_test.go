@@ -254,7 +254,7 @@ func TestFrequencies(t *testing.T) {
 	f.Observe(0)
 	f.Observe(2)
 	if f.Count(0) != 2 || f.Count(1) != 0 || f.Count(2) != 1 {
-		t.Fatalf("counts = %v", f.Snapshot())
+		t.Fatalf("counts = %v", f.SnapshotInto(nil))
 	}
 	if f.Total() != 3 {
 		t.Fatalf("Total = %v", f.Total())
@@ -309,5 +309,66 @@ func TestPropertyAbsorbKeepsUnitNorm(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpdateTableSteadyStateAllocs pins the free list: Reset keeps the
+// round's vectors for the cells the next round adds, so 50 rounds of
+// Absorb/Reset over a fixed cell set allocate nothing after the first, and a
+// recycled vector never leaks one cell's content into another.
+func TestUpdateTableSteadyStateAllocs(t *testing.T) {
+	const dim, cells = 16, 40
+	u := NewUpdateTable(DefaultBeta, dim)
+	vecs := make([][]float32, cells)
+	for i := range vecs {
+		vecs[i] = unit(dim, 7, uint64(i))
+	}
+	round := func() {
+		for i, v := range vecs {
+			if err := u.Absorb(i%5, i/5, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if u.Len() != cells {
+			t.Fatalf("round filled %d cells, want %d", u.Len(), cells)
+		}
+		for i, v := range vecs {
+			if got := u.Entry(i%5, i/5); vecmath.Cosine(got, v) < 0.9999 || u.Count(i%5, i/5) != 1 {
+				t.Fatalf("cell %d holds %v (count %d) after one absorb of %v", i, got, u.Count(i%5, i/5), v)
+			}
+		}
+		u.Reset()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("Absorb/Reset round over a fixed cell set: %.1f allocs/op after the first round, want 0", allocs)
+	}
+	if len(u.free) != cells {
+		t.Errorf("the table keeps %d vectors for %d cells", len(u.free), cells)
+	}
+}
+
+// TestTableMergeRejectsNonFinite: Table.Merge and Set refuse a vector with a
+// NaN or Inf component and leave the entry as it was.
+func TestTableMergeRejectsNonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	for _, bad := range [][]float32{{nan, 0, 0}, {0, inf, 0}, {1, -inf, nan}} {
+		tb := New(1, 2, 3)
+		if err := tb.Set(0, 0, []float32{0, 0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Merge(0, 0, bad, DefaultGamma, 4, 2); err == nil {
+			t.Errorf("Merge accepted %v", bad)
+		}
+		if err := tb.Merge(0, 1, bad, DefaultGamma, 4, 2); err == nil || tb.Has(0, 1) {
+			t.Errorf("Merge into an absent cell accepted %v", bad)
+		}
+		if err := tb.Set(0, 1, bad); err == nil {
+			t.Errorf("Set accepted %v", bad)
+		}
+		if got := tb.Get(0, 0); got[0] != 0 || got[1] != 0 || got[2] != 1 {
+			t.Errorf("rejected merge of %v changed the entry to %v", bad, got)
+		}
 	}
 }

@@ -198,17 +198,11 @@ func (s *Sharded) Merge(class, layer int, update []float32, gamma, localFreq, su
 	row := &s.rows[class]
 	row.mu.Lock()
 	defer row.mu.Unlock()
-	if old := row.ents[layer]; old == nil {
-		e := s.entryOf(update)
-		if vecmath.Normalize(e.Vec) == 0 {
-			return fmt.Errorf("gtable: Merge zero vector at (%d,%d)", class, layer)
-		}
-		row.ents[layer] = e
-	} else if e := s.newEntry(); mergeEntry(e.Vec, old.Vec, update, gamma, row.support[layer], localFreq) {
-		row.ents[layer] = e
-		// Perfect cancellation keeps the previous entry, as in Table.Merge;
-		// it still counts as evidence below.
+	e, err := s.merged("Merge", class, layer, row.ents[layer], update, gamma, row.support[layer], localFreq)
+	if err != nil {
+		return err
 	}
+	row.ents[layer] = e
 	row.support[layer] += localFreq
 	if supportCap > 0 && row.support[layer] > supportCap {
 		row.support[layer] = supportCap
@@ -216,6 +210,26 @@ func (s *Sharded) Merge(class, layer int, update []float32, gamma, localFreq, su
 	row.evtotal[layer] += localFreq
 	row.vers[layer]++
 	return nil
+}
+
+// merged returns the entry that folding update into old publishes: the
+// normalized update when the cell is absent, else the Eq. 4 combination — or
+// old itself on perfect cancellation (as in Table.Merge; it still counts as
+// evidence). A zero update into an absent cell, or one with a NaN or an Inf,
+// is refused before anything is written.
+func (s *Sharded) merged(op string, class, layer int, old *Entry, update []float32, gamma, globalFreq, localFreq float64) (*Entry, error) {
+	e := s.newEntry()
+	var n float32
+	if old == nil {
+		copy(e.Vec, update)
+		n = vecmath.Normalize(e.Vec)
+	} else if n = mergeEntry(e.Vec, old.Vec, update, gamma, globalFreq, localFreq); n == 0 {
+		return old, nil
+	}
+	if !usable(n) {
+		return nil, rejected(op, class, layer, n)
+	}
+	return e, nil
 }
 
 // MergePeer folds a peer server's cell into (class, layer) under the
@@ -261,15 +275,11 @@ func (s *Sharded) MergePeer(class, layer int, update []float32, evidence, sinceE
 	if localRecent < 0 {
 		localRecent = 0
 	}
-	if old := row.ents[layer]; old == nil {
-		e := s.entryOf(update)
-		if vecmath.Normalize(e.Vec) == 0 {
-			return 0, 0, fmt.Errorf("gtable: MergePeer zero vector at (%d,%d)", class, layer)
-		}
-		row.ents[layer] = e
-	} else if e := s.newEntry(); mergeEntry(e.Vec, old.Vec, update, 1, localRecent+inertia, evidence) {
-		row.ents[layer] = e
+	e, err := s.merged("MergePeer", class, layer, row.ents[layer], update, 1, localRecent+inertia, evidence)
+	if err != nil {
+		return 0, 0, err
 	}
+	row.ents[layer] = e
 	row.support[layer] += evidence
 	if supportCap > 0 && row.support[layer] > supportCap {
 		row.support[layer] = supportCap
@@ -302,8 +312,8 @@ func (s *Sharded) AdoptPeer(class, layer int, vec []float32, support, evTotal, s
 	if evTotal <= 0 || support <= 0 {
 		return 0, fmt.Errorf("gtable: AdoptPeer readings (support %v, evTotal %v) invalid", support, evTotal)
 	}
-	if vecmath.Norm(vec) == 0 {
-		return 0, fmt.Errorf("gtable: AdoptPeer zero vector at (%d,%d)", class, layer)
+	if n := vecmath.Norm(vec); !usable(n) {
+		return 0, rejected("AdoptPeer", class, layer, n)
 	}
 	row := &s.rows[class]
 	row.mu.Lock()
@@ -459,8 +469,8 @@ func (s *Sharded) Set(class, layer int, vec []float32, support float64) error {
 		return fmt.Errorf("gtable: Set dim %d, want %d", len(vec), s.dim)
 	}
 	e := s.entryOf(vec)
-	if vecmath.Normalize(e.Vec) == 0 {
-		return fmt.Errorf("gtable: Set zero vector at (%d,%d)", class, layer)
+	if n := vecmath.Normalize(e.Vec); !usable(n) {
+		return rejected("Set", class, layer, n)
 	}
 	row := &s.rows[class]
 	row.mu.Lock()

@@ -3,9 +3,11 @@ package gtable
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"coca/internal/telemetry"
 	"coca/internal/vecmath"
 )
 
@@ -548,5 +550,94 @@ func TestEntryStagingMemoisedOnFirstProbe(t *testing.T) {
 	_, vecs, _, wides, norm2s := s.ExtractLayerStagedInto(0, []int{1}, nil, nil, nil, nil, nil)
 	if len(wides) != 1 || &vecs[0][0] != &ents[0].Vec[0] || &wides[0][0] != &ents[0].wide[0] || norm2s[0] != ents[0].norm2 {
 		t.Fatal("ExtractLayerStagedInto must return the entry's own memoised staging")
+	}
+}
+
+// TestShardedRejectsNonFiniteVectors is the regression test for the table
+// poisoning the 2026-10-02 re-anchor reproduced: one NaN (or Inf) component
+// in an uploaded or peer vector used to be published with a nil error and
+// stay NaN through every later merge. Merge, MergePeer and AdoptPeer now
+// return an error — from the norm they compute anyway — and leave vector,
+// support, ledger and version untouched; every refusal is counted. Perfect
+// cancellation keeps its meaning: old entry kept, evidence counted.
+func TestShardedRejectsNonFiniteVectors(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(-1))
+	for _, bad := range [][]float32{{nan, 0, 0, 0}, {0, 0, inf, 0}, {nan, inf, 1, 1}} {
+		s := NewSharded(2, 2, 4)
+		if err := s.Set(0, 0, axis(4, 0), 10); err != nil {
+			t.Fatal(err)
+		}
+		type state struct {
+			vec              []float32
+			ver              uint64
+			support, evTotal float64
+		}
+		read := func(class, layer int) (st state) {
+			s.ForEachCell(func(c, j int, vec []float32, ver uint64, support, evTotal float64) {
+				if c == class && j == layer {
+					st = state{append([]float32(nil), vec...), ver, support, evTotal}
+				}
+			})
+			return st
+		}
+		before := read(0, 0)
+		rejected := telemetry.CoreRejectedVecs.Load()
+		refused := 0
+		refuse := func(what string, err error) {
+			t.Helper()
+			refused++
+			if err == nil {
+				t.Errorf("%s accepted %v", what, bad)
+			}
+		}
+		// The ROADMAP's reproduction: an upload merge into a populated cell.
+		refuse("Merge", s.Merge(0, 0, bad, 0.99, 3, 160))
+		_, _, err := s.MergePeer(0, 0, bad, 5, 0, 16, 160)
+		refuse("MergePeer", err)
+		_, err = s.AdoptPeer(0, 0, bad, 50, 500, 160)
+		refuse("AdoptPeer", err)
+		after := read(0, 0)
+		if !slices.Equal(after.vec, before.vec) || after.ver != before.ver || after.support != before.support || after.evTotal != before.evTotal {
+			t.Errorf("a refused %v changed the cell: %+v -> %+v", bad, before, after)
+		}
+		// Absent cells stay absent.
+		refuse("Merge into an absent cell", s.Merge(1, 1, bad, 0.99, 3, 160))
+		_, _, err = s.MergePeer(1, 1, bad, 5, 0, 16, 160)
+		refuse("MergePeer into an absent cell", err)
+		_, err = s.AdoptPeer(1, 1, bad, 50, 500, 160)
+		refuse("AdoptPeer into an absent cell", err)
+		refuse("Set", s.Set(1, 1, bad, 4))
+		if s.Get(1, 1) != nil || s.CellVersion(1, 1) != 0 || s.Populated() != 1 {
+			t.Errorf("a refused %v populated an absent cell", bad)
+		}
+		if got := telemetry.CoreRejectedVecs.Load() - rejected; got != uint64(refused) {
+			t.Errorf("coca_core_rejected_vectors_total grew by %d over %d refusals", got, refused)
+		}
+		// A healthy merge still lands, and no NaN survives anywhere.
+		if err := s.Merge(0, 0, axis(4, 1), 0.99, 3, 160); err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range s.Get(0, 0) {
+			if x != x {
+				t.Fatalf("cell is %v after a healthy merge", s.Get(0, 0))
+			}
+		}
+	}
+
+	// Perfect cancellation is not a refusal.
+	s := NewSharded(1, 1, 2)
+	if err := s.Set(0, 0, []float32{1, 0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	rejected := telemetry.CoreRejectedVecs.Load()
+	if err := s.Merge(0, 0, []float32{-1, 0}, 1, 1, 0); err != nil {
+		t.Fatalf("perfect cancellation: %v", err)
+	}
+	if got := s.Get(0, 0); got[0] != 1 || s.CellVersion(0, 0) != 2 || s.Support(0, 0) != 2 {
+		t.Errorf("perfect cancellation: entry %v, version %d, support %v; want the old entry, version 2, support 2", got, s.CellVersion(0, 0), s.Support(0, 0))
+	}
+	if telemetry.CoreRejectedVecs.Load() != rejected {
+		t.Error("perfect cancellation was counted as a rejected vector")
 	}
 }

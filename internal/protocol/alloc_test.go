@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"coca/internal/core"
+	"coca/internal/stream"
 	"coca/internal/transport"
 )
 
@@ -212,5 +213,70 @@ func TestDecoderMatchesDecode(t *testing.T) {
 		if !bytes.Equal(gotBytes, wantBytes) {
 			t.Fatalf("type %d: decoder result re-encodes differently\n got %x\nwant %x", m.Type, gotBytes, wantBytes)
 		}
+	}
+}
+
+// TestClientRoundOverPipeAllocs pins one whole client round — BeginRound,
+// 300 × Infer, EndRound, collection on — against a real server over the
+// transport's pipe, counting both ends: once every buffer is at its
+// high-water mark a round allocates a small constant, none of it in the view,
+// the update table, the client's round scratch or the server's session.
+func TestClientRoundOverPipeAllocs(t *testing.T) {
+	srv, space := testServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cConn, sConn := transport.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(ctx, sConn, srv) }()
+	client := NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers)
+	cl, err := core.NewClient(ctx, space, client, core.ClientConfig{Theta: 0.035, Budget: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := stream.NewPartition(stream.Config{
+		Dataset: space.DS, NumClients: 1, SceneMeanFrames: 20, WorkingSetSize: 6, WorkingSetChurn: 0.05, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := part.Client(0)
+	activated := 0 // the most layers a round's cache had
+	round := func() {
+		if err := cl.BeginRound(); err != nil {
+			t.Fatal(err)
+		}
+		activated = max(activated, len(cl.Cache().Layers()))
+		for f := 0; f < core.DefaultRoundFrames; f++ {
+			cl.Infer(gen.Next())
+		}
+		if err := cl.EndRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		round() // every site activated, every buffer grown
+	}
+	_, merged := srv.Stats()
+	const rounds = 20
+	allocs := testing.AllocsPerRun(rounds-1, round) * rounds
+	_, after := srv.Stats()
+	if after == merged {
+		t.Fatal("no cell merged: collection is not on")
+	}
+	// What a round still allocates: the pipe's copy of each of its four
+	// frames; the new local cache (cache.NewLocal: the cache, its layer list,
+	// two for its sort and one norm slice per activated layer, then the site
+	// list the hit-ratio update walks); one for whatever still grows now and
+	// then (a cell the update table never held); and on the server one
+	// immutable entry per merged cell, which is taken out of the count.
+	perRound := (allocs - float64(after-merged)) / rounds
+	if max := float64(4 + 5 + activated + 1); perRound > max {
+		t.Errorf("steady-state client round over the pipe: %.1f allocs (entries of merged cells aside), want <= %.0f", perRound, max)
+	}
+	t.Logf("%.1f allocs per round, plus %.1f merged cells per round", perRound, float64(after-merged)/rounds)
+	cancel()
+	_ = cl.Close()
+	_ = client.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -119,7 +119,7 @@ func TestMigrationGoldenEquivalence(t *testing.T) {
 			if err := cl.BeginRound(); err != nil {
 				t.Fatalf("round %d begin: %v", round, err)
 			}
-			allocs = append(allocs, cl.View().Allocation())
+			allocs = append(allocs, cl.View().Allocation().Clone()) // kept across later rounds
 			versions = append(versions, cl.View().Version())
 			for f := 0; f < roundFrames; f++ {
 				cl.Infer(gen.Next())

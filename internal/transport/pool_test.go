@@ -151,3 +151,61 @@ func TestPoolFrameIntactWhileOtherConnectionsChurn(t *testing.T) {
 		t.Fatalf("connection A's next frame: %v", err)
 	}
 }
+
+// TestPoolReadBufferFollowsTheReceiveBuffer: a connection takes its read
+// buffer at its first Recv, hands it back where it hands the receive buffer
+// back (Release, a failed Recv — never Close), detached from its stream, and
+// the next connection's first Recv takes it; a read buffer that still holds
+// bytes the peer sent ahead is not handed back, so a Release between two
+// frames loses nothing.
+func TestPoolReadBufferFollowsTheReceiveBuffer(t *testing.T) {
+	small := patterned(100, 3)
+	// Both frames arrive in one segment: the first Recv buffers the second.
+	conn := NewTCPConn(&scriptConn{segments: [][]byte{append(framed(small), framed(small)...)}})
+	tc := conn.(*tcpConn)
+	if tc.rd != nil {
+		t.Fatal("a connection that never received holds a read buffer")
+	}
+	if got, err := conn.Recv(); err != nil || !bytes.Equal(got, small) {
+		t.Fatalf("first frame: %v", err)
+	}
+	_ = conn.Close()
+	if tc.rd == nil {
+		t.Fatal("Close took the read buffer from under the receiver")
+	}
+	Release(conn)
+	if tc.rd == nil || tc.rd.Buffered() == 0 {
+		t.Fatal("Release handed back a read buffer that held the next frame")
+	}
+	if got, err := conn.Recv(); err != nil || !bytes.Equal(got, small) {
+		t.Fatalf("the frame sent ahead, after a Release: %v", err)
+	}
+	// sync.Pool may drop any Put (and does so at random under the race
+	// detector), so reuse is looked for over a number of attempts.
+	reused := false
+	for attempt := 0; attempt < 200 && !reused; attempt++ {
+		a := NewTCPConn(&scriptConn{segments: [][]byte{framed(small)}}).(*tcpConn)
+		if _, err := a.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		rd := a.rd
+		if attempt%2 == 0 {
+			Release(a)
+		} else if _, err := a.Recv(); err == nil {
+			t.Fatal("Recv past the end of the stream succeeded")
+		}
+		if a.rd != nil {
+			t.Fatal("the connection still names the read buffer it handed back")
+		}
+		b := NewTCPConn(&scriptConn{segments: [][]byte{framed(patterned(200, 9))}}).(*tcpConn)
+		got, err := b.Recv()
+		if err != nil || !bytes.Equal(got, patterned(200, 9)) {
+			t.Fatalf("frame through a possibly recycled read buffer: %v", err)
+		}
+		reused = b.rd == rd
+		Release(b)
+	}
+	if !reused {
+		t.Error("a read buffer handed back never served a later connection")
+	}
+}

@@ -146,6 +146,11 @@ func RecycleScratch(buf []byte) {
 // frame bypasses it and is read straight into the frame buffer.
 const readBufSize = 4 << 10
 
+// readers recycles the connections' read buffers (*bufio.Reader, detached
+// from their stream) by the scratch pool's rule: a receiver takes one at its
+// first Recv and only the receiver hands it back (see tcpConn.recycle).
+var readers sync.Pool
+
 // frameHeader is the size of the length prefix.
 const frameHeader = 4
 
@@ -160,14 +165,14 @@ type tcpConn struct {
 	sendBufs net.Buffers // sendVec[:], consumed by each write
 
 	recvLock sync.Mutex
-	rd       *bufio.Reader
+	rd       *bufio.Reader // from the readers pool; nil before the first Recv and after recycle
 	recvHdr  [frameHeader]byte
 	frame    []byte // reused receive buffer from the scratch pool, cap ≤ maxRetainedFrame
 }
 
 // NewTCPConn wraps an established net.Conn with message framing.
 func NewTCPConn(nc net.Conn) Conn {
-	return &tcpConn{nc: nc, rd: bufio.NewReaderSize(nc, readBufSize)}
+	return &tcpConn{nc: nc}
 }
 
 // Dial connects to a CoCa server at addr ("host:port").
@@ -212,10 +217,16 @@ func (c *tcpConn) Send(frame []byte) error {
 // small here, it would be too small for the next connection like this one),
 // never past maxRetainedFrame; a larger frame gets a one-shot buffer. A
 // failed Recv — how a receiver that runs until its peer is gone learns that
-// it is — hands the buffer back to the pool.
+// it is — hands the buffer, and the read buffer, back to their pools.
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.recvLock.Lock()
 	defer c.recvLock.Unlock()
+	if c.rd == nil {
+		if c.rd, _ = readers.Get().(*bufio.Reader); c.rd == nil {
+			c.rd = bufio.NewReaderSize(nil, readBufSize)
+		}
+		c.rd.Reset(c.nc)
+	}
 	if _, err := io.ReadFull(c.rd, c.recvHdr[:]); err != nil {
 		c.recycle()
 		return nil, fmt.Errorf("transport: read header: %w", err)
@@ -239,18 +250,24 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	return frame, nil
 }
 
-// recycle hands the receive buffer to the scratch pool; a later Recv takes
-// another. Callers hold recvLock.
+// recycle hands the receive buffer to the scratch pool and the read buffer to
+// its own; a later Recv takes others. A read buffer that holds bytes of a
+// frame the peer sent ahead stays with the connection. Callers hold recvLock.
 func (c *tcpConn) recycle() {
 	RecycleScratch(c.frame)
 	c.frame = nil
+	if c.rd != nil && c.rd.Buffered() == 0 {
+		c.rd.Reset(nil)
+		readers.Put(c.rd)
+		c.rd = nil
+	}
 }
 
 // Close closes the stream. It leaves the receive buffer alone: a frame from
 // it may still be being decoded on another goroutine (see Release).
 func (c *tcpConn) Close() error { return c.nc.Close() }
 
-// Release hands conn's receive buffer back to the scratch pool. Only the
+// Release hands conn's receive and read buffers back to their pools. Only the
 // connection's receiver may call it, and only when it is done with the frame
 // its last Recv returned and will not call Recv concurrently — which a
 // closer on another goroutine cannot know, so Close itself never recycles.

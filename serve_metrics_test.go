@@ -31,11 +31,12 @@ func TestMetricsExpositionTracksWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	shutdown := func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(sctx)
-	}()
+	}
+	defer shutdown() // for the paths that fail before the one below
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(clients))
@@ -53,6 +54,13 @@ func TestMetricsExpositionTracksWorkload(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+
+	// Shutdown returns once every connection's serving goroutine has exited,
+	// and the clients' goroutines have been waited for above: with the tracer
+	// unset after that, nothing writes traceBuf while it is read below (a
+	// session_close emitted as a connection wound down used to race it).
+	shutdown()
+	telemetry.SetTracer(nil)
 
 	// serveOpts is 3 clients x 2 rounds: at least 3 opens+closes and 6
 	// allocations/merges must have landed in the global registry.
