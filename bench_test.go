@@ -6,11 +6,9 @@
 package coca
 
 import (
-	"fmt"
 	"strconv"
 	"testing"
 
-	"coca/internal/benchsuite"
 	"coca/internal/core"
 	"coca/internal/dataset"
 	"coca/internal/experiments"
@@ -48,103 +46,6 @@ func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
 func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
 func BenchmarkFig10a(b *testing.B) { benchExperiment(b, "fig10a") }
 func BenchmarkFig10b(b *testing.B) { benchExperiment(b, "fig10b") }
-
-// BenchmarkFederation measures the federation tier (3-server mesh with
-// peer delta-sync vs partitioned no-sync) per iteration, reporting hit
-// amplification, tail latency and sync traffic. The body lives in
-// internal/benchsuite so cmd/coca-bench emits the same numbers into
-// BENCH_<date>.json.
-func BenchmarkFederation(b *testing.B) { benchsuite.Federation(b) }
-
-// BenchmarkServerPath measures the server-side coordination hot path —
-// Open/Allocate/Upload under concurrent sessions against the sharded
-// global table. allocate-only steady state is allocation-free; rounds with
-// uploads pay one replacement entry per merged cell. The body lives in
-// internal/benchsuite so cmd/coca-bench emits the same numbers into
-// BENCH_<date>.json.
-func BenchmarkServerPath(b *testing.B) {
-	for _, clients := range []int{1, 16} {
-		b.Run(fmt.Sprintf("allocate/clients=%d", clients), func(b *testing.B) {
-			benchsuite.ServerPath(b, clients, false)
-		})
-		b.Run(fmt.Sprintf("round/clients=%d", clients), func(b *testing.B) {
-			benchsuite.ServerPath(b, clients, true)
-		})
-	}
-}
-
-// BenchmarkEngineRound measures one concurrent fleet round through
-// engine.Runner's persistent worker pool across client counts (the last
-// always GOMAXPROCS, named "max"), exposing the pool's scheduling cost
-// and parallel scaling. The body lives in internal/benchsuite so
-// cmd/coca-bench emits the same numbers into BENCH_<date>.json.
-func BenchmarkEngineRound(b *testing.B) {
-	ercs := benchsuite.EngineRoundClients()
-	for i, clients := range ercs {
-		name := fmt.Sprintf("clients=%d", clients)
-		if i == len(ercs)-1 {
-			name = "clients=max"
-		}
-		b.Run(name, func(b *testing.B) { benchsuite.EngineRound(b, clients) })
-	}
-}
-
-// BenchmarkFederationSyncRound measures one peer sync round of a warm
-// 3-node mesh: parallel table sweep, wire encoding, recency-weighted
-// merges and view bookkeeping.
-func BenchmarkFederationSyncRound(b *testing.B) { benchsuite.FederationSync(b) }
-
-// BenchmarkGossipSyncRound measures one epidemic sync round of a warm
-// 16-node gossip fleet (fanout k=3) and reports gossip-vs-mesh
-// bytes-per-node metrics — the scalability claim behind the gossip
-// topology, pinned into the committed BENCH history.
-func BenchmarkGossipSyncRound(b *testing.B) { benchsuite.GossipSync(b) }
-
-// BenchmarkAntiEntropyRound measures one pull anti-entropy round between
-// a warm node pair — digest build, want negotiation and pull repair over
-// the real wire codec — and splits digest vs pull bytes per round.
-func BenchmarkAntiEntropyRound(b *testing.B) { benchsuite.AntiEntropyRound(b) }
-
-// BenchmarkRoutingAdmission measures one front-door admission decision —
-// token bucket, breaker gate, sticky placement — over a warm client
-// population. Steady state is allocation-free (pinned by the benchsuite
-// allocs test). The body lives in internal/benchsuite so cmd/coca-bench
-// emits the same numbers into BENCH_<date>.json.
-func BenchmarkRoutingAdmission(b *testing.B) { benchsuite.RoutingAdmission(b) }
-
-// BenchmarkRoutingAdmissionShed measures the same decision with the
-// overload tier's queue-depth shed check active on a sheddable-class
-// request — the degraded-mode path, pinned at 0 allocs/op.
-func BenchmarkRoutingAdmissionShed(b *testing.B) { benchsuite.RoutingAdmissionShed(b) }
-
-// BenchmarkTelemetryRecord measures the per-op cost of the telemetry
-// tier's record path (counter, labeled counter, gauge, histogram — one
-// of each per iteration). Steady state is allocation-free (pinned by the
-// benchsuite allocs test). The body lives in internal/benchsuite so
-// cmd/coca-bench emits the same numbers into BENCH_<date>.json.
-func BenchmarkTelemetryRecord(b *testing.B) { benchsuite.TelemetryRecord(b) }
-
-// BenchmarkHeadline reproduces the paper's headline claim per iteration
-// (CoCa on the reference workload) and reports the virtual latency
-// reduction and accuracy as benchmark metrics. The body lives in
-// internal/benchsuite so cmd/coca-bench emits the same numbers into
-// BENCH_<date>.json.
-func BenchmarkHeadline(b *testing.B) { benchsuite.Headline(b) }
-
-// BenchmarkInferencePath measures the real (host) cost per sample of the
-// cached inference hot path (Client.InferBatch) across batch sizes, at the
-// paper's reference scale and at a production-leaning fleet scale. ns/op
-// is per sample, so sub-benchmarks compare directly: batch=32 must sustain
-// at least twice the throughput of batch=1 (see EXPERIMENTS.md).
-func BenchmarkInferencePath(b *testing.B) {
-	for _, scale := range []benchsuite.Scale{benchsuite.ScaleRef, benchsuite.ScaleFleet} {
-		for _, batch := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("scale=%s/batch=%d", scale, batch), func(b *testing.B) {
-				benchsuite.InferencePath(b, scale, batch)
-			})
-		}
-	}
-}
 
 // --- Ablation benches for the design decisions DESIGN.md calls out ---
 

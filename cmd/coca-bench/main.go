@@ -1,6 +1,5 @@
 // Command coca-bench regenerates the paper's tables and figures on the
-// simulated substrate, and measures this build's performance into a
-// machine-readable report.
+// simulated substrate.
 //
 // Usage:
 //
@@ -8,21 +7,14 @@
 //	coca-bench -exp table2
 //	coca-bench -exp all -scale 0.5 -csv
 //	coca-bench -exp table2 -batch 32
-//	coca-bench -bench
-//	coca-bench -bench -json -out . -benchtime 1x
-//	coca-bench -compare BENCH_old.json BENCH_new.json
 //	coca-bench -exp table2 -cpuprofile cpu.out -memprofile mem.out
 //
 // -list enumerates the experiment registry (the happy path when exploring).
 // -exp runs one experiment (or "all") and prints its paper-style table;
-// -batch drives CoCa clients through the batched round driver. -bench runs
-// the headline + server/inference hot-path benchmark suite; with -json it
-// also writes a versioned BENCH_<date>.json (schema internal/perfjson)
-// whose committed history is the repository's perf trajectory (see
-// EXPERIMENTS.md). -compare diffs two BENCH files and exits non-zero when
-// a zero-alloc benchmark regressed by more than 20% allocs/op — the CI
-// bench-smoke gate. -cpuprofile/-memprofile write pprof profiles of any
-// mode, so hot-path regressions are diagnosed without code edits.
+// -batch drives CoCa clients through the batched round driver.
+// -cpuprofile/-memprofile write pprof profiles of the run. Wall-clock
+// performance is measured by the bench/ harness, not here (see
+// bench/README.md).
 package main
 
 import (
@@ -32,15 +24,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strconv"
-	"strings"
-	"testing"
 	"time"
 
-	"coca/internal/benchsuite"
 	"coca/internal/experiments"
-	"coca/internal/perfjson"
 )
 
 func main() {
@@ -51,15 +37,9 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		batch      = flag.Int("batch", 0, "inference batch size for the round driver (0 = frame at a time)")
-		bench      = flag.Bool("bench", false, "run the headline + hot-path benchmark suite")
-		jsonOut    = flag.Bool("json", false, "with -bench: write BENCH_<date>.json")
-		outDir     = flag.String("out", ".", "with -bench -json: directory for the report")
-		benchTime  = flag.String("benchtime", "", "with -bench: per-benchmark budget, e.g. 2s or 1x (default 1s)")
-		compare    = flag.Bool("compare", false, "compare two BENCH_<date>.json files (old new); non-zero exit on zero-alloc regression >20%")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	testing.Init() // register test.* flags so -benchtime can be forwarded
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -96,19 +76,11 @@ func main() {
 	var runErr error
 	exitCode := 1
 	switch {
-	case *compare:
-		if flag.NArg() != 2 {
-			runErr = fmt.Errorf("usage: coca-bench -compare BENCH_old.json BENCH_new.json")
-			break
-		}
-		runErr = runCompare(flag.Arg(0), flag.Arg(1))
-	case *bench:
-		runErr = runBench(*benchTime, *jsonOut, *outDir)
 	case *list:
 		printRegistry(os.Stdout)
 	case *exp == "":
 		fmt.Fprintln(os.Stderr, "coca-bench: no experiment selected")
-		fmt.Fprintln(os.Stderr, "usage: coca-bench -list | -exp <id|all> [-scale f] [-seed n] [-batch n] [-csv] | -bench [-json] | -compare old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: coca-bench -list | -exp <id|all> [-scale f] [-seed n] [-batch n] [-csv]")
 		fmt.Fprintln(os.Stderr, "run coca-bench -list to see the experiment registry")
 		runErr = fmt.Errorf("no mode selected")
 		exitCode = 2
@@ -162,197 +134,5 @@ func runExperiments(id string, opts experiments.Options, csv bool) error {
 		}
 		fmt.Fprintf(os.Stderr, "# %s completed in %.1fs\n\n", e.ID, time.Since(start).Seconds())
 	}
-	return nil
-}
-
-// namedBench pairs a report name with a runnable benchmark body.
-type namedBench struct {
-	name string
-	run  func(*testing.B)
-}
-
-// suite is the fixed benchmark set of -bench mode: the headline
-// reproduction plus the inference hot path across scales and batch sizes.
-func suite() []namedBench {
-	out := []namedBench{
-		{"headline", benchsuite.Headline},
-		{"federation", benchsuite.Federation},
-		{"federation-sync-round", benchsuite.FederationSync},
-		{"gossip-sync-round", benchsuite.GossipSync},
-		{"anti-entropy-round", benchsuite.AntiEntropyRound},
-		{"routing-admission", benchsuite.RoutingAdmission},
-		{"routing-admission-shed", benchsuite.RoutingAdmissionShed},
-		{"telemetry-record", benchsuite.TelemetryRecord},
-	}
-	for _, clients := range []int{1, 16} {
-		out = append(out,
-			namedBench{
-				fmt.Sprintf("server-path/allocate/clients=%d", clients),
-				func(b *testing.B) { benchsuite.ServerPath(b, clients, false) },
-			},
-			namedBench{
-				fmt.Sprintf("server-path/round/clients=%d", clients),
-				func(b *testing.B) { benchsuite.ServerPath(b, clients, true) },
-			})
-	}
-	// The parallel-scaling fleet-round bench: the last entry always runs
-	// at GOMAXPROCS but keeps the machine-independent name "max" so
-	// committed BENCH files stay comparable across hosts.
-	ercs := benchsuite.EngineRoundClients()
-	for i, clients := range ercs {
-		name := fmt.Sprintf("engine-round/clients=%d", clients)
-		if i == len(ercs)-1 {
-			name = "engine-round/clients=max"
-		}
-		out = append(out, namedBench{name, func(b *testing.B) { benchsuite.EngineRound(b, clients) }})
-	}
-	for _, scale := range []benchsuite.Scale{benchsuite.ScaleRef, benchsuite.ScaleFleet} {
-		for _, batch := range []int{1, 8, 32} {
-			out = append(out, namedBench{
-				fmt.Sprintf("inference-path/scale=%s/batch=%d", scale, batch),
-				func(b *testing.B) { benchsuite.InferencePath(b, scale, batch) },
-			})
-		}
-	}
-	return out
-}
-
-func runBench(benchTime string, jsonOut bool, outDir string) error {
-	if benchTime != "" {
-		if err := flag.Set("test.benchtime", benchTime); err != nil {
-			return fmt.Errorf("bad -benchtime: %w", err)
-		}
-	}
-	report := &perfjson.Report{
-		Schema:    perfjson.SchemaVersion,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
-	// ns/op of the batch=1 runs, for derived speedup metrics.
-	base := map[string]float64{}
-	for _, bm := range suite() {
-		res := testing.Benchmark(bm.run)
-		if res.N == 0 {
-			return fmt.Errorf("benchmark %s failed", bm.name)
-		}
-		entry := perfjson.Benchmark{
-			Name:        bm.name,
-			Iterations:  res.N,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: float64(res.AllocsPerOp()),
-			BytesPerOp:  float64(res.AllocedBytesPerOp()),
-		}
-		if len(res.Extra) > 0 {
-			entry.Metrics = map[string]float64{}
-			for k, v := range res.Extra {
-				entry.Metrics[k] = v
-			}
-		}
-		if scale, batch, ok := parseInferenceName(bm.name); ok {
-			if batch == 1 {
-				base[scale] = entry.NsPerOp
-			} else if b1 := base[scale]; b1 > 0 && entry.NsPerOp > 0 {
-				if entry.Metrics == nil {
-					entry.Metrics = map[string]float64{}
-				}
-				entry.Metrics["speedup-vs-batch=1"] = b1 / entry.NsPerOp
-			}
-		}
-		report.Add(entry)
-		fmt.Printf("%-36s %12.0f ns/op %8.1f allocs/op", bm.name, entry.NsPerOp, entry.AllocsPerOp)
-		keys := make([]string, 0, len(entry.Metrics))
-		for k := range entry.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("  %s=%.2f", k, entry.Metrics[k])
-		}
-		fmt.Println()
-	}
-	if jsonOut {
-		path, err := report.WriteFile(outDir)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
-	}
-	return nil
-}
-
-// parseInferenceName extracts (scale, batch) from an inference-path
-// benchmark name.
-func parseInferenceName(name string) (string, int, bool) {
-	rest, ok := strings.CutPrefix(name, "inference-path/scale=")
-	if !ok {
-		return "", 0, false
-	}
-	scale, batchPart, ok := strings.Cut(rest, "/batch=")
-	if !ok {
-		return "", 0, false
-	}
-	batch, err := strconv.Atoi(batchPart)
-	if err != nil {
-		return "", 0, false
-	}
-	return scale, batch, true
-}
-
-// allocRegressionTolerance is the CI gate: a zero-alloc benchmark may not
-// regress its allocs/op by more than this fraction (plus one allocation of
-// absolute slack; see perfjson.BenchDelta.AllocRegression).
-const allocRegressionTolerance = 0.20
-
-// Time-regression gate: a benchmark may not regress its ns/op by more
-// than this ratio plus the absolute slack (see
-// perfjson.BenchDelta.TimeRegression). The committed BENCH baselines and
-// CI runners are different machines, and the concurrent benches jitter
-// up to ~1.7× run-to-run even on one machine, so the ratio is generous —
-// the gate catches algorithmic wall-clock regressions (the >2× class:
-// lost staging, accidental quadratics), not micro-drift — and the slack
-// keeps sub-millisecond benchmarks from tripping on scheduler noise.
-const (
-	timeRegressionTolerance = 1.0
-	timeRegressionSlackNs   = 250e3 // 250µs
-)
-
-// runCompare diffs two BENCH reports, prints every benchmark's movement
-// and fails (non-zero exit via error) when any zero-alloc benchmark
-// regressed its allocation profile beyond the tolerance, or any benchmark
-// regressed its wall clock beyond the time gate.
-func runCompare(oldPath, newPath string) error {
-	oldRep, err := perfjson.Load(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep, err := perfjson.Load(newPath)
-	if err != nil {
-		return err
-	}
-	var regressions []string
-	for _, d := range perfjson.Delta(oldRep, newRep) {
-		status := "new"
-		if d.Known {
-			status = fmt.Sprintf("%.2fx ns", d.Speedup)
-		}
-		fmt.Printf("%-40s %12.0f -> %12.0f ns/op  %10.1f -> %10.1f allocs/op  %s\n",
-			d.Name, d.OldNs, d.NewNs, d.OldAllocs, d.NewAllocs, status)
-		if d.AllocRegression(allocRegressionTolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: allocs/op %.1f -> %.1f (> %.0f%% over a zero-alloc baseline)",
-					d.Name, d.OldAllocs, d.NewAllocs, 100*allocRegressionTolerance))
-		}
-		if d.TimeRegression(timeRegressionTolerance, timeRegressionSlackNs) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: ns/op %.0f -> %.0f (> %.0f%% + %.0fµs slack)",
-					d.Name, d.OldNs, d.NewNs, 100*timeRegressionTolerance, timeRegressionSlackNs/1e3))
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("performance regressions:\n  %s", strings.Join(regressions, "\n  "))
-	}
-	fmt.Println("no zero-alloc or wall-clock regressions")
 	return nil
 }

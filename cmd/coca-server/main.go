@@ -1,9 +1,9 @@
 // Command coca-server runs a CoCa edge server over TCP: it builds the
 // simulated model/dataset universe, initializes the global cache table from
 // the shared dataset, and serves session, cache-allocation and
-// global-update requests from coca-client processes (wire protocol v3
-// with per-request deadline propagation, negotiated down for v2 and v1
-// clients).
+// global-update requests from coca-client processes (the session wire
+// protocol with per-request deadline propagation, negotiated down as far
+// as v2).
 //
 // With -peers, the server joins a federation: it gossips global-cache
 // cell deltas to the listed peer servers every -sync interval and merges
@@ -83,8 +83,7 @@ func main() {
 		theta    = flag.Float64("theta", 0.012, "hit threshold Θ used for layer profiling")
 		gamma    = flag.Float64("gamma", 0.99, "global merge decay γ (Eq. 4)")
 		seed     = flag.Uint64("seed", 1, "shared-dataset seed")
-		drainTO  = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: in-flight sessions get this long to drain before being force-closed")
-		drainOld = flag.Duration("drain", 0, "deprecated alias for -drain-timeout")
+		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: in-flight sessions get this long to drain before being force-closed")
 		peersF   = flag.String("peers", "", "comma-separated federated peer server addresses (host:port,...)")
 		nodeID   = flag.Int("node-id", 0, "this server's federation id (distinct per fleet member)")
 		relay    = flag.Bool("relay", false, "relay received peer evidence onward (set on star hubs / ring members; leave off in a full mesh)")
@@ -99,15 +98,6 @@ func main() {
 		traceF   = flag.String("trace", "", "append JSON-lines telemetry events (sessions, syncs, membership) to this file (empty = off)")
 	)
 	flag.Parse()
-	drain := *drainTO
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "drain" && *drainOld > 0 {
-			drain = *drainOld // deprecated alias; -drain-timeout wins when both are set
-		}
-		if f.Name == "drain-timeout" {
-			drain = *drainTO
-		}
-	})
 
 	if *metricsA != "" && *metricsA == *pprofA {
 		// Shared diagnostics listener: pprof registers on the default
@@ -245,7 +235,7 @@ func main() {
 	<-sigCtx.Done()
 	atShutdown := srv.Sessions()
 	fmt.Fprintf(os.Stderr, "coca-server: shutting down: draining %d open session(s) for up to %s...\n",
-		atShutdown, drain)
+		atShutdown, *drain)
 	if peers != nil {
 		// Announce the departure while the links are still up: surviving
 		// peers mark this node left immediately instead of waiting out the
@@ -261,7 +251,7 @@ func main() {
 	select {
 	case <-drained:
 		telemetry.OverloadDrains.Add(telemetry.DrainDrained, uint64(atShutdown))
-	case <-time.After(drain):
+	case <-time.After(*drain):
 		// Sessions that beat the deadline drained; the stragglers are
 		// force-closed and counted aborted — the bounded-drain contract.
 		aborted := srv.Sessions()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"coca/internal/dataset"
@@ -171,6 +172,64 @@ func TestInferZeroAllocsSteadyState(t *testing.T) {
 			client.InferBatch(batch)
 		}); n != 0 {
 			t.Errorf("cfg %+v: InferBatch allocates %v/op at steady state, want 0", cfg, n)
+		}
+	}
+}
+
+// BenchmarkInferencePath measures the host cost per sample of the cached
+// inference hot path — Client.InferBatch over a warm allocation — across
+// batch sizes, at the paper's reference scale (50 classes, 300-entry
+// budget) and a fleet scale (100 classes, 1000 entries). ns/op is per
+// sample, so sub-benchmarks compare directly: this is the batch-vs-frame
+// number the wall-clock harness, which runs batch 1 only, cannot give.
+// Stream generation runs outside the timed loop.
+func BenchmarkInferencePath(b *testing.B) {
+	for _, sc := range []struct {
+		name            string
+		classes, budget int
+	}{{"ref", 50, 300}, {"fleet", 100, 1000}} {
+		space := semantics.NewSpace(dataset.UCF101().Subset(sc.classes), model.ResNet101())
+		for _, batch := range []int{1, 8, 32} {
+			b.Run(fmt.Sprintf("scale=%s/batch=%d", sc.name, batch), func(b *testing.B) {
+				srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 1})
+				client, err := NewClient(context.Background(), space, srv, ClientConfig{
+					Theta: 0.012, Budget: sc.budget, RoundFrames: 300,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				part, err := stream.NewPartition(stream.Config{
+					Dataset: space.DS, NumClients: 1, SceneMeanFrames: 25,
+					WorkingSetSize: 15, WorkingSetChurn: 0.05, Seed: 1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				gen := part.Client(0)
+				if err := client.BeginRound(); err != nil {
+					b.Fatal(err)
+				}
+				// A ring of pre-drawn batches keeps generation out of the timed
+				// loop while still varying the frames each iteration sees; one
+				// pass over it before the timer warms the client's scratch.
+				const ring = 64
+				batches := make([][]dataset.Sample, ring)
+				for i := range batches {
+					batches[i] = gen.Take(batch)
+					client.InferBatch(batches[i])
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				// Exactly b.N samples pass through, so ns/op is per sample at
+				// every batch size (the final batch is trimmed to the remainder).
+				for n := 0; n < b.N; n += batch {
+					chunk := batches[(n/batch)%ring]
+					if left := b.N - n; left < len(chunk) {
+						chunk = chunk[:left]
+					}
+					client.InferBatch(chunk)
+				}
+			})
 		}
 	}
 }

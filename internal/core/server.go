@@ -98,9 +98,9 @@ type StatusReport struct {
 }
 
 // Allocation is a fully materialized per-client cache: the activated
-// layers with entries extracted from the global table. v2 sessions
-// exchange Deltas instead; Allocation remains the materialized form
-// (protocol-v1 replies, frozen-allocation refreshes, diagnostics).
+// layers with entries extracted from the global table. Sessions exchange
+// Deltas instead; Allocation remains the materialized form (frozen-
+// allocation refreshes, diagnostics).
 type Allocation struct {
 	Layers []cache.Layer
 	// Classes is the hot-spot set backing the layers (diagnostic).

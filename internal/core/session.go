@@ -83,7 +83,7 @@ type Delta struct {
 	// Full marks a complete (non-incremental) allocation.
 	Full bool
 	// Classes is the hot-spot class set behind the allocation
-	// (diagnostic, mirrors v1 Allocation.Classes).
+	// (diagnostic, mirrors Allocation.Classes).
 	Classes []int
 	// Sites lists the activated cache sites of the resulting allocation,
 	// ascending.
@@ -344,9 +344,9 @@ func (v *AllocView) Layers() []cache.Layer {
 	return out
 }
 
-// Allocation materializes the view as a v1-style full allocation (used by
-// the wire server to answer protocol-v1 clients and by frozen-allocation
-// refreshes). Like Layers, it is valid until the next Apply.
+// Allocation materializes the view as a full allocation (used by
+// frozen-allocation refreshes). Like Layers, it is valid until the next
+// Apply.
 func (v *AllocView) Allocation() Allocation {
 	return Allocation{Classes: v.classes, Layers: v.Layers()}
 }

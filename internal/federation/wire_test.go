@@ -187,28 +187,10 @@ func TestPeerSyncRejectedByPlainServer(t *testing.T) {
 	_ = cConn.Close()
 }
 
-// v1RoundTrip performs one raw v1 exchange over a connection.
-func v1RoundTrip(conn transport.Conn, req *protocol.Message) (*protocol.Message, error) {
-	req.Version = protocol.V1
-	frame, err := protocol.Encode(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(frame); err != nil {
-		return nil, err
-	}
-	resp, err := conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return protocol.Decode(resp)
-}
-
-// TestMixedVersionFleetDuringPeerSync serves a mixed-version fleet — v2
-// session clients and a legacy v1 client — from one federated node while
-// peer sync runs concurrently against a second node whose own fleet is
-// also active. Run under -race in CI: allocations, uploads, v1
-// materialization and peer merges all interleave freely here.
+// TestMixedVersionFleetDuringPeerSync serves wire session clients from
+// one federated node while peer sync runs concurrently against a second
+// node whose own fleet is in-process. Run under -race in CI: allocations,
+// uploads and peer merges all interleave freely here.
 func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 	space := testSpace()
 	cfg := testServerConfig()
@@ -231,16 +213,16 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	errs := make(chan error, v2Clients+3)
-	var wg sync.WaitGroup
+	errs := make(chan error, v2Clients+2)
+	var clients, wg sync.WaitGroup
 
 	// v2 wire clients against node A.
 	for id := 0; id < v2Clients; id++ {
 		cConn, sConn := transport.Pipe()
 		go func() { _ = protocol.ServeConn(ctx, sConn, nodeA) }()
-		wg.Add(1)
+		clients.Add(1)
 		go func(id int) {
-			defer wg.Done()
+			defer clients.Done()
 			coord := protocol.NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers)
 			defer coord.Close()
 			client, err := core.NewClient(ctx, space, coord, core.ClientConfig{
@@ -268,49 +250,11 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 		}(id)
 	}
 
-	// A legacy v1 client against node A: hello, then status/update rounds
-	// with fully materialized allocations.
-	{
-		cConn, sConn := transport.Pipe()
-		go func() { _ = protocol.ServeConn(ctx, sConn, nodeA) }()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer cConn.Close()
-			ack, err := v1RoundTrip(cConn, &protocol.Message{
-				Type: protocol.TypeHello, ClientID: int32(v2Clients),
-				Hello: &protocol.Hello{NumClasses: int32(space.DS.NumClasses), NumLayers: int32(space.Arch.NumLayers)},
-			})
-			if err != nil || ack.Type != protocol.TypeHelloAck {
-				errs <- fmt.Errorf("v1 hello: type=%d err=%v", ack.Type, err)
-				return
-			}
-			for r := 0; r < rounds; r++ {
-				resp, err := v1RoundTrip(cConn, &protocol.Message{
-					Type: protocol.TypeStatus, ClientID: int32(v2Clients),
-					Status: &core.StatusReport{Tau: make([]int, space.DS.NumClasses), Budget: 30, RoundFrames: frames},
-				})
-				if err != nil || resp.Type != protocol.TypeAllocation || len(resp.Allocation.Layers) == 0 {
-					errs <- fmt.Errorf("v1 status round %d: type=%d err=%v", r, resp.Type, err)
-					return
-				}
-				up, err := v1RoundTrip(cConn, &protocol.Message{
-					Type: protocol.TypeUpdate, ClientID: int32(v2Clients),
-					Update: &core.UpdateReport{Freq: make([]float64, space.DS.NumClasses)},
-				})
-				if err != nil || up.Type != protocol.TypeAck {
-					errs <- fmt.Errorf("v1 update round %d: type=%d err=%v", r, up.Type, err)
-					return
-				}
-			}
-		}()
-	}
-
 	// Node B's own fleet: one in-process client keeping B's table dirty
 	// so syncs travel both directions.
-	wg.Add(1)
+	clients.Add(1)
 	go func() {
-		defer wg.Done()
+		defer clients.Done()
 		client, err := core.NewClient(ctx, space, nodeB, core.ClientConfig{
 			ID: v2Clients + 1, Theta: 0.035, Budget: 40, RoundFrames: frames,
 		})
@@ -335,13 +279,20 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 		}
 	}()
 
-	// Peer sync runs concurrently with all of the above.
-	syncDone := make(chan struct{})
+	// Peer sync runs concurrently with all of the above, at least six
+	// times and at least once after the last upload, so that merges happen
+	// however the scheduler interleaves syncs and rounds.
+	clientsDone := make(chan struct{})
+	go func() { clients.Wait(); close(clientsDone) }()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer close(syncDone)
-		for i := 0; i < 6; i++ {
+		for i, last := 0, false; !last || i < 6; i++ {
+			select {
+			case <-clientsDone:
+				last = true
+			default:
+			}
 			if err := SyncNodes([]*Node{nodeA, nodeB}, topo); err != nil {
 				errs <- fmt.Errorf("sync %d: %w", i, err)
 				return
@@ -355,7 +306,6 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	<-syncDone
 	if nodeA.Server().PeerMerges() == 0 && nodeB.Server().PeerMerges() == 0 {
 		t.Fatal("no peer merges happened during the mixed-version run")
 	}

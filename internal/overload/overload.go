@@ -11,7 +11,8 @@
 //
 // Everything here is deterministic under an injected clock and allocation
 // free on the hot paths: the routing tier's shed decision is pinned at
-// 0 allocs/op by the benchsuite, and LoadTracker is a pair of atomics.
+// 0 allocs/op by routing.TestRouterAdmitSteadyStateAllocs, and LoadTracker
+// is a pair of atomics.
 package overload
 
 import (

@@ -184,10 +184,10 @@ func TestReplyDecodersPooledPerConnection(t *testing.T) {
 }
 
 // TestDecoderMatchesDecode cross-checks the scratch decoder against the
-// allocating decoder on every sample message of both wire versions.
+// allocating decoder on every sample message.
 func TestDecoderMatchesDecode(t *testing.T) {
 	var dec Decoder
-	for _, m := range append(sampleMessagesV1(), sampleMessagesV2()...) {
+	for _, m := range append(sampleMessages(), sampleMessagesV4()...) {
 		frame, err := Encode(m)
 		if err != nil {
 			t.Fatalf("encode %d: %v", m.Type, err)

@@ -273,14 +273,12 @@ func sampleMessagesV4() []*Message {
 // a fresh Decoder, on one whose scratch earlier inputs have already shaped,
 // and on one that comes out of the process-wide reply-decoder pool after a
 // larger message shaped it on some other connection. The corpus starts from
-// every sample message at every live version it can be framed in.
+// every sample message at every live version and from frames both decoders
+// must refuse: each sample relabelled as the retired version 1, and the
+// retired tag 4 at every live version.
 func FuzzDecode(f *testing.F) {
 	for _, m := range append(sampleMessages(), sampleMessagesV4()...) {
-		versions := []byte{m.Version}
-		if m.Version >= V2 {
-			versions = []byte{V2, V3, V4}
-		}
-		for _, v := range versions {
+		for v := byte(MinVersion); v <= Version; v++ {
 			mm := *m
 			mm.Version = v
 			frame, err := Encode(&mm)
@@ -290,6 +288,22 @@ func FuzzDecode(f *testing.F) {
 			f.Add(frame)
 			f.Add(frame[:len(frame)/2])
 		}
+	}
+	for _, m := range sampleMessages() {
+		frame, err := Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame[0] = 1
+		f.Add(frame)
+	}
+	for v := byte(MinVersion); v <= Version; v++ {
+		frame, err := Encode(&Message{Version: v, Type: TypeAck})
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame[1] = 4
+		f.Add(frame)
 	}
 	var warm Decoder
 	large, err := Encode(benchDeltaMessage())

@@ -4,24 +4,25 @@
 // for session establishment, status upload / delta cache allocation, and
 // update upload.
 //
-// Four wire versions are live. Version 4 is the federation self-healing
-// format: peer delta cells carry per-origin evidence heights (so cyclic
-// relays deduplicate recirculated evidence instead of re-merging it),
-// peer frames piggyback epidemic membership gossip, and three new frame
-// types (PeerDigestRequest / PeerDigest / PeerPullResponse) implement
-// pull anti-entropy over compact ledger digests. Version 3 is version 2
-// plus deadline propagation: every session frame header carries the
-// client's absolute deadline (microseconds since the epoch, 0 = none),
-// so servers can drop expired work at dequeue instead of computing
-// answers nobody is waiting for. Version 2 is session-oriented: Hello
-// opens a server-side session (the ack carries its id and the negotiated
-// version) and allocation replies are versioned deltas — only changed
-// and evicted cells travel. Version 1 — the original context-free
-// request/response format with fully materialized allocations — remains
-// decodable and served for old clients; each frame names its version in
-// the first byte, so one server loop speaks all of them. Hello
-// negotiation picks min(client's offer, server's highest), so a v4 peer
-// degrades to v2/v3 framing against an older server and vice versa.
+// Three wire versions are live, MinVersion (2) through Version (4).
+// Version 4 is the federation self-healing format: peer delta cells carry
+// per-origin evidence heights (so cyclic relays deduplicate recirculated
+// evidence instead of re-merging it), peer frames piggyback epidemic
+// membership gossip, and three new frame types (PeerDigestRequest /
+// PeerDigest / PeerPullResponse) implement pull anti-entropy over compact
+// ledger digests. Version 3 is version 2 plus deadline propagation: every
+// session frame header carries the client's absolute deadline
+// (microseconds since the epoch, 0 = none), so servers can drop expired
+// work at dequeue instead of computing answers nobody is waiting for.
+// Version 2 is session-oriented: Hello opens a server-side session (the
+// ack carries its id and the negotiated version) and allocation replies
+// are versioned deltas — only changed and evicted cells travel. Each frame
+// names its version in the first byte, so one server loop speaks all of
+// them; a frame outside MinVersion..Version — the retired context-free
+// version 1 included — is refused with an error naming the supported
+// range. Hello negotiation picks min(client's offer, server's highest), so
+// a v4 peer degrades to v2/v3 framing against an older server and vice
+// versa.
 package protocol
 
 import (
@@ -30,7 +31,6 @@ import (
 	"math"
 	"slices"
 
-	"coca/internal/cache"
 	"coca/internal/core"
 )
 
@@ -38,8 +38,6 @@ import (
 // in; Hello carries the highest version the client speaks, and the
 // server's ack names the version chosen for the session.
 const (
-	// V1 is the legacy format: no sessions, full allocations.
-	V1 = 1
 	// V2 is the session/delta format.
 	V2 = 2
 	// V3 is V2 plus a per-frame deadline in the session header.
@@ -47,18 +45,20 @@ const (
 	// V4 is V3 plus federation self-healing: origin-tagged peer cells,
 	// piggybacked membership gossip and the pull anti-entropy frames.
 	V4 = 4
+	// MinVersion is the lowest version this build speaks: frames below it
+	// are refused at decode and encode, and so is a Hello offering less.
+	MinVersion = V2
 	// Version is the highest version this build speaks.
 	Version = V4
 )
 
-// Message type tags. Tags 1–7 exist in both versions; TypeDelta and
-// TypeBye are v2-only, TypeAllocation is only produced for v1 peers, and
-// the TypePeer* tags (server↔server federation sync) are v2-only.
+// Message type tags. The numbering is part of the wire format: a retired
+// tag keeps its slot, so the tags after it never move.
 const (
 	TypeHello byte = iota + 1
 	TypeHelloAck
 	TypeStatus
-	TypeAllocation
+	_ // 4: v1 full allocation, retired
 	TypeUpdate
 	TypeAck
 	TypeError
@@ -67,24 +67,23 @@ const (
 	TypePeerHello
 	TypePeerDelta
 	TypePeerAck
-	// TypeRedirect (v2-only) tells the client to re-open its session
-	// against another server — the wire form of core.RedirectError,
-	// emitted by routing front doors at placement time and by servers
-	// migrating a live session.
+	// TypeRedirect tells the client to re-open its session against another
+	// server — the wire form of core.RedirectError, emitted by routing
+	// front doors at placement time and by servers migrating a live
+	// session.
 	TypeRedirect
-	// TypePeerJoin (v2-only) asks an established fleet member to admit a
-	// joining node: it registers the joiner's id and address for future
-	// syncs and — when the joiner asks for one — answers with a bootstrap
-	// snapshot instead of the plain PeerAck a PeerHello gets.
+	// TypePeerJoin asks an established fleet member to admit a joining
+	// node: it registers the joiner's id and address for future syncs and
+	// — when the joiner asks for one — answers with a bootstrap snapshot
+	// instead of the plain PeerAck a PeerHello gets.
 	TypePeerJoin
-	// TypePeerSnapshot (v2-only) answers PeerJoin: the responder's table
-	// growth since the shared dataset construction, folded into one
-	// delta-shaped batch so the joiner catches up without replaying the
-	// per-round delta history (the evidence ledger).
+	// TypePeerSnapshot answers PeerJoin: the responder's table growth
+	// since the shared dataset construction, folded into one delta-shaped
+	// batch so the joiner catches up without replaying the per-round delta
+	// history (the evidence ledger).
 	TypePeerSnapshot
-	// TypePeerLeave (v2-only) announces a clean departure: the receiver
-	// marks the sender dead immediately instead of waiting out the
-	// suspect timeout.
+	// TypePeerLeave announces a clean departure: the receiver marks the
+	// sender dead immediately instead of waiting out the suspect timeout.
 	TypePeerLeave
 	// TypePeerDigestRequest (v4-only) opens a pull anti-entropy exchange:
 	// with empty Wants it carries the requester's per-class ledger row
@@ -110,8 +109,8 @@ type Message struct {
 	Version  byte
 	Type     byte
 	ClientID int32
-	// SessionID routes v2 frames to their server-side session (0 in v1
-	// frames and in v2 Hello, which opens the session).
+	// SessionID routes frames to their server-side session (0 in Hello,
+	// which opens the session).
 	SessionID uint64
 	// Proto is the negotiated protocol version: the client's highest
 	// supported version in a v2/v3 Hello, the server's choice in the
@@ -119,14 +118,13 @@ type Message struct {
 	Proto byte
 	// DeadlineMicros is the request's absolute deadline in microseconds
 	// since the Unix epoch (0 = none). It travels in every v3 session
-	// frame header and is silently dropped when encoding at v2 or v1 —
+	// frame header and is silently dropped when encoding at v2 —
 	// deadline propagation is best-effort across old peers.
 	DeadlineMicros uint64
 
 	Hello             *Hello
 	HelloAck          *core.RegisterInfo
 	Status            *core.StatusReport
-	Allocation        *core.Allocation
 	Delta             *core.Delta
 	Update            *core.UpdateReport
 	PeerHello         *PeerHello
@@ -642,7 +640,7 @@ type Decoder struct {
 	redirect   Redirect
 }
 
-// Decode parses a frame of either wire version into the decoder's scratch.
+// Decode parses a frame of any live wire version into the decoder's scratch.
 // The result is valid until the next Decode on this decoder.
 func (d *Decoder) Decode(frame []byte) (*Message, error) {
 	d.ints.reset()
@@ -851,18 +849,14 @@ func Encode(m *Message) ([]byte, error) {
 func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	// Sized once from the message's shape: no append-growth from empty.
 	w := writer{buf: slices.Grow(dst, sizeHint(m))}
-	var err error
-	switch m.Version {
-	case V1:
-		err = encodeV1(&w, m)
-	case V2, V3, V4:
-		err = encodeSession(&w, m, m.Version)
-	case 0:
-		err = encodeSession(&w, m, Version)
-	default:
-		return dst, fmt.Errorf("protocol: cannot encode version %d", m.Version)
+	version := m.Version
+	if version == 0 {
+		version = Version
 	}
-	if err != nil {
+	if version < MinVersion || version > Version {
+		return dst, fmt.Errorf("protocol: cannot encode version %d, want %d..%d", version, MinVersion, Version)
+	}
+	if err := encodeSession(&w, m, version); err != nil {
 		return dst, err
 	}
 	return w.buf, nil
@@ -901,64 +895,9 @@ func peerCellsSize(cells []PeerCell) int {
 	return n
 }
 
-func encodeV1(w *writer, m *Message) error {
-	w.u8(V1)
-	w.u8(m.Type)
-	w.i32(m.ClientID)
-	switch m.Type {
-	case TypeHello:
-		if m.Hello == nil {
-			return fmt.Errorf("protocol: hello payload missing")
-		}
-		w.i32(m.Hello.NumClasses)
-		w.i32(m.Hello.NumLayers)
-	case TypeHelloAck:
-		if m.HelloAck == nil {
-			return fmt.Errorf("protocol: hello-ack payload missing")
-		}
-		w.i32(int32(m.HelloAck.NumClasses))
-		w.i32(int32(m.HelloAck.NumLayers))
-		w.f64s(m.HelloAck.ProfileHitRatio)
-		w.f64s(m.HelloAck.SavedMs)
-	case TypeStatus:
-		if m.Status == nil {
-			return fmt.Errorf("protocol: status payload missing")
-		}
-		w.i32s(m.Status.Tau)
-		w.f64s(m.Status.HitRatio)
-		w.i32(int32(m.Status.Budget))
-		w.i32(int32(m.Status.RoundFrames))
-	case TypeAllocation:
-		if m.Allocation == nil {
-			return fmt.Errorf("protocol: allocation payload missing")
-		}
-		w.i32s(m.Allocation.Classes)
-		w.u32(uint32(len(m.Allocation.Layers)))
-		for _, l := range m.Allocation.Layers {
-			w.i32(int32(l.Site))
-			w.i32s(l.Classes)
-			w.u32(uint32(len(l.Entries)))
-			for _, e := range l.Entries {
-				w.f32s(e)
-			}
-		}
-	case TypeUpdate:
-		if m.Update == nil {
-			return fmt.Errorf("protocol: update payload missing")
-		}
-		encodeUpdate(w, m.Update)
-	case TypeAck:
-		// no payload
-	case TypeError:
-		w.str(m.Error)
-	default:
-		return fmt.Errorf("protocol: message type %d not in version 1", m.Type)
-	}
-	return nil
-}
-
-// encodeSession writes the session-oriented wire format shared by v2 and
-// v3; v3 adds the deadline word to the frame header.
+// encodeSession writes a frame at the given version: v3 and later add the
+// deadline word to the frame header, and v4 the origin and gossip fields of
+// the peer frames.
 func encodeSession(w *writer, m *Message, version byte) error {
 	w.u8(version)
 	w.u8(m.Type)
@@ -1266,7 +1205,7 @@ func encodeUpdate(w *writer, up *core.UpdateReport) {
 	}
 }
 
-// Decode parses a frame of either wire version. The result is freshly
+// Decode parses a frame of any live wire version. The result is freshly
 // allocated and owned by the caller; sequential frame streams use a
 // Decoder to reuse scratch instead.
 func Decode(frame []byte) (*Message, error) {
@@ -1276,16 +1215,10 @@ func Decode(frame []byte) (*Message, error) {
 func decodeFrame(r *reader) (*Message, error) {
 	frame := r.buf
 	version := r.u8()
-	var m *Message
-	var err error
-	switch version {
-	case V1:
-		m, err = decodeV1(r)
-	case V2, V3, V4:
-		m, err = decodeSession(r, version)
-	default:
-		return nil, fmt.Errorf("protocol: version %d, want %d..%d", version, V1, Version)
+	if version < MinVersion || version > Version {
+		return nil, fmt.Errorf("protocol: version %d, want %d..%d", version, MinVersion, Version)
 	}
+	m, err := decodeSession(r, version)
 	if err != nil {
 		return nil, err
 	}
@@ -1294,61 +1227,6 @@ func decodeFrame(r *reader) (*Message, error) {
 	}
 	if r.off != len(frame) {
 		return nil, fmt.Errorf("protocol: %d trailing bytes", len(frame)-r.off)
-	}
-	return m, nil
-}
-
-func decodeV1(r *reader) (*Message, error) {
-	m := r.message()
-	m.Version, m.Type, m.ClientID = V1, r.u8(), r.i32()
-	switch m.Type {
-	case TypeHello:
-		h := r.newHello()
-		h.NumClasses, h.NumLayers = r.i32(), r.i32()
-		m.Hello = h
-	case TypeHelloAck:
-		info := r.newHelloAck()
-		info.NumClasses = int(r.i32())
-		info.NumLayers = int(r.i32())
-		info.ProfileHitRatio = r.f64s()
-		info.SavedMs = r.f64s()
-		m.HelloAck = info
-	case TypeStatus:
-		st := r.newStatus()
-		st.Tau = r.i32s()
-		st.HitRatio = r.f64s()
-		st.Budget = int(r.i32())
-		st.RoundFrames = int(r.i32())
-		m.Status = st
-	case TypeAllocation:
-		// Legacy-client cold path: allocations are fully materialized and
-		// retained by the caller, so they are decoded fresh even under a
-		// Decoder — the arenas are suspended for the payload so nothing
-		// the caller keeps aliases decoder scratch.
-		dec := r.dec
-		r.dec = nil
-		al := &core.Allocation{}
-		al.Classes = r.i32s()
-		nLayers := r.length(4)
-		for i := 0; i < nLayers && r.err == nil; i++ {
-			l := cache.Layer{Site: int(r.i32())}
-			l.Classes = r.i32s()
-			nEntries := r.length(4)
-			for e := 0; e < nEntries && r.err == nil; e++ {
-				l.Entries = append(l.Entries, r.f32s())
-			}
-			al.Layers = append(al.Layers, l)
-		}
-		r.dec = dec
-		m.Allocation = al
-	case TypeUpdate:
-		m.Update = decodeUpdate(r)
-	case TypeAck:
-		// no payload
-	case TypeError:
-		m.Error = r.str()
-	default:
-		return nil, fmt.Errorf("protocol: unknown v1 message type %d", m.Type)
 	}
 	return m, nil
 }

@@ -2,51 +2,20 @@ package protocol
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"coca/internal/cache"
 	"coca/internal/core"
 	"coca/internal/model"
 	"coca/internal/vecmath"
 	"coca/internal/xrand"
 )
 
-// sampleMessagesV1 covers every legacy (wire version 1) message shape.
-func sampleMessagesV1() []*Message {
-	return []*Message{
-		{Version: V1, Type: TypeHello, ClientID: 3, Hello: &Hello{NumClasses: 50, NumLayers: 34}},
-		{Version: V1, Type: TypeHelloAck, ClientID: 3, HelloAck: &core.RegisterInfo{
-			NumClasses: 50, NumLayers: 34,
-			ProfileHitRatio: []float64{0.1, 0.5, 0.9},
-			SavedMs:         []float64{40, 20, 5},
-		}},
-		{Version: V1, Type: TypeStatus, ClientID: 7, Status: &core.StatusReport{
-			Tau:      []int{0, 3, 900},
-			HitRatio: []float64{0.2, 0.4},
-			Budget:   200, RoundFrames: 300,
-		}},
-		{Version: V1, Type: TypeAllocation, ClientID: 7, Allocation: &core.Allocation{
-			Classes: []int{4, 9},
-			Layers: []cache.Layer{
-				{Site: 2, Classes: []int{4, 9}, Entries: [][]float32{{1, 0}, {0, 1}}},
-				{Site: 8, Classes: []int{4, 9}, Entries: [][]float32{{0.5, 0.5}, {0.7, 0.1}}},
-			},
-		}},
-		{Version: V1, Type: TypeUpdate, ClientID: 1, Update: &core.UpdateReport{
-			Freq: []float64{1, 0, 7},
-			Cells: []core.UpdateCell{
-				{Class: 0, Layer: 5, Count: 3, Vec: []float32{0.1, 0.9}},
-			},
-		}},
-		{Version: V1, Type: TypeAck, ClientID: 1},
-		{Version: V1, Type: TypeError, ClientID: 2, Error: "model mismatch"},
-	}
-}
-
-// sampleMessagesV2 covers every session-protocol (wire version 2) shape.
-func sampleMessagesV2() []*Message {
+// sampleMessages covers every message shape wire version 2 carries.
+func sampleMessages() []*Message {
 	return []*Message{
 		{Version: V2, Type: TypeHello, ClientID: 3, Proto: V2,
 			Hello: &Hello{NumClasses: 50, NumLayers: 34}},
@@ -114,10 +83,6 @@ func sampleMessagesV2() []*Message {
 	}
 }
 
-func sampleMessages() []*Message {
-	return append(sampleMessagesV1(), sampleMessagesV2()...)
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
 		frame, err := Encode(m)
@@ -157,45 +122,49 @@ func TestDecodeRejectsVersionMismatch(t *testing.T) {
 	if _, err := Decode(frame); err == nil {
 		t.Fatal("version 0 accepted")
 	}
+	frame[0] = 1
+	_, err = Decode(frame)
+	if err == nil {
+		t.Fatal("retired version 1 accepted")
+	}
+	if want := fmt.Sprintf("want %d..%d", MinVersion, Version); !strings.Contains(err.Error(), want) {
+		t.Fatalf("version-1 refusal %q does not name the supported range %q", err, want)
+	}
 }
 
+// TestEncodeRejectsCrossVersionTypes: nothing encodes outside
+// MinVersion..Version, whatever its type, and the retired tag 4 (the v1
+// full allocation) encodes at no version.
 func TestEncodeRejectsCrossVersionTypes(t *testing.T) {
-	// Delta and Bye do not exist in v1.
-	if _, err := Encode(&Message{Version: V1, Type: TypeDelta, Delta: &core.Delta{}}); err == nil {
-		t.Error("v1 delta accepted")
+	for _, m := range sampleMessages() {
+		for _, v := range []byte{MinVersion - 1, Version + 1} {
+			mm := *m
+			mm.Version = v
+			if _, err := Encode(&mm); err == nil {
+				t.Errorf("type %d encoded at version %d", m.Type, v)
+			}
+		}
 	}
-	if _, err := Encode(&Message{Version: V1, Type: TypeBye}); err == nil {
-		t.Error("v1 bye accepted")
-	}
-	// Full allocations are only produced for v1 peers.
-	if _, err := Encode(&Message{Version: V2, Type: TypeAllocation, Allocation: &core.Allocation{}}); err == nil {
-		t.Error("v2 allocation accepted")
-	}
-	// Federation peer messages do not exist in v1.
-	if _, err := Encode(&Message{Version: V1, Type: TypePeerHello, PeerHello: &PeerHello{}}); err == nil {
-		t.Error("v1 peer hello accepted")
-	}
-	if _, err := Encode(&Message{Version: V1, Type: TypePeerDelta, PeerDelta: &PeerDelta{}}); err == nil {
-		t.Error("v1 peer delta accepted")
-	}
-	if _, err := Encode(&Message{Version: V1, Type: TypePeerAck, PeerAck: &PeerAck{}}); err == nil {
-		t.Error("v1 peer ack accepted")
-	}
-	// Redirects do not exist in v1 (legacy clients get a plain error).
-	if _, err := Encode(&Message{Version: V1, Type: TypeRedirect, Redirect: &Redirect{}}); err == nil {
-		t.Error("v1 redirect accepted")
+	for v := byte(MinVersion); v <= Version; v++ {
+		if _, err := Encode(&Message{Version: v, Type: 4}); err == nil {
+			t.Errorf("retired type 4 encoded at version %d", v)
+		}
 	}
 }
 
+// TestDecodeRejectsUnknownType covers an unassigned tag and the retired
+// tag 4 at every live version.
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	for _, v := range []byte{V1, V2} {
-		frame, err := Encode(&Message{Version: v, Type: TypeAck})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame[1] = 0x7F
-		if _, err := Decode(frame); err == nil {
-			t.Fatalf("unknown v%d type accepted", v)
+	for v := byte(MinVersion); v <= Version; v++ {
+		for _, typ := range []byte{4, 0x7F} {
+			frame, err := Encode(&Message{Version: v, Type: TypeAck})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame[1] = typ
+			if _, err := Decode(frame); err == nil {
+				t.Fatalf("v%d type %d accepted", v, typ)
+			}
 		}
 	}
 }
@@ -218,7 +187,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	for _, v := range []byte{V1, V2} {
+	for v := byte(MinVersion); v <= Version; v++ {
 		frame, err := Encode(&Message{Version: v, Type: TypeAck, ClientID: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -233,11 +202,6 @@ func TestEncodeRejectsMissingPayload(t *testing.T) {
 	for _, typ := range []byte{TypeHello, TypeHelloAck, TypeStatus, TypeUpdate, TypeDelta, TypePeerHello, TypePeerDelta, TypePeerAck} {
 		if _, err := Encode(&Message{Type: typ}); err == nil {
 			t.Errorf("type %d with nil payload accepted", typ)
-		}
-	}
-	for _, typ := range []byte{TypeHello, TypeHelloAck, TypeStatus, TypeAllocation, TypeUpdate} {
-		if _, err := Encode(&Message{Version: V1, Type: typ}); err == nil {
-			t.Errorf("v1 type %d with nil payload accepted", typ)
 		}
 	}
 	if _, err := Encode(&Message{Type: 0x55}); err == nil {
@@ -275,7 +239,7 @@ func TestPropertyFuzzDecodeNeverPanics(t *testing.T) {
 }
 
 func TestPropertyStatusRoundTrip(t *testing.T) {
-	f := func(seed uint64, nc, nl uint8, version bool) bool {
+	f := func(seed uint64, nc, nl uint8, v4 bool) bool {
 		r := xrand.New(seed)
 		classes := 1 + int(nc)%60
 		layers := 1 + int(nl)%40
@@ -290,11 +254,11 @@ func TestPropertyStatusRoundTrip(t *testing.T) {
 		for j := range st.HitRatio {
 			st.HitRatio[j] = r.Float64()
 		}
-		m := &Message{Version: V1, Type: TypeStatus, ClientID: int32(r.IntN(200)), Status: st}
-		if version {
-			m.Version = V2
-			m.SessionID = r.Uint64()
-			st.LastVersion = r.Uint64()
+		st.LastVersion = r.Uint64()
+		m := &Message{Version: V2, Type: TypeStatus, ClientID: int32(r.IntN(200)), SessionID: r.Uint64(), Status: st}
+		if v4 {
+			m.Version = V4
+			m.DeadlineMicros = r.Uint64()
 		}
 		frame, err := Encode(m)
 		if err != nil {
@@ -311,10 +275,10 @@ func TestPropertyStatusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSteadyStateDeltaSmallerThanV1Full is the wire-cost argument for the
-// v2 protocol: after the first round, an unchanged-shape allocation
-// encodes as a near-empty delta, far below the v1 full materialization of
-// the same cache.
+// TestSteadyStateDeltaSmallerThanV1Full is the wire-cost argument for
+// delta allocations: after the first round, an unchanged-shape allocation
+// encodes as a near-empty delta, far below the Full delta (LastVersion 0)
+// of the same cache — the frame that replaced version 1's full allocation.
 func TestSteadyStateDeltaSmallerThanV1Full(t *testing.T) {
 	srv, _ := testServer(t)
 	ctx := context.Background()
@@ -359,7 +323,7 @@ func TestSteadyStateDeltaSmallerThanV1Full(t *testing.T) {
 	if len(second.Cells) >= len(first.Cells) {
 		t.Fatalf("steady-state delta carries %d cells, full allocation %d", len(second.Cells), len(first.Cells))
 	}
-
+	// Encode before the next Allocate: a delta lives in session scratch.
 	deltaFrame, err := Encode(&Message{Type: TypeDelta, SessionID: 1, Delta: &second})
 	if err != nil {
 		t.Fatal(err)
@@ -367,15 +331,24 @@ func TestSteadyStateDeltaSmallerThanV1Full(t *testing.T) {
 	if err := view.Apply(second); err != nil {
 		t.Fatal(err)
 	}
-	alloc := view.Allocation()
-	fullFrame, err := Encode(&Message{Version: V1, Type: TypeAllocation, Allocation: &alloc})
+
+	status.LastVersion = 0
+	full, err := sess.Allocate(ctx, status)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Full || len(full.Cells) != view.NumCells() {
+		t.Fatalf("LastVersion 0 answered with full=%v and %d cells, want a Full delta of the view's %d",
+			full.Full, len(full.Cells), view.NumCells())
+	}
+	fullFrame, err := Encode(&Message{Type: TypeDelta, SessionID: 1, Delta: &full})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(deltaFrame) >= len(fullFrame) {
-		t.Fatalf("steady-state delta (%d bytes) not smaller than v1 full allocation (%d bytes)",
+		t.Fatalf("steady-state delta (%d bytes) not smaller than the Full delta (%d bytes)",
 			len(deltaFrame), len(fullFrame))
 	}
-	t.Logf("steady-state delta %d bytes vs v1 full allocation %d bytes (%.1f%%)",
+	t.Logf("steady-state delta %d bytes vs Full delta %d bytes (%.1f%%)",
 		len(deltaFrame), len(fullFrame), 100*float64(len(deltaFrame))/float64(len(fullFrame)))
 }

@@ -140,14 +140,14 @@ func (c *SessionClient) deadlineMicros(ctx context.Context) uint64 {
 }
 
 // Open implements core.Coordinator: it registers the client and returns
-// its wire-backed session. The Hello is framed at v2 — the lowest live
-// session format, readable by any session server — and offers the
+// its wire-backed session. The Hello is framed at MinVersion — the lowest
+// live session format, readable by any session server — and offers the
 // build's highest version in Proto; the server answers with its choice,
 // which this connection's later frames are encoded at.
 func (c *SessionClient) Open(ctx context.Context, clientID int) (core.Session, error) {
 	sess := &wireSession{c: c, clientID: int32(clientID)}
 	m, err := c.roundTrip(ctx, &Message{
-		Version:  V2,
+		Version:  MinVersion,
 		Type:     TypeHello,
 		ClientID: int32(clientID),
 		Proto:    Version,
@@ -160,7 +160,7 @@ func (c *SessionClient) Open(ctx context.Context, clientID int) (core.Session, e
 	if m.Type != TypeHelloAck || m.HelloAck == nil {
 		return nil, fmt.Errorf("protocol: unexpected reply type %d to hello", m.Type)
 	}
-	if m.Proto < V2 || m.Proto > Version {
+	if m.Proto < MinVersion || m.Proto > Version {
 		return nil, fmt.Errorf("protocol: server negotiated unsupported version %d", m.Proto)
 	}
 	if m.SessionID == 0 {
@@ -370,8 +370,8 @@ type PeerClient struct {
 	localID int
 	peerID  int
 	// proto is the wire version negotiated at the handshake (0 before it,
-	// treated as V2 — the lowest peer-plane version). Deltas to a v4 peer
-	// carry origin tags and gossip; older peers get the v2 byte stream.
+	// treated as MinVersion). Deltas to a v4 peer carry origin tags and
+	// gossip; older peers get the v2 byte stream.
 	proto byte
 
 	mu sync.Mutex // serializes round trips; guards enc and dec
@@ -384,11 +384,11 @@ type PeerClient struct {
 	lastRespBytes int
 }
 
-// Negotiated returns the wire version agreed at the handshake (V2 before
-// any handshake completed).
+// Negotiated returns the wire version agreed at the handshake (MinVersion
+// before any handshake completed).
 func (pc *PeerClient) Negotiated() byte {
 	if pc.proto == 0 {
-		return V2
+		return MinVersion
 	}
 	return pc.proto
 }
@@ -399,7 +399,7 @@ func (pc *PeerClient) Negotiated() byte {
 func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerClient, error) {
 	pc := &PeerClient{conn: conn, localID: localID}
 	m, _, err := pc.roundTripSized(&Message{
-		Version: V2, // the peer sync plane is v2-framed (no deadlines)
+		Version: MinVersion, // the lowest live framing, readable by any peer
 		Type:    TypePeerHello,
 		Proto:   Version,
 		PeerHello: &PeerHello{
@@ -414,7 +414,7 @@ func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerCli
 	if m.Type != TypePeerAck || m.PeerAck == nil {
 		return nil, fmt.Errorf("protocol: unexpected reply type %d to peer hello", m.Type)
 	}
-	if m.Proto < V2 || m.Proto > Version {
+	if m.Proto < MinVersion || m.Proto > Version {
 		return nil, fmt.Errorf("protocol: peer negotiated unsupported version %d", m.Proto)
 	}
 	pc.proto = m.Proto
@@ -433,7 +433,7 @@ func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerCli
 func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr string, wantSnapshot bool) (pc *PeerClient, snap *PeerSnapshot, snapBytes int, err error) {
 	pc = &PeerClient{conn: conn, localID: localID}
 	m, _, err := pc.roundTripSized(&Message{
-		Version: V2, // the peer sync plane is v2-framed (no deadlines)
+		Version: MinVersion, // the lowest live framing, readable by any peer
 		Type:    TypePeerJoin,
 		Proto:   Version,
 		PeerJoin: &PeerJoin{
@@ -450,7 +450,7 @@ func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr stri
 	if m.Type != TypePeerSnapshot || m.PeerSnapshot == nil {
 		return nil, nil, 0, fmt.Errorf("protocol: unexpected reply type %d to peer join", m.Type)
 	}
-	if m.Proto < V2 || m.Proto > Version {
+	if m.Proto < MinVersion || m.Proto > Version {
 		return nil, nil, 0, fmt.Errorf("protocol: peer negotiated unsupported version %d", m.Proto)
 	}
 	pc.proto = m.Proto
@@ -574,20 +574,11 @@ func (pc *PeerClient) SendPull(q *PeerDigestRequest) (pull *PeerPullResponse, re
 // Close releases the underlying connection.
 func (pc *PeerClient) Close() error { return pc.conn.Close() }
 
-// v1Peer is the per-connection state of a legacy (v1) client: its core
-// session plus the server-side view used to materialize full allocations
-// from the session's deltas.
-type v1Peer struct {
-	sess core.Session
-	view *core.AllocView
-}
-
 // connState tracks everything a connection's sessions own, so it can be
 // released when the peer disconnects.
 type connState struct {
-	coord core.Coordinator
-	v2    map[uint64]core.Session
-	v1    map[int32]*v1Peer
+	coord    core.Coordinator
+	sessions map[uint64]core.Session
 	// peerHello records that the connection completed a federation peer
 	// handshake (gates TypePeerDelta); peerProto is the version negotiated
 	// by that handshake (min of the peer's offer and this build), which
@@ -607,22 +598,27 @@ type connState struct {
 	delta core.Delta
 }
 
+// maxSessionsPerConn bounds the sessions one connection may hold open. A
+// Hello comes off an untrusted socket, and every session holds pooled
+// server scratch until it is closed or its connection drops; the
+// wall-clock harness peaks at 9 sessions on one connection.
+const maxSessionsPerConn = 1024
+
 func (cs *connState) closeAll() {
-	for _, s := range cs.v2 {
+	for _, s := range cs.sessions {
 		_ = s.Close()
-	}
-	for _, p := range cs.v1 {
-		_ = p.sess.Close()
 	}
 }
 
 // ServeConn drives one client connection against the coordinator until
 // the peer disconnects or ctx is canceled (which closes the connection
-// and drains the handler). It speaks both wire versions, keyed per frame.
-// Malformed requests receive a TypeError reply; transport failures end
-// the session. It returns nil on orderly shutdown.
+// and drains the handler). It speaks every wire version from MinVersion
+// to Version, keyed per frame, and replies in the version each request
+// arrived in. Malformed requests — frames of a version outside that range
+// included — receive a TypeError reply and leave the connection open;
+// transport failures end it. It returns nil on orderly shutdown.
 func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator) error {
-	cs := &connState{coord: coord, v2: make(map[uint64]core.Session), v1: make(map[int32]*v1Peer)}
+	cs := &connState{coord: coord, sessions: make(map[uint64]core.Session)}
 	defer cs.closeAll()
 	defer func() { transport.RecycleScratch(cs.enc) }() // only this goroutine encodes
 
@@ -669,9 +665,6 @@ func (cs *connState) handle(ctx context.Context, frame []byte) Message {
 	if err != nil {
 		return Message{Type: TypeError, Error: err.Error()}
 	}
-	if m.Version == V1 {
-		return cs.handleV1(ctx, m)
-	}
 	return cs.handleSession(ctx, m, len(frame))
 }
 
@@ -681,12 +674,11 @@ func errorReply(version byte, clientID int32, sessionID uint64, format string, a
 }
 
 // failureReply maps a coordinator error to its wire form: a
-// core.RedirectError becomes a TypeRedirect frame for v2+ peers (v1 has
-// no redirect concept, so legacy clients see a plain error), everything
-// else a TypeError.
+// core.RedirectError becomes a TypeRedirect frame, everything else a
+// TypeError.
 func failureReply(version byte, clientID int32, sessionID uint64, err error) Message {
 	var re *core.RedirectError
-	if version >= V2 && errors.As(err, &re) {
+	if errors.As(err, &re) {
 		return Message{Version: version, Type: TypeRedirect, ClientID: clientID, SessionID: sessionID,
 			Redirect: &Redirect{Addr: re.Addr, Reason: re.Reason}}
 	}
@@ -733,16 +725,19 @@ func expiredReply(version byte, clientID int32, sessionID uint64) Message {
 	return errorReply(version, clientID, sessionID, "deadline expired at dequeue")
 }
 
-// handleSession serves the session protocol (wire v2 and v3). Replies
-// are framed at the version the request arrived in, so a negotiated-down
-// connection never sees frames it cannot decode. frameLen is the
-// received frame's size, accounted as sync traffic for peer deltas.
+// handleSession serves one decoded request. Replies are framed at the
+// version the request arrived in, so a negotiated-down connection never
+// sees frames it cannot decode. frameLen is the received frame's size,
+// accounted as sync traffic for peer deltas.
 func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int) Message {
 	v := m.Version
 	switch m.Type {
 	case TypeHello:
-		if m.Proto < V2 {
-			return errorReply(v, m.ClientID, 0, "client offered protocol %d; reissue the hello as a v1 frame", m.Proto)
+		if m.Proto < MinVersion {
+			return errorReply(v, m.ClientID, 0, "client offered protocol %d; this server speaks %d..%d", m.Proto, MinVersion, Version)
+		}
+		if len(cs.sessions) >= maxSessionsPerConn {
+			return errorReply(v, m.ClientID, 0, "connection already holds %d sessions, the limit", maxSessionsPerConn)
 		}
 		sess, info, err := cs.open(ctx, m.ClientID, m.Hello)
 		if err != nil {
@@ -755,10 +750,10 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 			proto = Version
 		}
 		id := sessionID(sess)
-		cs.v2[id] = sess
+		cs.sessions[id] = sess
 		return Message{Version: v, Type: TypeHelloAck, ClientID: m.ClientID, SessionID: id, Proto: proto, HelloAck: &info}
 	case TypeStatus:
-		sess, ok := cs.v2[m.SessionID]
+		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
 			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
@@ -774,7 +769,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		cs.delta = delta
 		return Message{Version: v, Type: TypeDelta, ClientID: m.ClientID, SessionID: m.SessionID, Delta: &cs.delta}
 	case TypeUpdate:
-		sess, ok := cs.v2[m.SessionID]
+		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
 			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
@@ -789,11 +784,11 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		}
 		return Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypeBye:
-		sess, ok := cs.v2[m.SessionID]
+		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
 			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
-		delete(cs.v2, m.SessionID)
+		delete(cs.sessions, m.SessionID)
 		_ = sess.Close()
 		return Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypePeerHello:
@@ -801,8 +796,8 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		if !ok {
 			return errorReply(v, m.ClientID, 0, "peer sync not supported by this endpoint")
 		}
-		if m.Proto < V2 {
-			return errorReply(v, m.ClientID, 0, "peer offered protocol %d; federation requires %d", m.Proto, V2)
+		if m.Proto < MinVersion {
+			return errorReply(v, m.ClientID, 0, "peer offered protocol %d; this server speaks %d..%d", m.Proto, MinVersion, Version)
 		}
 		localID, err := ph.HandlePeerHello(int(m.PeerHello.NodeID), int(m.PeerHello.NumClasses), int(m.PeerHello.NumLayers))
 		if err != nil {
@@ -832,8 +827,8 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		if !ok {
 			return errorReply(v, m.ClientID, 0, "peer sync not supported by this endpoint")
 		}
-		if m.Proto < V2 {
-			return errorReply(v, m.ClientID, 0, "peer offered protocol %d; federation requires %d", m.Proto, V2)
+		if m.Proto < MinVersion {
+			return errorReply(v, m.ClientID, 0, "peer offered protocol %d; this server speaks %d..%d", m.Proto, MinVersion, Version)
 		}
 		snap, err := ph.HandlePeerJoin(m.PeerJoin)
 		if err != nil {
@@ -852,7 +847,7 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 		ph.HandlePeerLeave(int(m.PeerLeave.NodeID))
 		proto := cs.peerProto
 		if proto == 0 {
-			proto = V2
+			proto = MinVersion
 		}
 		return Message{Version: v, Type: TypePeerAck, Proto: proto, PeerAck: &PeerAck{}}
 	case TypePeerDigestRequest:
@@ -884,61 +879,16 @@ func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int
 }
 
 // negotiatePeer picks the peer-plane wire version: the lower of the
-// peer's offer and this build's highest (never below V2 — pre-v2 offers
-// are rejected before reaching here).
+// peer's offer and this build's highest (never below MinVersion — lower
+// offers are rejected before reaching here).
 func negotiatePeer(offer byte) byte {
 	if offer > Version {
 		return Version
 	}
-	if offer < V2 {
-		return V2
+	if offer < MinVersion {
+		return MinVersion
 	}
 	return offer
-}
-
-// handleV1 serves legacy clients: sessions are keyed by client id, and
-// every status reply is the session's delta materialized to a full
-// allocation (v1 clients report no held version, so deltas are full).
-func (cs *connState) handleV1(ctx context.Context, m *Message) Message {
-	switch m.Type {
-	case TypeHello:
-		sess, info, err := cs.open(ctx, m.ClientID, m.Hello)
-		if err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		if old, ok := cs.v1[m.ClientID]; ok {
-			_ = old.sess.Close()
-		}
-		cs.v1[m.ClientID] = &v1Peer{sess: sess, view: core.NewAllocView()}
-		return Message{Version: V1, Type: TypeHelloAck, ClientID: m.ClientID, HelloAck: &info}
-	case TypeStatus:
-		peer, ok := cs.v1[m.ClientID]
-		if !ok {
-			return errorReply(V1, m.ClientID, 0, "client %d has not sent hello", m.ClientID)
-		}
-		status := *m.Status
-		status.LastVersion = 0 // v1 clients hold no versioned view
-		delta, err := peer.sess.Allocate(ctx, status)
-		if err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		if err := peer.view.Apply(delta); err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		alloc := peer.view.Allocation()
-		return Message{Version: V1, Type: TypeAllocation, ClientID: m.ClientID, Allocation: &alloc}
-	case TypeUpdate:
-		peer, ok := cs.v1[m.ClientID]
-		if !ok {
-			return errorReply(V1, m.ClientID, 0, "client %d has not sent hello", m.ClientID)
-		}
-		if err := peer.sess.Upload(ctx, *m.Update); err != nil {
-			return errorReply(V1, m.ClientID, 0, "%v", err)
-		}
-		return Message{Version: V1, Type: TypeAck, ClientID: m.ClientID}
-	default:
-		return errorReply(V1, m.ClientID, 0, "unexpected request type %d", m.Type)
-	}
 }
 
 // sessionID extracts the server-assigned id when the coordinator is the

@@ -284,75 +284,102 @@ func TestUnknownSessionRejected(t *testing.T) {
 	_ = cConn.Close()
 }
 
-// v1RoundTrip performs one raw v1 exchange against a serve loop.
-func v1RoundTrip(t *testing.T, conn transport.Conn, req *Message) *Message {
-	t.Helper()
-	req.Version = V1
-	frame, err := Encode(req)
+// TestServeConnRefusesV1ThenServes: a frame of the retired version 1 — a
+// v1 Hello, byte for byte — is answered with an error naming the supported
+// range, and the same connection then opens and serves a session.
+func TestServeConnRefusesV1ThenServes(t *testing.T) {
+	srv, space := testServer(t)
+	ctx := context.Background()
+	cConn, sConn := transport.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(ctx, sConn, srv) }()
+
+	w := &writer{}
+	w.u8(1) // version
+	w.u8(TypeHello)
+	w.i32(4) // client id
+	w.i32(int32(space.DS.NumClasses))
+	w.i32(int32(space.Arch.NumLayers))
+	if err := cConn.Send(w.buf); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := cConn.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(frame); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := conn.Recv()
+	m, err := Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Decode(resp)
+	if want := fmt.Sprintf("want %d..%d", MinVersion, Version); m.Type != TypeError || !strings.Contains(m.Error, want) {
+		t.Fatalf("v1 hello answered with type %d %q, want an error naming %q", m.Type, m.Error, want)
+	}
+	if n := srv.Sessions(); n != 0 {
+		t.Fatalf("refused v1 hello opened %d sessions", n)
+	}
+
+	coord := NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers)
+	sess, err := coord.Open(ctx, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	delta, err := sess.Allocate(ctx, core.StatusReport{Tau: make([]int, 10), Budget: 30, RoundFrames: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !delta.Full || len(delta.Cells) == 0 {
+		t.Fatalf("first allocation after the refusal: full=%v with %d cells", delta.Full, len(delta.Cells))
+	}
+	if err := sess.Upload(ctx, core.UpdateReport{Freq: make([]float64, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	_ = coord.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
 }
 
-// TestServeConnSpeaksV1 exercises the legacy client flow end to end: a
-// peer that only speaks wire version 1 registers, requests an allocation
-// and uploads, receiving fully materialized v1 replies.
-func TestServeConnSpeaksV1(t *testing.T) {
+// TestServeConnCapsSessions: one connection holds at most
+// maxSessionsPerConn sessions. The next Hello is refused without opening a
+// server session, and the sessions already open keep being served.
+func TestServeConnCapsSessions(t *testing.T) {
 	srv, space := testServer(t)
+	ctx := context.Background()
 	cConn, sConn := transport.Pipe()
-	go func() { _ = ServeConn(context.Background(), sConn, srv) }()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(ctx, sConn, srv) }()
+	coord := NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers)
 
-	ack := v1RoundTrip(t, cConn, &Message{
-		Type: TypeHello, ClientID: 4,
-		Hello: &Hello{NumClasses: int32(space.DS.NumClasses), NumLayers: int32(space.Arch.NumLayers)},
-	})
-	if ack.Type != TypeHelloAck || ack.Version != V1 || ack.HelloAck == nil {
-		t.Fatalf("v1 hello reply: %+v", ack)
+	sessions := make([]core.Session, maxSessionsPerConn)
+	for i := range sessions {
+		sess, err := coord.Open(ctx, i)
+		if err != nil {
+			t.Fatalf("hello %d: %v", i+1, err)
+		}
+		sessions[i] = sess
 	}
-	if ack.HelloAck.NumClasses != 10 || ack.HelloAck.NumLayers != 13 {
-		t.Fatalf("v1 register info %+v", ack.HelloAck)
+	if _, err := coord.Open(ctx, maxSessionsPerConn); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("hello %d past the cap: %v, want a refusal", maxSessionsPerConn+1, err)
 	}
-
-	for round := 0; round < 2; round++ {
-		resp := v1RoundTrip(t, cConn, &Message{
-			Type: TypeStatus, ClientID: 4,
-			Status: &core.StatusReport{Tau: make([]int, 10), Budget: 30, RoundFrames: 300},
-		})
-		if resp.Type != TypeAllocation || resp.Version != V1 || resp.Allocation == nil {
-			t.Fatalf("v1 status reply: %+v", resp)
+	if n := srv.Sessions(); n != maxSessionsPerConn {
+		t.Fatalf("server holds %d sessions after the refusal, want %d", n, maxSessionsPerConn)
+	}
+	for _, i := range []int{0, maxSessionsPerConn / 2, maxSessionsPerConn - 1} {
+		delta, err := sessions[i].Allocate(ctx, core.StatusReport{Tau: make([]int, 10), Budget: 30, RoundFrames: 300})
+		if err != nil {
+			t.Fatalf("session %d after the refusal: %v", i, err)
 		}
-		if len(resp.Allocation.Layers) == 0 {
-			t.Fatalf("round %d: empty v1 allocation", round)
-		}
-		total := 0
-		for _, l := range resp.Allocation.Layers {
-			total += l.Len()
-		}
-		if total == 0 || total > 30 {
-			t.Fatalf("round %d: v1 allocation size %d outside (0, 30]", round, total)
+		if !delta.Full || delta.Version != 1 {
+			t.Fatalf("session %d: first delta full=%v version %d, want a Full version 1", i, delta.Full, delta.Version)
 		}
 	}
-
-	up := v1RoundTrip(t, cConn, &Message{
-		Type: TypeUpdate, ClientID: 4,
-		Update: &core.UpdateReport{Freq: make([]float64, 10)},
-	})
-	if up.Type != TypeAck || up.Version != V1 {
-		t.Fatalf("v1 update reply: %+v", up)
+	_ = coord.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("serve loop: %v", err)
 	}
-	_ = cConn.Close()
+	if n := srv.Sessions(); n != 0 {
+		t.Fatalf("%d sessions outlived their connection", n)
+	}
 }
 
 var _ engine.Engine = (*core.Client)(nil)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"coca/internal/core"
+	"coca/internal/overload"
 )
 
 // ---- placement primitives ----
@@ -414,24 +415,53 @@ func TestRouterSemanticRebalance(t *testing.T) {
 	}
 }
 
+// loadedCoord is a backend that reports a constant, healthy load snapshot,
+// so a sheddable admission runs the whole shed decision (snapshot read,
+// CoDel check) and is admitted. Admission never opens sessions.
+type loadedCoord struct{ snap overload.Snapshot }
+
+func (c *loadedCoord) Open(context.Context, int) (core.Session, error) {
+	return nil, errors.New("loadedCoord: admission-only backend")
+}
+
+func (c *loadedCoord) LoadSnapshot() overload.Snapshot { return c.snap }
+
+// TestRouterAdmitSteadyStateAllocs pins the front-door decision at zero
+// allocations once a client's record exists: the plain critical-class
+// admission (token bucket, breaker gate, sticky placement), and the
+// sheddable-class one with queue-depth shedding on and every backend
+// reporting load — degraded-mode control flow may not allocate either.
 func TestRouterAdmitSteadyStateAllocs(t *testing.T) {
-	_, targets := fakeFleet(8)
-	r := NewRouter(targets, Config{Policy: PolicyHash, ShardSize: 3, Rate: RateConfig{PerSec: 1e9}})
 	const clients = 64
-	for id := 0; id < clients; id++ {
-		if _, err := r.Admit(id); err != nil {
-			t.Fatal(err)
-		}
+	loaded := make([]core.Coordinator, 8)
+	for i := range loaded {
+		loaded[i] = &loadedCoord{snap: overload.Snapshot{Depth: 4, QueueWait: time.Millisecond}}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for id := 0; id < clients; id++ {
-			if _, err := r.Admit(id); err != nil {
-				t.Fatal(err)
+	_, plain := fakeFleet(8)
+	for _, tc := range []struct {
+		name    string
+		targets []core.Coordinator
+		shed    overload.ShedConfig
+		class   overload.Class
+	}{
+		{"admit", plain, overload.ShedConfig{}, overload.ClassCritical},
+		{"shed", loaded, overload.ShedConfig{Target: 5 * time.Millisecond, MaxDepth: 64}, overload.ClassSheddable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRouter(tc.targets, Config{Policy: PolicyHash, ShardSize: 3,
+				Rate: RateConfig{PerSec: 1e9}, Shed: tc.shed})
+			admitAll := func() {
+				for id := 0; id < clients; id++ {
+					if _, err := r.AdmitClass(id, tc.class); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Admit: %.2f allocs per %d admissions, want 0", allocs, clients)
+			admitAll()
+			if allocs := testing.AllocsPerRun(100, admitAll); allocs != 0 {
+				t.Errorf("steady-state %s: %.2f allocs per %d admissions, want 0", tc.name, allocs, clients)
+			}
+		})
 	}
 }
 

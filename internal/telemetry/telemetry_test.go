@@ -151,6 +151,53 @@ func TestRecordPathsAllocFree(t *testing.T) {
 	}
 }
 
+// newRecordOp returns one op's worth of instrumentation — a counter Inc, a
+// CounterVec Inc on a warm slot, a gauge Set and a histogram Observe — on a
+// private registry, with every vec slot it drives already warm.
+func newRecordOp() func(n int) {
+	r := NewRegistry()
+	c := r.Counter("bench_ops_total", "ops")
+	cv := r.CounterVec("bench_outcomes_total", "outcomes by cause", "cause", "a", "b", "c")
+	g := r.Gauge("bench_inflight", "inflight")
+	h := r.Histogram("bench_latency_seconds", "latency", LatencySecondsBuckets)
+	record := func(n int) {
+		c.Inc()
+		cv.Inc(n % 3)
+		g.Set(int64(n & 0xff))
+		h.Observe(float64(n&0xff) / 1e4)
+	}
+	for n := 0; n < 3; n++ {
+		record(n)
+	}
+	return record
+}
+
+// TestTelemetryRecordAllocs pins the combined per-op record path the
+// benchmark below drives at zero allocations.
+func TestTelemetryRecordAllocs(t *testing.T) {
+	record := newRecordOp()
+	n := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		record(n)
+		n++
+	})
+	if allocs != 0 {
+		t.Fatalf("telemetry record path allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// BenchmarkTelemetryRecord measures one op of newRecordOp: the per-request
+// budget an instrumented hot path pays, far below what a wall-clock run
+// resolves. The path is pinned allocation-free by TestTelemetryRecordAllocs.
+func BenchmarkTelemetryRecord(b *testing.B) {
+	record := newRecordOp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		record(n)
+	}
+}
+
 // TestExpositionGolden locks the Prometheus text format byte-for-byte on
 // a registry with one instrument of each kind.
 func TestExpositionGolden(t *testing.T) {

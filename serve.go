@@ -1,10 +1,10 @@
 // Network serving: the public façade over cmd/coca-server's and
 // cmd/coca-client's machinery. Serve starts a session-serving CoCa edge
-// server over TCP; Dial connects a client to it. Both speak wire
-// protocol v3 (delta allocations with deadline propagation), negotiated
-// down per connection; the served endpoint also accepts v2 and legacy
-// v1 clients, and — with Options.Federation set — federates with peer
-// edge servers by gossiping global-cache cell deltas.
+// server over TCP; Dial connects a client to it. Both speak the newest
+// session wire protocol (delta allocations with deadline propagation),
+// negotiated down per connection as far as v2, and — with
+// Options.Federation set — the server federates with peer edge servers by
+// gossiping global-cache cell deltas.
 package coca
 
 import (
