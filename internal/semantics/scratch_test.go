@@ -7,60 +7,6 @@ import (
 	"coca/internal/model"
 )
 
-// TestSampleVectorIntoBitwise locks the contract the batched hot path
-// depends on: the scratch-based generators must reproduce the allocating
-// ones bit for bit, across layers, difficulties, bias and drift.
-func TestSampleVectorIntoBitwise(t *testing.T) {
-	space := NewSpace(dataset.ESC50().Subset(20), model.ASTBase())
-	sc := space.NewScratch()
-	envs := []*Env{nil, NewEnv(3, 0.05)}
-	drifted := NewEnv(4, 0.05)
-	drifted.DriftWeight = 0.05
-	drifted.DriftEpoch = 1.7
-	envs = append(envs, drifted)
-
-	dst := make([]float32, model.Dim)
-	for _, env := range envs {
-		for class := 0; class < space.DS.NumClasses; class += 3 {
-			for k := 0; k < 4; k++ {
-				smp := space.DS.NewSample(class, uint64(k))
-				for layer := 0; layer <= space.Arch.NumLayers; layer += 3 {
-					want := space.SampleVector(smp, layer, env)
-					space.SampleVectorInto(dst, smp, layer, env, sc)
-					for d := range want {
-						if want[d] != dst[d] {
-							t.Fatalf("env=%v class=%d layer=%d dim=%d: %v != %v",
-								env != nil, class, layer, d, want[d], dst[d])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPredictScratchBitwise does the same for the full-model prediction.
-func TestPredictScratchBitwise(t *testing.T) {
-	space := NewSpace(dataset.UCF101().Subset(25), model.ResNet50())
-	sc := space.NewScratch()
-	env := NewEnv(9, 0.05)
-	for class := 0; class < space.DS.NumClasses; class += 2 {
-		for k := 0; k < 6; k++ {
-			smp := space.DS.NewSample(class, uint64(k), 42)
-			want := space.Predict(smp, env)
-			got := space.PredictScratch(sc, smp, env)
-			if want.Class != got.Class {
-				t.Fatalf("class=%d k=%d: predicted %d != %d", class, k, want.Class, got.Class)
-			}
-			for i := range want.Probs {
-				if want.Probs[i] != got.Probs[i] {
-					t.Fatalf("class=%d k=%d prob[%d]: %v != %v", class, k, i, want.Probs[i], got.Probs[i])
-				}
-			}
-		}
-	}
-}
-
 // TestScratchPathsZeroAlloc asserts the scratch generators never allocate
 // after the scratch is warm.
 func TestScratchPathsZeroAlloc(t *testing.T) {

@@ -11,7 +11,10 @@
 //   - A sample's semantic vector at layer j is its class center blended
 //     toward a confusable class when the sample is hard (difficulty above
 //     the calibrated error threshold), plus an optional client-context bias
-//     and Gaussian noise scaled by depth (model.NoiseScale) and difficulty.
+//     and noise scaled by depth (model.NoiseScale) and difficulty: a
+//     Gaussian draw along the layer-common direction and an isotropic unit
+//     direction taken from a fixed table of Gaussian directions, re-signed
+//     and rotated per (sample, layer).
 //   - The full model's prediction is nearest-prototype classification on
 //     the final-feature vector; the difficulty threshold is chosen so the
 //     resulting top-1 accuracy matches the dataset's BaseAccuracy.
@@ -70,6 +73,15 @@ const (
 	// difficulty quantile that separates correct from incorrect
 	// full-model predictions.
 	calibrationDraws = 20001
+	// noiseRows is the number of unit Gaussian directions in a space's
+	// noise table (512 KiB at model.Dim = 256). Each draw also picks one of
+	// model.Dim rotations and 2^model.Dim sign patterns, which keep the
+	// cosine distributions those of fresh Gaussian directions
+	// (TestSamplerMatchesGaussianReference). The rows bound how often two
+	// draws share a (row, rotation) pair — the one case in which their
+	// noise is more correlated than independent directions' — to 1 in
+	// noiseRows·model.Dim = 131 072; more rows would only cost memory.
+	noiseRows = 512
 
 	// Seed salts for the independent random streams.
 	saltCommon = 0x11
@@ -80,6 +92,7 @@ const (
 	saltEnv    = 0x66
 	saltCalib  = 0x77
 	saltDrift  = 0x88
+	saltTable  = 0x99
 )
 
 // Env is the per-client feature context: a fixed bias direction added to
@@ -149,6 +162,10 @@ type Space struct {
 	// construction, so the prediction head's nearest-prototype scan reuses
 	// one conversion for every sample instead of converting per logits row.
 	finalsWide [][]float64
+	// noiseTable holds noiseRows unit Gaussian directions of model.Dim
+	// floats each, row after row: the isotropic noise of every sample is
+	// one row, re-signed and rotated.
+	noiseTable []float32
 }
 
 // NewSpace builds the prototype space. It panics if either spec is invalid:
@@ -213,6 +230,12 @@ func NewSpace(ds *dataset.Spec, arch *model.Arch) *Space {
 	}
 	s.errThreshold = calibrateErrThreshold(ds)
 	s.finalsWide, _ = vecmath.WidenRows(s.protos[arch.NumLayers])
+	s.noiseTable = make([]float32, noiseRows*model.Dim)
+	for k := 0; k < noiseRows; k++ {
+		row := s.noiseTable[k*model.Dim : (k+1)*model.Dim]
+		xrand.FillNormal(xrand.New(ds.Seed, saltTable, uint64(k)), row)
+		vecmath.Normalize(row)
+	}
 	return s
 }
 
@@ -244,14 +267,13 @@ func (s *Space) Prototype(class, layer int) []float32 {
 // FinalLayer returns the index of the final feature layer.
 func (s *Space) FinalLayer() int { return s.Arch.NumLayers }
 
-// Scratch holds the reusable buffers and RNG stream of the allocation-free
-// sampling fast path (SampleVectorInto, PredictScratch). All draws go
-// through reseeded deterministic streams, so results are bitwise identical
-// to the allocating SampleVector/Predict. Each concurrent user needs its
-// own Scratch; a Scratch is bound to the Space that created it.
+// Scratch holds the reusable buffers and RNG stream of the sampler
+// (SampleVectorInto, PredictScratch). All draws go through reseeded
+// deterministic streams, so a result depends only on its inputs, never on
+// what the scratch was used for before. Each concurrent user needs its own
+// Scratch; a Scratch is bound to the Space that created it.
 type Scratch struct {
 	rng    *xrand.Stream
-	noise  []float32
 	drift  []float32
 	vec    []float32 // PredictScratch's final-feature vector
 	vec64  []float64 // its widened mirror for the staged logits kernel
@@ -259,12 +281,9 @@ type Scratch struct {
 	probs  []float32
 }
 
-// NewScratch returns a scratch sized for the space.
+// NewScratch returns a scratch for the space.
 func (s *Space) NewScratch() *Scratch {
-	return &Scratch{
-		rng:   xrand.NewStream(),
-		noise: make([]float32, model.Dim),
-	}
+	return &Scratch{rng: xrand.NewStream()}
 }
 
 // confusableSpan returns the class-id range [lo, hi) of the class's
@@ -279,20 +298,10 @@ func (s *Space) confusableSpan(class int) (lo, hi int) {
 	return lo, hi
 }
 
-// confusableOf deterministically picks the class a hard sample drifts
-// toward.
-func (s *Space) confusableOf(smp dataset.Sample) int {
-	conf := s.DS.Confusables(smp.Class)
-	if len(conf) == 0 {
-		return (smp.Class + 1) % s.DS.NumClasses
-	}
-	r := xrand.New(smp.Seed, saltConf)
-	return conf[r.IntN(len(conf))]
-}
-
-// confusableOfScratch is confusableOf on a reused RNG stream, avoiding the
-// Confusables allocation by indexing the group span directly. Draws and
-// results are identical to confusableOf.
+// confusableOfScratch deterministically picks the class a hard sample
+// drifts toward: a uniform draw among its confusion-group siblings, on the
+// scratch's reused RNG stream, indexing the group span directly instead of
+// materialising the sibling list.
 func (s *Space) confusableOfScratch(smp dataset.Sample, sc *Scratch) int {
 	lo, hi := s.confusableSpan(smp.Class)
 	n := hi - lo - 1 // siblings excluding the class itself
@@ -337,31 +346,10 @@ func (s *Space) resolutionWeight(difficulty float64, layer int) float64 {
 	return w
 }
 
-// center returns the sample's true feature center at layer (before noise
-// and client bias): the class prototype — blended toward the sample's
-// confusable class according to difficulty — mixed with the group centroid
-// according to the layer's resolution of this sample.
-func (s *Space) center(smp dataset.Sample, layer int) []float32 {
-	b := s.blend(smp.Difficulty)
-	base := s.protos[layer][smp.Class]
-	if b > 0 {
-		blended := vecmath.WeightedSum(float32(1-b), base, float32(b), s.protos[layer][s.confusableOf(smp)])
-		vecmath.Normalize(blended)
-		base = blended
-	}
-	w := s.resolutionWeight(smp.Difficulty, layer)
-	if w >= 1 {
-		return base
-	}
-	centroid := s.centroids[layer][s.DS.Group(smp.Class)]
-	c := vecmath.WeightedSum(float32(w), base, float32(1-w), centroid)
-	vecmath.Normalize(c)
-	return c
-}
-
-// centerInto writes center(smp, layer) into dst without allocating. The
-// arithmetic (operation order and operands) matches center exactly, so the
-// result is bitwise identical.
+// centerInto writes the sample's true feature center at layer (before noise
+// and client bias) into dst: the class prototype — blended toward the
+// sample's confusable class according to difficulty — mixed with the group
+// centroid according to the layer's resolution of this sample.
 func (s *Space) centerInto(dst []float32, smp dataset.Sample, layer int, sc *Scratch) {
 	b := s.blend(smp.Difficulty)
 	base := s.protos[layer][smp.Class]
@@ -389,32 +377,13 @@ func (s *Space) centerInto(dst []float32, smp dataset.Sample, layer int, sc *Scr
 	vecmath.Normalize(dst)
 }
 
-// driftVector returns the class's semantic-drift direction at the given
-// epoch: a smooth rotation within the class's confusion-group subspace
-// (toward one sibling, then the next), so stale cache entries genuinely
-// mis-rank the drifted class against its siblings — random-direction
-// drift would only dilute all similarities equally and leave Eq. 2
-// unaffected.
-func (s *Space) driftVector(class, layer int, epoch float64) []float32 {
-	targets := s.DS.Confusables(class)
-	if len(targets) == 0 {
-		targets = []int{(class + 1) % s.DS.NumClasses}
-	}
-	e := int(math.Floor(epoch))
-	f := float32(epoch - float64(e))
-	own := s.protos[layer][class]
-	// Small epoch-dependent shuffle so the rotation path varies by class.
-	r := xrand.New(s.DS.Seed, saltDrift, uint64(class))
-	off := r.IntN(len(targets))
-	ta := s.protos[layer][targets[(e+off)%len(targets)]]
-	tb := s.protos[layer][targets[(e+1+off)%len(targets)]]
-	d := make([]float32, model.Dim)
-	driftInto(d, own, ta, tb, f)
-	return d
-}
-
-// driftVectorInto is driftVector into a reused buffer, indexing the
-// confusion-group span directly instead of materializing the sibling list.
+// driftVectorInto writes the class's semantic-drift direction at the given
+// epoch into dst: a smooth rotation within the class's confusion-group
+// subspace (toward one sibling, then the next), so stale cache entries
+// genuinely mis-rank the drifted class against its siblings —
+// random-direction drift would only dilute all similarities equally and
+// leave Eq. 2 unaffected. It indexes the confusion-group span directly
+// instead of materializing the sibling list.
 func (s *Space) driftVectorInto(dst []float32, class, layer int, epoch float64, sc *Scratch) {
 	lo, hi := s.confusableSpan(class)
 	n := hi - lo - 1 // siblings excluding the class itself
@@ -431,6 +400,7 @@ func (s *Space) driftVectorInto(dst []float32, class, layer int, epoch float64, 
 	e := int(math.Floor(epoch))
 	f := float32(epoch - float64(e))
 	own := s.protos[layer][class]
+	// Small epoch-dependent shuffle so the rotation path varies by class.
 	r := sc.rng.Seed(xrand.HashSeed(s.DS.Seed, saltDrift, uint64(class)))
 	m := n
 	if m <= 0 {
@@ -449,37 +419,19 @@ func driftInto(dst, own, ta, tb []float32, f float32) {
 	vecmath.Normalize(dst)
 }
 
-// SampleVector generates the unit semantic vector of smp at cache-layer
-// site layer under environment env (nil for an unbiased client). The result
-// is freshly allocated and deterministic in (smp, layer, env).
+// SampleVector is SampleVectorInto on a fresh vector and scratch.
 func (s *Space) SampleVector(smp dataset.Sample, layer int, env *Env) []float32 {
-	v := vecmath.Clone(s.center(smp, layer))
-	if env != nil && env.Weight != 0 {
-		vecmath.Axpy(float32(env.Weight), env.Bias, v)
-	}
-	if env != nil && env.DriftWeight != 0 {
-		vecmath.Axpy(float32(env.DriftWeight), s.driftVector(smp.Class, layer, env.DriftEpoch), v)
-	}
-	sigma := s.Arch.NoiseScale[layer] * (noiseLo + noiseSpan*smp.Difficulty)
-	r := xrand.New(smp.Seed, saltNoise, uint64(layer))
-	// Split the noise into a class-agnostic component along the layer
-	// common direction and an isotropic remainder (unit direction), so
-	// sigma is an exact amplitude relative to the unit center.
-	shared := float32(sigma * math.Sqrt(sharedNoiseFrac) * r.NormFloat64())
-	vecmath.Axpy(shared, s.commons[layer], v)
-	noise := xrand.NormalVector(r, model.Dim)
-	vecmath.Normalize(noise)
-	vecmath.Axpy(float32(sigma*math.Sqrt(1-sharedNoiseFrac)), noise, v)
-	vecmath.Normalize(v)
+	v := make([]float32, model.Dim)
+	s.SampleVectorInto(v, smp, layer, env, s.NewScratch())
 	return v
 }
 
-// SampleVectorInto writes SampleVector(smp, layer, env) into dst using the
-// scratch's buffers and RNG streams instead of allocating. dst must be
-// model.Dim long. Every draw and floating-point operation mirrors
-// SampleVector, so the result is bitwise identical — the inference hot
-// path relies on this to batch without changing behaviour.
+// SampleVectorInto writes the unit semantic vector of smp at cache-layer
+// site layer under environment env (nil for an unbiased client) into dst,
+// which must be model.Dim long. The result is deterministic in
+// (smp, layer, env); once the scratch is warm nothing is allocated.
 func (s *Space) SampleVectorInto(dst []float32, smp dataset.Sample, layer int, env *Env, sc *Scratch) {
+	dst = dst[:model.Dim]
 	s.centerInto(dst, smp, layer, sc)
 	if env != nil && env.Weight != 0 {
 		vecmath.Axpy(float32(env.Weight), env.Bias, dst)
@@ -493,11 +445,27 @@ func (s *Space) SampleVectorInto(dst []float32, smp dataset.Sample, layer int, e
 	}
 	sigma := s.Arch.NoiseScale[layer] * (noiseLo + noiseSpan*smp.Difficulty)
 	r := sc.rng.Seed(xrand.HashSeed(smp.Seed, saltNoise, uint64(layer)))
+	// Split the noise into a class-agnostic component along the layer
+	// common direction and an isotropic remainder (unit direction), so
+	// sigma is an exact amplitude relative to the unit center.
 	shared := float32(sigma * math.Sqrt(sharedNoiseFrac) * r.NormFloat64())
 	vecmath.Axpy(shared, s.commons[layer], dst)
-	xrand.FillNormal(r, sc.noise)
-	vecmath.Normalize(sc.noise)
-	vecmath.Axpy(float32(sigma*math.Sqrt(1-sharedNoiseFrac)), sc.noise, dst)
+	// The isotropic direction is one table row, cyclically rotated, with an
+	// independent random sign per coordinate. Rows are unit length and
+	// neither rotation nor signs change a norm, so it needs no
+	// normalisation. model.Dim is a power of two and a multiple of 64.
+	u := r.Uint64()
+	row := s.noiseTable[(u%noiseRows)*model.Dim:][:model.Dim]
+	rot := int(u>>32) & (model.Dim - 1)
+	a := float32(sigma * math.Sqrt(1-sharedNoiseFrac))
+	for w := 0; w < model.Dim; w += 64 {
+		signs := r.Uint64()
+		for i := w; i < w+64; i++ {
+			x := math.Float32bits(a*row[(i+rot)&(model.Dim-1)]) ^ uint32(signs&1)<<31
+			dst[i] += math.Float32frombits(x)
+			signs >>= 1
+		}
+	}
 	vecmath.Normalize(dst)
 }
 
@@ -518,25 +486,18 @@ func (s *Space) CenteredVector(smp dataset.Sample, layer int, env *Env) []float3
 	return v
 }
 
-// Predict runs the full (uncached) model on smp: nearest-prototype
+// Predict is PredictScratch on a fresh scratch, so the returned Probs slice
+// is the caller's.
+func (s *Space) Predict(smp dataset.Sample, env *Env) Prediction {
+	return s.PredictScratch(s.NewScratch(), smp, env)
+}
+
+// PredictScratch runs the full (uncached) model on smp: nearest-prototype
 // classification of the final feature vector, with softmax probabilities.
 // Harder samples produce flatter probability vectors (confidence fades
 // with difficulty), so the paper's Δ-selection of confident misses favours
-// genuinely easy — and hence correct — samples.
-func (s *Space) Predict(smp dataset.Sample, env *Env) Prediction {
-	v := s.SampleVector(smp, s.FinalLayer(), env)
-	logits := make([]float32, s.DS.NumClasses)
-	finals := s.protos[s.FinalLayer()]
-	temp := float32(softmaxTemp * (1 + 3*smp.Difficulty))
-	for c := range logits {
-		logits[c] = vecmath.Dot(v, finals[c]) / temp
-	}
-	probs := vecmath.Softmax(logits)
-	return Prediction{Class: vecmath.Argmax(probs), Probs: probs}
-}
-
-// PredictScratch is Predict on reused scratch buffers: allocation-free and
-// bitwise identical. The returned Prediction's Probs slice aliases the
+// genuinely easy — and hence correct — samples. Once the scratch is warm
+// nothing is allocated; the returned Prediction's Probs slice aliases the
 // scratch and is only valid until the scratch's next use.
 func (s *Space) PredictScratch(sc *Scratch, smp dataset.Sample, env *Env) Prediction {
 	if sc.vec == nil {

@@ -120,7 +120,7 @@ func TestHardSamplesDriftToConfusable(t *testing.T) {
 	j := s.FinalLayer()
 	v := s.SampleVector(smp, j, nil)
 	own := vecmath.Cosine(v, s.Prototype(5, j))
-	conf := vecmath.Cosine(v, s.Prototype(s.confusableOf(smp), j))
+	conf := vecmath.Cosine(v, s.Prototype(s.confusableOfScratch(smp, s.NewScratch()), j))
 	if conf <= own {
 		t.Fatalf("very hard sample should resemble confusable more: own %v conf %v", own, conf)
 	}
@@ -273,6 +273,21 @@ func BenchmarkSampleVector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SampleVector(smp, 17, nil)
+	}
+}
+
+// BenchmarkSampleVectorInto is the inference hot path's sampler: every
+// layer in turn, client bias on, warm scratch.
+func BenchmarkSampleVectorInto(b *testing.B) {
+	s := testSpace(b)
+	smp := s.DS.NewSample(3, 1)
+	env := NewEnv(9, 0.05)
+	sc := s.NewScratch()
+	dst := make([]float32, model.Dim)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleVectorInto(dst, smp, i%(s.Arch.NumLayers+1), env, sc)
 	}
 }
 
