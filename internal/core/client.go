@@ -453,7 +453,9 @@ func (c *Client) updateHitRatio() {
 		return
 	}
 	cum, j := 0, 0
-	for _, site := range c.local.Sites() { // ascending
+	layers := c.local.Layers() // ascending sites
+	for i := range layers {
+		site := layers[i].Site
 		for ; j <= site; j++ {
 			cum += c.roundHitsBy[j]
 		}

@@ -31,7 +31,7 @@ import (
 // frames carry sampled feature vectors, so a change to the simulated
 // substrate moves it too; semantics' TestSubstrateGolden pins those bits on
 // their own and fails first.
-const goldenWireHash = "758b5f847c08bc4029c21231d7363a8fb804958171cfc3322971199cefb149d8"
+const goldenWireHash = "18f42418af5372bbba4402fce9a464ca9a5c6648244746a5f8152c9109cde7ab"
 
 // recordFrame hashes one encoded frame with a length prefix, so frame
 // boundaries cannot cancel out across the stream. Frames are pinned at

@@ -264,12 +264,12 @@ func TestClientRoundOverPipeAllocs(t *testing.T) {
 	}
 	// What a round still allocates: the pipe's copy of each of its four
 	// frames; the new local cache (cache.NewLocal: the cache, its layer list,
-	// two for its sort and one norm slice per activated layer, then the site
-	// list the hit-ratio update walks); one for whatever still grows now and
-	// then (a cell the update table never held); and on the server one
-	// immutable entry per merged cell, which is taken out of the count.
+	// two for its sort and one norm slice per activated layer); one for
+	// whatever still grows now and then (a cell the update table never held);
+	// and on the server one immutable entry per merged cell, which is taken
+	// out of the count.
 	perRound := (allocs - float64(after-merged)) / rounds
-	if max := float64(4 + 5 + activated + 1); perRound > max {
+	if max := float64(4 + 4 + activated + 1); perRound > max {
 		t.Errorf("steady-state client round over the pipe: %.1f allocs (entries of merged cells aside), want <= %.0f", perRound, max)
 	}
 	t.Logf("%.1f allocs per round, plus %.1f merged cells per round", perRound, float64(after-merged)/rounds)

@@ -127,7 +127,7 @@ func TestSamplerMatchesGaussianReference(t *testing.T) {
 // toolchains or targets that evaluate the float32 arithmetic differently
 // (fused multiply-adds, for instance): this is the first test to fail when
 // the simulated substrate changes, ahead of the wire goldens built on it.
-const goldenSubstrateHash = "f15abfc9eb1e5efa6f1db86ac5aa33f725ddfe17abe0e97700cbb2740841ff7d"
+const goldenSubstrateHash = "87f8f2ce47c21e715322901636518696a7b3d65921578f3e4e83f3f5ae2c32fc"
 
 // TestSubstrateGolden pins the sampler's output bits over a fixed grid of
 // classes, samples, layers and client environments (none, bias, bias plus

@@ -166,6 +166,14 @@ type Space struct {
 	// floats each, row after row: the isotropic noise of every sample is
 	// one row, re-signed and rotated.
 	noiseTable []float32
+	// dots[layer] holds dotStride float64s per class, the inner products
+	// of unit vectors the sampler's closed-form center norms need: the
+	// class prototype's dot with its group centroid; its dots with the
+	// classes it can blend toward, in confusableAt's order (siblings, or
+	// the one fallback of a singleton group); and last the fallback's dot
+	// with the class's centroid. ≈ 82 KiB at UCF101-50 × ResNet101.
+	dots      [][]float64
+	dotStride int
 }
 
 // NewSpace builds the prototype space. It panics if either spec is invalid:
@@ -183,6 +191,8 @@ func NewSpace(ds *dataset.Spec, arch *model.Arch) *Space {
 	s.protos = make([][][]float32, layers)
 	s.centroids = make([][][]float32, layers)
 	s.commons = make([][]float32, layers)
+	s.dots = make([][]float64, layers)
+	s.dotStride = max(ds.GroupSize-1, 1) + 2
 	// Effective same-group correlation: datasets with weaker confusion
 	// (ConfusionWeight < 1) spread their group members further apart,
 	// enlarging discriminative scores.
@@ -226,6 +236,16 @@ func NewSpace(ds *dataset.Spec, arch *model.Arch) *Space {
 				hi = ds.NumClasses
 			}
 			s.centroids[j][g] = vecmath.Normalized(vecmath.Mean(s.protos[j][lo:hi]))
+		}
+		s.dots[j] = make([]float64, ds.NumClasses*s.dotStride)
+		for c := 0; c < ds.NumClasses; c++ {
+			p, cent := s.protos[j][c], s.centroids[j][ds.Group(c)]
+			row := s.dotRow(j, c)
+			row[0] = float64(vecmath.Dot(p, cent))
+			for k := 1; k < s.dotStride-1; k++ {
+				row[k] = float64(vecmath.Dot(p, s.protos[j][s.confusableAt(c, k-1)]))
+			}
+			row[s.dotStride-1] = float64(vecmath.Dot(s.protos[j][(c+1)%ds.NumClasses], cent))
 		}
 	}
 	s.errThreshold = calibrateErrThreshold(ds)
@@ -286,36 +306,50 @@ func (s *Space) NewScratch() *Scratch {
 	return &Scratch{rng: xrand.NewStream()}
 }
 
-// confusableSpan returns the class-id range [lo, hi) of the class's
-// confusion group.
-func (s *Space) confusableSpan(class int) (lo, hi int) {
-	g := s.DS.Group(class)
-	lo = g * s.DS.GroupSize
-	hi = lo + s.DS.GroupSize
-	if hi > s.DS.NumClasses {
-		hi = s.DS.NumClasses
-	}
-	return lo, hi
+// siblings returns the first class id of class's confusion group and the
+// number of other classes in it.
+func (s *Space) siblings(class int) (lo, n int) {
+	lo = s.DS.Group(class) * s.DS.GroupSize
+	hi := min(lo+s.DS.GroupSize, s.DS.NumClasses)
+	return lo, hi - lo - 1
 }
 
-// confusableOfScratch deterministically picks the class a hard sample
-// drifts toward: a uniform draw among its confusion-group siblings, on the
-// scratch's reused RNG stream, indexing the group span directly instead of
-// materialising the sibling list.
-func (s *Space) confusableOfScratch(smp dataset.Sample, sc *Scratch) int {
-	lo, hi := s.confusableSpan(smp.Class)
-	n := hi - lo - 1 // siblings excluding the class itself
+// confusableAt returns the k-th (modulo their number) of the classes that
+// class can blend or drift toward: its confusion-group siblings in id order,
+// or class+1 when its group has no other member.
+func (s *Space) confusableAt(class, k int) int {
+	lo, n := s.siblings(class)
 	if n <= 0 {
-		return (smp.Class + 1) % s.DS.NumClasses
+		return (class + 1) % s.DS.NumClasses
 	}
-	r := sc.rng.Seed(xrand.HashSeed(smp.Seed, saltConf))
-	i := r.IntN(n)
-	// Confusables lists lo..hi skipping smp.Class; index i of that list.
-	c := lo + i
-	if c >= smp.Class {
+	c := lo + k%n
+	if c >= class {
 		c++
 	}
 	return c
+}
+
+// dotRow returns the dot table row of class at layer (see Space.dots).
+func (s *Space) dotRow(layer, class int) []float64 {
+	return s.dots[layer][class*s.dotStride:][:s.dotStride]
+}
+
+// confusable picks the class a hard sample blends toward — a uniform draw
+// among its confusion-group siblings on the scratch's RNG stream, or the
+// fallback of a singleton group — and returns that class's prototype at
+// layer, its dot with the sample's class prototype and its dot with the
+// sample's group centroid.
+func (s *Space) confusable(smp dataset.Sample, layer int, sc *Scratch) (proto []float32, dot, centDot float64) {
+	row := s.dotRow(layer, smp.Class)
+	_, n := s.siblings(smp.Class)
+	if n <= 0 {
+		return s.protos[layer][s.confusableAt(smp.Class, 0)], row[1], row[len(row)-1]
+	}
+	k := sc.rng.Seed(xrand.HashSeed(smp.Seed, saltConf)).IntN(n)
+	c := s.confusableAt(smp.Class, k)
+	// A sibling shares the sample's group, so its dot with the centroid is
+	// the first entry of its own row.
+	return s.protos[layer][c], row[1+k], s.dotRow(layer, c)[0]
 }
 
 // blend returns how far the sample's center drifts toward its confusable
@@ -346,70 +380,22 @@ func (s *Space) resolutionWeight(difficulty float64, layer int) float64 {
 	return w
 }
 
-// centerInto writes the sample's true feature center at layer (before noise
-// and client bias) into dst: the class prototype — blended toward the
-// sample's confusable class according to difficulty — mixed with the group
-// centroid according to the layer's resolution of this sample.
-func (s *Space) centerInto(dst []float32, smp dataset.Sample, layer int, sc *Scratch) {
-	b := s.blend(smp.Difficulty)
-	base := s.protos[layer][smp.Class]
-	if b > 0 {
-		conf := s.protos[layer][s.confusableOfScratch(smp, sc)]
-		w1, w2 := float32(1-b), float32(b)
-		for i := range dst {
-			dst[i] = w1*base[i] + w2*conf[i]
-		}
-		vecmath.Normalize(dst)
-		base = dst
-	}
-	w := s.resolutionWeight(smp.Difficulty, layer)
-	if w >= 1 {
-		if &base[0] != &dst[0] {
-			copy(dst, base)
-		}
-		return
-	}
-	centroid := s.centroids[layer][s.DS.Group(smp.Class)]
-	w1, w2 := float32(w), float32(1-w)
-	for i := range dst {
-		dst[i] = w1*base[i] + w2*centroid[i]
-	}
-	vecmath.Normalize(dst)
-}
-
 // driftVectorInto writes the class's semantic-drift direction at the given
 // epoch into dst: a smooth rotation within the class's confusion-group
 // subspace (toward one sibling, then the next), so stale cache entries
 // genuinely mis-rank the drifted class against its siblings —
 // random-direction drift would only dilute all similarities equally and
-// leave Eq. 2 unaffected. It indexes the confusion-group span directly
-// instead of materializing the sibling list.
+// leave Eq. 2 unaffected.
 func (s *Space) driftVectorInto(dst []float32, class, layer int, epoch float64, sc *Scratch) {
-	lo, hi := s.confusableSpan(class)
-	n := hi - lo - 1 // siblings excluding the class itself
-	target := func(k int) int {
-		if n <= 0 {
-			return (class + 1) % s.DS.NumClasses
-		}
-		c := lo + k%n
-		if c >= class {
-			c++
-		}
-		return c
-	}
+	_, n := s.siblings(class)
 	e := int(math.Floor(epoch))
 	f := float32(epoch - float64(e))
-	own := s.protos[layer][class]
 	// Small epoch-dependent shuffle so the rotation path varies by class.
 	r := sc.rng.Seed(xrand.HashSeed(s.DS.Seed, saltDrift, uint64(class)))
-	m := n
-	if m <= 0 {
-		m = 1
-	}
-	off := r.IntN(m)
-	ta := s.protos[layer][target(e+off)]
-	tb := s.protos[layer][target(e+1+off)]
-	driftInto(dst, own, ta, tb, f)
+	off := r.IntN(max(n, 1))
+	ta := s.protos[layer][s.confusableAt(class, e+off)]
+	tb := s.protos[layer][s.confusableAt(class, e+1+off)]
+	driftInto(dst, s.protos[layer][class], ta, tb, f)
 }
 
 func driftInto(dst, own, ta, tb []float32, f float32) {
@@ -417,6 +403,27 @@ func driftInto(dst, own, ta, tb []float32, f float32) {
 		dst[i] = (1-f)*(ta[i]-own[i]) + f*(tb[i]-own[i])
 	}
 	vecmath.Normalize(dst)
+}
+
+// clientShift returns the client's feature shift and its weight: the bias
+// direction, or, when drift is on, the weighted bias plus the weighted drift
+// direction, formed in the scratch. It returns a nil vector when env is nil.
+func (s *Space) clientShift(env *Env, class, layer int, sc *Scratch) ([]float32, float32) {
+	if env == nil {
+		return nil, 0
+	}
+	if env.DriftWeight == 0 {
+		return env.Bias, float32(env.Weight)
+	}
+	if sc.drift == nil {
+		sc.drift = make([]float32, model.Dim)
+	}
+	s.driftVectorInto(sc.drift, class, layer, env.DriftEpoch, sc)
+	vecmath.Scale(float32(env.DriftWeight), sc.drift)
+	if env.Weight != 0 {
+		vecmath.Axpy(float32(env.Weight), env.Bias, sc.drift)
+	}
+	return sc.drift, 1
 }
 
 // SampleVector is SampleVectorInto on a fresh vector and scratch.
@@ -430,18 +437,38 @@ func (s *Space) SampleVector(smp dataset.Sample, layer int, env *Env) []float32 
 // site layer under environment env (nil for an unbiased client) into dst,
 // which must be model.Dim long. The result is deterministic in
 // (smp, layer, env); once the scratch is warm nothing is allocated.
+//
+// The vector is the sample's center — its class prototype, blended toward a
+// confusable class if the sample is hard and then mixed with its group
+// centroid if the layer does not yet resolve it, each blend renormalised —
+// plus the client's shift and the noise, normalised. Both blends are of unit
+// vectors, ‖x·u + y·v‖ = √(x² + y² + 2xy·u·v), so their norms are scalars
+// over the dot table: the center is one weighted sum of three prototypes,
+// and the vector is written in one pass that also sums its squares, then
+// scaled in a second.
 func (s *Space) SampleVectorInto(dst []float32, smp dataset.Sample, layer int, env *Env, sc *Scratch) {
 	dst = dst[:model.Dim]
-	s.centerInto(dst, smp, layer, sc)
-	if env != nil && env.Weight != 0 {
-		vecmath.Axpy(float32(env.Weight), env.Bias, dst)
+	base := s.protos[layer][smp.Class]
+	// The center is ab·base + ac·conf + am·cent; an unused term points at
+	// base with weight 0.
+	ab, ac, am := 1.0, 0.0, 0.0
+	conf, cent := base, base
+	var confCent float64
+	if b := s.blend(smp.Difficulty); b > 0 {
+		var dot float64
+		conf, dot, confCent = s.confusable(smp, layer, sc)
+		n := math.Sqrt((1-b)*(1-b) + b*b + 2*b*(1-b)*dot)
+		ab, ac = (1-b)/n, b/n
 	}
-	if env != nil && env.DriftWeight != 0 {
-		if sc.drift == nil {
-			sc.drift = make([]float32, model.Dim)
-		}
-		s.driftVectorInto(sc.drift, smp.Class, layer, env.DriftEpoch, sc)
-		vecmath.Axpy(float32(env.DriftWeight), sc.drift, dst)
+	if w := s.resolutionWeight(smp.Difficulty, layer); w < 1 {
+		cent = s.centroids[layer][s.DS.Group(smp.Class)]
+		dot := ab*s.dotRow(layer, smp.Class)[0] + ac*confCent
+		n := math.Sqrt(w*w + (1-w)*(1-w) + 2*w*(1-w)*dot)
+		ab, ac, am = ab*w/n, ac*w/n, (1-w)/n
+	}
+	shift, sw := s.clientShift(env, smp.Class, layer, sc)
+	if shift == nil {
+		shift = base
 	}
 	sigma := s.Arch.NoiseScale[layer] * (noiseLo + noiseSpan*smp.Difficulty)
 	r := sc.rng.Seed(xrand.HashSeed(smp.Seed, saltNoise, uint64(layer)))
@@ -449,7 +476,7 @@ func (s *Space) SampleVectorInto(dst []float32, smp dataset.Sample, layer int, e
 	// common direction and an isotropic remainder (unit direction), so
 	// sigma is an exact amplitude relative to the unit center.
 	shared := float32(sigma * math.Sqrt(sharedNoiseFrac) * r.NormFloat64())
-	vecmath.Axpy(shared, s.commons[layer], dst)
+	common := s.commons[layer][:model.Dim]
 	// The isotropic direction is one table row, cyclically rotated, with an
 	// independent random sign per coordinate. Rows are unit length and
 	// neither rotation nor signs change a norm, so it needs no
@@ -458,15 +485,26 @@ func (s *Space) SampleVectorInto(dst []float32, smp dataset.Sample, layer int, e
 	row := s.noiseTable[(u%noiseRows)*model.Dim:][:model.Dim]
 	rot := int(u>>32) & (model.Dim - 1)
 	a := float32(sigma * math.Sqrt(1-sharedNoiseFrac))
-	for w := 0; w < model.Dim; w += 64 {
+	wb, wc, wm := float32(ab), float32(ac), float32(am)
+	// Every input at length model.Dim: the loop runs without bounds checks.
+	base, conf, cent, shift = base[:model.Dim], conf[:model.Dim], cent[:model.Dim], shift[:model.Dim]
+	// One float64 chain of squares: at six products per component the pass
+	// is bound by throughput, not by the chain's latency, and four partial
+	// sums measured no faster.
+	var sum float64
+	for blk := 0; blk < model.Dim; blk += 64 {
 		signs := r.Uint64()
-		for i := w; i < w+64; i++ {
-			x := math.Float32bits(a*row[(i+rot)&(model.Dim-1)]) ^ uint32(signs&1)<<31
-			dst[i] += math.Float32frombits(x)
+		for i := blk; i < blk+64; i++ {
+			noise := math.Float32frombits(math.Float32bits(a*row[(i+rot)&(model.Dim-1)]) ^ uint32(signs&1)<<31)
+			x := wb*base[i] + wc*conf[i] + wm*cent[i] + sw*shift[i] + shared*common[i] + noise
+			dst[i] = x
+			sum += float64(x) * float64(x)
 			signs >>= 1
 		}
 	}
-	vecmath.Normalize(dst)
+	if sum > 0 {
+		vecmath.Scale(float32(1/math.Sqrt(sum)), dst)
+	}
 }
 
 // CenteredVector returns the sample's semantic vector at layer with the

@@ -120,7 +120,8 @@ func TestHardSamplesDriftToConfusable(t *testing.T) {
 	j := s.FinalLayer()
 	v := s.SampleVector(smp, j, nil)
 	own := vecmath.Cosine(v, s.Prototype(5, j))
-	conf := vecmath.Cosine(v, s.Prototype(s.confusableOfScratch(smp, s.NewScratch()), j))
+	confProto, _, _ := s.confusable(smp, j, s.NewScratch())
+	conf := vecmath.Cosine(v, confProto)
 	if conf <= own {
 		t.Fatalf("very hard sample should resemble confusable more: own %v conf %v", own, conf)
 	}
@@ -276,27 +277,40 @@ func BenchmarkSampleVector(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleVectorInto is the inference hot path's sampler: every
-// layer in turn, client bias on, warm scratch.
+// benchRing is a fixed ring of samples over every class, so a benchmark
+// sees hard and unresolved samples in the proportions the workloads do.
+func benchRing(s *Space) []dataset.Sample {
+	ring := make([]dataset.Sample, 1024)
+	for i := range ring {
+		ring[i] = s.DS.NewSample(i%s.DS.NumClasses, uint64(i), 0xbe4c)
+	}
+	return ring
+}
+
+// BenchmarkSampleVectorInto is the inference hot path's sampler: the sample
+// ring against every layer in turn, client bias on, warm scratch.
 func BenchmarkSampleVectorInto(b *testing.B) {
 	s := testSpace(b)
-	smp := s.DS.NewSample(3, 1)
+	ring := benchRing(s)
 	env := NewEnv(9, 0.05)
 	sc := s.NewScratch()
 	dst := make([]float32, model.Dim)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SampleVectorInto(dst, smp, i%(s.Arch.NumLayers+1), env, sc)
+		s.SampleVectorInto(dst, ring[i%len(ring)], i%(s.Arch.NumLayers+1), env, sc)
 	}
 }
 
+// BenchmarkPredict is the full-model head on a warm scratch over the sample
+// ring.
 func BenchmarkPredict(b *testing.B) {
 	s := testSpace(b)
-	smp := s.DS.NewSample(3, 1)
+	ring := benchRing(s)
+	sc := s.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Predict(smp, nil)
+		s.PredictScratch(sc, ring[i%len(ring)], nil)
 	}
 }

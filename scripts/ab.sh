@@ -12,6 +12,9 @@
 #   over bound    HEAD's median is worse than the base's by more than the
 #                 metric's BENCHMARK.json bound;
 #   -             neither.
+# Then, for the workloads that print the paper's outputs (`output quality.*`
+# lines: stream-ref), each output's floor and, per side, its median and its
+# lowest run, so a speed claim shows that quality held.
 #
 # Usage: scripts/ab.sh <rev> [-pairs N] [-workload W]
 #   -pairs N      pairs to run (default 10)
@@ -82,6 +85,9 @@ run() { # side pair seed
 		exit 1
 	fi
 	jq -c '.' <<<"$line" >>"$tmp/$1.jsonl"
+	# "output quality.accuracy_pct 74.8612 % over 9000 frames (floor 73.0)"
+	sed -n 's/^output \(quality\.[a-z_]*\) \([-0-9.eE+]*\) % over .*(floor \([-0-9.]*\))$/\1 \2 \3/p' \
+		"$log" >>"$tmp/$1.quality"
 	echo "ab.sh: pair $2 $1 done (correct: $(jq -r '.correct' <<<"$line"))" >&2
 }
 
@@ -96,10 +102,14 @@ for ((i = 0; i < pairs; i++)); do
 	fi
 done
 
-jq -n -r --slurpfile base "$tmp/base.jsonl" --slurpfile head "$tmp/head.jsonl" \
-	--slurpfile spec "$repo/BENCHMARK.json" '
+defs='
 def median: sort | length as $n
   | if $n == 0 then null elif $n % 2 == 1 then .[($n - 1) / 2] else (.[$n / 2 - 1] + .[$n / 2]) / 2 end;
+def num: if . == null then "-" else (. * 1000 | round) / 1000 | tostring end;
+def pad($n): tostring | if length < $n then . + (" " * ($n - length)) else . end;'
+
+jq -n -r --slurpfile base "$tmp/base.jsonl" --slurpfile head "$tmp/head.jsonl" \
+	--slurpfile spec "$repo/BENCHMARK.json" "$defs"'
 # Python statistics.quantiles(data, n=4), the default "exclusive" method.
 def quartiles: sort as $d | ($d | length) as $ld
   | if $ld < 2 then null else
@@ -108,8 +118,6 @@ def quartiles: sort as $d | ($d | length) as $ld
        | ($im - $j * 4) as $delta
        | ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4]
     end;
-def num: if . == null then "-" else (. * 1000 | round) / 1000 | tostring end;
-def pad($n): tostring | if length < $n then . + (" " * ($n - length)) else . end;
 def row: [., [18, 6, 7, 12, 12, 9, 10, 12, 0]] | transpose | map(. as [$v, $w] | $v | pad($w)) | join(" ");
 ($head | length) as $n
 | (["metric", "unit", "better", "base median", "head median", "change", "base IQR", "wins/losses", "verdict"] | row),
@@ -132,3 +140,19 @@ def row: [., [18, 6, 7, 12, 12, 9, 10, 12, 0]] | transpose | map(. as [$v, $w] |
       (if $chg == null then "-" else ($chg | num) + "%" end), ($iqr | num),
       "\($wins)/\($losses)", $verdict] | row),
   "\nincorrect runs: base \($base | map(select(.correct != true)) | length), head \($head | map(select(.correct != true)) | length)"'
+
+if [ -s "$tmp/base.quality" ] || [ -s "$tmp/head.quality" ]; then
+	jq -n -r --rawfile base "$tmp/base.quality" --rawfile head "$tmp/head.quality" "$defs"'
+def runs: split("\n") | map(select(length > 0) | split(" ")
+  | {name: .[0], value: (.[1] | tonumber), floor: (.[2] | tonumber)});
+def row: [., [38, 7, 12, 10, 12, 10]] | transpose | map(. as [$v, $w] | $v | pad($w)) | join(" ");
+($base | runs) as $b | ($head | runs) as $h
+| "",
+  (["output", "floor", "base median", "base min", "head median", "head min"] | row),
+  ($b + $h | map(.name) | unique[] as $name
+   | [$b[] | select(.name == $name)] as $bs
+   | [$h[] | select(.name == $name)] as $hs
+   | [$name, (($bs + $hs)[0].floor | num),
+      ($bs | map(.value) | median | num), ($bs | map(.value) | min | num),
+      ($hs | map(.value) | median | num), ($hs | map(.value) | min | num)] | row)'
+fi
