@@ -222,9 +222,8 @@ type Lookup struct {
 	epoch   uint64
 	touched []int // classes accumulated since Reset, in first-touch order
 
-	// vec64 and scores are the staged-probe scratch: the widened query and
-	// its per-entry cosine scores, grown once to the high-water shape.
-	vec64  []float64
+	// scores is the staged-probe scratch: the query's per-entry cosine
+	// scores, grown once to the high-water entry count.
 	scores []float32
 }
 
@@ -316,11 +315,10 @@ func (layer *Layer) maxClass() int {
 
 // Probe runs the Eq. 1 / Eq. 2 update for one activated layer against the
 // sample's semantic vector at that layer. Staged layers (every layer a
-// client receives through the allocation path) score through the widened
-// row kernel — the query is widened once and the entries' mirrors and
-// norms are reused, instead of Cosine re-deriving both norms per pair;
-// results are bitwise identical either way. Steady-state calls are
-// allocation-free.
+// client receives through the allocation path) score through the staged
+// row kernel, vecmath.CosinesRows — the entries' mirrors and norms are
+// reused, instead of Cosine re-deriving both norms per pair; results are
+// bitwise identical either way. Steady-state calls are allocation-free.
 func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 	n := layer.Len()
 	if n == 0 {
@@ -333,16 +331,11 @@ func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 		if dim := len(layer.Entries[0]); len(vec) != dim {
 			panic(fmt.Sprintf("cache: Probe query length %d != entry dim %d", len(vec), dim))
 		}
-		if cap(l.vec64) < len(vec) {
-			l.vec64 = make([]float64, len(vec))
-		}
 		if cap(l.scores) < n {
 			l.scores = make([]float32, n)
 		}
-		vec64 := l.vec64[:len(vec)]
-		sqrtVn := math.Sqrt(vecmath.WidenVec(vec, vec64))
 		scores := l.scores[:n]
-		vecmath.CosinesWidenedRows(vec64, sqrtVn, layer.Wide, layer.snorm, scores)
+		vecmath.CosinesRows(vec, layer.Wide, layer.snorm, scores)
 		return l.probeScored(layer, scores, layer.maxCls)
 	}
 	l.grow(layer.maxClass())

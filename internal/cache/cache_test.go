@@ -239,16 +239,24 @@ func TestPropertyHitImpliesScoreAboveTheta(t *testing.T) {
 	}
 }
 
-func BenchmarkProbe50Entries(b *testing.B) {
-	classes := make([]int, 50)
-	entries := make([][]float32, 50)
+// benchProbe times one probe of a staged n-entry layer of 256-dimensional
+// entries, as a client probes its allocated cache. A window's layers hold
+// 5–10 entries, so 7 and 8 are the workload's regime (one kernel call, with
+// and without a padded row); 50 is the many-entry bound.
+func benchProbe(b *testing.B, n int) {
+	const dim = 256
+	classes := make([]int, n)
+	entries := make([][]float32, n)
 	for i := range classes {
 		classes[i] = i
-		entries[i] = unit(uint64(i))
+		entries[i] = xrand.NormalVector(xrand.New(uint64(i)), dim)
+		vecmath.Normalize(entries[i])
 	}
 	layer := layerOf(0, classes, entries)
+	layer.Stage()
 	lk := NewLookup(Config{Alpha: 0.5, Theta: 0.02})
-	v := unit(777)
+	v := xrand.NormalVector(xrand.New(777), dim)
+	vecmath.Normalize(v)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -256,3 +264,7 @@ func BenchmarkProbe50Entries(b *testing.B) {
 		lk.Probe(&layer, v)
 	}
 }
+
+func BenchmarkProbe7Entries(b *testing.B)  { benchProbe(b, 7) }
+func BenchmarkProbe8Entries(b *testing.B)  { benchProbe(b, 8) }
+func BenchmarkProbe50Entries(b *testing.B) { benchProbe(b, 50) }

@@ -72,7 +72,7 @@ func (s *Space) compositionSampleVectorInto(dst []float32, smp dataset.Sample, l
 	// neither rotation nor signs change a norm, so it needs no
 	// normalisation. model.Dim is a power of two and a multiple of 64.
 	u := r.Uint64()
-	row := s.noiseTable[(u%noiseRows)*model.Dim:][:model.Dim]
+	row := s.noiseTable[(u%noiseRows)*2*model.Dim:][:model.Dim] // each row is stored twice
 	rot := int(u>>32) & (model.Dim - 1)
 	a := float32(sigma * math.Sqrt(1-sharedNoiseFrac))
 	for w := 0; w < model.Dim; w += 64 {

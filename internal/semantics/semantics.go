@@ -74,7 +74,7 @@ const (
 	// full-model predictions.
 	calibrationDraws = 20001
 	// noiseRows is the number of unit Gaussian directions in a space's
-	// noise table (512 KiB at model.Dim = 256). Each draw also picks one of
+	// noise table (1 MiB at model.Dim = 256, each row stored twice). Each draw also picks one of
 	// model.Dim rotations and 2^model.Dim sign patterns, which keep the
 	// cosine distributions those of fresh Gaussian directions
 	// (TestSamplerMatchesGaussianReference). The rows bound how often two
@@ -163,7 +163,8 @@ type Space struct {
 	// one conversion for every sample instead of converting per logits row.
 	finalsWide [][]float64
 	// noiseTable holds noiseRows unit Gaussian directions of model.Dim
-	// floats each, row after row: the isotropic noise of every sample is
+	// floats each, row after row and each row twice over, so a rotation of
+	// a row is one contiguous slice: the isotropic noise of every sample is
 	// one row, re-signed and rotated.
 	noiseTable []float32
 	// dots[layer] holds dotStride float64s per class, the inner products
@@ -250,11 +251,12 @@ func NewSpace(ds *dataset.Spec, arch *model.Arch) *Space {
 	}
 	s.errThreshold = calibrateErrThreshold(ds)
 	s.finalsWide, _ = vecmath.WidenRows(s.protos[arch.NumLayers])
-	s.noiseTable = make([]float32, noiseRows*model.Dim)
+	s.noiseTable = make([]float32, noiseRows*2*model.Dim)
 	for k := 0; k < noiseRows; k++ {
-		row := s.noiseTable[k*model.Dim : (k+1)*model.Dim]
-		xrand.FillNormal(xrand.New(ds.Seed, saltTable, uint64(k)), row)
-		vecmath.Normalize(row)
+		row := s.noiseTable[2*k*model.Dim:][:2*model.Dim]
+		xrand.FillNormal(xrand.New(ds.Seed, saltTable, uint64(k)), row[:model.Dim])
+		vecmath.Normalize(row[:model.Dim])
+		copy(row[model.Dim:], row[:model.Dim])
 	}
 	return s
 }
@@ -296,7 +298,6 @@ type Scratch struct {
 	rng    *xrand.Stream
 	drift  []float32
 	vec    []float32 // PredictScratch's final-feature vector
-	vec64  []float64 // its widened mirror for the staged logits kernel
 	logits []float32
 	probs  []float32
 }
@@ -482,29 +483,56 @@ func (s *Space) SampleVectorInto(dst []float32, smp dataset.Sample, layer int, e
 	// neither rotation nor signs change a norm, so it needs no
 	// normalisation. model.Dim is a power of two and a multiple of 64.
 	u := r.Uint64()
-	row := s.noiseTable[(u%noiseRows)*model.Dim:][:model.Dim]
-	rot := int(u>>32) & (model.Dim - 1)
+	rot := (u >> 32) & (model.Dim - 1)
+	row := s.noiseTable[(u%noiseRows)*2*model.Dim+rot:][:model.Dim]
+	var signs [model.Dim / 64]uint64
+	for k := range signs {
+		signs[k] = r.Uint64()
+	}
 	a := float32(sigma * math.Sqrt(1-sharedNoiseFrac))
-	wb, wc, wm := float32(ab), float32(ac), float32(am)
-	// Every input at length model.Dim: the loop runs without bounds checks.
+	w := [6]float32{float32(ab), float32(ac), float32(am), sw, shared, a}
+	// Every input at length model.Dim, which the assembly pass relies on.
 	base, conf, cent, shift = base[:model.Dim], conf[:model.Dim], cent[:model.Dim], shift[:model.Dim]
-	// One float64 chain of squares: at six products per component the pass
-	// is bound by throughput, not by the chain's latency, and four partial
-	// sums measured no faster.
 	var sum float64
-	for blk := 0; blk < model.Dim; blk += 64 {
-		signs := r.Uint64()
-		for i := blk; i < blk+64; i++ {
-			noise := math.Float32frombits(math.Float32bits(a*row[(i+rot)&(model.Dim-1)]) ^ uint32(signs&1)<<31)
-			x := wb*base[i] + wc*conf[i] + wm*cent[i] + sw*shift[i] + shared*common[i] + noise
-			dst[i] = x
-			sum += float64(x) * float64(x)
-			signs >>= 1
-		}
+	if useAVX2 {
+		sum = accumulateAVX2(&dst[0], &base[0], &conf[0], &cent[0], &shift[0], &common[0], &row[0], &w, &signs, model.Dim)
+	} else {
+		sum = accumulate(dst, base, conf, cent, shift, common, row, &w, &signs)
 	}
 	if sum > 0 {
 		vecmath.Scale(float32(1/math.Sqrt(sum)), dst)
 	}
+}
+
+// useAVX2 selects accumulateAVX2 for the sampler's pass; vecmath decides it
+// once, from the CPU.
+var useAVX2 = vecmath.AVX2()
+
+// accumulate is the sampler's pass: dst[i] = wb·base[i] + wc·conf[i] +
+// wm·cent[i] + sw·shift[i] + shared·common[i] + noise, added left to right,
+// where noise is a·row[i] with bit i of the sign words as its sign. It
+// returns Σ dst[i]² as one float64 chain in index order. It is the Go loop
+// that accumulateAVX2 reproduces bit for bit, and the only pass off amd64 or
+// without AVX2.
+func accumulate(dst, base, conf, cent, shift, common, row []float32, w *[6]float32, signs *[model.Dim / 64]uint64) float64 {
+	wb, wc, wm, sw, shared, a := w[0], w[1], w[2], w[3], w[4], w[5]
+	// Every input at length model.Dim: the loop runs without bounds checks.
+	dst, base, conf, cent = dst[:model.Dim], base[:model.Dim], conf[:model.Dim], cent[:model.Dim]
+	shift, common, row = shift[:model.Dim], common[:model.Dim], row[:model.Dim]
+	// One float64 chain of squares: at six products per component the pass
+	// is bound by throughput, not by the chain's latency, and four partial
+	// sums measured no faster.
+	var sum float64
+	for blk, bits := range signs {
+		for i := blk * 64; i < blk*64+64; i++ {
+			noise := math.Float32frombits(math.Float32bits(a*row[i]) ^ uint32(bits&1)<<31)
+			x := wb*base[i] + wc*conf[i] + wm*cent[i] + sw*shift[i] + shared*common[i] + noise
+			dst[i] = x
+			sum += float64(x) * float64(x)
+			bits >>= 1
+		}
+	}
+	return sum
 }
 
 // CenteredVector returns the sample's semantic vector at layer with the
@@ -540,17 +568,15 @@ func (s *Space) Predict(smp dataset.Sample, env *Env) Prediction {
 func (s *Space) PredictScratch(sc *Scratch, smp dataset.Sample, env *Env) Prediction {
 	if sc.vec == nil {
 		sc.vec = make([]float32, model.Dim)
-		sc.vec64 = make([]float64, model.Dim)
 		sc.logits = make([]float32, s.DS.NumClasses)
 		sc.probs = make([]float32, s.DS.NumClasses)
 	}
 	s.SampleVectorInto(sc.vec, smp, s.FinalLayer(), env, sc)
 	temp := float32(softmaxTemp * (1 + 3*smp.Difficulty))
 	// The staged-row dot kernel against the space's widened final
-	// prototypes is bitwise identical to Dots over the float32 rows
+	// prototypes is bitwise identical to Dot over the float32 rows
 	// (widening is exact; chains accumulate in index order).
-	vecmath.WidenVec(sc.vec, sc.vec64)
-	vecmath.DotsWidenedRows(sc.vec64, s.finalsWide, sc.logits)
+	vecmath.DotsWidenedRows(sc.vec, s.finalsWide, sc.logits)
 	for c := range sc.logits {
 		sc.logits[c] /= temp
 	}

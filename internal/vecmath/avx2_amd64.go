@@ -1,0 +1,43 @@
+package vecmath
+
+// useAVX2 selects the AVX2 kernels of avx2_amd64.s. It is decided once, at
+// start-up, from CPUID and XGETBV; nothing else sets it outside tests, which
+// clear it to run the Go reference loops on the same inputs.
+var useAVX2 = detectAVX2()
+
+// detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches (XCR0 bits 1 and 2).
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// dots8AVX2 accumulates, for j < 8, out[j] = Σ_k q[k]·rows[j][k] and
+// out[8] = Σ_k q[k]², each chain in index order k = 0…dim−1 with a rounded
+// multiply and a rounded add per step (no FMA). q is read as float32 and
+// widened exactly; dim must be a positive multiple of 4, and every row at
+// least dim long.
+//
+//go:noescape
+func dots8AVX2(q *float32, dim int, rows *[8]*float64, out *[9]float64)
+
+// scaleAVX2 multiplies v[0:n] by alpha in place; n must be a multiple of 8.
+//
+//go:noescape
+func scaleAVX2(alpha float32, v *float32, n int)

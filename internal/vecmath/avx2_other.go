@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package vecmath
+
+// useAVX2 is false off amd64: the Go loops are the only kernels.
+var useAVX2 = false
+
+func dots8AVX2(q *float32, dim int, rows *[8]*float64, out *[9]float64) {
+	panic("vecmath: AVX2 kernel called off amd64")
+}
+
+func scaleAVX2(alpha float32, v *float32, n int) {
+	panic("vecmath: AVX2 kernel called off amd64")
+}

@@ -18,58 +18,6 @@ func kernelVectors(r *rand.Rand, n, dim int) [][]float32 {
 	return out
 }
 
-// TestWidenedCosineBitwise locks the hot-path kernel contract: the staged
-// batch kernel (Widen64 + WidenVec + CosinesWidened) must reproduce the
-// scalar Cosine bit for bit — tiling may only run across pairs, never
-// inside one accumulation chain. Odd entry counts exercise the tail loop.
-func TestWidenedCosineBitwise(t *testing.T) {
-	r := rand.New(rand.NewPCG(1, 9))
-	for _, n := range []int{1, 3, 4, 7, 16, 33} {
-		const dim = 48
-		entries := kernelVectors(r, n, dim)
-		vec := kernelVectors(r, 1, dim)[0]
-
-		wide := make([]float64, n*dim)
-		norm2 := make([]float64, n)
-		Widen64(entries, dim, wide, norm2)
-		for i, e := range entries {
-			if norm2[i] != SquaredNorm(e) {
-				t.Fatalf("n=%d entry %d: widened norm %v != SquaredNorm %v", n, i, norm2[i], SquaredNorm(e))
-			}
-		}
-
-		vec64 := make([]float64, dim)
-		vn := WidenVec(vec, vec64)
-		if vn != SquaredNorm(vec) {
-			t.Fatalf("n=%d: WidenVec norm %v != SquaredNorm %v", n, vn, SquaredNorm(vec))
-		}
-
-		out := make([]float32, n)
-		CosinesWidened(vec64, vn, wide, dim, n, norm2, out)
-		for i, e := range entries {
-			if want := Cosine(vec, e); want != out[i] {
-				t.Fatalf("n=%d entry %d: Cosine %v != CosinesWidened %v", n, i, want, out[i])
-			}
-		}
-	}
-}
-
-// TestDotsBitwise checks the tiled multi-entry dot kernel against Dot.
-func TestDotsBitwise(t *testing.T) {
-	r := rand.New(rand.NewPCG(2, 5))
-	for _, n := range []int{1, 4, 5, 11} {
-		entries := kernelVectors(r, n, 96)
-		vec := kernelVectors(r, 1, 96)[0]
-		out := make([]float32, n)
-		Dots(vec, entries, out)
-		for i, e := range entries {
-			if want := Dot(vec, e); want != out[i] {
-				t.Fatalf("n=%d entry %d: Dot %v != Dots %v", n, i, want, out[i])
-			}
-		}
-	}
-}
-
 // TestSoftmaxIntoMatchesSoftmax checks the in-place variant.
 func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 7))
@@ -92,20 +40,25 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	wide := make([]float64, 12*64)
 	norm2 := make([]float64, 12)
 	vec64 := make([]float64, 64)
+	rows, _ := WidenRows(entries)
+	snorm := make([]float64, 12)
+	SqrtNorms(norm2, snorm)
 	out := make([]float32, 12)
 	if n := testing.AllocsPerRun(200, func() {
 		Widen64(entries, 64, wide, norm2)
-		vn := WidenVec(vec, vec64)
-		CosinesWidened(vec64, vn, wide, 64, 12, norm2, out)
-		Dots(vec, entries, out)
+		WidenVec(vec, vec64)
+		CosinesRows(vec, rows, snorm, out)
+		DotsWidenedRows(vec, rows, out)
+		Scale(1.5, vec)
 	}); n != 0 {
 		t.Errorf("batch kernels allocate %v/op, want 0", n)
 	}
 }
 
 // TestStagedRowCosineBitwise locks the publish-time staging contract: the
-// row-based staged kernel (WidenRows + CosinesWidenedRows) must reproduce
-// scalar Cosine bit for bit across awkward shapes — dimensions around the
+// row-based staged kernels (WidenRows or Widen64, then CosinesWidenedRows on
+// the widened query or CosinesRows on the float32 one) must reproduce scalar
+// Cosine bit for bit across awkward shapes — dimensions around the
 // tile widths (including 1 and non-multiples of the tile), entry counts
 // exercising every tail-loop combination.
 func TestStagedRowCosineBitwise(t *testing.T) {
@@ -120,15 +73,33 @@ func TestStagedRowCosineBitwise(t *testing.T) {
 					t.Fatalf("dim=%d n=%d entry %d: staged norm %v != SquaredNorm %v", dim, n, i, norm2[i], SquaredNorm(e))
 				}
 			}
+			wide := make([]float64, n*dim)
+			wideNorm2 := make([]float64, n)
+			Widen64(entries, dim, wide, wideNorm2)
+			for i := range entries {
+				for k, x := range rows[i] {
+					if wide[i*dim+k] != x {
+						t.Fatalf("dim=%d n=%d entry %d: Widen64 element %d %v != WidenRows %v", dim, n, i, k, wide[i*dim+k], x)
+					}
+				}
+				if wideNorm2[i] != norm2[i] {
+					t.Fatalf("dim=%d n=%d entry %d: Widen64 norm %v != SquaredNorm %v", dim, n, i, wideNorm2[i], norm2[i])
+				}
+			}
 			vec64 := make([]float64, dim)
 			vn := WidenVec(vec, vec64)
+			if vn != SquaredNorm(vec) {
+				t.Fatalf("dim=%d n=%d: WidenVec norm %v != SquaredNorm %v", dim, n, vn, SquaredNorm(vec))
+			}
 			snorm := make([]float64, n)
 			SqrtNorms(norm2, snorm)
 			out := make([]float32, n)
 			CosinesWidenedRows(vec64, math.Sqrt(vn), rows, snorm, out)
+			out32 := make([]float32, n)
+			CosinesRows(vec, rows, snorm, out32)
 			for i, e := range entries {
-				if want := Cosine(vec, e); want != out[i] {
-					t.Fatalf("dim=%d n=%d entry %d: Cosine %v != CosinesWidenedRows %v", dim, n, i, want, out[i])
+				if want := Cosine(vec, e); want != out[i] || want != out32[i] {
+					t.Fatalf("dim=%d n=%d entry %d: Cosine %v, CosinesWidenedRows %v, CosinesRows %v", dim, n, i, want, out[i], out32[i])
 				}
 			}
 		}
@@ -183,10 +154,8 @@ func TestDotsWidenedRowsBitwise(t *testing.T) {
 			entries := kernelVectors(r, n, dim)
 			vec := kernelVectors(r, 1, dim)[0]
 			rows, _ := WidenRows(entries)
-			vec64 := make([]float64, dim)
-			WidenVec(vec, vec64)
 			out := make([]float32, n)
-			DotsWidenedRows(vec64, rows, out)
+			DotsWidenedRows(vec, rows, out)
 			for i, e := range entries {
 				if want := Dot(vec, e); want != out[i] {
 					t.Fatalf("n=%d dim=%d entry %d: Dot %v != DotsWidenedRows %v", n, dim, i, want, out[i])
@@ -216,7 +185,8 @@ func TestStagedKernelsZeroAlloc(t *testing.T) {
 		SqrtNorms(norm2, snorm)
 		CosinesWidenedRows(qrows[0], qsnorm[0], rows, snorm, out)
 		CosinesBatchWidenedRows(qrows, qsnorm, rows, snorm, len(entries), out)
-		DotsWidenedRows(qrows[0], rows, out)
+		CosinesRows(queries[0], rows, snorm, out)
+		DotsWidenedRows(queries[0], rows, out)
 	}); n != 0 {
 		t.Errorf("staged kernels allocate %v/op, want 0", n)
 	}

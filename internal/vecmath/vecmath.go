@@ -12,6 +12,11 @@ import (
 	"math"
 )
 
+// AVX2 reports whether this process runs the amd64 AVX2 kernels, decided
+// once at start-up from the CPU. They are bitwise identical to the Go loops,
+// which run everywhere else.
+func AVX2() bool { return useAVX2 }
+
 // Dot returns the inner product of a and b.
 // It panics if len(a) != len(b).
 func Dot(a, b []float32) float32 {
@@ -44,10 +49,7 @@ func Normalize(v []float32) float32 {
 	if n == 0 {
 		return 0
 	}
-	inv := 1 / n
-	for i := range v {
-		v[i] *= inv
-	}
+	Scale(1/n, v)
 	return n
 }
 
@@ -94,38 +96,6 @@ func SquaredNorm(v []float32) float64 {
 		s += float64(x) * float64(x)
 	}
 	return s
-}
-
-// dots4 accumulates four independent dot-product chains of vec against
-// e0..e3, each in index order.
-func dots4(vec, e0, e1, e2, e3 []float32) (d0, d1, d2, d3 float64) {
-	e0 = e0[:len(vec)]
-	e1 = e1[:len(vec)]
-	e2 = e2[:len(vec)]
-	e3 = e3[:len(vec)]
-	for k, x := range vec {
-		xv := float64(x)
-		d0 += xv * float64(e0[k])
-		d1 += xv * float64(e1[k])
-		d2 += xv * float64(e2[k])
-		d3 += xv * float64(e3[k])
-	}
-	return
-}
-
-// cosineFromParts finishes one cosine from its three accumulated parts with
-// exactly Cosine's arithmetic (including the float32 rounding and clamping).
-func cosineFromParts(dot, na, nb float64) float32 {
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	c := dot / (math.Sqrt(na) * math.Sqrt(nb))
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return float32(c)
 }
 
 // cosineFromSqrts finishes one cosine from its accumulated dot and the
@@ -186,54 +156,6 @@ func WidenVec(vec []float32, dst []float64) float64 {
 		s += xv * xv
 	}
 	return s
-}
-
-// dots4w accumulates four dot chains of the widened query against four
-// widened entry rows, each chain in index order.
-func dots4w(vec, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
-	e0 = e0[:len(vec)]
-	e1 = e1[:len(vec)]
-	e2 = e2[:len(vec)]
-	e3 = e3[:len(vec)]
-	for k, xv := range vec {
-		d0 += xv * e0[k]
-		d1 += xv * e1[k]
-		d2 += xv * e2[k]
-		d3 += xv * e3[k]
-	}
-	return
-}
-
-// CosinesWidened fills out[i] with Cosine(vec, entries[i]) where wide and
-// norm2 are the Widen64 staging of the entries and vec64 is the widened
-// query (use Widen64 on the single-vector slice, or convert in place).
-// vecNorm2 = SquaredNorm of the original query. Results are bitwise
-// identical to Cosine: widening is exact and every chain accumulates in
-// index order. Allocation-free.
-func CosinesWidened(vec64 []float64, vecNorm2 float64, wide []float64, dim, n int, norm2 []float64, out []float32) {
-	if len(wide) < n*dim || len(norm2) < n || len(out) < n {
-		panic(fmt.Sprintf("vecmath: CosinesWidened staging %d/%d/%d too small for %d×%d",
-			len(wide), len(norm2), len(out), n, dim))
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		base := i * dim
-		d0, d1, d2, d3 := dots4w(vec64,
-			wide[base:base+dim], wide[base+dim:base+2*dim],
-			wide[base+2*dim:base+3*dim], wide[base+3*dim:base+4*dim])
-		out[i] = cosineFromParts(d0, vecNorm2, norm2[i])
-		out[i+1] = cosineFromParts(d1, vecNorm2, norm2[i+1])
-		out[i+2] = cosineFromParts(d2, vecNorm2, norm2[i+2])
-		out[i+3] = cosineFromParts(d3, vecNorm2, norm2[i+3])
-	}
-	for ; i < n; i++ {
-		row := wide[i*dim : i*dim+dim][:len(vec64)]
-		var dot float64
-		for k, xv := range vec64 {
-			dot += xv * row[k]
-		}
-		out[i] = cosineFromParts(dot, vecNorm2, norm2[i])
-	}
 }
 
 // dots4r accumulates four dot chains of the widened query against four
@@ -378,27 +300,104 @@ func SqrtNorms(norm2, snorm []float64) {
 }
 
 // DotsWidenedRows fills out[i] with Dot(vec, entries[i]) where rows[i] is
-// the widened mirror of entry i and vec64 the widened query. Widening is
-// exact and each chain accumulates in index order, so results are bitwise
-// identical to Dot. Used by the prediction head against the space's staged
-// final-layer prototypes. Allocation-free.
-func DotsWidenedRows(vec64 []float64, rows [][]float64, out []float32) {
-	if len(out) < len(rows) {
-		panic(fmt.Sprintf("vecmath: DotsWidenedRows out length %d < %d", len(out), len(rows)))
+// the widened mirror of entry i. Widening is exact and each chain
+// accumulates in index order, so results are bitwise identical to Dot, on
+// the AVX2 kernel (see CosinesRows) or off it. Used by the prediction head
+// against the space's staged final-layer prototypes. Allocation-free.
+func DotsWidenedRows(vec []float32, rows [][]float64, out []float32) {
+	n := len(rows)
+	if len(out) < n {
+		panic(fmt.Sprintf("vecmath: DotsWidenedRows out length %d < %d", len(out), n))
 	}
-	i := 0
-	for ; i+4 <= len(rows); i += 4 {
-		d0, d1, d2, d3 := dots4r(vec64, rows[i], rows[i+1], rows[i+2], rows[i+3])
-		out[i], out[i+1], out[i+2], out[i+3] = float32(d0), float32(d1), float32(d2), float32(d3)
-	}
-	for ; i < len(rows); i++ {
-		row := rows[i][:len(vec64)]
-		var d float64
-		for k, xv := range vec64 {
-			d += xv * row[k]
+	fits := kernelFits(vec, rows)
+	var d [9]float64
+	for i := 0; i < n; {
+		w := dotBlock(vec, rows, i, fits, &d)
+		for j, dot := range d[:min(w, n-i)] {
+			out[i+j] = float32(dot)
 		}
-		out[i] = float32(d)
+		i += w
 	}
+}
+
+// CosinesRows is CosinesWidenedRows for a float32 query: out[i] =
+// Cosine(vec, entries[i]) against the probe staging of cache layers (rows
+// and square-root norms). With AVX2 the query's squared norm is accumulated
+// beside the dots, so the query is read once and never widened into
+// memory. Each chain is added in index order on either path, and the
+// results are bitwise identical to Cosine. Allocation-free.
+func CosinesRows(vec []float32, rows [][]float64, snorm []float64, out []float32) {
+	n := len(rows)
+	if len(snorm) < n || len(out) < n {
+		panic(fmt.Sprintf("vecmath: CosinesRows snorm/out length %d/%d < %d", len(snorm), len(out), n))
+	}
+	fits := kernelFits(vec, rows)
+	var sq float64
+	if !fits {
+		sq = math.Sqrt(SquaredNorm(vec))
+	}
+	var d [9]float64
+	for i := 0; i < n; {
+		w := dotBlock(vec, rows, i, fits, &d)
+		if fits && i == 0 {
+			sq = math.Sqrt(d[8])
+		}
+		for j, dot := range d[:min(w, n-i)] {
+			out[i+j] = cosineFromSqrts(dot, sq, snorm[i+j])
+		}
+		i += w
+	}
+}
+
+// kernelFits reports whether dots8AVX2 may score vec against rows: AVX2 is
+// on, the dimension is a positive multiple of 4 and no row is shorter than
+// the query. Anything else takes the Go loop, which panics on a short row.
+func kernelFits(vec []float32, rows [][]float64) bool {
+	if !useAVX2 || len(vec) == 0 || len(vec)%4 != 0 {
+		return false
+	}
+	for _, row := range rows {
+		if len(row) < len(vec) {
+			return false
+		}
+	}
+	return true
+}
+
+// dotBlock writes the dots of vec with the rows from i on into d: eight per
+// dots8AVX2 call when the kernel fits, which also leaves the query's
+// squared norm in d[8], and four per dots4f call otherwise. Rows past the
+// end point at the last row; the caller drops their sums. It returns how
+// many sums it wrote.
+func dotBlock(vec []float32, rows [][]float64, i int, fits bool, d *[9]float64) int {
+	last := len(rows) - 1
+	if fits {
+		var p [8]*float64
+		for j := range p {
+			p[j] = &rows[min(i+j, last)][0]
+		}
+		dots8AVX2(&vec[0], len(vec), &p, d)
+		return 8
+	}
+	d[0], d[1], d[2], d[3] = dots4f(vec, rows[i], rows[min(i+1, last)], rows[min(i+2, last)], rows[min(i+3, last)])
+	return 4
+}
+
+// dots4f is dots4r for a float32 query, widened element by element — the
+// Go loop dots8AVX2 reproduces.
+func dots4f(vec []float32, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
+	e0 = e0[:len(vec)]
+	e1 = e1[:len(vec)]
+	e2 = e2[:len(vec)]
+	e3 = e3[:len(vec)]
+	for k, x := range vec {
+		xv := float64(x)
+		d0 += xv * e0[k]
+		d1 += xv * e1[k]
+		d2 += xv * e2[k]
+		d3 += xv * e3[k]
+	}
+	return
 }
 
 // WidenRows returns freshly allocated widened mirrors and squared norms of
@@ -443,23 +442,6 @@ func WidenRow(v []float32) ([]float64, float64) {
 	return row, s
 }
 
-// Dots fills out[i] with Dot(vec, entries[i]), tiled four entries at a time;
-// each chain accumulates in index order so results are bitwise identical to
-// Dot. It panics on length mismatches. Allocation-free.
-func Dots(vec []float32, entries [][]float32, out []float32) {
-	if len(out) < len(entries) {
-		panic(fmt.Sprintf("vecmath: Dots out length %d < %d", len(out), len(entries)))
-	}
-	i := 0
-	for ; i+4 <= len(entries); i += 4 {
-		d0, d1, d2, d3 := dots4(vec, entries[i], entries[i+1], entries[i+2], entries[i+3])
-		out[i], out[i+1], out[i+2], out[i+3] = float32(d0), float32(d1), float32(d2), float32(d3)
-	}
-	for ; i < len(entries); i++ {
-		out[i] = Dot(vec, entries[i])
-	}
-}
-
 // Axpy computes dst[i] += alpha*x[i] in place.
 // It panics if len(dst) != len(x).
 func Axpy(alpha float32, x, dst []float32) {
@@ -471,9 +453,15 @@ func Axpy(alpha float32, x, dst []float32) {
 	}
 }
 
-// Scale multiplies v by alpha in place.
+// Scale multiplies v by alpha in place, eight lanes per VMULPS with AVX2:
+// one rounded multiply per element either way, so the results agree.
 func Scale(alpha float32, v []float32) {
-	for i := range v {
+	i := 0
+	if useAVX2 && len(v) >= 8 {
+		i = len(v) &^ 7
+		scaleAVX2(alpha, &v[0], i)
+	}
+	for ; i < len(v); i++ {
 		v[i] *= alpha
 	}
 }
