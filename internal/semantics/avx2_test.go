@@ -11,7 +11,8 @@ import (
 
 // TestAVX2SamplerMatchesGo holds the sampler's assembly pass to its Go pass
 // bit for bit: every class and layer, 200 samples each, client bias on and
-// drift off and on, on a space whose 11th class is alone in its group; then
+// drift on for every other sample, and also on a space whose 11th class is
+// alone in its group; then
 // the two passes alone, on random weights and sign words.
 func TestAVX2SamplerMatchesGo(t *testing.T) {
 	if !useAVX2 {
@@ -26,22 +27,20 @@ func TestAVX2SamplerMatchesGo(t *testing.T) {
 		for class := 0; class < s.DS.NumClasses; class++ {
 			for k := 0; k < 200; k++ {
 				smp := s.DS.NewSample(class, uint64(k), 0xa5c2)
+				env.DriftWeight = 0.05 * float64(k%2)
 				env.DriftEpoch = float64(k%9) + 0.35
-				for _, drift := range []float64{0, 0.05} {
-					env.DriftWeight = drift
-					for layer := 0; layer <= s.FinalLayer(); layer++ {
-						useAVX2 = true
-						s.SampleVectorInto(got, smp, layer, env, sc)
-						useAVX2 = false
-						s.SampleVectorInto(want, smp, layer, env, sc)
-						for i := range got {
-							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-								t.Fatalf("%d classes, class %d sample %d layer %d drift %v dim %d: AVX2 %x, Go %x",
-									s.DS.NumClasses, class, k, layer, drift, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-							}
+				for layer := 0; layer <= s.FinalLayer(); layer++ {
+					useAVX2 = true
+					s.SampleVectorInto(got, smp, layer, env, sc)
+					useAVX2 = false
+					s.SampleVectorInto(want, smp, layer, env, sc)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%d classes, class %d sample %d layer %d drift %v dim %d: AVX2 %x, Go %x",
+								s.DS.NumClasses, class, k, layer, env.DriftWeight, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 						}
-						vectors++
 					}
+					vectors++
 				}
 			}
 		}

@@ -74,12 +74,12 @@ const (
 	// full-model predictions.
 	calibrationDraws = 20001
 	// noiseRows is the number of unit Gaussian directions in a space's
-	// noise table (1 MiB at model.Dim = 256, each row stored twice). Each draw also picks one of
-	// model.Dim rotations and 2^model.Dim sign patterns, which keep the
-	// cosine distributions those of fresh Gaussian directions
-	// (TestSamplerMatchesGaussianReference). The rows bound how often two
-	// draws share a (row, rotation) pair — the one case in which their
-	// noise is more correlated than independent directions' — to 1 in
+	// noise table (1 MiB at model.Dim = 256, each row stored twice). Each
+	// draw also picks one of model.Dim rotations and 2^model.Dim sign
+	// patterns, which keep the cosine distributions those of fresh Gaussian
+	// directions (TestSamplerMatchesGaussianReference). The rows bound how
+	// often two draws share a (row, rotation) pair — the one case in which
+	// their noise is more correlated than independent directions' — to 1 in
 	// noiseRows·model.Dim = 131 072; more rows would only cost memory.
 	noiseRows = 512
 

@@ -2,8 +2,9 @@
 
 // The AVX2 kernels reproduce the Go loops they replace bit for bit: every
 // chain is added in index order, one rounded VMULPD/VMULPS and one rounded
-// add per step, never a fused multiply-add, and each multiply and add keeps
-// the Go loop's first operand first (which NaN payload survives).
+// add per step, never a fused multiply-add. A NaN result is NaN on both
+// paths; which operand's payload it carries is left to the Go compiler,
+// whose operand order varies between builds.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

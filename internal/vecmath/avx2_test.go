@@ -16,14 +16,19 @@ func goPath(f func()) {
 }
 
 // Values the kernels must carry exactly as the Go loops do: signed zeros,
-// subnormals, overflow to infinity (1e300² in a row chain), and NaN, whose
-// payload shows which operand a kernel kept first.
+// subnormals, overflow to infinity (1e300² in a row chain), and NaN.
 var (
 	specials32 = []float32{0, float32(math.Copysign(0, -1)), 1e-40, -1e-45, 3e38, float32(math.NaN()),
 		math.Float32frombits(0x7fc00123), float32(math.Inf(-1))}
 	specials64 = []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e300, -1e300, math.NaN(),
 		math.Float64frombits(0xfff8000000000456), math.Inf(1)}
 )
+
+// same64 and same32 compare bit for bit, except that any NaN matches any
+// NaN: which operand's payload an operation keeps is the Go compiler's
+// choice, and it differs between builds (under -race, for one).
+func same64(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
+func same32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b }
 
 // specialRows draws n rows and a query of length dim from N(0,1), with
 // roughly one element in twelve replaced by a special value when spiked.
@@ -48,7 +53,8 @@ func specialRows(r *rand.Rand, n, dim int, spiked bool) (vec []float32, rows [][
 	return vec, rows
 }
 
-// TestAVX2KernelsMatchGo holds the AVX2 kernels to the Go loops bit for bit:
+// TestAVX2KernelsMatchGo holds the AVX2 kernels to the Go loops bit for bit
+// (a NaN to any NaN):
 // the raw dots8AVX2 sums against dots4f and SquaredNorm, and CosinesRows,
 // DotsWidenedRows and Scale with the kernels on and off, over 1…40 rows at
 // the kernel's dimensions, on plain and on spiked inputs. A dimension that is
@@ -77,11 +83,11 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 						dotBlock(vec, rows, i, true, &d)
 						for j := range 8 {
 							want := ref[min(i+j, n-1)]
-							if math.Float64bits(d[j]) != math.Float64bits(want) {
+							if !same64(d[j], want) {
 								t.Fatalf("dim=%d n=%d spiked=%v row %d: dots8AVX2 %x, Go %x", dim, n, spiked, i+j, math.Float64bits(d[j]), math.Float64bits(want))
 							}
 						}
-						if want := SquaredNorm(vec); math.Float64bits(d[8]) != math.Float64bits(want) {
+						if want := SquaredNorm(vec); !same64(d[8], want) {
 							t.Fatalf("dim=%d n=%d spiked=%v: query norm %x, SquaredNorm %x", dim, n, spiked, math.Float64bits(d[8]), math.Float64bits(want))
 						}
 					}
@@ -103,10 +109,10 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 					DotsWidenedRows(vec, rows, wantDot)
 				})
 				for i := range n {
-					if math.Float32bits(gotCos[i]) != math.Float32bits(wantCos[i]) {
+					if !same32(gotCos[i], wantCos[i]) {
 						t.Fatalf("dim=%d n=%d spiked=%v row %d: CosinesRows %x, Go %x", dim, n, spiked, i, math.Float32bits(gotCos[i]), math.Float32bits(wantCos[i]))
 					}
-					if math.Float32bits(gotDot[i]) != math.Float32bits(wantDot[i]) {
+					if !same32(gotDot[i], wantDot[i]) {
 						t.Fatalf("dim=%d n=%d spiked=%v row %d: DotsWidenedRows %x, Go %x", dim, n, spiked, i, math.Float32bits(gotDot[i]), math.Float32bits(wantDot[i]))
 					}
 				}
@@ -120,7 +126,7 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 			Scale(alpha, got)
 			goPath(func() { Scale(alpha, want) })
 			for i := range v {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				if !same32(got[i], want[i]) {
 					t.Fatalf("n=%d alpha=%v element %d: Scale %x, Go %x", n, alpha, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 				}
 			}

@@ -49,7 +49,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		WidenVec(vec, vec64)
 		CosinesRows(vec, rows, snorm, out)
 		DotsWidenedRows(vec, rows, out)
-		Scale(1.5, vec)
+		Scale(0.5, out)
 	}); n != 0 {
 		t.Errorf("batch kernels allocate %v/op, want 0", n)
 	}
