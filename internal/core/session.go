@@ -194,6 +194,7 @@ func (v *AllocView) Apply(d Delta) error {
 			v.upsert(c)
 		}
 	}
+	v.stage(d)
 	v.version = d.Version
 	v.classes = append(v.classes[:0], d.Classes...)
 	return nil
@@ -205,9 +206,19 @@ func activeSite(sites []int, site int) bool {
 	return ok
 }
 
-// site returns the position of site in v.sites and whether it is there.
+// site returns the position of site in v.sites and whether it is there. It
+// compares by index: a comparison callback would take each viewSite by value.
 func (v *AllocView) site(site int) (int, bool) {
-	return slices.BinarySearchFunc(v.sites, site, func(s viewSite, site int) int { return s.layer.Site - site })
+	lo, hi := 0, len(v.sites)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.sites[m].layer.Site < site {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(v.sites) && v.sites[lo].layer.Site == site
 }
 
 // release takes cells [i, j) of a site out of the view; the buffers the view
@@ -311,14 +322,45 @@ func (v *AllocView) upsert(c DeltaCell) {
 	}
 	// Wire cell: the decoder reuses its arena between calls, so the view
 	// keeps a copy — in the pair this cell already has, else in one nothing
-	// uses — and stages it here, once per changed cell, for every probe until
-	// the cell changes again.
+	// uses — and stage widens it once the delta's cells are all in, once per
+	// changed cell, for every probe until the cell changes again.
 	if !keep {
 		b := v.take(len(c.Vec))
 		s.ents[i], l.Entries[i], l.Wide[i] = nil, b.vec, b.wide
 	}
 	copy(l.Entries[i], c.Vec)
-	l.Norm2[i] = vecmath.WidenVec(c.Vec, l.Wide[i])
+}
+
+// stage widens the wire cells of d into their mirrors once every upsert is
+// in, four per vecmath.WidenVecs call, and files each squared norm at its
+// cell: no insertion moves a cell after this. A cell the delta names twice
+// is widened twice from what it holds at the end.
+func (v *AllocView) stage(d Delta) {
+	var (
+		vecs  [4][]float32
+		wide  [4][]float64
+		norm2 [4]*float64
+	)
+	n := 0
+	for k, c := range d.Cells {
+		if c.Entry == nil && activeSite(d.Sites, c.Site) {
+			si, _ := v.site(c.Site)
+			s := &v.sites[si]
+			l := &s.layer
+			if i, _ := slices.BinarySearch(l.Classes, c.Class); s.ents[i] == nil {
+				vecs[n], wide[n], norm2[n] = l.Entries[i], l.Wide[i], &l.Norm2[i]
+				n++
+			}
+		}
+		if n == len(vecs) || n > 0 && k == len(d.Cells)-1 {
+			var out [4]float64
+			vecmath.WidenVecs(vecs[:n], wide[:n], out[:n])
+			for j, p := range norm2[:n] {
+				*p = out[j]
+			}
+			n = 0
+		}
+	}
 }
 
 // Layers materializes the view as cache layers (sites ascending, classes

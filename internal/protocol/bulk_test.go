@@ -5,15 +5,19 @@ package protocol
 // and every observable — bytes, values, error text, read offset — must agree
 // between the two on random lengths and on truncation at every byte offset.
 // FuzzDecode then holds the arena decoder to the allocating one on arbitrary
-// frames of every live version.
+// frames of every live version, and FuzzEncodeDecode the float32 run codec,
+// AVX2 byte-order kernel on and off, to the reference on arbitrary bits.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"coca/internal/core"
+	"coca/internal/vecmath"
 )
 
 // ---- reference: one append, one error check, one bounds check per element ----
@@ -242,6 +246,61 @@ func TestBulkWriterAppends(t *testing.T) {
 			t.Fatalf("cap %d: bulk writers produced %x, reference %x", capacity, w.buf, ref.buf)
 		}
 	}
+}
+
+// FuzzEncodeDecode holds writer.f32s and reader.f32s to the per-element
+// reference on arbitrary float32 bit patterns, with the AVX2 byte-order
+// kernel on (where the CPU has it) and off: identical bytes, written behind
+// a header of pad bytes so the run starts at any alignment, and identical
+// bit patterns back, NaN payloads included, from the plain reader and
+// through a Decoder.
+func FuzzEncodeDecode(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0x7f, 0xc0, 0x01, 0x23}, 9), uint8(3))
+	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 1, 0, 0, 0}, 33), uint8(1))
+	var dec Decoder
+	f.Fuzz(func(t *testing.T, data []byte, pad uint8) {
+		vs := make([]float32, len(data)/4)
+		for i := range vs {
+			vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		hdr := make([]byte, pad%8)
+		ref := writer{buf: slices.Clone(hdr)}
+		refWriteF32s(&ref, vs)
+		for _, kernel := range []bool{true, false} {
+			if kernel && !vecmath.AVX2() {
+				continue
+			}
+			func() {
+				saved := useAVX2
+				useAVX2 = kernel
+				defer func() { useAVX2 = saved }()
+				w := writer{buf: slices.Clone(hdr)}
+				w.f32s(vs)
+				if !bytes.Equal(w.buf, ref.buf) {
+					t.Fatalf("kernel=%v: f32s wrote %x, reference %x", kernel, w.buf, ref.buf)
+				}
+				dec.f32s.reset()
+				for _, r := range []*reader{{buf: w.buf, off: len(hdr)}, {buf: w.buf, off: len(hdr), dec: &dec}} {
+					got := r.f32s()
+					if r.err != nil || len(got) != len(vs) {
+						t.Fatalf("kernel=%v: f32s read %d floats (error %v), want %d", kernel, len(got), r.err, len(vs))
+					}
+					for i := range vs {
+						if math.Float32bits(got[i]) != math.Float32bits(vs[i]) {
+							t.Fatalf("kernel=%v float %d: read %#x, wrote %#x", kernel, i, math.Float32bits(got[i]), math.Float32bits(vs[i]))
+						}
+					}
+				}
+			}()
+		}
+		back := refReadF32s(&reader{buf: ref.buf, off: len(hdr)})
+		for i := range vs {
+			if math.Float32bits(back[i]) != math.Float32bits(vs[i]) {
+				t.Fatalf("float %d: reference read %#x, wrote %#x", i, math.Float32bits(back[i]), math.Float32bits(vs[i]))
+			}
+		}
+	})
 }
 
 // sampleMessagesV4 covers the shapes only wire version 4 carries.

@@ -32,6 +32,7 @@ import (
 	"slices"
 
 	"coca/internal/core"
+	"coca/internal/vecmath"
 )
 
 // Wire versions. A frame's first byte names the version it is encoded
@@ -378,7 +379,14 @@ func (w *writer) extend(n int) []byte {
 
 // The slice writers size the buffer once per slice and fill it with a tight
 // big-endian loop: one grow and no per-element append. Entry vectors are
-// ≈ 99 % of a coordination frame's bytes, so f32s is unrolled by four.
+// ≈ 99 % of a coordination frame's bytes, so f32s and its reader hand the
+// vector's longest multiple of 8 floats to vecmath's AVX2 byte-order kernel
+// and finish in a Go loop unrolled by four, which does it all without AVX2.
+// The kernel only permutes bytes, so the wire bytes are the same either way.
+
+// useAVX2 sends f32s through the byte-order kernel; vecmath decides it once,
+// from the CPU.
+var useAVX2 = vecmath.AVX2()
 
 func (w *writer) i32s(vs []int) {
 	w.u32(uint32(len(vs)))
@@ -401,6 +409,10 @@ func (w *writer) f64s(vs []float64) {
 func (w *writer) f32s(vs []float32) {
 	w.u32(uint32(len(vs)))
 	b := w.extend(4 * len(vs))
+	if useAVX2 {
+		n := vecmath.EncodeBigEndian(b, vs)
+		vs, b = vs[n:], b[4*n:]
+	}
 	for len(vs) >= 4 && len(b) >= 16 {
 		binary.BigEndian.PutUint32(b, math.Float32bits(vs[0]))
 		binary.BigEndian.PutUint32(b[4:], math.Float32bits(vs[1]))
@@ -477,10 +489,12 @@ func (r *reader) f64() float64 {
 }
 
 // length reads a collection length and bounds it against the remaining
-// bytes (at least minElemSize bytes must remain per element).
+// bytes (at least minElemSize bytes must remain per element). The bound
+// divides rather than multiplies, so a length near 2³¹ cannot overflow a
+// 32-bit int past it.
 func (r *reader) length(minElemSize int) int {
 	n := int(r.u32())
-	if r.err == nil && (n < 0 || n*minElemSize > len(r.buf)-r.off) {
+	if r.err == nil && (n < 0 || n > (len(r.buf)-r.off)/minElemSize) {
 		r.fail("length")
 		return 0
 	}
@@ -539,6 +553,10 @@ func (r *reader) f32s() []float32 {
 		out = make([]float32, n)
 	}
 	vs := out
+	if useAVX2 {
+		n := vecmath.DecodeBigEndian(vs, b)
+		vs, b = vs[n:], b[4*n:]
+	}
 	for len(vs) >= 4 && len(b) >= 16 {
 		vs[0] = math.Float32frombits(binary.BigEndian.Uint32(b))
 		vs[1] = math.Float32frombits(binary.BigEndian.Uint32(b[4:]))

@@ -1,5 +1,7 @@
 package vecmath
 
+import "unsafe"
+
 // useAVX2 selects the AVX2 kernels of avx2_amd64.s. It is decided once, at
 // start-up, from CPUID and XGETBV; nothing else sets it outside tests, which
 // clear it to run the Go reference loops on the same inputs.
@@ -41,3 +43,24 @@ func dots8AVX2(q *float32, dim int, rows *[8]*float64, out *[9]float64)
 //
 //go:noescape
 func scaleAVX2(alpha float32, v *float32, n int)
+
+// widen4AVX2 widens four cells of length n into their mirrors and writes
+// each cell's Σx², one chain per lane in index order, to norm2. n must be a
+// positive multiple of 4, and every cell and mirror at least n long.
+//
+//go:noescape
+func widen4AVX2(vecs *[4]*float32, dst *[4]*float64, n int, norm2 *[4]float64)
+
+// weightedSumAVX2 writes w1·a[i] + w2·b[i] to dst[i] for i < n, 8 lanes
+// at a time; n must be a positive multiple of 8, and dst must be a or b or
+// lie apart from both.
+//
+//go:noescape
+func weightedSumAVX2(w1, w2 float32, dst, a, b *float32, n int)
+
+// bswap32AVX2 writes the n bytes at src to dst with the bytes of every
+// 32-bit word reversed; n must be a positive multiple of 32, and dst must
+// be src or lie apart from it.
+//
+//go:noescape
+func bswap32AVX2(dst, src unsafe.Pointer, n int)

@@ -4,7 +4,8 @@
 // chain is added in index order, one rounded VMULPD/VMULPS and one rounded
 // add per step, never a fused multiply-add. A NaN result is NaN on both
 // paths; which operand's payload it carries is left to the Go compiler,
-// whose operand order varies between builds.
+// whose operand order varies between builds. The byte-order kernel does no
+// arithmetic: it permutes bytes, so NaN payloads pass through unchanged.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -25,20 +26,12 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// GROUP4 scores four rows against the widened query chunk in Y0 and adds
-// the products into the row chains of acc, lane j being row j's chain.
-// Each row's four products are transposed so that the four VADDPDs add
-// elements k, k+1, k+2, k+3 in that order — the Go loop's chain, four rows
-// at a time.
-#define GROUP4(r0, r1, r2, r3, acc) \
-	VMOVUPD (r0)(CX*8), Y1; \
-	VMULPD  Y0, Y1, Y1; \
-	VMOVUPD (r1)(CX*8), Y2; \
-	VMULPD  Y0, Y2, Y2; \
-	VMOVUPD (r2)(CX*8), Y3; \
-	VMULPD  Y0, Y3, Y3; \
-	VMOVUPD (r3)(CX*8), Y4; \
-	VMULPD  Y0, Y4, Y4; \
+// ADD4T adds four chains' products into acc, lane j being chain j: Y1–Y4
+// hold chains 0–3's products of elements k…k+3, one chain per register.
+// They are transposed so that the four VADDPDs add elements k, k+1, k+2,
+// k+3 in that order — the Go loop's chain, four chains at a time. It
+// clobbers Y1–Y8.
+#define ADD4T(acc) \
 	VUNPCKLPD Y2, Y1, Y5; \
 	VUNPCKHPD Y2, Y1, Y6; \
 	VUNPCKLPD Y4, Y3, Y7; \
@@ -51,6 +44,19 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VADDPD  Y2, acc, acc; \
 	VADDPD  Y3, acc, acc; \
 	VADDPD  Y4, acc, acc
+
+// GROUP4 scores four rows against the widened query chunk in Y0 and adds
+// the products into the row chains of acc, lane j being row j's chain.
+#define GROUP4(r0, r1, r2, r3, acc) \
+	VMOVUPD (r0)(CX*8), Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VMOVUPD (r1)(CX*8), Y2; \
+	VMULPD  Y0, Y2, Y2; \
+	VMOVUPD (r2)(CX*8), Y3; \
+	VMULPD  Y0, Y3, Y3; \
+	VMOVUPD (r3)(CX*8), Y4; \
+	VMULPD  Y0, Y4, Y4; \
+	ADD4T(acc)
 
 // func dots8AVX2(q *float32, dim int, rows *[8]*float64, out *[9]float64)
 TEXT ·dots8AVX2(SB), NOSPLIT, $0-32
@@ -112,5 +118,115 @@ scaleloop:
 	CMPQ    CX, DX
 	JLT     scaleloop
 
+	VZEROUPPER
+	RET
+
+// WIDEN1 widens elements k…k+3 of one cell exactly, stores them to its
+// mirror and leaves their squares in y.
+#define WIDEN1(src, dst, y) \
+	VCVTPS2PD (src)(CX*4), y; \
+	VMOVUPD   y, (dst)(CX*8); \
+	VMULPD    y, y, y
+
+// func widen4AVX2(vecs *[4]*float32, dst *[4]*float64, n int, norm2 *[4]float64)
+TEXT ·widen4AVX2(SB), NOSPLIT, $0-32
+	MOVQ   vecs+0(FP), AX
+	MOVQ   0(AX), SI
+	MOVQ   8(AX), DI
+	MOVQ   16(AX), R8
+	MOVQ   24(AX), R9
+	MOVQ   dst+8(FP), AX
+	MOVQ   0(AX), R10
+	MOVQ   8(AX), R11
+	MOVQ   16(AX), R12
+	MOVQ   24(AX), R13
+	MOVQ   n+16(FP), DX
+	VXORPD Y9, Y9, Y9 // the four cells' Σx² chains
+	XORQ   CX, CX
+
+widenloop:
+	WIDEN1(SI, R10, Y1)
+	WIDEN1(DI, R11, Y2)
+	WIDEN1(R8, R12, Y3)
+	WIDEN1(R9, R13, Y4)
+	ADD4T(Y9)
+	ADDQ $4, CX
+	CMPQ CX, DX
+	JLT  widenloop
+
+	MOVQ    norm2+24(FP), AX
+	VMOVUPD Y9, 0(AX)
+	VZEROUPPER
+	RET
+
+// func weightedSumAVX2(w1, w2 float32, dst, a, b *float32, n int)
+TEXT ·weightedSumAVX2(SB), NOSPLIT, $0-40
+	VBROADCASTSS w1+0(FP), Y0
+	VBROADCASTSS w2+4(FP), Y1
+	MOVQ         dst+8(FP), DI
+	MOVQ         a+16(FP), SI
+	MOVQ         b+24(FP), BX
+	MOVQ         n+32(FP), DX
+	XORQ         CX, CX
+
+wsumloop:
+	VMOVUPS (SI)(CX*4), Y2
+	VMULPS  Y0, Y2, Y2
+	VMOVUPS (BX)(CX*4), Y3
+	VMULPS  Y1, Y3, Y3
+	VADDPS  Y3, Y2, Y2
+	VMOVUPS Y2, (DI)(CX*4)
+	ADDQ    $8, CX
+	CMPQ    CX, DX
+	JLT     wsumloop
+
+	VZEROUPPER
+	RET
+
+// bswapMask reverses the bytes of each 32-bit word of a 128-bit lane.
+DATA bswapMask<>+0x00(SB)/8, $0x0405060700010203
+DATA bswapMask<>+0x08(SB)/8, $0x0c0d0e0f08090a0b
+DATA bswapMask<>+0x10(SB)/8, $0x0405060700010203
+DATA bswapMask<>+0x18(SB)/8, $0x0c0d0e0f08090a0b
+GLOBL bswapMask<>(SB), RODATA|NOPTR, $32
+
+// func bswap32AVX2(dst, src unsafe.Pointer, n int)
+TEXT ·bswap32AVX2(SB), NOSPLIT, $0-24
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), DX
+	VMOVDQU bswapMask<>(SB), Y0
+	XORQ    CX, CX
+	MOVQ    DX, AX
+	ANDQ    $-128, AX
+	JZ      bswaptail
+
+bswaploop:
+	VMOVDQU (SI)(CX*1), Y1
+	VMOVDQU 32(SI)(CX*1), Y2
+	VMOVDQU 64(SI)(CX*1), Y3
+	VMOVDQU 96(SI)(CX*1), Y4
+	VPSHUFB Y0, Y1, Y1
+	VPSHUFB Y0, Y2, Y2
+	VPSHUFB Y0, Y3, Y3
+	VPSHUFB Y0, Y4, Y4
+	VMOVDQU Y1, (DI)(CX*1)
+	VMOVDQU Y2, 32(DI)(CX*1)
+	VMOVDQU Y3, 64(DI)(CX*1)
+	VMOVDQU Y4, 96(DI)(CX*1)
+	ADDQ    $128, CX
+	CMPQ    CX, AX
+	JLT     bswaploop
+
+bswaptail:
+	CMPQ    CX, DX
+	JGE     bswapdone
+	VMOVDQU (SI)(CX*1), Y1
+	VPSHUFB Y0, Y1, Y1
+	VMOVDQU Y1, (DI)(CX*1)
+	ADDQ    $32, CX
+	JMP     bswaptail
+
+bswapdone:
 	VZEROUPPER
 	RET

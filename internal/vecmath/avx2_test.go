@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -128,6 +129,147 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 			for i := range v {
 				if !same32(got[i], want[i]) {
 					t.Fatalf("n=%d alpha=%v element %d: Scale %x, Go %x", n, alpha, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// spiked32 draws n float32s from N(0,1), one in twelve replaced by a special
+// value, behind off leading elements: the slice starts off·4 bytes into its
+// allocation, so the kernels see unaligned starts.
+func spiked32(r *rand.Rand, off, n int) []float32 {
+	v := make([]float32, off+n)
+	for k := range v {
+		v[k] = float32(r.NormFloat64())
+		if r.IntN(12) == 0 {
+			v[k] = specials32[r.IntN(len(specials32))]
+		}
+	}
+	return v[off:]
+}
+
+// TestWireKernelsMatchGo holds the wire-path kernels to their Go loops at
+// every length 0…67, starting 0–3 elements into their allocations, on
+// plain and spiked inputs: the byte-order kernel byte for byte (and back
+// bit for bit, NaN payloads included), WidenVecs' mirrors and squared norms
+// bit for bit against WidenVec, and WeightedSumInto elementwise against its
+// Go loop.
+func TestWireKernelsMatchGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 on this machine: only the Go loops exist")
+	}
+	r := rand.New(rand.NewPCG(31, 1))
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 4; off++ {
+			vs := spiked32(r, off, n)
+			want := make([]byte, 4*n)
+			for i, v := range vs {
+				binary.BigEndian.PutUint32(want[4*i:], math.Float32bits(v))
+			}
+			got := make([]byte, off+4*n)[off:]
+			k := EncodeBigEndian(got, vs)
+			if k != n&^7 {
+				t.Fatalf("n=%d: EncodeBigEndian did %d floats, want %d", n, k, n&^7)
+			}
+			for i := k; i < n; i++ {
+				binary.BigEndian.PutUint32(got[4*i:], math.Float32bits(vs[i]))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d off=%d byte %d: kernel %#x, Go %#x", n, off, i, got[i], want[i])
+				}
+			}
+			back := make([]float32, off+n)[off:]
+			k = DecodeBigEndian(back, want)
+			for i := k; i < n; i++ {
+				back[i] = math.Float32frombits(binary.BigEndian.Uint32(want[4*i:]))
+			}
+			for i := range vs {
+				if math.Float32bits(back[i]) != math.Float32bits(vs[i]) {
+					t.Fatalf("n=%d off=%d float %d: decoded %#x, encoded %#x", n, off, i, math.Float32bits(back[i]), math.Float32bits(vs[i]))
+				}
+			}
+			goPath(func() {
+				if EncodeBigEndian(got, vs) != 0 || DecodeBigEndian(back, want) != 0 {
+					t.Fatalf("n=%d: byte-order kernel ran with AVX2 off", n)
+				}
+			})
+
+			// WidenVecs over 1…9 vectors of length n (and one of length
+			// n+4 among them, which sends its group to the Go loop).
+			for batch := 1; batch <= 9; batch++ {
+				vecs := make([][]float32, batch)
+				for i := range vecs {
+					vecs[i] = spiked32(r, off, n)
+					if batch == 7 && i == 5 {
+						vecs[i] = spiked32(r, off, n+4)
+					}
+				}
+				var dsts [2][][]float64
+				var norms [2][]float64
+				for side := range dsts {
+					dsts[side] = make([][]float64, batch)
+					for i := range vecs {
+						dsts[side][i] = make([]float64, off+len(vecs[i]))[off:]
+					}
+					norms[side] = make([]float64, batch)
+				}
+				WidenVecs(vecs, dsts[0], norms[0])
+				for i, v := range vecs {
+					norms[1][i] = WidenVec(v, dsts[1][i])
+				}
+				for i := range vecs {
+					if !same64(norms[0][i], norms[1][i]) {
+						t.Fatalf("n=%d off=%d batch=%d vector %d: WidenVecs Σx² %x, WidenVec %x", n, off, batch, i, math.Float64bits(norms[0][i]), math.Float64bits(norms[1][i]))
+					}
+					for k := range dsts[0][i] {
+						if math.Float64bits(dsts[0][i][k]) != math.Float64bits(dsts[1][i][k]) {
+							t.Fatalf("n=%d off=%d batch=%d vector %d element %d: WidenVecs %x, WidenVec %x", n, off, batch, i, k, math.Float64bits(dsts[0][i][k]), math.Float64bits(dsts[1][i][k]))
+						}
+					}
+				}
+			}
+
+			a, b := spiked32(r, off, n), spiked32(r, 3-off, n)
+			w1, w2 := float32(r.NormFloat64()), float32(r.NormFloat64())
+			if off == 3 {
+				w1 = specials32[r.IntN(len(specials32))]
+			}
+			gotSum, wantSum := make([]float32, n), make([]float32, n)
+			WeightedSumInto(gotSum, w1, a, w2, b)
+			goPath(func() { WeightedSumInto(wantSum, w1, a, w2, b) })
+			for i := range gotSum {
+				if !same32(gotSum[i], wantSum[i]) {
+					t.Fatalf("n=%d off=%d element %d: WeightedSumInto %x, Go %x", n, off, i, math.Float32bits(gotSum[i]), math.Float32bits(wantSum[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestWeightedSumIntoExactAlias: dst may be a or b itself, on the kernel and
+// on the Go loop, and the result is the one a separate dst receives.
+func TestWeightedSumIntoExactAlias(t *testing.T) {
+	r := rand.New(rand.NewPCG(31, 2))
+	for _, kernel := range []bool{true, false} {
+		if kernel && !useAVX2 {
+			continue
+		}
+		saved := useAVX2
+		useAVX2 = kernel
+		defer func() { useAVX2 = saved }()
+		for n := 0; n <= 67; n++ {
+			a, b := spiked32(r, 1, n), spiked32(r, 2, n)
+			want := make([]float32, n)
+			WeightedSumInto(want, 0.75, a, 0.25, b)
+			intoA, intoB := Clone(a), Clone(b)
+			WeightedSumInto(intoA, 0.75, intoA, 0.25, b)
+			WeightedSumInto(intoB, 0.75, a, 0.25, intoB)
+			for i := range want {
+				if !same32(intoA[i], want[i]) || !same32(intoB[i], want[i]) {
+					t.Fatalf("kernel=%v n=%d element %d: dst=a %x, dst=b %x, separate dst %x", kernel, n, i,
+						math.Float32bits(intoA[i]), math.Float32bits(intoB[i]), math.Float32bits(want[i]))
 				}
 			}
 		}

@@ -10,6 +10,7 @@ package vecmath
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // AVX2 reports whether this process runs the amd64 AVX2 kernels, decided
@@ -156,6 +157,49 @@ func WidenVec(vec []float32, dst []float64) float64 {
 		s += xv * xv
 	}
 	return s
+}
+
+// WidenVecs widens every vecs[i] into dst[i] and sets norm2[i] to its
+// SquaredNorm: WidenVec over a batch, bitwise the same. With AVX2 it widens
+// four vectors per widen4AVX2 call, lane j carrying vector j's chain in
+// index order; a group whose vectors differ in length, or whose length is
+// not a positive multiple of 4, takes WidenVec. A short last group repeats
+// its last vector, whose mirror is then written twice with the same values.
+// It panics if dst or norm2 is shorter than vecs, or a mirror shorter than
+// its vector. Allocation-free.
+func WidenVecs(vecs [][]float32, dst [][]float64, norm2 []float64) {
+	if len(dst) < len(vecs) || len(norm2) < len(vecs) {
+		panic(fmt.Sprintf("vecmath: WidenVecs dst/norm2 length %d/%d < %d", len(dst), len(norm2), len(vecs)))
+	}
+	for i := 0; i < len(vecs); i += 4 {
+		if !widen4(vecs, dst, i, norm2) {
+			for j := i; j < min(i+4, len(vecs)); j++ {
+				norm2[j] = WidenVec(vecs[j], dst[j])
+			}
+		}
+	}
+}
+
+// widen4 runs widen4AVX2 on vectors i…i+3 (the last vector standing in for
+// those past the end) and reports whether the kernel fit them.
+func widen4(vecs [][]float32, dst [][]float64, i int, norm2 []float64) bool {
+	n := len(vecs[i])
+	if !useAVX2 || n == 0 || n%4 != 0 {
+		return false
+	}
+	var p [4]*float32
+	var q [4]*float64
+	for j := range p {
+		k := min(i+j, len(vecs)-1)
+		if len(vecs[k]) != n || len(dst[k]) < n {
+			return false
+		}
+		p[j], q[j] = &vecs[k][0], &dst[k][0]
+	}
+	var s [4]float64
+	widen4AVX2(&p, &q, n, &s)
+	copy(norm2[i:min(i+4, len(vecs))], s[:])
+	return true
 }
 
 // dots4r accumulates four dot chains of the widened query against four
@@ -498,15 +542,51 @@ func WeightedSum(w1 float32, a []float32, w2 float32, b []float32) []float32 {
 	return out
 }
 
-// WeightedSumInto writes w1*a + w2*b into dst, which may alias a or b.
-// It panics unless all three lengths agree.
+// WeightedSumInto writes w1*a + w2*b into dst. dst may be a or b (the
+// same first element and length) or share no memory with either; a dst
+// that overlaps a or b at an offset is not supported, because the AVX2
+// kernel reads eight elements before it writes any. With AVX2 it runs 8
+// lanes of VMULPS, VMULPS, VADDPS: one rounded operation per Go operation,
+// never a fused multiply-add, so the results agree with the Go loop. It
+// panics unless all three lengths agree.
 func WeightedSumInto(dst []float32, w1 float32, a []float32, w2 float32, b []float32) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic(fmt.Sprintf("vecmath: WeightedSum length mismatch %d / %d != %d", len(dst), len(a), len(b)))
 	}
-	for i := range a {
+	i := 0
+	if useAVX2 && len(a) >= 8 {
+		i = len(a) &^ 7
+		weightedSumAVX2(w1, w2, &dst[0], &a[0], &b[0], i)
+	}
+	for ; i < len(a); i++ {
 		dst[i] = w1*a[i] + w2*b[i]
 	}
+}
+
+// EncodeBigEndian writes the big-endian bytes of a prefix of vs to dst with
+// the AVX2 byte-order kernel and returns the prefix's length: the longest
+// multiple of 8 floats that both slices hold, or 0 without AVX2. The caller
+// encodes the rest; a byte permutation gives the same bytes either way,
+// NaN payloads included.
+func EncodeBigEndian(dst []byte, vs []float32) int {
+	n := min(len(vs), len(dst)/4) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	bswap32AVX2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&vs[0]), 4*n)
+	return n
+}
+
+// DecodeBigEndian is the inverse of EncodeBigEndian: it fills a prefix of
+// dst from the big-endian floats in src and returns the prefix's length, a
+// multiple of 8, or 0 without AVX2. The caller decodes the rest.
+func DecodeBigEndian(dst []float32, src []byte) int {
+	n := min(len(dst), len(src)/4) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	bswap32AVX2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), 4*n)
+	return n
 }
 
 // Mean returns the element-wise mean of the given vectors as a fresh vector.

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Compares the committed HEAD against another revision on one bench/
-# workload, the way a performance claim is judged in this repository:
-# N pairs of `bash bench/run.sh -workload W -seed S`, both sides of a pair on
-# the same fresh seed, the side that runs first alternating from pair to
-# pair. For every end-to-end metric BENCHMARK.json names it prints each
+# workload, or on all of them, the way a performance claim is judged in this
+# repository: N pairs of `bash bench/run.sh -workload W -seed S`, both sides
+# of a pair on the same fresh seed, the side that runs first alternating
+# from pair to pair. With `-workload all` each pair runs every workload
+# BENCHMARK.json lists, one after the other, so a claim on one workload and
+# the no-regression check on the others come from the same pairs. Per
+# workload, for every end-to-end metric BENCHMARK.json names, it prints each
 # side's median, the base revision's quartile spread (IQR, quartiles as in
 # bench/'s -repeat report), how many pairs HEAD won and lost (ties count for
 # neither), and a verdict:
@@ -18,7 +21,7 @@
 #
 # Usage: scripts/ab.sh <rev> [-pairs N] [-workload W]
 #   -pairs N      pairs to run (default 10)
-#   -workload W   bench/ workload (default stream-ref)
+#   -workload W   bench/ workload, or all (default stream-ref)
 #
 # Both sides run from clean `git worktree` checkouts in a temporary
 # directory that is removed on exit, so uncommitted changes are not measured.
@@ -65,41 +68,49 @@ for side in base head; do
 	(cd "$tmp/$side" && bash bench/run.sh -h) >"$tmp/$side.build.log" 2>&1 || true
 done
 
+if [ "$workload" = all ]; then
+	mapfile -t workloads < <(jq -r '.workloads[].name' "$repo/BENCHMARK.json")
+else
+	workloads=("$workload")
+fi
+
 # Fresh seeds on every invocation: a claim must hold on seeds not used while
 # the change was written.
 seed0=$((1000 + RANDOM * 32768 + RANDOM))
-echo "ab.sh: $workload, $pairs pair(s), seeds $seed0..$((seed0 + pairs - 1));" \
+echo "ab.sh: ${workloads[*]}, $pairs pair(s), seeds $seed0..$((seed0 + pairs - 1));" \
 	"base $rev (${base_sha:0:12}), head HEAD (${head_sha:0:12})" >&2
 
-run() { # side pair seed
-	local log="$tmp/$1.$2.log" line
-	if ! (cd "$tmp/$1" && bash bench/run.sh -workload "$workload" -seed "$3") >"$log" 2>&1; then
-		echo "ab.sh: $1 run of pair $2 failed:" >&2
+run() { # side pair seed workload
+	local log="$tmp/$1.$4.$2.log" line
+	if ! (cd "$tmp/$1" && bash bench/run.sh -workload "$4" -seed "$3") >"$log" 2>&1; then
+		echo "ab.sh: $1 run of pair $2 on $4 failed:" >&2
 		tail -n 20 "$log" >&2
 		exit 1
 	fi
 	line=$(grep '^{' "$log" | tail -n 1)
 	if ! jq -e '.metrics' <<<"$line" >/dev/null 2>&1; then
-		echo "ab.sh: $1 run of pair $2 printed no result line:" >&2
+		echo "ab.sh: $1 run of pair $2 on $4 printed no result line:" >&2
 		tail -n 20 "$log" >&2
 		exit 1
 	fi
-	jq -c '.' <<<"$line" >>"$tmp/$1.jsonl"
+	jq -c '.' <<<"$line" >>"$tmp/$1.$4.jsonl"
 	# "output quality.accuracy_pct 74.8612 % over 9000 frames (floor 73.0)"
 	sed -n 's/^output \(quality\.[a-z_]*\) \([-0-9.eE+]*\) % over .*(floor \([-0-9.]*\))$/\1 \2 \3/p' \
-		"$log" >>"$tmp/$1.quality"
-	echo "ab.sh: pair $2 $1 done (correct: $(jq -r '.correct' <<<"$line"))" >&2
+		"$log" >>"$tmp/$1.$4.quality"
+	echo "ab.sh: pair $2 $4 $1 done (correct: $(jq -r '.correct' <<<"$line"))" >&2
 }
 
 for ((i = 0; i < pairs; i++)); do
 	seed=$((seed0 + i))
-	if ((i % 2 == 0)); then
-		run base "$i" "$seed"
-		run head "$i" "$seed"
-	else
-		run head "$i" "$seed"
-		run base "$i" "$seed"
-	fi
+	for w in "${workloads[@]}"; do
+		if ((i % 2 == 0)); then
+			run base "$i" "$seed" "$w"
+			run head "$i" "$seed" "$w"
+		else
+			run head "$i" "$seed" "$w"
+			run base "$i" "$seed" "$w"
+		fi
+	done
 done
 
 defs='
@@ -108,8 +119,10 @@ def median: sort | length as $n
 def num: if . == null then "-" else (. * 1000 | round) / 1000 | tostring end;
 def pad($n): tostring | if length < $n then . + (" " * ($n - length)) else . end;'
 
-jq -n -r --slurpfile base "$tmp/base.jsonl" --slurpfile head "$tmp/head.jsonl" \
-	--slurpfile spec "$repo/BENCHMARK.json" "$defs"'
+for w in "${workloads[@]}"; do
+	((${#workloads[@]} == 1)) || printf '\n== %s ==\n' "$w"
+	jq -n -r --slurpfile base "$tmp/base.$w.jsonl" --slurpfile head "$tmp/head.$w.jsonl" \
+		--slurpfile spec "$repo/BENCHMARK.json" "$defs"'
 # Python statistics.quantiles(data, n=4), the default "exclusive" method.
 def quartiles: sort as $d | ($d | length) as $ld
   | if $ld < 2 then null else
@@ -141,8 +154,8 @@ def row: [., [18, 6, 7, 12, 12, 9, 10, 12, 0]] | transpose | map(. as [$v, $w] |
       "\($wins)/\($losses)", $verdict] | row),
   "\nincorrect runs: base \($base | map(select(.correct != true)) | length), head \($head | map(select(.correct != true)) | length)"'
 
-if [ -s "$tmp/base.quality" ] || [ -s "$tmp/head.quality" ]; then
-	jq -n -r --rawfile base "$tmp/base.quality" --rawfile head "$tmp/head.quality" "$defs"'
+	if [ -s "$tmp/base.$w.quality" ] || [ -s "$tmp/head.$w.quality" ]; then
+		jq -n -r --rawfile base "$tmp/base.$w.quality" --rawfile head "$tmp/head.$w.quality" "$defs"'
 def runs: split("\n") | map(select(length > 0) | split(" ")
   | {name: .[0], value: (.[1] | tonumber), floor: (.[2] | tonumber)});
 def row: [., [38, 7, 12, 10, 12, 10]] | transpose | map(. as [$v, $w] | $v | pad($w)) | join(" ");
@@ -155,4 +168,5 @@ def row: [., [38, 7, 12, 10, 12, 10]] | transpose | map(. as [$v, $w] | $v | pad
    | [$name, (($bs + $hs)[0].floor | num),
       ($bs | map(.value) | median | num), ($bs | map(.value) | min | num),
       ($hs | map(.value) | median | num), ($hs | map(.value) | min | num)] | row)'
-fi
+	fi
+done
