@@ -304,3 +304,45 @@ func BenchmarkCosinesRows(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWireKernels times the three wire-path kernels against their Go
+// loops on 256-float N(0,1) cells (no subnormals, which would time the
+// CPU's microcode assists instead): encoding one cell big-endian, staging
+// four cells, and one merge's weighted sum.
+func BenchmarkWireKernels(b *testing.B) {
+	r := rand.New(rand.NewPCG(31, 3))
+	const dim = 256
+	vecs := make([][]float32, 4)
+	wide := make([][]float64, 4)
+	for i := range vecs {
+		vecs[i], wide[i] = make([]float32, dim), make([]float64, dim)
+		for k := range vecs[i] {
+			vecs[i][k] = float32(r.NormFloat64())
+		}
+	}
+	buf, norm2, sum := make([]byte, 4*dim), make([]float64, 4), make([]float32, dim)
+	for _, kernel := range []bool{true, false} {
+		if kernel && !useAVX2 {
+			continue
+		}
+		name := map[bool]string{true: "avx2", false: "go"}[kernel]
+		run := func(op string, f func()) {
+			b.Run(op+"/"+name, func(b *testing.B) {
+				saved := useAVX2
+				useAVX2 = kernel
+				defer func() { useAVX2 = saved }()
+				for b.Loop() {
+					f()
+				}
+			})
+		}
+		run("encode", func() {
+			i := EncodeBigEndian(buf, vecs[0])
+			for ; i < dim; i++ {
+				binary.BigEndian.PutUint32(buf[4*i:], math.Float32bits(vecs[0][i]))
+			}
+		})
+		run("widen4", func() { WidenVecs(vecs, wide, norm2) })
+		run("wsum", func() { WeightedSumInto(sum, 0.75, vecs[0], 0.25, vecs[1]) })
+	}
+}
