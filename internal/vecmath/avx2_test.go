@@ -135,14 +135,14 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 	}
 }
 
-// spiked32 draws n float32s from N(0,1), one in twelve replaced by a special
-// value, behind off leading elements: the slice starts off·4 bytes into its
-// allocation, so the kernels see unaligned starts.
-func spiked32(r *rand.Rand, off, n int) []float32 {
+// vec32 draws n float32s from N(0,1), with roughly one in twelve replaced by
+// a special value when spiked, behind off leading elements: the slice starts
+// off·4 bytes into its allocation, so the kernels see unaligned starts.
+func vec32(r *rand.Rand, off, n int, spiked bool) []float32 {
 	v := make([]float32, off+n)
 	for k := range v {
 		v[k] = float32(r.NormFloat64())
-		if r.IntN(12) == 0 {
+		if spiked && r.IntN(12) == 0 {
 			v[k] = specials32[r.IntN(len(specials32))]
 		}
 	}
@@ -151,7 +151,7 @@ func spiked32(r *rand.Rand, off, n int) []float32 {
 
 // TestWireKernelsMatchGo holds the wire-path kernels to their Go loops at
 // every length 0…67, starting 0–3 elements into their allocations, on
-// plain and spiked inputs: the byte-order kernel byte for byte (and back
+// plain and on spiked inputs: the byte-order kernel byte for byte (and back
 // bit for bit, NaN payloads included), WidenVecs' mirrors and squared norms
 // bit for bit against WidenVec, and WeightedSumInto elementwise against its
 // Go loop.
@@ -161,8 +161,9 @@ func TestWireKernelsMatchGo(t *testing.T) {
 	}
 	r := rand.New(rand.NewPCG(31, 1))
 	for n := 0; n <= 67; n++ {
-		for off := 0; off < 4; off++ {
-			vs := spiked32(r, off, n)
+		for trial := 0; trial < 8; trial++ {
+			off, spiked := trial%4, trial >= 4
+			vs := vec32(r, off, n, spiked)
 			want := make([]byte, 4*n)
 			for i, v := range vs {
 				binary.BigEndian.PutUint32(want[4*i:], math.Float32bits(v))
@@ -177,7 +178,7 @@ func TestWireKernelsMatchGo(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("n=%d off=%d byte %d: kernel %#x, Go %#x", n, off, i, got[i], want[i])
+					t.Fatalf("n=%d off=%d spiked=%v byte %d: kernel %#x, Go %#x", n, off, spiked, i, got[i], want[i])
 				}
 			}
 			back := make([]float32, off+n)[off:]
@@ -187,7 +188,7 @@ func TestWireKernelsMatchGo(t *testing.T) {
 			}
 			for i := range vs {
 				if math.Float32bits(back[i]) != math.Float32bits(vs[i]) {
-					t.Fatalf("n=%d off=%d float %d: decoded %#x, encoded %#x", n, off, i, math.Float32bits(back[i]), math.Float32bits(vs[i]))
+					t.Fatalf("n=%d off=%d spiked=%v float %d: decoded %#x, encoded %#x", n, off, spiked, i, math.Float32bits(back[i]), math.Float32bits(vs[i]))
 				}
 			}
 			goPath(func() {
@@ -201,9 +202,9 @@ func TestWireKernelsMatchGo(t *testing.T) {
 			for batch := 1; batch <= 9; batch++ {
 				vecs := make([][]float32, batch)
 				for i := range vecs {
-					vecs[i] = spiked32(r, off, n)
+					vecs[i] = vec32(r, off, n, spiked)
 					if batch == 7 && i == 5 {
-						vecs[i] = spiked32(r, off, n+4)
+						vecs[i] = vec32(r, off, n+4, spiked)
 					}
 				}
 				var dsts [2][][]float64
@@ -221,19 +222,19 @@ func TestWireKernelsMatchGo(t *testing.T) {
 				}
 				for i := range vecs {
 					if !same64(norms[0][i], norms[1][i]) {
-						t.Fatalf("n=%d off=%d batch=%d vector %d: WidenVecs Σx² %x, WidenVec %x", n, off, batch, i, math.Float64bits(norms[0][i]), math.Float64bits(norms[1][i]))
+						t.Fatalf("n=%d off=%d spiked=%v batch=%d vector %d: WidenVecs Σx² %x, WidenVec %x", n, off, spiked, batch, i, math.Float64bits(norms[0][i]), math.Float64bits(norms[1][i]))
 					}
 					for k := range dsts[0][i] {
 						if math.Float64bits(dsts[0][i][k]) != math.Float64bits(dsts[1][i][k]) {
-							t.Fatalf("n=%d off=%d batch=%d vector %d element %d: WidenVecs %x, WidenVec %x", n, off, batch, i, k, math.Float64bits(dsts[0][i][k]), math.Float64bits(dsts[1][i][k]))
+							t.Fatalf("n=%d off=%d spiked=%v batch=%d vector %d element %d: WidenVecs %x, WidenVec %x", n, off, spiked, batch, i, k, math.Float64bits(dsts[0][i][k]), math.Float64bits(dsts[1][i][k]))
 						}
 					}
 				}
 			}
 
-			a, b := spiked32(r, off, n), spiked32(r, 3-off, n)
+			a, b := vec32(r, off, n, spiked), vec32(r, 3-off, n, spiked)
 			w1, w2 := float32(r.NormFloat64()), float32(r.NormFloat64())
-			if off == 3 {
+			if spiked && off == 3 {
 				w1 = specials32[r.IntN(len(specials32))]
 			}
 			gotSum, wantSum := make([]float32, n), make([]float32, n)
@@ -241,7 +242,7 @@ func TestWireKernelsMatchGo(t *testing.T) {
 			goPath(func() { WeightedSumInto(wantSum, w1, a, w2, b) })
 			for i := range gotSum {
 				if !same32(gotSum[i], wantSum[i]) {
-					t.Fatalf("n=%d off=%d element %d: WeightedSumInto %x, Go %x", n, off, i, math.Float32bits(gotSum[i]), math.Float32bits(wantSum[i]))
+					t.Fatalf("n=%d off=%d spiked=%v element %d: WeightedSumInto %x, Go %x", n, off, spiked, i, math.Float32bits(gotSum[i]), math.Float32bits(wantSum[i]))
 				}
 			}
 		}
@@ -260,7 +261,7 @@ func TestWeightedSumIntoExactAlias(t *testing.T) {
 		useAVX2 = kernel
 		defer func() { useAVX2 = saved }()
 		for n := 0; n <= 67; n++ {
-			a, b := spiked32(r, 1, n), spiked32(r, 2, n)
+			a, b := vec32(r, 1, n, true), vec32(r, 2, n, true)
 			want := make([]float32, n)
 			WeightedSumInto(want, 0.75, a, 0.25, b)
 			intoA, intoB := Clone(a), Clone(b)
