@@ -126,9 +126,9 @@ func (t *Table) Merge(class, layer int, update []float32, gamma, globalFreq, loc
 }
 
 // mergeEntry is the Eq. 4 combination shared by Table.Merge and
-// Sharded.Merge, written into dst (a fresh vector, sharing no memory with
-// old or update, as vecmath.WeightedSumInto requires of a dst that is
-// neither): the old entry weighted γ·Φ/(Φ+φ)
+// Sharded.Merge, written into dst, a fresh vector (published entries are
+// immutable, so dst shares no memory with old or update, one of the two
+// cases vecmath.WeightedSumInto allows): the old entry weighted γ·Φ/(Φ+φ)
 // against the update weighted φ/(Φ+φ), re-normalized. It returns the norm of
 // the combination: 0 on perfect cancellation, where callers keep the previous
 // entry rather than a degenerate zero; not usable when the update is refused.
