@@ -6,12 +6,10 @@
 //	coca-bench -list
 //	coca-bench -exp table2
 //	coca-bench -exp all -scale 0.5 -csv
-//	coca-bench -exp table2 -batch 32
 //	coca-bench -exp table2 -cpuprofile cpu.out -memprofile mem.out
 //
 // -list enumerates the experiment registry (the happy path when exploring).
-// -exp runs one experiment (or "all") and prints its paper-style table;
-// -batch drives CoCa clients through the batched round driver.
+// -exp runs one experiment (or "all") and prints its paper-style table.
 // -cpuprofile/-memprofile write pprof profiles of the run. Wall-clock
 // performance is measured by the bench/ harness, not here (see
 // bench/README.md).
@@ -36,7 +34,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		batch      = flag.Int("batch", 0, "inference batch size for the round driver (0 = frame at a time)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -80,12 +77,12 @@ func main() {
 		printRegistry(os.Stdout)
 	case *exp == "":
 		fmt.Fprintln(os.Stderr, "coca-bench: no experiment selected")
-		fmt.Fprintln(os.Stderr, "usage: coca-bench -list | -exp <id|all> [-scale f] [-seed n] [-batch n] [-csv]")
+		fmt.Fprintln(os.Stderr, "usage: coca-bench -list | -exp <id|all> [-scale f] [-seed n] [-csv]")
 		fmt.Fprintln(os.Stderr, "run coca-bench -list to see the experiment registry")
 		runErr = fmt.Errorf("no mode selected")
 		exitCode = 2
 	default:
-		runErr = runExperiments(*exp, experiments.Options{Scale: *scale, Seed: *seed, BatchSize: *batch}, *csv)
+		runErr = runExperiments(*exp, experiments.Options{Scale: *scale, Seed: *seed}, *csv)
 	}
 	if runErr != nil {
 		log.Print(runErr)

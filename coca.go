@@ -63,10 +63,6 @@ type Options struct {
 	NumClients int
 	// Rounds to run and WarmupRounds to exclude from metrics.
 	Rounds, WarmupRounds int
-	// BatchSize drives each client's frames through the batched inference
-	// hot path in chunks of this size (0 or 1 = frame at a time; results
-	// are identical, batching only speeds the host computation up).
-	BatchSize int
 
 	// Theta is the cache-hit threshold Θ (0 picks the model's
 	// recommended <3%-loss operating point).
@@ -96,30 +92,8 @@ type Options struct {
 	DriftWeight, DriftPerRound float64
 
 	// Federation, when non-nil, joins a served endpoint (Serve) to a
-	// fleet of federated peer edge servers — see FederationOptions. It is
-	// the grouped replacement for the deprecated flat fields below; both
-	// surfaces set at once is a configuration error.
+	// fleet of federated peer edge servers — see FederationOptions.
 	Federation *FederationOptions
-
-	// Peers lists the addresses of federated peer edge servers.
-	//
-	// Deprecated: set Federation.Peers instead. Kept as an alias so
-	// existing callers keep working; it is folded into Federation (and
-	// conflicts with an explicit Federation).
-	Peers []string
-	// NodeID is this server's federation id.
-	//
-	// Deprecated: set Federation.NodeID instead.
-	NodeID int
-	// PeerRelay marks this server as a relay hop for non-full-mesh peer
-	// graphs.
-	//
-	// Deprecated: set Federation.Relay instead.
-	PeerRelay bool
-	// PeerSyncInterval is the wire peer-sync cadence.
-	//
-	// Deprecated: set Federation.SyncInterval instead.
-	PeerSyncInterval time.Duration
 
 	// DialRetries is how many extra connection attempts Dial (and the
 	// redirect-following reconnects inside Client.Run) make after a
@@ -241,7 +215,7 @@ type RoutingOptions struct {
 	RebalanceEvery int
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o Options) withDefaults() Options {
 	if o.Model == "" {
 		o.Model = "ResNet101"
 	}
@@ -275,30 +249,12 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	flat := len(o.Peers) > 0 || o.NodeID != 0 || o.PeerRelay || o.PeerSyncInterval != 0
-	if o.Federation != nil && flat {
-		return o, fmt.Errorf("coca: both Options.Federation and the deprecated flat federation fields (Peers/NodeID/PeerRelay/PeerSyncInterval) are set — configure the federation tier through Options.Federation only")
-	}
-	if o.Federation == nil && flat {
-		o.Federation = &FederationOptions{
-			Peers:        o.Peers,
-			NodeID:       o.NodeID,
-			Relay:        o.PeerRelay,
-			SyncInterval: o.PeerSyncInterval,
-		}
-	}
 	if o.Federation != nil {
 		f := *o.Federation // defaults must not mutate the caller's struct
 		if f.SyncInterval == 0 {
 			f.SyncInterval = 5 * time.Second
 		}
 		o.Federation = &f
-		// Keep the deprecated aliases coherent for anyone still reading
-		// them off the resolved options.
-		o.Peers = f.Peers
-		o.NodeID = f.NodeID
-		o.PeerRelay = f.Relay
-		o.PeerSyncInterval = f.SyncInterval
 	}
 	if o.DialRetries == 0 {
 		o.DialRetries = 3
@@ -309,7 +265,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.DialBackoff == 0 {
 		o.DialBackoff = 100 * time.Millisecond
 	}
-	return o, nil
+	return o
 }
 
 // resolve builds the simulation universe behind the options.
@@ -367,10 +323,7 @@ type System struct {
 
 // NewSystem builds a deployment.
 func NewSystem(opts Options) (*System, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	space, scfg, err := opts.resolve()
 	if err != nil {
 		return nil, err
@@ -407,7 +360,6 @@ func NewSystem(opts Options) (*System, error) {
 			Server:         core.ServerConfig{Theta: theta, Seed: opts.Seed},
 			Stream:         scfg,
 			Rounds:         opts.Rounds, SkipRounds: opts.WarmupRounds,
-			BatchSize: opts.BatchSize,
 		})
 		if err != nil {
 			return nil, err
@@ -420,7 +372,6 @@ func NewSystem(opts Options) (*System, error) {
 		Server:     core.ServerConfig{Theta: theta, Seed: opts.Seed},
 		Stream:     scfg,
 		Rounds:     opts.Rounds, SkipRounds: opts.WarmupRounds,
-		BatchSize: opts.BatchSize,
 	})
 	if err != nil {
 		return nil, err

@@ -87,10 +87,7 @@ func TestThetaDefaultPerModel(t *testing.T) {
 		{"VGG16_BN", 0.035},
 		{"AST", 0.022},
 	} {
-		o, err := Options{Model: tc.model}.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := Options{Model: tc.model}.withDefaults()
 		space, _, err := o.resolve()
 		if err != nil {
 			t.Fatal(err)

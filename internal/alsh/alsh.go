@@ -77,7 +77,6 @@ type Index struct {
 	// Query scratch, reused so steady-state lookups are allocation-free.
 	cands []*entry
 	top   []scored
-	sigs  []uint32
 }
 
 // New builds an index. It panics on invalid configuration (configurations
@@ -175,46 +174,7 @@ func (x *Index) Query(vec []float32) (Result, error) {
 	if len(vec) != x.cfg.Dim {
 		return Result{}, fmt.Errorf("alsh: Query dim %d, want %d", len(vec), x.cfg.Dim)
 	}
-	return x.query(vec, x.signature(vec)), nil
-}
-
-// QueryBatch runs one multi-probe H-kNN lookup per input vector, exactly as
-// len(vecs) sequential Query calls would (including LRU refreshes, in
-// order), and writes the results to out, which it returns. Signature
-// hashing is batched plane-major so every hyperplane is walked once per
-// batch instead of once per sample. out must be at least len(vecs) long.
-func (x *Index) QueryBatch(vecs [][]float32, out []Result) ([]Result, error) {
-	if len(out) < len(vecs) {
-		return nil, fmt.Errorf("alsh: QueryBatch out length %d < %d", len(out), len(vecs))
-	}
-	for i, vec := range vecs {
-		if len(vec) != x.cfg.Dim {
-			return nil, fmt.Errorf("alsh: QueryBatch vec %d dim %d, want %d", i, len(vec), x.cfg.Dim)
-		}
-	}
-	if cap(x.sigs) < len(vecs) {
-		x.sigs = make([]uint32, len(vecs))
-	}
-	sigs := x.sigs[:len(vecs)]
-	for i := range sigs {
-		sigs[i] = 0
-	}
-	for b, plane := range x.planes {
-		bit := uint32(1) << uint(b)
-		for i, vec := range vecs {
-			if vecmath.Dot(vec, plane) >= 0 {
-				sigs[i] |= bit
-			}
-		}
-	}
-	for i, vec := range vecs {
-		out[i] = x.query(vec, sigs[i])
-	}
-	return out[:len(vecs)], nil
-}
-
-// query is the shared lookup body; sig must be signature(vec).
-func (x *Index) query(vec []float32, sig uint32) Result {
+	sig := x.signature(vec)
 	cands := x.cands[:0]
 	cands = append(cands, x.buckets[sig]...)
 	for b := 0; b < x.cfg.Bits; b++ {
@@ -223,7 +183,7 @@ func (x *Index) query(vec []float32, sig uint32) Result {
 	x.cands = cands // keep the grown backing array for the next query
 	res := Result{Candidates: len(cands)}
 	if len(cands) == 0 {
-		return res
+		return res, nil
 	}
 	if cap(x.top) < x.cfg.K {
 		x.top = make([]scored, 0, x.cfg.K)
@@ -284,5 +244,5 @@ func (x *Index) query(vec []float32, sig uint32) Result {
 			}
 		}
 	}
-	return res
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package alsh
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,45 @@ func TestPropertyHitLabelAmongStored(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func testIndex(t testing.TB, seed uint64, entries int) (*Index, *rand.Rand) {
+	t.Helper()
+	idx := New(Config{
+		Dim: 32, Bits: 6, Capacity: entries + 8, K: 4,
+		Homogeneity: 0.5, MinSimilarity: 0.1, Seed: seed,
+	})
+	r := rand.New(rand.NewPCG(seed, 0xBEEF))
+	for i := 0; i < entries; i++ {
+		v := make([]float32, 32)
+		for d := range v {
+			v[d] = float32(r.NormFloat64())
+		}
+		if err := idx.Add(v, r.IntN(6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return idx, r
+}
+
+// TestQueryZeroAllocsSteadyState asserts repeated queries reuse the
+// index-owned scratch.
+func TestQueryZeroAllocsSteadyState(t *testing.T) {
+	idx, r := testIndex(t, 5, 200)
+	vec := make([]float32, 32)
+	for d := range vec {
+		vec[d] = float32(r.NormFloat64())
+	}
+	if _, err := idx.Query(vec); err != nil { // warm scratch
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(300, func() {
+		if _, err := idx.Query(vec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Query allocates %v/op at steady state, want 0", n)
 	}
 }
 

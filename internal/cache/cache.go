@@ -19,7 +19,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"coca/internal/telemetry"
@@ -95,15 +94,6 @@ func (l *Layer) Len() int { return len(l.Classes) }
 
 // Staged reports whether the layer carries probe staging.
 func (l *Layer) Staged() bool { return l.staged }
-
-// MaxClass returns the largest class id cached at the layer (-1 when
-// empty): the staged constant when available, an O(n) scan otherwise.
-func (l *Layer) MaxClass() int {
-	if l.staged {
-		return l.maxCls
-	}
-	return l.maxClass()
-}
 
 // Stage computes the layer's probe staging — widened entry mirrors,
 // squared norms and the max class id — unless already present, and marks
@@ -355,7 +345,7 @@ func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 // probeScored folds one layer's precomputed per-entry cosine scores —
 // scores[i] = Cosine(vec, layer.Entries[i]) — into the accumulator and
 // returns the same Result Probe would. maxClass is the layer's largest
-// class id, computed once per (layer, batch) by BatchProbe.
+// class id, the constant Stage caches.
 func (l *Lookup) probeScored(layer *Layer, scores []float32, maxClass int) Result {
 	n := layer.Len()
 	if n == 0 {
@@ -383,106 +373,4 @@ func (l *Lookup) Accumulated() map[int]float64 {
 		out[class] = l.acc[class]
 	}
 	return out
-}
-
-// BatchProbe probes one layer for a whole batch of samples at once,
-// producing exactly the Results of per-sample Probe calls while running
-// the scoring as one blocked multi-query kernel: the batch's queries are
-// widened once, the layer's entry staging (widened mirrors and squared
-// norms, see Layer.Wide) is borrowed instead of re-widening the layer per
-// (layer, batch), and
-// vecmath.CosinesBatchWidenedRows streams the entry rows through cache
-// once per query tile instead of once per sample. Unstaged layers are
-// staged into batch-owned scratch first. The scratch buffers are owned by
-// the BatchProbe and reused; it is not safe for concurrent use.
-type BatchProbe struct {
-	wide   []float64   // fallback staging backing for unstaged layers
-	rows   [][]float64 // row views over wide (fallback) — reused
-	norm2  []float64   // fallback squared norms
-	snorm  []float64   // fallback sqrt norms
-	qback  []float64   // widened-query backing, all samples of the batch
-	qrows  [][]float64 // row views over qback
-	qsnorm []float64   // the queries' sqrt norms
-	scores []float32   // batch × entries score matrix, stride = entries
-}
-
-// stage returns the layer's entry staging, borrowing the layer's mirrors
-// when it is staged and otherwise widening into batch-owned scratch.
-func (bp *BatchProbe) stage(layer *Layer, n, dim int) (rows [][]float64, snorm []float64) {
-	if layer.staged {
-		return layer.Wide, layer.snorm
-	}
-	if cap(bp.wide) < n*dim {
-		bp.wide = make([]float64, n*dim)
-	}
-	// norm2/snorm scale with n alone, which can outgrow a previous
-	// layer's count even while n*dim still fits the wide backing.
-	if cap(bp.norm2) < n {
-		bp.norm2 = make([]float64, n)
-		bp.snorm = make([]float64, n)
-	}
-	wide := bp.wide[:n*dim]
-	norm2 := bp.norm2[:n]
-	snorm = bp.snorm[:n]
-	vecmath.Widen64(layer.Entries, dim, wide, norm2)
-	vecmath.SqrtNorms(norm2, snorm)
-	if cap(bp.rows) < n {
-		bp.rows = make([][]float64, n)
-	}
-	rows = bp.rows[:n]
-	for i := range rows {
-		rows[i] = wide[i*dim : (i+1)*dim]
-	}
-	return rows, snorm
-}
-
-// Probe probes layer for every sample i, folding scores into lks[i] (the
-// sample's Eq. 1 state) and writing Probe-identical results to out[i].
-// vecs[i] is sample i's semantic vector at the layer. Steady-state calls
-// are allocation-free.
-func (bp *BatchProbe) Probe(layer *Layer, vecs [][]float32, lks []*Lookup, out []Result) {
-	if len(lks) < len(vecs) || len(out) < len(vecs) {
-		panic(fmt.Sprintf("cache: BatchProbe lks/out length %d/%d < %d", len(lks), len(out), len(vecs)))
-	}
-	n := layer.Len()
-	if n == 0 {
-		for i := range vecs {
-			out[i] = Result{LayerClass: -1}
-		}
-		return
-	}
-	q := len(vecs)
-	if q == 0 {
-		return
-	}
-	dim := len(layer.Entries[0])
-	rows, snorm := bp.stage(layer, n, dim)
-	if cap(bp.qback) < q*dim {
-		bp.qback = make([]float64, q*dim)
-		bp.qrows = make([][]float64, q)
-		bp.qsnorm = make([]float64, q)
-	}
-	if cap(bp.qrows) < q {
-		bp.qrows = make([][]float64, q)
-		bp.qsnorm = make([]float64, q)
-	}
-	qrows := bp.qrows[:q]
-	qsnorm := bp.qsnorm[:q]
-	for i, vec := range vecs {
-		if len(vec) != dim {
-			panic(fmt.Sprintf("cache: BatchProbe query %d length %d != entry dim %d", i, len(vec), dim))
-		}
-		row := bp.qback[i*dim : (i+1)*dim]
-		qsnorm[i] = math.Sqrt(vecmath.WidenVec(vec, row))
-		qrows[i] = row
-	}
-	if cap(bp.scores) < q*n {
-		bp.scores = make([]float32, q*n)
-	}
-	scores := bp.scores[:q*n]
-	vecmath.CosinesBatchWidenedRows(qrows, qsnorm, rows, snorm, n, scores)
-	maxClass := layer.MaxClass()
-	for i := range vecs {
-		out[i] = lks[i].probeScored(layer, scores[i*n:(i+1)*n], maxClass)
-	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +244,126 @@ func TestPropertyHitImpliesScoreAboveTheta(t *testing.T) {
 // entries, as a client probes its allocated cache. A window's layers hold
 // 5–10 entries, so 7 and 8 are the workload's regime (one kernel call, with
 // and without a padded row); 50 is the many-entry bound.
+func randLayer(r *rand.Rand, site, entries, dim, classSpread int) Layer {
+	l := Layer{Site: site}
+	for i := 0; i < entries; i++ {
+		v := make([]float32, dim)
+		for d := range v {
+			v[d] = float32(r.NormFloat64())
+		}
+		l.Classes = append(l.Classes, r.IntN(classSpread))
+		l.Entries = append(l.Entries, v)
+	}
+	return l
+}
+
+// TestProbeZeroAllocsSteadyState asserts the per-sample probe path stays
+// allocation-free once the accumulator has grown to the class universe.
+func TestProbeZeroAllocsSteadyState(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 5))
+	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
+	layer := randLayer(r, 0, 24, 64, 40)
+	vec := make([]float32, 64)
+	for d := range vec {
+		vec[d] = float32(r.NormFloat64())
+	}
+	lk.Reset()
+	lk.Probe(&layer, vec) // warm: grow accumulator and touched list
+	if n := testing.AllocsPerRun(200, func() {
+		lk.Reset()
+		lk.Probe(&layer, vec)
+	}); n != 0 {
+		t.Errorf("Probe allocates %v/op at steady state, want 0", n)
+	}
+
+}
+
+// TestStagedProbeMatchesUnstaged drives staged and unstaged copies of
+// identical random layers through per-sample probes and requires bitwise
+// equal results: the publish-time staging path (widened-row kernel over
+// the layer's mirrors) must be indistinguishable from the legacy
+// per-pair Cosine path, across awkward dims and entry counts.
+func TestStagedProbeMatchesUnstaged(t *testing.T) {
+	r := rand.New(rand.NewPCG(21, 23))
+	cfg := Config{Alpha: DefaultAlpha, Theta: 0.01}
+	for _, dim := range []int{1, 3, 31, 64, 128, 130} {
+		for _, entries := range []int{1, 2, 5, 12, 33} {
+			plain := NewLookup(cfg)
+			staged := NewLookup(cfg)
+			for trial := 0; trial < 5; trial++ {
+				layer := randLayer(r, 0, entries, dim, 10)
+				stagedLayer := Layer{Site: layer.Site, Classes: layer.Classes, Entries: layer.Entries}
+				stagedLayer.Stage()
+				if !stagedLayer.Staged() || stagedLayer.maxCls != layer.maxClass() {
+					t.Fatalf("dim=%d n=%d: staging lost the max class (%d != %d)", dim, entries, stagedLayer.maxCls, layer.maxClass())
+				}
+				plain.Reset()
+				staged.Reset()
+				for probe := 0; probe < 3; probe++ {
+					v := make([]float32, dim)
+					for d := range v {
+						v[d] = float32(r.NormFloat64())
+					}
+					want := plain.Probe(&layer, v)
+					got := staged.Probe(&stagedLayer, v)
+					if want != got {
+						t.Fatalf("dim=%d n=%d trial %d probe %d: unstaged %+v != staged %+v", dim, entries, trial, probe, want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSequentialStagedProbeZeroAlloc asserts the borrowed-staging
+// contract: a layer that arrives with mirrors handed in by the allocation
+// path (a view's own, or the ones memoised on published entries) keeps
+// exactly those through Stage, and the staged Lookup.Probe path is
+// allocation-free at steady state.
+func TestSequentialStagedProbeZeroAlloc(t *testing.T) {
+	r := rand.New(rand.NewPCG(41, 43))
+	layer := randLayer(r, 0, 9, 64, 10)
+	layer.Wide, layer.Norm2 = vecmath.WidenRows(layer.Entries)
+	handed := &layer.Wide[0][0]
+	layer.Stage()
+	if &layer.Wide[0][0] != handed {
+		t.Fatal("Stage re-widened a layer whose mirrors were handed in")
+	}
+	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
+	v := make([]float32, 64)
+	for d := range v {
+		v[d] = float32(r.NormFloat64())
+	}
+	lk.Reset()
+	lk.Probe(&layer, v) // grow scratch
+	if allocs := testing.AllocsPerRun(100, func() {
+		lk.Reset()
+		lk.Probe(&layer, v)
+	}); allocs != 0 {
+		t.Errorf("steady-state staged probe: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestStagedProbeRejectsMismatchedQuery pins the staged path's failure
+// mode to the unstaged one: a query shorter than the entry dimension
+// must panic, never score a silently truncated dot.
+func TestStagedProbeRejectsMismatchedQuery(t *testing.T) {
+	r := rand.New(rand.NewPCG(61, 67))
+	layer := randLayer(r, 0, 5, 32, 10)
+	layer.Stage()
+	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
+	lk.Reset()
+	short := make([]float32, 16)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("staged Probe accepted a short query")
+			}
+		}()
+		lk.Probe(&layer, short)
+	}()
+}
+
 func benchProbe(b *testing.B, n int) {
 	const dim = 256
 	classes := make([]int, n)

@@ -143,7 +143,7 @@ type Client struct {
 	sess  Session
 
 	local   *cache.Local
-	scratch batchScratch
+	scratch inferScratch
 	view    *AllocView
 	frozen  *Allocation // first allocation, when DisableDynamicAllocation
 
@@ -205,9 +205,13 @@ func NewClient(ctx context.Context, space *semantics.Space, coord Coordinator, c
 		savedMs:     append([]float64(nil), info.SavedMs...),
 		roundHitsBy: make([]int, space.Arch.NumLayers),
 	}
-	c.scratch.lookupCfg = cache.Config{Alpha: cfg.Alpha, Theta: cfg.Theta}
-	// Surface invalid lookup parameters now rather than at first inference.
-	cache.NewLookup(c.scratch.lookupCfg)
+	c.scratch = inferScratch{
+		sem: space.NewScratch(),
+		// NewLookup surfaces invalid lookup parameters here rather than at
+		// first inference.
+		lk:     cache.NewLookup(cache.Config{Alpha: cfg.Alpha, Theta: cfg.Theta}),
+		absorb: make([]float32, model.Dim),
+	}
 	if cfg.EnvBiasWeight != 0 || cfg.DriftWeight != 0 {
 		c.env = semantics.NewEnv(cfg.EnvSeed, cfg.EnvBiasWeight)
 		c.env.DriftWeight = cfg.DriftWeight
@@ -323,6 +327,7 @@ func (c *Client) BeginRound() error {
 		return fmt.Errorf("core: client %d allocation invalid: %w", c.cfg.ID, err)
 	}
 	c.local = local
+	c.scratch.shape(local)
 	clear(c.roundHitsBy)
 	c.roundFrames = 0
 	return nil
@@ -464,12 +469,7 @@ func (c *Client) updateHitRatio() {
 	}
 }
 
-// fusedBatchMin is the smallest batch the fused site-major path pays off
-// for: below it, the per-layer entry-norm precompute cannot amortize and
-// the per-sample path is faster.
-const fusedBatchMin = 4
-
-// inferState is one batch slot's in-flight inference.
+// inferState is one frame's in-flight inference.
 type inferState struct {
 	latency   float64
 	lookupMs  float64
@@ -484,84 +484,42 @@ type inferState struct {
 	predGap   float32 // its top-2 probability gap (collection gate)
 }
 
-// batchScratch holds the client-owned buffers of the allocation-free
-// inference hot path. Everything is grown once to the high-water batch and
-// allocation shape and then reused; see Client.InferBatch.
-type batchScratch struct {
-	lookupCfg cache.Config
-	sem       *semantics.Scratch
-	bp        cache.BatchProbe
-	lks       []*cache.Lookup
-	states    []inferState
-	res       []engine.Result
-	active    []*cache.Layer // activated non-empty layers, ascending sites
-	flat      []float32      // vector store backing: (slot, ordinal) rows
-	agree     []int          // per-(slot, ordinal) raw layer winner
-	alive     []int          // slots still probing, ascending
-	aliveVecs [][]float32
-	aliveLks  []*cache.Lookup
-	probeOut  []cache.Result
-	absorb    []float32 // deep-site regeneration buffer
-	one       [1]dataset.Sample
-	slots     int // current capacity in batch slots
-	rows      int // activated layers the vector store is shaped for
+// inferScratch holds the client-owned buffers of the allocation-free
+// inference hot path. BeginRound shapes it to the round's allocation; the
+// vector store grows only when an allocation activates more layers than
+// any before it.
+type inferScratch struct {
+	sem    *semantics.Scratch
+	lk     *cache.Lookup
+	active []*cache.Layer // activated non-empty layers, ascending sites
+	flat   []float32      // vector store backing: one row per active ordinal
+	agree  []int          // per-ordinal raw layer winner
+	absorb []float32      // deep-site regeneration buffer
 }
 
-// ensure shapes the scratch for a batch of n over the current allocation.
-func (c *Client) ensure(n int) {
-	sc := &c.scratch
-	if sc.sem == nil {
-		sc.sem = c.space.NewScratch()
-		sc.absorb = make([]float32, model.Dim)
-	}
+// shape points the scratch at the activated non-empty layers of local.
+func (sc *inferScratch) shape(local *cache.Local) {
 	sc.active = sc.active[:0]
-	layers := c.local.Layers()
+	layers := local.Layers()
 	for i := range layers {
 		if layers[i].Len() > 0 {
 			sc.active = append(sc.active, &layers[i])
 		}
 	}
-	rows := len(sc.active)
-	for len(sc.lks) < n {
-		sc.lks = append(sc.lks, cache.NewLookup(sc.lookupCfg))
-	}
-	if n > sc.slots || rows > sc.rows {
-		if n < sc.slots {
-			n = sc.slots
-		}
-		if rows < sc.rows {
-			rows = sc.rows
-		}
-		sc.states = make([]inferState, n)
-		sc.res = make([]engine.Result, n)
-		sc.flat = make([]float32, n*rows*model.Dim)
-		sc.agree = make([]int, n*rows)
-		sc.alive = make([]int, 0, n)
-		sc.aliveVecs = make([][]float32, n)
-		sc.aliveLks = make([]*cache.Lookup, n)
-		sc.probeOut = make([]cache.Result, n)
-		sc.slots, sc.rows = n, rows
+	if rows := len(sc.active); rows > len(sc.agree) {
+		sc.flat = make([]float32, rows*model.Dim)
+		sc.agree = make([]int, rows)
 	}
 }
 
-// vecRow returns the stored semantic vector of batch slot s at activated
-// layer ordinal ord.
-func (sc *batchScratch) vecRow(s, ord int) []float32 {
-	base := (s*sc.rows + ord) * model.Dim
+// vecRow returns the stored semantic vector at activated layer ordinal ord.
+func (sc *inferScratch) vecRow(ord int) []float32 {
+	base := ord * model.Dim
 	return sc.flat[base : base+model.Dim : base+model.Dim]
 }
 
-// initState charges a slot's round-amortized coordination cost.
-func (c *Client) initState(st *inferState) {
-	*st = inferState{hitSite: -1, hitOrd: -1, predClass: -1}
-	if c.cfg.CoordPerRoundMs > 0 {
-		st.latency += c.cfg.CoordPerRoundMs / float64(c.cfg.RoundFrames)
-	}
-}
-
-// advanceBlocks charges block latencies up to and including block j,
-// adding them one by one so float accumulation order matches the
-// sequential reference path exactly.
+// advanceBlocks charges block latencies up to and including block j, adding
+// them one by one in block order.
 func (st *inferState) advanceBlocks(blockMs []float64, j int) {
 	for ; st.nextBlock <= j; st.nextBlock++ {
 		st.latency += blockMs[st.nextBlock]
@@ -570,211 +528,118 @@ func (st *inferState) advanceBlocks(blockMs []float64, j int) {
 
 // Infer implements engine.Engine: sequential block execution with cache
 // probes at activated sites, early exit on hit, full prediction on miss
-// (§II-3, §IV-C). It is the batch-of-1 case of InferBatch and shares its
-// allocation-free scratch.
+// (§II-3, §IV-C). Steady-state calls are allocation-free.
 func (c *Client) Infer(smp dataset.Sample) engine.Result {
-	c.scratch.one[0] = smp
-	return c.InferBatch(c.scratch.one[:1])[0]
-}
-
-// InferBatch processes a batch of samples through the cached-inference hot
-// path and returns one result per sample, exactly equal to len(smps)
-// sequential Infer calls (same predictions, latencies, collection and
-// status updates, in the same order). Batches of fusedBatchMin or more run
-// site-major: each activated layer is probed for the whole batch at once,
-// amortizing per-layer entry norms across samples and keeping the layer's
-// entries hot in cache. The returned slice is owned by the client and only
-// valid until the next Infer/InferBatch call.
-func (c *Client) InferBatch(smps []dataset.Sample) []engine.Result {
-	c.ensure(len(smps))
-	sc := &c.scratch
-	if len(smps) == 0 {
-		return sc.res[:0]
-	}
-	if len(smps) < fusedBatchMin {
-		c.probeSequential(smps)
-	} else {
-		c.probeFused(smps)
-	}
-	c.predictMisses(smps)
-	c.apply(smps)
-	return sc.res[:len(smps)]
-}
-
-// probeSequential runs the probe phase sample-major with per-pair cosine
-// probes — optimal for tiny batches, and the reference the fused path must
-// match bitwise.
-func (c *Client) probeSequential(smps []dataset.Sample) {
-	sc := &c.scratch
-	arch := c.space.Arch
-	for s := range smps {
-		st := &sc.states[s]
-		c.initState(st)
-		lk := sc.lks[s]
-		lk.Reset()
-		for ord, layer := range sc.active {
-			st.advanceBlocks(arch.BlockLatencyMs, layer.Site)
-			vec := sc.vecRow(s, ord)
-			c.space.SampleVectorInto(vec, smps[s], layer.Site, c.env, sc.sem)
-			cost := arch.LookupCostMs(layer.Len())
-			st.latency += cost
-			st.lookupMs += cost
-			pr := lk.Probe(layer, vec)
-			sc.agree[s*sc.rows+ord] = pr.LayerClass
-			st.probes = ord + 1
-			if pr.Hit {
-				st.hit = true
-				st.hitSite, st.hitOrd = layer.Site, ord
-				st.class, st.score = pr.Class, pr.Score
-				break
-			}
-		}
-		if !st.hit {
-			st.advanceBlocks(arch.BlockLatencyMs, arch.NumLayers)
-		}
-	}
-}
-
-// probeFused runs the probe phase site-major: at every activated layer the
-// still-undecided samples' vectors are generated and probed together
-// through cache.BatchProbe. Per-sample decisions and bookkeeping are
-// identical to probeSequential; only the execution order across samples —
-// which no per-sample state depends on — differs.
-func (c *Client) probeFused(smps []dataset.Sample) {
-	sc := &c.scratch
-	arch := c.space.Arch
-	sc.alive = sc.alive[:0]
-	for s := range smps {
-		c.initState(&sc.states[s])
-		sc.lks[s].Reset()
-		sc.alive = append(sc.alive, s)
-	}
-	for ord, layer := range sc.active {
-		if len(sc.alive) == 0 {
-			break
-		}
-		cost := arch.LookupCostMs(layer.Len())
-		for i, s := range sc.alive {
-			st := &sc.states[s]
-			st.advanceBlocks(arch.BlockLatencyMs, layer.Site)
-			vec := sc.vecRow(s, ord)
-			c.space.SampleVectorInto(vec, smps[s], layer.Site, c.env, sc.sem)
-			st.latency += cost
-			st.lookupMs += cost
-			sc.aliveVecs[i] = vec
-			sc.aliveLks[i] = sc.lks[s]
-		}
-		sc.bp.Probe(layer, sc.aliveVecs[:len(sc.alive)], sc.aliveLks[:len(sc.alive)], sc.probeOut)
-		next := sc.alive[:0]
-		for i, s := range sc.alive {
-			pr := sc.probeOut[i]
-			st := &sc.states[s]
-			sc.agree[s*sc.rows+ord] = pr.LayerClass
-			st.probes = ord + 1
-			if pr.Hit {
-				st.hit = true
-				st.hitSite, st.hitOrd = layer.Site, ord
-				st.class, st.score = pr.Class, pr.Score
-			} else {
-				next = append(next, s)
-			}
-		}
-		sc.alive = next
-	}
-	for _, s := range sc.alive {
-		sc.states[s].advanceBlocks(arch.BlockLatencyMs, arch.NumLayers)
-	}
-}
-
-// predictMisses runs the full model for every missed slot (pure
-// computation; order across slots is immaterial).
-func (c *Client) predictMisses(smps []dataset.Sample) {
-	sc := &c.scratch
-	for s := range smps {
-		st := &sc.states[s]
-		if st.hit {
-			continue
-		}
-		pred := c.space.PredictScratch(sc.sem, smps[s], c.env)
+	st := c.probe(smp)
+	if !st.hit {
+		pred := c.space.PredictScratch(c.scratch.sem, smp, c.env)
 		st.predClass = pred.Class
 		st.predGap = pred.Top2Gap()
 	}
+	return c.apply(smp, &st)
 }
 
-// apply commits each slot's side effects — hit reinforcement or miss
-// expansion into the update table, collection statistics and the τ/φ
-// status vectors — in slot order, exactly as sequential Infer calls would.
-func (c *Client) apply(smps []dataset.Sample) {
+// probe charges the frame's round-amortized coordination cost, then walks
+// the activated layers in site order, generating the frame's vector at each
+// and probing it, until one hits or the frame runs through the whole model.
+func (c *Client) probe(smp dataset.Sample) inferState {
 	sc := &c.scratch
 	arch := c.space.Arch
-	for s := range smps {
-		st := &sc.states[s]
-		smp := smps[s]
-		res := engine.Result{Pred: -1, HitLayer: -1}
-		if st.hit {
-			res.Pred, res.Hit, res.HitLayer = st.class, true, st.hitSite
-			c.roundHitsBy[st.hitSite]++
-			c.collect.Hits++
-			if !c.cfg.DisableCollection && st.score > c.cfg.GammaCollect {
-				c.collect.HitAbsorbed++
-				if st.class == smp.Class {
-					c.collect.HitAbsorbedCorrect++
-				}
-				// "Limited to the point of the cache hit": reinforce the
-				// entry at the site that served the hit, whose entry
-				// population is exactly the samples hitting there.
-				// Earlier sites saw this frame as not-yet-discriminative
-				// and would only be eroded by its vectors.
-				// Absorb errors only arise from degenerate vectors,
-				// which unit sample vectors never are.
-				_ = c.upd.Absorb(st.class, st.hitSite, sc.vecRow(s, st.hitOrd))
-			}
-		} else {
-			res.Pred = st.predClass
-			c.collect.Misses++
-			if !c.cfg.DisableCollection && float64(st.predGap) > c.cfg.DeltaCollect {
-				c.collect.MissAbsorbed++
-				if st.predClass == smp.Class {
-					c.collect.MissAbsorbedCorrect++
-				}
-				// Expansion vectors: probed sites whose own evidence agrees
-				// with the prediction, plus the sites past the last probe,
-				// where a confidently-classified frame is fully resolved.
-				deepest := -1
-				for ord := 0; ord < st.probes; ord++ {
-					site := sc.active[ord].Site
-					if sc.agree[s*sc.rows+ord] == st.predClass {
-						_ = c.upd.Absorb(st.predClass, site, sc.vecRow(s, ord))
-					}
-					deepest = site
-				}
-				for j := deepest + 1; j < arch.NumLayers; j++ {
-					c.space.SampleVectorInto(sc.absorb, smp, j, c.env, sc.sem)
-					_ = c.upd.Absorb(st.predClass, j, sc.absorb)
-				}
-			}
-		}
-
-		// Status-vector maintenance (§IV-C).
-		statusClass := smp.Class
-		if c.cfg.PredictedLabelStatus {
-			statusClass = res.Pred
-		}
-		for i := range c.tau {
-			c.tau[i]++
-		}
-		c.tau[statusClass] = 0
-		c.freq.Observe(statusClass)
-		c.roundFrames++
-
-		res.LatencyMs = st.latency
-		res.LookupMs = st.lookupMs
-		sc.res[s] = res
+	st := inferState{hitSite: -1, hitOrd: -1, predClass: -1}
+	if c.cfg.CoordPerRoundMs > 0 {
+		st.latency += c.cfg.CoordPerRoundMs / float64(c.cfg.RoundFrames)
 	}
+	sc.lk.Reset()
+	for ord, layer := range sc.active {
+		st.advanceBlocks(arch.BlockLatencyMs, layer.Site)
+		vec := sc.vecRow(ord)
+		c.space.SampleVectorInto(vec, smp, layer.Site, c.env, sc.sem)
+		cost := arch.LookupCostMs(layer.Len())
+		st.latency += cost
+		st.lookupMs += cost
+		pr := sc.lk.Probe(layer, vec)
+		sc.agree[ord] = pr.LayerClass
+		st.probes = ord + 1
+		if pr.Hit {
+			st.hit = true
+			st.hitSite, st.hitOrd = layer.Site, ord
+			st.class, st.score = pr.Class, pr.Score
+			return st
+		}
+	}
+	st.advanceBlocks(arch.BlockLatencyMs, arch.NumLayers)
+	return st
+}
+
+// apply commits the frame's side effects — hit reinforcement or miss
+// expansion into the update table, collection statistics and the τ/φ
+// status vectors — and returns its result.
+func (c *Client) apply(smp dataset.Sample, st *inferState) engine.Result {
+	sc := &c.scratch
+	arch := c.space.Arch
+	res := engine.Result{Pred: -1, HitLayer: -1}
+	if st.hit {
+		res.Pred, res.Hit, res.HitLayer = st.class, true, st.hitSite
+		c.roundHitsBy[st.hitSite]++
+		c.collect.Hits++
+		if !c.cfg.DisableCollection && st.score > c.cfg.GammaCollect {
+			c.collect.HitAbsorbed++
+			if st.class == smp.Class {
+				c.collect.HitAbsorbedCorrect++
+			}
+			// "Limited to the point of the cache hit": reinforce the
+			// entry at the site that served the hit, whose entry
+			// population is exactly the samples hitting there.
+			// Earlier sites saw this frame as not-yet-discriminative
+			// and would only be eroded by its vectors.
+			// Absorb errors only arise from degenerate vectors,
+			// which unit sample vectors never are.
+			_ = c.upd.Absorb(st.class, st.hitSite, sc.vecRow(st.hitOrd))
+		}
+	} else {
+		res.Pred = st.predClass
+		c.collect.Misses++
+		if !c.cfg.DisableCollection && float64(st.predGap) > c.cfg.DeltaCollect {
+			c.collect.MissAbsorbed++
+			if st.predClass == smp.Class {
+				c.collect.MissAbsorbedCorrect++
+			}
+			// Expansion vectors: probed sites whose own evidence agrees
+			// with the prediction, plus the sites past the last probe,
+			// where a confidently-classified frame is fully resolved.
+			deepest := -1
+			for ord := 0; ord < st.probes; ord++ {
+				site := sc.active[ord].Site
+				if sc.agree[ord] == st.predClass {
+					_ = c.upd.Absorb(st.predClass, site, sc.vecRow(ord))
+				}
+				deepest = site
+			}
+			for j := deepest + 1; j < arch.NumLayers; j++ {
+				c.space.SampleVectorInto(sc.absorb, smp, j, c.env, sc.sem)
+				_ = c.upd.Absorb(st.predClass, j, sc.absorb)
+			}
+		}
+	}
+
+	// Status-vector maintenance (§IV-C).
+	statusClass := smp.Class
+	if c.cfg.PredictedLabelStatus {
+		statusClass = res.Pred
+	}
+	for i := range c.tau {
+		c.tau[i]++
+	}
+	c.tau[statusClass] = 0
+	c.freq.Observe(statusClass)
+	c.roundFrames++
+
+	res.LatencyMs = st.latency
+	res.LookupMs = st.lookupMs
+	return res
 }
 
 var (
-	_ engine.Engine      = (*Client)(nil)
-	_ engine.BatchEngine = (*Client)(nil)
-	_ engine.RoundHooks  = (*Client)(nil)
+	_ engine.Engine     = (*Client)(nil)
+	_ engine.RoundHooks = (*Client)(nil)
 )

@@ -8,6 +8,7 @@ import (
 
 	"coca/internal/dataset"
 	"coca/internal/model"
+	"coca/internal/semantics"
 	"coca/internal/stream"
 )
 
@@ -335,5 +336,106 @@ func TestClientDisableCollectionUploadsNothing(t *testing.T) {
 	}
 	if _, merges := srv.Stats(); merges != 0 {
 		t.Fatalf("merges = %d with collection disabled", merges)
+	}
+}
+
+// inferTestStack builds an isolated server+client+generator trio.
+func inferTestStack(t testing.TB, ccfg ClientConfig) (*Client, *stream.Generator) {
+	t.Helper()
+	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
+	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
+	if ccfg.Theta == 0 {
+		ccfg.Theta = 0.012
+	}
+	if ccfg.Budget == 0 {
+		ccfg.Budget = 150
+	}
+	if ccfg.RoundFrames == 0 {
+		ccfg.RoundFrames = 120
+	}
+	client, err := NewClient(context.Background(), space, srv, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := stream.NewPartition(stream.Config{
+		Dataset: space.DS, NumClients: 1, SceneMeanFrames: 20,
+		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, part.Client(0)
+}
+
+// TestInferZeroAllocsSteadyState is the allocation-regression guard the
+// hot path is built around: once warm, Infer must not allocate at all.
+func TestInferZeroAllocsSteadyState(t *testing.T) {
+	for _, cfg := range []ClientConfig{
+		{},
+		{DisableCollection: true},
+		{EnvBiasWeight: 0.05, DriftWeight: 0.05},
+	} {
+		client, gen := inferTestStack(t, cfg)
+		// Enough frames for the scratch buffers, lookup accumulator and
+		// update-table cells to reach steady state.
+		if err := client.BeginRound(); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 1600; f++ {
+			client.Infer(gen.Next())
+		}
+
+		smp := gen.Next()
+		if n := testing.AllocsPerRun(200, func() {
+			smp = gen.Next()
+			client.Infer(smp)
+		}); n != 0 {
+			t.Errorf("cfg %+v: Infer allocates %v/op at steady state, want 0", cfg, n)
+		}
+	}
+}
+
+// BenchmarkInferencePath measures the host cost per frame of the cached
+// inference hot path — Client.Infer over a warm allocation — at the
+// paper's reference scale (50 classes, 300-entry budget) and a fleet scale
+// (100 classes, 1000 entries). Stream generation runs outside the timed
+// loop.
+func BenchmarkInferencePath(b *testing.B) {
+	for _, sc := range []struct {
+		name            string
+		classes, budget int
+	}{{"ref", 50, 300}, {"fleet", 100, 1000}} {
+		space := semantics.NewSpace(dataset.UCF101().Subset(sc.classes), model.ResNet101())
+		b.Run("scale="+sc.name, func(b *testing.B) {
+			srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 1})
+			client, err := NewClient(context.Background(), space, srv, ClientConfig{
+				Theta: 0.012, Budget: sc.budget, RoundFrames: 300,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			part, err := stream.NewPartition(stream.Config{
+				Dataset: space.DS, NumClients: 1, SceneMeanFrames: 25,
+				WorkingSetSize: 15, WorkingSetChurn: 0.05, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := client.BeginRound(); err != nil {
+				b.Fatal(err)
+			}
+			// A ring of pre-drawn frames keeps generation out of the timed
+			// loop while still varying the frames each iteration sees; one
+			// pass over it before the timer warms the client's scratch.
+			frames := part.Client(0).Take(64)
+			for _, smp := range frames {
+				client.Infer(smp)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				client.Infer(frames[n%len(frames)])
+			}
+		})
 	}
 }

@@ -25,10 +25,6 @@ type ClusterConfig struct {
 	Stream stream.Config
 	// Rounds and SkipRounds control the run length and warm-up exclusion.
 	Rounds, SkipRounds int
-	// BatchSize drives each client's frames through the batched hot path
-	// (Client.InferBatch) in chunks of this size. 0 or 1 processes frames
-	// one at a time; results are identical either way.
-	BatchSize int
 }
 
 // Cluster is a server plus a fleet of clients wired in-process.
@@ -94,6 +90,5 @@ func (c *Cluster) Run() (perClient []*metrics.Accumulator, combined *metrics.Acc
 		FramesPerRound: frames,
 		SkipRounds:     c.cfg.SkipRounds,
 		Concurrent:     true,
-		BatchSize:      c.cfg.BatchSize,
 	})
 }

@@ -615,6 +615,8 @@ func (s *Server) upload(clientID int, upd UpdateReport) error {
 		}
 	}
 	if !s.cfg.DisableGlobalUpdates {
+		// Every cell's shape is checked before any merges, so a refused
+		// report leaves the table and Φ as they were and can be resent.
 		for _, cell := range upd.Cells {
 			if cell.Class < 0 || cell.Class >= s.table.Classes() || cell.Layer < 0 || cell.Layer >= s.table.Layers() {
 				return fmt.Errorf("core: client %d update cell (%d,%d) out of range", clientID, cell.Class, cell.Layer)
@@ -622,6 +624,11 @@ func (s *Server) upload(clientID int, upd UpdateReport) error {
 			if cell.Count < 1 {
 				return fmt.Errorf("core: client %d update cell (%d,%d) has count %d", clientID, cell.Class, cell.Layer, cell.Count)
 			}
+			if len(cell.Vec) != s.table.Dim() {
+				return fmt.Errorf("core: client %d update cell (%d,%d) has dim %d, want %d", clientID, cell.Class, cell.Layer, len(cell.Vec), s.table.Dim())
+			}
+		}
+		for _, cell := range upd.Cells {
 			if err := s.table.Merge(cell.Class, cell.Layer, cell.Vec, s.cfg.Gamma, float64(cell.Count), s.cfg.SupportCap); err != nil {
 				return fmt.Errorf("core: client %d merge (%d,%d): %w", clientID, cell.Class, cell.Layer, err)
 			}

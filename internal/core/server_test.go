@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -200,6 +201,42 @@ func TestServerUploadValidation(t *testing.T) {
 	badFreq[0] = -1
 	if err := upload(sess, UpdateReport{Freq: badFreq}); err == nil {
 		t.Error("negative frequency accepted")
+	}
+
+	// A report whose later cell is bad is refused whole: the valid cell
+	// before it must not merge, and its frequencies must not reach Φ.
+	good := xrand.NormalVector(xrand.New(11), model.Dim)
+	vecmath.Normalize(good)
+	ones := make([]float64, 10)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for _, bad := range []struct {
+		name string
+		cell UpdateCell
+	}{
+		{"class", UpdateCell{Class: 99, Layer: 0, Count: 1, Vec: vec}},
+		{"layer", UpdateCell{Class: 1, Layer: 99, Count: 1, Vec: vec}},
+		{"count", UpdateCell{Class: 1, Layer: 0, Count: 0, Vec: vec}},
+		{"dim", UpdateCell{Class: 1, Layer: 0, Count: 1, Vec: vec[:3]}},
+	} {
+		before := srv.Table().Get(1, 1)
+		_, mergesBefore := srv.Stats()
+		freqBefore := srv.GlobalFreq()
+		if err := upload(sess, UpdateReport{
+			Cells: []UpdateCell{{Class: 1, Layer: 1, Count: 1, Vec: good}, bad.cell}, Freq: ones,
+		}); err == nil {
+			t.Fatalf("report with a bad %s accepted", bad.name)
+		}
+		if _, merges := srv.Stats(); merges != mergesBefore {
+			t.Errorf("bad %s: merges %d -> %d after a refused report", bad.name, mergesBefore, merges)
+		}
+		if !slices.Equal(srv.Table().Get(1, 1), before) {
+			t.Errorf("bad %s: cell (1,1) changed by a refused report", bad.name)
+		}
+		if !slices.Equal(srv.GlobalFreq(), freqBefore) {
+			t.Errorf("bad %s: Φ changed by a refused report", bad.name)
+		}
 	}
 }
 

@@ -35,17 +35,6 @@ type Engine interface {
 	Infer(smp dataset.Sample) Result
 }
 
-// BatchEngine is implemented by engines whose hot path processes batches
-// (CoCa's client). InferBatch must behave exactly like len(smps)
-// sequential Infer calls; the returned slice may be owned by the engine
-// and is only valid until its next inference call. Engines without
-// BatchEngine are driven sample by sample regardless of the configured
-// batch size.
-type BatchEngine interface {
-	Engine
-	InferBatch(smps []dataset.Sample) []Result
-}
-
 // RoundHooks is implemented by engines that coordinate per round (CoCa's
 // allocation/update protocol, SMTM's cache refresh, LearnedCache's
 // retraining).
@@ -75,11 +64,6 @@ type RunConfig struct {
 	// so results stay deterministic while the round's heavy work — the
 	// paper's concurrent multi-client serving load — runs in parallel.
 	Concurrent bool
-	// BatchSize drives each client's frames through BatchEngine.InferBatch
-	// in chunks of this size (drawn from the stream as a batch). 0 or 1
-	// processes frames one at a time. Results are identical either way;
-	// batching only changes the execution schedule.
-	BatchSize int
 }
 
 // Runner drives a fleet of engines round by round. It factors the body of
@@ -98,7 +82,6 @@ type Runner struct {
 	gens      []*stream.Generator
 	cfg       RunConfig
 	perClient []*metrics.Accumulator
-	bufs      [][]dataset.Sample
 	pool      *workerPool
 }
 
@@ -149,7 +132,7 @@ func (r *Runner) spawn() *workerPool {
 func (r *Runner) worker(p *workerPool, w int) {
 	for job := range p.start[w] {
 		for k := w; k < len(r.engines); k += p.workers {
-			p.errs[k] = runClientRound(r.engines[k], r.gens[k], r.perClient[k], r.cfg, k, job.round, job.record, r.clientBuf(k))
+			p.errs[k] = runClientRound(r.engines[k], r.gens[k], r.perClient[k], r.cfg, k, job.round, job.record)
 		}
 		p.done <- struct{}{}
 	}
@@ -169,7 +152,7 @@ func (r *Runner) Close() {
 }
 
 // NewRunner validates the configuration and prepares per-client metric
-// accumulators and batch-draw buffers. cfg.Rounds only matters to
+// accumulators. cfg.Rounds only matters to
 // RunRounds-style loops; RunRound takes the round index explicitly.
 func NewRunner(engines []Engine, gens []*stream.Generator, cfg RunConfig) (*Runner, error) {
 	if len(engines) != len(gens) {
@@ -183,21 +166,7 @@ func NewRunner(engines []Engine, gens []*stream.Generator, cfg RunConfig) (*Runn
 	for i := range r.perClient {
 		r.perClient[i] = &metrics.Accumulator{}
 	}
-	// Per-client batch-draw buffers, allocated once for the whole run.
-	if cfg.BatchSize > 1 {
-		r.bufs = make([][]dataset.Sample, len(engines))
-		for i := range r.bufs {
-			r.bufs[i] = make([]dataset.Sample, cfg.BatchSize)
-		}
-	}
 	return r, nil
-}
-
-func (r *Runner) clientBuf(k int) []dataset.Sample {
-	if r.bufs == nil {
-		return nil
-	}
-	return r.bufs[k]
 }
 
 // RunRound executes one round (hooks and frames) across the fleet. Metrics
@@ -215,7 +184,7 @@ func (r *Runner) RunRound(round int) error {
 	if r.cfg.Concurrent {
 		err = r.runRoundConcurrent(round, record)
 	} else {
-		err = runRoundSequential(r.engines, r.gens, r.perClient, r.cfg, round, record, r.clientBuf)
+		err = runRoundSequential(r.engines, r.gens, r.perClient, r.cfg, round, record)
 	}
 	elapsed := time.Since(start).Seconds()
 	telemetry.EngineRoundSeconds.Observe(elapsed)
@@ -272,32 +241,14 @@ func RunRounds(engines []Engine, gens []*stream.Generator, cfg RunConfig) (perCl
 }
 
 // runClientRound drives one client through one round's begin hook and
-// frames (the parallelizable part of a round). With a batch size above 1
-// and a BatchEngine, frames are drawn from the stream into buf (the
-// client's reusable batch buffer) and inferred in batches; results are
-// identical to the sample-by-sample schedule.
-func runClientRound(eng Engine, gen *stream.Generator, acc *metrics.Accumulator, cfg RunConfig, k, round int, record bool, buf []dataset.Sample) error {
+// frames (the parallelizable part of a round).
+func runClientRound(eng Engine, gen *stream.Generator, acc *metrics.Accumulator, cfg RunConfig, k, round int, record bool) error {
 	if h, ok := eng.(RoundHooks); ok {
 		if err := h.BeginRound(); err != nil {
 			return fmt.Errorf("engine: client %d round %d begin: %w", k, round, err)
 		}
 	}
-	frames := cfg.FramesPerRound
-	be, batched := eng.(BatchEngine)
-	if cfg.BatchSize > 1 && batched {
-		for f := 0; f < frames; f += len(buf) {
-			n := frames - f
-			if n > len(buf) {
-				n = len(buf)
-			}
-			batch := gen.NextBatch(buf[:n])
-			for i, res := range be.InferBatch(batch) {
-				recordObs(acc, batch[i], res, record)
-			}
-		}
-		return nil
-	}
-	for f := 0; f < frames; f++ {
+	for f := 0; f < cfg.FramesPerRound; f++ {
 		smp := gen.Next()
 		recordObs(acc, smp, eng.Infer(smp), record)
 	}
@@ -328,9 +279,9 @@ func endClientRound(eng Engine, k, round int) error {
 	return nil
 }
 
-func runRoundSequential(engines []Engine, gens []*stream.Generator, perClient []*metrics.Accumulator, cfg RunConfig, round int, record bool, clientBuf func(int) []dataset.Sample) error {
+func runRoundSequential(engines []Engine, gens []*stream.Generator, perClient []*metrics.Accumulator, cfg RunConfig, round int, record bool) error {
 	for k, eng := range engines {
-		if err := runClientRound(eng, gens[k], perClient[k], cfg, k, round, record, clientBuf(k)); err != nil {
+		if err := runClientRound(eng, gens[k], perClient[k], cfg, k, round, record); err != nil {
 			return err
 		}
 		if err := endClientRound(eng, k, round); err != nil {

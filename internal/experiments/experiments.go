@@ -29,11 +29,6 @@ type Options struct {
 	Scale float64
 	// Seed roots all workload randomness.
 	Seed uint64
-	// BatchSize drives batch-capable engines (CoCa clients) through the
-	// batched round driver in chunks of this size. 0 or 1 is frame at a
-	// time; results are identical either way, batching only speeds the
-	// host computation up.
-	BatchSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -140,8 +135,7 @@ func thetaFor(arch *model.Arch, strict bool) float64 {
 	}
 }
 
-// workload bundles the stream settings shared by most experiments, plus
-// the batch size the round driver should use.
+// workload bundles the stream settings shared by most experiments.
 type workload struct {
 	ds           *dataset.Spec
 	classWeights []float64
@@ -150,7 +144,6 @@ type workload struct {
 	workingSet   int
 	churn        float64
 	seed         uint64
-	batch        int
 }
 
 func defaultWorkload(ds *dataset.Spec, seed uint64) workload {
@@ -160,11 +153,9 @@ func defaultWorkload(ds *dataset.Spec, seed uint64) workload {
 }
 
 // workload builds the default workload for ds carrying the options'
-// seed and batch size.
+// seed.
 func (o Options) workload(ds *dataset.Spec) workload {
-	w := defaultWorkload(ds, o.Seed)
-	w.batch = o.BatchSize
-	return w
+	return defaultWorkload(ds, o.Seed)
 }
 
 func (w workload) config(clients int) stream.Config {
@@ -202,7 +193,6 @@ func runEngines(engines []engine.Engine, w workload, rounds, framesPerRound, ski
 	}
 	_, combined, err := engine.RunRounds(engines, gens, engine.RunConfig{
 		Rounds: rounds, FramesPerRound: framesPerRound, SkipRounds: skip,
-		BatchSize: w.batch,
 	})
 	if err != nil {
 		return metrics.Summary{}, err

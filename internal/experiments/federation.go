@@ -41,7 +41,7 @@ func fedWorkload(ds *dataset.Spec, clients int, seed uint64) stream.Config {
 
 // runFederationArm builds and runs one arm, returning the fleet summary,
 // the minimum per-server hit ratio and the sync statistics.
-func runFederationArm(opts Options, arm fedArm, clients, rounds, frames, budget int, batch int, init *core.ServerInit) (metrics.Summary, float64, federation.SyncStats, error) {
+func runFederationArm(opts Options, arm fedArm, clients, rounds, frames, budget int, init *core.ServerInit) (metrics.Summary, float64, federation.SyncStats, error) {
 	ds := dataset.UCF101().Subset(30)
 	arch := model.ResNet101()
 	space := newSpace(ds, arch)
@@ -60,7 +60,6 @@ func runFederationArm(opts Options, arm fedArm, clients, rounds, frames, budget 
 		Stream:     fedWorkload(ds, clients, opts.Seed),
 		Rounds:     rounds,
 		SkipRounds: 1,
-		BatchSize:  batch,
 	})
 	if err != nil {
 		return metrics.Summary{}, 0, federation.SyncStats{}, err
@@ -117,7 +116,7 @@ func FederationExp(opts Options) (*Result, error) {
 	}
 	var oracleHit, oracleAcc, fedHit, fedAcc, noSyncAcc, fedMinHit, noSyncMinHit float64
 	for _, arm := range arms {
-		sum, minHit, sync, err := runFederationArm(opts, arm, clients, rounds, frames, budget, opts.BatchSize, fedInit)
+		sum, minHit, sync, err := runFederationArm(opts, arm, clients, rounds, frames, budget, fedInit)
 		if err != nil {
 			return nil, fmt.Errorf("federation arm %q: %w", arm.name, err)
 		}
@@ -148,7 +147,7 @@ func FederationExp(opts Options) (*Result, error) {
 	sweepRounds := opts.rounds(4)
 	for _, n := range []int{2, 3, 4} {
 		arm := fedArm{servers: n, syncEvery: 1, topo: federation.Mesh}
-		_, _, sync, err := runFederationArm(opts, arm, clients, sweepRounds, frames, budget, opts.BatchSize, fedInit)
+		_, _, sync, err := runFederationArm(opts, arm, clients, sweepRounds, frames, budget, fedInit)
 		if err != nil {
 			return nil, fmt.Errorf("federation sweep n=%d: %w", n, err)
 		}

@@ -67,7 +67,6 @@ func runRoutingArm(opts Options, arm routingArm, servers, clients, rounds, skip,
 		Stream:     routingWorkload(ds, clients, opts.Seed),
 		Rounds:     rounds,
 		SkipRounds: skip,
-		BatchSize:  opts.BatchSize,
 		OnRound: func(round int) {
 			if onRound != nil {
 				onRound(cluster, round)

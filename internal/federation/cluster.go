@@ -64,8 +64,6 @@ type ClusterConfig struct {
 	Stream stream.Config
 	// Rounds and SkipRounds control the run length and warm-up exclusion.
 	Rounds, SkipRounds int
-	// BatchSize drives each client's frames through the batched hot path.
-	BatchSize int
 }
 
 // Cluster is a federated fleet wired in process: every server runs its
@@ -165,7 +163,6 @@ func NewCluster(space *semantics.Space, cfg ClusterConfig) (*Cluster, error) {
 			FramesPerRound: frames,
 			SkipRounds:     cfg.SkipRounds,
 			Concurrent:     true,
-			BatchSize:      cfg.BatchSize,
 		})
 		if err != nil {
 			return nil, err

@@ -46,8 +46,6 @@ type RoutedConfig struct {
 	Stream stream.Config
 	// Rounds and SkipRounds control run length and warm-up exclusion.
 	Rounds, SkipRounds int
-	// BatchSize drives each client's frames through the batched hot path.
-	BatchSize int
 	// OnRound, when set, runs after every round barrier (before sync and
 	// rebalance) — the experiment hook for breaker trips and probes.
 	OnRound func(round int)
@@ -150,7 +148,6 @@ func NewRoutedCluster(space *semantics.Space, cfg RoutedConfig) (*RoutedCluster,
 		FramesPerRound: frames,
 		SkipRounds:     cfg.SkipRounds,
 		Concurrent:     true,
-		BatchSize:      cfg.BatchSize,
 	})
 	if err != nil {
 		return nil, err

@@ -169,15 +169,6 @@ func (g *Generator) Next() dataset.Sample {
 	return smp
 }
 
-// NextBatch fills dst with the next len(dst) samples and returns it — the
-// batch draw of the batched round driver. Like Next, it is allocation-free.
-func (g *Generator) NextBatch(dst []dataset.Sample) []dataset.Sample {
-	for i := range dst {
-		dst[i] = g.Next()
-	}
-	return dst
-}
-
 func (g *Generator) nextSceneClass() int {
 	if len(g.workset) == 0 {
 		return g.sampler.Sample(g.rng)
@@ -215,7 +206,11 @@ func (g *Generator) sceneLength() int {
 
 // Take generates the next n samples as a fresh slice.
 func (g *Generator) Take(n int) []dataset.Sample {
-	return g.NextBatch(make([]dataset.Sample, n))
+	out := make([]dataset.Sample, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
 }
 
 // Concentration measures how non-IID a distribution is: the total mass of

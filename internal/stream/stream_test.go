@@ -262,3 +262,21 @@ func TestConcentrationHelper(t *testing.T) {
 		t.Fatalf("Concentration full = %d, want 4", got)
 	}
 }
+
+// TestNextZeroAllocs guards the stream draw's allocation-free contract.
+func TestNextZeroAllocs(t *testing.T) {
+	p, err := NewPartition(Config{
+		Dataset: dataset.UCF101().Subset(20), NumClients: 2,
+		SceneMeanFrames: 15, WorkingSetSize: 6, WorkingSetChurn: 0.1, Seed: 21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.Client(1)
+	g.Next() // warm
+	if n := testing.AllocsPerRun(500, func() {
+		g.Next()
+	}); n != 0 {
+		t.Errorf("Next allocates %v/op, want 0", n)
+	}
+}

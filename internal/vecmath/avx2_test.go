@@ -135,6 +135,80 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 	}
 }
 
+// FuzzCosinesRows holds CosinesRows, the probe kernel a client runs, to its
+// Go loop bit for bit (a NaN to any NaN) over fuzzed dimensions (1…300), row
+// counts (1…20) and raw float32 bits, the query first and then the entries
+// row by row, the input's words repeating as needed. Where every input is
+// finite it must also equal Cosine(vec, entry) bit for bit. Off AVX2 only
+// that comparison runs. The corpus is seeded from the specialRows grid of
+// TestAVX2KernelsMatchGo.
+func FuzzCosinesRows(f *testing.F) {
+	r := rand.New(rand.NewPCG(30, 9))
+	for _, dim := range []int{4, 8, 252, 256, 6, 255} {
+		for _, n := range []int{1, 7, 8, 9, 20} {
+			for _, spiked := range []bool{false, true} {
+				vec, rows := specialRows(r, n, dim, spiked)
+				data := make([]byte, 0, 4*dim*(n+1))
+				for _, x := range vec {
+					data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
+				}
+				for _, row := range rows {
+					for _, x := range row {
+						data = binary.LittleEndian.AppendUint32(data, math.Float32bits(float32(x)))
+					}
+				}
+				f.Add(uint16(dim-1), uint8(n-1), data)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, dimSeed uint16, nSeed uint8, data []byte) {
+		words := len(data) / 4
+		if words == 0 {
+			t.Skip("no float32 words")
+		}
+		dim, n := 1+int(dimSeed)%300, 1+int(nSeed)%20
+		finite := true
+		next := func(k int) float32 {
+			x := math.Float32frombits(binary.LittleEndian.Uint32(data[4*(k%words):]))
+			finite = finite && !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0)
+			return x
+		}
+		vec := make([]float32, dim)
+		for k := range vec {
+			vec[k] = next(k)
+		}
+		entries := make([][]float32, n)
+		for i := range entries {
+			entries[i] = make([]float32, dim)
+			for k := range entries[i] {
+				entries[i][k] = next((i+1)*dim + k)
+			}
+		}
+		rows, norm2 := WidenRows(entries)
+		snorm := make([]float64, n)
+		SqrtNorms(norm2, snorm)
+		got := make([]float32, n)
+		CosinesRows(vec, rows, snorm, got)
+		if useAVX2 {
+			want := make([]float32, n)
+			goPath(func() { CosinesRows(vec, rows, snorm, want) })
+			for i := range n {
+				if !same32(got[i], want[i]) {
+					t.Fatalf("dim=%d n=%d row %d: CosinesRows %x, Go %x", dim, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+		if !finite {
+			return
+		}
+		for i, e := range entries {
+			if want := Cosine(vec, e); math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("dim=%d n=%d row %d: CosinesRows %x, Cosine %x", dim, n, i, math.Float32bits(got[i]), math.Float32bits(want))
+			}
+		}
+	})
+}
+
 // vec32 draws n float32s from N(0,1), with roughly one in twelve replaced by
 // a special value when spiked, behind off leading elements: the slice starts
 // off·4 bytes into its allocation, so the kernels see unaligned starts.

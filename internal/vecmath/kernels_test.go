@@ -32,31 +32,28 @@ func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
 	}
 }
 
-// TestKernelsZeroAlloc asserts the batch kernels never allocate.
+// TestKernelsZeroAlloc asserts the probe kernels never allocate.
 func TestKernelsZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewPCG(4, 8))
 	entries := kernelVectors(r, 12, 64)
 	vec := kernelVectors(r, 1, 64)[0]
-	wide := make([]float64, 12*64)
-	norm2 := make([]float64, 12)
 	vec64 := make([]float64, 64)
-	rows, _ := WidenRows(entries)
+	rows, norm2 := WidenRows(entries)
 	snorm := make([]float64, 12)
 	SqrtNorms(norm2, snorm)
 	out := make([]float32, 12)
 	if n := testing.AllocsPerRun(200, func() {
-		Widen64(entries, 64, wide, norm2)
 		WidenVec(vec, vec64)
 		CosinesRows(vec, rows, snorm, out)
 		DotsWidenedRows(vec, rows, out)
 		Scale(0.5, out)
 	}); n != 0 {
-		t.Errorf("batch kernels allocate %v/op, want 0", n)
+		t.Errorf("probe kernels allocate %v/op, want 0", n)
 	}
 }
 
 // TestStagedRowCosineBitwise locks the publish-time staging contract: the
-// row-based staged kernels (WidenRows or Widen64, then CosinesWidenedRows on
+// row-based staged kernels (WidenRows, then CosinesWidenedRows on
 // the widened query or CosinesRows on the float32 one) must reproduce scalar
 // Cosine bit for bit across awkward shapes — dimensions around the
 // tile widths (including 1 and non-multiples of the tile), entry counts
@@ -73,19 +70,6 @@ func TestStagedRowCosineBitwise(t *testing.T) {
 					t.Fatalf("dim=%d n=%d entry %d: staged norm %v != SquaredNorm %v", dim, n, i, norm2[i], SquaredNorm(e))
 				}
 			}
-			wide := make([]float64, n*dim)
-			wideNorm2 := make([]float64, n)
-			Widen64(entries, dim, wide, wideNorm2)
-			for i := range entries {
-				for k, x := range rows[i] {
-					if wide[i*dim+k] != x {
-						t.Fatalf("dim=%d n=%d entry %d: Widen64 element %d %v != WidenRows %v", dim, n, i, k, wide[i*dim+k], x)
-					}
-				}
-				if wideNorm2[i] != norm2[i] {
-					t.Fatalf("dim=%d n=%d entry %d: Widen64 norm %v != SquaredNorm %v", dim, n, i, wideNorm2[i], norm2[i])
-				}
-			}
 			vec64 := make([]float64, dim)
 			vn := WidenVec(vec, vec64)
 			if vn != SquaredNorm(vec) {
@@ -100,45 +84,6 @@ func TestStagedRowCosineBitwise(t *testing.T) {
 			for i, e := range entries {
 				if want := Cosine(vec, e); want != out[i] || want != out32[i] {
 					t.Fatalf("dim=%d n=%d entry %d: Cosine %v, CosinesWidenedRows %v, CosinesRows %v", dim, n, i, want, out[i], out32[i])
-				}
-			}
-		}
-	}
-}
-
-// TestBlockedBatchCosineBitwise property-tests the blocked multi-query
-// kernel against scalar Cosine across awkward shapes: dimensions 1..130
-// around the accumulation tiles, batch sizes 1..33 (odd-query tails) and
-// entry counts exercising the 2×2 tile's entry tail. Blocking may only
-// run across independent (query, entry) chains — every output must equal
-// Cosine bit for bit.
-func TestBlockedBatchCosineBitwise(t *testing.T) {
-	r := rand.New(rand.NewPCG(8, 12))
-	dims := []int{1, 2, 3, 7, 31, 64, 127, 128, 130}
-	batches := []int{1, 2, 3, 4, 5, 8, 9, 16, 31, 32, 33}
-	for _, dim := range dims {
-		for _, q := range batches {
-			n := 1 + (q+dim)%9 // vary entry counts across cases, incl. odd
-			entries := kernelVectors(r, n, dim)
-			rows, norm2 := WidenRows(entries)
-			snorm := make([]float64, n)
-			SqrtNorms(norm2, snorm)
-			queries := kernelVectors(r, q, dim)
-			qrows := make([][]float64, q)
-			qsnorm := make([]float64, q)
-			for i, v := range queries {
-				qrows[i] = make([]float64, dim)
-				qsnorm[i] = math.Sqrt(WidenVec(v, qrows[i]))
-			}
-			stride := n + (q % 3) // exercise stride > n too
-			out := make([]float32, q*stride)
-			CosinesBatchWidenedRows(qrows, qsnorm, rows, snorm, stride, out)
-			for qi, v := range queries {
-				for i, e := range entries {
-					if want := Cosine(v, e); want != out[qi*stride+i] {
-						t.Fatalf("dim=%d q=%d n=%d query %d entry %d: Cosine %v != blocked %v",
-							dim, q, n, qi, i, want, out[qi*stride+i])
-					}
 				}
 			}
 		}
@@ -166,27 +111,22 @@ func TestDotsWidenedRowsBitwise(t *testing.T) {
 }
 
 // TestStagedKernelsZeroAlloc asserts the staged-row kernels never
-// allocate: the staging is computed at publish time, so the per-probe and
-// per-batch paths must stay off the heap entirely.
+// allocate: the staging is computed at publish time, so the per-probe
+// path must stay off the heap entirely.
 func TestStagedKernelsZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewPCG(10, 14))
 	entries := kernelVectors(r, 12, 64)
 	rows, norm2 := WidenRows(entries)
 	snorm := make([]float64, len(entries))
-	queries := kernelVectors(r, 6, 64)
-	qrows := make([][]float64, len(queries))
-	qsnorm := make([]float64, len(queries))
-	for i, v := range queries {
-		qrows[i] = make([]float64, 64)
-		qsnorm[i] = math.Sqrt(WidenVec(v, qrows[i]))
-	}
-	out := make([]float32, len(queries)*len(entries))
+	query := kernelVectors(r, 1, 64)[0]
+	qrow := make([]float64, 64)
+	qsnorm := math.Sqrt(WidenVec(query, qrow))
+	out := make([]float32, len(entries))
 	if n := testing.AllocsPerRun(200, func() {
 		SqrtNorms(norm2, snorm)
-		CosinesWidenedRows(qrows[0], qsnorm[0], rows, snorm, out)
-		CosinesBatchWidenedRows(qrows, qsnorm, rows, snorm, len(entries), out)
-		CosinesRows(queries[0], rows, snorm, out)
-		DotsWidenedRows(queries[0], rows, out)
+		CosinesWidenedRows(qrow, qsnorm, rows, snorm, out)
+		CosinesRows(query, rows, snorm, out)
+		DotsWidenedRows(query, rows, out)
 	}); n != 0 {
 		t.Errorf("staged kernels allocate %v/op, want 0", n)
 	}

@@ -119,31 +119,6 @@ func cosineFromSqrts(dot, sa, sb float64) float32 {
 	return float32(c)
 }
 
-// Widen64 flattens entries into dst as float64 (row i at dst[i*dim:]) and
-// fills norm2[i] with SquaredNorm(entries[i]), in one pass. dst must hold
-// len(entries)*dim values; every entry must be dim long. The widened copy
-// lets batched cosine kernels run convert-free inner loops; conversion is
-// exact, so downstream results are bitwise unchanged. Allocation-free.
-func Widen64(entries [][]float32, dim int, dst []float64, norm2 []float64) {
-	if len(dst) < len(entries)*dim || len(norm2) < len(entries) {
-		panic(fmt.Sprintf("vecmath: Widen64 dst/norm2 length %d/%d < %d*%d",
-			len(dst), len(norm2), len(entries), dim))
-	}
-	for i, e := range entries {
-		if len(e) != dim {
-			panic(fmt.Sprintf("vecmath: Widen64 entry %d length %d != %d", i, len(e), dim))
-		}
-		row := dst[i*dim : i*dim+dim]
-		var s float64
-		for k, x := range e {
-			xv := float64(x)
-			row[k] = xv
-			s += xv * xv
-		}
-		norm2[i] = s
-	}
-}
-
 // WidenVec widens one query vector into dst and returns its SquaredNorm,
 // in a single pass. It panics if len(dst) < len(vec). Allocation-free.
 func WidenVec(vec []float32, dst []float64) float64 {
@@ -249,86 +224,6 @@ func CosinesWidenedRows(vec64 []float64, sqrtVecNorm float64, rows [][]float64, 
 			dot += xv * row[k]
 		}
 		out[i] = cosineFromSqrts(dot, sqrtVecNorm, snorm[i])
-	}
-}
-
-// dots2x2 accumulates the four dot chains of two widened queries against
-// two widened entry rows in one streaming pass: the rows are loaded once
-// and feed both queries' chains, which is what lets the blocked batch
-// kernel stream the entry set through cache once per query tile instead of
-// once per query. Each of the four chains accumulates in index order. The
-// 2×2 micro-tile is deliberate: it keeps the working set (4 accumulators +
-// 2 query + 2 entry lanes) inside the baseline SSE2 register file — a 2×4
-// tile spills and measures ~20% slower on the reference Xeon.
-func dots2x2(qa, qb, e0, e1 []float64) (a0, a1, b0, b1 float64) {
-	qb = qb[:len(qa)]
-	e0 = e0[:len(qa)]
-	e1 = e1[:len(qa)]
-	for k, av := range qa {
-		bv := qb[k]
-		x0, x1 := e0[k], e1[k]
-		a0 += av * x0
-		a1 += av * x1
-		b0 += bv * x0
-		b1 += bv * x1
-	}
-	return
-}
-
-// CosinesBatchWidenedRows fills out[q*stride+i] with Cosine(query q,
-// entry i) for every query in qs against every staged entry row — the
-// blocked multi-query scoring kernel of the batched probe path. qs[q] is
-// the widened query with sqrt-norm qSNorm[q]; rows/snorm are the
-// entries' publish-time staging (snorm holds SQUARE-ROOT norms, like
-// CosinesWidenedRows). The kernel is register-blocked 2 queries × 2
-// entries: each entry tile is loaded once and feeds both queries'
-// chains, so the entry matrix streams through cache once per query pair
-// instead of once per query. Every (query, entry) chain still accumulates
-// in index order, so each output is bitwise identical to Cosine — blocking
-// only reorders independent chains, never the additions inside one.
-// stride must be at least len(rows). Allocation-free.
-func CosinesBatchWidenedRows(qs [][]float64, qSNorm []float64, rows [][]float64, snorm []float64, stride int, out []float32) {
-	n := len(rows)
-	if len(qSNorm) < len(qs) || len(snorm) < n {
-		panic(fmt.Sprintf("vecmath: CosinesBatchWidenedRows qSNorm/snorm length %d/%d < %d/%d",
-			len(qSNorm), len(snorm), len(qs), n))
-	}
-	if stride < n || len(out) < len(qs)*stride {
-		panic(fmt.Sprintf("vecmath: CosinesBatchWidenedRows stride/out %d/%d too small for %d×%d",
-			stride, len(out), len(qs), n))
-	}
-	q := 0
-	for ; q+2 <= len(qs); q += 2 {
-		qa, qb := qs[q], qs[q+1]
-		sa, sb := qSNorm[q], qSNorm[q+1]
-		oa := out[q*stride:]
-		ob := out[(q+1)*stride:]
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			a0, a1, b0, b1 := dots2x2(qa, qb, rows[i], rows[i+1])
-			oa[i] = cosineFromSqrts(a0, sa, snorm[i])
-			oa[i+1] = cosineFromSqrts(a1, sa, snorm[i+1])
-			ob[i] = cosineFromSqrts(b0, sb, snorm[i])
-			ob[i+1] = cosineFromSqrts(b1, sb, snorm[i+1])
-		}
-		for ; i < n; i++ {
-			row := rows[i]
-			ra := row[:len(qa)]
-			var da float64
-			for k, xv := range qa {
-				da += xv * ra[k]
-			}
-			rb := row[:len(qb)]
-			var db float64
-			for k, xv := range qb {
-				db += xv * rb[k]
-			}
-			oa[i] = cosineFromSqrts(da, sa, snorm[i])
-			ob[i] = cosineFromSqrts(db, sb, snorm[i])
-		}
-	}
-	if q < len(qs) {
-		CosinesWidenedRows(qs[q], qSNorm[q], rows, snorm, out[q*stride:])
 	}
 }
 

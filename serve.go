@@ -27,8 +27,8 @@ import (
 )
 
 // Server is a running network CoCa deployment: the edge server plus its
-// TCP listener, connection handlers and (when Options.Federation or the
-// deprecated Options.Peers is set) its federation sync loop.
+// TCP listener, connection handlers and (when Options.Federation is set)
+// its federation sync loop.
 type Server struct {
 	core  *core.Server
 	node  *federation.Node
@@ -49,10 +49,7 @@ type Server struct {
 // to Shutdown with no drain window. Serve returns once the listener is
 // accepting.
 func Serve(ctx context.Context, addr string, opts Options) (*Server, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	space, _, err := opts.resolve()
 	if err != nil {
 		return nil, err
@@ -276,10 +273,7 @@ func dialRetry(ctx context.Context, addr string, clientID int, opts Options, bud
 // is followed transparently (bounded hops), so the returned client's
 // session lives on the assigned server.
 func Dial(ctx context.Context, addr string, clientID int, opts Options) (*Client, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	if clientID < 0 || clientID >= opts.NumClients {
 		return nil, fmt.Errorf("coca: client id %d outside fleet of %d", clientID, opts.NumClients)
 	}
@@ -452,10 +446,7 @@ func ServeAndDial(ctx context.Context, opts Options) (*Server, []*Client, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err = opts.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
+	opts = opts.withDefaults()
 	clients := make([]*Client, 0, opts.NumClients)
 	for id := 0; id < opts.NumClients; id++ {
 		cl, err := Dial(ctx, srv.Addr(), id, opts)

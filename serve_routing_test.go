@@ -81,10 +81,7 @@ func TestForcedMigrationTCP(t *testing.T) {
 		NumClients: 1, Rounds: rounds, Budget: 40, RoundFrames: 40,
 		Seed: 3, DialBackoff: 10 * time.Millisecond,
 	}
-	o, err := opts.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := opts.withDefaults()
 	space, _, err := o.resolve()
 	if err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ func TestServerShutdownIdempotentAndDraining(t *testing.T) {
 }
 
 // TestServeFederatedPeers runs two public-API servers that name each
-// other in Options.Peers: both fleets drive rounds, and both endpoints
+// other in Options.Federation.Peers: both fleets drive rounds, and both endpoints
 // must end up having pushed and merged peer deltas (cells and frequency
 // increments traveling the wire in both directions).
 func TestServeFederatedPeers(t *testing.T) {
@@ -117,7 +117,6 @@ func TestServeFederatedPeers(t *testing.T) {
 	base := serveOpts()
 	base.NumClients = 4
 	base.Rounds = 3
-	base.PeerSyncInterval = 30 * time.Millisecond
 
 	// Reserve both ports up front so each server can name its peer
 	// before either listens; PeerSet dials lazily and retries.
@@ -133,8 +132,9 @@ func TestServeFederatedPeers(t *testing.T) {
 	srvs := make([]*Server, 2)
 	for i := range srvs {
 		o := base
-		o.NodeID = i
-		o.Peers = []string{addrs[1-i]}
+		o.Federation = &FederationOptions{
+			NodeID: i, Peers: []string{addrs[1-i]}, SyncInterval: 30 * time.Millisecond,
+		}
 		srv, err := Serve(ctx, addrs[i], o)
 		if err != nil {
 			t.Fatal(err)
