@@ -205,13 +205,9 @@ func NewClient(ctx context.Context, space *semantics.Space, coord Coordinator, c
 		savedMs:     append([]float64(nil), info.SavedMs...),
 		roundHitsBy: make([]int, space.Arch.NumLayers),
 	}
-	c.scratch = inferScratch{
-		sem: space.NewScratch(),
-		// NewLookup surfaces invalid lookup parameters here rather than at
-		// first inference.
-		lk:     cache.NewLookup(cache.Config{Alpha: cfg.Alpha, Theta: cfg.Theta}),
-		absorb: make([]float32, model.Dim),
-	}
+	// NewLookup surfaces invalid lookup parameters here rather than at
+	// first inference.
+	c.scratch.lk = cache.NewLookup(cache.Config{Alpha: cfg.Alpha, Theta: cfg.Theta})
 	if cfg.EnvBiasWeight != 0 || cfg.DriftWeight != 0 {
 		c.env = semantics.NewEnv(cfg.EnvSeed, cfg.EnvBiasWeight)
 		c.env.DriftWeight = cfg.DriftWeight
@@ -327,7 +323,6 @@ func (c *Client) BeginRound() error {
 		return fmt.Errorf("core: client %d allocation invalid: %w", c.cfg.ID, err)
 	}
 	c.local = local
-	c.scratch.shape(local)
 	clear(c.roundHitsBy)
 	c.roundFrames = 0
 	return nil
@@ -485,10 +480,11 @@ type inferState struct {
 }
 
 // inferScratch holds the client-owned buffers of the allocation-free
-// inference hot path. BeginRound shapes it to the round's allocation; the
-// vector store grows only when an allocation activates more layers than
-// any before it.
+// inference hot path. The first Infer on a new allocation shapes it, so a
+// client that never infers builds none of it; the vector store grows only
+// when an allocation activates more layers than any before it.
 type inferScratch struct {
+	local  *cache.Local // the allocation active was taken from
 	sem    *semantics.Scratch
 	lk     *cache.Lookup
 	active []*cache.Layer // activated non-empty layers, ascending sites
@@ -497,10 +493,17 @@ type inferScratch struct {
 	absorb []float32      // deep-site regeneration buffer
 }
 
-// shape points the scratch at the activated non-empty layers of local.
-func (sc *inferScratch) shape(local *cache.Local) {
+// shape points the scratch at the activated non-empty layers of the
+// client's current allocation.
+func (c *Client) shape() {
+	sc := &c.scratch
+	if sc.sem == nil {
+		sc.sem = c.space.NewScratch()
+		sc.absorb = make([]float32, model.Dim)
+	}
+	sc.local = c.local
 	sc.active = sc.active[:0]
-	layers := local.Layers()
+	layers := c.local.Layers()
 	for i := range layers {
 		if layers[i].Len() > 0 {
 			sc.active = append(sc.active, &layers[i])
@@ -530,6 +533,9 @@ func (st *inferState) advanceBlocks(blockMs []float64, j int) {
 // probes at activated sites, early exit on hit, full prediction on miss
 // (§II-3, §IV-C). Steady-state calls are allocation-free.
 func (c *Client) Infer(smp dataset.Sample) engine.Result {
+	if c.scratch.local != c.local {
+		c.shape()
+	}
 	st := c.probe(smp)
 	if !st.hit {
 		pred := c.space.PredictScratch(c.scratch.sem, smp, c.env)
