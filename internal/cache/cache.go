@@ -326,7 +326,7 @@ func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 		}
 		scores := l.scores[:n]
 		vecmath.CosinesRows(vec, layer.Wide, layer.snorm, scores)
-		return l.probeScored(layer, scores, layer.maxCls)
+		return l.probeScored(layer, scores)
 	}
 	l.grow(layer.maxClass())
 	rawBest, rawBestClass := -1e18, -1
@@ -342,16 +342,12 @@ func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 	return res
 }
 
-// probeScored folds one layer's precomputed per-entry cosine scores —
+// probeScored folds a staged, non-empty layer's per-entry cosine scores —
 // scores[i] = Cosine(vec, layer.Entries[i]) — into the accumulator and
-// returns the same Result Probe would. maxClass is the layer's largest
-// class id, the constant Stage caches.
-func (l *Lookup) probeScored(layer *Layer, scores []float32, maxClass int) Result {
+// returns the same Result the unstaged Probe path would.
+func (l *Lookup) probeScored(layer *Layer, scores []float32) Result {
 	n := layer.Len()
-	if n == 0 {
-		return Result{LayerClass: -1}
-	}
-	l.grow(maxClass)
+	l.grow(layer.maxCls)
 	rawBest, rawBestClass := -1e18, -1
 	for i, class := range layer.Classes {
 		c := float64(scores[i])
