@@ -152,8 +152,8 @@ func (r *Runner) Close() {
 }
 
 // NewRunner validates the configuration and prepares per-client metric
-// accumulators. cfg.Rounds only matters to
-// RunRounds-style loops; RunRound takes the round index explicitly.
+// accumulators. cfg.Rounds only matters to RunRounds-style loops; RunRound
+// takes the round index explicitly.
 func NewRunner(engines []Engine, gens []*stream.Generator, cfg RunConfig) (*Runner, error) {
 	if len(engines) != len(gens) {
 		return nil, fmt.Errorf("engine: %d engines but %d generators", len(engines), len(gens))

@@ -146,16 +146,12 @@ type workload struct {
 	seed         uint64
 }
 
-func defaultWorkload(ds *dataset.Spec, seed uint64) workload {
-	return workload{
-		ds: ds, sceneMean: 25, workingSet: 15, churn: 0.05, seed: seed,
-	}
-}
-
 // workload builds the default workload for ds carrying the options'
 // seed.
 func (o Options) workload(ds *dataset.Spec) workload {
-	return defaultWorkload(ds, o.Seed)
+	return workload{
+		ds: ds, sceneMean: 25, workingSet: 15, churn: 0.05, seed: o.Seed,
+	}
 }
 
 func (w workload) config(clients int) stream.Config {
