@@ -1,7 +1,7 @@
 // Command coca-client runs a CoCa edge client over TCP: it connects to a
 // coca-server (or a coca-router front door), opens a coordination session
-// (wire protocol v3: allocation deltas with per-request deadline
-// propagation, negotiated down against older servers), and drives a
+// (wire protocol v4: allocation deltas with per-request deadline
+// propagation), and drives a
 // synthetic sample stream through cached inference for the requested
 // number of rounds, printing the latency/accuracy summary.
 //

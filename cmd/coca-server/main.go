@@ -1,9 +1,9 @@
 // Command coca-server runs a CoCa edge server over TCP: it builds the
 // simulated model/dataset universe, initializes the global cache table from
 // the shared dataset, and serves session, cache-allocation and
-// global-update requests from coca-client processes (the session wire
-// protocol with per-request deadline propagation, negotiated down as far
-// as v2).
+// global-update requests from coca-client processes (wire protocol v4:
+// session deltas with per-request deadline propagation; other versions
+// are refused).
 //
 // With -peers, the server joins a federation: it gossips global-cache
 // cell deltas to the listed peer servers every -sync interval and merges

@@ -117,8 +117,8 @@ type Options struct {
 	RetryBudgetRatio float64
 	// RequestTimeout bounds each per-round coordination request (the
 	// status→allocation exchange and the update upload). The deadline
-	// travels to the server inside v3 wire frames, so work that expires
-	// while queued is dropped at dequeue instead of computed for
+	// travels to the server in every wire frame header, so work that
+	// expires while queued is dropped at dequeue instead of computed for
 	// nobody. 0 sets no deadline.
 	RequestTimeout time.Duration
 	// MaxStaleRounds arms the client's serve-stale shield: when a

@@ -1,6 +1,6 @@
 // Network fleet via the public serving API: coca.Serve starts a
 // session-serving edge server on loopback, coca.Dial connects each fleet
-// client, and the clients run their rounds concurrently — the v2 delta
+// client, and the clients run their rounds concurrently — the delta
 // protocol end to end with no internal imports. Afterwards a second
 // server joins elastically (Options.Federation with Join set): it
 // bootstraps everything the first server learned from one snapshot

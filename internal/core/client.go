@@ -82,7 +82,7 @@ type ClientConfig struct {
 	PredictedLabelStatus bool
 	// RequestTimeout bounds each coordination request (Allocate, Upload)
 	// with a context deadline layered under the lifecycle context. Wire
-	// transports propagate the deadline to the server (protocol v3), so
+	// transports propagate the deadline to the server in every frame, so
 	// expired work is dropped at dequeue rather than computed for
 	// nobody. 0 sets no per-request deadline.
 	RequestTimeout time.Duration

@@ -19,10 +19,10 @@ import (
 // construction — the shared ServerConfig.Seed is what makes the initial
 // table common knowledge, so a join snapshot only carries what the fleet
 // LEARNED.
-func churnFleet(n, startID int, relay bool, space *semantics.Space, cfg core.ServerConfig, init *core.ServerInit) []*federation.Node {
+func churnFleet(n int, relay bool, space *semantics.Space, cfg core.ServerConfig, init *core.ServerInit) []*federation.Node {
 	nodes := make([]*federation.Node, n)
 	for i := range nodes {
-		nodes[i] = federation.NewNode(core.NewServerFrom(space, cfg, init), federation.NodeConfig{ID: startID + i, Relay: relay})
+		nodes[i] = federation.NewNode(core.NewServerFrom(space, cfg, init), federation.NodeConfig{ID: i, Relay: relay})
 	}
 	return nodes
 }
@@ -148,7 +148,6 @@ func ChurnExp(opts Options) (*Result, error) {
 		}
 	}
 	var meshPerNode, gossipPerNode float64 // largest-size figures for the note
-	var gossipBaseBytes int64              // base-size gossip total, legacy comparison baseline
 	for _, n := range sizes {
 		for _, arm := range []string{"mesh", "gossip"} {
 			var topo *federation.Topology
@@ -161,7 +160,7 @@ func ChurnExp(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			nodes := churnFleet(n, 0, topo.Forwarding(), space, cfg, init)
+			nodes := churnFleet(n, topo.Forwarding(), space, cfg, init)
 			rng := xrand.New(opts.Seed, 0xC0CA, uint64(n))
 			if err := runChurnRounds(ctx, nodes, topo, rounds, rng); err != nil {
 				return nil, fmt.Errorf("churn %s n=%d: %w", arm, n, err)
@@ -171,9 +170,6 @@ func ChurnExp(opts Options) (*Result, error) {
 			label := arm
 			if arm == "gossip" {
 				label = fmt.Sprintf("gossip (k=%d)", federation.DefaultGossipFanout)
-				if n == sizes[0] {
-					gossipBaseBytes = total
-				}
 			}
 			out.AddRow(label, fmt.Sprintf("%d", n), metrics.Fmt(perNode, 1), "")
 			if n == sizes[len(sizes)-1] {
@@ -186,42 +182,18 @@ func ChurnExp(opts Options) (*Result, error) {
 		}
 	}
 
-	// Self-healing arms at the base fleet size. First the same gossip
-	// workload as the sweep on the pre-self-healing (legacy, untagged)
-	// wire format: origin tags cost bytes per shipped cell, but they let
-	// nodes discard echoed evidence at apply time, so echoes stop
-	// re-entering delta sweeps and tagged steady-state push traffic lands
-	// below the legacy baseline (the in-repo assertion is
-	// TestChurnGossipBytesBelowLegacy).
+	// Pull anti-entropy layered on the base-size gossip workload, split
+	// per channel. Push rises above the push-only arm — repaired evidence is
+	// novel to the repaired node and propagates onward — which is repair
+	// traffic doing its job, not overhead; digest KiB is the steady
+	// per-round price of the negotiation.
 	aeN := sizes[0]
 	aeTopo, err := federation.NewGossipTopology(aeN, federation.DefaultGossipFanout, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
 	div := float64(aeN) * float64(rounds) * 1024
-	legacy := churnFleet(aeN, aeN, aeTopo.Forwarding(), space, cfg, init)
-	for _, n := range legacy {
-		n.SetLegacy(true)
-	}
-	if err := runChurnRounds(ctx, legacy, aeTopo, rounds, xrand.New(opts.Seed, 0xC0CA, uint64(aeN))); err != nil {
-		return nil, fmt.Errorf("churn legacy: %w", err)
-	}
-	legacyPush := fleetBytes(legacy)
-	out.AddRow("  legacy wire (untagged)", fmt.Sprintf("%d", aeN), metrics.Fmt(float64(legacyPush)/div, 1), "", "", "")
-	if gossipBaseBytes >= legacyPush {
-		out.AddNote("WARNING: tagged gossip traffic (%.1f KiB/node/round) did not undercut the legacy wire baseline (%.1f)",
-			float64(gossipBaseBytes)/div, float64(legacyPush)/div)
-	} else {
-		out.AddNote("origin-tagged gossip pushes %.1f KiB/node/round vs %.1f on the legacy wire — %.1f%% saved by discarding echoed evidence instead of re-crediting it",
-			float64(gossipBaseBytes)/div, float64(legacyPush)/div, 100*(1-float64(gossipBaseBytes)/float64(legacyPush)))
-	}
-
-	// Then pull anti-entropy layered on the tagged workload, split per
-	// channel. Push rises above the push-only arm — repaired evidence is
-	// novel to the repaired node and propagates onward — which is repair
-	// traffic doing its job, not overhead; digest KiB is the steady
-	// per-round price of the negotiation.
-	tagged := churnFleet(aeN, 0, aeTopo.Forwarding(), space, cfg, init)
+	tagged := churnFleet(aeN, aeTopo.Forwarding(), space, cfg, init)
 	if err := runChurnRoundsAE(ctx, tagged, aeTopo, rounds, xrand.New(opts.Seed, 0xC0CA, 0xA17E), xrand.New(opts.Seed, 0xAE, 0xA17E)); err != nil {
 		return nil, fmt.Errorf("churn anti-entropy: %w", err)
 	}
@@ -236,7 +208,7 @@ func ChurnExp(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := churnFleet(n0, 0, false, space, cfg, init)
+	nodes := churnFleet(n0, false, space, cfg, init)
 	rng := xrand.New(opts.Seed, 0xC0CA, 0xFEED)
 	if err := runChurnRounds(ctx, nodes, topo, rounds, rng); err != nil {
 		return nil, fmt.Errorf("churn history: %w", err)
@@ -255,7 +227,7 @@ func ChurnExp(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("churn join: %w", err)
 	}
-	frame, err := protocol.Encode(&protocol.Message{Version: protocol.V2, Type: protocol.TypePeerSnapshot, PeerSnapshot: snap})
+	frame, err := protocol.Encode(&protocol.Message{Type: protocol.TypePeerSnapshot, PeerSnapshot: snap})
 	if err != nil {
 		return nil, fmt.Errorf("churn join encode: %w", err)
 	}

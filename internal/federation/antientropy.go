@@ -129,7 +129,7 @@ func (n *Node) BuildDigestRequest() *protocol.PeerDigestRequest {
 	}
 }
 
-// HandlePeerDigestRequest implements protocol.AntiEntropyHandler: it
+// HandlePeerDigestRequest implements protocol.PeerHandler: it
 // compares the requester's digest rows against the local ledgers and
 // answers with per-cell, per-origin heights for every class the two
 // sides disagree on — the requester turns those into a want list. The
@@ -199,7 +199,7 @@ func (n *Node) BuildWants(dg *protocol.PeerDigest) []protocol.DigestCell {
 	return wants
 }
 
-// HandlePeerPull implements protocol.AntiEntropyHandler: it answers a
+// HandlePeerPull implements protocol.PeerHandler: it answers a
 // want list with the full current state of each wanted cell — vector,
 // support, evidence ledger, and the COMPLETE origin decomposition
 // (regardless of topology role: a pull repair adopts absolutely, so the
@@ -447,7 +447,6 @@ func AntiEntropyExchange(a, b *Node) (int, error) {
 	buf := syncFrameBuf.Get().(*[]byte)
 	defer syncFrameBuf.Put(buf)
 	enc := func(m *protocol.Message) (int, error) {
-		m.Version = protocol.Version
 		frame, err := protocol.AppendEncode((*buf)[:0], m)
 		if err != nil {
 			return 0, err

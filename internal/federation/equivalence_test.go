@@ -30,17 +30,14 @@ import (
 // schedule below emits, captured from the pre-refactor server path. The
 // frames carry sampled feature vectors, so a change to the simulated
 // substrate moves it too; semantics' TestSubstrateGolden pins those bits on
-// their own and fails first.
-const goldenWireHash = "18f42418af5372bbba4402fce9a464ca9a5c6648244746a5f8152c9109cde7ab"
+// their own and fails first. The frames are wire version 4: every header
+// carries the deadline word and every peer cell its origin tags.
+const goldenWireHash = "82e7648f7afd87b6d86b824b03afde4f0bc8a66826f5c178cf1115e640fbcffe"
 
 // recordFrame hashes one encoded frame with a length prefix, so frame
-// boundaries cannot cancel out across the stream. Frames are pinned at
-// v2 framing: v3 only adds a deadline header word (zero here), and this
-// golden pins the delta CONTENT — classes, cells, ordering, eviction
-// sets — which is version-independent.
+// boundaries cannot cancel out across the stream.
 func recordFrame(t *testing.T, h hash.Hash, m *protocol.Message) {
 	t.Helper()
-	m.Version = protocol.V2
 	frame, err := protocol.Encode(m)
 	if err != nil {
 		t.Fatalf("encode: %v", err)

@@ -165,11 +165,6 @@ type Node struct {
 	base    []float64
 	foreign []float64
 	olog    map[int][]float64
-	// legacy disables origin tagging and tagged applies entirely,
-	// reproducing the pre-self-healing (push-only, at-least-once) wire
-	// behavior — the in-repo baseline the churn experiment compares
-	// against.
-	legacy bool
 
 	// sweep and freqScratch are reused across sync rounds; deltas holds
 	// one reusable cell/frequency buffer set per peer, since a collected
@@ -226,16 +221,6 @@ func NewNode(srv *core.Server, cfg NodeConfig) *Node {
 	n.foreign = make([]float64, classes*layers)
 	n.olog = make(map[int][]float64)
 	return n
-}
-
-// SetLegacy switches the node to the pre-self-healing wire behavior: no
-// origin tags on outgoing deltas, Evidence-based (at-least-once) applies
-// on incoming ones, and V2 framing. Tests and the churn experiment use
-// it as the in-repo baseline a self-healing fleet is measured against.
-func (n *Node) SetLegacy(on bool) {
-	n.mu.Lock()
-	n.legacy = on
-	n.mu.Unlock()
 }
 
 // originHeights returns (creating if needed) the dense height slice for
@@ -423,23 +408,14 @@ func (n *Node) CollectDelta(peerID int) Delta {
 // load-bearing. A non-relaying (mesh) cell tags only {self, selfHeight}:
 // mesh crediting marks received evidence possessed-by-all at apply time,
 // so a mesh cell's pending Evidence is exactly the node's own ledger
-// growth — the self tag covers it, the receiver's computed increment
-// equals Evidence bit-for-bit (integer-exact arithmetic), and behavior
-// on mesh fleets is unchanged from the untagged protocol. A relaying
+// growth — the self tag covers it, and the receiver's computed increment
+// equals Evidence bit-for-bit (integer-exact arithmetic). A relaying
 // cell (star hub, ring member, gossip) ships the FULL decomposition —
 // self height plus every olog height — because forwarded evidence is
 // where recirculation lives: an origin that receives its own tag back
 // computes a zero increment and discards the cell, which is what turns
 // the bounded-amplitude circulation of cyclic topologies into decay.
-//
-// Evidence applied through the legacy (untagged) path bumps neither olog
-// nor foreign, so it surfaces inside the derived self height and is
-// re-announced under THIS node's origin: mixed fleets keep converging,
-// degraded to the old at-least-once duplication on multi-path routes.
 func (n *Node) tagOrigins(ps *peerScratch) {
-	if n.legacy {
-		return
-	}
 	maxPer := 1
 	if n.cfg.Relay {
 		maxPer += len(n.olog)
@@ -560,7 +536,7 @@ func (n *Node) HandlePeerJoin(j *protocol.PeerJoin) (*protocol.PeerSnapshot, err
 		view := n.view(from)
 		n.sweep = n.srv.AppendCells(n.sweep[:0])
 		var oids []int
-		if !n.legacy && n.cfg.Relay {
+		if n.cfg.Relay {
 			for id := range n.olog {
 				oids = append(oids, id)
 			}
@@ -576,14 +552,12 @@ func (n *Node) HandlePeerJoin(j *protocol.PeerJoin) (*protocol.PeerSnapshot, err
 				// without them the joiner would absorb this evidence into
 				// its OWN derived height and re-announce it under its own
 				// origin — a one-time fleet-wide double count.
-				if !n.legacy {
-					if h := c.EvTotal - n.base[k] - n.foreign[k]; h > 0 {
-						pc.Origins = append(pc.Origins, protocol.OriginHeight{Origin: int32(n.cfg.ID), Height: h})
-					}
-					for _, oid := range oids {
-						if h := n.olog[oid][k]; h > 0 {
-							pc.Origins = append(pc.Origins, protocol.OriginHeight{Origin: int32(oid), Height: h})
-						}
+				if h := c.EvTotal - n.base[k] - n.foreign[k]; h > 0 {
+					pc.Origins = append(pc.Origins, protocol.OriginHeight{Origin: int32(n.cfg.ID), Height: h})
+				}
+				for _, oid := range oids {
+					if h := n.olog[oid][k]; h > 0 {
+						pc.Origins = append(pc.Origins, protocol.OriginHeight{Origin: int32(oid), Height: h})
 					}
 				}
 				snap.Cells = append(snap.Cells, pc)
@@ -654,8 +628,8 @@ func (n *Node) ApplySnapshot(snap *protocol.PeerSnapshot, wireBytes int) (int, e
 // received evidence to the sender's views — the sender possesses what it
 // sent, so nothing received is ever echoed back.
 //
-// Malformed cells are skipped (recorded in SyncStats) rather than
-// failing the exchange: erroring out mid-delta would leave the sender
+// Malformed cells — out of range, or without origin tags — are skipped
+// (recorded in SyncStats) rather than failing the exchange: erroring out mid-delta would leave the sender
 // uncommitted and retrying the already-applied prefix every sync —
 // unbounded evidence inflation from one bad cell. Only a bad frequency
 // vector fails the whole exchange (it is all-or-nothing by shape).
@@ -672,34 +646,33 @@ func (n *Node) HandlePeerDelta(d *protocol.PeerDelta) (int, error) {
 			n.stats.LastError = fmt.Sprintf("federation: peer cell (%d,%d) outside %d×%d", c.Class, c.Layer, n.classes, n.layers)
 			continue
 		}
+		if len(c.Origins) == 0 {
+			n.stats.Errors++
+			n.stats.LastError = fmt.Sprintf("federation: peer cell (%d,%d) carries no origin tags", c.Class, c.Layer)
+			continue
+		}
 		k := c.Class*n.layers + c.Layer
-		// The merge weight: for an origin-tagged cell, exactly the part
-		// of each origin's announced height this node has not applied yet
-		// (max(0, announced − olog)) — a resent or relayed-around copy
-		// whose heights are all known computes zero and is discarded, the
-		// exactly-once discard that makes dup storms and cyclic echo
-		// harmless. Untagged cells (legacy senders, or this node running
-		// legacy) fall back to the at-least-once Evidence weight.
-		inc := c.Evidence
-		tagged := len(c.Origins) > 0 && !n.legacy
-		if tagged {
-			inc = 0
-			for _, oh := range c.Origins {
-				o := int(oh.Origin)
-				if o == n.cfg.ID {
-					continue // own evidence coming back: already possessed
-				}
-				if hv, ok := n.olog[o]; ok {
-					if dlt := oh.Height - hv[k]; dlt > 0 {
-						inc += dlt
-					}
-				} else if oh.Height > 0 {
-					inc += oh.Height
-				}
+		// The merge weight: exactly the part of each origin's announced
+		// height this node has not applied yet (max(0, announced − olog))
+		// — a resent or relayed-around copy whose heights are all known
+		// computes zero and is discarded, the exactly-once discard that
+		// makes dup storms and cyclic echo harmless.
+		inc := 0.0
+		for _, oh := range c.Origins {
+			o := int(oh.Origin)
+			if o == n.cfg.ID {
+				continue // own evidence coming back: already possessed
 			}
-			if inc <= 0 {
-				continue
+			if hv, ok := n.olog[o]; ok {
+				if dlt := oh.Height - hv[k]; dlt > 0 {
+					inc += dlt
+				}
+			} else if oh.Height > 0 {
+				inc += oh.Height
 			}
+		}
+		if inc <= 0 {
+			continue
 		}
 		ver, _, err := n.srv.MergePeerCell(c.Class, c.Layer, c.Vec, inc, view[k])
 		if err != nil {
@@ -710,18 +683,16 @@ func (n *Node) HandlePeerDelta(d *protocol.PeerDelta) (int, error) {
 		if ver == 0 {
 			continue // updates disabled; the ledger did not move
 		}
-		if tagged {
-			// Commit the origin heights only now that the merge landed:
-			// a skipped cell must stay pullable/re-appliable.
-			for _, oh := range c.Origins {
-				if o := int(oh.Origin); o != n.cfg.ID {
-					if hv := n.originHeights(o); oh.Height > hv[k] {
-						hv[k] = oh.Height
-					}
+		// Commit the origin heights only now that the merge landed: a
+		// skipped cell must stay pullable/re-appliable.
+		for _, oh := range c.Origins {
+			if o := int(oh.Origin); o != n.cfg.ID {
+				if hv := n.originHeights(o); oh.Height > hv[k] {
+					hv[k] = oh.Height
 				}
 			}
-			n.foreign[k] += inc
 		}
+		n.foreign[k] += inc
 		applied++
 		if n.cfg.Relay {
 			view[k] += inc
@@ -842,7 +813,6 @@ func (n *Node) Epoch() uint64 {
 }
 
 var (
-	_ core.Coordinator            = (*Node)(nil)
-	_ protocol.PeerHandler        = (*Node)(nil)
-	_ protocol.AntiEntropyHandler = (*Node)(nil)
+	_ core.Coordinator     = (*Node)(nil)
+	_ protocol.PeerHandler = (*Node)(nil)
 )

@@ -429,6 +429,8 @@ func TestWireAntiEntropyOnce(t *testing.T) {
 // and an anti-entropy round with a healthy peer leave that peer's table
 // bitwise unchanged; and a peer that ships the poisoned cell regardless, on
 // either plane, is refused at the healthy node's merge with the same result.
+// So is a finite, unit-norm cell that carries no origin tags: its evidence
+// cannot be accounted exactly once, so it is refused before the merge.
 func TestPoisonedNodeCannotChangeHealthyPeer(t *testing.T) {
 	space := testSpace()
 	cfg := testServerConfig()
@@ -507,5 +509,20 @@ func TestPoisonedNodeCannotChangeHealthyPeer(t *testing.T) {
 	}
 	if got := telemetry.CoreRejectedVecs.Load() - rejected; got != 5 {
 		t.Errorf("coca_core_rejected_vectors_total grew by %d, want 5 (one upload, four peer cells)", got)
+	}
+
+	// An untagged cell: well-formed, but with no origin to account it by.
+	errsBefore := healthy.Stats().Errors
+	applied, err := healthy.HandlePeerDelta(&protocol.PeerDelta{NodeID: int32(sick.ID()), Cells: []protocol.PeerCell{
+		{Class: 3, Layer: 6, Evidence: 8, Vec: unitVec(4)},
+	}})
+	if err != nil || applied != 0 {
+		t.Fatalf("an untagged peer cell: applied %d, err %v", applied, err)
+	}
+	if !reflect.DeepEqual(snapshotCells(healthy), want) {
+		t.Fatal("an untagged peer cell changed the healthy node's table")
+	}
+	if got := healthy.Stats().Errors - errsBefore; got != 1 {
+		t.Errorf("untagged peer cell counted %d errors, want 1", got)
 	}
 }

@@ -125,14 +125,6 @@ func (p *SyncPlan) Collect(i int) error {
 		if d.Empty() {
 			continue
 		}
-		// Frames encode at the live protocol version so the measured
-		// traffic includes the origin-tag overhead; legacy nodes frame at
-		// V2, reproducing the pre-self-healing wire cost exactly — the
-		// baseline the churn experiment compares against.
-		msg.Version = protocol.Version
-		if n.legacy {
-			msg.Version = protocol.V2
-		}
 		*msg.PeerDelta = protocol.PeerDelta{
 			NodeID: int32(n.ID()),
 			Epoch:  n.Epoch(),

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -432,9 +431,7 @@ func (p *PeerSet) SyncOnce(ctx context.Context) (synced int, err error) {
 // (seeded, skipping dead/left ones except on re-probe rounds), ships a
 // ledger digest, turns the reply into a want list, and pulls exactly the
 // cells whose ledgers outrun the local ones. Membership gossip rides
-// every frame both ways. Peers negotiated below protocol v4 are skipped
-// quietly — the fleet degrades to push-only toward them. Returns the
-// number of cells repaired.
+// every frame both ways. Returns the number of cells repaired.
 func (p *PeerSet) AntiEntropyOnce(ctx context.Context) (repaired int, err error) {
 	round := p.node.Epoch()
 	addrs := p.targets(round)
@@ -467,9 +464,6 @@ func (p *PeerSet) AntiEntropyOnce(ctx context.Context) (repaired int, err error)
 	q.Gossip = p.node.members.GossipEntries(p.node.ID(), p.cfg.SelfAddr)
 	dg, reqB, respB, serr := pc.SendDigestRequest(q)
 	if serr != nil {
-		if errors.Is(serr, protocol.ErrPeerTooOld) {
-			return 0, nil // pre-v4 peer: stay push-only toward it
-		}
 		p.drop(addr)
 		return fail(pc.PeerID(), serr)
 	}

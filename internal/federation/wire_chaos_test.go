@@ -51,6 +51,61 @@ func serveNode(t *testing.T, n *Node) (string, func()) {
 	}
 }
 
+// TestWireJoinRelayKeepsOriginTags: a snapshot served over the wire keeps
+// its origin tags, so a relaying joiner that forwards what it bootstrapped
+// does not re-announce it under its own origin. Without the tags the third
+// fleet member would count the same evidence twice.
+func TestWireJoinRelayKeepsOriginTags(t *testing.T) {
+	space := testSpace()
+	cfg := testServerConfig()
+	node0 := NewNode(core.NewServer(space, cfg), NodeConfig{ID: 0})
+	node1 := NewNode(core.NewServer(space, cfg), NodeConfig{ID: 1})
+	addr0, stop0 := serveNode(t, node0)
+	defer stop0()
+	addr1, stop1 := serveNode(t, node1)
+	defer stop1()
+	ps0 := NewPeerSet(node0, []string{addr1})
+	defer ps0.Close()
+	ps1 := NewPeerSet(node1, []string{addr0})
+	defer ps1.Close()
+
+	ctx := context.Background()
+	for round := 0; round < 3; round++ {
+		uploadCell(t, node0, 1, 2, unitVec(9))
+		if _, err := ps0.SyncOnce(ctx); err != nil {
+			t.Fatalf("mesh round %d: %v", round, err)
+		}
+		if _, err := ps1.SyncOnce(ctx); err != nil {
+			t.Fatalf("mesh round %d (node1): %v", round, err)
+		}
+	}
+	want := evTotalOf(node0, 1, 2)
+	if got := evTotalOf(node1, 1, 2); got != want {
+		t.Fatalf("mesh did not converge: node1 ledger %v, node0 %v", got, want)
+	}
+
+	// A relaying node joins through node0 alone, then syncs to node1.
+	node2 := NewNode(core.NewServer(space, cfg), NodeConfig{ID: 2, Relay: true})
+	addr2, stop2 := serveNode(t, node2)
+	defer stop2()
+	join := NewPeerSetWith(node2, []string{addr0}, PeerSetConfig{Join: true, SelfAddr: addr2})
+	defer join.Close()
+	if _, err := join.SyncOnce(ctx); err != nil {
+		t.Fatalf("join sync: %v", err)
+	}
+	if !join.Joined() || node2.Stats().CellsRecv == 0 {
+		t.Fatal("joiner bootstrapped nothing from node0's snapshot")
+	}
+	relay := NewPeerSet(node2, []string{addr1})
+	defer relay.Close()
+	if _, err := relay.SyncOnce(ctx); err != nil {
+		t.Fatalf("relay sync: %v", err)
+	}
+	if got := evTotalOf(node1, 1, 2); got != want {
+		t.Fatalf("node1 ledger for (1,2) is %v after the relayed join, node0's is %v: the snapshot's evidence was counted twice", got, want)
+	}
+}
+
 // TestSnapshotJoinSkipsLedgerReplay is the elastic-join cost theorem: a
 // node joining an established fleet catches up from ONE snapshot batch,
 // not by replaying the fleet's sync history — so its bootstrap bytes are

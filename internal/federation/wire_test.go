@@ -187,11 +187,11 @@ func TestPeerSyncRejectedByPlainServer(t *testing.T) {
 	_ = cConn.Close()
 }
 
-// TestMixedVersionFleetDuringPeerSync serves wire session clients from
+// TestWireClientsDuringPeerSync serves wire session clients from
 // one federated node while peer sync runs concurrently against a second
 // node whose own fleet is in-process. Run under -race in CI: allocations,
 // uploads and peer merges all interleave freely here.
-func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
+func TestWireClientsDuringPeerSync(t *testing.T) {
 	space := testSpace()
 	cfg := testServerConfig()
 	nodeA := NewNode(core.NewServer(space, cfg), NodeConfig{ID: 0})
@@ -202,22 +202,22 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	const v2Clients = 3
+	const wireClients = 3
 	const rounds = 3
 	const frames = 30
 	part, err := stream.NewPartition(stream.Config{
-		Dataset: space.DS, NumClients: v2Clients + 2, SceneMeanFrames: 10,
+		Dataset: space.DS, NumClients: wireClients + 2, SceneMeanFrames: 10,
 		WorkingSetSize: 5, WorkingSetChurn: 0.1, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	errs := make(chan error, v2Clients+2)
+	errs := make(chan error, wireClients+2)
 	var clients, wg sync.WaitGroup
 
-	// v2 wire clients against node A.
-	for id := 0; id < v2Clients; id++ {
+	// Wire clients against node A.
+	for id := 0; id < wireClients; id++ {
 		cConn, sConn := transport.Pipe()
 		go func() { _ = protocol.ServeConn(ctx, sConn, nodeA) }()
 		clients.Add(1)
@@ -229,21 +229,21 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 				ID: id, Theta: 0.035, Budget: 40, RoundFrames: frames,
 			})
 			if err != nil {
-				errs <- fmt.Errorf("v2 client %d: %w", id, err)
+				errs <- fmt.Errorf("wire client %d: %w", id, err)
 				return
 			}
 			defer client.Close()
 			gen := part.Client(id)
 			for r := 0; r < rounds; r++ {
 				if err := client.BeginRound(); err != nil {
-					errs <- fmt.Errorf("v2 client %d round %d: %w", id, r, err)
+					errs <- fmt.Errorf("wire client %d round %d: %w", id, r, err)
 					return
 				}
 				for f := 0; f < frames; f++ {
 					client.Infer(gen.Next())
 				}
 				if err := client.EndRound(); err != nil {
-					errs <- fmt.Errorf("v2 client %d round %d: %w", id, r, err)
+					errs <- fmt.Errorf("wire client %d round %d: %w", id, r, err)
 					return
 				}
 			}
@@ -256,14 +256,14 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 	go func() {
 		defer clients.Done()
 		client, err := core.NewClient(ctx, space, nodeB, core.ClientConfig{
-			ID: v2Clients + 1, Theta: 0.035, Budget: 40, RoundFrames: frames,
+			ID: wireClients + 1, Theta: 0.035, Budget: 40, RoundFrames: frames,
 		})
 		if err != nil {
 			errs <- fmt.Errorf("node B client: %w", err)
 			return
 		}
 		defer client.Close()
-		gen := part.Client(v2Clients + 1)
+		gen := part.Client(wireClients + 1)
 		for r := 0; r < rounds; r++ {
 			if err := client.BeginRound(); err != nil {
 				errs <- fmt.Errorf("node B round %d: %w", r, err)
@@ -307,7 +307,7 @@ func TestMixedVersionFleetDuringPeerSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	if nodeA.Server().PeerMerges() == 0 && nodeB.Server().PeerMerges() == 0 {
-		t.Fatal("no peer merges happened during the mixed-version run")
+		t.Fatal("no peer merges happened while wire clients ran")
 	}
 	if n := nodeA.Server().Sessions(); n != 0 {
 		t.Fatalf("node A leaked %d sessions", n)

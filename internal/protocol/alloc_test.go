@@ -187,7 +187,7 @@ func TestReplyDecodersPooledPerConnection(t *testing.T) {
 // allocating decoder on every sample message.
 func TestDecoderMatchesDecode(t *testing.T) {
 	var dec Decoder
-	for _, m := range append(sampleMessages(), sampleMessagesV4()...) {
+	for _, m := range append(sampleMessages(), sampleMessagesAE()...) {
 		frame, err := Encode(m)
 		if err != nil {
 			t.Fatalf("encode %d: %v", m.Type, err)

@@ -303,25 +303,26 @@ func FuzzEncodeDecode(f *testing.F) {
 	})
 }
 
-// sampleMessagesV4 covers the shapes only wire version 4 carries.
-func sampleMessagesV4() []*Message {
+// sampleMessagesAE covers the anti-entropy frames, beside a peer delta and a
+// status frame with every optional field set.
+func sampleMessagesAE() []*Message {
 	gossip := []MemberUpdate{{ID: 3, State: 2, TTL: 4, Addr: "10.0.0.3:7071"}, {ID: 1, State: 0}}
 	return []*Message{
-		{Version: V4, Type: TypePeerDelta, PeerDelta: &PeerDelta{
+		{Type: TypePeerDelta, PeerDelta: &PeerDelta{
 			NodeID: 2, Epoch: 9, Freq: []float64{0, 1.5},
 			Cells: []PeerCell{{Class: 4, Layer: 2, Evidence: 64, Vec: []float32{1, 0, 0.5},
 				Origins: []OriginHeight{{Origin: 0, Height: 40}, {Origin: 2, Height: 24}}}},
 			Gossip: gossip}},
-		{Version: V4, Type: TypePeerDigestRequest, PeerDigestRequest: &PeerDigestRequest{
+		{Type: TypePeerDigestRequest, PeerDigestRequest: &PeerDigestRequest{
 			NodeID: 1, Rows: []float64{10, 0, 32}, Gossip: gossip}},
-		{Version: V4, Type: TypePeerDigestRequest, PeerDigestRequest: &PeerDigestRequest{
+		{Type: TypePeerDigestRequest, PeerDigestRequest: &PeerDigestRequest{
 			NodeID: 1, Wants: []DigestCell{{Class: 4, Layer: 2, Origin: 0, Height: 12}}}},
-		{Version: V4, Type: TypePeerDigest, PeerDigest: &PeerDigest{
+		{Type: TypePeerDigest, PeerDigest: &PeerDigest{
 			NodeID: 2, Epoch: 11, Cells: []DigestCell{{Class: 4, Layer: 2, Origin: 2, Height: 24}}, Gossip: gossip}},
-		{Version: V4, Type: TypePeerPullResponse, PeerPullResponse: &PeerPullResponse{
+		{Type: TypePeerPullResponse, PeerPullResponse: &PeerPullResponse{
 			NodeID: 2, Cells: []PullCell{{Class: 4, Layer: 2, Support: 64, EvTotal: 64, Vec: []float32{1, 0},
 				Origins: []OriginHeight{{Origin: 0, Height: 40}}}}}},
-		{Version: V3, Type: TypeStatus, ClientID: 7, SessionID: 12, DeadlineMicros: 1_700_000_000_000_000,
+		{Type: TypeStatus, ClientID: 7, SessionID: 12, DeadlineMicros: 1_700_000_000_000_000,
 			Status: &core.StatusReport{Tau: []int{1, 2}, HitRatio: []float64{0.5}, Budget: 40, RoundFrames: 300, LastVersion: 3}},
 	}
 }
@@ -332,38 +333,47 @@ func sampleMessagesV4() []*Message {
 // a fresh Decoder, on one whose scratch earlier inputs have already shaped,
 // and on one that comes out of the process-wide reply-decoder pool after a
 // larger message shaped it on some other connection. The corpus starts from
-// every sample message at every live version and from frames both decoders
-// must refuse: each sample relabelled as the retired version 1, and the
-// retired tag 4 at every live version.
+// every sample message, whole and cut in half, and from frames both decoders
+// must refuse: each sample relabelled as the retired versions 1, 2 and 3 and
+// the unknown version 5, each handshake sample with its version byte so
+// relabelled, and the retired tag 4.
 func FuzzDecode(f *testing.F) {
-	for _, m := range append(sampleMessages(), sampleMessagesV4()...) {
-		for v := byte(MinVersion); v <= Version; v++ {
-			mm := *m
-			mm.Version = v
-			frame, err := Encode(&mm)
-			if err != nil {
-				continue // a v4-only type has no v2/v3 framing
-			}
-			f.Add(frame)
-			f.Add(frame[:len(frame)/2])
-		}
-	}
-	for _, m := range sampleMessages() {
+	samples := append(sampleMessages(), sampleMessagesAE()...)
+	frames := make([][]byte, len(samples))
+	for i, m := range samples {
 		frame, err := Encode(m)
 		if err != nil {
 			f.Fatal(err)
 		}
-		frame[0] = 1
+		frames[i] = frame
 		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
 	}
-	for v := byte(MinVersion); v <= Version; v++ {
-		frame, err := Encode(&Message{Version: v, Type: TypeAck})
-		if err != nil {
-			f.Fatal(err)
+	retired := []byte{1, 2, 3, Version + 1}
+	for _, frame := range frames {
+		for _, v := range retired {
+			bad := slices.Clone(frame)
+			bad[0] = v
+			f.Add(bad)
 		}
-		frame[1] = 4
-		f.Add(frame)
 	}
+	for i, m := range samples {
+		off := handshakeVersionOffset(m.Type)
+		if off < 0 {
+			continue
+		}
+		for _, v := range retired[:3] {
+			bad := slices.Clone(frames[i])
+			bad[off] = v
+			f.Add(bad)
+		}
+	}
+	frame, err := Encode(&Message{Type: TypeAck})
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame[1] = 4
+	f.Add(frame)
 	var warm Decoder
 	large, err := Encode(benchDeltaMessage())
 	if err != nil {

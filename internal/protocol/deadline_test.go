@@ -1,8 +1,8 @@
 package protocol
 
-// Wire-level tests for v3 deadline propagation: the header field only
-// travels on v3 frames, and the serving side drops already-expired
-// requests at dequeue instead of computing them.
+// Wire-level tests for deadline propagation: the header word carries the
+// client's deadline, and the serving side drops already-expired requests
+// at dequeue instead of computing them.
 
 import (
 	"context"
@@ -19,7 +19,7 @@ import (
 func TestDeadlineRoundTripV3(t *testing.T) {
 	micros := overload.DeadlineMicros(time.Now().Add(40 * time.Millisecond))
 	m := &Message{
-		Version: V3, Type: TypeStatus, ClientID: 7, SessionID: 3,
+		Type: TypeStatus, ClientID: 7, SessionID: 3,
 		DeadlineMicros: micros,
 		Status:         &core.StatusReport{Tau: []int{0, 1}, Budget: 10, RoundFrames: 50},
 	}
@@ -32,12 +32,11 @@ func TestDeadlineRoundTripV3(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.DeadlineMicros != micros {
-		t.Fatalf("v3 deadline %d survived as %d", micros, got.DeadlineMicros)
+		t.Fatalf("deadline %d survived as %d", micros, got.DeadlineMicros)
 	}
 
-	// The same message framed at v2 must not carry the deadline: a
-	// negotiated-down peer never sees (or needs) the field.
-	m.Version = V2
+	// No deadline travels as 0 and decodes as none.
+	m.DeadlineMicros = 0
 	frame, err = Encode(m)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func TestDeadlineRoundTripV3(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.DeadlineMicros != 0 {
-		t.Fatalf("v2 frame leaked deadline %d", got.DeadlineMicros)
+		t.Fatalf("deadline-free frame decoded deadline %d", got.DeadlineMicros)
 	}
 }
 
@@ -79,18 +78,18 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	defer cConn.Close()
 
 	ack := rawRoundTrip(t, cConn, &Message{
-		Version: V2, Type: TypeHello, ClientID: 0, Proto: V3,
+		Type: TypeHello, ClientID: 0,
 		Hello: &Hello{NumClasses: int32(space.DS.NumClasses), NumLayers: int32(space.Arch.NumLayers)},
 	})
-	if ack.Type != TypeHelloAck || ack.Proto != V3 {
-		t.Fatalf("hello not negotiated to v3: %+v", ack)
+	if ack.Type != TypeHelloAck {
+		t.Fatalf("hello not acknowledged: %+v", ack)
 	}
 
 	status := &core.StatusReport{Tau: make([]int, space.DS.NumClasses), Budget: 40, RoundFrames: 50}
 
 	// A live deadline is honored: the allocation computes normally.
 	live := rawRoundTrip(t, cConn, &Message{
-		Version: V3, Type: TypeStatus, ClientID: 0, SessionID: ack.SessionID,
+		Type: TypeStatus, ClientID: 0, SessionID: ack.SessionID,
 		DeadlineMicros: overload.DeadlineMicros(time.Now().Add(time.Minute)),
 		Status:         status,
 	})
@@ -102,7 +101,7 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	// counted as overload work the server declined.
 	before := telemetry.OverloadDeadlineExpired.Load()
 	dead := rawRoundTrip(t, cConn, &Message{
-		Version: V3, Type: TypeStatus, ClientID: 0, SessionID: ack.SessionID,
+		Type: TypeStatus, ClientID: 0, SessionID: ack.SessionID,
 		DeadlineMicros: overload.DeadlineMicros(time.Now().Add(-time.Second)),
 		Status:         status,
 	})
@@ -113,13 +112,13 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 		t.Fatalf("deadline-expired counter moved %d -> %d, want +1", before, after)
 	}
 
-	// A v2 client on the same server simply never stamps a deadline;
-	// its requests are served regardless of how long they waited.
-	v2 := rawRoundTrip(t, cConn, &Message{
-		Version: V2, Type: TypeStatus, ClientID: 0, SessionID: ack.SessionID,
+	// A request without a deadline is served regardless of how long it
+	// waited.
+	free := rawRoundTrip(t, cConn, &Message{
+		Type: TypeStatus, ClientID: 0, SessionID: ack.SessionID,
 		Status: status,
 	})
-	if v2.Type != TypeDelta {
-		t.Fatalf("v2 status answered with type %d (%s)", v2.Type, v2.Error)
+	if free.Type != TypeDelta {
+		t.Fatalf("deadline-free status answered with type %d (%s)", free.Type, free.Error)
 	}
 }

@@ -4,25 +4,21 @@
 // for session establishment, status upload / delta cache allocation, and
 // update upload.
 //
-// Three wire versions are live, MinVersion (2) through Version (4).
-// Version 4 is the federation self-healing format: peer delta cells carry
-// per-origin evidence heights (so cyclic relays deduplicate recirculated
-// evidence instead of re-merging it), peer frames piggyback epidemic
-// membership gossip, and three new frame types (PeerDigestRequest /
-// PeerDigest / PeerPullResponse) implement pull anti-entropy over compact
-// ledger digests. Version 3 is version 2 plus deadline propagation: every
-// session frame header carries the client's absolute deadline
-// (microseconds since the epoch, 0 = none), so servers can drop expired
-// work at dequeue instead of computing answers nobody is waiting for.
-// Version 2 is session-oriented: Hello opens a server-side session (the
-// ack carries its id and the negotiated version) and allocation replies
-// are versioned deltas — only changed and evicted cells travel. Each frame
-// names its version in the first byte, so one server loop speaks all of
-// them; a frame outside MinVersion..Version — the retired context-free
-// version 1 included — is refused with an error naming the supported
-// range. Hello negotiation picks min(client's offer, server's highest), so
-// a v4 peer degrades to v2/v3 framing against an older server and vice
-// versa.
+// The wire speaks one version, Version (4). Every frame names it in its
+// first byte, and the handshake frames (Hello, HelloAck, PeerHello,
+// PeerJoin, PeerSnapshot, PeerAck) repeat it in a version byte of their
+// own; a frame naming any other version in either place — the retired
+// versions 1 to 3 included — is refused with an error naming version 4.
+// Hello opens a server-side session (the ack carries its id) and
+// allocation replies are versioned deltas: only changed and evicted cells
+// travel. Every session frame header carries the client's absolute
+// deadline (microseconds since the epoch, 0 = none), so servers can drop
+// expired work at dequeue instead of computing answers nobody is waiting
+// for. Federation peer delta cells carry per-origin evidence heights (so
+// cyclic relays deduplicate recirculated evidence instead of re-merging
+// it), peer frames piggyback epidemic membership gossip, and three frame
+// types (PeerDigestRequest / PeerDigest / PeerPullResponse) implement pull
+// anti-entropy over compact ledger digests.
 package protocol
 
 import (
@@ -35,23 +31,9 @@ import (
 	"coca/internal/vecmath"
 )
 
-// Wire versions. A frame's first byte names the version it is encoded
-// in; Hello carries the highest version the client speaks, and the
-// server's ack names the version chosen for the session.
-const (
-	// V2 is the session/delta format.
-	V2 = 2
-	// V3 is V2 plus a per-frame deadline in the session header.
-	V3 = 3
-	// V4 is V3 plus federation self-healing: origin-tagged peer cells,
-	// piggybacked membership gossip and the pull anti-entropy frames.
-	V4 = 4
-	// MinVersion is the lowest version this build speaks: frames below it
-	// are refused at decode and encode, and so is a Hello offering less.
-	MinVersion = V2
-	// Version is the highest version this build speaks.
-	Version = V4
-)
+// Version is the wire version: the first byte of every frame and the
+// version byte of every handshake frame.
+const Version = 4
 
 // Message type tags. The numbering is part of the wire format: a retired
 // tag keeps its slot, so the tags after it never move.
@@ -86,16 +68,16 @@ const (
 	// TypePeerLeave announces a clean departure: the receiver marks the
 	// sender dead immediately instead of waiting out the suspect timeout.
 	TypePeerLeave
-	// TypePeerDigestRequest (v4-only) opens a pull anti-entropy exchange:
+	// TypePeerDigestRequest opens a pull anti-entropy exchange:
 	// with empty Wants it carries the requester's per-class ledger row
 	// sums and asks for a PeerDigest of the rows that disagree; with
 	// non-empty Wants it asks for a PeerPullResponse carrying the listed
 	// cells.
 	TypePeerDigestRequest
-	// TypePeerDigest (v4-only) answers a digest request: per-origin
+	// TypePeerDigest answers a digest request: per-origin
 	// evidence heights for every cell in a row whose sum disagreed.
 	TypePeerDigest
-	// TypePeerPullResponse (v4-only) answers a want-list: the requested
+	// TypePeerPullResponse answers a want-list: the requested
 	// cells' entry vectors, absolute support/ledger readings and full
 	// origin decomposition, so the requester can repair exactly the cells
 	// where this peer's ledger is ahead.
@@ -105,22 +87,13 @@ const (
 // Message is a decoded protocol message; exactly one payload field is set,
 // matching Type.
 type Message struct {
-	// Version is the wire version the frame is (or will be) encoded in;
-	// 0 encodes as the latest Version.
-	Version  byte
 	Type     byte
 	ClientID int32
 	// SessionID routes frames to their server-side session (0 in Hello,
 	// which opens the session).
 	SessionID uint64
-	// Proto is the negotiated protocol version: the client's highest
-	// supported version in a v2/v3 Hello, the server's choice in the
-	// HelloAck.
-	Proto byte
 	// DeadlineMicros is the request's absolute deadline in microseconds
-	// since the Unix epoch (0 = none). It travels in every v3 session
-	// frame header and is silently dropped when encoding at v2 —
-	// deadline propagation is best-effort across old peers.
+	// since the Unix epoch (0 = none). It travels in every frame header.
 	DeadlineMicros uint64
 
 	Hello             *Hello
@@ -156,10 +129,9 @@ type Hello struct {
 }
 
 // PeerHello opens a federation peer link between two edge servers. It
-// mirrors the client Hello: the dialing node names itself, states its
-// model shape for agreement checking, and offers its highest protocol
-// version in Message.Proto; the PeerAck answers with the accepting node's
-// id and the negotiated version.
+// mirrors the client Hello: the dialing node names itself and states its
+// model shape for agreement checking; the PeerAck answers with the
+// accepting node's id.
 type PeerHello struct {
 	// NodeID is the dialing node's federation id.
 	NodeID int32
@@ -190,9 +162,9 @@ type PeerCell struct {
 	Evidence float64
 	Vec      []float32
 	// Origins decomposes the sender's evidence ledger for this cell by
-	// contributing origin (v4 links only; empty on v2/v3 links). A v4
-	// receiver ignores Evidence and applies only the per-origin height
-	// advances it has not yet accounted for.
+	// contributing origin. The receiver ignores Evidence and applies only
+	// the per-origin height advances it has not yet accounted for; a cell
+	// without origins is refused.
 	Origins []OriginHeight
 }
 
@@ -227,14 +199,12 @@ type PeerDelta struct {
 	// Freq is the per-class Φ increments since the last sync with this
 	// peer (empty when nothing moved).
 	Freq []float64
-	// Gossip piggybacks epidemic membership rumors on the delta (v4 links
-	// only; dropped when encoding for older peers).
+	// Gossip piggybacks epidemic membership rumors on the delta.
 	Gossip []MemberUpdate
 }
 
-// PeerAck answers PeerHello (carrying the accepting node's id and the
-// negotiated version in Message.Proto) and PeerDelta (carrying the number
-// of cells merged).
+// PeerAck answers PeerHello (carrying the accepting node's id),
+// PeerDelta (carrying the number of cells merged) and PeerLeave.
 type PeerAck struct {
 	// NodeID is the responding node's federation id.
 	NodeID int32
@@ -658,7 +628,7 @@ type Decoder struct {
 	redirect   Redirect
 }
 
-// Decode parses a frame of any live wire version into the decoder's scratch.
+// Decode parses a frame into the decoder's scratch.
 // The result is valid until the next Decode on this decoder.
 func (d *Decoder) Decode(frame []byte) (*Message, error) {
 	d.ints.reset()
@@ -852,8 +822,7 @@ func (r *reader) memberBuf() []MemberUpdate {
 
 // ---- message codec ----
 
-// Encode serializes a message in its Version's wire format (the latest
-// when Version is 0).
+// Encode serializes a message in the wire format.
 func Encode(m *Message) ([]byte, error) {
 	return AppendEncode(nil, m)
 }
@@ -867,14 +836,7 @@ func Encode(m *Message) ([]byte, error) {
 func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	// Sized once from the message's shape: no append-growth from empty.
 	w := writer{buf: slices.Grow(dst, sizeHint(m))}
-	version := m.Version
-	if version == 0 {
-		version = Version
-	}
-	if version < MinVersion || version > Version {
-		return dst, fmt.Errorf("protocol: cannot encode version %d, want %d..%d", version, MinVersion, Version)
-	}
-	if err := encodeSession(&w, m, version); err != nil {
+	if err := encodeSession(&w, m); err != nil {
 		return dst, err
 	}
 	return w.buf, nil
@@ -913,17 +875,14 @@ func peerCellsSize(cells []PeerCell) int {
 	return n
 }
 
-// encodeSession writes a frame at the given version: v3 and later add the
-// deadline word to the frame header, and v4 the origin and gossip fields of
-// the peer frames.
-func encodeSession(w *writer, m *Message, version byte) error {
-	w.u8(version)
+// encodeSession writes a frame: the header (version, type, client and
+// session ids, deadline), then the payload of its type.
+func encodeSession(w *writer, m *Message) error {
+	w.u8(Version)
 	w.u8(m.Type)
 	w.i32(m.ClientID)
 	w.u64(m.SessionID)
-	if version >= V3 {
-		w.u64(m.DeadlineMicros)
-	}
+	w.u64(m.DeadlineMicros)
 	switch m.Type {
 	case TypeHello:
 		if m.Hello == nil {
@@ -931,12 +890,12 @@ func encodeSession(w *writer, m *Message, version byte) error {
 		}
 		w.i32(m.Hello.NumClasses)
 		w.i32(m.Hello.NumLayers)
-		w.u8(m.Proto)
+		w.u8(Version)
 	case TypeHelloAck:
 		if m.HelloAck == nil {
 			return fmt.Errorf("protocol: hello-ack payload missing")
 		}
-		w.u8(m.Proto)
+		w.u8(Version)
 		w.i32(int32(m.HelloAck.NumClasses))
 		w.i32(int32(m.HelloAck.NumLayers))
 		w.f64s(m.HelloAck.ProfileHitRatio)
@@ -984,7 +943,7 @@ func encodeSession(w *writer, m *Message, version byte) error {
 		if m.PeerHello == nil {
 			return fmt.Errorf("protocol: peer-hello payload missing")
 		}
-		w.u8(m.Proto)
+		w.u8(Version)
 		w.i32(m.PeerHello.NodeID)
 		w.i32(m.PeerHello.NumClasses)
 		w.i32(m.PeerHello.NumLayers)
@@ -995,16 +954,14 @@ func encodeSession(w *writer, m *Message, version byte) error {
 		d := m.PeerDelta
 		w.i32(d.NodeID)
 		w.u64(d.Epoch)
-		encodePeerCells(w, d.Cells, version)
+		encodePeerCells(w, d.Cells)
 		w.f64s(d.Freq)
-		if version >= V4 {
-			encodeMemberUpdates(w, d.Gossip)
-		}
+		encodeMemberUpdates(w, d.Gossip)
 	case TypePeerJoin:
 		if m.PeerJoin == nil {
 			return fmt.Errorf("protocol: peer-join payload missing")
 		}
-		w.u8(m.Proto)
+		w.u8(Version)
 		w.i32(m.PeerJoin.NodeID)
 		w.i32(m.PeerJoin.NumClasses)
 		w.i32(m.PeerJoin.NumLayers)
@@ -1019,10 +976,10 @@ func encodeSession(w *writer, m *Message, version byte) error {
 			return fmt.Errorf("protocol: peer-snapshot payload missing")
 		}
 		s := m.PeerSnapshot
-		w.u8(m.Proto)
+		w.u8(Version)
 		w.i32(s.NodeID)
 		w.u64(s.Epoch)
-		encodePeerCells(w, s.Cells, version)
+		encodePeerCells(w, s.Cells)
 		w.f64s(s.Freq)
 	case TypePeerLeave:
 		if m.PeerLeave == nil {
@@ -1067,7 +1024,7 @@ func encodeSession(w *writer, m *Message, version byte) error {
 		if m.PeerAck == nil {
 			return fmt.Errorf("protocol: peer-ack payload missing")
 		}
-		w.u8(m.Proto)
+		w.u8(Version)
 		w.i32(m.PeerAck.NodeID)
 		w.i32(m.PeerAck.Applied)
 	case TypeRedirect:
@@ -1081,39 +1038,34 @@ func encodeSession(w *writer, m *Message, version byte) error {
 	case TypeError:
 		w.str(m.Error)
 	default:
-		return fmt.Errorf("protocol: message type %d not in version %d", m.Type, version)
+		return fmt.Errorf("protocol: message type %d not in version %d", m.Type, Version)
 	}
 	return nil
 }
 
 // encodePeerCells writes a peer-cell batch (shared by PeerDelta and
-// PeerSnapshot — a snapshot is delta-shaped on the wire). v4 frames
-// append each cell's origin decomposition; older framings drop it, so a
-// v2/v3 receiver sees exactly the pre-v4 byte stream.
-func encodePeerCells(w *writer, cells []PeerCell, version byte) {
+// PeerSnapshot — a snapshot is delta-shaped on the wire), each cell with
+// its origin decomposition.
+func encodePeerCells(w *writer, cells []PeerCell) {
 	w.u32(uint32(len(cells)))
 	for _, c := range cells {
 		w.i32(int32(c.Class))
 		w.i32(int32(c.Layer))
 		w.f64(c.Evidence)
 		w.f32s(c.Vec)
-		if version >= V4 {
-			encodeOrigins(w, c.Origins)
-		}
+		encodeOrigins(w, c.Origins)
 	}
 }
 
 // decodePeerCells reads a peer-cell batch into decoder scratch when
 // available.
-func decodePeerCells(r *reader, version byte) []PeerCell {
+func decodePeerCells(r *reader) []PeerCell {
 	nCells := r.length(20)
 	cells := r.peerCellBuf()
 	for i := 0; i < nCells && r.err == nil; i++ {
 		c := PeerCell{Class: int(r.i32()), Layer: int(r.i32()), Evidence: r.f64()}
 		c.Vec = r.f32s()
-		if version >= V4 {
-			c.Origins = decodeOrigins(r)
-		}
+		c.Origins = decodeOrigins(r)
 		cells = append(cells, c)
 	}
 	if r.dec != nil {
@@ -1223,7 +1175,7 @@ func encodeUpdate(w *writer, up *core.UpdateReport) {
 	}
 }
 
-// Decode parses a frame of any live wire version. The result is freshly
+// Decode parses a frame. The result is freshly
 // allocated and owned by the caller; sequential frame streams use a
 // Decoder to reuse scratch instead.
 func Decode(frame []byte) (*Message, error) {
@@ -1232,11 +1184,10 @@ func Decode(frame []byte) (*Message, error) {
 
 func decodeFrame(r *reader) (*Message, error) {
 	frame := r.buf
-	version := r.u8()
-	if version < MinVersion || version > Version {
-		return nil, fmt.Errorf("protocol: version %d, want %d..%d", version, MinVersion, Version)
+	if v := r.u8(); v != Version {
+		return nil, versionError(v)
 	}
-	m, err := decodeSession(r, version)
+	m, err := decodeSession(r)
 	if err != nil {
 		return nil, err
 	}
@@ -1249,20 +1200,31 @@ func decodeFrame(r *reader) (*Message, error) {
 	return m, nil
 }
 
-func decodeSession(r *reader, version byte) (*Message, error) {
-	m := r.message()
-	m.Version, m.Type, m.ClientID, m.SessionID = version, r.u8(), r.i32(), r.u64()
-	if version >= V3 {
-		m.DeadlineMicros = r.u64()
+// versionError refuses a frame or handshake naming a version other than
+// Version.
+func versionError(v byte) error {
+	return fmt.Errorf("protocol: version %d, want %d", v, Version)
+}
+
+// handshakeVersion reads a handshake frame's version byte, failing the
+// decode unless it names Version.
+func (r *reader) handshakeVersion() {
+	if v := r.u8(); r.err == nil && v != Version {
+		r.err = versionError(v)
 	}
+}
+
+func decodeSession(r *reader) (*Message, error) {
+	m := r.message()
+	m.Type, m.ClientID, m.SessionID, m.DeadlineMicros = r.u8(), r.i32(), r.u64(), r.u64()
 	switch m.Type {
 	case TypeHello:
 		h := r.newHello()
 		h.NumClasses, h.NumLayers = r.i32(), r.i32()
 		m.Hello = h
-		m.Proto = r.u8()
+		r.handshakeVersion()
 	case TypeHelloAck:
-		m.Proto = r.u8()
+		r.handshakeVersion()
 		info := r.newHelloAck()
 		info.NumClasses = int(r.i32())
 		info.NumLayers = int(r.i32())
@@ -1309,33 +1271,31 @@ func decodeSession(r *reader, version byte) (*Message, error) {
 	case TypeUpdate:
 		m.Update = decodeUpdate(r)
 	case TypePeerHello:
-		m.Proto = r.u8()
+		r.handshakeVersion()
 		ph := r.newPeerHello()
 		ph.NodeID, ph.NumClasses, ph.NumLayers = r.i32(), r.i32(), r.i32()
 		m.PeerHello = ph
 	case TypePeerDelta:
 		d := r.newPeerDelta()
 		d.NodeID, d.Epoch = r.i32(), r.u64()
-		d.Cells = decodePeerCells(r, version)
+		d.Cells = decodePeerCells(r)
 		if f := r.f64s(); len(f) > 0 {
 			d.Freq = f
 		}
-		if version >= V4 {
-			d.Gossip = decodeMemberUpdates(r)
-		}
+		d.Gossip = decodeMemberUpdates(r)
 		m.PeerDelta = d
 	case TypePeerJoin:
-		m.Proto = r.u8()
+		r.handshakeVersion()
 		pj := r.newPeerJoin()
 		pj.NodeID, pj.NumClasses, pj.NumLayers = r.i32(), r.i32(), r.i32()
 		pj.Addr = r.str()
 		pj.WantSnapshot = r.u8() == 1
 		m.PeerJoin = pj
 	case TypePeerSnapshot:
-		m.Proto = r.u8()
+		r.handshakeVersion()
 		ps := r.newPeerSnapshot()
 		ps.NodeID, ps.Epoch = r.i32(), r.u64()
-		ps.Cells = decodePeerCells(r, version)
+		ps.Cells = decodePeerCells(r)
 		if f := r.f64s(); len(f) > 0 {
 			ps.Freq = f
 		}
@@ -1377,7 +1337,7 @@ func decodeSession(r *reader, version byte) (*Message, error) {
 		p.Gossip = decodeMemberUpdates(r)
 		m.PeerPullResponse = p
 	case TypePeerAck:
-		m.Proto = r.u8()
+		r.handshakeVersion()
 		pa := r.newPeerAck()
 		pa.NodeID, pa.Applied = r.i32(), r.i32()
 		m.PeerAck = pa
@@ -1391,7 +1351,7 @@ func decodeSession(r *reader, version byte) (*Message, error) {
 	case TypeError:
 		m.Error = r.str()
 	default:
-		return nil, fmt.Errorf("protocol: unknown v%d message type %d", version, m.Type)
+		return nil, fmt.Errorf("protocol: unknown v%d message type %d", Version, m.Type)
 	}
 	return m, nil
 }

@@ -14,23 +14,24 @@ import (
 	"coca/internal/xrand"
 )
 
-// sampleMessages covers every message shape wire version 2 carries.
+// sampleMessages covers every session, join and push message shape; the
+// anti-entropy frames are in bulkSamples.
 func sampleMessages() []*Message {
 	return []*Message{
-		{Version: V2, Type: TypeHello, ClientID: 3, Proto: V2,
+		{Type: TypeHello, ClientID: 3,
 			Hello: &Hello{NumClasses: 50, NumLayers: 34}},
-		{Version: V2, Type: TypeHelloAck, ClientID: 3, SessionID: 12, Proto: V2,
+		{Type: TypeHelloAck, ClientID: 3, SessionID: 12,
 			HelloAck: &core.RegisterInfo{
 				NumClasses: 50, NumLayers: 34,
 				ProfileHitRatio: []float64{0.1, 0.5, 0.9},
 				SavedMs:         []float64{40, 20, 5},
 			}},
-		{Version: V2, Type: TypeStatus, ClientID: 7, SessionID: 12, Status: &core.StatusReport{
+		{Type: TypeStatus, ClientID: 7, SessionID: 12, Status: &core.StatusReport{
 			Tau:      []int{0, 3, 900},
 			HitRatio: []float64{0.2, 0.4},
 			Budget:   200, RoundFrames: 300, LastVersion: 41,
 		}},
-		{Version: V2, Type: TypeDelta, ClientID: 7, SessionID: 12, Delta: &core.Delta{
+		{Type: TypeDelta, ClientID: 7, SessionID: 12, Delta: &core.Delta{
 			Version: 42, BaseVersion: 41,
 			Classes: []int{4, 9}, Sites: []int{2, 8},
 			Cells: []core.DeltaCell{
@@ -39,47 +40,51 @@ func sampleMessages() []*Message {
 			},
 			Evict: []core.CellRef{{Site: 2, Class: 1}},
 		}},
-		{Version: V2, Type: TypeDelta, ClientID: 7, SessionID: 13, Delta: &core.Delta{
+		{Type: TypeDelta, ClientID: 7, SessionID: 13, Delta: &core.Delta{
 			Version: 1, Full: true,
 			Classes: []int{4}, Sites: []int{2},
 			Cells: []core.DeltaCell{{Site: 2, Class: 4, Vec: []float32{1, 0}}},
 		}},
-		{Version: V2, Type: TypeUpdate, ClientID: 1, SessionID: 12, Update: &core.UpdateReport{
+		{Type: TypeUpdate, ClientID: 1, SessionID: 12, Update: &core.UpdateReport{
 			Freq: []float64{1, 0, 7},
 			Cells: []core.UpdateCell{
 				{Class: 0, Layer: 5, Count: 3, Vec: []float32{0.1, 0.9}},
 			},
 		}},
-		{Version: V2, Type: TypeBye, ClientID: 1, SessionID: 12},
-		{Version: V2, Type: TypeAck, ClientID: 1, SessionID: 12},
-		{Version: V2, Type: TypeError, ClientID: 2, SessionID: 12, Error: "model mismatch"},
-		{Version: V2, Type: TypePeerHello, Proto: V2,
+		{Type: TypeBye, ClientID: 1, SessionID: 12},
+		{Type: TypeAck, ClientID: 1, SessionID: 12},
+		{Type: TypeError, ClientID: 2, SessionID: 12, Error: "model mismatch"},
+		{Type: TypePeerHello,
 			PeerHello: &PeerHello{NodeID: 2, NumClasses: 50, NumLayers: 34}},
-		{Version: V2, Type: TypePeerDelta, PeerDelta: &PeerDelta{
+		{Type: TypePeerDelta, PeerDelta: &PeerDelta{
 			NodeID: 2, Epoch: 9,
 			Cells: []PeerCell{
-				{Class: 4, Layer: 2, Evidence: 64, Vec: []float32{1, 0}},
-				{Class: 9, Layer: 8, Evidence: 160, Vec: []float32{0.7, 0.1}},
+				{Class: 4, Layer: 2, Evidence: 64, Vec: []float32{1, 0},
+					Origins: []OriginHeight{{Origin: 2, Height: 64}}},
+				{Class: 9, Layer: 8, Evidence: 160, Vec: []float32{0.7, 0.1},
+					Origins: []OriginHeight{{Origin: 2, Height: 100}, {Origin: 0, Height: 60}}},
 			},
+			Gossip: []MemberUpdate{{ID: 3, State: 2, TTL: 4, Addr: "10.0.0.3:7071"}},
 		}},
-		{Version: V2, Type: TypePeerAck, Proto: V2, PeerAck: &PeerAck{NodeID: 1, Applied: 2}},
-		{Version: V2, Type: TypeRedirect, ClientID: 2, SessionID: 12,
+		{Type: TypePeerAck, PeerAck: &PeerAck{NodeID: 1, Applied: 2}},
+		{Type: TypeRedirect, ClientID: 2, SessionID: 12,
 			Redirect: &Redirect{Addr: "10.0.0.9:7000", Reason: "breaker-open"}},
-		{Version: V2, Type: TypePeerJoin, Proto: V2, PeerJoin: &PeerJoin{
+		{Type: TypePeerJoin, PeerJoin: &PeerJoin{
 			NodeID: 5, NumClasses: 50, NumLayers: 34,
 			Addr: "10.0.0.7:7071", WantSnapshot: true}},
-		{Version: V2, Type: TypePeerJoin, Proto: V2, PeerJoin: &PeerJoin{
+		{Type: TypePeerJoin, PeerJoin: &PeerJoin{
 			NodeID: 6, NumClasses: 50, NumLayers: 34}},
-		{Version: V2, Type: TypePeerSnapshot, Proto: V2, PeerSnapshot: &PeerSnapshot{
+		{Type: TypePeerSnapshot, PeerSnapshot: &PeerSnapshot{
 			NodeID: 1, Epoch: 17,
 			Cells: []PeerCell{
-				{Class: 4, Layer: 2, Evidence: 64, Vec: []float32{1, 0}},
+				{Class: 4, Layer: 2, Evidence: 64, Vec: []float32{1, 0},
+					Origins: []OriginHeight{{Origin: 1, Height: 64}}},
 				{Class: 9, Layer: 8, Evidence: 160, Vec: []float32{0.7, 0.1}},
 			},
 			Freq: []float64{0.5, 0, 2}}},
-		{Version: V2, Type: TypePeerSnapshot, Proto: V2,
+		{Type: TypePeerSnapshot,
 			PeerSnapshot: &PeerSnapshot{NodeID: 1, Epoch: 3}},
-		{Version: V2, Type: TypePeerLeave, PeerLeave: &PeerLeave{NodeID: 5}},
+		{Type: TypePeerLeave, PeerLeave: &PeerLeave{NodeID: 5}},
 	}
 }
 
@@ -87,84 +92,99 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
 		frame, err := Encode(m)
 		if err != nil {
-			t.Fatalf("encode v%d type %d: %v", m.Version, m.Type, err)
+			t.Fatalf("encode type %d: %v", m.Type, err)
 		}
 		got, err := Decode(frame)
 		if err != nil {
-			t.Fatalf("decode v%d type %d: %v", m.Version, m.Type, err)
+			t.Fatalf("decode type %d: %v", m.Type, err)
 		}
 		if !reflect.DeepEqual(m, got) {
-			t.Fatalf("round-trip mismatch for v%d type %d:\n  sent %+v\n  got  %+v", m.Version, m.Type, m, got)
+			t.Fatalf("round-trip mismatch for type %d:\n  sent %+v\n  got  %+v", m.Type, m, got)
 		}
 	}
 }
 
+// handshakeVersionOffset is where a handshake frame repeats the wire
+// version: right after the 22-byte frame header, or after Hello's two
+// shape words. Other frames have no such byte (-1).
+func handshakeVersionOffset(typ byte) int {
+	switch typ {
+	case TypeHello:
+		return frameHeaderLen + 8
+	case TypeHelloAck, TypePeerHello, TypePeerJoin, TypePeerSnapshot, TypePeerAck:
+		return frameHeaderLen
+	}
+	return -1
+}
+
+// frameHeaderLen is the fixed frame header: version, type, client id,
+// session id and deadline word.
+const frameHeaderLen = 1 + 1 + 4 + 8 + 8
+
 func TestEncodeDefaultsToLatestVersion(t *testing.T) {
-	frame, err := Encode(&Message{Type: TypeAck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[0] != Version {
-		t.Fatalf("unversioned message encoded as v%d, want v%d", frame[0], Version)
-	}
-}
-
-func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	frame, err := Encode(&Message{Type: TypeAck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[0] = Version + 1
-	if _, err := Decode(frame); err == nil {
-		t.Fatal("unknown version accepted")
-	}
-	frame[0] = 0
-	if _, err := Decode(frame); err == nil {
-		t.Fatal("version 0 accepted")
-	}
-	frame[0] = 1
-	_, err = Decode(frame)
-	if err == nil {
-		t.Fatal("retired version 1 accepted")
-	}
-	if want := fmt.Sprintf("want %d..%d", MinVersion, Version); !strings.Contains(err.Error(), want) {
-		t.Fatalf("version-1 refusal %q does not name the supported range %q", err, want)
-	}
-}
-
-// TestEncodeRejectsCrossVersionTypes: nothing encodes outside
-// MinVersion..Version, whatever its type, and the retired tag 4 (the v1
-// full allocation) encodes at no version.
-func TestEncodeRejectsCrossVersionTypes(t *testing.T) {
 	for _, m := range sampleMessages() {
-		for _, v := range []byte{MinVersion - 1, Version + 1} {
-			mm := *m
-			mm.Version = v
-			if _, err := Encode(&mm); err == nil {
-				t.Errorf("type %d encoded at version %d", m.Type, v)
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame[0] != Version {
+			t.Fatalf("type %d encoded as v%d, want v%d", m.Type, frame[0], Version)
+		}
+		if off := handshakeVersionOffset(m.Type); off >= 0 && frame[off] != Version {
+			t.Fatalf("type %d handshake byte %d, want %d", m.Type, frame[off], Version)
+		}
+	}
+}
+
+// TestDecodeRejectsVersionMismatch: a frame naming any version but
+// Version — in its first byte, or in a handshake frame's version byte — is
+// refused with an error naming Version.
+func TestDecodeRejectsVersionMismatch(t *testing.T) {
+	want := fmt.Sprintf("want %d", Version)
+	for _, m := range sampleMessages() {
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []byte{0, 1, 2, 3, Version + 1} {
+			places := []int{0}
+			if off := handshakeVersionOffset(m.Type); off >= 0 {
+				places = append(places, off)
+			}
+			for _, at := range places {
+				bad := append([]byte(nil), frame...)
+				bad[at] = v
+				_, err := Decode(bad)
+				if err == nil {
+					t.Fatalf("type %d with version %d at byte %d accepted", m.Type, v, at)
+				}
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("type %d version-%d refusal %q does not name %q", m.Type, v, err, want)
+				}
 			}
 		}
 	}
-	for v := byte(MinVersion); v <= Version; v++ {
-		if _, err := Encode(&Message{Version: v, Type: 4}); err == nil {
-			t.Errorf("retired type 4 encoded at version %d", v)
-		}
+}
+
+// TestEncodeRejectsCrossVersionTypes: the retired tag 4 (the v1 full
+// allocation) does not encode.
+func TestEncodeRejectsCrossVersionTypes(t *testing.T) {
+	if _, err := Encode(&Message{Type: 4}); err == nil {
+		t.Error("retired type 4 encoded")
 	}
 }
 
 // TestDecodeRejectsUnknownType covers an unassigned tag and the retired
-// tag 4 at every live version.
+// tag 4.
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	for v := byte(MinVersion); v <= Version; v++ {
-		for _, typ := range []byte{4, 0x7F} {
-			frame, err := Encode(&Message{Version: v, Type: TypeAck})
-			if err != nil {
-				t.Fatal(err)
-			}
-			frame[1] = typ
-			if _, err := Decode(frame); err == nil {
-				t.Fatalf("v%d type %d accepted", v, typ)
-			}
+	for _, typ := range []byte{4, 0x7F} {
+		frame, err := Encode(&Message{Type: TypeAck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[1] = typ
+		if _, err := Decode(frame); err == nil {
+			t.Fatalf("type %d accepted", typ)
 		}
 	}
 }
@@ -180,21 +200,19 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 				continue
 			}
 			if _, err := Decode(frame[:cut]); err == nil {
-				t.Fatalf("truncated frame (v%d type %d, %d/%d bytes) accepted", m.Version, m.Type, cut, len(frame))
+				t.Fatalf("truncated frame (type %d, %d/%d bytes) accepted", m.Type, cut, len(frame))
 			}
 		}
 	}
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	for v := byte(MinVersion); v <= Version; v++ {
-		frame, err := Encode(&Message{Version: v, Type: TypeAck, ClientID: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Decode(append(frame, 0xAA)); err == nil {
-			t.Fatalf("trailing bytes accepted at v%d", v)
-		}
+	frame, err := Encode(&Message{Type: TypeAck, ClientID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(append(frame, 0xAA)); err == nil {
+		t.Fatal("trailing bytes accepted")
 	}
 }
 
@@ -210,15 +228,20 @@ func TestEncodeRejectsMissingPayload(t *testing.T) {
 }
 
 func TestDecodeRejectsAbsurdLengths(t *testing.T) {
-	// A v2 status message claiming 2^31 tau entries in a tiny frame.
+	// A status message claiming 2^31 tau entries in a tiny frame.
 	w := &writer{}
-	w.u8(V2)
+	w.u8(Version)
 	w.u8(TypeStatus)
 	w.i32(1)
 	w.u64(9)          // session id
+	w.u64(0)          // deadline
 	w.u32(0x7FFFFFFF) // tau length
-	if _, err := Decode(w.buf); err == nil {
+	_, err := Decode(w.buf)
+	if err == nil {
 		t.Fatal("absurd collection length accepted")
+	}
+	if !strings.Contains(err.Error(), "truncated length") {
+		t.Fatalf("absurd length refused for another reason: %v", err)
 	}
 }
 
@@ -239,7 +262,7 @@ func TestPropertyFuzzDecodeNeverPanics(t *testing.T) {
 }
 
 func TestPropertyStatusRoundTrip(t *testing.T) {
-	f := func(seed uint64, nc, nl uint8, v4 bool) bool {
+	f := func(seed uint64, nc, nl uint8) bool {
 		r := xrand.New(seed)
 		classes := 1 + int(nc)%60
 		layers := 1 + int(nl)%40
@@ -255,11 +278,8 @@ func TestPropertyStatusRoundTrip(t *testing.T) {
 			st.HitRatio[j] = r.Float64()
 		}
 		st.LastVersion = r.Uint64()
-		m := &Message{Version: V2, Type: TypeStatus, ClientID: int32(r.IntN(200)), SessionID: r.Uint64(), Status: st}
-		if v4 {
-			m.Version = V4
-			m.DeadlineMicros = r.Uint64()
-		}
+		m := &Message{Type: TypeStatus, ClientID: int32(r.IntN(200)), SessionID: r.Uint64(),
+			DeadlineMicros: r.Uint64(), Status: st}
 		frame, err := Encode(m)
 		if err != nil {
 			return false

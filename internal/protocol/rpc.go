@@ -15,10 +15,9 @@ import (
 	"coca/internal/transport"
 )
 
-// SessionClient implements core.Coordinator over a transport connection
-// with protocol v2: Open performs the Hello handshake (negotiating the
-// wire version and obtaining a server session id) and returns a
-// core.Session whose Allocate receives versioned deltas. One connection
+// SessionClient implements core.Coordinator over a transport connection:
+// Open performs the Hello handshake (obtaining a server session id) and
+// returns a core.Session whose Allocate receives versioned deltas. One connection
 // can carry several sessions; round trips are serialized on the
 // connection, matching the strictly request/response wire format.
 type SessionClient struct {
@@ -26,12 +25,7 @@ type SessionClient struct {
 	// expected model shape, sent with Hello for server-side validation.
 	numClasses, numLayers int
 
-	mu sync.Mutex // serializes round trips; guards enc, proto and free
-	// proto is the wire version negotiated at Open (0 before the first
-	// handshake, meaning the build's latest). Frames after the handshake
-	// are encoded at this version, so a v2 server keeps receiving v2
-	// frames and deadlines are simply not propagated to it.
-	proto byte
+	mu sync.Mutex // serializes round trips; guards enc and free
 	// enc is the connection's pooled encode buffer, free its pool of reply
 	// decoders: a session holds one while its reply is live (from the
 	// round trip that decoded it until the session's next call has been
@@ -116,23 +110,9 @@ func (c *SessionClient) release(hold **Decoder) {
 	*hold = nil
 }
 
-// negotiated returns the wire version agreed at Open (the build's latest
-// before any handshake).
-func (c *SessionClient) negotiated() byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.proto == 0 {
-		return Version
-	}
-	return c.proto
-}
-
-// deadlineMicros extracts ctx's deadline for a frame header when the
-// negotiated version carries one (v3+); 0 otherwise.
-func (c *SessionClient) deadlineMicros(ctx context.Context) uint64 {
-	if c.negotiated() < V3 {
-		return 0
-	}
+// deadlineMicros extracts ctx's deadline for a frame header; 0 when ctx
+// has none.
+func deadlineMicros(ctx context.Context) uint64 {
 	if t, ok := ctx.Deadline(); ok {
 		return overload.DeadlineMicros(t)
 	}
@@ -140,17 +120,12 @@ func (c *SessionClient) deadlineMicros(ctx context.Context) uint64 {
 }
 
 // Open implements core.Coordinator: it registers the client and returns
-// its wire-backed session. The Hello is framed at MinVersion — the lowest
-// live session format, readable by any session server — and offers the
-// build's highest version in Proto; the server answers with its choice,
-// which this connection's later frames are encoded at.
+// its wire-backed session.
 func (c *SessionClient) Open(ctx context.Context, clientID int) (core.Session, error) {
 	sess := &wireSession{c: c, clientID: int32(clientID)}
 	m, err := c.roundTrip(ctx, &Message{
-		Version:  MinVersion,
 		Type:     TypeHello,
 		ClientID: int32(clientID),
-		Proto:    Version,
 		Hello:    &Hello{NumClasses: int32(c.numClasses), NumLayers: int32(c.numLayers)},
 	}, &sess.dec)
 	defer c.release(&sess.dec) // everything kept is copied out below
@@ -160,15 +135,9 @@ func (c *SessionClient) Open(ctx context.Context, clientID int) (core.Session, e
 	if m.Type != TypeHelloAck || m.HelloAck == nil {
 		return nil, fmt.Errorf("protocol: unexpected reply type %d to hello", m.Type)
 	}
-	if m.Proto < MinVersion || m.Proto > Version {
-		return nil, fmt.Errorf("protocol: server negotiated unsupported version %d", m.Proto)
-	}
 	if m.SessionID == 0 {
 		return nil, fmt.Errorf("protocol: server did not assign a session id")
 	}
-	c.mu.Lock()
-	c.proto = m.Proto
-	c.mu.Unlock()
 	// The decoded ack lives in decoder scratch that goes back to the pool;
 	// the session retains its registration info, so copy it out.
 	sess.id = m.SessionID
@@ -249,11 +218,10 @@ func (s *wireSession) Allocate(ctx context.Context, status core.StatusReport) (c
 	}
 	defer s.exit()
 	m, err := s.c.roundTrip(ctx, &Message{
-		Version:        s.c.negotiated(),
 		Type:           TypeStatus,
 		ClientID:       s.clientID,
 		SessionID:      s.id,
-		DeadlineMicros: s.c.deadlineMicros(ctx),
+		DeadlineMicros: deadlineMicros(ctx),
 		Status:         &status,
 	}, &s.dec)
 	if err != nil {
@@ -272,11 +240,10 @@ func (s *wireSession) Upload(ctx context.Context, upd core.UpdateReport) error {
 	}
 	defer s.exit()
 	m, err := s.c.roundTrip(ctx, &Message{
-		Version:        s.c.negotiated(),
 		Type:           TypeUpdate,
 		ClientID:       s.clientID,
 		SessionID:      s.id,
-		DeadlineMicros: s.c.deadlineMicros(ctx),
+		DeadlineMicros: deadlineMicros(ctx),
 		Update:         &upd,
 	}, &s.dec)
 	// By calling Upload the client is done with its last delta, and the ack
@@ -309,7 +276,7 @@ func (s *wireSession) Close() error {
 	// is decoded into a decoder of its own, never the one the session holds.
 	var dec *Decoder
 	_, _ = s.c.roundTrip(context.Background(), &Message{
-		Version: s.c.negotiated(), Type: TypeBye, ClientID: s.clientID, SessionID: s.id,
+		Type: TypeBye, ClientID: s.clientID, SessionID: s.id,
 	}, &dec)
 	s.c.release(&dec)
 	if idle {
@@ -324,9 +291,10 @@ func (s *wireSession) Close() error {
 var _ core.Session = (*wireSession)(nil)
 
 // PeerHandler is implemented by coordinators that also participate in the
-// federation tier (federation.Node): ServeConn routes TypePeerHello,
-// TypePeerDelta, TypePeerJoin and TypePeerLeave frames to it. Coordinators
-// without PeerHandler reject peer frames with an error reply.
+// federation tier (federation.Node): ServeConn routes every peer frame to
+// it. Coordinators without PeerHandler reject peer frames with an error
+// reply. Replies must remain valid through the reply encode
+// (implementations return caller-owned slices, not reusable scratch).
 type PeerHandler interface {
 	// HandlePeerHello validates a peer link request and returns the local
 	// node's federation id.
@@ -337,20 +305,10 @@ type PeerHandler interface {
 	// HandlePeerJoin admits a joining node: it validates like a hello,
 	// registers the joiner (and its sync address) with the local
 	// membership, and returns the bootstrap snapshot when one was asked
-	// for (an empty snapshot otherwise). The snapshot must remain valid
-	// through the reply encode — implementations return caller-owned
-	// slices, not reusable scratch.
+	// for (an empty snapshot otherwise).
 	HandlePeerJoin(j *PeerJoin) (snap *PeerSnapshot, err error)
 	// HandlePeerLeave records a peer's clean departure.
 	HandlePeerLeave(nodeID int)
-}
-
-// AntiEntropyHandler is the optional extension of PeerHandler that serves
-// the v4 pull anti-entropy frames. Replies must remain valid through the
-// reply encode (the next call on the same handler may reuse scratch).
-// Coordinators without it reject digest frames with an error reply, which
-// the requester treats like an old-version peer.
-type AntiEntropyHandler interface {
 	// HandlePeerDigestRequest compares the requester's per-class row sums
 	// against the local ledger and returns per-origin detail for the rows
 	// that disagree (applying any piggybacked gossip).
@@ -369,10 +327,6 @@ type PeerClient struct {
 	// handshake ack.
 	localID int
 	peerID  int
-	// proto is the wire version negotiated at the handshake (0 before it,
-	// treated as MinVersion). Deltas to a v4 peer carry origin tags and
-	// gossip; older peers get the v2 byte stream.
-	proto byte
 
 	mu sync.Mutex // serializes round trips; guards enc and dec
 	// enc and dec are reused across deltas: a sync round encodes into the
@@ -384,24 +338,13 @@ type PeerClient struct {
 	lastRespBytes int
 }
 
-// Negotiated returns the wire version agreed at the handshake (MinVersion
-// before any handshake completed).
-func (pc *PeerClient) Negotiated() byte {
-	if pc.proto == 0 {
-		return MinVersion
-	}
-	return pc.proto
-}
-
 // DialPeer performs the PeerHello handshake for the node localID over an
 // established connection, validating model agreement (numClasses ×
-// numLayers) and protocol version, and returns the link.
+// numLayers), and returns the link.
 func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerClient, error) {
 	pc := &PeerClient{conn: conn, localID: localID}
 	m, _, err := pc.roundTripSized(&Message{
-		Version: MinVersion, // the lowest live framing, readable by any peer
-		Type:    TypePeerHello,
-		Proto:   Version,
+		Type: TypePeerHello,
 		PeerHello: &PeerHello{
 			NodeID:     int32(localID),
 			NumClasses: int32(numClasses),
@@ -414,10 +357,6 @@ func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerCli
 	if m.Type != TypePeerAck || m.PeerAck == nil {
 		return nil, fmt.Errorf("protocol: unexpected reply type %d to peer hello", m.Type)
 	}
-	if m.Proto < MinVersion || m.Proto > Version {
-		return nil, fmt.Errorf("protocol: peer negotiated unsupported version %d", m.Proto)
-	}
-	pc.proto = m.Proto
 	pc.peerID = int(m.PeerAck.NodeID)
 	return pc, nil
 }
@@ -433,9 +372,7 @@ func DialPeer(conn transport.Conn, localID, numClasses, numLayers int) (*PeerCli
 func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr string, wantSnapshot bool) (pc *PeerClient, snap *PeerSnapshot, snapBytes int, err error) {
 	pc = &PeerClient{conn: conn, localID: localID}
 	m, _, err := pc.roundTripSized(&Message{
-		Version: MinVersion, // the lowest live framing, readable by any peer
-		Type:    TypePeerJoin,
-		Proto:   Version,
+		Type: TypePeerJoin,
 		PeerJoin: &PeerJoin{
 			NodeID:       int32(localID),
 			NumClasses:   int32(numClasses),
@@ -450,10 +387,6 @@ func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr stri
 	if m.Type != TypePeerSnapshot || m.PeerSnapshot == nil {
 		return nil, nil, 0, fmt.Errorf("protocol: unexpected reply type %d to peer join", m.Type)
 	}
-	if m.Proto < MinVersion || m.Proto > Version {
-		return nil, nil, 0, fmt.Errorf("protocol: peer negotiated unsupported version %d", m.Proto)
-	}
-	pc.proto = m.Proto
 	pc.peerID = int(m.PeerSnapshot.NodeID)
 	return pc, m.PeerSnapshot, pc.lastRespBytes, nil
 }
@@ -463,7 +396,6 @@ func JoinPeer(conn transport.Conn, localID, numClasses, numLayers int, addr stri
 // the peer's failure detector handles anyway).
 func (pc *PeerClient) Leave() error {
 	m, _, err := pc.roundTripSized(&Message{
-		Version:   pc.Negotiated(),
 		Type:      TypePeerLeave,
 		PeerLeave: &PeerLeave{NodeID: int32(pc.localID)},
 	})
@@ -510,12 +442,9 @@ func (pc *PeerClient) roundTripSized(req *Message) (*Message, int, error) {
 
 // SendDelta ships changed cells and frequency increments to the peer and
 // returns how many cells it applied plus the encoded frame size in bytes
-// (the sync-traffic measurement the federation experiments report). The
-// frame is encoded at the negotiated version, so origin tags and gossip
-// reach v4 peers and are silently dropped for older ones.
+// (the sync-traffic measurement the federation experiments report).
 func (pc *PeerClient) SendDelta(epoch uint64, cells []PeerCell, freq []float64, gossip []MemberUpdate) (applied, wireBytes int, err error) {
 	m, wireBytes, err := pc.roundTripSized(&Message{
-		Version:   pc.Negotiated(),
 		Type:      TypePeerDelta,
 		PeerDelta: &PeerDelta{NodeID: int32(pc.localID), Epoch: epoch, Cells: cells, Freq: freq, Gossip: gossip},
 	})
@@ -528,21 +457,14 @@ func (pc *PeerClient) SendDelta(epoch uint64, cells []PeerCell, freq []float64, 
 	return int(m.PeerAck.Applied), wireBytes, nil
 }
 
-// ErrPeerTooOld reports that the link's negotiated version predates pull
-// anti-entropy; callers skip anti-entropy on such links and rely on push.
-var ErrPeerTooOld = errors.New("protocol: peer speaks a pre-v4 version without anti-entropy")
-
 // SendDigestRequest opens a pull anti-entropy exchange: it ships the
 // requester's per-class row sums (plus gossip) and returns the peer's
 // digest detail for disagreeing rows. The reply lives in the link's
 // decoder scratch and is valid only until the next round trip; reqBytes
 // and respBytes are the two frames' encoded sizes.
 func (pc *PeerClient) SendDigestRequest(q *PeerDigestRequest) (digest *PeerDigest, reqBytes, respBytes int, err error) {
-	if pc.Negotiated() < V4 {
-		return nil, 0, 0, ErrPeerTooOld
-	}
 	q.NodeID = int32(pc.localID)
-	m, n, err := pc.roundTripSized(&Message{Version: pc.Negotiated(), Type: TypePeerDigestRequest, PeerDigestRequest: q})
+	m, n, err := pc.roundTripSized(&Message{Type: TypePeerDigestRequest, PeerDigestRequest: q})
 	if err != nil {
 		return nil, n, 0, err
 	}
@@ -557,11 +479,8 @@ func (pc *PeerClient) SendDigestRequest(q *PeerDigestRequest) (digest *PeerDiges
 // lives in the link's decoder scratch and is valid only until the next
 // round trip.
 func (pc *PeerClient) SendPull(q *PeerDigestRequest) (pull *PeerPullResponse, reqBytes, respBytes int, err error) {
-	if pc.Negotiated() < V4 {
-		return nil, 0, 0, ErrPeerTooOld
-	}
 	q.NodeID = int32(pc.localID)
-	m, n, err := pc.roundTripSized(&Message{Version: pc.Negotiated(), Type: TypePeerDigestRequest, PeerDigestRequest: q})
+	m, n, err := pc.roundTripSized(&Message{Type: TypePeerDigestRequest, PeerDigestRequest: q})
 	if err != nil {
 		return nil, n, 0, err
 	}
@@ -580,12 +499,8 @@ type connState struct {
 	coord    core.Coordinator
 	sessions map[uint64]core.Session
 	// peerHello records that the connection completed a federation peer
-	// handshake (gates TypePeerDelta); peerProto is the version negotiated
-	// by that handshake (min of the peer's offer and this build), which
-	// replies on this connection are framed at and which gates the v4
-	// anti-entropy frames.
+	// handshake (gates TypePeerDelta and the anti-entropy frames).
 	peerHello bool
-	peerProto byte
 	// enc and dec are the connection's pooled codec scratch: requests
 	// decode into reused arenas (handlers consume them before the next
 	// frame) and replies encode into one reused buffer (the transport
@@ -612,11 +527,10 @@ func (cs *connState) closeAll() {
 
 // ServeConn drives one client connection against the coordinator until
 // the peer disconnects or ctx is canceled (which closes the connection
-// and drains the handler). It speaks every wire version from MinVersion
-// to Version, keyed per frame, and replies in the version each request
-// arrived in. Malformed requests — frames of a version outside that range
-// included — receive a TypeError reply and leave the connection open;
-// transport failures end it. It returns nil on orderly shutdown.
+// and drains the handler). Malformed requests — frames of a version other
+// than Version included — receive a TypeError reply and leave the
+// connection open; transport failures end it. It returns nil on orderly
+// shutdown.
 func ServeConn(ctx context.Context, conn transport.Conn, coord core.Coordinator) error {
 	cs := &connState{coord: coord, sessions: make(map[uint64]core.Session)}
 	defer cs.closeAll()
@@ -668,21 +582,21 @@ func (cs *connState) handle(ctx context.Context, frame []byte) Message {
 	return cs.handleSession(ctx, m, len(frame))
 }
 
-func errorReply(version byte, clientID int32, sessionID uint64, format string, args ...any) Message {
-	return Message{Version: version, Type: TypeError, ClientID: clientID, SessionID: sessionID,
+func errorReply(clientID int32, sessionID uint64, format string, args ...any) Message {
+	return Message{Type: TypeError, ClientID: clientID, SessionID: sessionID,
 		Error: fmt.Sprintf(format, args...)}
 }
 
 // failureReply maps a coordinator error to its wire form: a
 // core.RedirectError becomes a TypeRedirect frame, everything else a
 // TypeError.
-func failureReply(version byte, clientID int32, sessionID uint64, err error) Message {
+func failureReply(clientID int32, sessionID uint64, err error) Message {
 	var re *core.RedirectError
 	if errors.As(err, &re) {
-		return Message{Version: version, Type: TypeRedirect, ClientID: clientID, SessionID: sessionID,
+		return Message{Type: TypeRedirect, ClientID: clientID, SessionID: sessionID,
 			Redirect: &Redirect{Addr: re.Addr, Reason: re.Reason}}
 	}
-	return errorReply(version, clientID, sessionID, "%v", err)
+	return errorReply(clientID, sessionID, "%v", err)
 }
 
 // open validates the hello shape against a fresh session's registration
@@ -720,175 +634,135 @@ func deadlineContext(ctx context.Context, micros uint64) (_ context.Context, can
 // began — the drop-at-dequeue half of deadline propagation. The counter
 // is the overload tier's congestion-collapse sentinel: work the server
 // declined to compute because nobody was waiting for the answer anymore.
-func expiredReply(version byte, clientID int32, sessionID uint64) Message {
+func expiredReply(clientID int32, sessionID uint64) Message {
 	telemetry.OverloadDeadlineExpired.Inc()
-	return errorReply(version, clientID, sessionID, "deadline expired at dequeue")
+	return errorReply(clientID, sessionID, "deadline expired at dequeue")
 }
 
-// handleSession serves one decoded request. Replies are framed at the
-// version the request arrived in, so a negotiated-down connection never
-// sees frames it cannot decode. frameLen is the received frame's size,
-// accounted as sync traffic for peer deltas.
+// handleSession serves one decoded request. frameLen is the received
+// frame's size, accounted as sync traffic for peer deltas.
 func (cs *connState) handleSession(ctx context.Context, m *Message, frameLen int) Message {
-	v := m.Version
 	switch m.Type {
 	case TypeHello:
-		if m.Proto < MinVersion {
-			return errorReply(v, m.ClientID, 0, "client offered protocol %d; this server speaks %d..%d", m.Proto, MinVersion, Version)
-		}
 		if len(cs.sessions) >= maxSessionsPerConn {
-			return errorReply(v, m.ClientID, 0, "connection already holds %d sessions, the limit", maxSessionsPerConn)
+			return errorReply(m.ClientID, 0, "connection already holds %d sessions, the limit", maxSessionsPerConn)
 		}
 		sess, info, err := cs.open(ctx, m.ClientID, m.Hello)
 		if err != nil {
-			return failureReply(v, m.ClientID, 0, err)
-		}
-		// Negotiate down to the client's offer when it speaks an older
-		// session version than this build.
-		proto := m.Proto
-		if proto > Version {
-			proto = Version
+			return failureReply(m.ClientID, 0, err)
 		}
 		id := sessionID(sess)
 		cs.sessions[id] = sess
-		return Message{Version: v, Type: TypeHelloAck, ClientID: m.ClientID, SessionID: id, Proto: proto, HelloAck: &info}
+		return Message{Type: TypeHelloAck, ClientID: m.ClientID, SessionID: id, HelloAck: &info}
 	case TypeStatus:
 		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
-			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
+			return errorReply(m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
 		dctx, cancel, expired := deadlineContext(ctx, m.DeadlineMicros)
 		if expired {
-			return expiredReply(v, m.ClientID, m.SessionID)
+			return expiredReply(m.ClientID, m.SessionID)
 		}
 		delta, err := sess.Allocate(dctx, *m.Status)
 		cancel()
 		if err != nil {
-			return failureReply(v, m.ClientID, m.SessionID, err)
+			return failureReply(m.ClientID, m.SessionID, err)
 		}
 		cs.delta = delta
-		return Message{Version: v, Type: TypeDelta, ClientID: m.ClientID, SessionID: m.SessionID, Delta: &cs.delta}
+		return Message{Type: TypeDelta, ClientID: m.ClientID, SessionID: m.SessionID, Delta: &cs.delta}
 	case TypeUpdate:
 		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
-			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
+			return errorReply(m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
 		dctx, cancel, expired := deadlineContext(ctx, m.DeadlineMicros)
 		if expired {
-			return expiredReply(v, m.ClientID, m.SessionID)
+			return expiredReply(m.ClientID, m.SessionID)
 		}
 		err := sess.Upload(dctx, *m.Update)
 		cancel()
 		if err != nil {
-			return failureReply(v, m.ClientID, m.SessionID, err)
+			return failureReply(m.ClientID, m.SessionID, err)
 		}
-		return Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
+		return Message{Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypeBye:
 		sess, ok := cs.sessions[m.SessionID]
 		if !ok {
-			return errorReply(v, m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
+			return errorReply(m.ClientID, m.SessionID, "unknown session %d", m.SessionID)
 		}
 		delete(cs.sessions, m.SessionID)
 		_ = sess.Close()
-		return Message{Version: v, Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
+		return Message{Type: TypeAck, ClientID: m.ClientID, SessionID: m.SessionID}
 	case TypePeerHello:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
-			return errorReply(v, m.ClientID, 0, "peer sync not supported by this endpoint")
-		}
-		if m.Proto < MinVersion {
-			return errorReply(v, m.ClientID, 0, "peer offered protocol %d; this server speaks %d..%d", m.Proto, MinVersion, Version)
+			return errorReply(m.ClientID, 0, "peer sync not supported by this endpoint")
 		}
 		localID, err := ph.HandlePeerHello(int(m.PeerHello.NodeID), int(m.PeerHello.NumClasses), int(m.PeerHello.NumLayers))
 		if err != nil {
-			return errorReply(v, m.ClientID, 0, "%v", err)
+			return errorReply(m.ClientID, 0, "%v", err)
 		}
 		cs.peerHello = true
-		cs.peerProto = negotiatePeer(m.Proto)
-		return Message{Version: v, Type: TypePeerAck, Proto: cs.peerProto, PeerAck: &PeerAck{NodeID: int32(localID)}}
+		return Message{Type: TypePeerAck, PeerAck: &PeerAck{NodeID: int32(localID)}}
 	case TypePeerDelta:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
-			return errorReply(v, m.ClientID, 0, "peer sync not supported by this endpoint")
+			return errorReply(m.ClientID, 0, "peer sync not supported by this endpoint")
 		}
 		if !cs.peerHello {
-			return errorReply(v, m.ClientID, 0, "peer delta before peer hello")
+			return errorReply(m.ClientID, 0, "peer delta before peer hello")
 		}
 		applied, err := ph.HandlePeerDelta(m.PeerDelta)
 		if err != nil {
-			return errorReply(v, m.ClientID, 0, "%v", err)
+			return errorReply(m.ClientID, 0, "%v", err)
 		}
 		if br, ok := cs.coord.(interface{ NotePeerRecvBytes(int) }); ok {
 			br.NotePeerRecvBytes(frameLen)
 		}
-		return Message{Version: v, Type: TypePeerAck, Proto: cs.peerProto, PeerAck: &PeerAck{Applied: int32(applied)}}
+		return Message{Type: TypePeerAck, PeerAck: &PeerAck{Applied: int32(applied)}}
 	case TypePeerJoin:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
-			return errorReply(v, m.ClientID, 0, "peer sync not supported by this endpoint")
-		}
-		if m.Proto < MinVersion {
-			return errorReply(v, m.ClientID, 0, "peer offered protocol %d; this server speaks %d..%d", m.Proto, MinVersion, Version)
+			return errorReply(m.ClientID, 0, "peer sync not supported by this endpoint")
 		}
 		snap, err := ph.HandlePeerJoin(m.PeerJoin)
 		if err != nil {
-			return errorReply(v, m.ClientID, 0, "%v", err)
+			return errorReply(m.ClientID, 0, "%v", err)
 		}
 		// A join doubles as the handshake: the joiner may push deltas on
 		// this connection next.
 		cs.peerHello = true
-		cs.peerProto = negotiatePeer(m.Proto)
-		return Message{Version: v, Type: TypePeerSnapshot, Proto: cs.peerProto, PeerSnapshot: snap}
+		return Message{Type: TypePeerSnapshot, PeerSnapshot: snap}
 	case TypePeerLeave:
 		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
-			return errorReply(v, m.ClientID, 0, "peer sync not supported by this endpoint")
+			return errorReply(m.ClientID, 0, "peer sync not supported by this endpoint")
 		}
 		ph.HandlePeerLeave(int(m.PeerLeave.NodeID))
-		proto := cs.peerProto
-		if proto == 0 {
-			proto = MinVersion
-		}
-		return Message{Version: v, Type: TypePeerAck, Proto: proto, PeerAck: &PeerAck{}}
+		return Message{Type: TypePeerAck, PeerAck: &PeerAck{}}
 	case TypePeerDigestRequest:
-		ae, ok := cs.coord.(AntiEntropyHandler)
+		ph, ok := cs.coord.(PeerHandler)
 		if !ok {
-			return errorReply(v, m.ClientID, 0, "peer anti-entropy not supported by this endpoint")
+			return errorReply(m.ClientID, 0, "peer sync not supported by this endpoint")
 		}
 		if !cs.peerHello {
-			return errorReply(v, m.ClientID, 0, "peer digest before peer hello")
-		}
-		if cs.peerProto < V4 {
-			return errorReply(v, m.ClientID, 0, "peer digest on a v%d link; anti-entropy requires v%d", cs.peerProto, V4)
+			return errorReply(m.ClientID, 0, "peer digest before peer hello")
 		}
 		if len(m.PeerDigestRequest.Wants) > 0 {
-			pull, err := ae.HandlePeerPull(m.PeerDigestRequest)
+			pull, err := ph.HandlePeerPull(m.PeerDigestRequest)
 			if err != nil {
-				return errorReply(v, m.ClientID, 0, "%v", err)
+				return errorReply(m.ClientID, 0, "%v", err)
 			}
-			return Message{Version: v, Type: TypePeerPullResponse, PeerPullResponse: pull}
+			return Message{Type: TypePeerPullResponse, PeerPullResponse: pull}
 		}
-		dig, err := ae.HandlePeerDigestRequest(m.PeerDigestRequest)
+		dig, err := ph.HandlePeerDigestRequest(m.PeerDigestRequest)
 		if err != nil {
-			return errorReply(v, m.ClientID, 0, "%v", err)
+			return errorReply(m.ClientID, 0, "%v", err)
 		}
-		return Message{Version: v, Type: TypePeerDigest, PeerDigest: dig}
+		return Message{Type: TypePeerDigest, PeerDigest: dig}
 	default:
-		return errorReply(v, m.ClientID, m.SessionID, "unexpected request type %d", m.Type)
+		return errorReply(m.ClientID, m.SessionID, "unexpected request type %d", m.Type)
 	}
-}
-
-// negotiatePeer picks the peer-plane wire version: the lower of the
-// peer's offer and this build's highest (never below MinVersion — lower
-// offers are rejected before reaching here).
-func negotiatePeer(offer byte) byte {
-	if offer > Version {
-		return Version
-	}
-	if offer < MinVersion {
-		return MinVersion
-	}
-	return offer
 }
 
 // sessionID extracts the server-assigned id when the coordinator is the

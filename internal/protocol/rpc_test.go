@@ -284,9 +284,10 @@ func TestUnknownSessionRejected(t *testing.T) {
 	_ = cConn.Close()
 }
 
-// TestServeConnRefusesV1ThenServes: a frame of the retired version 1 — a
-// v1 Hello, byte for byte — is answered with an error naming the supported
-// range, and the same connection then opens and serves a session.
+// TestServeConnRefusesV1ThenServes: a Hello of each retired version —
+// byte for byte as those builds framed it — is answered with an error
+// naming version 4 and opens no session, and the same connection then opens
+// and serves a session.
 func TestServeConnRefusesV1ThenServes(t *testing.T) {
 	srv, space := testServer(t)
 	ctx := context.Background()
@@ -294,28 +295,39 @@ func TestServeConnRefusesV1ThenServes(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- ServeConn(ctx, sConn, srv) }()
 
-	w := &writer{}
-	w.u8(1) // version
-	w.u8(TypeHello)
-	w.i32(4) // client id
-	w.i32(int32(space.DS.NumClasses))
-	w.i32(int32(space.Arch.NumLayers))
-	if err := cConn.Send(w.buf); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := cConn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Decode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf("want %d..%d", MinVersion, Version); m.Type != TypeError || !strings.Contains(m.Error, want) {
-		t.Fatalf("v1 hello answered with type %d %q, want an error naming %q", m.Type, m.Error, want)
-	}
-	if n := srv.Sessions(); n != 0 {
-		t.Fatalf("refused v1 hello opened %d sessions", n)
+	for v := byte(1); v < Version; v++ {
+		w := &writer{}
+		w.u8(v)
+		w.u8(TypeHello)
+		w.i32(4) // client id
+		if v >= 2 {
+			w.u64(0) // session id
+		}
+		if v >= 3 {
+			w.u64(0) // deadline
+		}
+		w.i32(int32(space.DS.NumClasses))
+		w.i32(int32(space.Arch.NumLayers))
+		if v >= 2 {
+			w.u8(v) // the version the client offered
+		}
+		if err := cConn.Send(w.buf); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := cConn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("want %d", Version); m.Type != TypeError || !strings.Contains(m.Error, want) {
+			t.Fatalf("v%d hello answered with type %d %q, want an error naming %q", v, m.Type, m.Error, want)
+		}
+		if n := srv.Sessions(); n != 0 {
+			t.Fatalf("refused v%d hello opened %d sessions", v, n)
+		}
 	}
 
 	coord := NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers)

@@ -12,7 +12,7 @@ import (
 // core.Coordinator so protocol.ServeConn can serve it directly, but it
 // never proxies traffic — every Open answers with a
 // *core.RedirectError naming the placed backend's address (carried to
-// v2 clients as a TypeRedirect frame), and the client dials the
+// wire clients as a TypeRedirect frame), and the client dials the
 // backend itself. Placement, breakers and rate limiting are exactly
 // the Router's; health is fed by HealthCheck probes since no backend
 // traffic flows through the front door.

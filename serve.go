@@ -1,8 +1,8 @@
 // Network serving: the public façade over cmd/coca-server's and
 // cmd/coca-client's machinery. Serve starts a session-serving CoCa edge
-// server over TCP; Dial connects a client to it. Both speak the newest
-// session wire protocol (delta allocations with deadline propagation),
-// negotiated down per connection as far as v2, and — with
+// server over TCP; Dial connects a client to it. Both speak wire protocol
+// v4 (delta allocations with deadline propagation) and refuse any other
+// version, and — with
 // Options.Federation set — the server federates with peer edge servers by
 // gossiping global-cache cell deltas.
 package coca
