@@ -629,10 +629,11 @@ func (n *Node) ApplySnapshot(snap *protocol.PeerSnapshot, wireBytes int) (int, e
 // sent, so nothing received is ever echoed back.
 //
 // Malformed cells — out of range, or without origin tags — are skipped
-// (recorded in SyncStats) rather than failing the exchange: erroring out mid-delta would leave the sender
-// uncommitted and retrying the already-applied prefix every sync —
-// unbounded evidence inflation from one bad cell. Only a bad frequency
-// vector fails the whole exchange (it is all-or-nothing by shape).
+// (recorded in SyncStats) rather than failing the exchange: erroring out
+// mid-delta would leave the sender uncommitted and retrying the
+// already-applied prefix every sync — unbounded evidence inflation from
+// one bad cell. Only a bad frequency vector fails the whole exchange (it
+// is all-or-nothing by shape).
 func (n *Node) HandlePeerDelta(d *protocol.PeerDelta) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

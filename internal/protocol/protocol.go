@@ -11,13 +11,13 @@
 // versions 1 to 3 included — is refused with an error naming version 4.
 // Hello opens a server-side session (the ack carries its id) and
 // allocation replies are versioned deltas: only changed and evicted cells
-// travel. Every session frame header carries the client's absolute
-// deadline (microseconds since the epoch, 0 = none), so servers can drop
-// expired work at dequeue instead of computing answers nobody is waiting
-// for. Federation peer delta cells carry per-origin evidence heights (so
-// cyclic relays deduplicate recirculated evidence instead of re-merging
-// it), peer frames piggyback epidemic membership gossip, and three frame
-// types (PeerDigestRequest / PeerDigest / PeerPullResponse) implement pull
+// travel. Every frame header carries the client's absolute deadline
+// (microseconds since the epoch, 0 = none), so servers can drop expired
+// work at dequeue instead of computing answers nobody is waiting for.
+// Federation peer delta cells carry per-origin evidence heights (so cyclic
+// relays deduplicate recirculated evidence instead of re-merging it), peer
+// frames piggyback epidemic membership gossip, and three frame types
+// (PeerDigestRequest / PeerDigest / PeerPullResponse) implement pull
 // anti-entropy over compact ledger digests.
 package protocol
 

@@ -17,8 +17,8 @@ import (
 
 // SessionClient implements core.Coordinator over a transport connection:
 // Open performs the Hello handshake (obtaining a server session id) and
-// returns a core.Session whose Allocate receives versioned deltas. One connection
-// can carry several sessions; round trips are serialized on the
+// returns a core.Session whose Allocate receives versioned deltas. One
+// connection can carry several sessions; round trips are serialized on the
 // connection, matching the strictly request/response wire format.
 type SessionClient struct {
 	conn transport.Conn
