@@ -12,6 +12,7 @@ import (
 	"coca/internal/core"
 	"coca/internal/dataset"
 	"coca/internal/experiments"
+	"coca/internal/federation"
 	"coca/internal/model"
 	"coca/internal/semantics"
 	"coca/internal/stream"
@@ -126,7 +127,8 @@ func BenchmarkAblationGamma(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
 				space := semantics.NewSpace(dataset.UCF101().Subset(20), model.ResNet101())
-				cl, err := core.NewCluster(space, core.ClusterConfig{
+				cl, err := federation.NewCluster(space, federation.ClusterConfig{
+					NumServers: 1,
 					NumClients: 4,
 					Client: core.ClientConfig{
 						Theta: 0.012, Budget: 200, RoundFrames: 100,
@@ -139,7 +141,7 @@ func BenchmarkAblationGamma(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, combined, err := cl.Run()
+				combined, err := cl.Run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -116,7 +116,7 @@ func main() {
 		classes = flag.Int("classes", 0, "dataset subset size (0 = all)")
 		id      = flag.Int("id", 0, "client id (0 ≤ id < clients)")
 		clients = flag.Int("clients", 1, "fleet size: total clients sharing the workload")
-		theta   = flag.Float64("theta", 0.012, "hit threshold Θ")
+		theta   = flag.Float64("theta", 0, "hit threshold Θ (0 = the model's)")
 		budget  = flag.Int("budget", 300, "cache budget Π in entries")
 		rounds  = flag.Int("rounds", 5, "rounds to run")
 		frames  = flag.Int("frames", core.DefaultRoundFrames, "frames per round F")
@@ -144,6 +144,9 @@ func main() {
 	}
 	if *classes > 0 {
 		ds = ds.Subset(*classes)
+	}
+	if *theta == 0 {
+		*theta = arch.ThetaStrict
 	}
 	space := semantics.NewSpace(ds, arch)
 

@@ -44,7 +44,7 @@
 //
 // Usage:
 //
-//	coca-server -addr :7070 -model ResNet101 -dataset UCF101 -classes 50 -theta 0.012
+//	coca-server -addr :7070 -model ResNet101 -dataset UCF101 -classes 50
 //	coca-server -addr :7071 -node-id 1 -peers 127.0.0.1:7070,127.0.0.1:7072 -sync 5s
 //	coca-server -addr :7072 -node-id 2 -peers 127.0.0.1:7070 -join -sync 5s
 //	coca-server -addr :7070 -pprof localhost:6060 -metrics localhost:6060 -trace events.jsonl
@@ -80,7 +80,7 @@ func main() {
 		modelN   = flag.String("model", "ResNet101", "model preset (VGG16_BN, ResNet50, ResNet101, ResNet152, AST)")
 		dataN    = flag.String("dataset", "UCF101", "dataset preset (ImageNet-100, UCF101, ESC-50)")
 		classes  = flag.Int("classes", 0, "restrict the dataset to its first N classes (0 = all)")
-		theta    = flag.Float64("theta", 0.012, "hit threshold Θ used for layer profiling")
+		theta    = flag.Float64("theta", 0, "hit threshold Θ used for layer profiling (0 = the model's)")
 		gamma    = flag.Float64("gamma", 0.99, "global merge decay γ (Eq. 4)")
 		seed     = flag.Uint64("seed", 1, "shared-dataset seed")
 		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: in-flight sessions get this long to drain before being force-closed")
@@ -149,6 +149,9 @@ func main() {
 	}
 	if *classes > 0 {
 		ds = ds.Subset(*classes)
+	}
+	if *theta == 0 {
+		*theta = arch.ThetaStrict
 	}
 	fmt.Fprintf(os.Stderr, "coca-server: building %s × %s universe...\n", arch.Name, ds.Name)
 	space := semantics.NewSpace(ds, arch)

@@ -39,7 +39,6 @@ import (
 	"coca/internal/core"
 	"coca/internal/dataset"
 	"coca/internal/federation"
-	"coca/internal/metrics"
 	"coca/internal/model"
 	"coca/internal/routing"
 	"coca/internal/semantics"
@@ -297,28 +296,20 @@ func (o Options) resolve() (*semantics.Space, stream.Config, error) {
 	return space, scfg, nil
 }
 
-// theta picks the configured or recommended threshold.
+// theta picks the configured threshold, or the model's strict operating
+// point.
 func (o Options) theta(arch *model.Arch) float64 {
 	if o.Theta != 0 {
 		return o.Theta
 	}
-	switch arch.Name {
-	case "VGG16_BN":
-		return 0.035
-	case "AST":
-		return 0.022
-	default:
-		return 0.012
-	}
+	return arch.ThetaStrict
 }
 
 // System is an in-process CoCa deployment: one edge server plus a fleet
 // of clients over a shared synthetic workload — or, with
 // Options.Routing, several servers behind the routing tier.
 type System struct {
-	opts    Options
-	cluster *core.Cluster
-	routed  *federation.RoutedCluster
+	cluster *federation.Cluster
 }
 
 // NewSystem builds a deployment.
@@ -329,54 +320,43 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, err
 	}
 	theta := opts.theta(space.Arch)
-	ccfg := core.ClientConfig{
-		Theta:          theta,
-		Budget:         opts.Budget,
-		RoundFrames:    opts.RoundFrames,
-		GammaCollect:   opts.GammaCollect,
-		DeltaCollect:   opts.DeltaCollect,
-		EnvBiasWeight:  opts.ClientBias,
-		DriftWeight:    opts.DriftWeight,
-		DriftPerRound:  opts.DriftPerRound,
-		RequestTimeout: opts.RequestTimeout,
-		MaxStaleRounds: opts.MaxStaleRounds,
+	cfg := federation.ClusterConfig{
+		NumServers: 1,
+		NumClients: opts.NumClients,
+		Client: core.ClientConfig{
+			Theta:          theta,
+			Budget:         opts.Budget,
+			RoundFrames:    opts.RoundFrames,
+			GammaCollect:   opts.GammaCollect,
+			DeltaCollect:   opts.DeltaCollect,
+			EnvBiasWeight:  opts.ClientBias,
+			DriftWeight:    opts.DriftWeight,
+			DriftPerRound:  opts.DriftPerRound,
+			RequestTimeout: opts.RequestTimeout,
+			MaxStaleRounds: opts.MaxStaleRounds,
+		},
+		Server: core.ServerConfig{Theta: theta, Seed: opts.Seed},
+		Stream: scfg,
+		Rounds: opts.Rounds, SkipRounds: opts.WarmupRounds,
 	}
 	if r := opts.Routing; r != nil {
-		servers := r.Servers
-		if servers == 0 {
-			servers = 4
+		cfg.NumServers = r.Servers
+		if cfg.NumServers == 0 {
+			cfg.NumServers = 4
 		}
 		policy, err := routing.ParsePolicy(r.Policy)
 		if err != nil {
 			return nil, err
 		}
-		routed, err := federation.NewRoutedCluster(space, federation.RoutedConfig{
-			NumServers:     servers,
-			NumClients:     opts.NumClients,
-			Routing:        routing.Config{Policy: policy, ShardSize: r.ShardSize, Seed: opts.Seed},
-			SyncEvery:      r.SyncEvery,
-			RebalanceEvery: r.RebalanceEvery,
-			Client:         ccfg,
-			Server:         core.ServerConfig{Theta: theta, Seed: opts.Seed},
-			Stream:         scfg,
-			Rounds:         opts.Rounds, SkipRounds: opts.WarmupRounds,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &System{opts: opts, routed: routed}, nil
+		cfg.Routing = &routing.Config{Policy: policy, ShardSize: r.ShardSize, Seed: opts.Seed}
+		cfg.SyncEvery = r.SyncEvery
+		cfg.RebalanceEvery = r.RebalanceEvery
 	}
-	cluster, err := core.NewCluster(space, core.ClusterConfig{
-		NumClients: opts.NumClients,
-		Client:     ccfg,
-		Server:     core.ServerConfig{Theta: theta, Seed: opts.Seed},
-		Stream:     scfg,
-		Rounds:     opts.Rounds, SkipRounds: opts.WarmupRounds,
-	})
+	cluster, err := federation.NewCluster(space, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &System{opts: opts, cluster: cluster}, nil
+	return &System{cluster: cluster}, nil
 }
 
 // Report summarizes a run.
@@ -431,21 +411,9 @@ func (r Report) String() string {
 
 // Run executes the configured rounds and reports combined metrics.
 func (s *System) Run() (Report, error) {
-	var (
-		per      []*metrics.Accumulator
-		combined *metrics.Accumulator
-		space    *semantics.Space
-		err      error
-	)
-	if s.routed != nil {
-		combined, err = s.routed.Run()
-		per = s.routed.PerClient()
-		space = s.routed.Space
-		defer s.routed.Close()
-	} else {
-		per, combined, err = s.cluster.Run()
-		space = s.cluster.Space
-	}
+	c := s.cluster
+	defer c.Close()
+	combined, err := c.Run()
 	if err != nil {
 		return Report{}, err
 	}
@@ -454,20 +422,20 @@ func (s *System) Run() (Report, error) {
 		Frames:            sum.Frames,
 		AvgLatencyMs:      sum.AvgLatencyMs,
 		P95LatencyMs:      sum.P95LatencyMs,
-		EdgeOnlyLatencyMs: space.Arch.TotalLatencyMs(),
+		EdgeOnlyLatencyMs: c.Space.Arch.TotalLatencyMs(),
 		Accuracy:          sum.Accuracy,
 		HitRatio:          sum.HitRatio,
 		HitAccuracy:       sum.HitAccuracy,
 	}
-	if s.routed != nil {
-		st := s.routed.Router.Stats()
+	if c.Router != nil {
+		st := c.Router.Stats()
 		rep.Routing = &RoutingReport{
-			Servers:    s.routed.Router.NumServers(),
+			Servers:    c.Router.NumServers(),
 			Migrations: st.Migrations,
 			Rebalanced: st.Rebalanced,
 		}
 	}
-	for k, acc := range per {
+	for k, acc := range c.PerClient() {
 		cs := acc.Summary()
 		rep.PerClient = append(rep.PerClient, ClientReport{
 			ID: k, AvgLatencyMs: cs.AvgLatencyMs, Accuracy: cs.Accuracy, HitRatio: cs.HitRatio,

@@ -83,8 +83,10 @@ func TestThetaDefaultPerModel(t *testing.T) {
 		model string
 		want  float64
 	}{
-		{"ResNet101", 0.012},
 		{"VGG16_BN", 0.035},
+		{"ResNet50", 0.012},
+		{"ResNet101", 0.012},
+		{"ResNet152", 0.012},
 		{"AST", 0.022},
 	} {
 		o := Options{Model: tc.model}.withDefaults()

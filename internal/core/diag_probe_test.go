@@ -91,25 +91,14 @@ func TestDiagClusterAnatomy(t *testing.T) {
 		t.Skip("diagnostic")
 	}
 	space := semantics.NewSpace(dataset.UCF101().Subset(50), model.ResNet101())
-	cl, err := NewCluster(space, ClusterConfig{
-		NumClients: 2,
-		Client: ClientConfig{
-			Theta:         0.012,
-			Budget:        200,
-			RoundFrames:   300,
-			EnvBiasWeight: 0.05,
-		},
-		Server: ServerConfig{Theta: 0.012, Seed: 7},
-		Stream: streamConfigDiag(),
-		Rounds: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newTestFleet(t, space, 2,
+		ClientConfig{Theta: 0.012, Budget: 200, RoundFrames: 300, EnvBiasWeight: 0.05},
+		ServerConfig{Theta: 0.012, Seed: 7},
+		streamConfigDiag())
 	type counts struct{ n, hit, hitCorrect, missCorrect int }
 	var cached, uncached counts
 	for round := 0; round < 6; round++ {
-		for k, client := range cl.Clients {
+		for k, client := range cl.clients {
 			if err := client.BeginRound(); err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +109,7 @@ func TestDiagClusterAnatomy(t *testing.T) {
 				}
 			}
 			for f := 0; f < 300; f++ {
-				smp := cl.Gens[k].Next()
+				smp := cl.gens[k].Next()
 				res := client.Infer(smp)
 				b := &uncached
 				if covered[smp.Class] {
@@ -152,7 +141,7 @@ func TestDiagClusterAnatomy(t *testing.T) {
 	}
 	report("cached-class  ", cached)
 	report("uncached-class", uncached)
-	cs := cl.Clients[0].Collection()
+	cs := cl.clients[0].Collection()
 	t.Logf("collection client0: hits=%d absorbed=%d (acc %.1f%%), misses=%d absorbed=%d (acc %.1f%%)",
 		cs.Hits, cs.HitAbsorbed, 100*float64(cs.HitAbsorbedCorrect)/float64(max(cs.HitAbsorbed, 1)),
 		cs.Misses, cs.MissAbsorbed, 100*float64(cs.MissAbsorbedCorrect)/float64(max(cs.MissAbsorbed, 1)))

@@ -201,18 +201,6 @@ func (r *Runner) RunRound(round int) error {
 // as rounds run).
 func (r *Runner) PerClient() []*metrics.Accumulator { return r.perClient }
 
-// Workers reports how many pool workers concurrent rounds actually run
-// on — min(GOMAXPROCS, clients), the number that explains per-round
-// wall time on a given machine (see the engine-round bench notes). It
-// is 0 before the first concurrent round spawns the pool (and after
-// Close until the next round re-spawns it).
-func (r *Runner) Workers() int {
-	if r.pool == nil {
-		return 0
-	}
-	return r.pool.workers
-}
-
 // Combined merges the per-client accumulators into a fresh one.
 func (r *Runner) Combined() *metrics.Accumulator {
 	combined := &metrics.Accumulator{}

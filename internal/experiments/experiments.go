@@ -113,26 +113,13 @@ func ByID(id string) (Experiment, error) {
 
 // ---- shared scenario plumbing ----
 
-// Per-model hit thresholds Θ for the two SLO accuracy-loss budgets the
-// paper evaluates (§VI-D): <3% and <5%.
+// thetaFor is the model's hit threshold Θ for the strict (< 3 %) or the
+// loose (< 5 %) SLO accuracy-loss budget the paper evaluates (§VI-D).
 func thetaFor(arch *model.Arch, strict bool) float64 {
-	switch arch.Name {
-	case "VGG16_BN":
-		if strict {
-			return 0.035
-		}
-		return 0.027
-	case "AST":
-		if strict {
-			return 0.022
-		}
-		return 0.017
-	default: // ResNets
-		if strict {
-			return 0.012
-		}
-		return 0.008
+	if strict {
+		return arch.ThetaStrict
 	}
+	return arch.ThetaLoose
 }
 
 // workload bundles the stream settings shared by most experiments.
@@ -275,40 +262,33 @@ func (m *methodSet) smtm(theta float64) ([]engine.Engine, error) {
 	return out, nil
 }
 
-// coca builds a CoCa cluster sharing the workload conditions; mutate is an
-// optional hook over the cluster config (ablation arms etc.).
-func (m *methodSet) coca(theta float64, mutate func(*core.ClusterConfig)) ([]engine.Engine, *core.Cluster, error) {
-	cfg := core.ClusterConfig{
-		NumClients: m.clients,
-		Client: core.ClientConfig{
-			Theta: theta, Budget: m.budget, RoundFrames: m.frames,
-			EnvBiasWeight: m.bias,
-		},
-		Server: core.ServerConfig{Theta: theta, Seed: m.seed},
-		Rounds: 1, // overridden by the caller's runEngines loop
+// coca builds a CoCa server and its clients under the workload conditions;
+// mutate is an optional hook over the client and server configs (ablation
+// arms etc.). Experiments drive every method through runEngines, so the
+// clients come back both as engines and as themselves.
+func (m *methodSet) coca(theta float64, mutate func(*core.ClientConfig, *core.ServerConfig)) ([]engine.Engine, []*core.Client, error) {
+	ccfg := core.ClientConfig{
+		Theta: theta, Budget: m.budget, RoundFrames: m.frames,
+		EnvBiasWeight: m.bias,
 	}
+	scfg := core.ServerConfig{Theta: theta, Seed: m.seed}
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&ccfg, &scfg)
 	}
-	// The cluster builds its own generators, but experiments drive all
-	// methods through runEngines for identical streams; so only its
-	// server/clients are used.
-	space := m.space
-	srv := core.NewServer(space, cfg.Server)
+	srv := core.NewServer(m.space, scfg)
 	engines := make([]engine.Engine, m.clients)
-	cluster := &core.Cluster{Space: space, Server: srv}
-	for k := 0; k < m.clients; k++ {
-		ccfg := cfg.Client
-		ccfg.ID = k
-		ccfg.EnvSeed = uint64(k) + 1
-		cl, err := core.NewClient(context.Background(), space, srv, ccfg)
+	clients := make([]*core.Client, m.clients)
+	for k := range clients {
+		cfg := ccfg
+		cfg.ID = k
+		cfg.EnvSeed = uint64(k) + 1
+		cl, err := core.NewClient(context.Background(), m.space, srv, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		engines[k] = cl
-		cluster.Clients = append(cluster.Clients, cl)
+		engines[k], clients[k] = cl, cl
 	}
-	return engines, cluster, nil
+	return engines, clients, nil
 }
 
 // newSpace builds a semantics space (alias kept short for experiment code).

@@ -64,12 +64,12 @@ func runFederationArm(opts Options, arm fedArm, clients, rounds, frames, budget 
 	if err != nil {
 		return metrics.Summary{}, 0, federation.SyncStats{}, err
 	}
-	perServer, combined, err := cl.Run()
+	combined, err := cl.Run()
 	if err != nil {
 		return metrics.Summary{}, 0, federation.SyncStats{}, err
 	}
 	minHit := 1.0
-	for _, acc := range perServer {
+	for _, acc := range cl.PerServer() {
 		if s := acc.Summary(); s.HitRatio < minHit {
 			minHit = s.HitRatio
 		}

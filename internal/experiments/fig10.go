@@ -44,10 +44,10 @@ func Fig10a(opts Options) (*Result, error) {
 		// Drift makes cache freshness matter, so long cycles cost
 		// accuracy. Drift advances per wall-clock round, so its
 		// per-frame rate is held constant across F values.
-		engines, _, err := ms.coca(theta, func(cfg *core.ClusterConfig) {
-			cfg.Client.DriftWeight = 0.04
-			cfg.Client.DriftPerRound = 0.08 * float64(F) / 300.0
-			cfg.Client.CoordPerRoundMs = coord
+		engines, _, err := ms.coca(theta, func(c *core.ClientConfig, _ *core.ServerConfig) {
+			c.DriftWeight = 0.04
+			c.DriftPerRound = 0.08 * float64(F) / 300.0
+			c.CoordPerRoundMs = coord
 		})
 		if err != nil {
 			return nil, err

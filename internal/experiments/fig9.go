@@ -34,11 +34,11 @@ func Fig9(opts Options) (*Result, error) {
 		theta := thetaFor(arch, true)
 		for _, arm := range arms {
 			ms := newMethodSet(space, 4, theta, 300, opts.frames(300), opts.Seed)
-			engines, _, err := ms.coca(theta, func(cfg *core.ClusterConfig) {
-				cfg.Client.DisableDynamicAllocation = !arm.dynAlloc
-				cfg.Client.DriftWeight = 0.05
-				cfg.Client.DriftPerRound = 0.15
-				cfg.Server.DisableGlobalUpdates = !arm.globUpds
+			engines, _, err := ms.coca(theta, func(c *core.ClientConfig, sc *core.ServerConfig) {
+				c.DisableDynamicAllocation = !arm.dynAlloc
+				c.DriftWeight = 0.05
+				c.DriftPerRound = 0.15
+				sc.DisableGlobalUpdates = !arm.globUpds
 			})
 			if err != nil {
 				return nil, err

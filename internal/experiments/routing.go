@@ -44,19 +44,19 @@ func routingWorkload(ds *dataset.Spec, clients int, seed uint64) stream.Config {
 // runRoutingArm builds and runs one routed fleet, returning the fleet
 // summary, the router stats and (when trackRounds) the per-round fleet
 // hit ratios collected at each round barrier.
-func runRoutingArm(opts Options, arm routingArm, servers, clients, rounds, skip, frames, budget int, init *core.ServerInit, onRound func(*federation.RoutedCluster, int)) (metrics.Summary, routing.Stats, []float64, error) {
+func runRoutingArm(opts Options, arm routingArm, servers, clients, rounds, skip, frames, budget int, init *core.ServerInit, onRound func(*federation.Cluster, int)) (metrics.Summary, routing.Stats, []float64, error) {
 	ds := dataset.UCF101().Subset(30)
 	arch := model.ResNet101()
 	space := newSpace(ds, arch)
 	theta := thetaFor(arch, true)
-	var cluster *federation.RoutedCluster
+	var cluster *federation.Cluster
 	var roundHits []float64
 	var prevFrames, prevHits float64
-	cfg := federation.RoutedConfig{
+	cfg := federation.ClusterConfig{
 		ServerInit:     init,
 		NumServers:     servers,
 		NumClients:     clients,
-		Routing:        routing.Config{Policy: arm.policy, ShardSize: servers, Seed: opts.Seed},
+		Routing:        &routing.Config{Policy: arm.policy, ShardSize: servers, Seed: opts.Seed},
 		RebalanceEvery: arm.rebalanceEvery,
 		SyncEvery:      0,
 		Client: core.ClientConfig{
@@ -84,7 +84,7 @@ func runRoutingArm(opts Options, arm routingArm, servers, clients, rounds, skip,
 		},
 	}
 	var err error
-	cluster, err = federation.NewRoutedCluster(space, cfg)
+	cluster, err = federation.NewCluster(space, cfg)
 	if err != nil {
 		return metrics.Summary{}, routing.Stats{}, nil, err
 	}
@@ -269,7 +269,7 @@ func RoutingExp(opts Options) (*Result, error) {
 	brownAt := rounds / 3
 	var brownStats routing.Stats
 	_, brownStats, roundHits, err := runRoutingArm(opts, routingArm{policy: routing.PolicyHash}, servers, clients, rounds, 0, frames, budget, init,
-		func(c *federation.RoutedCluster, round int) {
+		func(c *federation.Cluster, round int) {
 			if round == brownAt {
 				c.Router.TripBreaker(0)
 			}

@@ -62,9 +62,9 @@ func Fig6(opts Options) (*Result, error) {
 	run := func(gamma, delta float64) (core.CollectionStats, error) {
 		space := semantics.NewSpace(ds, arch)
 		ms := newMethodSet(space, 4, theta, 300, opts.frames(300), opts.Seed)
-		engines, cluster, err := ms.coca(theta, func(cfg *core.ClusterConfig) {
-			cfg.Client.GammaCollect = gamma
-			cfg.Client.DeltaCollect = delta
+		engines, clients, err := ms.coca(theta, func(c *core.ClientConfig, _ *core.ServerConfig) {
+			c.GammaCollect = gamma
+			c.DeltaCollect = delta
 		})
 		if err != nil {
 			return core.CollectionStats{}, err
@@ -74,7 +74,7 @@ func Fig6(opts Options) (*Result, error) {
 			return core.CollectionStats{}, err
 		}
 		var total core.CollectionStats
-		for _, c := range cluster.Clients {
+		for _, c := range clients {
 			cs := c.Collection()
 			total.Hits += cs.Hits
 			total.HitAbsorbed += cs.HitAbsorbed

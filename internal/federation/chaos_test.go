@@ -1,7 +1,8 @@
 package federation
 
 // Chaos-plane property tests for the elastic federation tier: the
-// in-process fault hook (ClusterConfig.SyncFault / SyncPlan.SetFault)
+// in-process fault hook (ClusterConfig.SyncFault, the fault predicate of
+// syncNodes)
 // drives partitions and lost exchanges through the exact
 // collected-then-lost path a broken wire produces, and the tests assert
 // the safety theorem that makes at-least-once resend correct — a faulted
@@ -74,14 +75,14 @@ func TestResendEquivalenceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				perServer, combined, err := cl.Run()
+				combined, err := cl.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				sums := []metrics.Summary{combined.Summary()}
 				var states []nodeState
 				resent := 0
-				for s, acc := range perServer {
+				for s, acc := range cl.PerServer() {
 					sums = append(sums, acc.Summary())
 					states = append(states, snapshotNode(cl.Nodes[s]))
 					for _, p := range cl.Nodes[s].Stats().Peers {
@@ -170,7 +171,7 @@ func TestPartitionHealReconvergence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, combined, err := cl.Run()
+			combined, err := cl.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +342,7 @@ func TestGossipTopologySampling(t *testing.T) {
 // TestFaultedSyncRoundAllocs pins the allocation profile of the fault
 // path: a fully faulted round — everything collected, nothing delivered —
 // re-collects the same pending delta from reused scratch, so its cost is
-// the plan's fixed bookkeeping plus one recorded error per faulted link,
+// the round's fixed bookkeeping plus one recorded error per faulted link,
 // never proportional to the table or the pending backlog.
 func TestFaultedSyncRoundAllocs(t *testing.T) {
 	space := testSpace()
@@ -357,17 +358,7 @@ func TestFaultedSyncRoundAllocs(t *testing.T) {
 	uploadCell(t, nodes[0], 2, 5, unitVec(3))
 	allFault := func(from, to int) bool { return true }
 	faultedRound := func() {
-		plan, err := PrepareSync(nodes, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan.SetFault(allFault)
-		for i := range nodes {
-			if err := plan.Collect(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := plan.Apply(); err != nil {
+		if err := syncNodes(nodes, topo, allFault); err != nil {
 			t.Fatal(err)
 		}
 	}

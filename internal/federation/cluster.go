@@ -2,32 +2,43 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 
 	"coca/internal/core"
 	"coca/internal/engine"
 	"coca/internal/metrics"
+	"coca/internal/routing"
 	"coca/internal/semantics"
 	"coca/internal/stream"
 )
 
-// ClusterConfig assembles a multi-edge-server CoCa deployment in process:
-// N federated servers, a fleet of clients assigned across them, a shared
-// workload partition, and a peer-sync cadence.
+// ClusterConfig assembles an in-process CoCa deployment: N federated
+// servers (one is the paper's single edge server), a fleet of clients
+// placed on them statically or through the routing tier, a shared workload
+// partition, and the peer-sync and rebalance cadences.
 type ClusterConfig struct {
 	// NumServers is the edge-server count.
 	NumServers int
-	// NumClients is the total fleet size, assigned to servers per
-	// Assignment.
+	// NumClients is the total fleet size.
 	NumClients int
 	// Topology is the peer graph kind (default Mesh).
 	Topology Kind
-	// Assignment maps clients onto servers (default AssignBlock).
+	// Assignment maps clients onto servers (default AssignBlock). It is
+	// static placement, so it cannot be combined with Routing.
 	Assignment AssignPolicy
+	// Routing, when set, fronts the servers with a routing.Router (policy,
+	// shards, breakers, admission): every client opens its session through
+	// it, so placement is dynamic — clients migrate live on breaker trips
+	// and semantic rebalances.
+	Routing *routing.Config
 	// SyncEvery runs a federation sync round after every SyncEvery-th
 	// round barrier; 0 disables peer sync (the partitioned baseline).
 	SyncEvery int
+	// RebalanceEvery runs a router rebalance pass after every N-th round
+	// barrier; 0 disables (needs Routing; only PolicySemantic moves
+	// clients).
+	RebalanceEvery int
 	// Fanout is the gossip push fanout (Topology Gossip only; ≤ 0 =
 	// DefaultGossipFanout). GossipSeed drives the per-round peer
 	// sampling.
@@ -38,14 +49,17 @@ type ClusterConfig struct {
 	// SyncFault, when set, is consulted for every sync exchange: a true
 	// return fails the from→to link on that round — the chaos hook the
 	// partition/heal property tests drive. Faulted deltas stay pending
-	// and are resent once the predicate relents (see SyncPlan.SetFault).
+	// and are resent once the predicate relents (see syncNodes).
 	SyncFault func(round, from, to int) bool
+	// OnRound, when set, runs after every round barrier, before sync and
+	// rebalance — the experiment hook for breaker trips and probes.
+	OnRound func(round int)
 	// RemoteFreqWeight is the NodeConfig.RemoteFreqWeight applied to
 	// every node (0 = default discount, negative = no frequency sync).
 	RemoteFreqWeight float64
 	// Client is the per-client configuration template; ID and EnvSeed are
 	// assigned per client from its fleet-wide id, so a client behaves
-	// identically wherever it is assigned.
+	// identically wherever it is placed.
 	Client core.ClientConfig
 	// Server configures every edge server. Servers share the Seed — the
 	// paper's shared global dataset — so their initial tables agree and
@@ -66,34 +80,48 @@ type ClusterConfig struct {
 	Rounds, SkipRounds int
 }
 
-// Cluster is a federated fleet wired in process: every server runs its
-// clients concurrently each round (the single-server Cluster semantics,
-// per server), and at sync barriers the nodes exchange cell deltas in
-// deterministic order.
+// Cluster is a fleet wired in process. One engine runner drives every
+// client in ascending fleet id: allocations and inference run in parallel,
+// and uploads apply at the round barrier in id order, so the merge
+// sequence on every server — and every metric — is deterministic for a
+// fixed seed wherever each client currently lives. Between rounds the
+// nodes exchange cell deltas in deterministic order.
 type Cluster struct {
 	Space *semantics.Space
 	Nodes []*Node
-	// Clients holds each server's clients, ascending fleet-wide id.
-	Clients [][]*core.Client
-	// ClientIDs is the client→server assignment that built Clients.
-	ClientIDs [][]int
+	// Router places the clients under ClusterConfig.Routing (nil under
+	// static placement).
+	Router *routing.Router
+	// Clients holds the fleet, ascending fleet-wide id.
+	Clients []*core.Client
 
-	topo    *Topology
-	runners []*engine.Runner
-	cfg     ClusterConfig
+	// assignment lists each server's client ids under static placement.
+	assignment [][]int
+	topo       *Topology
+	runner     *engine.Runner
+	cfg        ClusterConfig
 }
 
-// NewCluster builds the servers, nodes, per-server client fleets and
-// stream generators.
+// NewCluster builds the servers, nodes, the router when configured, and
+// the client fleet with its stream generators.
 func NewCluster(space *semantics.Space, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumServers < 1 {
 		return nil, fmt.Errorf("federation: cluster needs at least one server, got %d", cfg.NumServers)
 	}
+	if cfg.NumClients < 1 {
+		return nil, fmt.Errorf("federation: cluster needs at least one client, got %d", cfg.NumClients)
+	}
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("federation: cluster rounds %d < 1", cfg.Rounds)
 	}
-	if cfg.SyncEvery < 0 {
-		return nil, fmt.Errorf("federation: SyncEvery %d < 0", cfg.SyncEvery)
+	if cfg.SyncEvery < 0 || cfg.RebalanceEvery < 0 {
+		return nil, fmt.Errorf("federation: negative cadence (sync %d, rebalance %d)", cfg.SyncEvery, cfg.RebalanceEvery)
+	}
+	if cfg.Routing != nil && cfg.Assignment != "" {
+		return nil, errors.New("federation: Routing and Assignment both set: placement is either routed or static")
+	}
+	if cfg.Routing == nil && cfg.RebalanceEvery > 0 {
+		return nil, errors.New("federation: RebalanceEvery needs Routing")
 	}
 	if cfg.Topology == "" {
 		cfg.Topology = Mesh
@@ -105,10 +133,6 @@ func NewCluster(space *semantics.Space, cfg ClusterConfig) (*Cluster, error) {
 	} else {
 		topo, err = NewTopology(cfg.Topology, cfg.NumServers)
 	}
-	if err != nil {
-		return nil, err
-	}
-	assignment, err := Assign(cfg.NumClients, cfg.NumServers, cfg.Assignment)
 	if err != nil {
 		return nil, err
 	}
@@ -126,48 +150,65 @@ func NewCluster(space *semantics.Space, cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("federation: cluster workload: %w", err)
 	}
 
-	c := &Cluster{Space: space, ClientIDs: assignment, topo: topo, cfg: cfg}
-	frames := cfg.Client.RoundFrames
-	if frames == 0 {
-		frames = core.DefaultRoundFrames
-	}
+	c := &Cluster{Space: space, topo: topo, cfg: cfg}
 	init := cfg.ServerInit
 	if init == nil {
 		init = core.BuildServerInit(space, cfg.Server)
 	}
 	for s := 0; s < cfg.NumServers; s++ {
 		srv := core.NewServerFrom(space, cfg.Server, init)
-		node := NewNode(srv, NodeConfig{ID: s, Relay: topo.Forwarding(), RemoteFreqWeight: cfg.RemoteFreqWeight, Membership: cfg.Membership})
-		c.Nodes = append(c.Nodes, node)
-
-		clients := make([]*core.Client, 0, len(assignment[s]))
-		engines := make([]engine.Engine, 0, len(assignment[s]))
-		gens := make([]*stream.Generator, 0, len(assignment[s]))
-		for _, id := range assignment[s] {
-			ccfg := cfg.Client
-			ccfg.ID = id
-			if ccfg.EnvSeed == 0 {
-				ccfg.EnvSeed = uint64(id) + 1
-			}
-			client, err := core.NewClient(context.Background(), space, node, ccfg)
-			if err != nil {
-				return nil, err
-			}
-			clients = append(clients, client)
-			engines = append(engines, client)
-			gens = append(gens, part.Client(id))
+		c.Nodes = append(c.Nodes, NewNode(srv, NodeConfig{ID: s, Relay: topo.Forwarding(), RemoteFreqWeight: cfg.RemoteFreqWeight, Membership: cfg.Membership}))
+	}
+	// coord[id] is where client id opens its session.
+	coord := make([]core.Coordinator, cfg.NumClients)
+	if cfg.Routing != nil {
+		targets := make([]core.Coordinator, len(c.Nodes))
+		for s, n := range c.Nodes {
+			targets[s] = n
 		}
-		c.Clients = append(c.Clients, clients)
-		runner, err := engine.NewRunner(engines, gens, engine.RunConfig{
-			Rounds:         cfg.Rounds,
-			FramesPerRound: frames,
-			SkipRounds:     cfg.SkipRounds,
-			Concurrent:     true,
-		})
+		c.Router = routing.NewRouter(targets, *cfg.Routing)
+		for id := range coord {
+			coord[id] = c.Router
+		}
+	} else {
+		if c.assignment, err = Assign(cfg.NumClients, cfg.NumServers, cfg.Assignment); err != nil {
+			return nil, err
+		}
+		for s, ids := range c.assignment {
+			for _, id := range ids {
+				coord[id] = c.Nodes[s]
+			}
+		}
+	}
+
+	frames := cfg.Client.RoundFrames
+	if frames == 0 {
+		frames = core.DefaultRoundFrames
+	}
+	engines := make([]engine.Engine, 0, cfg.NumClients)
+	gens := make([]*stream.Generator, 0, cfg.NumClients)
+	for id := 0; id < cfg.NumClients; id++ {
+		ccfg := cfg.Client
+		ccfg.ID = id
+		if ccfg.EnvSeed == 0 {
+			ccfg.EnvSeed = uint64(id) + 1
+		}
+		client, err := core.NewClient(context.Background(), space, coord[id], ccfg)
 		if err != nil {
 			return nil, err
 		}
-		c.runners = append(c.runners, runner)
+		c.Clients = append(c.Clients, client)
+		engines = append(engines, client)
+		gens = append(gens, part.Client(id))
+	}
+	c.runner, err = engine.NewRunner(engines, gens, engine.RunConfig{
+		Rounds:         cfg.Rounds,
+		FramesPerRound: frames,
+		SkipRounds:     cfg.SkipRounds,
+		Concurrent:     true,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -175,69 +216,70 @@ func NewCluster(space *semantics.Space, cfg ClusterConfig) (*Cluster, error) {
 // Topology returns the cluster's peer graph.
 func (c *Cluster) Topology() *Topology { return c.topo }
 
-// Run executes the configured rounds. Servers run concurrently within a
-// round (their fleets are disjoint and each runner is itself concurrent
-// across its clients); at every SyncEvery-th round barrier the nodes
-// exchange deltas in deterministic order, so a fixed seed reproduces
-// identical metrics run to run. On sync rounds each node's peer-delta
-// collection overlaps the round barrier: the node collects (a read of its
-// own post-round state) the moment its own clients finish, while other
-// servers are still running — only the two-phase apply waits for the full
-// barrier, so the sync stays a pure function of every node's pre-sync
-// state (see SyncPlan). It returns per-server and fleet-combined metrics.
-func (c *Cluster) Run() (perServer []*metrics.Accumulator, combined *metrics.Accumulator, err error) {
-	defer func() {
-		for _, r := range c.runners {
-			r.Close()
+// PerClient returns the per-client metric accumulators, ascending fleet id
+// (live: they keep filling as rounds run).
+func (c *Cluster) PerClient() []*metrics.Accumulator { return c.runner.PerClient() }
+
+// PerServer merges each server's clients, ascending id, into one
+// accumulator per server. Under Routing clients move between servers, so
+// it returns nil.
+func (c *Cluster) PerServer() []*metrics.Accumulator {
+	if c.Router != nil {
+		return nil
+	}
+	per := c.runner.PerClient()
+	out := make([]*metrics.Accumulator, len(c.assignment))
+	for s, ids := range c.assignment {
+		out[s] = &metrics.Accumulator{}
+		for _, id := range ids {
+			out[s].Merge(per[id])
 		}
-	}()
+	}
+	return out
+}
+
+// Combined merges the fleet's accumulators into a fresh one (callable
+// mid-run for per-round deltas). Under static placement it merges
+// PerServer in server order.
+func (c *Cluster) Combined() *metrics.Accumulator {
+	if c.Router != nil {
+		return c.runner.Combined()
+	}
+	combined := &metrics.Accumulator{}
+	for _, acc := range c.PerServer() {
+		combined.Merge(acc)
+	}
+	return combined
+}
+
+// Run executes the configured rounds. Each round the runner drives every
+// client, then the OnRound hook fires, peers sync at the SyncEvery cadence
+// and the router rebalances at the RebalanceEvery cadence — ordered
+// migrations land at each client's next allocation, the following round's
+// begin. It returns the fleet-combined metrics.
+func (c *Cluster) Run() (*metrics.Accumulator, error) {
+	defer c.runner.Close()
 	for round := 0; round < c.cfg.Rounds; round++ {
-		var plan *SyncPlan
+		if err := c.runner.RunRound(round); err != nil {
+			return nil, fmt.Errorf("federation: round %d: %w", round, err)
+		}
+		if c.cfg.OnRound != nil {
+			c.cfg.OnRound(round)
+		}
 		if c.cfg.SyncEvery > 0 && (round+1)%c.cfg.SyncEvery == 0 {
-			var perr error
-			plan, perr = PrepareSync(c.Nodes, c.topo)
-			if perr != nil {
-				return nil, nil, perr
-			}
+			var fault func(from, to int) bool
 			if c.cfg.SyncFault != nil {
-				r := round
-				plan.SetFault(func(from, to int) bool { return c.cfg.SyncFault(r, from, to) })
+				fault = func(from, to int) bool { return c.cfg.SyncFault(round, from, to) }
+			}
+			if err := syncNodes(c.Nodes, c.topo, fault); err != nil {
+				return nil, err
 			}
 		}
-		errs := make([]error, len(c.runners))
-		var wg sync.WaitGroup
-		for s := range c.runners {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				errs[s] = c.runners[s].RunRound(round)
-				if errs[s] == nil && plan != nil {
-					// This node's round is complete (uploads applied at its
-					// own barrier): collect its outgoing deltas now, while
-					// other servers may still be mid-round.
-					errs[s] = plan.Collect(s)
-				}
-			}(s)
-		}
-		wg.Wait()
-		for s, rerr := range errs {
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("federation: server %d: %w", s, rerr)
-			}
-		}
-		if plan != nil {
-			if err := plan.Apply(); err != nil {
-				return nil, nil, err
-			}
+		if c.cfg.RebalanceEvery > 0 && (round+1)%c.cfg.RebalanceEvery == 0 {
+			c.Router.Rebalance()
 		}
 	}
-	perServer = make([]*metrics.Accumulator, len(c.runners))
-	combined = &metrics.Accumulator{}
-	for s, r := range c.runners {
-		perServer[s] = r.Combined()
-		combined.Merge(perServer[s])
-	}
-	return perServer, combined, nil
+	return c.Combined(), nil
 }
 
 // SyncStats aggregates the fleet's sync counters.
@@ -247,4 +289,11 @@ func (c *Cluster) SyncStats() SyncStats {
 		total.add(n.Stats())
 	}
 	return total
+}
+
+// Close closes every client session (the runner is closed by Run).
+func (c *Cluster) Close() {
+	for _, cl := range c.Clients {
+		_ = cl.Close()
+	}
 }

@@ -259,12 +259,12 @@ func TestMeshSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perServer, combined, err := cl.Run()
+	combined, err := cl.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(perServer) != 3 {
-		t.Fatalf("%d per-server accumulators, want 3", len(perServer))
+	if n := len(cl.PerServer()); n != 3 {
+		t.Fatalf("%d per-server accumulators, want 3", n)
 	}
 	if combined.Frames() != 6*3*40 {
 		t.Fatalf("combined frames %d, want %d", combined.Frames(), 6*3*40)
@@ -296,13 +296,13 @@ func TestClusterDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perServer, combined, err := cl.Run()
+		combined, err := cl.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum := combined.Summary()
 		out := []float64{sum.AvgLatencyMs, sum.Accuracy, sum.HitRatio, sum.P50LatencyMs, sum.P95LatencyMs, sum.P99LatencyMs}
-		for _, acc := range perServer {
+		for _, acc := range cl.PerServer() {
 			s := acc.Summary()
 			out = append(out, s.AvgLatencyMs, s.Accuracy, s.HitRatio)
 		}
@@ -327,7 +327,7 @@ func TestSyncDisabledIsPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Run(); err != nil {
+	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if stats := cl.SyncStats(); !reflect.DeepEqual(stats, SyncStats{}) {

@@ -153,7 +153,7 @@ type peerHealth struct {
 // Membership is one node's live view of the fleet: who the peers are,
 // whether they are reachable, and how much has been exchanged with each.
 // It unifies the previously separate wirings — in-process fleets
-// (Cluster/SyncPlan), wire fleets (PeerSet), and anything driving Node
+// (Cluster/SyncNodes), wire fleets (PeerSet), and anything driving Node
 // directly — behind one lifecycle: AddPeer/RemovePeer for explicit
 // membership changes, NoteSuccess/NoteFailure/NoteContact/NoteLeave for
 // health transitions, Skip for the sync-time decision.

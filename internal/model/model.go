@@ -79,6 +79,10 @@ type Arch struct {
 	// LookupPerEntryMs is the virtual cost per cache entry compared at a
 	// layer.
 	LookupPerEntryMs float64
+	// ThetaStrict and ThetaLoose are the hit thresholds Θ that meet the
+	// paper's two SLO accuracy-loss budgets (§VI-D), < 3 % and < 5 %.
+	// ThetaStrict is the model's default operating point.
+	ThetaStrict, ThetaLoose float64
 }
 
 // Validate reports whether the architecture is internally consistent.
@@ -237,6 +241,12 @@ func build(name string, layers int, totalMs, startNoise, midNoise, finalNoise, r
 	return a
 }
 
+// withTheta sets a's two operating points and returns a.
+func (a *Arch) withTheta(strict, loose float64) *Arch {
+	a.ThetaStrict, a.ThetaLoose = strict, loose
+	return a
+}
+
 // Preset architectures. Cache-site counts follow the paper (§III-1, §VI-A):
 // ResNet101 has "up to 34 cache layers"; VGG16_BN has 13 conv layers;
 // ResNet50 has 16 residual blocks; ResNet152 has 50; AST-Base has 12
@@ -244,28 +254,28 @@ func build(name string, layers int, totalMs, startNoise, midNoise, finalNoise, r
 
 // VGG16BN returns the simulated VGG16_BN (13 cache sites, 29.94 ms).
 func VGG16BN() *Arch {
-	return build("VGG16_BN", 13, 29.94, 1.05, 0.52, 0.105, 0.944, 0.9406, 0.76, 0.950)
+	return build("VGG16_BN", 13, 29.94, 1.05, 0.52, 0.105, 0.944, 0.9406, 0.76, 0.950).withTheta(0.035, 0.027)
 }
 
 // ResNet50 returns the simulated ResNet50 (16 cache sites, 36.1 ms).
 func ResNet50() *Arch {
-	return build("ResNet50", 16, 36.10, 1.05, 0.52, 0.10, 0.980, 0.975, 0.80, 0.982)
+	return build("ResNet50", 16, 36.10, 1.05, 0.52, 0.10, 0.980, 0.975, 0.80, 0.982).withTheta(0.012, 0.008)
 }
 
 // ResNet101 returns the simulated ResNet101 (34 cache sites, 40.58 ms).
 func ResNet101() *Arch {
-	return build("ResNet101", 34, 40.58, 1.05, 0.52, 0.10, 0.980, 0.975, 0.80, 0.982)
+	return build("ResNet101", 34, 40.58, 1.05, 0.52, 0.10, 0.980, 0.975, 0.80, 0.982).withTheta(0.012, 0.008)
 }
 
 // ResNet152 returns the simulated ResNet152 (50 cache sites, 62.85 ms).
 func ResNet152() *Arch {
-	return build("ResNet152", 50, 62.85, 1.05, 0.52, 0.10, 0.980, 0.975, 0.80, 0.982)
+	return build("ResNet152", 50, 62.85, 1.05, 0.52, 0.10, 0.980, 0.975, 0.80, 0.982).withTheta(0.012, 0.008)
 }
 
 // ASTBase returns the simulated Audio Spectrogram Transformer
 // (12 cache sites, 52.0 ms).
 func ASTBase() *Arch {
-	return build("AST", 12, 52.00, 1.00, 0.50, 0.11, 0.961, 0.9583, 0.78, 0.966)
+	return build("AST", 12, 52.00, 1.00, 0.50, 0.11, 0.961, 0.9583, 0.78, 0.966).withTheta(0.022, 0.017)
 }
 
 // ByName returns the preset with the given name, or an error.
