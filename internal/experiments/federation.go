@@ -77,6 +77,17 @@ func runFederationArm(opts Options, arm fedArm, clients, rounds, frames, budget 
 	return combined.Summary(), minHit, cl.SyncStats(), nil
 }
 
+// direction words the move from a to b.
+func direction(a, b float64) string {
+	switch {
+	case b > a:
+		return "rises"
+	case b < a:
+		return "falls"
+	}
+	return "stays level"
+}
+
 // FederationExp reproduces the federation-tier evaluation: a fleet of
 // edge servers with disjoint client sub-fleets under a drifted, non-IID
 // workload, comparing the partitioned no-sync baseline and the federated
@@ -114,7 +125,7 @@ func FederationExp(opts Options) (*Result, error) {
 		{name: "federated mesh (sync=1)", servers: servers, syncEvery: 1, topo: federation.Mesh},
 		{name: "federated star (sync=1)", servers: servers, syncEvery: 1, topo: federation.Star},
 	}
-	var oracleHit, oracleAcc, fedHit, fedAcc, noSyncAcc, fedMinHit, noSyncMinHit float64
+	var oracleHit, oracleAcc, fedHit, fedAcc, fedLat, noSyncHit, noSyncAcc, noSyncLat, fedMinHit, noSyncMinHit float64
 	for _, arm := range arms {
 		sum, minHit, sync, err := runFederationArm(opts, arm, clients, rounds, frames, budget, fedInit)
 		if err != nil {
@@ -135,9 +146,9 @@ func FederationExp(opts Options) (*Result, error) {
 		case "single-server oracle":
 			oracleHit, oracleAcc = sum.HitRatio, sum.Accuracy
 		case "partitioned (no sync)":
-			noSyncMinHit, noSyncAcc = minHit, sum.Accuracy
+			noSyncMinHit, noSyncHit, noSyncAcc, noSyncLat = minHit, sum.HitRatio, sum.Accuracy, sum.AvgLatencyMs
 		case "federated mesh (sync=1)":
-			fedMinHit, fedHit, fedAcc = minHit, sum.HitRatio, sum.Accuracy
+			fedMinHit, fedHit, fedAcc, fedLat = minHit, sum.HitRatio, sum.Accuracy, sum.AvgLatencyMs
 		}
 	}
 
@@ -145,24 +156,33 @@ func FederationExp(opts Options) (*Result, error) {
 	// must grow sub-linearly (each server's locally-dirty set shrinks as
 	// the fleet splits the same workload further).
 	sweepRounds := opts.rounds(4)
-	for _, n := range []int{2, 3, 4} {
+	sweepSizes := []int{2, 3, 4}
+	sweepKiB := make([]float64, len(sweepSizes))
+	for i, n := range sweepSizes {
 		arm := fedArm{servers: n, syncEvery: 1, topo: federation.Mesh}
 		_, _, sync, err := runFederationArm(opts, arm, clients, sweepRounds, frames, budget, fedInit)
 		if err != nil {
 			return nil, fmt.Errorf("federation sweep n=%d: %w", n, err)
 		}
 		perSrvRound := float64(sync.BytesSent) / float64(n) / float64(sweepRounds) / 1024
+		sweepKiB[i] = perSrvRound
 		out.AddRow(fmt.Sprintf("  sweep: %d servers, %d clients", n, clients),
 			"", "", "", "", "", "", "", metrics.Fmt(perSrvRound, 1))
 	}
 
 	if oracleHit > 0 {
-		out.AddNote("federated mesh mean per-server hit ratio is %.1f%% of the single-server oracle; worst server recovers from %.1f%% (no sync) to %.1f%%",
-			100*fedHit/oracleHit, 100*noSyncMinHit/oracleHit, 100*fedMinHit/oracleHit)
-		out.AddNote("accuracy recovers from %.2f%% (partitioned) to %.2f%% federated vs %.2f%% oracle — peer-synced entries stay fresh under drift",
-			100*noSyncAcc, 100*fedAcc, 100*oracleAcc)
+		out.AddNote("federated mesh hits %.2f%% at %.2f ms mean latency against %.2f%% at %.2f ms partitioned; its hit ratio is %.1f%% of the single-server oracle, and its worst server's goes from %.1f%% (no sync) to %.1f%% of it",
+			100*fedHit, fedLat, 100*noSyncHit, noSyncLat, 100*fedHit/oracleHit, 100*noSyncMinHit/oracleHit, 100*fedMinHit/oracleHit)
+		out.AddNote("accuracy %s from %.2f%% (partitioned) to %.2f%% federated, against %.2f%% for the oracle",
+			direction(noSyncAcc, fedAcc), 100*noSyncAcc, 100*fedAcc, 100*oracleAcc)
 	}
-	out.AddNote("sync traffic is the delta encoding's wire bytes; per-server bytes stay near-flat as the fleet grows at fixed total clients")
+	first, last := sweepKiB[0], sweepKiB[len(sweepKiB)-1]
+	growth := "n/a"
+	if first > 0 {
+		growth = fmt.Sprintf("%+.0f%%", 100*(last/first-1))
+	}
+	out.AddNote("sync traffic is the delta encoding's wire bytes; per-server bytes go from %.1f to %.1f KiB/round (%s) as the fleet grows from %d to %d servers at fixed total clients",
+		first, last, growth, sweepSizes[0], sweepSizes[len(sweepSizes)-1])
 	out.AddNote("fixed seed reproduces identical rows run-to-run (deterministic peer-id merge order)")
 	return &Result{ID: "federation", Table: out}, nil
 }
