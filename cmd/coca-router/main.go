@@ -12,23 +12,16 @@
 // steering new clients to the other members of their shuffle shards, and
 // recovery closes it again through the breaker's half-open probes.
 //
-// The overload tier's queue-depth load shedding (internal/overload,
-// routing.Config.Shed) needs a live view of per-backend queue depth,
-// which a redirect-only front door does not have — clients talk to their
-// edge server directly after placement. Depth-driven shedding therefore
-// runs in the in-process routed deployment (Options.Routing), where the
-// router holds the backend servers themselves; this front door degrades
-// under overload through its rate limit and breakers, and reports any
-// shed decisions in /stats for symmetry.
-//
-// The semantic placement policy needs per-client class profiles, which
-// never reach a redirect-only front door, so -route semantic degrades to
-// hash placement here (see internal/routing.FrontDoor); use the
-// in-process routed deployment for semantic steering.
+// A redirect-only front door never sees a session after placement, so it
+// degrades under overload through its rate limit and breakers alone.
+// Queue-depth load shedding, live migration and the semantic placement
+// policy (which needs per-client class profiles) run in the in-process
+// routed deployment (coca.Options.Routing), where the router holds the
+// backend servers themselves; -route semantic is refused here.
 //
 // Live observability: -pprof exposes net/http/pprof and a JSON /stats
-// page (admissions, rejections by cause, redirects, per-backend breaker
-// state and trip counts); -metrics serves the process-wide telemetry
+// page (admissions, rejections by cause, per-backend breaker state and
+// trip counts); -metrics serves the process-wide telemetry
 // registry in Prometheus text format at /metrics — when both name the
 // same address one listener serves everything. -trace appends
 // timestamped JSON-lines control-plane events (migrations, breaker
@@ -66,7 +59,7 @@ func main() {
 	var (
 		listen  = flag.String("listen", ":7069", "listen address")
 		servers = flag.String("servers", "", "comma-separated backend coca-server addresses (host:port,...)")
-		route   = flag.String("route", "hash", "placement policy (static, hash, semantic, random; semantic degrades to hash at a front door)")
+		route   = flag.String("route", "hash", "placement policy (static, hash, random; semantic needs the in-process routed deployment)")
 		shard   = flag.Int("shard", 0, "shuffle-shard size per client (0 = min(3, servers))")
 		vnodes  = flag.Int("vnodes", 0, "virtual nodes per server on the hash ring (0 = default)")
 		seed    = flag.Uint64("seed", 1, "placement hash seed (must match across router replicas)")
@@ -93,6 +86,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if policy == routing.PolicySemantic {
+		log.Fatal("coca-router: -route semantic needs per-client class profiles, which never reach a redirect-only front door; " +
+			"run semantic placement in the in-process routed deployment (coca.Options.Routing)")
+	}
 	fd := routing.NewFrontDoor(addrs, routing.Config{
 		Policy:    policy,
 		ShardSize: *shard,
@@ -101,10 +98,9 @@ func main() {
 		Rate:      routing.RateConfig{PerSec: *rate},
 	})
 
-	// statsHandler renders the control-plane counters the front door had
-	// no runtime window into before: admission outcomes plus per-backend
-	// breaker state, as JSON for curl/scripts (Prometheus series live on
-	// /metrics).
+	// statsHandler renders the front door's control-plane counters:
+	// admission outcomes plus per-backend breaker state, as JSON for
+	// curl/scripts (Prometheus series live on /metrics).
 	statsHandler := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		type backend struct {
 			ID      int    `json:"id"`
@@ -115,19 +111,13 @@ func main() {
 		st := fd.Stats()
 		out := struct {
 			Admitted       int       `json:"admitted"`
-			Redirects      int       `json:"redirects"`
 			RateLimited    int       `json:"rate_limited"`
 			BreakerDenials int       `json:"breaker_denials"`
-			Shed           int       `json:"shed"`
-			Migrations     int       `json:"migrations"`
 			Backends       []backend `json:"backends"`
 		}{
 			Admitted:       st.Opens,
-			Redirects:      st.Opens, // a front-door open always answers with a redirect
 			RateLimited:    st.RateLimited,
 			BreakerDenials: st.BreakerDenials,
-			Shed:           st.Shed,
-			Migrations:     st.Migrations,
 		}
 		for s, addr := range addrs {
 			out.Backends = append(out.Backends, backend{
@@ -255,7 +245,5 @@ func main() {
 	fmt.Fprintf(os.Stderr, "  opens placed     %d\n", st.Opens)
 	fmt.Fprintf(os.Stderr, "  breaker denials  %d\n", st.BreakerDenials)
 	fmt.Fprintf(os.Stderr, "  rate limited     %d\n", st.RateLimited)
-	fmt.Fprintf(os.Stderr, "  shed             %d\n", st.Shed)
-	fmt.Fprintf(os.Stderr, "  redirects issued %d\n", int64(snap.Value("coca_routing_redirects_total")))
 	fmt.Fprintf(os.Stderr, "  breaker trips    %d\n", int64(snap.Value("coca_routing_breaker_trips_total")))
 }

@@ -1,9 +1,9 @@
-// Command coca-server runs a CoCa edge server over TCP: it builds the
-// simulated model/dataset universe, initializes the global cache table from
-// the shared dataset, and serves session, cache-allocation and
-// global-update requests from coca-client processes (wire protocol v4:
-// session deltas with per-request deadline propagation; other versions
-// are refused).
+// Command coca-server runs a CoCa edge server over TCP on the public
+// serving API (coca.Serve): it builds the simulated model/dataset
+// universe, initializes the global cache table from the shared dataset,
+// and serves session, cache-allocation and global-update requests from
+// coca-client processes (wire protocol v4: session deltas with
+// per-request deadline propagation; other versions are refused).
 //
 // With -peers, the server joins a federation: it gossips global-cache
 // cell deltas to the listed peer servers every -sync interval and merges
@@ -22,15 +22,13 @@
 // round to an epidemic push toward N sampled peers instead of all of
 // them.
 //
-// On SIGINT/SIGTERM the server shuts down gracefully: it announces a
-// clean leave to live peers (so they mark it left immediately rather than
-// waiting out the suspect timeout), stops accepting new connections, lets
-// in-flight sessions drain for up to -drain-timeout, then closes the
-// remaining connections, prints its final counters (allocations, merges,
-// sessions, peer-sync traffic with a per-peer breakdown) and exits.
-// Sessions that finish inside the window count as drained, the
-// force-closed remainder as aborted (coca_overload_drain_sessions_total
-// in /metrics).
+// On SIGINT/SIGTERM the server shuts down through coca.Server.Shutdown
+// with a -drain-timeout deadline: it announces a clean leave to live
+// peers, stops accepting new connections, lets in-flight sessions drain
+// inside the window, then force-closes the rest (counted drained and
+// aborted in coca_overload_drains_total). It then prints its final
+// counters (allocations, merges, sessions, peer-sync traffic with a
+// per-peer breakdown) and exits.
 //
 // Live observability: -metrics serves the process-wide telemetry registry
 // (per-tier counters, gauges and histograms — cache hits, sync bytes,
@@ -60,18 +58,12 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"coca/internal/core"
-	"coca/internal/dataset"
+	"coca"
 	"coca/internal/federation"
-	"coca/internal/model"
-	"coca/internal/protocol"
-	"coca/internal/semantics"
 	"coca/internal/telemetry"
-	"coca/internal/transport"
 )
 
 func main() {
@@ -81,7 +73,6 @@ func main() {
 		dataN    = flag.String("dataset", "UCF101", "dataset preset (ImageNet-100, UCF101, ESC-50)")
 		classes  = flag.Int("classes", 0, "restrict the dataset to its first N classes (0 = all)")
 		theta    = flag.Float64("theta", 0, "hit threshold Θ used for layer profiling (0 = the model's)")
-		gamma    = flag.Float64("gamma", 0.99, "global merge decay γ (Eq. 4)")
 		seed     = flag.Uint64("seed", 1, "shared-dataset seed")
 		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: in-flight sessions get this long to drain before being force-closed")
 		peersF   = flag.String("peers", "", "comma-separated federated peer server addresses (host:port,...)")
@@ -139,146 +130,53 @@ func main() {
 		fmt.Fprintf(os.Stderr, "coca-server: tracing events to %s\n", *traceF)
 	}
 
-	arch, err := model.ByName(*modelN)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ds, err := dataset.ByName(*dataN)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *classes > 0 {
-		ds = ds.Subset(*classes)
-	}
-	if *theta == 0 {
-		*theta = arch.ThetaStrict
-	}
-	fmt.Fprintf(os.Stderr, "coca-server: building %s × %s universe...\n", arch.Name, ds.Name)
-	space := semantics.NewSpace(ds, arch)
-	srv := core.NewServer(space, core.ServerConfig{Theta: *theta, Gamma: *gamma, Seed: *seed})
-	node := federation.NewNode(srv, federation.NodeConfig{
-		ID: *nodeID, Relay: *relay,
-		Membership: federation.MembershipConfig{SuspectAfter: *suspect, DeadAfter: *dead},
-	})
-
-	var peerAddrs []string
-	for _, a := range strings.Split(*peersF, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			peerAddrs = append(peerAddrs, a)
-		}
-	}
-
-	l, err := transport.Listen(*addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "coca-server: %s × %s (%d classes, %d cache sites) listening on %s\n",
-		arch.Name, ds.Name, ds.NumClasses, arch.NumLayers, l.Addr())
-	if len(peerAddrs) > 0 {
-		fmt.Fprintf(os.Stderr, "coca-server: federation node %d syncing with %d peer(s) every %s\n",
-			*nodeID, len(peerAddrs), *syncInt)
-	}
-
-	// Shutdown plumbing: the signal cancels sigCtx; connCtx stays open
-	// through the drain window so in-flight sessions can finish their
-	// round trips, then its cancellation force-closes the stragglers.
+	// Registered before the universe build, so a signal that arrives
+	// during it shuts the server down as soon as it is serving.
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	connCtx, cancelConns := context.WithCancel(context.Background())
-	defer cancelConns()
 
-	// The accept loop itself is counted in the WaitGroup so that a
-	// connection accepted right at shutdown cannot slip between its
-	// wg.Add and the main goroutine's wg.Wait.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed (shutdown) or fatal accept error
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := protocol.ServeConn(connCtx, conn, node); err != nil {
-					log.Printf("session: %v", err)
-				}
-				_ = conn.Close()
-				allocs, merges := srv.Stats()
-				fmt.Fprintf(os.Stderr, "coca-server: connection done (open sessions %d, total allocations %d, merges %d)\n",
-					srv.Sessions(), allocs, merges)
-			}()
+	var peers []string
+	for _, a := range strings.Split(*peersF, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			peers = append(peers, a)
 		}
-	}()
-
-	// The peer-sync loop runs on its own context, canceled right after the
-	// clean-leave announcement so the drain window is spent on sessions,
-	// not gossip.
-	var peerWg sync.WaitGroup
-	var peers *federation.PeerSet
-	peerCtx, cancelPeers := context.WithCancel(context.Background())
-	defer cancelPeers()
-	if len(peerAddrs) > 0 || *join {
-		peers = federation.NewPeerSetWith(node, peerAddrs, federation.PeerSetConfig{
-			Join:        *join,
-			SelfAddr:    l.Addr(),
-			Fanout:      *gossip,
-			Seed:        *seed,
-			AntiEntropy: *antiEnt,
-		})
-		peerWg.Add(1)
-		go func() {
-			defer peerWg.Done()
-			peers.Run(peerCtx, *syncInt, func(err error) { log.Printf("peer sync: %v", err) })
-		}()
+	}
+	fmt.Fprintf(os.Stderr, "coca-server: building %s × %s universe...\n", *modelN, *dataN)
+	srv, err := coca.Serve(context.Background(), *addr, coca.Options{
+		Model: *modelN, Dataset: *dataN, Classes: *classes, Theta: *theta, Seed: *seed,
+		Federation: &coca.FederationOptions{
+			Peers: peers, NodeID: *nodeID, Relay: *relay, SyncInterval: *syncInt,
+			Join: *join, Gossip: *gossip, SuspectAfter: *suspect, DeadAfter: *dead,
+			AntiEntropyInterval: *antiEnt,
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "coca-server: listening on %s\n", srv.Addr())
+	if len(peers) > 0 {
+		fmt.Fprintf(os.Stderr, "coca-server: federation node %d syncing with %d peer(s) every %s\n",
+			*nodeID, len(peers), *syncInt)
 	}
 
 	<-sigCtx.Done()
-	atShutdown := srv.Sessions()
-	fmt.Fprintf(os.Stderr, "coca-server: shutting down: draining %d open session(s) for up to %s...\n",
-		atShutdown, *drain)
-	if peers != nil {
-		// Announce the departure while the links are still up: surviving
-		// peers mark this node left immediately instead of waiting out the
-		// suspect timeout.
-		peers.AnnounceLeave()
-	}
-	cancelPeers()
-	peerWg.Wait()
-	_ = l.Close() // stop accepting
-
-	drained := make(chan struct{})
-	go func() { wg.Wait(); close(drained) }()
-	select {
-	case <-drained:
-		telemetry.OverloadDrains.Add(telemetry.DrainDrained, uint64(atShutdown))
-	case <-time.After(*drain):
-		// Sessions that beat the deadline drained; the stragglers are
-		// force-closed and counted aborted — the bounded-drain contract.
-		aborted := srv.Sessions()
-		telemetry.OverloadDrains.Add(telemetry.DrainAborted, uint64(aborted))
-		if n := atShutdown - aborted; n > 0 {
-			telemetry.OverloadDrains.Add(telemetry.DrainDrained, uint64(n))
-		}
-		fmt.Fprintf(os.Stderr, "coca-server: drain deadline elapsed; closing %d remaining connection(s)\n", aborted)
-		cancelConns()
-		<-drained
-	}
-	printFinalStats(node)
+	_, _, open := srv.Stats()
+	fmt.Fprintf(os.Stderr, "coca-server: shutting down: draining %d open session(s) for up to %s...\n", open, *drain)
+	dctx, cancel := context.WithTimeout(context.Background(), *drain)
+	defer cancel()
+	_ = srv.Shutdown(dctx)
+	printFinalStats(srv.SyncStats())
 }
 
 // printFinalStats renders the server's counters on graceful shutdown —
 // the numbers a multi-server run is debugged from. The counters come
 // from the same telemetry snapshot the live /metrics page renders, so
 // the shutdown report and a final scrape can never disagree; only the
-// per-peer breakdown and last-error detail (not exposed as series) read
-// from the node directly.
-func printFinalStats(node *federation.Node) {
+// per-peer breakdown and last-error detail (not exposed as series) come
+// from the server's sync stats.
+func printFinalStats(sync federation.SyncStats) {
 	snap := telemetry.Snapshot()
 	count := func(name string) int64 { return int64(snap.Value(name)) }
-	sync := node.Stats()
 	fmt.Fprintln(os.Stderr, "coca-server: shut down cleanly; final stats:")
 	fmt.Fprintf(os.Stderr, "  allocations      %d\n", count("coca_core_allocations_total"))
 	fmt.Fprintf(os.Stderr, "  merges           %d\n", count("coca_core_upload_merges_total"))

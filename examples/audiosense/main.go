@@ -1,91 +1,48 @@
 // Acoustic monitoring over a real network: an AST (Audio Spectrogram
 // Transformer) fleet classifying environmental sound (ESC-50), with the
-// CoCa server and clients talking over TCP loopback — the deployment shape
-// of cmd/coca-server and cmd/coca-client, self-contained in one process.
+// CoCa server and clients talking over TCP loopback through the public
+// serving API (coca.ServeAndDial) — the deployment shape of
+// cmd/coca-server and cmd/coca-client, self-contained in one process.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
-	"coca/internal/core"
-	"coca/internal/dataset"
-	"coca/internal/metrics"
-	"coca/internal/model"
-	"coca/internal/protocol"
-	"coca/internal/semantics"
-	"coca/internal/stream"
-	"coca/internal/transport"
+	"coca"
 )
 
 func main() {
-	ds := dataset.ESC50()
-	arch := model.ASTBase()
-	fmt.Printf("acoustic monitoring: %s × %s over TCP, 3 sensors\n", arch.Name, ds.Name)
-	space := semantics.NewSpace(ds, arch)
-	srv := core.NewServer(space, core.ServerConfig{Theta: 0.022, Seed: 5})
-
+	opts := coca.Options{
+		Model: "AST", Dataset: "ESC-50",
+		NumClients: 3, Rounds: 4, RoundFrames: 150,
+		Theta: 0.022, Budget: 200,
+		NonIIDLevel: 2, SceneMeanFrames: 30, WorkingSetSize: 10,
+		Seed: 5,
+	}
+	fmt.Printf("acoustic monitoring: %s × %s over TCP, %d sensors\n", opts.Model, opts.Dataset, opts.NumClients)
 	ctx := context.Background()
-	l, err := transport.Listen("127.0.0.1:0")
+	srv, sensors, err := coca.ServeAndDial(ctx, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() { _ = protocol.ServeConn(ctx, conn, srv); _ = conn.Close() }()
-		}
+	defer func() {
+		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = srv.Shutdown(sctx)
 	}()
 
-	part, err := stream.NewPartition(stream.Config{
-		Dataset: ds, NumClients: 3, NonIIDLevel: 2,
-		SceneMeanFrames: 30, WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	for id := 0; id < 3; id++ {
-		conn, err := transport.DialContext(ctx, l.Addr())
+	for id, sensor := range sensors {
+		rep, err := sensor.Run(ctx, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		coord := protocol.NewSessionClient(conn, ds.NumClasses, arch.NumLayers)
-		client, err := core.NewClient(ctx, space, coord, core.ClientConfig{
-			ID: id, Theta: 0.022, Budget: 200, RoundFrames: 150,
-			EnvBiasWeight: 0.05, EnvSeed: uint64(id) + 1,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		gen := part.Client(id)
-		var acc metrics.Accumulator
-		for round := 0; round < 4; round++ {
-			if err := client.BeginRound(); err != nil {
-				log.Fatal(err)
-			}
-			for f := 0; f < 150; f++ {
-				smp := gen.Next()
-				res := client.Infer(smp)
-				acc.Record(metrics.Obs{
-					LatencyMs: res.LatencyMs, Correct: res.Pred == smp.Class, Hit: res.Hit,
-				})
-			}
-			if err := client.EndRound(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		s := acc.Summary()
 		fmt.Printf("sensor %d: %.2f ms/clip (edge-only %.2f), accuracy %.2f%%, hits %.1f%%\n",
-			id, s.AvgLatencyMs, arch.TotalLatencyMs(), 100*s.Accuracy, 100*s.HitRatio)
-		_ = client.Close()
-		_ = coord.Close()
+			id, rep.AvgLatencyMs, rep.EdgeOnlyLatencyMs, 100*rep.Accuracy, 100*rep.HitRatio)
+		_ = sensor.Close()
 	}
-	allocs, merges := srv.Stats()
+	allocs, merges, _ := srv.Stats()
 	fmt.Printf("server: %d allocations, %d global-cache merges\n", allocs, merges)
 }

@@ -117,9 +117,6 @@ func NewFoggyCache(space *semantics.Space, env *semantics.Env, server *FoggyServ
 	}, nil
 }
 
-// KeySite returns the key-extraction site (diagnostics).
-func (f *FoggyCache) KeySite() int { return f.keySite }
-
 // Infer implements engine.Engine: compute the key prefix, try the local
 // cache, then the server cache, then fall back to the remaining blocks,
 // inserting the new pair into both caches.

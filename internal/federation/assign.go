@@ -18,15 +18,6 @@ const (
 	AssignRoundRobin AssignPolicy = "round-robin"
 )
 
-// ParseAssignPolicy validates an assignment policy name.
-func ParseAssignPolicy(s string) (AssignPolicy, error) {
-	switch AssignPolicy(s) {
-	case AssignBlock, AssignRoundRobin:
-		return AssignPolicy(s), nil
-	}
-	return "", fmt.Errorf("federation: unknown assignment policy %q (want block or round-robin)", s)
-}
-
 // Assign maps numClients client ids onto numServers servers under the
 // policy, returning each server's ascending client-id list. Every server
 // receives at least ⌊clients/servers⌋ clients; block assignment gives the

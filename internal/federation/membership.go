@@ -154,9 +154,9 @@ type peerHealth struct {
 // whether they are reachable, and how much has been exchanged with each.
 // It unifies the previously separate wirings — in-process fleets
 // (Cluster/SyncNodes), wire fleets (PeerSet), and anything driving Node
-// directly — behind one lifecycle: AddPeer/RemovePeer for explicit
-// membership changes, NoteSuccess/NoteFailure/NoteContact/NoteLeave for
-// health transitions, Skip for the sync-time decision.
+// directly — behind one lifecycle: AddPeer for explicit membership
+// changes, NoteSuccess/NoteFailure/NoteContact/NoteLeave for health
+// transitions, Skip for the sync-time decision.
 //
 // Membership is open-world by default: peers it has never been told about
 // are treated as alive (Skip returns false), so static fleets that never
@@ -302,13 +302,6 @@ func (m *Membership) Identify(prov, real int) {
 	delete(m.peers, prov)
 	pp.stats.ID = real
 	m.peers[real] = pp
-}
-
-// RemovePeer drops a peer from the table entirely.
-func (m *Membership) RemovePeer(id int) {
-	m.mu.Lock()
-	m.dropRecord(id)
-	m.mu.Unlock()
 }
 
 // SetAddr records (or updates) a peer's dial address — learned from a

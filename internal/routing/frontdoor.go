@@ -44,9 +44,6 @@ func NewFrontDoor(addrs []string, cfg Config) *FrontDoor {
 	return f
 }
 
-// Addrs returns the backend address list (index = server id).
-func (f *FrontDoor) Addrs() []string { return f.addrs }
-
 // Stats returns the control-plane counters.
 func (f *FrontDoor) Stats() Stats { return f.r.Stats() }
 

@@ -179,12 +179,6 @@ func (g *Generator) nextSceneClass() int {
 	return g.workset[g.rng.IntN(len(g.workset))]
 }
 
-// WorkingSet returns a copy of the current working-set classes (empty when
-// disabled).
-func (g *Generator) WorkingSet() []int {
-	return append([]int(nil), g.workset...)
-}
-
 // Frame reports how many samples have been generated so far.
 func (g *Generator) Frame() uint64 { return g.frame }
 

@@ -121,9 +121,6 @@ func (r *Registry) Snapshot() Samples {
 // instruments.go all register here.
 var std = NewRegistry()
 
-// Default returns the process-wide registry behind Snapshot and Handler.
-func Default() *Registry { return std }
-
 // Snapshot collects the default registry (the instruments wired through
 // core, cache, federation, routing and engine).
 func Snapshot() Samples { return std.Snapshot() }

@@ -1,6 +1,6 @@
-// Network serving: the public façade over cmd/coca-server's and
-// cmd/coca-client's machinery. Serve starts a session-serving CoCa edge
-// server over TCP; Dial connects a client to it. Both speak wire protocol
+// Network serving: the one client/server loop over TCP, which
+// cmd/coca-server, cmd/coca-client and the examples run on. Serve starts
+// a session-serving CoCa edge server; Dial connects a client to it. Both speak wire protocol
 // v4 (delta allocations with deadline propagation) and refuse any other
 // version, and — with
 // Options.Federation set — the server federates with peer edge servers by
@@ -148,6 +148,12 @@ func (s *Server) PeerStats() []federation.PeerStats { return s.node.Members().St
 // Shutdown stops accepting connections, waits for in-flight sessions to
 // drain until ctx is done, then force-closes the remainder. It is safe
 // to call more than once.
+//
+// Bounded drain: a deadline on ctx bounds the drain window, so shutdown
+// can never hang on a stuck session. Outcomes are counted per session in
+// coca_overload_drains_total: the sessions open when Shutdown begins
+// count as drained when they close inside the window, and the
+// force-closed remainder as aborted.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -158,6 +164,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.mu.Unlock()
 
+	atShutdown := s.core.Sessions()
 	if s.peers != nil {
 		// Announce the departure while the links are still up: surviving
 		// peers mark this node left immediately instead of waiting out
@@ -172,7 +179,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	go func() { s.wg.Wait(); close(drained) }()
 	select {
 	case <-drained:
+		telemetry.OverloadDrains.Add(telemetry.DrainDrained, uint64(atShutdown))
 	case <-ctx.Done():
+		aborted := s.core.Sessions()
+		telemetry.OverloadDrains.Add(telemetry.DrainAborted, uint64(aborted))
+		if n := atShutdown - aborted; n > 0 {
+			telemetry.OverloadDrains.Add(telemetry.DrainDrained, uint64(n))
+		}
 		s.cancelConns()
 		<-drained
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"coca/internal/telemetry"
 )
 
 func serveOpts() Options {
@@ -105,6 +107,50 @@ func TestServerShutdownIdempotentAndDraining(t *testing.T) {
 	// New connections must be refused after shutdown.
 	if _, err := Dial(ctx, srv.Addr(), 0, serveOpts()); err == nil {
 		t.Fatal("dial succeeded after shutdown")
+	}
+}
+
+// TestShutdownCountsDrains checks Shutdown's bounded-drain accounting:
+// of two sessions open when it begins, the one that closes inside the
+// window counts as drained and the one still open at the deadline as
+// aborted.
+func TestShutdownCountsDrains(t *testing.T) {
+	opts := serveOpts()
+	opts.NumClients = 2
+	srv, clients, err := ServeAndDial(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clients[1].Close()
+	drained0 := telemetry.OverloadDrains.Load(telemetry.DrainDrained)
+	aborted0 := telemetry.OverloadDrains.Load(telemetry.DrainAborted)
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		// The listener closes after Shutdown has counted the open
+		// sessions; client 0 then ends its session inside the window.
+		for {
+			c, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				break
+			}
+			_ = c.Close()
+			time.Sleep(5 * time.Millisecond)
+		}
+		_ = clients[0].Close()
+	}()
+	sctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	<-closed
+	if d := telemetry.OverloadDrains.Load(telemetry.DrainDrained) - drained0; d != 1 {
+		t.Errorf("drained grew by %d, want 1", d)
+	}
+	if a := telemetry.OverloadDrains.Load(telemetry.DrainAborted) - aborted0; a != 1 {
+		t.Errorf("aborted grew by %d, want 1", a)
 	}
 }
 
