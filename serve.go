@@ -1,10 +1,10 @@
 // Network serving: the one client/server loop over TCP, which
 // cmd/coca-server, cmd/coca-client and the examples run on. Serve starts
-// a session-serving CoCa edge server; Dial connects a client to it. Both speak wire protocol
-// v4 (delta allocations with deadline propagation) and refuse any other
-// version, and — with
-// Options.Federation set — the server federates with peer edge servers by
-// gossiping global-cache cell deltas.
+// a session-serving CoCa edge server; Dial connects a client to it. Both
+// speak wire protocol v4 (delta allocations with deadline propagation)
+// and refuse any other version, and — with Options.Federation set — the
+// server federates with peer edge servers by gossiping global-cache cell
+// deltas.
 package coca
 
 import (
