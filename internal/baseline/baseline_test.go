@@ -17,9 +17,9 @@ func testSpace() *semantics.Space {
 	return semantics.NewSpace(dataset.ESC50().Subset(10), model.VGG16BN())
 }
 
-var initTableCache = map[string]*gtable.Table{}
+var initTableCache = map[string]*gtable.Sharded{}
 
-func testInitTable(t testing.TB, space *semantics.Space) *gtable.Table {
+func testInitTable(t testing.TB, space *semantics.Space) *gtable.Sharded {
 	t.Helper()
 	key := space.DS.Name + space.Arch.Name
 	if tbl, ok := initTableCache[key]; ok {

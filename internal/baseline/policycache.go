@@ -27,7 +27,7 @@ type PolicyCacheConfig struct {
 	// Policy is "LRU", "FIFO" or "RAND".
 	Policy string
 	// Table supplies entry vectors (from core.InitialTable); required.
-	Table *gtable.Table
+	Table *gtable.Sharded
 	// Seed roots RAND's choices.
 	Seed uint64
 }
@@ -74,7 +74,7 @@ func (p *PolicyCache) rebuild() error {
 	classes := p.replacer.Classes()
 	layers := make([]cache.Layer, 0, len(p.cfg.Sites))
 	for _, site := range p.cfg.Sites {
-		cls, entries := p.cfg.Table.ExtractLayer(site, classes)
+		cls, entries, _ := p.cfg.Table.ExtractLayerEntriesInto(site, classes, nil, nil, nil)
 		layers = append(layers, cache.Layer{Site: site, Classes: cls, Entries: entries})
 	}
 	local, err := cache.NewLocal(layers)

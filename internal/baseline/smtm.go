@@ -16,6 +16,8 @@ import (
 // single-client semantic cache with class importance scored by total
 // frequency and recency, a fixed set of activated cache layers, and
 // client-local entry updates — no cross-client sharing (§II-2, §VI-B).
+// Hits update the client's own table as they happen; the loaded cache sees
+// the updated entries from the next round on, when BeginRound reloads it.
 type SMTMConfig struct {
 	// Theta and Alpha configure the Eq. 1/Eq. 2 lookup.
 	Theta, Alpha float64
@@ -31,7 +33,7 @@ type SMTMConfig struct {
 	RoundFrames int
 	// InitTable is the shared-dataset cache table used to seed local
 	// entries (from core.InitialTable); required.
-	InitTable *gtable.Table
+	InitTable *gtable.Sharded
 }
 
 // SMTM is the per-client semantic-cache baseline.
@@ -41,13 +43,12 @@ type SMTM struct {
 	env   *semantics.Env
 
 	sites  []int
-	table  *gtable.Table // client-local copy, locally updated
+	table  *gtable.Sharded // client-local copy, locally updated
 	local  *cache.Local
 	lookup *cache.Lookup
 
-	freq    []float64
-	tau     []int
-	support [][]float64
+	freq []float64
+	tau  []int
 }
 
 // NewSMTM builds the baseline for one client. env may be nil.
@@ -78,18 +79,11 @@ func NewSMTM(space *semantics.Space, env *semantics.Env, cfg SMTMConfig) (*SMTM,
 		cfg:    cfg,
 		space:  space,
 		env:    env,
-		table:  cfg.InitTable.Snapshot(),
+		table:  gtable.ShardedFromTable(cfg.InitTable, 64),
 		local:  cache.Empty(),
 		lookup: cache.NewLookup(cache.Config{Alpha: cfg.Alpha, Theta: cfg.Theta}),
 		freq:   make([]float64, space.DS.NumClasses),
 		tau:    make([]int, space.DS.NumClasses),
-	}
-	s.support = make([][]float64, space.DS.NumClasses)
-	for c := range s.support {
-		s.support[c] = make([]float64, L)
-		for j := range s.support[c] {
-			s.support[c][j] = 64
-		}
 	}
 	// Evenly-spaced fixed sites, starting shallow where exits pay most.
 	for e := 0; e < cfg.NumLayers; e++ {
@@ -108,7 +102,7 @@ func (s *SMTM) BeginRound() error {
 	classes := s.hotSpotClasses()
 	layers := make([]cache.Layer, 0, len(s.sites))
 	for _, site := range s.sites {
-		cls, entries := s.table.ExtractLayer(site, classes)
+		cls, entries, _ := s.table.ExtractLayerEntriesInto(site, classes, nil, nil, nil)
 		layers = append(layers, cache.Layer{Site: site, Classes: cls, Entries: entries})
 	}
 	local, err := cache.NewLocal(layers)
@@ -179,9 +173,10 @@ func (s *SMTM) Infer(smp dataset.Sample) engine.Result {
 			res.Hit = true
 			res.HitLayer = j
 			// Local reinforcement of the hit entry (count-weighted
-			// running mean, mirroring CoCa's evidence weighting but
-			// without any upload).
-			s.absorb(pr.Class, j, vec)
+			// running mean over a support capped at 160, mirroring CoCa's
+			// evidence weighting but without any upload). A refused vector
+			// leaves the entry as it was.
+			_ = s.table.Merge(pr.Class, j, vec, gtable.DefaultGamma, 1, 160)
 			break
 		}
 	}
@@ -196,26 +191,6 @@ func (s *SMTM) Infer(smp dataset.Sample) engine.Result {
 	res.LatencyMs = latency
 	res.LookupMs = lookupMs
 	return res
-}
-
-func (s *SMTM) absorb(class, site int, vec []float32) {
-	sup := s.support[class][site]
-	old := s.table.Get(class, site)
-	if old == nil {
-		_ = s.table.Set(class, site, vec)
-	} else if err := s.table.Merge(class, site, vec, gtable.DefaultGamma, sup, 1); err != nil {
-		return
-	}
-	s.support[class][site] = math.Min(sup+1, 160)
-	// Refresh the loaded entry so within-round hits see the update.
-	if layer := s.local.LayerAt(site); layer != nil {
-		for i, c := range layer.Classes {
-			if c == class {
-				copy(layer.Entries[i], s.table.Get(class, site))
-				break
-			}
-		}
-	}
 }
 
 var (

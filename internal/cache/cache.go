@@ -71,12 +71,11 @@ type Layer struct {
 	// Wide[i] and Norm2[i] are entry i's widened float64 mirror and
 	// squared norm — probe staging that belongs to the prober, never to a
 	// tier that only stores and forwards entries. Layers materialized from
-	// a client's allocation view arrive with it: the view's own mirrors for
-	// cells a wire delta delivered (staged once when the cell changed), or
-	// the mirror memoised on the published global-table entry for cells an
-	// in-process view shares (built when the first prober asked). Stage
-	// keeps staging that is handed in and fills it for layers assembled by
-	// hand; either way it is read-only while the layer is probed.
+	// a client's allocation view arrive with the view's own mirrors, staged
+	// once when a delta changed the cell, whether that delta came from an
+	// in-process session or over the wire. Stage keeps staging that is
+	// handed in and fills it for layers assembled by hand; either way it is
+	// read-only while the layer is probed.
 	Wide  [][]float64
 	Norm2 []float64
 

@@ -317,7 +317,7 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 
 // TestSequentialStagedProbeZeroAlloc asserts the borrowed-staging
 // contract: a layer that arrives with mirrors handed in by the allocation
-// path (a view's own, or the ones memoised on published entries) keeps
+// path (an allocation view's own) keeps
 // exactly those through Stage, and the staged Lookup.Probe path is
 // allocation-free at steady state.
 func TestSequentialStagedProbeZeroAlloc(t *testing.T) {

@@ -75,7 +75,7 @@ func TestServerUploadSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// churnDeltas builds a cycle of wire-style deltas (no entry handles) over
+// churnDeltas builds a cycle of deltas over
 // three sites: every delta overwrites six held cells with fresh vectors,
 // evicts four cells and adds the four the previous delta evicted, so changed,
 // evicted and new cells are in balance. It returns the Full delta the cycle
@@ -176,16 +176,12 @@ func walkDeltas(t testing.TB, rounds int) ([]Delta, []Delta) {
 	return []Delta{full, shrink}, walk
 }
 
-// ownedPairs counts the buffer pairs the view owns: those its wire cells lie
-// in and those it has parked.
+// ownedPairs counts the buffer pairs the view owns: those its cells lie in
+// and those it has parked.
 func ownedPairs(v *AllocView) int {
 	n := len(v.spare)
 	for i := range v.sites {
-		for k, e := range v.sites[i].ents {
-			if e == nil && v.sites[i].layer.Entries[k] != nil {
-				n++
-			}
-		}
+		n += v.sites[i].layer.Len()
 	}
 	return n
 }

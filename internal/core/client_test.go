@@ -168,7 +168,7 @@ func TestClientTauTracksClasses(t *testing.T) {
 }
 
 // wireLikeCoordinator hands its sessions' deltas on the way a wire decoder
-// does: vectors in memory the next call reuses, and no entry handles.
+// does: vectors in memory the next call reuses.
 type wireLikeCoordinator struct{ inner Coordinator }
 
 func (w wireLikeCoordinator) Open(ctx context.Context, clientID int) (Session, error) {

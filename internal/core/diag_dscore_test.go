@@ -21,7 +21,7 @@ func TestDiagDScores(t *testing.T) {
 	tbl := srv.Table()
 
 	mkLayer := func(site int, classes []int) cache.Layer {
-		cls, entries := tbl.ExtractLayer(site, classes)
+		cls, entries, _ := tbl.ExtractLayerEntriesInto(site, classes, nil, nil, nil)
 		return cache.Layer{Site: site, Classes: cls, Entries: entries}
 	}
 	quantiles := func(xs []float64) (q10, q50, q90 float64) {

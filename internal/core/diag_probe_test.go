@@ -29,7 +29,7 @@ func TestDiagHitAnatomy(t *testing.T) {
 	}
 	layers := make([]cache.Layer, arch.NumLayers)
 	for j := range layers {
-		cls, entries := tbl.ExtractLayer(j, all)
+		cls, entries, _ := tbl.ExtractLayerEntriesInto(j, all, nil, nil, nil)
 		layers[j] = cache.Layer{Site: j, Classes: cls, Entries: entries}
 	}
 	lookup := cache.NewLookup(cache.Config{Alpha: 0.5, Theta: 0.012})

@@ -9,10 +9,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"coca/internal/gtable"
-	"coca/internal/vecmath"
-	"coca/internal/xrand"
 )
 
 // TestAllocViewSlabCellsCannotReachNeighbours: the cells of one slab are cut
@@ -126,43 +122,6 @@ func TestAllocViewRetentionKeepsDimensionsApart(t *testing.T) {
 	}
 }
 
-// TestAllocViewRetentionParksBuffersUnderSharedEntries: an in-process
-// (entry-sharing) delta over wire cells parks the pairs the view owns instead
-// of leaking them, and the next wire delta finds them.
-func TestAllocViewRetentionParksBuffersUnderSharedEntries(t *testing.T) {
-	warm, _ := walkDeltas(t, 0)
-	wire := warm[0]
-	n := len(wire.Cells)
-	shared := wire
-	shared.Full, shared.Cells = false, make([]DeltaCell, n)
-	r := xrand.New(5)
-	for i, c := range wire.Cells {
-		v := xrand.NormalVector(r, len(c.Vec))
-		vecmath.Normalize(v)
-		shared.Cells[i] = DeltaCell{Site: c.Site, Class: c.Class, Vec: v, Entry: &gtable.Entry{Vec: v}}
-	}
-	back := wire
-	back.Full = false
-	view := NewAllocView()
-	applyNext(t, view, wire)
-	allocs := testing.AllocsPerRun(3, func() {
-		applyNext(t, view, shared)
-		if len(view.spare) != n || ownedPairs(view) != n {
-			t.Fatalf("under %d shared entries the view parks %d pairs and owns %d, want %d and %d", n, len(view.spare), ownedPairs(view), n, n)
-		}
-		if l := view.Layers()[0]; &l.Entries[0][0] != &shared.Cells[0].Vec[0] {
-			t.Fatal("in-process cell does not share the published entry")
-		}
-		applyNext(t, view, back)
-		if len(view.spare) != 0 || ownedPairs(view) != n {
-			t.Fatalf("back on the wire the view parks %d pairs and owns %d, want 0 and %d", len(view.spare), ownedPairs(view), n)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("wire → in-process → wire: %.1f allocs per cycle, want 0", allocs)
-	}
-}
-
 // TestSessionPoolNeverSharesScratch: sessions opened, used and closed from
 // eight goroutines at once draw their scratch from the server's pool; no two
 // open sessions ever hold the same one (the race detector sees any use of one
@@ -243,22 +202,22 @@ func TestSessionPoolRecycledScratchHoldsNothing(t *testing.T) {
 		sc, left := a.sessScratch, a.epoch
 		held := len(sc.refs)
 		_ = a.Close()
-		// Pooled, it names no table entry: the pool must not keep what a merge
+		// Pooled, it names no table vector: the pool must not keep what a merge
 		// superseded, or a retired server's table, from the collector.
 		for _, c := range sc.sc.cells[:cap(sc.sc.cells)] {
-			if c.ent != nil {
-				t.Fatal("a pooled scratch still names a table entry in its target cells")
+			if c.vec != nil {
+				t.Fatal("a pooled scratch still names a table vector in its target cells")
 			}
 		}
 		for _, buf := range sc.out {
 			for _, c := range buf.cells[:cap(buf.cells)] {
-				if c.Entry != nil || c.Vec != nil {
-					t.Fatal("a pooled scratch still names a table entry in its delta buffers")
+				if c.Vec != nil {
+					t.Fatal("a pooled scratch still names a table vector in its delta buffers")
 				}
 			}
 		}
-		if slices.ContainsFunc(sc.sc.ents[:cap(sc.sc.ents)], func(e *gtable.Entry) bool { return e != nil }) {
-			t.Fatal("a pooled scratch still names a table entry in its extraction buffer")
+		if slices.ContainsFunc(sc.sc.vecs[:cap(sc.sc.vecs)], func(v []float32) bool { return v != nil }) {
+			t.Fatal("a pooled scratch still names a table vector in its extraction buffer")
 		}
 		b := testSession(t, srv, 1).(*ServerSession)
 		if b.sessScratch != sc {

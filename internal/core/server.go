@@ -181,10 +181,9 @@ type Server struct {
 // paper's global shared dataset by design), or experiment arms run at the
 // same seed — build one ServerInit and hand it to every NewServerFrom
 // call instead of repeating the work. The init is immutable once built and
-// safe to share: every server clones the table into its own mutable
-// sharded state.
+// safe to share: every server starts its own table from a copy of it.
 type ServerInit struct {
-	table   *gtable.Table
+	table   *gtable.Sharded
 	profile []float64
 	// seed and samples pin the build inputs, and the dataset/architecture
 	// identity pins the semantic space, so NewServerFrom can reject a
@@ -273,18 +272,20 @@ func NewServerFrom(space *semantics.Space, cfg ServerConfig, init *ServerInit) *
 }
 
 // InitialTable builds the shared-dataset cache table: per-(class, layer)
-// semantic centers averaged over perClass unbiased samples. It is what the
-// paper's server computes from "the global shared dataset" and is also the
-// starting point for the single-client baselines (SMTM, policy caches).
+// semantic centers averaged over perClass unbiased samples, each cell at
+// version 1 with support perClass. It is what the paper's server computes
+// from "the global shared dataset" and is also the starting point for the
+// single-client baselines (SMTM, policy caches); each takes its own copy
+// with gtable.ShardedFromTable, and nothing writes to the table itself.
 //
 // Classes are independent, so the build fans out across GOMAXPROCS
 // workers, each generating vectors through its own allocation-free
 // semantics.Scratch; per-class summation order is unchanged, so the
 // resulting centers are bitwise identical to a sequential build.
-func InitialTable(space *semantics.Space, perClass int, seed uint64) *gtable.Table {
+func InitialTable(space *semantics.Space, perClass int, seed uint64) *gtable.Sharded {
 	ds := space.DS
 	arch := space.Arch
-	table := gtable.New(ds.NumClasses, arch.NumLayers, model.Dim)
+	table := gtable.NewSharded(ds.NumClasses, arch.NumLayers, model.Dim)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > ds.NumClasses {
 		workers = ds.NumClasses
@@ -320,13 +321,13 @@ func InitialTable(space *semantics.Space, perClass int, seed uint64) *gtable.Tab
 						}
 					}
 				}
-				// Table rows are written by exactly one worker (classes are
-				// partitioned by the atomic counter), so no lock is needed.
+				// Each row is written by exactly one worker (classes are
+				// partitioned by the atomic counter).
 				for j := 0; j < arch.NumLayers; j++ {
 					for d := range center {
 						center[d] = float32(sum[j][d])
 					}
-					if err := table.Set(c, j, center); err != nil {
+					if err := table.Set(c, j, center, float64(perClass)); err != nil {
 						errs[w] = fmt.Errorf("core: initial cache center degenerate for class %d layer %d: %w", c, j, err)
 						return
 					}
@@ -346,7 +347,7 @@ func InitialTable(space *semantics.Space, perClass int, seed uint64) *gtable.Tab
 // CumulativeHitProfile estimates R over a table: the probability that a
 // shared-dataset sample has hit at or before each layer when every layer
 // and class is cached, at the given lookup configuration.
-func CumulativeHitProfile(space *semantics.Space, table *gtable.Table, lookupCfg cache.Config, samples int, seed uint64) []float64 {
+func CumulativeHitProfile(space *semantics.Space, table *gtable.Sharded, lookupCfg cache.Config, samples int, seed uint64) []float64 {
 	arch := space.Arch
 	ds := space.DS
 	L := arch.NumLayers
@@ -356,7 +357,7 @@ func CumulativeHitProfile(space *semantics.Space, table *gtable.Table, lookupCfg
 	}
 	layers := make([]cache.Layer, L)
 	for j := 0; j < L; j++ {
-		cls, entries := table.ExtractLayer(j, allClasses)
+		cls, entries, _ := table.ExtractLayerEntriesInto(j, allClasses, nil, nil, nil)
 		layers[j] = cache.Layer{Site: j, Classes: cls, Entries: entries}
 		// Stage once up front: the workers below share the layers
 		// read-only and probe each of them `samples` times.
@@ -476,12 +477,11 @@ func (s *Server) Open(ctx context.Context, clientID int) (Session, error) {
 	return sess, nil
 }
 
-// targetCell is one cell of a freshly computed allocation: a borrowed handle
-// to the published (immutable) global-table entry and the table version
-// backing it.
+// targetCell is one cell of a freshly computed allocation: the borrowed,
+// immutable global-table vector and the table version backing it.
 type targetCell struct {
 	ref CellRef
-	ent *gtable.Entry
+	vec []float32
 	ver uint64
 }
 
@@ -493,7 +493,7 @@ type allocScratch struct {
 	aca   ACAScratch
 	freq  []float64
 	cls   []int
-	ents  []*gtable.Entry
+	vecs  [][]float32
 	vers  []uint64
 	cells []targetCell
 	sites []int
@@ -583,15 +583,15 @@ func (s *Server) computeAllocation(ctx context.Context, clientID int, status Sta
 	sc.cells = sc.cells[:0]
 	sc.sites = sc.sites[:0]
 	for _, site := range res.Layers {
-		sc.cls, sc.ents, sc.vers = s.table.ExtractLayerEntriesInto(
-			site, res.Classes, sc.cls[:0], sc.ents[:0], sc.vers[:0])
+		sc.cls, sc.vecs, sc.vers = s.table.ExtractLayerEntriesInto(
+			site, res.Classes, sc.cls[:0], sc.vecs[:0], sc.vers[:0])
 		if len(sc.cls) > 0 {
 			sc.sites = append(sc.sites, site)
 		}
 		for i := range sc.cls {
 			sc.cells = append(sc.cells, targetCell{
 				ref: CellRef{Site: site, Class: sc.cls[i]},
-				ent: sc.ents[i],
+				vec: sc.vecs[i],
 				ver: sc.vers[i],
 			})
 		}
@@ -657,8 +657,8 @@ func (s *Server) dropSession(id uint64) {
 }
 
 // Table returns a snapshot of the global cache table (diagnostics and the
-// Fig. 2 experiment).
-func (s *Server) Table() *gtable.Table {
+// Fig. 2 experiment): later merges into the server leave it as it was.
+func (s *Server) Table() *gtable.Sharded {
 	return s.table.Snapshot()
 }
 
@@ -921,7 +921,7 @@ func (ss *ServerSession) Allocate(ctx context.Context, status StatusReport) (Del
 		ss.refs = append(ss.refs, int32(idx))
 		if !unchanged {
 			buf.cells = append(buf.cells, DeltaCell{
-				Site: c.ref.Site, Class: c.ref.Class, Vec: c.ent.Vec, Entry: c.ent,
+				Site: c.ref.Site, Class: c.ref.Class, Vec: c.vec,
 			})
 		}
 	}
@@ -974,7 +974,7 @@ func (ss *ServerSession) Close() error {
 	// No Allocate runs (it holds ss.mu) or will: the scratch goes to the next
 	// session, without the table entries its last delta named.
 	ss.epoch++
-	clear(ss.sc.ents[:cap(ss.sc.ents)])
+	clear(ss.sc.vecs[:cap(ss.sc.vecs)])
 	clear(ss.sc.cells[:cap(ss.sc.cells)])
 	clear(ss.out[0].cells[:cap(ss.out[0].cells)])
 	clear(ss.out[1].cells[:cap(ss.out[1].cells)])

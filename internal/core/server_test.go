@@ -4,14 +4,11 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync"
 	"testing"
 
-	"coca/internal/cache"
 	"coca/internal/dataset"
 	"coca/internal/model"
 	"coca/internal/semantics"
-	"coca/internal/telemetry"
 	"coca/internal/vecmath"
 	"coca/internal/xrand"
 )
@@ -345,79 +342,10 @@ func TestNewServerFromSharedInit(t *testing.T) {
 	NewServerFrom(space, ServerConfig{Theta: 0.02, Seed: 8}, init)
 }
 
-// TestAllocationCarriesPublishStaging checks the in-process half of the
-// staging contract: a delta carries entry handles and nothing is widened by
-// allocating or applying it; the mirror is built when the first view is
-// materialized for probing, exactly once per entry however many clients ask
-// at the same moment, and every client probes the same memory.
-func TestAllocationCarriesPublishStaging(t *testing.T) {
-	srv := smallServer(t)
-	sess := testSession(t, srv, 0)
-	before := telemetry.CoreStagedEntries.Load()
-	d, err := sess.Allocate(context.Background(), neutralStatus(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Cells) == 0 {
-		t.Fatal("first allocation delivered no cells")
-	}
-	for _, c := range d.Cells {
-		if c.Entry == nil || &c.Entry.Vec[0] != &c.Vec[0] {
-			t.Fatalf("cell (%d,%d): in-process delta does not carry its published entry", c.Site, c.Class)
-		}
-	}
-	const clients = 8
-	views := make([]*AllocView, clients)
-	for i := range views {
-		views[i] = NewAllocView()
-		if err := views[i].Apply(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := telemetry.CoreStagedEntries.Load() - before; got != 0 {
-		t.Fatalf("allocate + apply staged %d entries, want none before a prober asks", got)
-	}
-	layers := make([][]cache.Layer, clients)
-	var wg sync.WaitGroup
-	for i := range views {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			layers[i] = views[i].Layers()
-		}(i)
-	}
-	wg.Wait()
-	if got := telemetry.CoreStagedEntries.Load() - before; got != uint64(len(d.Cells)) {
-		t.Fatalf("%d clients materializing %d shared cells staged %d entries, want each exactly once", clients, len(d.Cells), got)
-	}
-	for _, ls := range layers {
-		for j, layer := range ls {
-			if len(layer.Wide) != len(layer.Entries) || len(layer.Norm2) != len(layer.Entries) {
-				t.Fatalf("site %d: materialized layer lacks staging", layer.Site)
-			}
-			for i, e := range layer.Entries {
-				if &layer.Wide[i][0] != &layers[0][j].Wide[i][0] {
-					t.Fatalf("site %d entry %d: clients hold different mirrors of one published entry", layer.Site, i)
-				}
-				wide, norm2 := vecmath.WidenRow(e)
-				if layer.Norm2[i] != norm2 {
-					t.Fatalf("site %d entry %d: norm %v != WidenRow %v", layer.Site, i, layer.Norm2[i], norm2)
-				}
-				for k := range wide {
-					if math.Float64bits(layer.Wide[i][k]) != math.Float64bits(wide[k]) {
-						t.Fatalf("site %d entry %d[%d]: mirror %v != WidenRow %v", layer.Site, i, k, layer.Wide[i][k], wide[k])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestWireDeltaStagingOnApply checks the wire half of the staging contract:
-// a delta whose cells carry no entry handle (what the protocol decoder
-// produces) is copied into view-owned storage and staged by Apply, a changed
-// cell is overwritten where it lies, and an evicted cell's buffers serve the
-// cell the same delta adds.
+// TestWireDeltaStagingOnApply checks the view's staging contract, the same
+// for in-process and wire deltas: a delta's cells are copied into view-owned
+// storage and staged by Apply, a changed cell is overwritten where it lies,
+// and an evicted cell's buffers serve the cell the same delta adds.
 func TestWireDeltaStagingOnApply(t *testing.T) {
 	vec := []float32{0.6, 0.8}
 	view := NewAllocView()

@@ -16,7 +16,6 @@ import (
 	"slices"
 
 	"coca/internal/cache"
-	"coca/internal/gtable"
 	"coca/internal/vecmath"
 )
 
@@ -57,16 +56,13 @@ type CellRef struct {
 	Site, Class int
 }
 
-// DeltaCell is one new or changed cache cell with its entry vector. Entry is
-// set by in-process sessions only: it is the published global-table entry
-// Vec belongs to, and lets the receiving view share the table's memory —
-// the vector and the staging memoised on the entry — instead of copying.
-// Wire transports ship Vec alone; the receiving view keeps its own copy and
-// stages it on apply (once per changed cell, never per round).
+// DeltaCell is one new or changed cache cell with its entry vector. Vec is
+// borrowed: an in-process session hands out the published global-table
+// vector, a wire decoder its arena. Either way the receiving view keeps its
+// own copy and stages it on apply (once per changed cell, never per round).
 type DeltaCell struct {
 	Site, Class int
 	Vec         []float32
-	Entry       *gtable.Entry
 }
 
 // Delta is a versioned allocation update. Applying it to the allocation
@@ -100,17 +96,17 @@ type Delta struct {
 // server's session record; the view's version is echoed back in
 // StatusReport.LastVersion so the server knows which base the client holds.
 //
-// The view owns the storage of the cells a wire delta delivered, at its
-// high-water mark: a changed cell is overwritten where it lies, the buffer
-// pair of a cell that leaves (evicted, or replaced by a shared entry) waits in
-// spare for whichever later delta adds a cell, and a delta that needs more
-// pairs than the view ever held at once gets them all from one slab per
-// element type. No pair is ever dropped and there is no cap — a slab cell
-// cannot be freed on its own, so dropping would pin whole slabs behind single
-// live cells — hence the view owns exactly as many pairs as the most wire
-// cells it held at once (≤ sites × classes). Cells of an in-process delta
-// share the published table entry instead. Either way Layers and Allocation
-// hand out the view's own slices, valid until the next Apply.
+// The view owns the storage of every cell it holds, vector and widened
+// mirror, at its high-water mark, whether the delta came from an in-process
+// session or over the wire: a changed cell is overwritten where it lies, the
+// buffer pair of a cell that leaves waits in spare for whichever later delta
+// adds a cell, and a delta that needs more pairs than the view ever held at
+// once gets them all from one slab per element type. No pair is ever dropped
+// and there is no cap — a slab cell cannot be freed on its own, so dropping
+// would pin whole slabs behind single live cells — hence the view owns
+// exactly as many pairs as the most cells it held at once (≤ sites ×
+// classes). Layers and Allocation hand out the view's own slices, valid
+// until the next Apply.
 type AllocView struct {
 	version uint64
 	classes []int
@@ -122,13 +118,10 @@ type AllocView struct {
 	layers  []cache.Layer // what Layers hands out
 }
 
-// viewSite is one site's cells, classes ascending. ents[i] is the published
-// entry cell i shares (its staging is fetched when Layers is asked for it), or
-// nil when the view owns layer.Entries[i] and layer.Wide[i]. grow counts the
-// cells the running Apply adds to the site.
+// viewSite is one site's cells, classes ascending; grow counts the cells the
+// running Apply adds to the site.
 type viewSite struct {
 	layer cache.Layer
-	ents  []*gtable.Entry
 	grow  int
 }
 
@@ -156,10 +149,10 @@ func (v *AllocView) NumCells() int { return v.ncells }
 // rejected leaves the view untouched.
 //
 // The delta's slices are borrowed (server sessions and wire decoders reuse
-// them between calls), so Apply copies every vector that comes without an
-// entry handle into view-owned storage and the delta may be invalidated
-// freely once it returns. What Layers and Allocation returned before is
-// invalidated by Apply: a holder that needs it longer takes a Clone.
+// them between calls), so Apply copies every vector into view-owned storage
+// and the delta may be invalidated freely once it returns. What Layers and
+// Allocation returned before is invalidated by Apply: a holder that needs it
+// longer takes a Clone.
 // Delta.Sites is ascending by contract (the wire format and the server both
 // guarantee it); a delta that breaks it is rejected.
 func (v *AllocView) Apply(d Delta) error {
@@ -221,25 +214,22 @@ func (v *AllocView) site(site int) (int, bool) {
 	return lo, lo < len(v.sites) && v.sites[lo].layer.Site == site
 }
 
-// release takes cells [i, j) of a site out of the view; the buffers the view
-// owns among them are parked in v.spare.
+// release takes cells [i, j) of a site out of the view; their buffers are
+// parked in v.spare.
 func (v *AllocView) release(s *viewSite, i, j int) {
 	l := &s.layer
 	for k := i; k < j; k++ {
-		if s.ents[k] == nil {
-			v.spare = append(v.spare, cellBuf{l.Entries[k], l.Wide[k]})
-		}
+		v.spare = append(v.spare, cellBuf{l.Entries[k], l.Wide[k]})
 	}
 	l.Classes = slices.Delete(l.Classes, i, j)
 	l.Entries = slices.Delete(l.Entries, i, j)
 	l.Wide = slices.Delete(l.Wide, i, j)
 	l.Norm2 = slices.Delete(l.Norm2, i, j)
-	s.ents = slices.Delete(s.ents, i, j)
 	v.ncells -= j - i
 }
 
 // reserve sizes the view for the cells d adds, so that upserting them
-// allocates nothing: every site's parallel slices grow once, and the wire cells
+// allocates nothing: every site's parallel slices grow once, and the cells
 // that neither lie in a pair nor find a parked one of their dimension get
 // theirs from one slab per element type.
 func (v *AllocView) reserve(d Delta) {
@@ -257,8 +247,8 @@ func (v *AllocView) reserve(d Delta) {
 		if !held {
 			s.grow++
 		}
-		if c.Entry != nil || held && s.owns(i, len(c.Vec)) {
-			continue
+		if held && len(s.layer.Entries[i]) == len(c.Vec) {
+			continue // the cell's pair fits
 		}
 		if j := slices.IndexFunc(v.spare[parked:], func(b cellBuf) bool { return len(b.vec) == len(c.Vec) }); j >= 0 {
 			v.spare[parked], v.spare[parked+j] = v.spare[parked+j], v.spare[parked]
@@ -274,14 +264,11 @@ func (v *AllocView) reserve(d Delta) {
 			l.Entries = slices.Grow(l.Entries, s.grow)
 			l.Wide = slices.Grow(l.Wide, s.grow)
 			l.Norm2 = slices.Grow(l.Norm2, s.grow)
-			s.ents, s.grow = slices.Grow(s.ents, s.grow), 0
+			s.grow = 0
 		}
 	}
 	v.slab32, v.slab64 = make([]float32, floats), make([]float64, floats)
 }
-
-// owns reports whether cell i lies in a pair of the view's of dimension n.
-func (s *viewSite) owns(i, n int) bool { return s.ents[i] == nil && len(s.layer.Entries[i]) == n }
 
 // take hands out an owned pair of dimension n that no cell uses: a parked one,
 // else the next of the running Apply's slabs (reserve sized them for it).
@@ -299,42 +286,32 @@ func (v *AllocView) take(n int) cellBuf {
 // upsert stores one delta cell, in place when the view already holds it.
 func (v *AllocView) upsert(c DeltaCell) {
 	si, _ := v.site(c.Site)
-	s := &v.sites[si]
-	l := &s.layer
+	l := &v.sites[si].layer
 	i, ok := slices.BinarySearch(l.Classes, c.Class)
 	if !ok {
 		l.Classes = slices.Insert(l.Classes, i, c.Class)
 		l.Entries = slices.Insert(l.Entries, i, nil)
 		l.Wide = slices.Insert(l.Wide, i, nil)
 		l.Norm2 = slices.Insert(l.Norm2, i, 0)
-		s.ents = slices.Insert(s.ents, i, nil)
 		v.ncells++
 	}
-	keep := c.Entry == nil && s.owns(i, len(c.Vec))
-	if !keep && s.ents[i] == nil && l.Entries[i] != nil {
-		v.spare = append(v.spare, cellBuf{l.Entries[i], l.Wide[i]}) // the pair the cell leaves
-	}
-	if c.Entry != nil {
-		// In-process cell: the entry is immutable published table memory
-		// (merges replace, never mutate, it), so the view shares it.
-		s.ents[i], l.Entries[i], l.Wide[i], l.Norm2[i] = c.Entry, c.Entry.Vec, nil, 0
-		return
-	}
-	// Wire cell: the decoder reuses its arena between calls, so the view
-	// keeps a copy — in the pair this cell already has, else in one nothing
-	// uses — and stage widens it once the delta's cells are all in, once per
-	// changed cell, for every probe until the cell changes again.
-	if !keep {
+	// The view keeps a copy — in the pair this cell already has, else in one
+	// nothing uses — and stage widens it once the delta's cells are all in,
+	// once per changed cell, for every probe until the cell changes again.
+	if len(l.Entries[i]) != len(c.Vec) {
+		if l.Entries[i] != nil {
+			v.spare = append(v.spare, cellBuf{l.Entries[i], l.Wide[i]}) // the pair the cell outgrew
+		}
 		b := v.take(len(c.Vec))
-		s.ents[i], l.Entries[i], l.Wide[i] = nil, b.vec, b.wide
+		l.Entries[i], l.Wide[i] = b.vec, b.wide
 	}
 	copy(l.Entries[i], c.Vec)
 }
 
-// stage widens the wire cells of d into their mirrors once every upsert is
-// in, four per vecmath.WidenVecs call, and files each squared norm at its
-// cell: no insertion moves a cell after this. A cell the delta names twice
-// is widened twice from what it holds at the end.
+// stage widens the cells of d into their mirrors once every upsert is in,
+// four per vecmath.WidenVecs call, and files each squared norm at its cell:
+// no insertion moves a cell after this. A cell the delta names twice is
+// widened twice from what it holds at the end.
 func (v *AllocView) stage(d Delta) {
 	var (
 		vecs  [4][]float32
@@ -343,14 +320,12 @@ func (v *AllocView) stage(d Delta) {
 	)
 	n := 0
 	for k, c := range d.Cells {
-		if c.Entry == nil && activeSite(d.Sites, c.Site) {
+		if activeSite(d.Sites, c.Site) {
 			si, _ := v.site(c.Site)
-			s := &v.sites[si]
-			l := &s.layer
-			if i, _ := slices.BinarySearch(l.Classes, c.Class); s.ents[i] == nil {
-				vecs[n], wide[n], norm2[n] = l.Entries[i], l.Wide[i], &l.Norm2[i]
-				n++
-			}
+			l := &v.sites[si].layer
+			i, _ := slices.BinarySearch(l.Classes, c.Class)
+			vecs[n], wide[n], norm2[n] = l.Entries[i], l.Wide[i], &l.Norm2[i]
+			n++
 		}
 		if n == len(vecs) || n > 0 && k == len(d.Cells)-1 {
 			var out [4]float64
@@ -364,23 +339,14 @@ func (v *AllocView) stage(d Delta) {
 }
 
 // Layers materializes the view as cache layers (sites ascending, classes
-// ascending within a site), the shape cache.NewLocal consumes. The layers
-// alias the view's storage and are valid until the next Apply. Cells shared
-// with an in-process table get their staging from the published entry here,
-// which is when a prober first asks for it.
+// ascending within a site), the shape cache.NewLocal consumes, staged. The
+// layers alias the view's storage and are valid until the next Apply.
 func (v *AllocView) Layers() []cache.Layer {
 	out := v.layers[:0]
 	for i := range v.sites {
-		s := &v.sites[i]
-		if s.layer.Len() == 0 {
-			continue
+		if l := &v.sites[i].layer; l.Len() > 0 {
+			out = append(out, *l)
 		}
-		for k, e := range s.ents {
-			if e != nil && s.layer.Wide[k] == nil {
-				s.layer.Wide[k], s.layer.Norm2[k] = e.Staging()
-			}
-		}
-		out = append(out, s.layer)
 	}
 	v.layers = out
 	return out

@@ -193,7 +193,7 @@ type methodSet struct {
 	frames  int
 	seed    uint64
 	// initTable is shared by SMTM and the policy caches.
-	initTable *gtable.Table
+	initTable *gtable.Sharded
 }
 
 func newMethodSet(space *semantics.Space, clients int, theta float64, budget, frames int, seed uint64) *methodSet {
@@ -316,10 +316,10 @@ type fixedEngine struct {
 	lookup *cache.Lookup
 }
 
-func newFixedEngine(space *semantics.Space, env *semantics.Env, table *gtable.Table, sites, classes []int, theta float64) (*fixedEngine, error) {
+func newFixedEngine(space *semantics.Space, env *semantics.Env, table *gtable.Sharded, sites, classes []int, theta float64) (*fixedEngine, error) {
 	layers := make([]cache.Layer, 0, len(sites))
 	for _, site := range sites {
-		cls, entries := table.ExtractLayer(site, classes)
+		cls, entries, _ := table.ExtractLayerEntriesInto(site, classes, nil, nil, nil)
 		layers = append(layers, cache.Layer{Site: site, Classes: cls, Entries: entries})
 	}
 	local, err := cache.NewLocal(layers)

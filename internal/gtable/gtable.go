@@ -29,106 +29,10 @@ const (
 	DefaultGamma = 0.99
 )
 
-// Table is a dense classes × layers table of unit semantic vectors.
-// Entries may be absent (nil) until first set. Table is not safe for
-// concurrent mutation; CoCa's server serializes access.
-type Table struct {
-	classes int
-	layers  int
-	dim     int
-	vecs    [][][]float32 // [class][layer] -> unit vector or nil
-}
-
-// New creates an empty table. It panics on non-positive dimensions:
-// table shapes come from validated specs.
-func New(classes, layers, dim int) *Table {
-	if classes < 1 || layers < 1 || dim < 1 {
-		panic(fmt.Sprintf("gtable: invalid shape %d×%d×%d", classes, layers, dim))
-	}
-	t := &Table{classes: classes, layers: layers, dim: dim}
-	t.vecs = make([][][]float32, classes)
-	for i := range t.vecs {
-		t.vecs[i] = make([][]float32, layers)
-	}
-	return t
-}
-
-// Classes returns the number of rows.
-func (t *Table) Classes() int { return t.classes }
-
-// Layers returns the number of columns.
-func (t *Table) Layers() int { return t.layers }
-
-// Dim returns the entry dimensionality.
-func (t *Table) Dim() int { return t.dim }
-
-func (t *Table) check(class, layer int) {
-	if class < 0 || class >= t.classes || layer < 0 || layer >= t.layers {
-		panic(fmt.Sprintf("gtable: index (%d,%d) outside %d×%d", class, layer, t.classes, t.layers))
-	}
-}
-
-// Has reports whether entry (class, layer) is populated.
-func (t *Table) Has(class, layer int) bool {
-	t.check(class, layer)
-	return t.vecs[class][layer] != nil
-}
-
-// Get returns the entry at (class, layer), or nil if absent. The returned
-// slice is shared; callers must not mutate it.
-func (t *Table) Get(class, layer int) []float32 {
-	t.check(class, layer)
-	return t.vecs[class][layer]
-}
-
-// Set stores a normalized copy of vec at (class, layer). A zero vector is
-// rejected.
-func (t *Table) Set(class, layer int, vec []float32) error {
-	t.check(class, layer)
-	if len(vec) != t.dim {
-		return fmt.Errorf("gtable: Set dim %d, want %d", len(vec), t.dim)
-	}
-	v := vecmath.Clone(vec)
-	if n := vecmath.Normalize(v); !usable(n) {
-		return rejected("Set", class, layer, n)
-	}
-	t.vecs[class][layer] = v
-	return nil
-}
-
-// Merge applies Eq. 4 to entry (class, layer): a weighted combination of
-// the existing global entry (weight γ·Φ/(Φ+φ)) and the uploaded update
-// vector (weight φ/(Φ+φ)), re-normalized. If the entry was absent the
-// update is stored directly. globalFreq and localFreq are Φi and φi; both
-// must be non-negative and localFreq positive.
-func (t *Table) Merge(class, layer int, update []float32, gamma, globalFreq, localFreq float64) error {
-	t.check(class, layer)
-	if len(update) != t.dim {
-		return fmt.Errorf("gtable: Merge dim %d, want %d", len(update), t.dim)
-	}
-	if gamma < 0 || gamma > 1 {
-		return fmt.Errorf("gtable: Merge gamma %v outside [0,1]", gamma)
-	}
-	if globalFreq < 0 || localFreq <= 0 {
-		return fmt.Errorf("gtable: Merge frequencies Φ=%v φ=%v invalid", globalFreq, localFreq)
-	}
-	old := t.vecs[class][layer]
-	if old == nil {
-		return t.Set(class, layer, update)
-	}
-	merged := make([]float32, t.dim)
-	if n := mergeEntry(merged, old, update, gamma, globalFreq, localFreq); usable(n) {
-		t.vecs[class][layer] = merged
-	} else if n != 0 {
-		return rejected("Merge", class, layer, n)
-	}
-	return nil
-}
-
-// mergeEntry is the Eq. 4 combination shared by Table.Merge and
-// Sharded.Merge, written into dst, a fresh vector (published entries are
-// immutable, so dst shares no memory with old or update, one of the two
-// cases vecmath.WeightedSumInto allows): the old entry weighted γ·Φ/(Φ+φ)
+// mergeEntry is the Eq. 4 combination behind Sharded.Merge and MergePeer,
+// written into dst, a fresh vector (published cells are immutable, so dst
+// shares no memory with old or update, one of the two cases
+// vecmath.WeightedSumInto allows): the old entry weighted γ·Φ/(Φ+φ)
 // against the update weighted φ/(Φ+φ), re-normalized. It returns the norm of
 // the combination: 0 on perfect cancellation, where callers keep the previous
 // entry rather than a degenerate zero; not usable when the update is refused.
@@ -149,46 +53,6 @@ func usable(n float32) bool { return n > 0 && n <= math.MaxFloat32 }
 func rejected(op string, class, layer int, n float32) error {
 	telemetry.CoreRejectedVecs.Inc()
 	return fmt.Errorf("gtable: %s vector at (%d,%d) has norm %v, want finite and positive", op, class, layer, n)
-}
-
-// Snapshot returns a deep copy of the table.
-func (t *Table) Snapshot() *Table {
-	out := New(t.classes, t.layers, t.dim)
-	for i := range t.vecs {
-		for j, v := range t.vecs[i] {
-			if v != nil {
-				out.vecs[i][j] = vecmath.Clone(v)
-			}
-		}
-	}
-	return out
-}
-
-// ExtractLayer returns copies of the populated entries of the given column
-// restricted to classes, preserving the class order and skipping absent
-// entries.
-func (t *Table) ExtractLayer(layer int, classes []int) (cls []int, entries [][]float32) {
-	for _, c := range classes {
-		t.check(c, layer)
-		if v := t.vecs[c][layer]; v != nil {
-			cls = append(cls, c)
-			entries = append(entries, vecmath.Clone(v))
-		}
-	}
-	return cls, entries
-}
-
-// Populated returns the number of non-nil entries.
-func (t *Table) Populated() int {
-	n := 0
-	for i := range t.vecs {
-		for _, v := range t.vecs[i] {
-			if v != nil {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // UpdateTable accumulates a client's selected sample vectors between

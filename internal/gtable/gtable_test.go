@@ -16,7 +16,7 @@ func unit(dim int, parts ...uint64) []float32 {
 }
 
 func TestNewShape(t *testing.T) {
-	tb := New(10, 5, 8)
+	tb := NewSharded(10, 5, 8)
 	if tb.Classes() != 10 || tb.Layers() != 5 || tb.Dim() != 8 {
 		t.Fatalf("shape = %d×%d×%d", tb.Classes(), tb.Layers(), tb.Dim())
 	}
@@ -31,35 +31,38 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0, 5, 8)
+	NewSharded(0, 5, 8)
 }
 
 func TestSetGetNormalizes(t *testing.T) {
-	tb := New(3, 3, 4)
-	if err := tb.Set(1, 2, []float32{3, 4, 0, 0}); err != nil {
+	tb := NewSharded(3, 3, 4)
+	if err := tb.Set(1, 2, []float32{3, 4, 0, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	got := tb.Get(1, 2)
 	if math.Abs(float64(vecmath.Norm(got))-1) > 1e-6 {
 		t.Fatalf("stored entry not unit: %v", got)
 	}
-	if !tb.Has(1, 2) || tb.Has(0, 0) {
-		t.Fatal("Has wrong")
+	if tb.Get(0, 0) != nil || tb.Populated() != 1 {
+		t.Fatal("Set populated more than its cell")
 	}
 }
 
 func TestSetRejectsBadInput(t *testing.T) {
-	tb := New(3, 3, 4)
-	if err := tb.Set(0, 0, []float32{1, 2}); err == nil {
+	tb := NewSharded(3, 3, 4)
+	if err := tb.Set(0, 0, []float32{1, 2}, 1); err == nil {
 		t.Fatal("wrong dim accepted")
 	}
-	if err := tb.Set(0, 0, []float32{0, 0, 0, 0}); err == nil {
+	if err := tb.Set(0, 0, []float32{0, 0, 0, 0}, 1); err == nil {
 		t.Fatal("zero vector accepted")
+	}
+	if err := tb.Set(3, 0, []float32{1, 0, 0, 0}, 1); err == nil {
+		t.Fatal("out-of-range cell accepted")
 	}
 }
 
 func TestIndexPanics(t *testing.T) {
-	tb := New(3, 3, 4)
+	tb := NewSharded(3, 3, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -68,26 +71,34 @@ func TestIndexPanics(t *testing.T) {
 	tb.Get(3, 0)
 }
 
+// TestSetCopiesInput: Set publishes a normalized copy, so neither the
+// caller's later writes nor a reader's writes to what Get returned reach the
+// table.
 func TestSetCopiesInput(t *testing.T) {
-	tb := New(2, 2, 2)
-	v := []float32{1, 0}
-	if err := tb.Set(0, 0, v); err != nil {
+	tb := NewSharded(2, 2, 2)
+	v := []float32{2, 0}
+	if err := tb.Set(0, 0, v, 1); err != nil {
 		t.Fatal(err)
 	}
 	v[0] = 99
+	got := tb.Get(0, 0)
+	if got[0] != 1 {
+		t.Fatalf("Set aliased or did not normalize the caller's slice: %v", got)
+	}
+	got[0] = 42
 	if tb.Get(0, 0)[0] != 1 {
-		t.Fatal("Set aliased caller's slice")
+		t.Fatal("Get handed out table memory")
 	}
 }
 
 func TestMergeEquation4(t *testing.T) {
 	// Hand-check Eq. 4 with orthogonal vectors where the arithmetic is
-	// easy: E=(1,0), U=(0,1), γ=0.99, Φ=3, φ=1.
-	tb := New(1, 1, 2)
-	if err := tb.Set(0, 0, []float32{1, 0}); err != nil {
+	// easy: E=(1,0), U=(0,1), γ=0.99, Φ=3 (the cell's support), φ=1.
+	tb := NewSharded(1, 1, 2)
+	if err := tb.Set(0, 0, []float32{1, 0}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Merge(0, 0, []float32{0, 1}, 0.99, 3, 1); err != nil {
+	if err := tb.Merge(0, 0, []float32{0, 1}, 0.99, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := tb.Get(0, 0)
@@ -97,11 +108,14 @@ func TestMergeEquation4(t *testing.T) {
 	if math.Abs(float64(got[0])-wOld/n) > 1e-6 || math.Abs(float64(got[1])-wNew/n) > 1e-6 {
 		t.Fatalf("merged = %v, want (%v,%v)", got, wOld/n, wNew/n)
 	}
+	if tb.Support(0, 0) != 4 {
+		t.Fatalf("support = %v, want Φ+φ = 4 (Eq. 5)", tb.Support(0, 0))
+	}
 }
 
 func TestMergeIntoEmptyStoresUpdate(t *testing.T) {
-	tb := New(1, 1, 2)
-	if err := tb.Merge(0, 0, []float32{0, 2}, 0.99, 5, 1); err != nil {
+	tb := NewSharded(1, 1, 2)
+	if err := tb.Merge(0, 0, []float32{0, 2}, 0.99, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := tb.Get(0, 0)
@@ -110,52 +124,63 @@ func TestMergeIntoEmptyStoresUpdate(t *testing.T) {
 	}
 }
 
+// TestMergeValidation: a refused merge leaves the cell's vector, support and
+// version as they were.
 func TestMergeValidation(t *testing.T) {
-	tb := New(1, 1, 2)
-	if err := tb.Merge(0, 0, []float32{1}, 0.99, 1, 1); err == nil {
-		t.Fatal("wrong dim accepted")
+	tb := NewSharded(1, 1, 2)
+	if err := tb.Set(0, 0, []float32{1, 0}, 5); err != nil {
+		t.Fatal(err)
 	}
-	if err := tb.Merge(0, 0, []float32{1, 0}, 1.5, 1, 1); err == nil {
-		t.Fatal("bad gamma accepted")
+	for _, bad := range []struct {
+		what        string
+		vec         []float32
+		gamma, freq float64
+	}{
+		{"wrong dim", []float32{1}, 0.99, 1},
+		{"gamma above 1", []float32{0, 1}, 1.5, 1},
+		{"negative gamma", []float32{0, 1}, -0.1, 1},
+		{"zero local freq", []float32{0, 1}, 0.9, 0},
+		{"negative local freq", []float32{0, 1}, 0.9, -1},
+	} {
+		if err := tb.Merge(0, 0, bad.vec, bad.gamma, bad.freq, 0); err == nil {
+			t.Errorf("%s accepted", bad.what)
+		}
 	}
-	if err := tb.Merge(0, 0, []float32{1, 0}, 0.9, -1, 1); err == nil {
-		t.Fatal("negative global freq accepted")
-	}
-	if err := tb.Merge(0, 0, []float32{1, 0}, 0.9, 1, 0); err == nil {
-		t.Fatal("zero local freq accepted")
+	if got := tb.Get(0, 0); got[0] != 1 || got[1] != 0 || tb.Support(0, 0) != 5 || tb.CellVersion(0, 0) != 1 {
+		t.Fatalf("refused merges changed the cell: %v, support %v, version %d", got, tb.Support(0, 0), tb.CellVersion(0, 0))
 	}
 }
 
 func TestMergeCancellationKeepsOld(t *testing.T) {
-	tb := New(1, 1, 2)
-	if err := tb.Set(0, 0, []float32{1, 0}); err != nil {
+	tb := NewSharded(1, 1, 2)
+	if err := tb.Set(0, 0, []float32{1, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
+	_, kept, _ := tb.ExtractLayerEntriesInto(0, []int{0}, nil, nil, nil)
 	// With γ=1, Φ=φ=1 the weights are 0.5/0.5; update = -E cancels.
-	if err := tb.Merge(0, 0, []float32{-1, 0}, 1.0, 1, 1); err != nil {
+	if err := tb.Merge(0, 0, []float32{-1, 0}, 1.0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.Get(0, 0); got[0] != 1 {
-		t.Fatalf("cancellation should keep old entry, got %v", got)
+	_, now, _ := tb.ExtractLayerEntriesInto(0, []int{0}, nil, nil, nil)
+	if now[0][0] != 1 || &now[0][0] != &kept[0][0] {
+		t.Fatalf("cancellation should keep the published entry, got %v", now[0])
 	}
 }
 
 func TestMergePullsTowardFrequentUpdates(t *testing.T) {
 	// Repeated merges with high local frequency must move the entry
 	// toward the update direction — the mechanism behind Fig. 2.
-	tb := New(1, 1, 8)
+	tb := NewSharded(1, 1, 8)
 	start := unit(8, 1)
 	target := unit(8, 2)
-	if err := tb.Set(0, 0, start); err != nil {
+	if err := tb.Set(0, 0, start, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := vecmath.Cosine(tb.Get(0, 0), target)
-	phi := 0.0
 	for k := 0; k < 20; k++ {
-		if err := tb.Merge(0, 0, target, DefaultGamma, phi, 100); err != nil {
+		if err := tb.Merge(0, 0, target, DefaultGamma, 100, 0); err != nil {
 			t.Fatal(err)
 		}
-		phi += 100
 	}
 	after := vecmath.Cosine(tb.Get(0, 0), target)
 	if after < before+0.3 || after < 0.9 {
@@ -163,30 +188,37 @@ func TestMergePullsTowardFrequentUpdates(t *testing.T) {
 	}
 }
 
+// TestSnapshotIndependent: writes to the table after a snapshot, and to the
+// snapshot, leave the other as it was.
 func TestSnapshotIndependent(t *testing.T) {
-	tb := New(2, 2, 2)
-	_ = tb.Set(0, 0, []float32{1, 0})
+	tb := NewSharded(2, 2, 2)
+	_ = tb.Set(0, 0, []float32{1, 0}, 3)
 	snap := tb.Snapshot()
-	_ = tb.Set(0, 0, []float32{0, 1})
-	if snap.Get(0, 0)[0] != 1 {
+	_ = tb.Set(0, 0, []float32{0, 1}, 1)
+	_ = tb.Set(1, 1, []float32{0, 1}, 1)
+	if snap.Get(0, 0)[0] != 1 || snap.Support(0, 0) != 3 || snap.CellVersion(0, 0) != 1 {
 		t.Fatal("snapshot shares storage with original")
 	}
 	if snap.Populated() != 1 {
 		t.Fatalf("snapshot populated = %d", snap.Populated())
 	}
+	if err := snap.Merge(0, 0, []float32{1, 1}, 0.99, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Get(0, 0)[1] != 1 || tb.CellVersion(0, 0) != 2 {
+		t.Fatal("a merge into the snapshot reached the original")
+	}
 }
 
+// TestExtractLayer: extraction keeps the requested class order and skips
+// absent cells.
 func TestExtractLayer(t *testing.T) {
-	tb := New(4, 2, 2)
-	_ = tb.Set(0, 1, []float32{1, 0})
-	_ = tb.Set(2, 1, []float32{0, 1})
-	cls, entries := tb.ExtractLayer(1, []int{0, 1, 2, 3})
-	if len(cls) != 2 || cls[0] != 0 || cls[1] != 2 {
-		t.Fatalf("ExtractLayer classes = %v", cls)
-	}
-	entries[0][0] = 42
-	if tb.Get(0, 1)[0] == 42 {
-		t.Fatal("ExtractLayer aliases table storage")
+	tb := NewSharded(4, 2, 2)
+	_ = tb.Set(0, 1, []float32{1, 0}, 1)
+	_ = tb.Set(2, 1, []float32{0, 1}, 1)
+	cls, entries, _ := tb.ExtractLayerEntriesInto(1, []int{3, 2, 1, 0}, nil, nil, nil)
+	if len(cls) != 2 || cls[0] != 2 || cls[1] != 0 || entries[0][1] != 1 || entries[1][0] != 1 {
+		t.Fatalf("ExtractLayer classes = %v entries = %v", cls, entries)
 	}
 }
 
@@ -279,13 +311,12 @@ func TestFrequencies(t *testing.T) {
 func TestPropertyMergeKeepsUnitNorm(t *testing.T) {
 	f := func(seed uint64, phiRaw, localRaw uint8) bool {
 		dim := 8
-		tb := New(1, 1, dim)
-		if err := tb.Set(0, 0, unit(dim, seed, 1)); err != nil {
+		tb := NewSharded(1, 1, dim)
+		if err := tb.Set(0, 0, unit(dim, seed, 1), float64(phiRaw)); err != nil {
 			return false
 		}
-		phi := float64(phiRaw)
 		local := 1 + float64(localRaw)
-		if err := tb.Merge(0, 0, unit(dim, seed, 2), DefaultGamma, phi, local); err != nil {
+		if err := tb.Merge(0, 0, unit(dim, seed, 2), DefaultGamma, local, 0); err != nil {
 			return false
 		}
 		return math.Abs(float64(vecmath.Norm(tb.Get(0, 0)))-1) < 1e-5
@@ -345,30 +376,5 @@ func TestUpdateTableSteadyStateAllocs(t *testing.T) {
 	}
 	if len(u.free) != cells {
 		t.Errorf("the table keeps %d vectors for %d cells", len(u.free), cells)
-	}
-}
-
-// TestTableMergeRejectsNonFinite: Table.Merge and Set refuse a vector with a
-// NaN or Inf component and leave the entry as it was.
-func TestTableMergeRejectsNonFinite(t *testing.T) {
-	nan := float32(math.NaN())
-	inf := float32(math.Inf(1))
-	for _, bad := range [][]float32{{nan, 0, 0}, {0, inf, 0}, {1, -inf, nan}} {
-		tb := New(1, 2, 3)
-		if err := tb.Set(0, 0, []float32{0, 0, 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.Merge(0, 0, bad, DefaultGamma, 4, 2); err == nil {
-			t.Errorf("Merge accepted %v", bad)
-		}
-		if err := tb.Merge(0, 1, bad, DefaultGamma, 4, 2); err == nil || tb.Has(0, 1) {
-			t.Errorf("Merge into an absent cell accepted %v", bad)
-		}
-		if err := tb.Set(0, 1, bad); err == nil {
-			t.Errorf("Set accepted %v", bad)
-		}
-		if got := tb.Get(0, 0); got[0] != 0 || got[1] != 0 || got[2] != 1 {
-			t.Errorf("rejected merge of %v changed the entry to %v", bad, got)
-		}
 	}
 }

@@ -5,16 +5,21 @@ import (
 	"runtime"
 	"sync"
 
-	"coca/internal/model"
-	"coca/internal/telemetry"
 	"coca/internal/vecmath"
 )
 
-// Sharded is a concurrent classes × layers cache table sharded by class
-// row: every row carries its own RWMutex, so merges and extractions that
-// touch different classes proceed in parallel and extractions (reads) of
-// the same row only contend with merges into it. It replaces the single
-// server-wide mutex the v1 coordinator serialized every request behind.
+// Sharded is the classes × layers cache table: the server's global table,
+// the shared-dataset table it starts from, and the client-local tables of
+// the single-client baselines. It is sharded by class row: every row carries
+// its own RWMutex, so merges and extractions that touch different classes
+// proceed in parallel and extractions (reads) of the same row only contend
+// with merges into it.
+//
+// A published cell is a plain unit []float32, immutable from publication
+// on: merges replace a row's slice, never write through it, so an
+// extraction, a delta, a snapshot and any number of client views may hold
+// the same vector. The table stores and forwards vectors only; probe staging
+// (the widened mirror and squared norm) belongs to whoever probes.
 //
 // Each cell also tracks
 //
@@ -35,9 +40,9 @@ type Sharded struct {
 
 type shardRow struct {
 	mu      sync.RWMutex
-	ents    []*Entry  // [layer] -> published entry or nil
-	vers    []uint64  // [layer] -> write version (0 = never written)
-	support []float64 // [layer] -> evidence count Φ (capped)
+	vecs    [][]float32 // [layer] -> published vector or nil
+	vers    []uint64    // [layer] -> write version (0 = never written)
+	support []float64   // [layer] -> evidence count Φ (capped)
 	// evtotal is the uncapped, monotone evidence accumulated by the cell
 	// over its lifetime. Where support is the capped sliding-window weight
 	// Eq. 4 merges against, evtotal is the federation tier's ledger: the
@@ -48,7 +53,7 @@ type shardRow struct {
 }
 
 // NewSharded creates an empty sharded table. It panics on non-positive
-// dimensions, matching New.
+// dimensions: table shapes come from validated specs.
 func NewSharded(classes, layers, dim int) *Sharded {
 	if classes < 1 || layers < 1 || dim < 1 {
 		panic(fmt.Sprintf("gtable: invalid sharded shape %d×%d×%d", classes, layers, dim))
@@ -56,7 +61,7 @@ func NewSharded(classes, layers, dim int) *Sharded {
 	s := &Sharded{classes: classes, layers: layers, dim: dim}
 	s.rows = make([]shardRow, classes)
 	for i := range s.rows {
-		s.rows[i].ents = make([]*Entry, layers)
+		s.rows[i].vecs = make([][]float32, layers)
 		s.rows[i].vers = make([]uint64, layers)
 		s.rows[i].support = make([]float64, layers)
 		s.rows[i].evtotal = make([]float64, layers)
@@ -64,16 +69,20 @@ func NewSharded(classes, layers, dim int) *Sharded {
 	return s
 }
 
-// ShardedFromTable copies a materialized table into a sharded one, giving
+// ShardedFromTable returns a new table holding copies of t's cells, giving
 // every populated cell the initial support count (the evidence behind the
-// shared-dataset centers) and version 1.
-func ShardedFromTable(t *Table, initialSupport float64) *Sharded {
-	s := NewSharded(t.Classes(), t.Layers(), t.Dim())
-	for c := 0; c < t.Classes(); c++ {
+// shared-dataset centers) and version 1: how a server, or a single-client
+// baseline, starts from the shared-dataset table. The vectors are copied,
+// not shared, although both would be immutable: servers that shared one
+// init's vectors kept a smaller heap, collected more often and served
+// connection-per-op joins measurably slower.
+func ShardedFromTable(t *Sharded, initialSupport float64) *Sharded {
+	s := t.Snapshot()
+	for c := range s.rows {
 		row := &s.rows[c]
-		for j := 0; j < t.Layers(); j++ {
-			if v := t.Get(c, j); v != nil {
-				row.ents[j] = s.entryOf(v)
+		for j, v := range row.vecs {
+			if v != nil {
+				row.vecs[j] = vecmath.Clone(v)
 				row.vers[j] = 1
 				row.support[j] = initialSupport
 				row.evtotal[j] = initialSupport
@@ -92,57 +101,6 @@ func (s *Sharded) Layers() int { return s.layers }
 // Dim returns the entry dimensionality.
 func (s *Sharded) Dim() int { return s.dim }
 
-// Entry is one published cell of the global table. Vec is immutable from
-// publication on — merges replace the entry, never write through it — so an
-// extraction, a delta and any number of client views may hold the same
-// *Entry. The table stores and forwards Vec only; the probe staging (widened
-// float64 mirror and squared norm) belongs to whoever probes: the first
-// Staging call computes it and memoises it on the entry, so in-process
-// probers of one entry share one mirror, and a server whose clients are all
-// on the wire never builds one.
-type Entry struct {
-	Vec []float32
-
-	once  sync.Once
-	wide  []float64
-	norm2 float64
-}
-
-// Staging returns the entry's widened mirror and squared norm, computed by
-// the first caller. Safe for concurrent use; every caller sees one mirror.
-func (e *Entry) Staging() ([]float64, float64) {
-	e.once.Do(func() {
-		e.wide, e.norm2 = vecmath.WidenRow(e.Vec)
-		telemetry.CoreStagedEntries.Inc()
-	})
-	return e.wide, e.norm2
-}
-
-// entryBlock co-allocates an entry with its vector at the deployed
-// dimensionality, so that publishing a cell is one allocation.
-type entryBlock struct {
-	Entry
-	vec [model.Dim]float32
-}
-
-// newEntry returns an unpublished entry with a zero vector for the caller to
-// fill before storing it in a row.
-func (s *Sharded) newEntry() *Entry {
-	if s.dim != model.Dim {
-		return &Entry{Vec: make([]float32, s.dim)}
-	}
-	b := new(entryBlock)
-	b.Vec = b.vec[:]
-	return &b.Entry
-}
-
-// entryOf returns an unpublished entry holding a copy of v.
-func (s *Sharded) entryOf(v []float32) *Entry {
-	e := s.newEntry()
-	copy(e.Vec, v)
-	return e
-}
-
 func (s *Sharded) check(class, layer int) error {
 	if class < 0 || class >= s.classes || layer < 0 || layer >= s.layers {
 		return fmt.Errorf("gtable: index (%d,%d) outside %d×%d", class, layer, s.classes, s.layers)
@@ -158,10 +116,10 @@ func (s *Sharded) Get(class, layer int) []float32 {
 	row := &s.rows[class]
 	row.mu.RLock()
 	defer row.mu.RUnlock()
-	if row.ents[layer] == nil {
+	if row.vecs[layer] == nil {
 		return nil
 	}
-	return vecmath.Clone(row.ents[layer].Vec)
+	return vecmath.Clone(row.vecs[layer])
 }
 
 // CellVersion returns the write version of (class, layer); 0 means the
@@ -198,11 +156,11 @@ func (s *Sharded) Merge(class, layer int, update []float32, gamma, localFreq, su
 	row := &s.rows[class]
 	row.mu.Lock()
 	defer row.mu.Unlock()
-	e, err := s.merged("Merge", class, layer, row.ents[layer], update, gamma, row.support[layer], localFreq)
+	v, err := merged("Merge", class, layer, row.vecs[layer], update, gamma, row.support[layer], localFreq)
 	if err != nil {
 		return err
 	}
-	row.ents[layer] = e
+	row.vecs[layer] = v
 	row.support[layer] += localFreq
 	if supportCap > 0 && row.support[layer] > supportCap {
 		row.support[layer] = supportCap
@@ -212,24 +170,24 @@ func (s *Sharded) Merge(class, layer int, update []float32, gamma, localFreq, su
 	return nil
 }
 
-// merged returns the entry that folding update into old publishes: the
+// merged returns the vector that folding update into old publishes: the
 // normalized update when the cell is absent, else the Eq. 4 combination — or
-// old itself on perfect cancellation (as in Table.Merge; it still counts as
-// evidence). A zero update into an absent cell, or one with a NaN or an Inf,
-// is refused before anything is written.
-func (s *Sharded) merged(op string, class, layer int, old *Entry, update []float32, gamma, globalFreq, localFreq float64) (*Entry, error) {
-	e := s.newEntry()
+// old itself on perfect cancellation (it still counts as evidence). A zero
+// update into an absent cell, or one with a NaN or an Inf, is refused before
+// anything is written.
+func merged(op string, class, layer int, old, update []float32, gamma, globalFreq, localFreq float64) ([]float32, error) {
+	v := make([]float32, len(update))
 	var n float32
 	if old == nil {
-		copy(e.Vec, update)
-		n = vecmath.Normalize(e.Vec)
-	} else if n = mergeEntry(e.Vec, old.Vec, update, gamma, globalFreq, localFreq); n == 0 {
+		copy(v, update)
+		n = vecmath.Normalize(v)
+	} else if n = mergeEntry(v, old, update, gamma, globalFreq, localFreq); n == 0 {
 		return old, nil
 	}
 	if !usable(n) {
 		return nil, rejected(op, class, layer, n)
 	}
-	return e, nil
+	return v, nil
 }
 
 // MergePeer folds a peer server's cell into (class, layer) under the
@@ -275,11 +233,11 @@ func (s *Sharded) MergePeer(class, layer int, update []float32, evidence, sinceE
 	if localRecent < 0 {
 		localRecent = 0
 	}
-	e, err := s.merged("MergePeer", class, layer, row.ents[layer], update, 1, localRecent+inertia, evidence)
+	v, err := merged("MergePeer", class, layer, row.vecs[layer], update, 1, localRecent+inertia, evidence)
 	if err != nil {
 		return 0, 0, err
 	}
-	row.ents[layer] = e
+	row.vecs[layer] = v
 	row.support[layer] += evidence
 	if supportCap > 0 && row.support[layer] > supportCap {
 		row.support[layer] = supportCap
@@ -321,7 +279,7 @@ func (s *Sharded) AdoptPeer(class, layer int, vec []float32, support, evTotal, s
 	if evTotal <= row.evtotal[layer] {
 		return 0, nil
 	}
-	row.ents[layer] = s.entryOf(vec)
+	row.vecs[layer] = vecmath.Clone(vec)
 	if supportCap > 0 && support > supportCap {
 		support = supportCap
 	}
@@ -343,18 +301,17 @@ func (s *Sharded) Support(class, layer int) float64 {
 }
 
 // ForEachCell visits every populated cell in (class, layer) order with its
-// entry vector, write version and support count — the scan the federation
-// tier's delta collection runs. Rows are read-locked one at a time, so
-// concurrent merges into other rows are not blocked; the visited vector is
-// the live entry (merges replace, never mutate, entry slices) and must not
-// be modified by fn.
+// vector, write version and support count — the scan the federation tier's
+// delta collection runs. Rows are read-locked one at a time, so concurrent
+// merges into other rows are not blocked; the visited vector is the live,
+// immutable cell and must not be modified by fn.
 func (s *Sharded) ForEachCell(fn func(class, layer int, vec []float32, ver uint64, support, evTotal float64)) {
 	for c := range s.rows {
 		row := &s.rows[c]
 		row.mu.RLock()
-		for j, e := range row.ents {
-			if e != nil {
-				fn(c, j, e.Vec, row.vers[j], row.support[j], row.evtotal[j])
+		for j, v := range row.vecs {
+			if v != nil {
+				fn(c, j, v, row.vers[j], row.support[j], row.evtotal[j])
 			}
 		}
 		row.mu.RUnlock()
@@ -362,8 +319,7 @@ func (s *Sharded) ForEachCell(fn func(class, layer int, vec []float32, ver uint6
 }
 
 // Cell is one populated cell as captured by a sweep. Vec is a borrowed
-// reference to the live entry — entry slices are immutable once published
-// (merges replace, never mutate, them), so holding it is a stable snapshot
+// reference to the live, immutable cell, so holding it is a stable snapshot
 // and must not be written through.
 type Cell struct {
 	Class, Layer int
@@ -446,10 +402,10 @@ func (s *Sharded) appendRows(dst []Cell, lo, hi int) []Cell {
 	for c := lo; c < hi; c++ {
 		row := &s.rows[c]
 		row.mu.RLock()
-		for j, e := range row.ents {
-			if e != nil {
+		for j, v := range row.vecs {
+			if v != nil {
 				dst = append(dst, Cell{
-					Class: c, Layer: j, Vec: e.Vec,
+					Class: c, Layer: j, Vec: v,
 					Ver: row.vers[j], Support: row.support[j], EvTotal: row.evtotal[j],
 				})
 			}
@@ -468,61 +424,60 @@ func (s *Sharded) Set(class, layer int, vec []float32, support float64) error {
 	if len(vec) != s.dim {
 		return fmt.Errorf("gtable: Set dim %d, want %d", len(vec), s.dim)
 	}
-	e := s.entryOf(vec)
-	if n := vecmath.Normalize(e.Vec); !usable(n) {
+	v := vecmath.Clone(vec)
+	if n := vecmath.Normalize(v); !usable(n) {
 		return rejected("Set", class, layer, n)
 	}
 	row := &s.rows[class]
 	row.mu.Lock()
 	defer row.mu.Unlock()
-	row.ents[layer] = e
+	row.vecs[layer] = v
 	row.support[layer] = support
 	row.evtotal[layer] += support // the ledger stays monotone across re-seeds
 	row.vers[layer]++
 	return nil
 }
 
-// load captures the published entry and write version of (class, layer)
+// load captures the published vector and write version of (class, layer)
 // under the row's read lock: two words, no allocation.
-func (s *Sharded) load(class, layer int) (*Entry, uint64) {
+func (s *Sharded) load(class, layer int) ([]float32, uint64) {
 	if err := s.check(class, layer); err != nil {
 		panic(err)
 	}
 	row := &s.rows[class]
 	row.mu.RLock()
 	defer row.mu.RUnlock()
-	return row.ents[layer], row.vers[layer]
+	return row.vecs[layer], row.vers[layer]
 }
 
-// ExtractLayerEntriesInto appends the published entries of the given column
-// restricted to classes — with each entry's current version, preserving
-// class order and skipping absent cells — onto the caller's scratch slices
-// and returns them. Entries are borrowed handles (see Entry), nothing is
-// widened, and at steady state, once the scratch has grown to the
-// working-set size, the extraction allocates nothing at all.
-func (s *Sharded) ExtractLayerEntriesInto(layer int, classes []int, cls []int, ents []*Entry, vers []uint64) ([]int, []*Entry, []uint64) {
+// ExtractLayerEntriesInto appends the published vectors of the given column
+// restricted to classes — with each cell's current version, preserving class
+// order and skipping absent cells — onto the caller's scratch slices and
+// returns them. The vectors are borrowed immutable cells, nothing is widened,
+// and at steady state, once the scratch has grown to the working-set size,
+// the extraction allocates nothing at all.
+func (s *Sharded) ExtractLayerEntriesInto(layer int, classes []int, cls []int, vecs [][]float32, vers []uint64) ([]int, [][]float32, []uint64) {
 	for _, c := range classes {
-		if e, ver := s.load(c, layer); e != nil {
+		if v, ver := s.load(c, layer); v != nil {
 			cls = append(cls, c)
-			ents = append(ents, e)
+			vecs = append(vecs, v)
 			vers = append(vers, ver)
 		}
 	}
-	return cls, ents, vers
+	return cls, vecs, vers
 }
 
 // ExtractLayerStagedInto is the probing form of ExtractLayerEntriesInto: it
-// returns each entry's vector together with its staging (wide[i] and norm2[i]
-// are the mirror and squared norm of entries[i]), forcing the staging of
-// entries nobody probed yet. For callers that score the extracted cells
-// themselves; the allocation path ships handles and leaves staging to the
-// prober.
+// also returns each vector's widened mirror and squared norm (wide[i] and
+// norm2[i] belong to entries[i]), built by vecmath.WidenRow on every call.
+// For callers that score the extracted cells themselves; the allocation path
+// ships vectors and leaves staging to the view that probes them.
 func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, entries [][]float32, vers []uint64, wide [][]float64, norm2 []float64) ([]int, [][]float32, []uint64, [][]float64, []float64) {
 	for _, c := range classes {
-		if e, ver := s.load(c, layer); e != nil {
-			w, n2 := e.Staging()
+		if v, ver := s.load(c, layer); v != nil {
+			w, n2 := vecmath.WidenRow(v)
 			cls = append(cls, c)
-			entries = append(entries, e.Vec)
+			entries = append(entries, v)
 			vers = append(vers, ver)
 			wide = append(wide, w)
 			norm2 = append(norm2, n2)
@@ -531,25 +486,22 @@ func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, en
 	return cls, entries, vers, wide, norm2
 }
 
-// Snapshot copies the sharded table into a plain Table (diagnostics and
-// experiments). Rows are locked one at a time — the snapshot is per-row
-// consistent, matching what any single allocation can observe — and only
-// to capture entry references; the copies are made outside the critical
-// section (published entries are immutable), so concurrent Merge writers
-// never wait on a snapshot's allocations.
-func (s *Sharded) Snapshot() *Table {
-	out := New(s.classes, s.layers, s.dim)
-	refs := make([]*Entry, s.layers)
+// Snapshot returns a copy of the table: every cell's vector, version, support
+// and evidence total. Rows are locked one at a time — the snapshot is per-row
+// consistent, matching what any single allocation can observe — and the
+// vectors are shared, not copied (published cells are immutable), so
+// concurrent Merge writers never wait on a snapshot's allocations and later
+// writes to either table leave the other as it was.
+func (s *Sharded) Snapshot() *Sharded {
+	out := NewSharded(s.classes, s.layers, s.dim)
 	for c := range s.rows {
-		row := &s.rows[c]
+		row, dst := &s.rows[c], &out.rows[c]
 		row.mu.RLock()
-		copy(refs, row.ents)
+		copy(dst.vecs, row.vecs)
+		copy(dst.vers, row.vers)
+		copy(dst.support, row.support)
+		copy(dst.evtotal, row.evtotal)
 		row.mu.RUnlock()
-		for j, e := range refs {
-			if e != nil {
-				out.vecs[c][j] = vecmath.Clone(e.Vec)
-			}
-		}
 	}
 	return out
 }
@@ -560,8 +512,8 @@ func (s *Sharded) Populated() int {
 	for c := range s.rows {
 		row := &s.rows[c]
 		row.mu.RLock()
-		for _, e := range row.ents {
-			if e != nil {
+		for _, v := range row.vecs {
+			if v != nil {
 				n++
 			}
 		}

@@ -18,19 +18,22 @@ func axis(dim, hot int) []float32 {
 }
 
 func TestShardedFromTableCopiesEntries(t *testing.T) {
-	tbl := New(3, 2, 4)
-	if err := tbl.Set(1, 1, axis(4, 2)); err != nil {
+	tbl := NewSharded(3, 2, 4)
+	if err := tbl.Set(1, 1, axis(4, 2), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Merge(1, 1, axis(4, 1), 0.99, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	s := ShardedFromTable(tbl, 16)
 	if s.Populated() != 1 {
 		t.Fatalf("populated = %d", s.Populated())
 	}
-	if got := s.Get(1, 1); got == nil || got[2] != 1 {
+	if got := s.Get(1, 1); !slices.Equal(got, tbl.Get(1, 1)) || &s.rows[1].vecs[1][0] == &tbl.rows[1].vecs[1][0] {
 		t.Fatalf("entry not copied: %v", got)
 	}
-	if s.CellVersion(1, 1) != 1 {
-		t.Fatalf("initial version = %d, want 1", s.CellVersion(1, 1))
+	if s.CellVersion(1, 1) != 1 || s.Support(1, 1) != 16 {
+		t.Fatalf("initial version = %d, support %v; want 1 and 16", s.CellVersion(1, 1), s.Support(1, 1))
 	}
 	if s.CellVersion(0, 0) != 0 {
 		t.Fatal("absent cell must have version 0")
@@ -39,7 +42,7 @@ func TestShardedFromTableCopiesEntries(t *testing.T) {
 	if err := s.Set(1, 1, axis(4, 0), 1); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Get(1, 1)[2] != 1 {
+	if tbl.Get(1, 1)[0] != 0 || tbl.CellVersion(1, 1) != 2 || tbl.Support(1, 1) != 4 {
 		t.Fatal("sharded table aliased the source")
 	}
 }
@@ -361,8 +364,8 @@ func TestExtractLayerEntriesIntoBorrowsLiveEntries(t *testing.T) {
 	if len(cls) != 1 || cls[0] != 1 || vers[0] != 1 {
 		t.Fatalf("extract = %v %v", cls, vers)
 	}
-	borrowed := entries[0].Vec
-	if entries[0] != s.rows[1].ents[0] {
+	borrowed := entries[0]
+	if &borrowed[0] != &s.rows[1].vecs[0][0] {
 		t.Fatal("Into variant must borrow the live entry, not copy it")
 	}
 	snap := vecmath.Clone(borrowed)
@@ -447,7 +450,7 @@ func TestSnapshotAndSweepUnderMergeContention(t *testing.T) {
 		}
 		_, entries, _ := s.ExtractLayerEntriesInto(i%layers, classList, nil, nil, nil)
 		for _, e := range entries {
-			if n := vecmath.Dot(e.Vec, e.Vec); n < 0.99 || n > 1.01 {
+			if n := vecmath.Dot(e, e); n < 0.99 || n > 1.01 {
 				t.Fatalf("torn extract: |v|² = %v", n)
 			}
 		}
@@ -494,62 +497,36 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEntryStagingMemoisedOnFirstProbe pins the table's half of the staging
-// contract: publishing, merging and extracting handles widen nothing; the
-// first Staging call builds the mirror, concurrent first callers share one,
-// it is bitwise WidenRow of the entry, and a merge publishes a fresh unstaged
-// entry while holders of the old one keep its mirror.
-func TestEntryStagingMemoisedOnFirstProbe(t *testing.T) {
+// TestExtractLayerStagedIntoWidensRows: the probing form of the extraction
+// borrows the published vectors and returns, beside each, bitwise what
+// vecmath.WidenRow makes of it; the table itself keeps no mirror, so a merge
+// is seen by the next extraction.
+func TestExtractLayerStagedIntoWidensRows(t *testing.T) {
 	const dim = 8
 	s := NewSharded(2, 1, dim)
 	if err := s.Set(1, 0, []float32{3, 1, 4, 1, 5, 9, 2, 6}, 8); err != nil {
 		t.Fatal(err)
 	}
-	_, ents, _ := s.ExtractLayerEntriesInto(0, []int{0, 1}, nil, nil, nil)
-	if len(ents) != 1 || ents[0].wide != nil {
-		t.Fatalf("extraction of handles returned %d entries, staged=%v", len(ents), len(ents) == 1 && ents[0].wide != nil)
-	}
-	e := ents[0]
-	const probers = 16
-	mirrors := make([][]float64, probers)
-	norms := make([]float64, probers)
-	var wg sync.WaitGroup
-	for i := 0; i < probers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mirrors[i], norms[i] = e.Staging()
-		}(i)
-	}
-	wg.Wait()
-	wide, norm2 := vecmath.WidenRow(e.Vec)
-	for i := range mirrors {
-		if &mirrors[i][0] != &mirrors[0][0] {
-			t.Fatalf("prober %d got its own mirror", i)
+	for round := 0; round < 2; round++ {
+		cls, vecs, vers, wides, norm2s := s.ExtractLayerStagedInto(0, []int{0, 1}, nil, nil, nil, nil, nil)
+		if len(cls) != 1 || cls[0] != 1 || vers[0] != uint64(round+1) || len(wides) != 1 || len(norm2s) != 1 {
+			t.Fatalf("round %d: extracted classes %v versions %v with %d mirrors", round, cls, vers, len(wides))
 		}
-		if math.Float64bits(norms[i]) != math.Float64bits(norm2) {
-			t.Fatalf("prober %d: norm %v, WidenRow gives %v", i, norms[i], norm2)
+		if &vecs[0][0] != &s.rows[1].vecs[0][0] {
+			t.Fatalf("round %d: the extraction copied the published vector", round)
 		}
-	}
-	for k := range wide {
-		if math.Float64bits(mirrors[0][k]) != math.Float64bits(wide[k]) {
-			t.Fatalf("mirror[%d] = %v, WidenRow gives %v", k, mirrors[0][k], wide[k])
+		wide, norm2 := vecmath.WidenRow(vecs[0])
+		if math.Float64bits(norm2s[0]) != math.Float64bits(norm2) {
+			t.Fatalf("round %d: norm %v, WidenRow gives %v", round, norm2s[0], norm2)
 		}
-	}
-	if err := s.Merge(1, 0, axis(dim, 2), 0.99, 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, ents, _ = s.ExtractLayerEntriesInto(0, []int{1}, nil, nil, nil)
-	if ents[0] == e || ents[0].wide != nil {
-		t.Fatal("a merge must publish a fresh, unstaged entry")
-	}
-	if w, _ := e.Staging(); &w[0] != &mirrors[0][0] {
-		t.Fatal("the superseded entry lost its mirror")
-	}
-	// The probing form of the extraction forces what nobody asked for yet.
-	_, vecs, _, wides, norm2s := s.ExtractLayerStagedInto(0, []int{1}, nil, nil, nil, nil, nil)
-	if len(wides) != 1 || &vecs[0][0] != &ents[0].Vec[0] || &wides[0][0] != &ents[0].wide[0] || norm2s[0] != ents[0].norm2 {
-		t.Fatal("ExtractLayerStagedInto must return the entry's own memoised staging")
+		for k := range wide {
+			if math.Float64bits(wides[0][k]) != math.Float64bits(wide[k]) {
+				t.Fatalf("round %d: mirror[%d] = %v, WidenRow gives %v", round, k, wides[0][k], wide[k])
+			}
+		}
+		if err := s.Merge(1, 0, axis(dim, 2), 0.99, 4, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,19 +1,26 @@
 package protocol
 
-// What the process-wide pools and the staging contract promise on the wire
-// path: a server whose clients are on the wire widens nothing, a reply a
+// What the process-wide pools and the view contract promise on the wire path:
+// a wire view holds bitwise what an in-process view holds, a reply a
 // session holds stays intact whatever other connections take from and return
 // to the pools, and only what is provably free, and not above the
 // transport's retention bound, goes back.
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"coca/internal/cache"
 	"coca/internal/core"
-	"coca/internal/telemetry"
+	"coca/internal/dataset"
+	"coca/internal/model"
+	"coca/internal/semantics"
 	"coca/internal/transport"
+	"coca/internal/vecmath"
+	"coca/internal/xrand"
 )
 
 // serveTCP accepts connections on loopback and serves each with ServeConn
@@ -56,65 +63,119 @@ func dialSession(t *testing.T, addr string, classes, layers int) *SessionClient 
 	return NewSessionClient(conn, classes, layers)
 }
 
-// TestWireExchangeLeavesStagingToTheProber: Status→Delta→Update→Ack rounds
-// over loopback TCP against a real server leave every table entry unstaged
-// — the wire client stages its own copies — while the same allocation
-// taken in process is staged as soon as its view is materialized.
-func TestWireExchangeLeavesStagingToTheProber(t *testing.T) {
-	srv, space := testServer(t)
-	client := dialSession(t, serveTCP(t, srv), space.DS.NumClasses, space.Arch.NumLayers)
-	defer client.Close()
+// TestInProcessAndWireViewsAgree drives one seeded Allocate/Upload schedule
+// through an in-process session and through ServeConn over a pipe, against
+// two servers built from one init, and requires the two views to be bitwise
+// equal after every round: same classes, entries, widened mirrors and squared
+// norms. A view stages what it receives the same way whichever side of a
+// connection the delta came from.
+func TestInProcessAndWireViewsAgree(t *testing.T) {
+	space := semantics.NewSpace(dataset.ESC50().Subset(10), model.VGG16BN())
+	cfg := core.ServerConfig{Theta: 0.035, Seed: 3, ProfileSamples: 150, InitSamplesPerClass: 16}
+	shared := core.BuildServerInit(space, cfg)
+	local, remote := core.NewServerFrom(space, cfg, shared), core.NewServerFrom(space, cfg, shared)
 	ctx := context.Background()
-	before := telemetry.CoreStagedEntries.Load()
-	sess, err := client.Open(ctx, 1)
+	cConn, sConn := transport.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- ServeConn(ctx, sConn, remote) }()
+	client := NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers)
+	wire, err := client.Open(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	status := core.StatusReport{Tau: make([]int, space.DS.NumClasses), Budget: 40, RoundFrames: 300}
-	view := core.NewAllocView()
-	for round := 0; round < 3; round++ {
-		status.LastVersion = view.Version()
-		d, err := sess.Allocate(ctx, status)
-		if err != nil {
-			t.Fatal(err)
+	inproc, err := local.Open(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := [2]*core.AllocView{core.NewAllocView(), core.NewAllocView()}
+	sessions := [2]core.Session{inproc, wire}
+	r := xrand.New(17)
+	classes, layers := space.DS.NumClasses, space.Arch.NumLayers
+	for round := 0; round < 8; round++ {
+		status := core.StatusReport{Tau: make([]int, classes), Budget: 20 + r.IntN(40), RoundFrames: 300}
+		for c := range status.Tau {
+			status.Tau[c] = r.IntN(900)
 		}
-		if err := view.Apply(d); err != nil {
-			t.Fatal(err)
-		}
-		upd := core.UpdateReport{Freq: make([]float64, space.DS.NumClasses)}
-		for _, l := range view.Layers()[:1] {
-			upd.Cells = append(upd.Cells, core.UpdateCell{Class: l.Classes[0], Layer: l.Site, Count: 2, Vec: l.Entries[0]})
-			if l.Wide[0] == nil || l.Norm2[0] == 0 {
-				t.Fatal("the wire client's view did not stage its own copy")
+		for i, sess := range sessions {
+			status.LastVersion = views[i].Version()
+			d, err := sess.Allocate(ctx, status)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := views[i].Apply(d); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := sess.Upload(ctx, upd); err != nil {
-			t.Fatal(err)
+		if err := sameLayers(views[0].Layers(), views[1].Layers()); err != nil {
+			t.Fatalf("round %d: in-process and wire views differ: %v", round, err)
+		}
+		for _, l := range views[0].Layers() {
+			for i, e := range l.Entries {
+				if wide, norm2 := vecmath.WidenRow(e); !sameBits(l.Norm2[i], norm2) || !slices.EqualFunc(l.Wide[i], wide, sameBits) {
+					t.Fatalf("round %d: site %d class %d is not staged from its entry", round, l.Site, l.Classes[i])
+				}
+			}
+		}
+		upd := core.UpdateReport{Freq: make([]float64, classes)}
+		for c := range upd.Freq {
+			upd.Freq[c] = float64(r.IntN(30))
+		}
+		for k := 0; k < 6; k++ {
+			upd.Cells = append(upd.Cells, core.UpdateCell{
+				Class: r.IntN(classes), Layer: r.IntN(layers), Count: 1 + r.IntN(4),
+				Vec: xrand.NormalVector(r, model.Dim),
+			})
+		}
+		for _, sess := range sessions {
+			if err := sess.Upload(ctx, upd); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if _, merges := srv.Stats(); merges != 3 {
-		t.Fatalf("%d cells merged over the wire, want 3", merges)
+	if n := views[0].NumCells(); n == 0 {
+		t.Fatal("the schedule allocated no cells")
 	}
-	if got := telemetry.CoreStagedEntries.Load() - before; got != 0 {
-		t.Fatalf("serving a wire client staged %d table entries, want none", got)
+	_, inMerges := local.Stats()
+	_, wireMerges := remote.Stats()
+	if inMerges != 8*6 || wireMerges != inMerges {
+		t.Fatalf("%d cells merged in process and %d over the wire, want %d each", inMerges, wireMerges, 8*6)
 	}
-	local, err := srv.Open(ctx, 2)
-	if err != nil {
+	_ = inproc.Close()
+	_ = client.Close()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	defer local.Close()
-	d, err := local.Allocate(ctx, status)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// sameLayers reports the first difference between two materialized views,
+// comparing every float by its bits.
+func sameLayers(a, b []cache.Layer) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d layers against %d", len(a), len(b))
 	}
-	inproc := core.NewAllocView()
-	if err := inproc.Apply(d); err != nil {
-		t.Fatal(err)
+	for j := range a {
+		la, lb := &a[j], &b[j]
+		if la.Site != lb.Site || !slices.Equal(la.Classes, lb.Classes) {
+			return fmt.Errorf("layer %d: site %d classes %v against site %d classes %v", j, la.Site, la.Classes, lb.Site, lb.Classes)
+		}
+		if len(la.Entries) != len(lb.Entries) || len(la.Wide) != len(lb.Wide) || len(la.Norm2) != len(lb.Norm2) {
+			return fmt.Errorf("site %d: entry, mirror or norm counts differ", la.Site)
+		}
+		for i := range la.Entries {
+			if !sameBits(la.Norm2[i], lb.Norm2[i]) {
+				return fmt.Errorf("site %d class %d: norm² %v against %v", la.Site, la.Classes[i], la.Norm2[i], lb.Norm2[i])
+			}
+			if !slices.EqualFunc(la.Entries[i], lb.Entries[i], func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
+				return fmt.Errorf("site %d class %d: entries differ", la.Site, la.Classes[i])
+			}
+			if !slices.EqualFunc(la.Wide[i], lb.Wide[i], sameBits) {
+				return fmt.Errorf("site %d class %d: widened mirrors differ", la.Site, la.Classes[i])
+			}
+		}
 	}
-	inproc.Layers()
-	if got := telemetry.CoreStagedEntries.Load() - before; got != uint64(len(d.Cells)) {
-		t.Fatalf("materializing %d shared cells in process staged %d entries", len(d.Cells), got)
-	}
+	return nil
 }
 
 // saltedCoord answers every status with a fresh delta whose vectors spell

@@ -25,7 +25,6 @@ var (
 	CoreDeltaEvictions = NewCounter("coca_core_delta_evictions_total", "evictions shipped in allocation deltas")
 	CoreUploadMerges   = NewCounter("coca_core_upload_merges_total", "client update cells merged into the global table")
 	CorePeerMerges     = NewCounter("coca_core_peer_merges_total", "peer evidence cells merged into the global table")
-	CoreStagedEntries  = NewCounter("coca_core_staged_entries_total", "published entries widened for an in-process prober (stays 0 where every client is on the wire)")
 	CoreRejectedVecs   = NewCounter("coca_core_rejected_vectors_total", "uploaded or peer vectors refused because their (merged) norm was not finite and positive")
 
 	// --- cache: per-layer semantic probes ---

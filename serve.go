@@ -114,7 +114,11 @@ func Serve(ctx context.Context, addr string, opts Options) (*Server, error) {
 		go func() {
 			select {
 			case <-ctx.Done():
-				_ = s.Shutdown(context.Background())
+				// No drain window: Shutdown gets a context that is already
+				// done, so it closes every session still open at once.
+				now, cancel := context.WithCancel(context.Background())
+				cancel()
+				_ = s.Shutdown(now)
 			case <-connCtx.Done():
 			}
 		}()

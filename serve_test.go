@@ -154,6 +154,39 @@ func TestShutdownCountsDrains(t *testing.T) {
 	}
 }
 
+// TestServeContextCancelAbortsSessions: cancelling the context given to Serve
+// shuts the server down with no drain window, so sessions whose clients never
+// hang up are closed at once and counted as aborted.
+func TestServeContextCancelAbortsSessions(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, clients, err := ServeAndDial(ctx, serveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, cl := range clients {
+			_ = cl.Close()
+		}
+	}()
+	if _, _, open := srv.Stats(); open != len(clients) {
+		t.Fatalf("%d sessions open after dialing %d clients", open, len(clients))
+	}
+	aborted0 := telemetry.OverloadDrains.Load(telemetry.DrainAborted)
+	cancel()
+	deadline := time.Now().Add(2 * time.Second)
+	for _, _, open := srv.Stats(); open > 0; _, _, open = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still open 2 s after the serve context was cancelled", open)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if a := telemetry.OverloadDrains.Load(telemetry.DrainAborted) - aborted0; a == 0 {
+		t.Error("coca_overload_drains_total{outcome=\"aborted\"} did not grow")
+	}
+	_ = srv.Shutdown(context.Background())
+}
+
 // TestServeFederatedPeers runs two public-API servers that name each
 // other in Options.Federation.Peers: both fleets drive rounds, and both endpoints
 // must end up having pushed and merged peer deltas (cells and frequency
