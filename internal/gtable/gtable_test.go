@@ -343,6 +343,31 @@ func TestPropertyAbsorbKeepsUnitNorm(t *testing.T) {
 	}
 }
 
+// TestTableMergeRejectsNonFinite: Merge into a populated or an absent cell
+// and Set refuse NaN/Inf vectors and leave the table as it was.
+func TestTableMergeRejectsNonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	for _, bad := range [][]float32{{nan, 0, 0}, {0, inf, 0}, {1, -inf, nan}} {
+		tb := NewSharded(1, 2, 3)
+		if err := tb.Set(0, 0, []float32{0, 0, 1}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Merge(0, 0, bad, DefaultGamma, 4, 0); err == nil {
+			t.Errorf("Merge accepted %v", bad)
+		}
+		if err := tb.Merge(0, 1, bad, DefaultGamma, 4, 0); err == nil || tb.Get(0, 1) != nil {
+			t.Errorf("Merge into an absent cell accepted %v", bad)
+		}
+		if err := tb.Set(0, 1, bad, 1); err == nil {
+			t.Errorf("Set accepted %v", bad)
+		}
+		if got := tb.Get(0, 0); got[0] != 0 || got[1] != 0 || got[2] != 1 || tb.Populated() != 1 {
+			t.Errorf("rejected merge of %v changed the table: %v, %d cells", bad, got, tb.Populated())
+		}
+	}
+}
+
 // TestUpdateTableSteadyStateAllocs pins the free list: Reset keeps the
 // round's vectors for the cells the next round adds, so 50 rounds of
 // Absorb/Reset over a fixed cell set allocate nothing after the first, and a
