@@ -68,16 +68,18 @@ type Layer struct {
 	// Entries[i] is the unit semantic vector cached for Classes[i].
 	Entries [][]float32
 
-	// Wide[i] and Norm2[i] are entry i's widened float64 mirror and
-	// squared norm — probe staging that belongs to the prober, never to a
-	// tier that only stores and forwards entries. Layers materialized from
-	// a client's allocation view arrive with the view's own mirrors, staged
-	// once when a delta changed the cell, whether that delta came from an
-	// in-process session or over the wire. Stage keeps staging that is
-	// handed in and fills it for layers assembled by hand; either way it is
-	// read-only while the layer is probed.
-	Wide  [][]float64
+	// Norm2[i] is entry i's squared norm — probe staging that belongs to
+	// the prober, never to a tier that only stores and forwards entries.
+	// Layers materialized from a client's allocation view arrive with the
+	// view's own norms, computed once when a delta changed the cell. Stage
+	// keeps norms that are handed in and computes them for layers assembled
+	// by hand; either way they are read-only while the layer is probed.
 	Norm2 []float64
+
+	// Wide is a widened float64 copy of the entries that only the bench
+	// harness reads; nothing in the product sets it, and probes read the
+	// float32 entries.
+	Wide [][]float64
 
 	// snorm[i] is math.Sqrt(Norm2[i]), the second half of each entry's
 	// cosine staging (computed by Stage; see vecmath.cosineFromSqrts).
@@ -94,18 +96,18 @@ func (l *Layer) Len() int { return len(l.Classes) }
 // Staged reports whether the layer carries probe staging.
 func (l *Layer) Staged() bool { return l.staged }
 
-// Stage computes the layer's probe staging — widened entry mirrors,
-// squared norms and the max class id — unless already present, and marks
-// the layer staged. Entry mirrors handed in by the allocation path (Wide
-// and Norm2 covering every entry) are kept: widening is exact, so
-// recomputing could only reproduce them. Stage must complete before a
-// layer is probed concurrently; staged layers are read-only thereafter.
+// Stage computes the layer's probe staging — squared norms, their square
+// roots and the max class id — and marks the layer staged. Norms handed in
+// by the allocation path (Norm2 covering every entry) are kept: recomputing
+// could only reproduce them. Stage must complete before a layer is probed
+// concurrently; staged layers are read-only thereafter.
 func (l *Layer) Stage() {
 	if l.staged {
 		return
 	}
-	if len(l.Wide) != len(l.Entries) || len(l.Norm2) != len(l.Entries) {
-		l.Wide, l.Norm2 = vecmath.WidenRows(l.Entries)
+	if len(l.Norm2) != len(l.Entries) {
+		l.Norm2 = make([]float64, len(l.Entries))
+		vecmath.SquaredNorms(l.Entries, l.Norm2)
 	}
 	l.snorm = make([]float64, len(l.Norm2))
 	vecmath.SqrtNorms(l.Norm2, l.snorm)
@@ -305,18 +307,17 @@ func (layer *Layer) maxClass() int {
 // Probe runs the Eq. 1 / Eq. 2 update for one activated layer against the
 // sample's semantic vector at that layer. Staged layers (every layer a
 // client receives through the allocation path) score through the staged
-// row kernel, vecmath.CosinesRows — the entries' mirrors and norms are
-// reused, instead of Cosine re-deriving both norms per pair; results are
-// bitwise identical either way. Steady-state calls are allocation-free.
+// row kernel, vecmath.CosinesRows — the entries' norms are reused, instead
+// of Cosine re-deriving both norms per pair; results are bitwise identical
+// either way. Steady-state calls are allocation-free.
 func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 	n := layer.Len()
 	if n == 0 {
 		return Result{LayerClass: -1}
 	}
 	if layer.staged {
-		// Staged entries are uniform (WidenRows enforces it); keep the
-		// unstaged path's failure mode for mismatched queries instead of
-		// silently scoring a truncated dot.
+		// Keep the unstaged path's failure mode for a query that does not
+		// match the entries instead of silently scoring a truncated dot.
 		if dim := len(layer.Entries[0]); len(vec) != dim {
 			panic(fmt.Sprintf("cache: Probe query length %d != entry dim %d", len(vec), dim))
 		}
@@ -324,7 +325,7 @@ func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 			l.scores = make([]float32, n)
 		}
 		scores := l.scores[:n]
-		vecmath.CosinesRows(vec, layer.Wide, layer.snorm, scores)
+		vecmath.CosinesRows(vec, layer.Entries, layer.snorm, scores)
 		return l.probeScored(layer, scores)
 	}
 	l.grow(layer.maxClass())

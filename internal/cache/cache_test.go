@@ -280,9 +280,9 @@ func TestProbeZeroAllocsSteadyState(t *testing.T) {
 
 // TestStagedProbeMatchesUnstaged drives staged and unstaged copies of
 // identical random layers through per-sample probes and requires bitwise
-// equal results: the publish-time staging path (widened-row kernel over
-// the layer's mirrors) must be indistinguishable from the legacy
-// per-pair Cosine path, across awkward dims and entry counts.
+// equal results: the staged path (the row kernel over the float32 entries
+// and their staged norms) must be indistinguishable from the per-pair
+// Cosine path, across awkward dims and entry counts.
 func TestStagedProbeMatchesUnstaged(t *testing.T) {
 	r := rand.New(rand.NewPCG(21, 23))
 	cfg := Config{Alpha: DefaultAlpha, Theta: 0.01}
@@ -316,18 +316,18 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 }
 
 // TestSequentialStagedProbeZeroAlloc asserts the borrowed-staging
-// contract: a layer that arrives with mirrors handed in by the allocation
-// path (an allocation view's own) keeps
-// exactly those through Stage, and the staged Lookup.Probe path is
-// allocation-free at steady state.
+// contract: a layer that arrives with norms handed in by the allocation
+// path (an allocation view's own) keeps exactly those through Stage, and
+// the staged Lookup.Probe path is allocation-free at steady state.
 func TestSequentialStagedProbeZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewPCG(41, 43))
 	layer := randLayer(r, 0, 9, 64, 10)
-	layer.Wide, layer.Norm2 = vecmath.WidenRows(layer.Entries)
-	handed := &layer.Wide[0][0]
+	layer.Norm2 = make([]float64, layer.Len())
+	vecmath.SquaredNorms(layer.Entries, layer.Norm2)
+	handed := &layer.Norm2[0]
 	layer.Stage()
-	if &layer.Wide[0][0] != handed {
-		t.Fatal("Stage re-widened a layer whose mirrors were handed in")
+	if &layer.Norm2[0] != handed {
+		t.Fatal("Stage recomputed a layer whose norms were handed in")
 	}
 	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
 	v := make([]float32, 64)

@@ -11,6 +11,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -176,9 +177,9 @@ func walkDeltas(t testing.TB, rounds int) ([]Delta, []Delta) {
 	return []Delta{full, shrink}, walk
 }
 
-// ownedPairs counts the buffer pairs the view owns: those its cells lie in
-// and those it has parked.
-func ownedPairs(v *AllocView) int {
+// ownedBuffers counts the cell buffers the view owns: those its cells lie
+// in and those it has parked.
+func ownedBuffers(v *AllocView) int {
 	n := len(v.spare)
 	for i := range v.sites {
 		n += v.sites[i].layer.Len()
@@ -221,8 +222,7 @@ func sameAsFull(t *testing.T, view *AllocView, sites, classes []int, truth map[C
 		}
 		for i := range g.Entries {
 			for k := range g.Entries[i] {
-				if math.Float32bits(g.Entries[i][k]) != math.Float32bits(w.Entries[i][k]) ||
-					math.Float64bits(g.Wide[i][k]) != math.Float64bits(w.Wide[i][k]) {
+				if math.Float32bits(g.Entries[i][k]) != math.Float32bits(w.Entries[i][k]) {
 					t.Fatalf("site %d class %d differs at component %d", g.Site, g.Classes[i], k)
 				}
 			}
@@ -266,7 +266,7 @@ func TestAllocViewApplySteadyStateAllocs(t *testing.T) {
 			for _, d := range tc.warm {
 				apply(d)
 			}
-			owned := ownedPairs(view)
+			owned := ownedBuffers(view)
 			// AllocsPerRun calls once more than it counts; truth is a map of
 			// refs that all exist by now, so updating it allocates nothing.
 			allocs := testing.AllocsPerRun(len(tc.rounds)-1, func() {
@@ -279,8 +279,8 @@ func TestAllocViewApplySteadyStateAllocs(t *testing.T) {
 			if next != len(tc.rounds) {
 				t.Fatalf("%d rounds applied, want %d", next, len(tc.rounds))
 			}
-			if got := ownedPairs(view); got != owned {
-				t.Errorf("view owns %d buffer pairs after %d rounds, %d after warm-up", got, next, owned)
+			if got := ownedBuffers(view); got != owned {
+				t.Errorf("view owns %d buffers after %d rounds, %d after warm-up", got, next, owned)
 			}
 			sameAsFull(t, view, tc.warm[0].Sites, tc.warm[0].Classes, truth)
 		})
@@ -303,9 +303,43 @@ func joinDelta(sites, classes int) Delta {
 	return d
 }
 
+// TestAllocViewFullApplyBytes pins what a cold join costs in bytes: a view
+// stores each cell once, as its float32 vector, so applying a Full delta of
+// N cells of model.Dim floats to a fresh view allocates at most 4·N·Dim
+// bytes plus, per activated site, 96 bytes per cell and 1 KiB. The cell
+// term is the site's class, vector-header and norm slices, 40 bytes per
+// cell rounded up to size classes, twice over under the race detector,
+// which keeps slices.Grow's temporary; the site term is the site list's
+// growth and the view itself. A float64 mirror per cell would add 8·N·Dim
+// bytes.
+func TestAllocViewFullApplyBytes(t *testing.T) {
+	const sites, classes, runs = 8, 36, 20 // join-churn's 288 cells
+	full := joinDelta(sites, classes)
+	n := len(full.Cells)
+	apply := func() {
+		if err := NewAllocView().Apply(full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	// One P, as testing.AllocsPerRun runs, so other goroutines' garbage
+	// stays out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	perApply := (after.TotalAlloc - before.TotalAlloc) / runs
+	if max := uint64(4*n*model.Dim + sites*(96*classes+1024)); perApply > max {
+		t.Errorf("Full delta of %d %d-float cells into a fresh view: %d bytes per apply, want <= %d", n, model.Dim, perApply, max)
+	}
+}
+
 // TestAllocViewSlabSizedFromDeclaredShape pins the cold join: a Full delta
-// into an empty view takes its cells from two slabs and grows every
-// activated site's parallel slices once, instead of a buffer pair per cell
+// into an empty view takes its cells from one slab and grows every
+// activated site's parallel slices once, instead of a buffer per cell
 // and growth by insertion; and a Full delta into a populated view allocates
 // only what the view is short of.
 func TestAllocViewSlabSizedFromDeclaredShape(t *testing.T) {
@@ -319,9 +353,10 @@ func TestAllocViewSlabSizedFromDeclaredShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Two slabs; per activated site its five parallel slices and at most one
-	// growth of the site list; the view itself and its class list.
-	if max := 2 + (5*grow+1)*sites + 2; allocs > max {
+	// One slab; per activated site its three parallel slices (classes,
+	// vectors, norms) and at most one growth of the site list; the view
+	// itself and its class list.
+	if max := 1 + (3*grow+1)*sites + 2; allocs > max {
 		t.Errorf("Full delta of %d cells into an empty view: %.0f allocs, want <= %.0f", len(full.Cells), allocs, max)
 	}
 
@@ -335,18 +370,18 @@ func TestAllocViewSlabSizedFromDeclaredShape(t *testing.T) {
 	}
 	view := NewAllocView()
 	applyNext(t, view, part)
-	if got := ownedPairs(view); got != len(part.Cells) {
-		t.Fatalf("view owns %d pairs for %d cells", got, len(part.Cells))
+	if got := ownedBuffers(view); got != len(part.Cells) {
+		t.Fatalf("view owns %d buffers for %d cells", got, len(part.Cells))
 	}
 	allocs = testing.AllocsPerRun(1, func() { applyNext(t, view, full) })
 	// AllocsPerRun applied it twice; the first time the view was five short:
-	// two slabs, site 1's five slices, and the parked list growing by
-	// appends to hold every released pair. The second time nothing is.
-	if max := (2 + 5*grow + float64(bits.Len(uint(len(full.Cells))))) / 2; allocs > max {
+	// one slab, site 1's three slices, and the parked list growing by
+	// appends to hold every released buffer. The second time nothing is.
+	if max := (1 + 3*grow + float64(bits.Len(uint(len(full.Cells))))) / 2; allocs > max {
 		t.Errorf("Full delta into a view five cells short: %.1f allocs per apply over two applies, want <= %.1f", allocs, max)
 	}
-	if got := ownedPairs(view); got != len(full.Cells) {
-		t.Errorf("view owns %d pairs after growing to %d cells: it allocated more than its shortfall", got, len(full.Cells))
+	if got := ownedBuffers(view); got != len(full.Cells) {
+		t.Errorf("view owns %d buffers after growing to %d cells: it allocated more than its shortfall", got, len(full.Cells))
 	}
 	if allocs = testing.AllocsPerRun(3, func() { applyNext(t, view, full) }); allocs != 0 {
 		t.Errorf("Full delta into a view that holds as many cells: %.1f allocs, want 0", allocs)

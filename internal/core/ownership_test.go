@@ -1,7 +1,7 @@
 package core
 
 // Who owns which buffer: the view's retention rule (it owns its high-water
-// mark of wire cells and never drops a pair), the slab's no-alias guarantee,
+// mark of wire cells and never drops a buffer), the slab's no-alias guarantee,
 // and the server's session-scratch pool.
 
 import (
@@ -13,7 +13,7 @@ import (
 
 // TestAllocViewSlabCellsCannotReachNeighbours: the cells of one slab are cut
 // with cap == len, and so are recycled ones, so nothing a holder of Layers
-// appends to one cell's vector or mirror can land in another cell.
+// appends to one cell's vector can land in another cell.
 func TestAllocViewSlabCellsCannotReachNeighbours(t *testing.T) {
 	warm, walk := walkDeltas(t, 10)
 	view := NewAllocView()
@@ -23,9 +23,9 @@ func TestAllocViewSlabCellsCannotReachNeighbours(t *testing.T) {
 		var vecs [][]float32
 		for _, l := range layers {
 			for k := range l.Entries {
-				if cap(l.Entries[k]) != len(l.Entries[k]) || cap(l.Wide[k]) != len(l.Wide[k]) {
-					t.Fatalf("%s: cell (%d,%d) has vector len %d cap %d, mirror len %d cap %d; want cap == len",
-						when, l.Site, l.Classes[k], len(l.Entries[k]), cap(l.Entries[k]), len(l.Wide[k]), cap(l.Wide[k]))
+				if cap(l.Entries[k]) != len(l.Entries[k]) {
+					t.Fatalf("%s: cell (%d,%d) has vector len %d cap %d; want cap == len",
+						when, l.Site, l.Classes[k], len(l.Entries[k]), cap(l.Entries[k]))
 				}
 				vecs = append(vecs, slices.Clone(l.Entries[k]))
 			}
@@ -34,7 +34,6 @@ func TestAllocViewSlabCellsCannotReachNeighbours(t *testing.T) {
 		for _, l := range layers {
 			for k := range l.Entries {
 				_ = append(l.Entries[k], 42)
-				_ = append(l.Wide[k], 42)
 			}
 		}
 		for _, l := range layers {
@@ -56,8 +55,8 @@ func TestAllocViewSlabCellsCannotReachNeighbours(t *testing.T) {
 }
 
 // TestAllocViewRetentionOwnsHighWaterMark states the retention rule: a view
-// that held N wire cells, shrank to N/4 and grew back owns exactly N buffer
-// pairs throughout and allocates nothing on the way.
+// that held N wire cells, shrank to N/4 and grew back owns exactly N
+// buffers throughout and allocates nothing on the way.
 func TestAllocViewRetentionOwnsHighWaterMark(t *testing.T) {
 	warm, _ := walkDeltas(t, 0)
 	full, shrink := warm[0], warm[1]
@@ -72,8 +71,8 @@ func TestAllocViewRetentionOwnsHighWaterMark(t *testing.T) {
 	applyNext(t, view, full)
 	owns := func(when string, cells int) {
 		t.Helper()
-		if view.NumCells() != cells || ownedPairs(view) != n {
-			t.Fatalf("%s: %d cells, %d owned pairs; want %d cells and exactly %d pairs", when, view.NumCells(), ownedPairs(view), cells, n)
+		if view.NumCells() != cells || ownedBuffers(view) != n {
+			t.Fatalf("%s: %d cells, %d owned buffers; want %d cells and exactly %d buffers", when, view.NumCells(), ownedBuffers(view), cells, n)
 		}
 	}
 	owns("at the high-water mark", n)
@@ -90,7 +89,7 @@ func TestAllocViewRetentionOwnsHighWaterMark(t *testing.T) {
 	}
 }
 
-// TestAllocViewRetentionKeepsDimensionsApart: a parked pair serves only a
+// TestAllocViewRetentionKeepsDimensionsApart: a parked buffer serves only a
 // cell of its own dimension; cells of differing dimension never share one.
 func TestAllocViewRetentionKeepsDimensionsApart(t *testing.T) {
 	vec := func(n int) []float32 {
@@ -103,22 +102,22 @@ func TestAllocViewRetentionKeepsDimensionsApart(t *testing.T) {
 		{Site: 1, Class: 0, Vec: vec(8)}, {Site: 1, Class: 1, Vec: vec(8)}, {Site: 2, Class: 0, Vec: vec(16)},
 	}})
 	parked := &view.Layers()[0].Entries[1][0]
-	// The 8-wide cell leaves as a 16-wide one arrives: its pair must wait.
+	// The 8-wide cell leaves as a 16-wide one arrives: its buffer must wait.
 	applyNext(t, view, Delta{Sites: []int{1, 2}, Evict: []CellRef{{1, 1}}, Cells: []DeltaCell{{Site: 2, Class: 1, Vec: vec(16)}}})
 	l := view.Layers()[1]
-	if len(l.Entries[1]) != 16 || len(l.Wide[1]) != 16 || cap(l.Entries[1]) != 16 {
-		t.Fatalf("16-wide cell stored in a buffer of len %d / mirror %d", len(l.Entries[1]), len(l.Wide[1]))
+	if len(l.Entries[1]) != 16 || cap(l.Entries[1]) != 16 || len(l.Norm2) != 2 || l.Norm2[1] != 1 {
+		t.Fatalf("16-wide cell stored in a buffer of len %d cap %d, norms %v", len(l.Entries[1]), cap(l.Entries[1]), l.Norm2)
 	}
-	if len(view.spare) != 1 || len(view.spare[0].vec) != 8 || ownedPairs(view) != 4 {
-		t.Fatalf("the evicted 8-wide pair is not parked: %d parked, %d owned", len(view.spare), ownedPairs(view))
+	if len(view.spare) != 1 || len(view.spare[0]) != 8 || ownedBuffers(view) != 4 {
+		t.Fatalf("the evicted 8-wide buffer is not parked: %d parked, %d owned", len(view.spare), ownedBuffers(view))
 	}
-	// A cell that changes dimension in place parks the pair it outgrew, too.
+	// A cell that changes dimension in place parks the buffer it outgrew, too.
 	applyNext(t, view, Delta{Sites: []int{1, 2}, Cells: []DeltaCell{{Site: 2, Class: 0, Vec: vec(8)}}})
 	if got := &view.Layers()[1].Entries[0][0]; got != parked {
-		t.Error("the 8-wide cell did not take the parked 8-wide pair")
+		t.Error("the 8-wide cell did not take the parked 8-wide buffer")
 	}
-	if len(view.spare) != 1 || len(view.spare[0].vec) != 16 || ownedPairs(view) != 4 {
-		t.Fatalf("after the swap: %d parked, %d owned; want the outgrown 16-wide pair parked and 4 owned", len(view.spare), ownedPairs(view))
+	if len(view.spare) != 1 || len(view.spare[0]) != 16 || ownedBuffers(view) != 4 {
+		t.Fatalf("after the swap: %d parked, %d owned; want the outgrown 16-wide buffer parked and 4 owned", len(view.spare), ownedBuffers(view))
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"coca/internal/overload"
 	"coca/internal/semantics"
 	"coca/internal/telemetry"
+	"coca/internal/vecmath"
 	"coca/internal/xrand"
 )
 
@@ -610,13 +611,14 @@ func (s *Server) upload(clientID int, upd UpdateReport) error {
 			clientID, len(upd.Freq), s.space.DS.NumClasses)
 	}
 	for class, f := range upd.Freq {
-		if f < 0 {
-			return fmt.Errorf("core: client %d negative frequency for class %d", clientID, class)
+		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("core: client %d frequency for class %d is %v", clientID, class, f)
 		}
 	}
 	if !s.cfg.DisableGlobalUpdates {
-		// Every cell's shape is checked before any merges, so a refused
-		// report leaves the table and Φ as they were and can be resent.
+		// Every cell's shape and norm are checked before any merges, so a
+		// refused report leaves the table and Φ as they were and can be
+		// resent.
 		for _, cell := range upd.Cells {
 			if cell.Class < 0 || cell.Class >= s.table.Classes() || cell.Layer < 0 || cell.Layer >= s.table.Layers() {
 				return fmt.Errorf("core: client %d update cell (%d,%d) out of range", clientID, cell.Class, cell.Layer)
@@ -627,6 +629,9 @@ func (s *Server) upload(clientID int, upd UpdateReport) error {
 			if len(cell.Vec) != s.table.Dim() {
 				return fmt.Errorf("core: client %d update cell (%d,%d) has dim %d, want %d", clientID, cell.Class, cell.Layer, len(cell.Vec), s.table.Dim())
 			}
+		}
+		if err := checkNorms(clientID, upd.Cells); err != nil {
+			return err
 		}
 		for _, cell := range upd.Cells {
 			if err := s.table.Merge(cell.Class, cell.Layer, cell.Vec, s.cfg.Gamma, float64(cell.Count), s.cfg.SupportCap); err != nil {
@@ -641,6 +646,30 @@ func (s *Server) upload(clientID int, upd UpdateReport) error {
 		s.freq.Add(class, f)
 	}
 	s.freqMu.Unlock()
+	return nil
+}
+
+// checkNorms refuses the first of cells whose vector has no finite, positive
+// norm. It sums four vectors per vecmath.SquaredNorms call: a report carries
+// dozens of cells, and one in-order chain per cell would put a dim-long
+// dependency chain per cell on the upload path.
+func checkNorms(clientID int, cells []UpdateCell) error {
+	var (
+		vecs  [4][]float32
+		norm2 [4]float64
+	)
+	for i := 0; i < len(cells); i += len(vecs) {
+		group := cells[i:min(i+len(vecs), len(cells))]
+		for j, c := range group {
+			vecs[j] = c.Vec
+		}
+		vecmath.SquaredNorms(vecs[:len(group)], norm2[:len(group)])
+		for j, c := range group {
+			if err := gtable.CheckSquaredNorm("Upload", c.Class, c.Layer, norm2[j]); err != nil {
+				return fmt.Errorf("core: client %d: %w", clientID, err)
+			}
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -237,6 +238,82 @@ func TestServerUploadValidation(t *testing.T) {
 	}
 }
 
+// tableVersions returns the write version of every populated table cell.
+func tableVersions(srv *Server) map[CellRef]uint64 {
+	vers := map[CellRef]uint64{}
+	srv.ForEachCell(func(class, layer int, _ []float32, ver uint64, _, _ float64) {
+		vers[CellRef{Site: layer, Class: class}] = ver
+	})
+	return vers
+}
+
+// TestServerUploadRefusesNonFinite: a report with a NaN or infinite
+// frequency, or with a vector at cell 2 whose norm is not finite and
+// positive, is refused whole — cells 0 and 1 do not merge, no table version
+// moves and Φ is unchanged — and the session still accepts a good report.
+func TestServerUploadRefusesNonFinite(t *testing.T) {
+	srv := smallServer(t)
+	sess := testSession(t, srv, 0)
+	for _, bad := range nonFiniteReports(srv.space.DS.NumClasses) {
+		vers, freq := tableVersions(srv), srv.GlobalFreq()
+		if err := upload(sess, bad.report); err == nil {
+			t.Fatalf("%s: report accepted", bad.name)
+		}
+		if !maps.Equal(tableVersions(srv), vers) {
+			t.Errorf("%s: table versions moved after a refused report", bad.name)
+		}
+		if got := srv.GlobalFreq(); !slices.Equal(got, freq) {
+			t.Errorf("%s: Φ %v after a refused report, was %v", bad.name, got, freq)
+		}
+	}
+	good := nonFiniteReports(srv.space.DS.NumClasses)[0].report
+	good.Freq[2] = 1
+	if err := upload(sess, good); err != nil {
+		t.Fatalf("a good report after refused ones: %v", err)
+	}
+	if _, merges := srv.Stats(); merges != len(good.Cells) {
+		t.Fatalf("%d merges, want %d", merges, len(good.Cells))
+	}
+}
+
+// nonFiniteReports lists reports a server must refuse whole: two good cells
+// then a bad third one, or a non-finite frequency.
+func nonFiniteReports(classes int) []struct {
+	name   string
+	report UpdateReport
+} {
+	r := xrand.New(5)
+	unit := func() []float32 {
+		v := xrand.NormalVector(r, model.Dim)
+		vecmath.Normalize(v)
+		return v
+	}
+	report := func(vec []float32, freqClass int, f float64) UpdateReport {
+		freq := make([]float64, classes)
+		freq[freqClass] = f
+		return UpdateReport{Freq: freq, Cells: []UpdateCell{
+			{Class: 1, Layer: 1, Count: 1, Vec: unit()},
+			{Class: 2, Layer: 3, Count: 2, Vec: unit()},
+			{Class: 3, Layer: 2, Count: 1, Vec: vec},
+		}}
+	}
+	withNaN, withInf, huge := unit(), unit(), unit()
+	withNaN[7] = float32(math.NaN())
+	withInf[9] = float32(math.Inf(-1))
+	huge[0], huge[1] = math.MaxFloat32, math.MaxFloat32
+	return []struct {
+		name   string
+		report UpdateReport
+	}{
+		{"NaN frequency", report(unit(), 2, math.NaN())},
+		{"+Inf frequency", report(unit(), 3, math.Inf(1))},
+		{"NaN component", report(withNaN, 0, 1)},
+		{"-Inf component", report(withInf, 0, 1)},
+		{"overflowing norm", report(huge, 0, 1)},
+		{"zero vector", report(make([]float32, model.Dim), 0, 1)},
+	}
+}
+
 func TestServerDisableGlobalUpdates(t *testing.T) {
 	srv := NewServer(smallSpace(), ServerConfig{
 		Theta: 0.035, Seed: 3, ProfileSamples: 100, InitSamplesPerClass: 16,
@@ -345,7 +422,7 @@ func TestNewServerFromSharedInit(t *testing.T) {
 // TestWireDeltaStagingOnApply checks the view's staging contract, the same
 // for in-process and wire deltas: a delta's cells are copied into view-owned
 // storage and staged by Apply, a changed cell is overwritten where it lies,
-// and an evicted cell's buffers serve the cell the same delta adds.
+// and an evicted cell's buffer serves the cell the same delta adds.
 func TestWireDeltaStagingOnApply(t *testing.T) {
 	vec := []float32{0.6, 0.8}
 	view := NewAllocView()
@@ -357,7 +434,10 @@ func TestWireDeltaStagingOnApply(t *testing.T) {
 	if len(layers) != 1 || len(layers[0].Entries) != 1 {
 		t.Fatalf("unexpected view shape: %+v", layers)
 	}
-	entry, wide := layers[0].Entries[0], layers[0].Wide[0]
+	entry := layers[0].Entries[0]
+	if layers[0].Wide != nil {
+		t.Fatal("the view keeps a float64 mirror: probes read the float32 entries")
+	}
 	if &entry[0] == &vec[0] {
 		t.Fatal("wire-path apply must copy the decoder-owned vector")
 	}
@@ -365,7 +445,7 @@ func TestWireDeltaStagingOnApply(t *testing.T) {
 		t.Fatalf("staged norm %v != %v", got, want)
 	}
 	vec[0] = 99 // decoder reuses its arena; the view must be unaffected
-	if entry[0] != 0.6 || wide[0] != float64(float32(0.6)) {
+	if entry[0] != 0.6 {
 		t.Fatal("view cell aliases the decoder buffer")
 	}
 
@@ -375,11 +455,11 @@ func TestWireDeltaStagingOnApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers = view.Layers()
-	if &layers[0].Entries[0][0] != &entry[0] || &layers[0].Wide[0][0] != &wide[0] {
-		t.Fatal("a changed wire cell must be overwritten in the view's own buffers")
+	if &layers[0].Entries[0][0] != &entry[0] {
+		t.Fatal("a changed wire cell must be overwritten in the view's own buffer")
 	}
-	if entry[0] != 0.8 || wide[1] != float64(float32(0.6)) || layers[0].Norm2[0] != vecmath.SquaredNorm(entry) {
-		t.Fatalf("overwritten cell holds %v / %v / %v", entry, wide, layers[0].Norm2[0])
+	if entry[0] != 0.8 || entry[1] != 0.6 || layers[0].Norm2[0] != vecmath.SquaredNorm(entry) {
+		t.Fatalf("overwritten cell holds %v / %v", entry, layers[0].Norm2[0])
 	}
 
 	// The cell is evicted and another added by one delta: the buffers move.
@@ -392,8 +472,8 @@ func TestWireDeltaStagingOnApply(t *testing.T) {
 	if view.NumCells() != 1 || layers[0].Classes[0] != 0 {
 		t.Fatalf("view after evict + add: %+v", layers)
 	}
-	if &layers[0].Entries[0][0] != &entry[0] || &layers[0].Wide[0][0] != &wide[0] {
-		t.Fatal("the evicted cell's buffers must serve the cell the same delta adds")
+	if &layers[0].Entries[0][0] != &entry[0] || layers[0].Norm2[0] != 1 {
+		t.Fatal("the evicted cell's buffer must serve the cell the same delta adds, staged anew")
 	}
 	if len(view.spare) != 0 {
 		t.Fatalf("%d spare buffers kept past Apply", len(view.spare))

@@ -96,25 +96,25 @@ type Delta struct {
 // server's session record; the view's version is echoed back in
 // StatusReport.LastVersion so the server knows which base the client holds.
 //
-// The view owns the storage of every cell it holds, vector and widened
-// mirror, at its high-water mark, whether the delta came from an in-process
+// The view owns the storage of every cell it holds at its high-water mark,
+// one float32 vector per cell, whether the delta came from an in-process
 // session or over the wire: a changed cell is overwritten where it lies, the
-// buffer pair of a cell that leaves waits in spare for whichever later delta
-// adds a cell, and a delta that needs more pairs than the view ever held at
-// once gets them all from one slab per element type. No pair is ever dropped
-// and there is no cap — a slab cell cannot be freed on its own, so dropping
-// would pin whole slabs behind single live cells — hence the view owns
-// exactly as many pairs as the most cells it held at once (≤ sites ×
-// classes). Layers and Allocation hand out the view's own slices, valid
-// until the next Apply.
+// buffer of a cell that leaves waits in spare for whichever later delta adds
+// a cell, and a delta that needs more buffers than the view ever held at
+// once gets them all from one slab. No buffer is ever dropped and there is
+// no cap — a slab cell cannot be freed on its own, so dropping would pin
+// whole slabs behind single live cells — hence the view owns exactly as many
+// buffers as the most cells it held at once (≤ sites × classes). Each buffer
+// has cap == len, so an append through Layers cannot reach a neighbouring
+// cell. Layers and Allocation hand out the view's own slices, valid until
+// the next Apply.
 type AllocView struct {
 	version uint64
 	classes []int
 	sites   []viewSite // every site a delta ever put a cell at, ascending
 	ncells  int
-	spare   []cellBuf // owned pairs no cell uses
-	slab32  []float32 // the running Apply's slabs, less what it has carved
-	slab64  []float64
+	spare   [][]float32   // owned buffers no cell uses
+	slab    []float32     // the running Apply's slab, less what it has carved
 	layers  []cache.Layer // what Layers hands out
 }
 
@@ -123,13 +123,6 @@ type AllocView struct {
 type viewSite struct {
 	layer cache.Layer
 	grow  int
-}
-
-// cellBuf is the view-owned storage of one cell; cap == len on both, so an
-// append through Layers cannot reach a neighbouring cell.
-type cellBuf struct {
-	vec  []float32
-	wide []float64
 }
 
 // NewAllocView returns an empty view (version 0: nothing allocated yet).
@@ -218,20 +211,17 @@ func (v *AllocView) site(site int) (int, bool) {
 // parked in v.spare.
 func (v *AllocView) release(s *viewSite, i, j int) {
 	l := &s.layer
-	for k := i; k < j; k++ {
-		v.spare = append(v.spare, cellBuf{l.Entries[k], l.Wide[k]})
-	}
+	v.spare = append(v.spare, l.Entries[i:j]...)
 	l.Classes = slices.Delete(l.Classes, i, j)
 	l.Entries = slices.Delete(l.Entries, i, j)
-	l.Wide = slices.Delete(l.Wide, i, j)
 	l.Norm2 = slices.Delete(l.Norm2, i, j)
 	v.ncells -= j - i
 }
 
 // reserve sizes the view for the cells d adds, so that upserting them
 // allocates nothing: every site's parallel slices grow once, and the cells
-// that neither lie in a pair nor find a parked one of their dimension get
-// theirs from one slab per element type.
+// that neither lie in a buffer nor find a parked one of their dimension get
+// theirs from one slab.
 func (v *AllocView) reserve(d Delta) {
 	parked, floats := 0, 0 // spare[:parked] is spoken for
 	for _, c := range d.Cells {
@@ -248,9 +238,9 @@ func (v *AllocView) reserve(d Delta) {
 			s.grow++
 		}
 		if held && len(s.layer.Entries[i]) == len(c.Vec) {
-			continue // the cell's pair fits
+			continue // the cell's buffer fits
 		}
-		if j := slices.IndexFunc(v.spare[parked:], func(b cellBuf) bool { return len(b.vec) == len(c.Vec) }); j >= 0 {
+		if j := slices.IndexFunc(v.spare[parked:], func(b []float32) bool { return len(b) == len(c.Vec) }); j >= 0 {
 			v.spare[parked], v.spare[parked+j] = v.spare[parked+j], v.spare[parked]
 			parked++
 		} else {
@@ -262,24 +252,23 @@ func (v *AllocView) reserve(d Delta) {
 			l := &s.layer
 			l.Classes = slices.Grow(l.Classes, s.grow)
 			l.Entries = slices.Grow(l.Entries, s.grow)
-			l.Wide = slices.Grow(l.Wide, s.grow)
 			l.Norm2 = slices.Grow(l.Norm2, s.grow)
 			s.grow = 0
 		}
 	}
-	v.slab32, v.slab64 = make([]float32, floats), make([]float64, floats)
+	v.slab = make([]float32, floats)
 }
 
-// take hands out an owned pair of dimension n that no cell uses: a parked one,
-// else the next of the running Apply's slabs (reserve sized them for it).
-func (v *AllocView) take(n int) cellBuf {
-	if j := slices.IndexFunc(v.spare, func(b cellBuf) bool { return len(b.vec) == n }); j >= 0 {
+// take hands out an owned buffer of dimension n that no cell uses: a parked
+// one, else the next of the running Apply's slab (reserve sized it for it).
+func (v *AllocView) take(n int) []float32 {
+	if j := slices.IndexFunc(v.spare, func(b []float32) bool { return len(b) == n }); j >= 0 {
 		b, last := v.spare[j], len(v.spare)-1
 		v.spare[j], v.spare = v.spare[last], v.spare[:last]
 		return b
 	}
-	b := cellBuf{v.slab32[:n:n], v.slab64[:n:n]}
-	v.slab32, v.slab64 = v.slab32[n:], v.slab64[n:]
+	b := v.slab[:n:n]
+	v.slab = v.slab[n:]
 	return b
 }
 
@@ -291,31 +280,29 @@ func (v *AllocView) upsert(c DeltaCell) {
 	if !ok {
 		l.Classes = slices.Insert(l.Classes, i, c.Class)
 		l.Entries = slices.Insert(l.Entries, i, nil)
-		l.Wide = slices.Insert(l.Wide, i, nil)
 		l.Norm2 = slices.Insert(l.Norm2, i, 0)
 		v.ncells++
 	}
-	// The view keeps a copy — in the pair this cell already has, else in one
-	// nothing uses — and stage widens it once the delta's cells are all in,
-	// once per changed cell, for every probe until the cell changes again.
+	// The view keeps a copy — in the buffer this cell already has, else in
+	// one nothing uses — and stage takes its squared norm once the delta's
+	// cells are all in, once per changed cell, for every probe until the
+	// cell changes again.
 	if len(l.Entries[i]) != len(c.Vec) {
 		if l.Entries[i] != nil {
-			v.spare = append(v.spare, cellBuf{l.Entries[i], l.Wide[i]}) // the pair the cell outgrew
+			v.spare = append(v.spare, l.Entries[i]) // the buffer the cell outgrew
 		}
-		b := v.take(len(c.Vec))
-		l.Entries[i], l.Wide[i] = b.vec, b.wide
+		l.Entries[i] = v.take(len(c.Vec))
 	}
 	copy(l.Entries[i], c.Vec)
 }
 
-// stage widens the cells of d into their mirrors once every upsert is in,
-// four per vecmath.WidenVecs call, and files each squared norm at its cell:
-// no insertion moves a cell after this. A cell the delta names twice is
-// widened twice from what it holds at the end.
+// stage computes the squared norms of the cells of d once every upsert is
+// in, four per vecmath.SquaredNorms call, and files each at its cell: no
+// insertion moves a cell after this. A cell the delta names twice is summed
+// twice from what it holds at the end.
 func (v *AllocView) stage(d Delta) {
 	var (
 		vecs  [4][]float32
-		wide  [4][]float64
 		norm2 [4]*float64
 	)
 	n := 0
@@ -324,12 +311,12 @@ func (v *AllocView) stage(d Delta) {
 			si, _ := v.site(c.Site)
 			l := &v.sites[si].layer
 			i, _ := slices.BinarySearch(l.Classes, c.Class)
-			vecs[n], wide[n], norm2[n] = l.Entries[i], l.Wide[i], &l.Norm2[i]
+			vecs[n], norm2[n] = l.Entries[i], &l.Norm2[i]
 			n++
 		}
 		if n == len(vecs) || n > 0 && k == len(d.Cells)-1 {
 			var out [4]float64
-			vecmath.WidenVecs(vecs[:n], wide[:n], out[:n])
+			vecmath.SquaredNorms(vecs[:n], out[:n])
 			for j, p := range norm2[:n] {
 				*p = out[j]
 			}

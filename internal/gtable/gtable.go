@@ -48,6 +48,18 @@ func mergeEntry(dst, old, update []float32, gamma, globalFreq, localFreq float64
 // norm every merge computes anyway is the whole finiteness check.
 func usable(n float32) bool { return n > 0 && n <= math.MaxFloat32 }
 
+// CheckSquaredNorm refuses, as a merge into an absent cell would, a vector
+// whose squared norm norm2 (vecmath.SquaredNorm) gives it a norm that is not
+// finite and positive, counting it like a merge's refusal. A caller that
+// validates a whole report with it before merging any of it refuses the
+// report without writing a cell.
+func CheckSquaredNorm(op string, class, layer int, norm2 float64) error {
+	if n := float32(math.Sqrt(norm2)); !usable(n) {
+		return rejected(op, class, layer, n)
+	}
+	return nil
+}
+
 // rejected counts, and returns the error for, a vector refused for its norm,
 // before anything (vector, support, ledger, version) is written.
 func rejected(op string, class, layer int, n float32) error {

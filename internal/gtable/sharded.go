@@ -19,7 +19,7 @@ import (
 // on: merges replace a row's slice, never write through it, so an
 // extraction, a delta, a snapshot and any number of client views may hold
 // the same vector. The table stores and forwards vectors only; probe staging
-// (the widened mirror and squared norm) belongs to whoever probes.
+// (each vector's squared norm) belongs to whoever probes.
 //
 // Each cell also tracks
 //
@@ -470,8 +470,8 @@ func (s *Sharded) ExtractLayerEntriesInto(layer int, classes []int, cls []int, v
 // ExtractLayerStagedInto is the probing form of ExtractLayerEntriesInto: it
 // also returns each vector's widened mirror and squared norm (wide[i] and
 // norm2[i] belong to entries[i]), built by vecmath.WidenRow on every call.
-// For callers that score the extracted cells themselves; the allocation path
-// ships vectors and leaves staging to the view that probes them.
+// Only the bench harness calls it; the product probes float32 cells and
+// leaves staging to the view that probes them.
 func (s *Sharded) ExtractLayerStagedInto(layer int, classes []int, cls []int, entries [][]float32, vers []uint64, wide [][]float64, norm2 []float64) ([]int, [][]float32, []uint64, [][]float64, []float64) {
 	for _, c := range classes {
 		if v, ver := s.load(c, layer); v != nil {

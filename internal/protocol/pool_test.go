@@ -66,9 +66,9 @@ func dialSession(t *testing.T, addr string, classes, layers int) *SessionClient 
 // TestInProcessAndWireViewsAgree drives one seeded Allocate/Upload schedule
 // through an in-process session and through ServeConn over a pipe, against
 // two servers built from one init, and requires the two views to be bitwise
-// equal after every round: same classes, entries, widened mirrors and squared
-// norms. A view stages what it receives the same way whichever side of a
-// connection the delta came from.
+// equal after every round: same classes, entries and squared norms. A view
+// stages what it receives the same way whichever side of a connection the
+// delta came from.
 func TestInProcessAndWireViewsAgree(t *testing.T) {
 	space := semantics.NewSpace(dataset.ESC50().Subset(10), model.VGG16BN())
 	cfg := core.ServerConfig{Theta: 0.035, Seed: 3, ProfileSamples: 150, InitSamplesPerClass: 16}
@@ -111,7 +111,7 @@ func TestInProcessAndWireViewsAgree(t *testing.T) {
 		}
 		for _, l := range views[0].Layers() {
 			for i, e := range l.Entries {
-				if wide, norm2 := vecmath.WidenRow(e); !sameBits(l.Norm2[i], norm2) || !slices.EqualFunc(l.Wide[i], wide, sameBits) {
+				if !sameBits(l.Norm2[i], vecmath.SquaredNorm(e)) {
 					t.Fatalf("round %d: site %d class %d is not staged from its entry", round, l.Site, l.Classes[i])
 				}
 			}
@@ -160,8 +160,8 @@ func sameLayers(a, b []cache.Layer) error {
 		if la.Site != lb.Site || !slices.Equal(la.Classes, lb.Classes) {
 			return fmt.Errorf("layer %d: site %d classes %v against site %d classes %v", j, la.Site, la.Classes, lb.Site, lb.Classes)
 		}
-		if len(la.Entries) != len(lb.Entries) || len(la.Wide) != len(lb.Wide) || len(la.Norm2) != len(lb.Norm2) {
-			return fmt.Errorf("site %d: entry, mirror or norm counts differ", la.Site)
+		if len(la.Entries) != len(lb.Entries) || len(la.Norm2) != len(lb.Norm2) {
+			return fmt.Errorf("site %d: entry or norm counts differ", la.Site)
 		}
 		for i := range la.Entries {
 			if !sameBits(la.Norm2[i], lb.Norm2[i]) {
@@ -169,9 +169,6 @@ func sameLayers(a, b []cache.Layer) error {
 			}
 			if !slices.EqualFunc(la.Entries[i], lb.Entries[i], func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
 				return fmt.Errorf("site %d class %d: entries differ", la.Site, la.Classes[i])
-			}
-			if !slices.EqualFunc(la.Wide[i], lb.Wide[i], sameBits) {
-				return fmt.Errorf("site %d class %d: widened mirrors differ", la.Site, la.Classes[i])
 			}
 		}
 	}

@@ -3,6 +3,9 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,8 @@ import (
 	"coca/internal/semantics"
 	"coca/internal/stream"
 	"coca/internal/transport"
+	"coca/internal/vecmath"
+	"coca/internal/xrand"
 )
 
 func testServer(t testing.TB) (*core.Server, *semantics.Space) {
@@ -254,6 +259,72 @@ func TestServerErrorsPropagate(t *testing.T) {
 		t.Fatal("server-side validation error not propagated")
 	}
 	_ = coord.Close()
+}
+
+// TestServeConnRefusedUploadChangesNothing: over ServeConn, an upload with a
+// NaN or infinite frequency, or with a non-finite vector after two good
+// cells, is refused whole: Φ and every table version stay as they were, and
+// the session goes on to merge a good report.
+func TestServeConnRefusedUploadChangesNothing(t *testing.T) {
+	srv, space := testServer(t)
+	ctx := context.Background()
+	cConn, sConn := transport.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- ServeConn(ctx, sConn, srv) }()
+	coord := NewSessionClient(cConn, space.DS.NumClasses, space.Arch.NumLayers)
+	sess, err := coord.Open(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := func() map[[2]int]uint64 {
+		vers := map[[2]int]uint64{}
+		srv.ForEachCell(func(class, layer int, _ []float32, ver uint64, _, _ float64) { vers[[2]int{class, layer}] = ver })
+		return vers
+	}
+	r := xrand.New(9)
+	report := func(bad float32, freqClass int, f float64) core.UpdateReport {
+		upd := core.UpdateReport{Freq: make([]float64, space.DS.NumClasses)}
+		upd.Freq[freqClass] = f
+		for k := 0; k < 3; k++ {
+			v := xrand.NormalVector(r, model.Dim)
+			vecmath.Normalize(v)
+			upd.Cells = append(upd.Cells, core.UpdateCell{Class: k, Layer: k + 1, Count: 1, Vec: v})
+		}
+		upd.Cells[2].Vec[5] = bad
+		return upd
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, bad := range []struct {
+		name string
+		upd  core.UpdateReport
+	}{
+		{"NaN frequency", report(0.1, 2, math.NaN())},
+		{"+Inf frequency", report(0.1, 3, math.Inf(1))},
+		{"NaN component", report(nan, 0, 1)},
+		{"+Inf component", report(inf, 0, 1)},
+	} {
+		vers, freq := versions(), srv.GlobalFreq()
+		if err := sess.Upload(ctx, bad.upd); err == nil {
+			t.Fatalf("%s: upload accepted", bad.name)
+		}
+		if !maps.Equal(versions(), vers) {
+			t.Errorf("%s: table versions moved after a refused upload", bad.name)
+		}
+		if got := srv.GlobalFreq(); !slices.Equal(got, freq) {
+			t.Errorf("%s: Φ %v after a refused upload, was %v", bad.name, got, freq)
+		}
+	}
+	if err := sess.Upload(ctx, report(0.1, 0, 1)); err != nil {
+		t.Fatalf("a good upload after refused ones: %v", err)
+	}
+	if _, merges := srv.Stats(); merges != 3 {
+		t.Fatalf("%d merges, want 3", merges)
+	}
+	_ = sess.Close()
+	_ = coord.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestUnknownSessionRejected(t *testing.T) {

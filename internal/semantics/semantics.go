@@ -157,11 +157,6 @@ type Space struct {
 	// errThreshold is the difficulty above which samples blend toward a
 	// confusable class strongly enough that the full model errs.
 	errThreshold float64
-	// finalsWide is the publish-time staging of the final-layer prototypes
-	// (their widened float64 mirrors): the space is immutable after
-	// construction, so the prediction head's nearest-prototype scan reuses
-	// one conversion for every sample instead of converting per logits row.
-	finalsWide [][]float64
 	// noiseTable holds noiseRows unit Gaussian directions of model.Dim
 	// floats each, row after row and each row twice over, so a rotation of
 	// a row is one contiguous slice: the isotropic noise of every sample is
@@ -250,7 +245,6 @@ func NewSpace(ds *dataset.Spec, arch *model.Arch) *Space {
 		}
 	}
 	s.errThreshold = calibrateErrThreshold(ds)
-	s.finalsWide, _ = vecmath.WidenRows(s.protos[arch.NumLayers])
 	s.noiseTable = make([]float32, noiseRows*2*model.Dim)
 	for k := 0; k < noiseRows; k++ {
 		row := s.noiseTable[2*k*model.Dim:][:2*model.Dim]
@@ -573,10 +567,10 @@ func (s *Space) PredictScratch(sc *Scratch, smp dataset.Sample, env *Env) Predic
 	}
 	s.SampleVectorInto(sc.vec, smp, s.FinalLayer(), env, sc)
 	temp := float32(softmaxTemp * (1 + 3*smp.Difficulty))
-	// The staged-row dot kernel against the space's widened final
-	// prototypes is bitwise identical to Dot over the float32 rows
-	// (widening is exact; chains accumulate in index order).
-	vecmath.DotsWidenedRows(sc.vec, s.finalsWide, sc.logits)
+	// The row dot kernel over the final-layer prototypes is bitwise
+	// identical to Dot (widening is exact; chains accumulate in index
+	// order).
+	vecmath.DotsRows(sc.vec, s.protos[s.FinalLayer()], sc.logits)
 	for c := range sc.logits {
 		sc.logits[c] /= temp
 	}

@@ -30,26 +30,26 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// dots8AVX2 accumulates, for j < 8, out[j] = Σ_k q[k]·rows[j][k] and
-// out[8] = Σ_k q[k]², each chain in index order k = 0…dim−1 with a rounded
-// multiply and a rounded add per step (no FMA). q is read as float32 and
-// widened exactly; dim must be a positive multiple of 4, and every row at
-// least dim long.
+// dots8AVX2 accumulates, for j < 8, out[j] = Σ_k q[k]·rows[j][k], and with
+// norm also out[8] = Σ_k q[k]², each chain in index order k = 0…dim−1 with a
+// rounded multiply and a rounded add per step (no FMA). The query and the
+// rows are read as float32 and widened exactly; dim must be a positive
+// multiple of 4, and every row at least dim long.
 //
 //go:noescape
-func dots8AVX2(q *float32, dim int, rows *[8]*float64, out *[9]float64)
+func dots8AVX2(q *float32, dim int, rows *[8]*float32, out *[9]float64, norm bool)
 
 // scaleAVX2 multiplies v[0:n] by alpha in place; n must be a multiple of 8.
 //
 //go:noescape
 func scaleAVX2(alpha float32, v *float32, n int)
 
-// widen4AVX2 widens four cells of length n into their mirrors and writes
-// each cell's Σx², one chain per lane in index order, to norm2. n must be a
-// positive multiple of 4, and every cell and mirror at least n long.
+// norms4AVX2 writes each of four cells' Σx² to norm2, one chain per lane in
+// index order over the exactly widened elements. n must be a positive
+// multiple of 4, and every cell at least n long.
 //
 //go:noescape
-func widen4AVX2(vecs *[4]*float32, dst *[4]*float64, n int, norm2 *[4]float64)
+func norms4AVX2(vecs *[4]*float32, n int, norm2 *[4]float64)
 
 // weightedSumAVX2 writes w1·a[i] + w2·b[i] to dst[i] for i < n, 8 lanes
 // at a time; n must be a positive multiple of 8, and dst must be a or b or

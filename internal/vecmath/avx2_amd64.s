@@ -45,21 +45,23 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VADDPD  Y3, acc, acc; \
 	VADDPD  Y4, acc, acc
 
-// GROUP4 scores four rows against the widened query chunk in Y0 and adds
-// the products into the row chains of acc, lane j being row j's chain.
+// GROUP4 widens elements k…k+3 of four float32 rows exactly, scores them
+// against the widened query chunk in Y0 and adds the products into the row
+// chains of acc, lane j being row j's chain.
 #define GROUP4(r0, r1, r2, r3, acc) \
-	VMOVUPD (r0)(CX*8), Y1; \
-	VMULPD  Y0, Y1, Y1; \
-	VMOVUPD (r1)(CX*8), Y2; \
-	VMULPD  Y0, Y2, Y2; \
-	VMOVUPD (r2)(CX*8), Y3; \
-	VMULPD  Y0, Y3, Y3; \
-	VMOVUPD (r3)(CX*8), Y4; \
-	VMULPD  Y0, Y4, Y4; \
+	VCVTPS2PD (r0)(CX*4), Y1; \
+	VMULPD    Y0, Y1, Y1; \
+	VCVTPS2PD (r1)(CX*4), Y2; \
+	VMULPD    Y0, Y2, Y2; \
+	VCVTPS2PD (r2)(CX*4), Y3; \
+	VMULPD    Y0, Y3, Y3; \
+	VCVTPS2PD (r3)(CX*4), Y4; \
+	VMULPD    Y0, Y4, Y4; \
 	ADD4T(acc)
 
-// func dots8AVX2(q *float32, dim int, rows *[8]*float64, out *[9]float64)
-TEXT ·dots8AVX2(SB), NOSPLIT, $0-32
+// func dots8AVX2(q *float32, dim int, rows *[8]*float32, out *[9]float64, norm bool)
+TEXT ·dots8AVX2(SB), NOSPLIT, $0-33
+	MOVBQZX norm+32(FP), R14
 	MOVQ q+0(FP), SI
 	MOVQ dim+8(FP), DX
 	MOVQ rows+16(FP), AX
@@ -78,8 +80,11 @@ TEXT ·dots8AVX2(SB), NOSPLIT, $0-32
 
 dotsloop:
 	VCVTPS2PD (SI)(CX*4), Y0
+	TESTQ     R14, R14
+	JZ        dotsrows
 
-	// The ninth chain, Σq², one element at a time.
+	// The ninth chain, Σq², one element at a time, when asked for: a probe
+	// needs it once, not once per eight rows.
 	VMULPD       Y0, Y0, Y9
 	VADDSD       X9, X13, X13
 	VPERMILPD    $1, X9, X10
@@ -89,6 +94,7 @@ dotsloop:
 	VPERMILPD    $1, X9, X10
 	VADDSD       X10, X13, X13
 
+dotsrows:
 	GROUP4(R8, R9, R10, R11, Y14)
 	GROUP4(R12, R13, BX, DI, Y15)
 
@@ -121,40 +127,34 @@ scaleloop:
 	VZEROUPPER
 	RET
 
-// WIDEN1 widens elements k…k+3 of one cell exactly, stores them to its
-// mirror and leaves their squares in y.
-#define WIDEN1(src, dst, y) \
+// NORM1 widens elements k…k+3 of one cell exactly and leaves their squares
+// in y.
+#define NORM1(src, y) \
 	VCVTPS2PD (src)(CX*4), y; \
-	VMOVUPD   y, (dst)(CX*8); \
 	VMULPD    y, y, y
 
-// func widen4AVX2(vecs *[4]*float32, dst *[4]*float64, n int, norm2 *[4]float64)
-TEXT ·widen4AVX2(SB), NOSPLIT, $0-32
+// func norms4AVX2(vecs *[4]*float32, n int, norm2 *[4]float64)
+TEXT ·norms4AVX2(SB), NOSPLIT, $0-24
 	MOVQ   vecs+0(FP), AX
 	MOVQ   0(AX), SI
 	MOVQ   8(AX), DI
 	MOVQ   16(AX), R8
 	MOVQ   24(AX), R9
-	MOVQ   dst+8(FP), AX
-	MOVQ   0(AX), R10
-	MOVQ   8(AX), R11
-	MOVQ   16(AX), R12
-	MOVQ   24(AX), R13
-	MOVQ   n+16(FP), DX
+	MOVQ   n+8(FP), DX
 	VXORPD Y9, Y9, Y9 // the four cells' Σx² chains
 	XORQ   CX, CX
 
-widenloop:
-	WIDEN1(SI, R10, Y1)
-	WIDEN1(DI, R11, Y2)
-	WIDEN1(R8, R12, Y3)
-	WIDEN1(R9, R13, Y4)
+normsloop:
+	NORM1(SI, Y1)
+	NORM1(DI, Y2)
+	NORM1(R8, Y3)
+	NORM1(R9, Y4)
 	ADD4T(Y9)
 	ADDQ $4, CX
 	CMPQ CX, DX
-	JLT  widenloop
+	JLT  normsloop
 
-	MOVQ    norm2+24(FP), AX
+	MOVQ    norm2+16(FP), AX
 	VMOVUPD Y9, 0(AX)
 	VZEROUPPER
 	RET

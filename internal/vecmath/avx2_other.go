@@ -7,7 +7,7 @@ import "unsafe"
 // useAVX2 is false off amd64: the Go loops are the only kernels.
 var useAVX2 = false
 
-func dots8AVX2(q *float32, dim int, rows *[8]*float64, out *[9]float64) {
+func dots8AVX2(q *float32, dim int, rows *[8]*float32, out *[9]float64, norm bool) {
 	panic("vecmath: AVX2 kernel called off amd64")
 }
 
@@ -15,7 +15,7 @@ func scaleAVX2(alpha float32, v *float32, n int) {
 	panic("vecmath: AVX2 kernel called off amd64")
 }
 
-func widen4AVX2(vecs *[4]*float32, dst *[4]*float64, n int, norm2 *[4]float64) {
+func norms4AVX2(vecs *[4]*float32, n int, norm2 *[4]float64) {
 	panic("vecmath: AVX2 kernel called off amd64")
 }
 

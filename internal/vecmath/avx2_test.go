@@ -17,13 +17,10 @@ func goPath(f func()) {
 }
 
 // Values the kernels must carry exactly as the Go loops do: signed zeros,
-// subnormals, overflow to infinity (1e300² in a row chain), and NaN.
-var (
-	specials32 = []float32{0, float32(math.Copysign(0, -1)), 1e-40, -1e-45, 3e38, float32(math.NaN()),
-		math.Float32frombits(0x7fc00123), float32(math.Inf(-1))}
-	specials64 = []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e300, -1e300, math.NaN(),
-		math.Float64frombits(0xfff8000000000456), math.Inf(1)}
-)
+// subnormals, overflow (3e38 overflows a float32 product or sum), infinity
+// and NaN.
+var specials32 = []float32{0, float32(math.Copysign(0, -1)), 1e-40, -1e-45, 3e38, float32(math.NaN()),
+	math.Float32frombits(0x7fc00123), float32(math.Inf(-1))}
 
 // same64 and same32 compare bit for bit, except that any NaN matches any
 // NaN: which operand's payload an operation keeps is the Go compiler's
@@ -31,35 +28,24 @@ var (
 func same64(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
 func same32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b }
 
-// specialRows draws n rows and a query of length dim from N(0,1), with
-// roughly one element in twelve replaced by a special value when spiked.
-func specialRows(r *rand.Rand, n, dim int, spiked bool) (vec []float32, rows [][]float64) {
-	vec = make([]float32, dim)
-	for k := range vec {
-		vec[k] = float32(r.NormFloat64())
-		if spiked && r.IntN(12) == 0 {
-			vec[k] = specials32[r.IntN(len(specials32))]
-		}
-	}
-	rows = make([][]float64, n)
+// specialRows draws n float32 rows and a query of length dim from N(0,1),
+// with roughly one element in twelve replaced by a special value when
+// spiked.
+func specialRows(r *rand.Rand, n, dim int, spiked bool) (vec []float32, rows [][]float32) {
+	vec = vec32(r, 0, dim, spiked)
+	rows = make([][]float32, n)
 	for i := range rows {
-		rows[i] = make([]float64, dim)
-		for k := range rows[i] {
-			rows[i][k] = float64(float32(r.NormFloat64()))
-			if spiked && r.IntN(12) == 0 {
-				rows[i][k] = specials64[r.IntN(len(specials64))]
-			}
-		}
+		rows[i] = vec32(r, 0, dim, spiked)
 	}
 	return vec, rows
 }
 
 // TestAVX2KernelsMatchGo holds the AVX2 kernels to the Go loops bit for bit
-// (a NaN to any NaN):
-// the raw dots8AVX2 sums against dots4f and SquaredNorm, and CosinesRows,
-// DotsWidenedRows and Scale with the kernels on and off, over 1…40 rows at
-// the kernel's dimensions, on plain and on spiked inputs. A dimension that is
-// not a multiple of 4 must take the Go path.
+// (a NaN to any NaN): the raw dots8AVX2 sums against dots4f and, on the
+// first block, the query's Σq² against SquaredNorm; and CosinesRows,
+// DotsRows and Scale with the kernels on and off, over 1…40 float32 rows at
+// the kernel's dimensions, on plain and on spiked inputs. A dimension that
+// is not a multiple of 4 must take the Go path.
 func TestAVX2KernelsMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this machine: only the Go loops exist")
@@ -88,33 +74,29 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 								t.Fatalf("dim=%d n=%d spiked=%v row %d: dots8AVX2 %x, Go %x", dim, n, spiked, i+j, math.Float64bits(d[j]), math.Float64bits(want))
 							}
 						}
-						if want := SquaredNorm(vec); !same64(d[8], want) {
+						if want := SquaredNorm(vec); i == 0 && !same64(d[8], want) {
 							t.Fatalf("dim=%d n=%d spiked=%v: query norm %x, SquaredNorm %x", dim, n, spiked, math.Float64bits(d[8]), math.Float64bits(want))
 						}
 					}
 				}
 				snorm := make([]float64, n)
 				for i, row := range rows {
-					var s float64
-					for _, x := range row {
-						s += x * x
-					}
-					snorm[i] = math.Sqrt(s)
+					snorm[i] = math.Sqrt(SquaredNorm(row))
 				}
 				gotCos, wantCos := make([]float32, n), make([]float32, n)
 				gotDot, wantDot := make([]float32, n), make([]float32, n)
 				CosinesRows(vec, rows, snorm, gotCos)
-				DotsWidenedRows(vec, rows, gotDot)
+				DotsRows(vec, rows, gotDot)
 				goPath(func() {
 					CosinesRows(vec, rows, snorm, wantCos)
-					DotsWidenedRows(vec, rows, wantDot)
+					DotsRows(vec, rows, wantDot)
 				})
 				for i := range n {
 					if !same32(gotCos[i], wantCos[i]) {
 						t.Fatalf("dim=%d n=%d spiked=%v row %d: CosinesRows %x, Go %x", dim, n, spiked, i, math.Float32bits(gotCos[i]), math.Float32bits(wantCos[i]))
 					}
 					if !same32(gotDot[i], wantDot[i]) {
-						t.Fatalf("dim=%d n=%d spiked=%v row %d: DotsWidenedRows %x, Go %x", dim, n, spiked, i, math.Float32bits(gotDot[i]), math.Float32bits(wantDot[i]))
+						t.Fatalf("dim=%d n=%d spiked=%v row %d: DotsRows %x, Go %x", dim, n, spiked, i, math.Float32bits(gotDot[i]), math.Float32bits(wantDot[i]))
 					}
 				}
 			}
@@ -138,7 +120,8 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 // FuzzCosinesRows holds CosinesRows, the probe kernel a client runs, to its
 // Go loop bit for bit (a NaN to any NaN) over fuzzed dimensions (1…300), row
 // counts (1…20) and raw float32 bits, the query first and then the entries
-// row by row, the input's words repeating as needed. Where every input is
+// row by row, the input's words repeating as needed; the entries are the
+// kernel's rows, as a cache layer's are. Where every input is
 // finite it must also equal Cosine(vec, entry) bit for bit. Off AVX2 only
 // that comparison runs. The corpus is seeded from the specialRows grid of
 // TestAVX2KernelsMatchGo.
@@ -154,7 +137,7 @@ func FuzzCosinesRows(f *testing.F) {
 				}
 				for _, row := range rows {
 					for _, x := range row {
-						data = binary.LittleEndian.AppendUint32(data, math.Float32bits(float32(x)))
+						data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
 					}
 				}
 				f.Add(uint16(dim-1), uint8(n-1), data)
@@ -184,14 +167,14 @@ func FuzzCosinesRows(f *testing.F) {
 				entries[i][k] = next((i+1)*dim + k)
 			}
 		}
-		rows, norm2 := WidenRows(entries)
-		snorm := make([]float64, n)
+		norm2, snorm := make([]float64, n), make([]float64, n)
+		SquaredNorms(entries, norm2)
 		SqrtNorms(norm2, snorm)
 		got := make([]float32, n)
-		CosinesRows(vec, rows, snorm, got)
+		CosinesRows(vec, entries, snorm, got)
 		if useAVX2 {
 			want := make([]float32, n)
-			goPath(func() { CosinesRows(vec, rows, snorm, want) })
+			goPath(func() { CosinesRows(vec, entries, snorm, want) })
 			for i := range n {
 				if !same32(got[i], want[i]) {
 					t.Fatalf("dim=%d n=%d row %d: CosinesRows %x, Go %x", dim, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
@@ -226,9 +209,8 @@ func vec32(r *rand.Rand, off, n int, spiked bool) []float32 {
 // TestWireKernelsMatchGo holds the wire-path kernels to their Go loops at
 // every length 0…67, starting 0–3 elements into their allocations, on
 // plain and on spiked inputs: the byte-order kernel byte for byte (and back
-// bit for bit, NaN payloads included), WidenVecs' mirrors and squared norms
-// bit for bit against WidenVec, and WeightedSumInto elementwise against its
-// Go loop.
+// bit for bit, NaN payloads included) and WeightedSumInto elementwise
+// against its Go loop.
 func TestWireKernelsMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this machine: only the Go loops exist")
@@ -271,41 +253,6 @@ func TestWireKernelsMatchGo(t *testing.T) {
 				}
 			})
 
-			// WidenVecs over 1…9 vectors of length n (and one of length
-			// n+4 among them, which sends its group to the Go loop).
-			for batch := 1; batch <= 9; batch++ {
-				vecs := make([][]float32, batch)
-				for i := range vecs {
-					vecs[i] = vec32(r, off, n, spiked)
-					if batch == 7 && i == 5 {
-						vecs[i] = vec32(r, off, n+4, spiked)
-					}
-				}
-				var dsts [2][][]float64
-				var norms [2][]float64
-				for side := range dsts {
-					dsts[side] = make([][]float64, batch)
-					for i := range vecs {
-						dsts[side][i] = make([]float64, off+len(vecs[i]))[off:]
-					}
-					norms[side] = make([]float64, batch)
-				}
-				WidenVecs(vecs, dsts[0], norms[0])
-				for i, v := range vecs {
-					norms[1][i] = WidenVec(v, dsts[1][i])
-				}
-				for i := range vecs {
-					if !same64(norms[0][i], norms[1][i]) {
-						t.Fatalf("n=%d off=%d spiked=%v batch=%d vector %d: WidenVecs Σx² %x, WidenVec %x", n, off, spiked, batch, i, math.Float64bits(norms[0][i]), math.Float64bits(norms[1][i]))
-					}
-					for k := range dsts[0][i] {
-						if math.Float64bits(dsts[0][i][k]) != math.Float64bits(dsts[1][i][k]) {
-							t.Fatalf("n=%d off=%d spiked=%v batch=%d vector %d element %d: WidenVecs %x, WidenVec %x", n, off, spiked, batch, i, k, math.Float64bits(dsts[0][i][k]), math.Float64bits(dsts[1][i][k]))
-						}
-					}
-				}
-			}
-
 			a, b := vec32(r, off, n, spiked), vec32(r, 3-off, n, spiked)
 			w1, w2 := float32(r.NormFloat64()), float32(r.NormFloat64())
 			if spiked && off == 3 {
@@ -319,6 +266,91 @@ func TestWireKernelsMatchGo(t *testing.T) {
 					t.Fatalf("n=%d off=%d spiked=%v element %d: WeightedSumInto %x, Go %x", n, off, spiked, i, math.Float32bits(gotSum[i]), math.Float32bits(wantSum[i]))
 				}
 			}
+		}
+	}
+}
+
+// TestSquaredNormsMatchGo holds SquaredNorms, with AVX2 on and off, to
+// SquaredNorm vector by vector, bit for bit (a NaN to any NaN), on plain and
+// spiked vectors of every length 1…67 and of 96, 128, 192, 252, 255 and
+// 256, starting 0–3 elements into their allocations, over batches of 1…9
+// vectors: short last groups, lengths that are not a multiple of 4, and
+// batches of 7 whose sixth vector is 4 longer, which sends its group to the
+// Go loop.
+func TestSquaredNormsMatchGo(t *testing.T) {
+	r := rand.New(rand.NewPCG(31, 4))
+	dims := []int{96, 128, 192, 252, 255, 256}
+	for n := 1; n <= 67; n++ {
+		dims = append(dims, n)
+	}
+	for _, dim := range dims {
+		for trial := 0; trial < 8; trial++ {
+			off, spiked := trial%4, trial >= 4
+			for batch := 1; batch <= 9; batch++ {
+				vecs := make([][]float32, batch)
+				for i := range vecs {
+					n := dim
+					if batch == 7 && i == 5 {
+						n += 4
+					}
+					vecs[i] = vec32(r, off, n, spiked)
+				}
+				checkSquaredNorms(t, vecs)
+			}
+		}
+	}
+}
+
+// FuzzSquaredNorms holds SquaredNorms to SquaredNorm bit for bit (a NaN to
+// any NaN), with AVX2 on and off, over fuzzed dimensions (1…300), batch
+// sizes (1…12) and raw float32 bits; bit i%8 of mix makes vector i four
+// elements longer, so groups mix lengths. The corpus is seeded from
+// specialRows.
+func FuzzSquaredNorms(f *testing.F) {
+	r := rand.New(rand.NewPCG(31, 5))
+	for _, dim := range []int{4, 8, 252, 256, 6, 255} {
+		for _, n := range []int{1, 4, 7, 9} {
+			_, rows := specialRows(r, n, dim, true)
+			var data []byte
+			for _, row := range rows {
+				for _, x := range row {
+					data = binary.LittleEndian.AppendUint32(data, math.Float32bits(x))
+				}
+			}
+			f.Add(uint16(dim-1), uint8(n-1), uint8(r.IntN(256)), data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, dimSeed uint16, nSeed, mix uint8, data []byte) {
+		words := len(data) / 4
+		if words == 0 {
+			t.Skip("no float32 words")
+		}
+		dim, n := 1+int(dimSeed)%300, 1+int(nSeed)%12
+		vecs := make([][]float32, n)
+		w := 0
+		for i := range vecs {
+			vecs[i] = make([]float32, dim+4*int(mix>>(i%8)&1))
+			for k := range vecs[i] {
+				vecs[i][k] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*(w%words):]))
+				w++
+			}
+		}
+		checkSquaredNorms(t, vecs)
+	})
+}
+
+// checkSquaredNorms compares SquaredNorms, on the kernel and on the Go
+// loop, with SquaredNorm of each vector.
+func checkSquaredNorms(t *testing.T, vecs [][]float32) {
+	t.Helper()
+	got, gotGo := make([]float64, len(vecs)), make([]float64, len(vecs))
+	SquaredNorms(vecs, got)
+	goPath(func() { SquaredNorms(vecs, gotGo) })
+	for i, v := range vecs {
+		want := SquaredNorm(v)
+		if !same64(got[i], want) || !same64(gotGo[i], want) {
+			t.Fatalf("%d vectors, vector %d of length %d: SquaredNorms %x (Go %x), SquaredNorm %x",
+				len(vecs), i, len(v), math.Float64bits(got[i]), math.Float64bits(gotGo[i]), math.Float64bits(want))
 		}
 	}
 }
@@ -382,18 +414,14 @@ func BenchmarkCosinesRows(b *testing.B) {
 
 // BenchmarkWireKernels times the three wire-path kernels against their Go
 // loops on 256-float N(0,1) cells (no subnormals, which would time the
-// CPU's microcode assists instead): encoding one cell big-endian, staging
-// four cells, and one merge's weighted sum.
+// CPU's microcode assists instead): encoding one cell big-endian, the
+// squared norms of four cells, and one merge's weighted sum.
 func BenchmarkWireKernels(b *testing.B) {
 	r := rand.New(rand.NewPCG(31, 3))
 	const dim = 256
 	vecs := make([][]float32, 4)
-	wide := make([][]float64, 4)
 	for i := range vecs {
-		vecs[i], wide[i] = make([]float32, dim), make([]float64, dim)
-		for k := range vecs[i] {
-			vecs[i][k] = float32(r.NormFloat64())
-		}
+		vecs[i] = vec32(r, 0, dim, false)
 	}
 	buf, norm2, sum := make([]byte, 4*dim), make([]float64, 4), make([]float32, dim)
 	for _, kernel := range []bool{true, false} {
@@ -417,7 +445,7 @@ func BenchmarkWireKernels(b *testing.B) {
 				binary.BigEndian.PutUint32(buf[4*i:], math.Float32bits(vecs[0][i]))
 			}
 		})
-		run("widen4", func() { WidenVecs(vecs, wide, norm2) })
+		run("norms4", func() { SquaredNorms(vecs, norm2) })
 		run("wsum", func() { WeightedSumInto(sum, 0.75, vecs[0], 0.25, vecs[1]) })
 	}
 }

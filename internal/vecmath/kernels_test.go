@@ -18,6 +18,15 @@ func kernelVectors(r *rand.Rand, n, dim int) [][]float32 {
 	return out
 }
 
+// widenRows widens each entry with WidenRow, for the float64 kernel.
+func widenRows(entries [][]float32) [][]float64 {
+	rows := make([][]float64, len(entries))
+	for i, e := range entries {
+		rows[i], _ = WidenRow(e)
+	}
+	return rows
+}
+
 // TestSoftmaxIntoMatchesSoftmax checks the in-place variant.
 func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 7))
@@ -38,23 +47,23 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	entries := kernelVectors(r, 12, 64)
 	vec := kernelVectors(r, 1, 64)[0]
 	vec64 := make([]float64, 64)
-	rows, norm2 := WidenRows(entries)
-	snorm := make([]float64, 12)
-	SqrtNorms(norm2, snorm)
+	norm2, snorm := make([]float64, 12), make([]float64, 12)
 	out := make([]float32, 12)
 	if n := testing.AllocsPerRun(200, func() {
 		WidenVec(vec, vec64)
-		CosinesRows(vec, rows, snorm, out)
-		DotsWidenedRows(vec, rows, out)
+		SquaredNorms(entries, norm2)
+		SqrtNorms(norm2, snorm)
+		CosinesRows(vec, entries, snorm, out)
+		DotsRows(vec, entries, out)
 		Scale(0.5, out)
 	}); n != 0 {
 		t.Errorf("probe kernels allocate %v/op, want 0", n)
 	}
 }
 
-// TestStagedRowCosineBitwise locks the publish-time staging contract: the
-// row-based staged kernels (WidenRows, then CosinesWidenedRows on
-// the widened query or CosinesRows on the float32 one) must reproduce scalar
+// TestStagedRowCosineBitwise locks the staging contract: the row-based
+// staged kernels (SquaredNorms, then CosinesRows on the float32 rows, or
+// CosinesWidenedRows on widened query and rows) must reproduce scalar
 // Cosine bit for bit across awkward shapes — dimensions around the
 // tile widths (including 1 and non-multiples of the tile), entry counts
 // exercising every tail-loop combination.
@@ -64,7 +73,8 @@ func TestStagedRowCosineBitwise(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13} {
 			entries := kernelVectors(r, n, dim)
 			vec := kernelVectors(r, 1, dim)[0]
-			rows, norm2 := WidenRows(entries)
+			norm2 := make([]float64, n)
+			SquaredNorms(entries, norm2)
 			for i, e := range entries {
 				if norm2[i] != SquaredNorm(e) {
 					t.Fatalf("dim=%d n=%d entry %d: staged norm %v != SquaredNorm %v", dim, n, i, norm2[i], SquaredNorm(e))
@@ -78,9 +88,9 @@ func TestStagedRowCosineBitwise(t *testing.T) {
 			snorm := make([]float64, n)
 			SqrtNorms(norm2, snorm)
 			out := make([]float32, n)
-			CosinesWidenedRows(vec64, math.Sqrt(vn), rows, snorm, out)
+			CosinesWidenedRows(vec64, math.Sqrt(vn), widenRows(entries), snorm, out)
 			out32 := make([]float32, n)
-			CosinesRows(vec, rows, snorm, out32)
+			CosinesRows(vec, entries, snorm, out32)
 			for i, e := range entries {
 				if want := Cosine(vec, e); want != out[i] || want != out32[i] {
 					t.Fatalf("dim=%d n=%d entry %d: Cosine %v, CosinesWidenedRows %v, CosinesRows %v", dim, n, i, want, out[i], out32[i])
@@ -90,20 +100,19 @@ func TestStagedRowCosineBitwise(t *testing.T) {
 	}
 }
 
-// TestDotsWidenedRowsBitwise checks the staged dot kernel (the prediction
-// head's logits scan) against Dot.
-func TestDotsWidenedRowsBitwise(t *testing.T) {
+// TestDotsRowsBitwise checks the row dot kernel (the prediction head's
+// logits scan) against Dot.
+func TestDotsRowsBitwise(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 13))
 	for _, n := range []int{1, 3, 4, 5, 11} {
 		for _, dim := range []int{1, 5, 96, 130} {
 			entries := kernelVectors(r, n, dim)
 			vec := kernelVectors(r, 1, dim)[0]
-			rows, _ := WidenRows(entries)
 			out := make([]float32, n)
-			DotsWidenedRows(vec, rows, out)
+			DotsRows(vec, entries, out)
 			for i, e := range entries {
 				if want := Dot(vec, e); want != out[i] {
-					t.Fatalf("n=%d dim=%d entry %d: Dot %v != DotsWidenedRows %v", n, dim, i, want, out[i])
+					t.Fatalf("n=%d dim=%d entry %d: Dot %v != DotsRows %v", n, dim, i, want, out[i])
 				}
 			}
 		}
@@ -111,13 +120,14 @@ func TestDotsWidenedRowsBitwise(t *testing.T) {
 }
 
 // TestStagedKernelsZeroAlloc asserts the staged-row kernels never
-// allocate: the staging is computed at publish time, so the per-probe
+// allocate: the staging is computed when a cell arrives, so the per-probe
 // path must stay off the heap entirely.
 func TestStagedKernelsZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewPCG(10, 14))
 	entries := kernelVectors(r, 12, 64)
-	rows, norm2 := WidenRows(entries)
-	snorm := make([]float64, len(entries))
+	rows := widenRows(entries)
+	norm2, snorm := make([]float64, len(entries)), make([]float64, len(entries))
+	SquaredNorms(entries, norm2)
 	query := kernelVectors(r, 1, 64)[0]
 	qrow := make([]float64, 64)
 	qsnorm := math.Sqrt(WidenVec(query, qrow))
@@ -125,8 +135,8 @@ func TestStagedKernelsZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		SqrtNorms(norm2, snorm)
 		CosinesWidenedRows(qrow, qsnorm, rows, snorm, out)
-		CosinesRows(query, rows, snorm, out)
-		DotsWidenedRows(query, rows, out)
+		CosinesRows(query, entries, snorm, out)
+		DotsRows(query, entries, out)
 	}); n != 0 {
 		t.Errorf("staged kernels allocate %v/op, want 0", n)
 	}

@@ -134,52 +134,48 @@ func WidenVec(vec []float32, dst []float64) float64 {
 	return s
 }
 
-// WidenVecs widens every vecs[i] into dst[i] and sets norm2[i] to its
-// SquaredNorm: WidenVec over a batch, bitwise the same. With AVX2 it widens
-// four vectors per widen4AVX2 call, lane j carrying vector j's chain in
-// index order; a group whose vectors differ in length, or whose length is
-// not a positive multiple of 4, takes WidenVec. A short last group repeats
-// its last vector, whose mirror is then written twice with the same values.
-// It panics if dst or norm2 is shorter than vecs, or a mirror shorter than
-// its vector. Allocation-free.
-func WidenVecs(vecs [][]float32, dst [][]float64, norm2 []float64) {
-	if len(dst) < len(vecs) || len(norm2) < len(vecs) {
-		panic(fmt.Sprintf("vecmath: WidenVecs dst/norm2 length %d/%d < %d", len(dst), len(norm2), len(vecs)))
+// SquaredNorms sets norm2[i] to SquaredNorm(vecs[i]), bitwise the same.
+// With AVX2 it sums four vectors per norms4AVX2 call, lane j carrying vector
+// j's chain in index order; a group whose vectors differ in length, or whose
+// length is not a positive multiple of 4, takes SquaredNorm. A short last
+// group repeats its last vector and drops the repeats' sums. It panics if
+// norm2 is shorter than vecs. Allocation-free.
+func SquaredNorms(vecs [][]float32, norm2 []float64) {
+	if len(norm2) < len(vecs) {
+		panic(fmt.Sprintf("vecmath: SquaredNorms norm2 length %d < %d", len(norm2), len(vecs)))
 	}
 	for i := 0; i < len(vecs); i += 4 {
-		if !widen4(vecs, dst, i, norm2) {
+		if !norms4(vecs, i, norm2) {
 			for j := i; j < min(i+4, len(vecs)); j++ {
-				norm2[j] = WidenVec(vecs[j], dst[j])
+				norm2[j] = SquaredNorm(vecs[j])
 			}
 		}
 	}
 }
 
-// widen4 runs widen4AVX2 on vectors i…i+3 (the last vector standing in for
+// norms4 runs norms4AVX2 on vectors i…i+3 (the last vector standing in for
 // those past the end) and reports whether the kernel fit them.
-func widen4(vecs [][]float32, dst [][]float64, i int, norm2 []float64) bool {
+func norms4(vecs [][]float32, i int, norm2 []float64) bool {
 	n := len(vecs[i])
 	if !useAVX2 || n == 0 || n%4 != 0 {
 		return false
 	}
 	var p [4]*float32
-	var q [4]*float64
 	for j := range p {
 		k := min(i+j, len(vecs)-1)
-		if len(vecs[k]) != n || len(dst[k]) < n {
+		if len(vecs[k]) != n {
 			return false
 		}
-		p[j], q[j] = &vecs[k][0], &dst[k][0]
+		p[j] = &vecs[k][0]
 	}
 	var s [4]float64
-	widen4AVX2(&p, &q, n, &s)
+	norms4AVX2(&p, n, &s)
 	copy(norm2[i:min(i+4, len(vecs))], s[:])
 	return true
 }
 
-// dots4r accumulates four dot chains of the widened query against four
-// widened entry rows held as independent slices (the row-based staging
-// cache layers carry), each chain in index order.
+// dots4r accumulates four dot chains of a float64 query against four
+// float64 rows held as independent slices, each chain in index order.
 func dots4r(vec, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
 	e0 = e0[:len(vec)]
 	e1 = e1[:len(vec)]
@@ -194,16 +190,14 @@ func dots4r(vec, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
 	return
 }
 
-// CosinesWidenedRows fills out[i] with Cosine(vec, entries[i]) where
-// rows[i] is the widened (float64) mirror of entry i and snorm[i] the
-// SQUARE ROOT of its squared norm — the probe staging carried by
-// cache layers. vec64 is the widened query and sqrtVecNorm =
-// math.Sqrt(SquaredNorm(vec)), computed once per probe. Rows are tiled
+// CosinesWidenedRows is CosinesRows for float64 operands: out[i] is the
+// cosine of vec64 and rows[i], given snorm[i], the SQUARE ROOT of rows[i]'s
+// squared norm, and sqrtVecNorm, the query's, computed once per call. The
+// routing tier scores its float64 class profiles with it. Rows are tiled
 // four at a time with a convert-free inner loop; every per-pair chain
 // accumulates in index order and the cosine is finished from the same
-// Sqrt values Cosine would compute, so results are bitwise identical to
-// Cosine while the two per-pair Sqrts collapse into staging.
-// Allocation-free.
+// Sqrt values Cosine would compute, so for widened float32 operands the
+// results are bitwise identical to Cosine. Allocation-free.
 func CosinesWidenedRows(vec64 []float64, sqrtVecNorm float64, rows [][]float64, snorm []float64, out []float32) {
 	n := len(rows)
 	if len(snorm) < n || len(out) < n {
@@ -228,7 +222,7 @@ func CosinesWidenedRows(vec64 []float64, sqrtVecNorm float64, rows [][]float64, 
 }
 
 // SqrtNorms fills snorm[i] with math.Sqrt(norm2[i]) — the second half of
-// the publish-time cosine staging (see cosineFromSqrts). Allocation-free.
+// a layer's cosine staging (see cosineFromSqrts). Allocation-free.
 func SqrtNorms(norm2, snorm []float64) {
 	if len(snorm) < len(norm2) {
 		panic(fmt.Sprintf("vecmath: SqrtNorms snorm length %d < %d", len(snorm), len(norm2)))
@@ -238,15 +232,15 @@ func SqrtNorms(norm2, snorm []float64) {
 	}
 }
 
-// DotsWidenedRows fills out[i] with Dot(vec, entries[i]) where rows[i] is
-// the widened mirror of entry i. Widening is exact and each chain
-// accumulates in index order, so results are bitwise identical to Dot, on
-// the AVX2 kernel (see CosinesRows) or off it. Used by the prediction head
-// against the space's staged final-layer prototypes. Allocation-free.
-func DotsWidenedRows(vec []float32, rows [][]float64, out []float32) {
+// DotsRows fills out[i] with Dot(vec, rows[i]). Widening is exact and each
+// chain accumulates in index order, so results are bitwise identical to
+// Dot, on the AVX2 kernel (see CosinesRows) or off it. Used by the
+// prediction head against the space's final-layer prototypes.
+// Allocation-free.
+func DotsRows(vec []float32, rows [][]float32, out []float32) {
 	n := len(rows)
 	if len(out) < n {
-		panic(fmt.Sprintf("vecmath: DotsWidenedRows out length %d < %d", len(out), n))
+		panic(fmt.Sprintf("vecmath: DotsRows out length %d < %d", len(out), n))
 	}
 	fits := kernelFits(vec, rows)
 	var d [9]float64
@@ -259,13 +253,13 @@ func DotsWidenedRows(vec []float32, rows [][]float64, out []float32) {
 	}
 }
 
-// CosinesRows is CosinesWidenedRows for a float32 query: out[i] =
-// Cosine(vec, entries[i]) against the probe staging of cache layers (rows
-// and square-root norms). With AVX2 the query's squared norm is accumulated
-// beside the dots, so the query is read once and never widened into
-// memory. Each chain is added in index order on either path, and the
-// results are bitwise identical to Cosine. Allocation-free.
-func CosinesRows(vec []float32, rows [][]float64, snorm []float64, out []float32) {
+// CosinesRows fills out[i] with Cosine(vec, rows[i]), where snorm[i] is the
+// square root of rows[i]'s squared norm — the probe staging of cache layers.
+// Query and rows are widened in registers, never into memory, and with
+// AVX2 the query's squared norm is accumulated beside the dots, so the
+// query is read once. Each chain is added in index order on either path,
+// and the results are bitwise identical to Cosine. Allocation-free.
+func CosinesRows(vec []float32, rows [][]float32, snorm []float64, out []float32) {
 	n := len(rows)
 	if len(snorm) < n || len(out) < n {
 		panic(fmt.Sprintf("vecmath: CosinesRows snorm/out length %d/%d < %d", len(snorm), len(out), n))
@@ -291,7 +285,7 @@ func CosinesRows(vec []float32, rows [][]float64, snorm []float64, out []float32
 // kernelFits reports whether dots8AVX2 may score vec against rows: AVX2 is
 // on, the dimension is a positive multiple of 4 and no row is shorter than
 // the query. Anything else takes the Go loop, which panics on a short row.
-func kernelFits(vec []float32, rows [][]float64) bool {
+func kernelFits(vec []float32, rows [][]float32) bool {
 	if !useAVX2 || len(vec) == 0 || len(vec)%4 != 0 {
 		return false
 	}
@@ -304,72 +298,44 @@ func kernelFits(vec []float32, rows [][]float64) bool {
 }
 
 // dotBlock writes the dots of vec with the rows from i on into d: eight per
-// dots8AVX2 call when the kernel fits, which also leaves the query's
-// squared norm in d[8], and four per dots4f call otherwise. Rows past the
-// end point at the last row; the caller drops their sums. It returns how
-// many sums it wrote.
-func dotBlock(vec []float32, rows [][]float64, i int, fits bool, d *[9]float64) int {
+// dots8AVX2 call when the kernel fits, which on the first block (i == 0)
+// also leaves the query's squared norm in d[8], and four per dots4f call
+// otherwise. Rows past the end point at the last row; the caller drops
+// their sums. It returns how many sums it wrote.
+func dotBlock(vec []float32, rows [][]float32, i int, fits bool, d *[9]float64) int {
 	last := len(rows) - 1
 	if fits {
-		var p [8]*float64
+		var p [8]*float32
 		for j := range p {
 			p[j] = &rows[min(i+j, last)][0]
 		}
-		dots8AVX2(&vec[0], len(vec), &p, d)
+		dots8AVX2(&vec[0], len(vec), &p, d, i == 0)
 		return 8
 	}
 	d[0], d[1], d[2], d[3] = dots4f(vec, rows[i], rows[min(i+1, last)], rows[min(i+2, last)], rows[min(i+3, last)])
 	return 4
 }
 
-// dots4f is dots4r for a float32 query, widened element by element — the
-// Go loop dots8AVX2 reproduces.
-func dots4f(vec []float32, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
+// dots4f is dots4r on float32 operands, each widened element by element —
+// the Go loop dots8AVX2 reproduces.
+func dots4f(vec, e0, e1, e2, e3 []float32) (d0, d1, d2, d3 float64) {
 	e0 = e0[:len(vec)]
 	e1 = e1[:len(vec)]
 	e2 = e2[:len(vec)]
 	e3 = e3[:len(vec)]
 	for k, x := range vec {
 		xv := float64(x)
-		d0 += xv * e0[k]
-		d1 += xv * e1[k]
-		d2 += xv * e2[k]
-		d3 += xv * e3[k]
+		d0 += xv * float64(e0[k])
+		d1 += xv * float64(e1[k])
+		d2 += xv * float64(e2[k])
+		d3 += xv * float64(e3[k])
 	}
 	return
 }
 
-// WidenRows returns freshly allocated widened mirrors and squared norms of
-// the given entries — the publish-time staging constructor. Each row is an
-// independent slice over one backing array.
-func WidenRows(entries [][]float32) (rows [][]float64, norm2 []float64) {
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	dim := len(entries[0])
-	back := make([]float64, len(entries)*dim)
-	rows = make([][]float64, len(entries))
-	norm2 = make([]float64, len(entries))
-	for i, e := range entries {
-		if len(e) != dim {
-			panic(fmt.Sprintf("vecmath: WidenRows entry %d length %d != %d", i, len(e), dim))
-		}
-		row := back[i*dim : (i+1)*dim : (i+1)*dim]
-		var s float64
-		for k, x := range e {
-			xv := float64(x)
-			row[k] = xv
-			s += xv * xv
-		}
-		rows[i] = row
-		norm2[i] = s
-	}
-	return rows, norm2
-}
-
 // WidenRow returns a freshly allocated widened mirror of one entry and its
-// squared norm — the single-cell form of WidenRows, used when a table cell
-// is published.
+// squared norm, for callers that score float64 queries with
+// CosinesWidenedRows.
 func WidenRow(v []float32) ([]float64, float64) {
 	row := make([]float64, len(v))
 	var s float64
