@@ -96,40 +96,12 @@ func (p *PolicyCache) Infer(smp dataset.Sample) engine.Result {
 			p.dirty = false
 		}
 	}
-	arch := p.space.Arch
-	p.lookup.Reset()
-	var latency, lookupMs float64
-	res := engine.Result{Pred: -1, HitLayer: -1}
-	for j := 0; j <= arch.NumLayers; j++ {
-		latency += arch.BlockLatencyMs[j]
-		if j == arch.NumLayers {
-			break
-		}
-		layer := p.local.LayerAt(j)
-		if layer == nil || layer.Len() == 0 {
-			continue
-		}
-		vec := p.space.SampleVector(smp, j, p.env)
-		cost := arch.LookupCostMs(layer.Len())
-		latency += cost
-		lookupMs += cost
-		pr := p.lookup.Probe(layer, vec)
-		if pr.Hit {
-			res.Pred = pr.Class
-			res.Hit = true
-			res.HitLayer = j
-			p.replacer.Touch(pr.Class)
-			break
-		}
+	res, _ := FixedLookup(p.space, p.env, p.local, p.lookup, smp)
+	if res.Hit {
+		p.replacer.Touch(res.Pred)
+	} else if _, evicted := p.replacer.Insert(res.Pred); evicted || !p.containsLoaded(res.Pred) {
+		p.dirty = true
 	}
-	if !res.Hit {
-		res.Pred = p.space.Predict(smp, p.env).Class
-		if _, evicted := p.replacer.Insert(res.Pred); evicted || !p.containsLoaded(res.Pred) {
-			p.dirty = true
-		}
-	}
-	res.LatencyMs = latency
-	res.LookupMs = lookupMs
 	return res
 }
 

@@ -150,46 +150,19 @@ func (s *SMTM) hotSpotClasses() []int {
 
 // Infer implements engine.Engine.
 func (s *SMTM) Infer(smp dataset.Sample) engine.Result {
-	arch := s.space.Arch
-	s.lookup.Reset()
-	var latency, lookupMs float64
-	res := engine.Result{Pred: -1, HitLayer: -1}
-	for j := 0; j <= arch.NumLayers; j++ {
-		latency += arch.BlockLatencyMs[j]
-		if j == arch.NumLayers {
-			break
-		}
-		layer := s.local.LayerAt(j)
-		if layer == nil || layer.Len() == 0 {
-			continue
-		}
-		vec := s.space.SampleVector(smp, j, s.env)
-		cost := arch.LookupCostMs(layer.Len())
-		latency += cost
-		lookupMs += cost
-		pr := s.lookup.Probe(layer, vec)
-		if pr.Hit {
-			res.Pred = pr.Class
-			res.Hit = true
-			res.HitLayer = j
-			// Local reinforcement of the hit entry (count-weighted
-			// running mean over a support capped at 160, mirroring CoCa's
-			// evidence weighting but without any upload). A refused vector
-			// leaves the entry as it was.
-			_ = s.table.Merge(pr.Class, j, vec, gtable.DefaultGamma, 1, 160)
-			break
-		}
-	}
-	if !res.Hit {
-		res.Pred = s.space.Predict(smp, s.env).Class
+	res, vec := FixedLookup(s.space, s.env, s.local, s.lookup, smp)
+	if res.Hit {
+		// Local reinforcement of the hit entry (count-weighted running
+		// mean over a support capped at 160, mirroring CoCa's evidence
+		// weighting but without any upload). A refused vector leaves the
+		// entry as it was.
+		_ = s.table.Merge(res.Pred, res.HitLayer, vec, gtable.DefaultGamma, 1, 160)
 	}
 	for i := range s.tau {
 		s.tau[i]++
 	}
 	s.tau[smp.Class] = 0
 	s.freq[smp.Class]++
-	res.LatencyMs = latency
-	res.LookupMs = lookupMs
 	return res
 }
 

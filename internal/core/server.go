@@ -723,14 +723,6 @@ func (s *Server) Shape() (classes, layers int) {
 	return s.space.DS.NumClasses, s.space.Arch.NumLayers
 }
 
-// ForEachCell visits every populated global-table cell with its entry
-// vector, write version, capped support and monotone evidence total — the
-// scan behind federation delta collection. The visited vector must not be
-// mutated.
-func (s *Server) ForEachCell(fn func(class, layer int, vec []float32, ver uint64, support, evTotal float64)) {
-	s.table.ForEachCell(fn)
-}
-
 // AppendCells appends every populated global-table cell to dst — the bulk
 // sweep behind federation delta collection, fanned out across per-shard
 // workers for large tables (see gtable.Sharded.AppendCells). Cell vectors

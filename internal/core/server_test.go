@@ -241,9 +241,9 @@ func TestServerUploadValidation(t *testing.T) {
 // tableVersions returns the write version of every populated table cell.
 func tableVersions(srv *Server) map[CellRef]uint64 {
 	vers := map[CellRef]uint64{}
-	srv.ForEachCell(func(class, layer int, _ []float32, ver uint64, _, _ float64) {
-		vers[CellRef{Site: layer, Class: class}] = ver
-	})
+	for _, c := range srv.AppendCells(nil) {
+		vers[CellRef{Site: c.Layer, Class: c.Class}] = c.Ver
+	}
 	return vers
 }
 

@@ -12,7 +12,6 @@ package federation
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"coca/internal/core"
@@ -38,18 +37,12 @@ type nodeState struct {
 
 func snapshotNode(n *Node) nodeState {
 	var st nodeState
-	n.Server().ForEachCell(func(class, layer int, vec []float32, _ uint64, _, evTotal float64) {
+	for _, c := range n.Server().AppendCells(nil) {
 		st.Cells = append(st.Cells, cellSnap{
-			Class: class, Layer: layer, EvTotal: evTotal,
-			Vec: append([]float32(nil), vec...),
+			Class: c.Class, Layer: c.Layer, EvTotal: c.EvTotal,
+			Vec: append([]float32(nil), c.Vec...),
 		})
-	})
-	sort.Slice(st.Cells, func(i, j int) bool {
-		if st.Cells[i].Class != st.Cells[j].Class {
-			return st.Cells[i].Class < st.Cells[j].Class
-		}
-		return st.Cells[i].Layer < st.Cells[j].Layer
-	})
+	}
 	st.Freq = n.Server().GlobalFreq()
 	return st
 }
@@ -60,7 +53,7 @@ func snapshotNode(n *Node) nodeState {
 // cell, every frequency — to a fleet syncing every second round with no
 // faults. A faulted exchange stays uncommitted, so the next collect
 // resends exactly the lost content; if anything leaked (views
-// fast-forwarded past undelivered evidence, double-applied deltas,
+// credited with undelivered evidence, double-applied deltas,
 // client-visible epoch effects), the two arms would diverge.
 func TestResendEquivalenceGolden(t *testing.T) {
 	for _, kind := range []Kind{Mesh, Ring} {
@@ -123,13 +116,12 @@ func TestResendEquivalenceGolden(t *testing.T) {
 
 // evTotalOf reads one cell's evidence-ledger position.
 func evTotalOf(n *Node, class, layer int) float64 {
-	var out float64
-	n.Server().ForEachCell(func(c, l int, _ []float32, _ uint64, _, evTotal float64) {
-		if c == class && l == layer {
-			out = evTotal
+	for _, c := range n.Server().AppendCells(nil) {
+		if c.Class == class && c.Layer == layer {
+			return c.EvTotal
 		}
-	})
-	return out
+	}
+	return 0
 }
 
 // TestPartitionHealReconvergence isolates node 0 from the fleet for a
@@ -369,5 +361,44 @@ func TestFaultedSyncRoundAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, faultedRound)
 	if allocs > 128 {
 		t.Errorf("faulted sync round: %.1f allocs/op, want <= 128 (fixed bookkeeping + per-link error records)", allocs)
+	}
+}
+
+// TestMeshDeadPeerKeepsOwedEvidence: a mesh peer the failure detector has
+// declared dead is skipped, not sent a delta, so closing the round must not
+// mark the evidence it never received as held by it. Both links of a
+// two-node mesh fail for 12 rounds while node 0 takes one upload per round;
+// 30 clean rounds later both ledgers agree on the cell and node 0 holds its
+// peer alive again.
+func TestMeshDeadPeerKeepsOwedEvidence(t *testing.T) {
+	space := testSpace()
+	topo, err := NewTopology(Mesh, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*Node{
+		NewNode(core.NewServer(space, testServerConfig()), NodeConfig{ID: 0}),
+		NewNode(core.NewServer(space, testServerConfig()), NodeConfig{ID: 1}),
+	}
+	allFault := func(from, to int) bool { return true }
+	for round := 0; round < 12; round++ {
+		uploadCell(t, nodes[0], 2, 5, unitVec(3))
+		if err := syncNodes(nodes, topo, allFault); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nodes[0].Members().Alive(1) {
+		t.Fatal("12 faulted rounds did not mark peer 1 dead")
+	}
+	for round := 0; round < 30; round++ {
+		if err := SyncNodes(nodes, topo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := evTotalOf(nodes[0], 2, 5), evTotalOf(nodes[1], 2, 5); a != b {
+		t.Fatalf("cell (2,5) ledger: node 0 %.0f, node 1 %.0f after the links healed", a, b)
+	}
+	if !nodes[0].Members().Alive(1) {
+		t.Fatalf("node 0 still holds peer 1 %v after 30 clean rounds", nodes[0].Members().State(1))
 	}
 }

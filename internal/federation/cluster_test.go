@@ -146,7 +146,9 @@ func TestClusterGolden(t *testing.T) {
 	ledgers := func(cl *Cluster) {
 		for _, n := range cl.Nodes {
 			var sum float64
-			n.Server().ForEachCell(func(_, _ int, _ []float32, _ uint64, _, ev float64) { sum += ev })
+			for _, c := range n.Server().AppendCells(nil) {
+				sum += c.EvTotal
+			}
 			fmt.Fprintf(h, "ledger %x\n", math.Float64bits(sum))
 		}
 	}

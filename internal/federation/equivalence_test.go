@@ -195,7 +195,7 @@ func TestWireDeltaEquivalenceGolden(t *testing.T) {
 			}
 		}
 		for _, n := range nodes {
-			n.EndSync(true)
+			n.EndSync()
 		}
 	}
 

@@ -131,7 +131,8 @@ func unitVec(d int) []float32 {
 // TestMeshSyncPropagatesAndSuppressesEcho checks the tentpole mechanics
 // on a 2-node mesh: a client-merged cell travels to the peer
 // evidence-weighted, and a second sync with no new activity moves no
-// bytes (echo suppression via the post-sync view fast-forward).
+// bytes (echo suppression: mesh crediting marks received evidence as held
+// by every peer view).
 func TestMeshSyncPropagatesAndSuppressesEcho(t *testing.T) {
 	space := testSpace()
 	cfg := testServerConfig()

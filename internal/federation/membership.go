@@ -7,7 +7,6 @@ import (
 
 	"coca/internal/protocol"
 	"coca/internal/telemetry"
-	"coca/internal/xrand"
 )
 
 // PeerState is a fleet member's health as seen from one node. States move
@@ -583,35 +582,6 @@ func (m *Membership) Tombstones() int {
 		}
 	}
 	return n
-}
-
-// SampleAntiEntropyPeer picks this round's pull target: a seeded,
-// deterministic sample over identified peers, skipping dead and left
-// ones except on their re-probe rounds (a partitioned-away node that
-// declared the majority dead must still probe its way back in). Returns
-// false when no peer qualifies.
-func (m *Membership) SampleAntiEntropyPeer(selfID int, tick, seed uint64) (int, bool) {
-	m.mu.Lock()
-	ids := make([]int, 0, len(m.peers))
-	for id, p := range m.peers {
-		if id < 0 || id == selfID {
-			continue
-		}
-		switch p.stats.State {
-		case PeerDead, PeerLeft:
-			if tick%uint64(m.cfg.DeadRetryEvery) != 0 {
-				continue
-			}
-		}
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	if len(ids) == 0 {
-		return 0, false
-	}
-	sort.Ints(ids)
-	rng := xrand.New(seed, tick, uint64(selfID), 0xA17E)
-	return ids[rng.IntN(len(ids))], true
 }
 
 // KnownAddrs returns the dial addresses of identified (non-provisional)

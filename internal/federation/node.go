@@ -77,9 +77,8 @@ type NodeConfig struct {
 	// it forwards onward. Non-relaying nodes (full mesh — every pair
 	// exchanges directly) credit received evidence to EVERY peer view
 	// immediately: the origin ships to each peer itself, and without
-	// this, evidence would re-circulate around wire meshes forever at
-	// constant amplitude (wire syncs have no barrier, so the in-process
-	// driver's post-sync fast-forward cannot help there).
+	// this, evidence would re-circulate around meshes forever at
+	// constant amplitude.
 	Relay bool
 	// RemoteFreqWeight discounts the Φ increments shipped to peers.
 	// Remote observations are biased samples of ANOTHER fleet's class
@@ -213,9 +212,10 @@ func NewNode(srv *core.Server, cfg NodeConfig) *Node {
 		members:   NewMembership(cfg.Membership),
 	}
 	n.initial = make([]float64, classes*layers)
-	srv.ForEachCell(func(class, layer int, _ []float32, _ uint64, _, evTotal float64) {
-		n.initial[class*layers+layer] = evTotal
-	})
+	n.sweep = srv.AppendCells(nil)
+	for _, c := range n.sweep {
+		n.initial[c.Class*layers+c.Layer] = c.EvTotal
+	}
 	n.initialFreq = srv.GlobalFreq()
 	n.base = append([]float64(nil), n.initial...)
 	n.foreign = make([]float64, classes*layers)
@@ -760,50 +760,18 @@ func (n *Node) NotePeerRecvBytes(b int) {
 	telemetry.FedBytesRecv.Add(uint64(b))
 }
 
-// EndSync closes one sync round: the epoch advances and, when
-// fastForward is set (full-mesh fleets, where every pair exchanges
-// directly), every peer view jumps to the current ledgers so evidence
-// just learned from one peer is not re-broadcast to the others.
-// Forwarding topologies (star, ring) skip the fast-forward — relaying is
-// exactly how evidence crosses the hub or travels the ring. Wire fleets
-// skip it too: their syncs are not barriered, and collapsing views
-// mid-flight could mark locally-pending evidence as delivered.
-func (n *Node) EndSync(fastForward bool) { n.EndSyncExcept(fastForward, nil) }
-
-// EndSyncExcept is EndSync with a fault exclusion set: views of peers in
-// `faulted` are NOT fast-forwarded. A faulted exchange delivered nothing,
-// so collapsing that peer's view to the current ledger would mark
-// undelivered evidence as possessed — losing it forever. Keeping the view
-// where it was makes the next collect resend exactly the uncommitted
-// content (the bounded-staleness recovery path).
-func (n *Node) EndSyncExcept(fastForward bool, faulted map[int]bool) {
+// EndSync closes one sync round: the epoch advances, the round is counted
+// and membership ticks. It leaves peer views alone: mesh crediting in
+// HandlePeerDelta already marks received evidence as held by every view,
+// and a peer skipped or faulted this round must keep the view that makes
+// the next collect send it what it is owed.
+func (n *Node) EndSync() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.epoch++
 	n.stats.Syncs++
 	telemetry.FedSyncs.Inc()
 	n.members.Tick()
-	if !fastForward || len(n.views) == 0 {
-		return
-	}
-	n.sweep = n.srv.AppendCells(n.sweep[:0])
-	for i := range n.sweep {
-		c := &n.sweep[i]
-		k := c.Class*n.layers + c.Layer
-		for id, view := range n.views {
-			if faulted[id] {
-				continue
-			}
-			view[k] = c.EvTotal
-		}
-	}
-	n.freqScratch = n.srv.GlobalFreqInto(n.freqScratch)
-	for id, fview := range n.freqViews {
-		if faulted[id] {
-			continue
-		}
-		copy(fview, n.freqScratch)
-	}
 }
 
 // Epoch returns the number of completed sync rounds.

@@ -8,7 +8,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"coca/internal/core"
@@ -28,18 +27,12 @@ type fullSnap struct {
 
 func snapshotCells(n *Node) []fullSnap {
 	var out []fullSnap
-	n.Server().ForEachCell(func(class, layer int, vec []float32, _ uint64, support, evTotal float64) {
+	for _, c := range n.Server().AppendCells(nil) {
 		out = append(out, fullSnap{
-			Class: class, Layer: layer, Support: support, EvTotal: evTotal,
-			Vec: append([]float32(nil), vec...),
+			Class: c.Class, Layer: c.Layer, Support: c.Support, EvTotal: c.EvTotal,
+			Vec: append([]float32(nil), c.Vec...),
 		})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Class != out[j].Class {
-			return out[i].Class < out[j].Class
-		}
-		return out[i].Layer < out[j].Layer
-	})
+	}
 	return out
 }
 
@@ -295,32 +288,70 @@ func TestCertificateOutranksRumor(t *testing.T) {
 	}
 }
 
-// TestAntiEntropySamplingSkipsDead pins the pull-target sampler: it is
-// deterministic in (seed, tick, self), never picks self, skips dead and
-// left peers except on their re-probe rounds, and reports no target on
-// an empty candidate set.
-func TestAntiEntropySamplingSkipsDead(t *testing.T) {
-	m := NewMembership(MembershipConfig{DeadRetryEvery: 4})
-	if _, ok := m.SampleAntiEntropyPeer(0, 1, 7); ok {
-		t.Fatal("empty membership produced a pull target")
+// TestWireAntiEntropySkipsDownPeers: AntiEntropyOnce never pulls from a
+// left or dead peer outside its re-probe rounds (every DeadRetryEvery-th
+// epoch), and on a re-probe round it does probe one.
+func TestWireAntiEntropySkipsDownPeers(t *testing.T) {
+	space := testSpace()
+	cfg := testServerConfig()
+	local := NewNode(core.NewServer(space, cfg), NodeConfig{ID: 0, Membership: MembershipConfig{DeadRetryEvery: 4}})
+	remotes := map[string]*Node{
+		"n1": NewNode(core.NewServer(space, cfg), NodeConfig{ID: 1}),
+		"n2": NewNode(core.NewServer(space, cfg), NodeConfig{ID: 2}),
 	}
-	m.AddPeer(1)
-	m.AddPeer(2)
-	m.NoteLeave(2)
-	for tick := uint64(1); tick < 8; tick++ {
-		id, ok := m.SampleAntiEntropyPeer(0, tick, 7)
-		if !ok {
-			t.Fatalf("no target at tick %d", tick)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	peers := NewPeerSetWith(local, []string{"n1", "n2"}, PeerSetConfig{
+		Dial: func(_ context.Context, addr string) (transport.Conn, error) {
+			c, s := transport.Pipe()
+			go func() { _ = protocol.ServeConn(ctx, s, remotes[addr]) }()
+			return c, nil
+		},
+	})
+	defer peers.Close()
+	// One push round dials and identifies both peers; the epoch is then 1.
+	if _, err := peers.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	syncs := func() map[int]int {
+		out := make(map[int]int)
+		for _, ps := range local.Members().Stats() {
+			out[ps.ID] = ps.Syncs
 		}
-		if id2, _ := m.SampleAntiEntropyPeer(0, tick, 7); id2 != id {
-			t.Fatalf("sampler not deterministic at tick %d: %d vs %d", tick, id, id2)
+		return out
+	}
+	pull := func() map[int]int {
+		t.Helper()
+		before := syncs()
+		if _, err := peers.AntiEntropyOnce(ctx); err != nil {
+			t.Fatal(err)
 		}
-		if id == 0 {
-			t.Fatalf("sampler picked self at tick %d", tick)
+		after := syncs()
+		for id := range after {
+			after[id] -= before[id]
 		}
-		if id == 2 && tick%4 != 0 {
-			t.Fatalf("left peer sampled off its re-probe round (tick %d)", tick)
+		return after
+	}
+
+	local.Members().NoteLeave(2)
+	for ; local.Epoch()%4 != 0; local.EndSync() {
+		if got := pull(); got[1] != 1 || got[2] != 0 {
+			t.Fatalf("epoch %d: pulled from %v, want peer 1 only", local.Epoch(), got)
 		}
+	}
+	for range 5 {
+		local.Members().NoteFailure(1)
+	}
+	if local.Members().Alive(1) {
+		t.Fatal("five failures did not mark peer 1 dead")
+	}
+	for local.EndSync(); local.Epoch()%4 != 0; local.EndSync() {
+		if got := pull(); got[1] != 0 || got[2] != 0 {
+			t.Fatalf("epoch %d: pulled from %v with every peer down off a re-probe round", local.Epoch(), got)
+		}
+	}
+	if got := pull(); got[1]+got[2] != 1 {
+		t.Fatalf("re-probe epoch %d: pulled from %v, want one down peer", local.Epoch(), got)
 	}
 }
 

@@ -39,9 +39,8 @@ func SyncNodes(nodes []*Node, topo *Topology) error { return syncNodes(nodes, to
 // fault, when non-nil, is consulted in phase 2 for every collected
 // exchange: a true return fails that link this round — the delta is NOT
 // applied, NOT committed (the sender's scratch stays pending, so the next
-// collect resends it), the sender's failure detector records the miss, and
-// mesh fast-forward excludes the faulted peer's view. This is the chaos
-// hook: faults land AFTER collection, exercising the exact
+// collect resends it) and the sender's failure detector records the miss.
+// This is the chaos hook: faults land AFTER collection, exercising the exact
 // collected-then-lost resend path a broken wire produces.
 func syncNodes(nodes []*Node, topo *Topology, fault func(from, to int) bool) error {
 	if len(nodes) != topo.NumNodes() {
@@ -97,10 +96,8 @@ func syncNodes(nodes []*Node, topo *Topology, fault func(from, to int) bool) err
 		}
 	}
 
-	// Phase 2. faulted[sender position] holds the receiver ids whose
-	// exchange the fault predicate failed this round; those links stay
-	// uncommitted and are excluded from the sender's fast-forward.
-	var faulted []map[int]bool
+	// Phase 2. A link the fault predicate fails this round stays
+	// uncommitted.
 	for r, n := range nodes {
 		for s, exs := range exchanges {
 			sender := nodes[s]
@@ -111,13 +108,6 @@ func syncNodes(nodes []*Node, topo *Topology, fault func(from, to int) bool) err
 				if fault != nil && fault(sender.ID(), n.ID()) {
 					sender.members.NoteFailure(n.ID())
 					sender.noteSyncError(fmt.Errorf("federation: injected fault on link %d→%d", sender.ID(), n.ID()))
-					if faulted == nil {
-						faulted = make([]map[int]bool, len(nodes))
-					}
-					if faulted[s] == nil {
-						faulted[s] = make(map[int]bool)
-					}
-					faulted[s][n.ID()] = true
 					continue
 				}
 				if _, err := n.HandlePeerDelta(&protocol.PeerDelta{
@@ -133,13 +123,8 @@ func syncNodes(nodes []*Node, topo *Topology, fault func(from, to int) bool) err
 			}
 		}
 	}
-	fastForward := !topo.Forwarding()
-	for s, n := range nodes {
-		var except map[int]bool
-		if faulted != nil {
-			except = faulted[s]
-		}
-		n.EndSyncExcept(fastForward, except)
+	for _, n := range nodes {
+		n.EndSync()
 	}
 	return nil
 }

@@ -420,10 +420,7 @@ func (p *PeerSet) SyncOnce(ctx context.Context) (synced int, err error) {
 		p.traceExchange(start, pc.PeerID(), addr, len(d.Cells), wireBytes, nil)
 		synced++
 	}
-	// Wire fleets keep per-peer views live (no fast-forward): syncs are
-	// not barriered, so collapsing views could drop client merges that
-	// landed mid-sync.
-	p.node.EndSync(false)
+	p.node.EndSync()
 	return synced, err
 }
 

@@ -300,24 +300,6 @@ func (s *Sharded) Support(class, layer int) float64 {
 	return row.support[layer]
 }
 
-// ForEachCell visits every populated cell in (class, layer) order with its
-// vector, write version and support count — the scan the federation tier's
-// delta collection runs. Rows are read-locked one at a time, so concurrent
-// merges into other rows are not blocked; the visited vector is the live,
-// immutable cell and must not be modified by fn.
-func (s *Sharded) ForEachCell(fn func(class, layer int, vec []float32, ver uint64, support, evTotal float64)) {
-	for c := range s.rows {
-		row := &s.rows[c]
-		row.mu.RLock()
-		for j, v := range row.vecs {
-			if v != nil {
-				fn(c, j, v, row.vers[j], row.support[j], row.evtotal[j])
-			}
-		}
-		row.mu.RUnlock()
-	}
-}
-
 // Cell is one populated cell as captured by a sweep. Vec is a borrowed
 // reference to the live, immutable cell, so holding it is a stable snapshot
 // and must not be written through.
@@ -343,8 +325,9 @@ const (
 var cellBufPool = sync.Pool{New: func() any { return new([]Cell) }}
 
 // AppendCells appends every populated cell in (class, layer) order to dst
-// and returns the extended slice — the bulk form of ForEachCell that the
-// federation tier's delta collection runs. Vec fields are borrowed (see
+// and returns the extended slice — the table sweep the federation tier's
+// delta collection runs. Rows are read-locked one at a time, so concurrent
+// merges into other rows are not blocked. Vec fields are borrowed (see
 // Cell). The sequential regime (small tables) allocates nothing beyond
 // dst growth; tables with at least sweepParallelMinRows rows are swept by
 // up to sweepMaxWorkers workers over contiguous row ranges — cell storage

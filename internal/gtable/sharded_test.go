@@ -268,29 +268,25 @@ func TestEvidenceLedgerMonotone(t *testing.T) {
 	if got := s.Support(0, 0); got != 20 {
 		t.Fatalf("support = %v, want capped 20", got)
 	}
-	var ledger float64
-	s.ForEachCell(func(class, layer int, _ []float32, ver uint64, support, evTotal float64) {
-		if class != 0 || layer != 0 {
-			t.Fatalf("unexpected cell (%d,%d)", class, layer)
-		}
-		if ver != 2 || support != 20 {
-			t.Fatalf("cell state ver=%d support=%v", ver, support)
-		}
-		ledger = evTotal
-	})
-	if ledger != 40 {
+	cells := s.AppendCells(nil)
+	if len(cells) != 1 || cells[0].Class != 0 || cells[0].Layer != 0 {
+		t.Fatalf("unexpected cells %+v", cells)
+	}
+	if c := cells[0]; c.Ver != 2 || c.Support != 20 {
+		t.Fatalf("cell state ver=%d support=%v", c.Ver, c.Support)
+	}
+	if ledger := cells[0].EvTotal; ledger != 40 {
 		t.Fatalf("evidence ledger = %v, want 40", ledger)
 	}
 	if _, _, err := s.MergePeer(0, 0, axis(4, 1), 5, 38, 16, 20); err != nil {
 		t.Fatal(err)
 	}
-	s.ForEachCell(func(_, _ int, _ []float32, _ uint64, _, evTotal float64) { ledger = evTotal })
-	if ledger != 45 {
+	if ledger := s.AppendCells(cells[:0])[0].EvTotal; ledger != 45 {
 		t.Fatalf("ledger after peer merge = %v, want 45", ledger)
 	}
 }
 
-func TestForEachCellOrderAndSkip(t *testing.T) {
+func TestAppendCellsOrderAndSkip(t *testing.T) {
 	s := NewSharded(3, 2, 4)
 	if err := s.Set(2, 0, axis(4, 0), 1); err != nil {
 		t.Fatal(err)
@@ -299,21 +295,22 @@ func TestForEachCellOrderAndSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var visited [][2]int
-	s.ForEachCell(func(class, layer int, vec []float32, ver uint64, _, _ float64) {
-		if vec == nil || ver == 0 {
-			t.Fatalf("visited cell (%d,%d) without state", class, layer)
+	for _, c := range s.AppendCells(nil) {
+		if c.Vec == nil || c.Ver == 0 {
+			t.Fatalf("visited cell (%d,%d) without state", c.Class, c.Layer)
 		}
-		visited = append(visited, [2]int{class, layer})
-	})
+		visited = append(visited, [2]int{c.Class, c.Layer})
+	}
 	want := [][2]int{{0, 1}, {2, 0}}
 	if fmt.Sprint(visited) != fmt.Sprint(want) {
 		t.Fatalf("visit order %v, want %v", visited, want)
 	}
 }
 
-// TestAppendCellsMatchesForEachCell checks the bulk sweep against the
-// callback scan, both below and above the parallel fan-out threshold.
-func TestAppendCellsMatchesForEachCell(t *testing.T) {
+// TestAppendCellsMatchesSequentialSweep checks the sweep against one
+// sequential appendRows pass over every row, both below and above the
+// parallel fan-out threshold.
+func TestAppendCellsMatchesSequentialSweep(t *testing.T) {
 	for _, classes := range []int{5, sweepParallelMinRows * 3} {
 		s := NewSharded(classes, 4, 8)
 		r := uint64(1)
@@ -328,10 +325,7 @@ func TestAppendCellsMatchesForEachCell(t *testing.T) {
 				}
 			}
 		}
-		var want []Cell
-		s.ForEachCell(func(class, layer int, vec []float32, ver uint64, support, evTotal float64) {
-			want = append(want, Cell{Class: class, Layer: layer, Vec: vec, Ver: ver, Support: support, EvTotal: evTotal})
-		})
+		want := s.appendRows(nil, 0, classes)
 		got := s.AppendCells(nil)
 		if len(got) != len(want) {
 			t.Fatalf("classes=%d: %d cells, want %d", classes, len(got), len(want))
@@ -551,11 +545,11 @@ func TestShardedRejectsNonFiniteVectors(t *testing.T) {
 			support, evTotal float64
 		}
 		read := func(class, layer int) (st state) {
-			s.ForEachCell(func(c, j int, vec []float32, ver uint64, support, evTotal float64) {
-				if c == class && j == layer {
-					st = state{append([]float32(nil), vec...), ver, support, evTotal}
+			for _, c := range s.AppendCells(nil) {
+				if c.Class == class && c.Layer == layer {
+					st = state{append([]float32(nil), c.Vec...), c.Ver, c.Support, c.EvTotal}
 				}
-			})
+			}
 			return st
 		}
 		before := read(0, 0)

@@ -183,8 +183,9 @@ func TestReplyDecodersPooledPerConnection(t *testing.T) {
 	<-served
 }
 
-// TestDecoderMatchesDecode cross-checks the scratch decoder against the
-// allocating decoder on every sample message.
+// TestDecoderMatchesDecode cross-checks one reused Decoder against the
+// package-level Decode, a fresh Decoder per frame, on every sample message:
+// scratch an earlier message shaped must not leak into the next.
 func TestDecoderMatchesDecode(t *testing.T) {
 	var dec Decoder
 	for _, m := range append(sampleMessages(), sampleMessagesAE()...) {

@@ -4,8 +4,8 @@ package protocol
 // reader/writer loops the bulk ones replaced are kept here as the reference,
 // and every observable — bytes, values, error text, read offset — must agree
 // between the two on random lengths and on truncation at every byte offset.
-// FuzzDecode then holds the arena decoder to the allocating one on arbitrary
-// frames of every live version, and FuzzEncodeDecode the float32 run codec,
+// FuzzDecode then holds a reused decoder to a fresh one on arbitrary frames
+// of every live version, and FuzzEncodeDecode the float32 run codec,
 // AVX2 byte-order kernel on and off, to the reference on arbitrary bits.
 
 import (
@@ -76,8 +76,8 @@ type sliceCodec struct {
 	name     string
 	elemSize int
 	// encode writes n pseudo-random elements with the bulk and the reference
-	// writer; decode reads a run with the bulk reader (through dec when
-	// non-nil) or the reference reader and returns the values' bit patterns.
+	// writer; decode reads a run with the bulk reader or the reference
+	// reader and returns the values' bit patterns.
 	encode func(rng *rand.Rand, n int) (bulk, ref []byte)
 	decode func(r *reader, reference bool) []uint64
 }
@@ -159,19 +159,17 @@ func sliceCodecs() []sliceCodec {
 	}
 }
 
-// sameRead decodes buf with the bulk reader (plain and through a Decoder)
-// and with the reference and fails on any difference in values, error text
-// or final offset.
+// sameRead decodes buf with the bulk reader (through a fresh Decoder and
+// through the reused dec) and with the reference and fails on any difference
+// in values, error text or final offset.
 func sameRead(t *testing.T, c sliceCodec, buf []byte, dec *Decoder, ctx string) {
 	t.Helper()
-	ref := &reader{buf: buf}
+	ref := &reader{buf: buf, dec: new(Decoder)}
 	want := c.decode(ref, true)
-	for _, r := range []*reader{{buf: buf}, {buf: buf, dec: dec}} {
-		if r.dec != nil {
-			dec.ints.reset()
-			dec.f64s.reset()
-			dec.f32s.reset()
-		}
+	dec.ints.reset()
+	dec.f64s.reset()
+	dec.f32s.reset()
+	for _, r := range []*reader{{buf: buf, dec: new(Decoder)}, {buf: buf, dec: dec}} {
 		got := c.decode(r, false)
 		switch {
 		case (r.err == nil) != (ref.err == nil) || (r.err != nil && r.err.Error() != ref.err.Error()):
@@ -252,8 +250,8 @@ func TestBulkWriterAppends(t *testing.T) {
 // reference on arbitrary float32 bit patterns, with the AVX2 byte-order
 // kernel on (where the CPU has it) and off: identical bytes, written behind
 // a header of pad bytes so the run starts at any alignment, and identical
-// bit patterns back, NaN payloads included, from the plain reader and
-// through a Decoder.
+// bit patterns back, NaN payloads included, through a fresh Decoder and
+// through a reused one.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add(bytes.Repeat([]byte{0x7f, 0xc0, 0x01, 0x23}, 9), uint8(3))
@@ -281,7 +279,7 @@ func FuzzEncodeDecode(f *testing.F) {
 					t.Fatalf("kernel=%v: f32s wrote %x, reference %x", kernel, w.buf, ref.buf)
 				}
 				dec.f32s.reset()
-				for _, r := range []*reader{{buf: w.buf, off: len(hdr)}, {buf: w.buf, off: len(hdr), dec: &dec}} {
+				for _, r := range []*reader{{buf: w.buf, off: len(hdr), dec: new(Decoder)}, {buf: w.buf, off: len(hdr), dec: &dec}} {
 					got := r.f32s()
 					if r.err != nil || len(got) != len(vs) {
 						t.Fatalf("kernel=%v: f32s read %d floats (error %v), want %d", kernel, len(got), r.err, len(vs))
@@ -294,7 +292,7 @@ func FuzzEncodeDecode(f *testing.F) {
 				}
 			}()
 		}
-		back := refReadF32s(&reader{buf: ref.buf, off: len(hdr)})
+		back := refReadF32s(&reader{buf: ref.buf, off: len(hdr), dec: new(Decoder)})
 		for i := range vs {
 			if math.Float32bits(back[i]) != math.Float32bits(vs[i]) {
 				t.Fatalf("float %d: reference read %#x, wrote %#x", i, math.Float32bits(back[i]), math.Float32bits(vs[i]))
@@ -327,10 +325,11 @@ func sampleMessagesAE() []*Message {
 	}
 }
 
-// FuzzDecode holds the arena decoder to the allocating one on arbitrary
-// frames: neither panics, both accept or both refuse with the same error,
-// and an accepted frame re-encodes to the same bytes from either result — on
-// a fresh Decoder, on one whose scratch earlier inputs have already shaped,
+// FuzzDecode holds reused decoders to the package-level Decode (a fresh
+// Decoder) on arbitrary frames: neither panics, both accept or both refuse
+// with the same error, and an accepted frame re-encodes to the same bytes
+// from either result — on another fresh Decoder, on one whose scratch
+// earlier inputs have already shaped,
 // and on one that comes out of the process-wide reply-decoder pool after a
 // larger message shaped it on some other connection. The corpus starts from
 // every sample message, whole and cut in half, and from frames both decoders

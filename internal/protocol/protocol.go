@@ -405,8 +405,8 @@ type reader struct {
 	buf []byte
 	off int
 	err error
-	// dec, when set, supplies reusable scratch: decoded slices are carved
-	// from its arenas instead of fresh allocations.
+	// dec supplies the scratch every decoded payload and slice is written
+	// into.
 	dec *Decoder
 }
 
@@ -486,12 +486,7 @@ func (r *reader) bulk(elemSize int) (b []byte, n int) {
 
 func (r *reader) i32s() []int {
 	b, n := r.bulk(4)
-	var out []int
-	if r.dec != nil {
-		out = r.dec.ints.take(n)[:n]
-	} else {
-		out = make([]int, n)
-	}
+	out := r.dec.ints.take(n)[:n]
 	for i := range out {
 		out[i] = int(int32(binary.BigEndian.Uint32(b)))
 		b = b[4:]
@@ -501,12 +496,7 @@ func (r *reader) i32s() []int {
 
 func (r *reader) f64s() []float64 {
 	b, n := r.bulk(8)
-	var out []float64
-	if r.dec != nil {
-		out = r.dec.f64s.take(n)[:n]
-	} else {
-		out = make([]float64, n)
-	}
+	out := r.dec.f64s.take(n)[:n]
 	for i := range out {
 		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b))
 		b = b[8:]
@@ -516,12 +506,7 @@ func (r *reader) f64s() []float64 {
 
 func (r *reader) f32s() []float32 {
 	b, n := r.bulk(4)
-	var out []float32
-	if r.dec != nil {
-		out = r.dec.f32s.take(n)[:n]
-	} else {
-		out = make([]float32, n)
-	}
+	out := r.dec.f32s.take(n)[:n]
 	vs := out
 	if useAVX2 {
 		n := vecmath.DecodeBigEndian(vs, b)
@@ -587,15 +572,13 @@ func (a *arena[T]) take(n int) []T {
 	return s
 }
 
-// Decoder decodes frames into reusable scratch: the returned Message, its
-// payload structs and every decoded slice live in decoder-owned memory and
-// are valid only until the next Decode call. One decoder serves one
-// connection (or any other strictly sequential frame stream); it is not
-// safe for concurrent use. At steady state — once the arenas have grown to
-// the connection's largest message shape — decoding allocates nothing.
-//
-// The package-level Decode remains the allocating form whose results the
-// caller owns indefinitely.
+// Decoder is the one frame decoder: the returned Message, its payload
+// structs and every decoded slice live in decoder-owned memory and are valid
+// only until the next Decode call. One decoder serves one connection (or any
+// other strictly sequential frame stream); it is not safe for concurrent
+// use. At steady state — once the arenas have grown to the connection's
+// largest message shape — decoding allocates nothing. The package-level
+// Decode runs a fresh Decoder, whose results the caller then owns.
 type Decoder struct {
 	msg  Message
 	ints arena[int]
@@ -638,186 +621,29 @@ func (d *Decoder) Decode(frame []byte) (*Message, error) {
 	// the vectors of the whole message: the arena that holds ≈ 99 % of a
 	// decoded delta is sized once, never doubled and abandoned mid-message.
 	d.f32s.reserve(len(frame) / 4)
-	return decodeFrame(&reader{buf: frame, dec: d})
+	r := &reader{buf: frame, dec: d}
+	if v := r.u8(); v != Version {
+		return nil, versionError(v)
+	}
+	m, err := decodeSession(r)
+	if err != nil {
+		return nil, err
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.off != len(frame) {
+		return nil, fmt.Errorf("protocol: %d trailing bytes", len(frame)-r.off)
+	}
+	return m, nil
 }
 
-// message returns the Message to decode into: decoder scratch when
-// present, a fresh allocation otherwise.
-func (r *reader) message() *Message {
-	if r.dec != nil {
-		r.dec.msg = Message{}
-		return &r.dec.msg
-	}
-	return &Message{}
-}
-
-func (r *reader) newHello() *Hello {
-	if r.dec != nil {
-		r.dec.hello = Hello{}
-		return &r.dec.hello
-	}
-	return &Hello{}
-}
-
-func (r *reader) newHelloAck() *core.RegisterInfo {
-	if r.dec != nil {
-		r.dec.helloAck = core.RegisterInfo{}
-		return &r.dec.helloAck
-	}
-	return &core.RegisterInfo{}
-}
-
-func (r *reader) newStatus() *core.StatusReport {
-	if r.dec != nil {
-		r.dec.status = core.StatusReport{}
-		return &r.dec.status
-	}
-	return &core.StatusReport{}
-}
-
-func (r *reader) newDelta() *core.Delta {
-	if r.dec != nil {
-		r.dec.delta = core.Delta{}
-		return &r.dec.delta
-	}
-	return &core.Delta{}
-}
-
-func (r *reader) newUpdate() *core.UpdateReport {
-	if r.dec != nil {
-		r.dec.update = core.UpdateReport{}
-		return &r.dec.update
-	}
-	return &core.UpdateReport{}
-}
-
-func (r *reader) newPeerHello() *PeerHello {
-	if r.dec != nil {
-		r.dec.peerHello = PeerHello{}
-		return &r.dec.peerHello
-	}
-	return &PeerHello{}
-}
-
-func (r *reader) newPeerDelta() *PeerDelta {
-	if r.dec != nil {
-		r.dec.peerDelta = PeerDelta{}
-		return &r.dec.peerDelta
-	}
-	return &PeerDelta{}
-}
-
-func (r *reader) newPeerAck() *PeerAck {
-	if r.dec != nil {
-		r.dec.peerAck = PeerAck{}
-		return &r.dec.peerAck
-	}
-	return &PeerAck{}
-}
-
-func (r *reader) newPeerJoin() *PeerJoin {
-	if r.dec != nil {
-		r.dec.peerJoin = PeerJoin{}
-		return &r.dec.peerJoin
-	}
-	return &PeerJoin{}
-}
-
-func (r *reader) newPeerSnapshot() *PeerSnapshot {
-	if r.dec != nil {
-		r.dec.peerSnap = PeerSnapshot{}
-		return &r.dec.peerSnap
-	}
-	return &PeerSnapshot{}
-}
-
-func (r *reader) newPeerLeave() *PeerLeave {
-	if r.dec != nil {
-		r.dec.peerLeave = PeerLeave{}
-		return &r.dec.peerLeave
-	}
-	return &PeerLeave{}
-}
-
-func (r *reader) newPeerDigestRequest() *PeerDigestRequest {
-	if r.dec != nil {
-		r.dec.peerDigReq = PeerDigestRequest{}
-		return &r.dec.peerDigReq
-	}
-	return &PeerDigestRequest{}
-}
-
-func (r *reader) newPeerDigest() *PeerDigest {
-	if r.dec != nil {
-		r.dec.peerDigest = PeerDigest{}
-		return &r.dec.peerDigest
-	}
-	return &PeerDigest{}
-}
-
-func (r *reader) newPeerPullResponse() *PeerPullResponse {
-	if r.dec != nil {
-		r.dec.peerPull = PeerPullResponse{}
-		return &r.dec.peerPull
-	}
-	return &PeerPullResponse{}
-}
-
-func (r *reader) newRedirect() *Redirect {
-	if r.dec != nil {
-		r.dec.redirect = Redirect{}
-		return &r.dec.redirect
-	}
-	return &Redirect{}
-}
-
-func (r *reader) deltaCellBuf() []core.DeltaCell {
-	if r.dec != nil {
-		return r.dec.dcells[:0]
-	}
-	return nil
-}
-
-func (r *reader) updateCellBuf() []core.UpdateCell {
-	if r.dec != nil {
-		return r.dec.ucells[:0]
-	}
-	return nil
-}
-
-func (r *reader) peerCellBuf() []PeerCell {
-	if r.dec != nil {
-		return r.dec.pcells[:0]
-	}
-	return nil
-}
-
-func (r *reader) evictBuf() []core.CellRef {
-	if r.dec != nil {
-		return r.dec.evicts[:0]
-	}
-	return nil
-}
-
-func (r *reader) digestCellBuf() []DigestCell {
-	if r.dec != nil {
-		return r.dec.gcells[:0]
-	}
-	return nil
-}
-
-func (r *reader) pullCellBuf() []PullCell {
-	if r.dec != nil {
-		return r.dec.lcells[:0]
-	}
-	return nil
-}
-
-func (r *reader) memberBuf() []MemberUpdate {
-	if r.dec != nil {
-		return r.dec.mems[:0]
-	}
-	return nil
+// zeroed resets *p and returns it: each decoded payload is written straight
+// into its slot in the decoder.
+func zeroed[T any](p *T) *T {
+	var zero T
+	*p = zero
+	return p
 }
 
 // ---- message codec ----
@@ -1057,20 +883,17 @@ func encodePeerCells(w *writer, cells []PeerCell) {
 	}
 }
 
-// decodePeerCells reads a peer-cell batch into decoder scratch when
-// available.
+// decodePeerCells reads a peer-cell batch into decoder scratch.
 func decodePeerCells(r *reader) []PeerCell {
 	nCells := r.length(20)
-	cells := r.peerCellBuf()
+	cells := r.dec.pcells[:0]
 	for i := 0; i < nCells && r.err == nil; i++ {
 		c := PeerCell{Class: int(r.i32()), Layer: int(r.i32()), Evidence: r.f64()}
 		c.Vec = r.f32s()
 		c.Origins = decodeOrigins(r)
 		cells = append(cells, c)
 	}
-	if r.dec != nil {
-		r.dec.pcells = cells[:0]
-	}
+	r.dec.pcells = cells[:0]
 	if nCells == 0 {
 		return nil
 	}
@@ -1087,15 +910,10 @@ func encodeOrigins(w *writer, ohs []OriginHeight) {
 }
 
 // decodeOrigins reads one cell's origin decomposition from the decoder's
-// origin arena when available.
+// origin arena.
 func decodeOrigins(r *reader) []OriginHeight {
 	n := r.length(12)
-	var out []OriginHeight
-	if r.dec != nil {
-		out = r.dec.ohs.take(n)
-	} else {
-		out = make([]OriginHeight, 0, n)
-	}
+	out := r.dec.ohs.take(n)
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, OriginHeight{Origin: r.i32(), Height: r.f64()})
 	}
@@ -1117,16 +935,14 @@ func encodeDigestCells(w *writer, cells []DigestCell) {
 }
 
 // decodeDigestCells reads a digest-detail (or want-list) batch into
-// decoder scratch when available.
+// decoder scratch.
 func decodeDigestCells(r *reader) []DigestCell {
 	n := r.length(20)
-	cells := r.digestCellBuf()
+	cells := r.dec.gcells[:0]
 	for i := 0; i < n && r.err == nil; i++ {
 		cells = append(cells, DigestCell{Class: r.i32(), Layer: r.i32(), Origin: r.i32(), Height: r.f64()})
 	}
-	if r.dec != nil {
-		r.dec.gcells = cells[:0]
-	}
+	r.dec.gcells = cells[:0]
 	if n == 0 {
 		return nil
 	}
@@ -1145,19 +961,16 @@ func encodeMemberUpdates(w *writer, mups []MemberUpdate) {
 }
 
 // decodeMemberUpdates reads a piggybacked membership-gossip batch into
-// decoder scratch when available (addresses are fresh strings the caller
-// may keep).
+// decoder scratch (addresses are fresh strings the caller may keep).
 func decodeMemberUpdates(r *reader) []MemberUpdate {
 	n := r.length(13)
-	mups := r.memberBuf()
+	mups := r.dec.mems[:0]
 	for i := 0; i < n && r.err == nil; i++ {
 		mu := MemberUpdate{ID: r.i32(), State: r.u8(), TTL: r.u32()}
 		mu.Addr = r.str()
 		mups = append(mups, mu)
 	}
-	if r.dec != nil {
-		r.dec.mems = mups[:0]
-	}
+	r.dec.mems = mups[:0]
 	if n == 0 {
 		return nil
 	}
@@ -1175,30 +988,9 @@ func encodeUpdate(w *writer, up *core.UpdateReport) {
 	}
 }
 
-// Decode parses a frame. The result is freshly
-// allocated and owned by the caller; sequential frame streams use a
-// Decoder to reuse scratch instead.
-func Decode(frame []byte) (*Message, error) {
-	return decodeFrame(&reader{buf: frame})
-}
-
-func decodeFrame(r *reader) (*Message, error) {
-	frame := r.buf
-	if v := r.u8(); v != Version {
-		return nil, versionError(v)
-	}
-	m, err := decodeSession(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(frame) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes", len(frame)-r.off)
-	}
-	return m, nil
-}
+// Decode parses a frame into a fresh Decoder, so the result is owned by the
+// caller; sequential frame streams reuse one Decoder instead.
+func Decode(frame []byte) (*Message, error) { return new(Decoder).Decode(frame) }
 
 // versionError refuses a frame or handshake naming a version other than
 // Version.
@@ -1215,24 +1007,24 @@ func (r *reader) handshakeVersion() {
 }
 
 func decodeSession(r *reader) (*Message, error) {
-	m := r.message()
+	m := zeroed(&r.dec.msg)
 	m.Type, m.ClientID, m.SessionID, m.DeadlineMicros = r.u8(), r.i32(), r.u64(), r.u64()
 	switch m.Type {
 	case TypeHello:
-		h := r.newHello()
+		h := zeroed(&r.dec.hello)
 		h.NumClasses, h.NumLayers = r.i32(), r.i32()
 		m.Hello = h
 		r.handshakeVersion()
 	case TypeHelloAck:
 		r.handshakeVersion()
-		info := r.newHelloAck()
+		info := zeroed(&r.dec.helloAck)
 		info.NumClasses = int(r.i32())
 		info.NumLayers = int(r.i32())
 		info.ProfileHitRatio = r.f64s()
 		info.SavedMs = r.f64s()
 		m.HelloAck = info
 	case TypeStatus:
-		st := r.newStatus()
+		st := zeroed(&r.dec.status)
 		st.Tau = r.i32s()
 		st.HitRatio = r.f64s()
 		st.Budget = int(r.i32())
@@ -1240,14 +1032,14 @@ func decodeSession(r *reader) (*Message, error) {
 		st.LastVersion = r.u64()
 		m.Status = st
 	case TypeDelta:
-		d := r.newDelta()
+		d := zeroed(&r.dec.delta)
 		d.Version = r.u64()
 		d.BaseVersion = r.u64()
 		d.Full = r.u8() == 1
 		d.Classes = r.i32s()
 		d.Sites = r.i32s()
 		nCells := r.length(12)
-		cells := r.deltaCellBuf()
+		cells := r.dec.dcells[:0]
 		for i := 0; i < nCells && r.err == nil; i++ {
 			c := core.DeltaCell{Site: int(r.i32()), Class: int(r.i32())}
 			c.Vec = r.f32s()
@@ -1257,26 +1049,24 @@ func decodeSession(r *reader) (*Message, error) {
 			d.Cells = cells
 		}
 		nEvict := r.length(8)
-		evicts := r.evictBuf()
+		evicts := r.dec.evicts[:0]
 		for i := 0; i < nEvict && r.err == nil; i++ {
 			evicts = append(evicts, core.CellRef{Site: int(r.i32()), Class: int(r.i32())})
 		}
 		if nEvict > 0 {
 			d.Evict = evicts
 		}
-		if r.dec != nil {
-			r.dec.dcells, r.dec.evicts = cells[:0], evicts[:0]
-		}
+		r.dec.dcells, r.dec.evicts = cells[:0], evicts[:0]
 		m.Delta = d
 	case TypeUpdate:
 		m.Update = decodeUpdate(r)
 	case TypePeerHello:
 		r.handshakeVersion()
-		ph := r.newPeerHello()
+		ph := zeroed(&r.dec.peerHello)
 		ph.NodeID, ph.NumClasses, ph.NumLayers = r.i32(), r.i32(), r.i32()
 		m.PeerHello = ph
 	case TypePeerDelta:
-		d := r.newPeerDelta()
+		d := zeroed(&r.dec.peerDelta)
 		d.NodeID, d.Epoch = r.i32(), r.u64()
 		d.Cells = decodePeerCells(r)
 		if f := r.f64s(); len(f) > 0 {
@@ -1286,14 +1076,14 @@ func decodeSession(r *reader) (*Message, error) {
 		m.PeerDelta = d
 	case TypePeerJoin:
 		r.handshakeVersion()
-		pj := r.newPeerJoin()
+		pj := zeroed(&r.dec.peerJoin)
 		pj.NodeID, pj.NumClasses, pj.NumLayers = r.i32(), r.i32(), r.i32()
 		pj.Addr = r.str()
 		pj.WantSnapshot = r.u8() == 1
 		m.PeerJoin = pj
 	case TypePeerSnapshot:
 		r.handshakeVersion()
-		ps := r.newPeerSnapshot()
+		ps := zeroed(&r.dec.peerSnap)
 		ps.NodeID, ps.Epoch = r.i32(), r.u64()
 		ps.Cells = decodePeerCells(r)
 		if f := r.f64s(); len(f) > 0 {
@@ -1301,36 +1091,34 @@ func decodeSession(r *reader) (*Message, error) {
 		}
 		m.PeerSnapshot = ps
 	case TypePeerLeave:
-		pl := r.newPeerLeave()
+		pl := zeroed(&r.dec.peerLeave)
 		pl.NodeID = r.i32()
 		m.PeerLeave = pl
 	case TypePeerDigestRequest:
-		q := r.newPeerDigestRequest()
+		q := zeroed(&r.dec.peerDigReq)
 		q.NodeID = r.i32()
 		q.Rows = r.f64s()
 		q.Wants = decodeDigestCells(r)
 		q.Gossip = decodeMemberUpdates(r)
 		m.PeerDigestRequest = q
 	case TypePeerDigest:
-		g := r.newPeerDigest()
+		g := zeroed(&r.dec.peerDigest)
 		g.NodeID, g.Epoch = r.i32(), r.u64()
 		g.Cells = decodeDigestCells(r)
 		g.Gossip = decodeMemberUpdates(r)
 		m.PeerDigest = g
 	case TypePeerPullResponse:
-		p := r.newPeerPullResponse()
+		p := zeroed(&r.dec.peerPull)
 		p.NodeID = r.i32()
 		nCells := r.length(36)
-		cells := r.pullCellBuf()
+		cells := r.dec.lcells[:0]
 		for i := 0; i < nCells && r.err == nil; i++ {
 			c := PullCell{Class: int(r.i32()), Layer: int(r.i32()), Support: r.f64(), EvTotal: r.f64()}
 			c.Vec = r.f32s()
 			c.Origins = decodeOrigins(r)
 			cells = append(cells, c)
 		}
-		if r.dec != nil {
-			r.dec.lcells = cells[:0]
-		}
+		r.dec.lcells = cells[:0]
 		if nCells > 0 {
 			p.Cells = cells
 		}
@@ -1338,11 +1126,11 @@ func decodeSession(r *reader) (*Message, error) {
 		m.PeerPullResponse = p
 	case TypePeerAck:
 		r.handshakeVersion()
-		pa := r.newPeerAck()
+		pa := zeroed(&r.dec.peerAck)
 		pa.NodeID, pa.Applied = r.i32(), r.i32()
 		m.PeerAck = pa
 	case TypeRedirect:
-		rd := r.newRedirect()
+		rd := zeroed(&r.dec.redirect)
 		rd.Addr = r.str()
 		rd.Reason = r.str()
 		m.Redirect = rd
@@ -1357,10 +1145,10 @@ func decodeSession(r *reader) (*Message, error) {
 }
 
 func decodeUpdate(r *reader) *core.UpdateReport {
-	up := r.newUpdate()
+	up := zeroed(&r.dec.update)
 	up.Freq = r.f64s()
 	nCells := r.length(12)
-	cells := r.updateCellBuf()
+	cells := r.dec.ucells[:0]
 	for i := 0; i < nCells && r.err == nil; i++ {
 		c := core.UpdateCell{
 			Class: int(r.i32()),
@@ -1373,8 +1161,6 @@ func decodeUpdate(r *reader) *core.UpdateReport {
 	if nCells > 0 {
 		up.Cells = cells
 	}
-	if r.dec != nil {
-		r.dec.ucells = cells[:0]
-	}
+	r.dec.ucells = cells[:0]
 	return up
 }

@@ -278,7 +278,9 @@ func TestServeConnRefusedUploadChangesNothing(t *testing.T) {
 	}
 	versions := func() map[[2]int]uint64 {
 		vers := map[[2]int]uint64{}
-		srv.ForEachCell(func(class, layer int, _ []float32, ver uint64, _, _ float64) { vers[[2]int{class, layer}] = ver })
+		for _, c := range srv.AppendCells(nil) {
+			vers[[2]int{c.Class, c.Layer}] = c.Ver
+		}
 		return vers
 	}
 	r := xrand.New(9)

@@ -47,9 +47,8 @@ func NewFrontDoor(addrs []string, cfg Config) *FrontDoor {
 // Stats returns the control-plane counters.
 func (f *FrontDoor) Stats() Stats { return f.r.Stats() }
 
-// TripBreaker force-opens backend s's breaker; ResetBreaker closes it.
-func (f *FrontDoor) TripBreaker(s int)  { f.r.TripBreaker(s) }
-func (f *FrontDoor) ResetBreaker(s int) { f.r.ResetBreaker(s) }
+// TripBreaker force-opens backend s's breaker.
+func (f *FrontDoor) TripBreaker(s int) { f.r.TripBreaker(s) }
 
 // BreakerState reports backend s's breaker state.
 func (f *FrontDoor) BreakerState(s int) BreakerState { return f.r.Breaker(s).State() }

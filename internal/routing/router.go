@@ -106,9 +106,8 @@ func (r *Router) NumServers() int { return len(r.targets) }
 func (r *Router) Breaker(s int) *Breaker { return r.breakers[s] }
 
 // TripBreaker force-opens server s's breaker (administrative drain /
-// brown-out simulation); ResetBreaker returns it to closed.
-func (r *Router) TripBreaker(s int)  { r.breakers[s].Trip() }
-func (r *Router) ResetBreaker(s int) { r.breakers[s].Reset() }
+// brown-out simulation).
+func (r *Router) TripBreaker(s int) { r.breakers[s].Trip() }
 
 // Stats returns a snapshot of the control-plane counters.
 func (r *Router) Stats() Stats {
