@@ -731,6 +731,10 @@ func (s *Server) AppendCells(dst []gtable.Cell) []gtable.Cell {
 	return s.table.AppendCells(dst)
 }
 
+// EvTotalsInto copies every global-table cell's evidence ledger into dst,
+// dense at class*layers+layer (see gtable.Sharded.EvTotalsInto).
+func (s *Server) EvTotalsInto(dst []float64) { s.table.EvTotalsInto(dst) }
+
 // GlobalFreqInto copies Φ into dst (growing it only when short) — the
 // allocation-free form of GlobalFreq.
 func (s *Server) GlobalFreqInto(dst []float64) []float64 {

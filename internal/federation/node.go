@@ -212,10 +212,7 @@ func NewNode(srv *core.Server, cfg NodeConfig) *Node {
 		members:   NewMembership(cfg.Membership),
 	}
 	n.initial = make([]float64, classes*layers)
-	n.sweep = srv.AppendCells(nil)
-	for _, c := range n.sweep {
-		n.initial[c.Class*layers+c.Layer] = c.EvTotal
-	}
+	srv.EvTotalsInto(n.initial)
 	n.initialFreq = srv.GlobalFreq()
 	n.base = append([]float64(nil), n.initial...)
 	n.foreign = make([]float64, classes*layers)

@@ -300,6 +300,19 @@ func (s *Sharded) Support(class, layer int) float64 {
 	return row.support[layer]
 }
 
+// EvTotalsInto copies every cell's evidence ledger into dst, dense at
+// class*Layers()+layer and 0 for an empty cell, read-locking one row at a
+// time. dst must hold Classes()*Layers() values. It allocates nothing,
+// where a sweep of Cells costs 64 bytes per populated cell.
+func (s *Sharded) EvTotalsInto(dst []float64) {
+	for c := range s.rows {
+		row := &s.rows[c]
+		row.mu.RLock()
+		copy(dst[c*s.layers:(c+1)*s.layers], row.evtotal)
+		row.mu.RUnlock()
+	}
+}
+
 // Cell is one populated cell as captured by a sweep. Vec is a borrowed
 // reference to the live, immutable cell, so holding it is a stable snapshot
 // and must not be written through.

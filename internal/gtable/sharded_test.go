@@ -337,6 +337,17 @@ func TestAppendCellsMatchesSequentialSweep(t *testing.T) {
 				t.Fatalf("classes=%d: cell %d = %+v, want %+v", classes, i, got[i], want[i])
 			}
 		}
+		// The dense ledger read agrees with the sweep, 0 where a cell is empty.
+		ev := make([]float64, classes*4)
+		s.EvTotalsInto(ev)
+		for _, c := range want {
+			ev[c.Class*4+c.Layer] -= c.EvTotal
+		}
+		for k, v := range ev {
+			if v != 0 {
+				t.Fatalf("classes=%d: EvTotalsInto cell %d off the sweep by %v", classes, k, v)
+			}
+		}
 		// Appending onto existing scratch preserves the prefix.
 		pre := []Cell{{Class: -1}}
 		both := s.AppendCells(pre)
