@@ -109,6 +109,7 @@ func (s *SMTM) BeginRound() error {
 	if err != nil {
 		return fmt.Errorf("baseline: SMTM cache rebuild: %w", err)
 	}
+	local.StageBlocks(make([]float32, local.BlocksLen()))
 	s.local = local
 	return nil
 }

@@ -84,6 +84,10 @@ type Layer struct {
 	// snorm[i] is math.Sqrt(Norm2[i]), the second half of each entry's
 	// cosine staging (computed by Stage; see vecmath.cosineFromSqrts).
 	snorm []float64
+	// blocks holds the entries as column-interleaved probe blocks
+	// (vecmath.Interleave), in a buffer the prober owns (StageBlocks); nil
+	// until staged, and again after DropBlocks.
+	blocks []float32
 	// maxCls caches the largest class id (valid when staged is set), so
 	// probes size their accumulator without an O(n) scan per sample.
 	maxCls int
@@ -114,6 +118,35 @@ func (l *Layer) Stage() {
 	l.maxCls = l.maxClass()
 	l.staged = true
 }
+
+// BlocksLen returns how many float32s the layer's probe blocks take.
+func (l *Layer) BlocksLen() int {
+	if len(l.Entries) == 0 {
+		return 0
+	}
+	return vecmath.BlocksLen(len(l.Entries), len(l.Entries[0]))
+}
+
+// StageBlocks stages the layer (Stage) and interleaves its entries into the
+// front of buf as column-interleaved probe blocks, which probes score from
+// then on; it returns the rest of buf. The layer aliases buf until
+// DropBlocks, so buf must outlive the probes and stay unwritten meanwhile.
+// Like Stage, it must complete before the layer is probed concurrently.
+func (l *Layer) StageBlocks(buf []float32) []float32 {
+	l.Stage()
+	n := l.BlocksLen()
+	if n == 0 {
+		return buf
+	}
+	l.blocks = buf[:n:n]
+	vecmath.Interleave(l.blocks, l.Entries)
+	return buf[n:]
+}
+
+// DropBlocks detaches the layer from its probe blocks, so their buffer can
+// be reused; probes then score entry by entry with vecmath.Cosine, bitwise
+// the same.
+func (l *Layer) DropBlocks() { l.blocks = nil }
 
 // Local is a client's allocated cache: a sparse sub-table of the global
 // cache, stored as activated layers in ascending site order.
@@ -174,6 +207,34 @@ func (c *Local) NumEntries() int {
 	return n
 }
 
+// BlocksLen returns how many float32s StageBlocks needs for every layer.
+func (c *Local) BlocksLen() int {
+	n := 0
+	for i := range c.layers {
+		n += c.layers[i].BlocksLen()
+	}
+	return n
+}
+
+// StageBlocks stages every layer's probe blocks into buf, which must hold
+// BlocksLen floats (Layer.StageBlocks; the layers alias buf until
+// DropBlocks). It panics if buf is short.
+func (c *Local) StageBlocks(buf []float32) {
+	if need := c.BlocksLen(); len(buf) < need {
+		panic(fmt.Sprintf("cache: StageBlocks buffer length %d < %d", len(buf), need))
+	}
+	for i := range c.layers {
+		buf = c.layers[i].StageBlocks(buf)
+	}
+}
+
+// DropBlocks detaches every layer from the buffer StageBlocks filled.
+func (c *Local) DropBlocks() {
+	for i := range c.layers {
+		c.layers[i].DropBlocks()
+	}
+}
+
 // Sites returns the activated site indices in ascending order.
 func (c *Local) Sites() []int {
 	out := make([]int, len(c.layers))
@@ -213,9 +274,11 @@ type Lookup struct {
 	epoch   uint64
 	touched []int // classes accumulated since Reset, in first-touch order
 
-	// scores is the staged-probe scratch: the query's per-entry cosine
-	// scores, grown once to the high-water entry count.
+	// scores is the block-probe scratch: the query's per-entry cosine
+	// scores, grown once to the high-water entry count; blk is the block
+	// kernel's.
 	scores []float32
+	blk    vecmath.BlockScratch
 }
 
 // NewLookup returns a lookup context. It panics on invalid configuration:
@@ -305,49 +368,37 @@ func (layer *Layer) maxClass() int {
 }
 
 // Probe runs the Eq. 1 / Eq. 2 update for one activated layer against the
-// sample's semantic vector at that layer. Staged layers (every layer a
-// client receives through the allocation path) score through the staged
-// row kernel, vecmath.CosinesRows — the entries' norms are reused, instead
-// of Cosine re-deriving both norms per pair; results are bitwise identical
-// either way. Steady-state calls are allocation-free.
+// sample's semantic vector at that layer. A layer with probe blocks
+// (StageBlocks) is scored by the block kernel, vecmath.CosinesBlocks, which
+// reuses the entries' staged norms instead of Cosine re-deriving both norms
+// per pair; any other layer is scored entry by entry with Cosine. Results
+// are bitwise identical either way. Steady-state calls are allocation-free.
 func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 	n := layer.Len()
 	if n == 0 {
 		return Result{LayerClass: -1}
 	}
-	if layer.staged {
-		// Keep the unstaged path's failure mode for a query that does not
-		// match the entries instead of silently scoring a truncated dot.
+	if cap(l.scores) < n {
+		l.scores = make([]float32, n)
+	}
+	scores := l.scores[:n]
+	if layer.blocks != nil {
+		// Keep Cosine's failure mode for a query that does not match the
+		// entries instead of silently scoring a truncated dot.
 		if dim := len(layer.Entries[0]); len(vec) != dim {
 			panic(fmt.Sprintf("cache: Probe query length %d != entry dim %d", len(vec), dim))
 		}
-		if cap(l.scores) < n {
-			l.scores = make([]float32, n)
+		vecmath.CosinesBlocks(vec, layer.blocks, layer.snorm, scores, &l.blk)
+	} else {
+		for i, e := range layer.Entries {
+			scores[i] = vecmath.Cosine(vec, e)
 		}
-		scores := l.scores[:n]
-		vecmath.CosinesRows(vec, layer.Entries, layer.snorm, scores)
-		return l.probeScored(layer, scores)
 	}
-	l.grow(layer.maxClass())
-	rawBest, rawBestClass := -1e18, -1
-	for i, class := range layer.Classes {
-		c := float64(vecmath.Cosine(vec, layer.Entries[i]))
-		if c > rawBest {
-			rawBest, rawBestClass = c, class
-		}
-		l.fold(class, c)
+	if layer.staged {
+		l.grow(layer.maxCls)
+	} else {
+		l.grow(layer.maxClass())
 	}
-	res := l.finish(n, rawBestClass)
-	recordProbe(layer.Site, res.Hit)
-	return res
-}
-
-// probeScored folds a staged, non-empty layer's per-entry cosine scores —
-// scores[i] = Cosine(vec, layer.Entries[i]) — into the accumulator and
-// returns the same Result the unstaged Probe path would.
-func (l *Lookup) probeScored(layer *Layer, scores []float32) Result {
-	n := layer.Len()
-	l.grow(layer.maxCls)
 	rawBest, rawBestClass := -1e18, -1
 	for i, class := range layer.Classes {
 		c := float64(scores[i])

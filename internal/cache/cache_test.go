@@ -77,6 +77,47 @@ func TestLayerAtAndNumEntries(t *testing.T) {
 	}
 }
 
+// TestLocalStageBlocks pins the block buffer's shape and lifetime: a local
+// needs whole 4-row blocks per layer, StageBlocks refuses a short buffer,
+// the layers alias the buffer it was given, and DropBlocks lets them go.
+func TestLocalStageBlocks(t *testing.T) {
+	a, b := unit(1), unit(2)
+	l, err := NewLocal([]Layer{
+		layerOf(4, []int{0, 1, 2, 3, 4}, [][]float32{a, b, a, b, a}),
+		layerOf(9, []int{0}, [][]float32{a}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (8 + 4) * len(a); l.BlocksLen() != want {
+		t.Fatalf("BlocksLen = %d, want %d", l.BlocksLen(), want)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("StageBlocks accepted a short buffer")
+			}
+		}()
+		l.StageBlocks(make([]float32, l.BlocksLen()-1))
+	}()
+	buf := make([]float32, l.BlocksLen())
+	l.StageBlocks(buf)
+	off := 0
+	for i := range l.Layers() {
+		layer := &l.Layers()[i]
+		if len(layer.blocks) != layer.BlocksLen() || &layer.blocks[0] != &buf[off] {
+			t.Fatalf("layer %d does not stage into its slice of the buffer", i)
+		}
+		off += layer.BlocksLen()
+	}
+	l.DropBlocks()
+	for i := range l.Layers() {
+		if l.Layers()[i].blocks != nil {
+			t.Fatalf("layer %d still aliases the buffer after DropBlocks", i)
+		}
+	}
+}
+
 func TestProbeHitOnClearWinner(t *testing.T) {
 	a, b := unit(10), unit(11)
 	layer := layerOf(0, []int{3, 8}, [][]float32{a, b})
@@ -280,9 +321,10 @@ func TestProbeZeroAllocsSteadyState(t *testing.T) {
 
 // TestStagedProbeMatchesUnstaged drives staged and unstaged copies of
 // identical random layers through per-sample probes and requires bitwise
-// equal results: the staged path (the row kernel over the float32 entries
-// and their staged norms) must be indistinguishable from the per-pair
-// Cosine path, across awkward dims and entry counts.
+// equal results: the staged path (the block kernel over the interleaved
+// entries and their staged norms) must be indistinguishable from the
+// per-pair Cosine path, across awkward dims and entry counts, and so must a
+// staged layer whose blocks were dropped.
 func TestStagedProbeMatchesUnstaged(t *testing.T) {
 	r := rand.New(rand.NewPCG(21, 23))
 	cfg := Config{Alpha: DefaultAlpha, Theta: 0.01}
@@ -293,12 +335,18 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 			for trial := 0; trial < 5; trial++ {
 				layer := randLayer(r, 0, entries, dim, 10)
 				stagedLayer := Layer{Site: layer.Site, Classes: layer.Classes, Entries: layer.Entries}
-				stagedLayer.Stage()
+				buf := make([]float32, stagedLayer.BlocksLen()+1)
+				if rest := stagedLayer.StageBlocks(buf); len(rest) != 1 {
+					t.Fatalf("dim=%d n=%d: StageBlocks left %d floats of %d, want 1", dim, entries, len(rest), len(buf))
+				}
+				dropped := stagedLayer
+				dropped.DropBlocks()
 				if !stagedLayer.Staged() || stagedLayer.maxCls != layer.maxClass() {
 					t.Fatalf("dim=%d n=%d: staging lost the max class (%d != %d)", dim, entries, stagedLayer.maxCls, layer.maxClass())
 				}
 				plain.Reset()
 				staged.Reset()
+				perEntry := NewLookup(cfg)
 				for probe := 0; probe < 3; probe++ {
 					v := make([]float32, dim)
 					for d := range v {
@@ -309,6 +357,9 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 					if want != got {
 						t.Fatalf("dim=%d n=%d trial %d probe %d: unstaged %+v != staged %+v", dim, entries, trial, probe, want, got)
 					}
+					if got := perEntry.Probe(&dropped, v); want != got {
+						t.Fatalf("dim=%d n=%d trial %d probe %d: unstaged %+v != blocks dropped %+v", dim, entries, trial, probe, want, got)
+					}
 				}
 			}
 		}
@@ -317,17 +368,17 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 
 // TestSequentialStagedProbeZeroAlloc asserts the borrowed-staging
 // contract: a layer that arrives with norms handed in by the allocation
-// path (an allocation view's own) keeps exactly those through Stage, and
-// the staged Lookup.Probe path is allocation-free at steady state.
+// path (an allocation view's own) keeps exactly those through StageBlocks,
+// and the block Lookup.Probe path is allocation-free at steady state.
 func TestSequentialStagedProbeZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewPCG(41, 43))
 	layer := randLayer(r, 0, 9, 64, 10)
 	layer.Norm2 = make([]float64, layer.Len())
 	vecmath.SquaredNorms(layer.Entries, layer.Norm2)
 	handed := &layer.Norm2[0]
-	layer.Stage()
+	layer.StageBlocks(make([]float32, layer.BlocksLen()))
 	if &layer.Norm2[0] != handed {
-		t.Fatal("Stage recomputed a layer whose norms were handed in")
+		t.Fatal("StageBlocks recomputed a layer whose norms were handed in")
 	}
 	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
 	v := make([]float32, 64)
@@ -350,7 +401,7 @@ func TestSequentialStagedProbeZeroAlloc(t *testing.T) {
 func TestStagedProbeRejectsMismatchedQuery(t *testing.T) {
 	r := rand.New(rand.NewPCG(61, 67))
 	layer := randLayer(r, 0, 5, 32, 10)
-	layer.Stage()
+	layer.StageBlocks(make([]float32, layer.BlocksLen()))
 	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
 	lk.Reset()
 	short := make([]float32, 16)
@@ -374,7 +425,7 @@ func benchProbe(b *testing.B, n int) {
 		vecmath.Normalize(entries[i])
 	}
 	layer := layerOf(0, classes, entries)
-	layer.Stage()
+	layer.StageBlocks(make([]float32, layer.BlocksLen()))
 	lk := NewLookup(Config{Alpha: 0.5, Theta: 0.02})
 	v := xrand.NormalVector(xrand.New(777), dim)
 	vecmath.Normalize(v)

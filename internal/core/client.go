@@ -6,6 +6,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"coca/internal/cache"
@@ -230,8 +231,13 @@ func (c *Client) Env() *semantics.Env { return c.env }
 // View returns the client's materialized allocation view (diagnostics).
 func (c *Client) View() *AllocView { return c.view }
 
-// Close releases the client's coordination session.
-func (c *Client) Close() error { return c.sess.Close() }
+// Close releases the client's coordination session and returns its probe
+// block buffer to the pool; the cache it was staged for keeps probing,
+// entry by entry, bitwise the same.
+func (c *Client) Close() error {
+	c.scratch.releaseBlocks()
+	return c.sess.Close()
+}
 
 // Reconnect re-opens the client's coordination session against coord —
 // typically a different server, after a redirect or failure — and
@@ -491,16 +497,57 @@ type inferScratch struct {
 	flat   []float32      // vector store backing: one row per active ordinal
 	agree  []int          // per-ordinal raw layer winner
 	absorb []float32      // deep-site regeneration buffer
+	blocks *[]float32     // local's probe blocks, from blockBufs; nil until the first Infer
+}
+
+// blockBufs recycles the probe block buffers of closed clients, so a stream
+// of short-lived clients stages into a few buffers instead of one each.
+var blockBufs sync.Pool // of *[]float32
+
+// stageBlocks stages the probe blocks of the client's current allocation.
+// The previous allocation's layers let go of the buffer first, so no cache
+// the client handed out scores blocks that are being rewritten. A buffer
+// that is too short is dropped for a pooled one that fits, or for a new one
+// of exactly the length needed.
+func (sc *inferScratch) stageBlocks(local *cache.Local) {
+	if sc.local != nil {
+		sc.local.DropBlocks()
+	}
+	need := local.BlocksLen()
+	if need == 0 {
+		return
+	}
+	if sc.blocks == nil || cap(*sc.blocks) < need {
+		buf, _ := blockBufs.Get().(*[]float32)
+		if buf == nil || cap(*buf) < need {
+			b := make([]float32, need)
+			buf = &b
+		}
+		sc.blocks = buf
+	}
+	local.StageBlocks((*sc.blocks)[:need])
+}
+
+// releaseBlocks detaches the staged layers from the block buffer and
+// returns it to the pool.
+func (sc *inferScratch) releaseBlocks() {
+	if sc.blocks == nil {
+		return
+	}
+	sc.local.DropBlocks()
+	blockBufs.Put(sc.blocks)
+	sc.blocks = nil
 }
 
 // shape points the scratch at the activated non-empty layers of the
-// client's current allocation.
+// client's current allocation and stages their probe blocks.
 func (c *Client) shape() {
 	sc := &c.scratch
 	if sc.sem == nil {
 		sc.sem = c.space.NewScratch()
 		sc.absorb = make([]float32, model.Dim)
 	}
+	sc.stageBlocks(c.local)
 	sc.local = c.local
 	sc.active = sc.active[:0]
 	layers := c.local.Layers()

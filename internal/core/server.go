@@ -357,12 +357,17 @@ func CumulativeHitProfile(space *semantics.Space, table *gtable.Sharded, lookupC
 		allClasses[i] = i
 	}
 	layers := make([]cache.Layer, L)
+	blocks := 0
 	for j := 0; j < L; j++ {
 		cls, entries, _ := table.ExtractLayerEntriesInto(j, allClasses, nil, nil, nil)
 		layers[j] = cache.Layer{Site: j, Classes: cls, Entries: entries}
-		// Stage once up front: the workers below share the layers
-		// read-only and probe each of them `samples` times.
-		layers[j].Stage()
+		blocks += layers[j].BlocksLen()
+	}
+	// Stage once up front: the workers below share the layers read-only
+	// and probe each of them `samples` times.
+	buf := make([]float32, blocks)
+	for j := range layers {
+		buf = layers[j].StageBlocks(buf)
 	}
 	// Sample classes are drawn sequentially (the draw order is part of the
 	// deterministic contract); the per-sample probes are then independent,

@@ -326,6 +326,7 @@ func newFixedEngine(space *semantics.Space, env *semantics.Env, table *gtable.Sh
 	if err != nil {
 		return nil, err
 	}
+	local.StageBlocks(make([]float32, local.BlocksLen()))
 	return &fixedEngine{
 		space:  space,
 		env:    env,

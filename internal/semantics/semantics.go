@@ -170,6 +170,9 @@ type Space struct {
 	// with the class's centroid. ≈ 82 KiB at UCF101-50 × ResNet101.
 	dots      [][]float64
 	dotStride int
+	// head holds the final-layer prototypes as column-interleaved probe
+	// blocks (vecmath.Interleave), the prediction head's operand.
+	head []float32
 }
 
 // NewSpace builds the prototype space. It panics if either spec is invalid:
@@ -252,6 +255,9 @@ func NewSpace(ds *dataset.Spec, arch *model.Arch) *Space {
 		vecmath.Normalize(row[:model.Dim])
 		copy(row[model.Dim:], row[:model.Dim])
 	}
+	final := s.protos[s.FinalLayer()]
+	s.head = make([]float32, vecmath.BlocksLen(len(final), model.Dim))
+	vecmath.Interleave(s.head, final)
 	return s
 }
 
@@ -294,6 +300,7 @@ type Scratch struct {
 	vec    []float32 // PredictScratch's final-feature vector
 	logits []float32
 	probs  []float32
+	blk    vecmath.BlockScratch
 }
 
 // NewScratch returns a scratch for the space.
@@ -567,10 +574,10 @@ func (s *Space) PredictScratch(sc *Scratch, smp dataset.Sample, env *Env) Predic
 	}
 	s.SampleVectorInto(sc.vec, smp, s.FinalLayer(), env, sc)
 	temp := float32(softmaxTemp * (1 + 3*smp.Difficulty))
-	// The row dot kernel over the final-layer prototypes is bitwise
+	// The block dot kernel over the final-layer prototypes is bitwise
 	// identical to Dot (widening is exact; chains accumulate in index
 	// order).
-	vecmath.DotsRows(sc.vec, s.protos[s.FinalLayer()], sc.logits)
+	vecmath.DotsBlocks(sc.vec, s.head, sc.logits, &sc.blk)
 	for c := range sc.logits {
 		sc.logits[c] /= temp
 	}

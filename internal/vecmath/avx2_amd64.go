@@ -30,14 +30,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// dots8AVX2 accumulates, for j < 8, out[j] = Σ_k q[k]·rows[j][k], and with
-// norm also out[8] = Σ_k q[k]², each chain in index order k = 0…dim−1 with a
-// rounded multiply and a rounded add per step (no FMA). The query and the
-// rows are read as float32 and widened exactly; dim must be a positive
-// multiple of 4, and every row at least dim long.
+// blocksAVX2 widens q[0:dim] into q64 and writes to dots[4b+j] the dot of
+// the query with row j of block b, for the nblk column-interleaved blocks
+// of 4 rows at blocks (element k of row j at blk[k*4+j]), and Σq² to
+// dots[4·nblk]. Every chain runs in index order k = 0…dim−1 with a rounded
+// multiply and a rounded add per step (no FMA). dim and nblk must be
+// positive.
 //
 //go:noescape
-func dots8AVX2(q *float32, dim int, rows *[8]*float32, out *[9]float64, norm bool)
+func blocksAVX2(q *float32, q64 *float64, dim int, blocks *float32, nblk int, dots *float64)
 
 // scaleAVX2 multiplies v[0:n] by alpha in place; n must be a multiple of 8.
 //

@@ -26,86 +26,177 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// ADD4T adds four chains' products into acc, lane j being chain j: Y1–Y4
-// hold chains 0–3's products of elements k…k+3, one chain per register.
-// They are transposed so that the four VADDPDs add elements k, k+1, k+2,
-// k+3 in that order — the Go loop's chain, four chains at a time. It
-// clobbers Y1–Y8.
-#define ADD4T(acc) \
-	VUNPCKLPD Y2, Y1, Y5; \
-	VUNPCKHPD Y2, Y1, Y6; \
-	VUNPCKLPD Y4, Y3, Y7; \
-	VUNPCKHPD Y4, Y3, Y8; \
-	VPERM2F128 $0x20, Y7, Y5, Y1; \
-	VPERM2F128 $0x20, Y8, Y6, Y2; \
-	VPERM2F128 $0x31, Y7, Y5, Y3; \
-	VPERM2F128 $0x31, Y8, Y6, Y4; \
-	VADDPD  Y1, acc, acc; \
-	VADDPD  Y2, acc, acc; \
-	VADDPD  Y3, acc, acc; \
-	VADDPD  Y4, acc, acc
+// BLOCKK widens element k of one block's four rows with one VCVTPS2PD from
+// mem, multiplies them by the broadcast q64[k] in Y0 and adds the products
+// into acc, lane j being row j's chain.
+#define BLOCKK(mem, tmp, acc) \
+	VCVTPS2PD mem, tmp; \
+	VMULPD    Y0, tmp, tmp; \
+	VADDPD    tmp, acc, acc
 
-// GROUP4 widens elements k…k+3 of four float32 rows exactly, scores them
-// against the widened query chunk in Y0 and adds the products into the row
-// chains of acc, lane j being row j's chain.
-#define GROUP4(r0, r1, r2, r3, acc) \
-	VCVTPS2PD (r0)(CX*4), Y1; \
-	VMULPD    Y0, Y1, Y1; \
-	VCVTPS2PD (r1)(CX*4), Y2; \
-	VMULPD    Y0, Y2, Y2; \
-	VCVTPS2PD (r2)(CX*4), Y3; \
-	VMULPD    Y0, Y3, Y3; \
-	VCVTPS2PD (r3)(CX*4), Y4; \
-	VMULPD    Y0, Y4, Y4; \
-	ADD4T(acc)
+// NORMK adds q64[k]², from the low lane of Y0, to the Σq² chain in X9.
+#define NORMK \
+	VMULSD X0, X0, X5; \
+	VADDSD X5, X9, X9
 
-// func dots8AVX2(q *float32, dim int, rows *[8]*float32, out *[9]float64, norm bool)
-TEXT ·dots8AVX2(SB), NOSPLIT, $0-33
-	MOVBQZX norm+32(FP), R14
+// func blocksAVX2(q *float32, q64 *float64, dim int, blocks *float32, nblk int, dots *float64)
+//
+// Widens q into q64, then scores the nblk column-interleaved blocks: lane j
+// of block b adds q64[k]·widen(blk[k*4+j]) for k = 0…dim−1 in that order,
+// the Go loop's chain, and lands in dots[4b+j]. A pass scores up to four
+// blocks against each broadcast q64[k], so up to 16 chains are in flight;
+// the last one to three blocks take one pass of their width. The first pass
+// also carries Σq² as a scalar chain in index order, stored at dots[4·nblk].
+// dim and nblk must be positive.
+TEXT ·blocksAVX2(SB), NOSPLIT, $0-48
 	MOVQ q+0(FP), SI
-	MOVQ dim+8(FP), DX
-	MOVQ rows+16(FP), AX
-	MOVQ 0(AX), R8
-	MOVQ 8(AX), R9
-	MOVQ 16(AX), R10
-	MOVQ 24(AX), R11
-	MOVQ 32(AX), R12
-	MOVQ 40(AX), R13
-	MOVQ 48(AX), BX
-	MOVQ 56(AX), DI
-	VXORPD Y13, Y13, Y13 // the query's squared norm, lane 0
-	VXORPD Y14, Y14, Y14 // chains of rows 0–3
-	VXORPD Y15, Y15, Y15 // chains of rows 4–7
-	XORQ   CX, CX
+	MOVQ q64+8(FP), R9
+	MOVQ dim+16(FP), DX
+	MOVQ blocks+24(FP), AX
+	MOVQ nblk+32(FP), BX
+	MOVQ dots+40(FP), DI
 
-dotsloop:
+	// The widened query: four elements per VCVTPS2PD, the last dim%4 one
+	// at a time. Widening is exact.
+	XORQ CX, CX
+	MOVQ DX, R8
+	ANDQ $-4, R8
+	JZ   widentail
+
+widenloop:
 	VCVTPS2PD (SI)(CX*4), Y0
-	TESTQ     R14, R14
-	JZ        dotsrows
+	VMOVUPD   Y0, (R9)(CX*8)
+	ADDQ      $4, CX
+	CMPQ      CX, R8
+	JLT       widenloop
 
-	// The ninth chain, Σq², one element at a time, when asked for: a probe
-	// needs it once, not once per eight rows.
-	VMULPD       Y0, Y0, Y9
-	VADDSD       X9, X13, X13
-	VPERMILPD    $1, X9, X10
-	VADDSD       X10, X13, X13
-	VEXTRACTF128 $1, Y9, X9
-	VADDSD       X9, X13, X13
-	VPERMILPD    $1, X9, X10
-	VADDSD       X10, X13, X13
+widentail:
+	CMPQ      CX, DX
+	JGE       widened
+	VCVTSS2SD (SI)(CX*4), X0, X0
+	VMOVSD    X0, (R9)(CX*8)
+	INCQ      CX
+	JMP       widentail
 
-dotsrows:
-	GROUP4(R8, R9, R10, R11, Y14)
-	GROUP4(R12, R13, BX, DI, Y15)
+widened:
+	MOVQ   DX, R10
+	SHLQ   $4, R10     // one block's bytes: dim × 4 lanes × 4 bytes
+	VXORPD X9, X9, X9  // Σq²
+	MOVQ   $1, R14     // Σq² still to be summed, by the first pass
 
-	ADDQ $4, CX
+passes:
+	TESTQ BX, BX
+	JZ    done
+
+	// Each pass: R11 and R12 walk element k of its blocks 0 and 1; blocks
+	// 2 and 3 lie 2·R10 bytes further on.
+	MOVQ   AX, R11
+	LEAQ   (AX)(R10*1), R12
+	XORQ   CX, CX
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	CMPQ   BX, $4
+	JGE    quadloop
+	CMPQ   BX, $3
+	JEQ    tripleloop
+	CMPQ   BX, $2
+	JEQ    pairloop
+
+singleloop:
+	VBROADCASTSD (R9)(CX*8), Y0
+	BLOCKK((R11), Y1, Y10)
+	TESTQ        R14, R14
+	JZ           singlenext
+	NORMK
+
+singlenext:
+	ADDQ $16, R11
+	INCQ CX
 	CMPQ CX, DX
-	JLT  dotsloop
+	JLT  singleloop
+	MOVQ $1, R8
+	JMP  stored
 
-	MOVQ    out+24(FP), AX
-	VMOVUPD Y14, 0(AX)
-	VMOVUPD Y15, 32(AX)
-	VMOVSD  X13, 64(AX)
+pairloop:
+	VBROADCASTSD (R9)(CX*8), Y0
+	BLOCKK((R11), Y1, Y10)
+	BLOCKK((R12), Y2, Y11)
+	TESTQ        R14, R14
+	JZ           pairnext
+	NORMK
+
+pairnext:
+	ADDQ $16, R11
+	ADDQ $16, R12
+	INCQ CX
+	CMPQ CX, DX
+	JLT  pairloop
+	MOVQ $2, R8
+	JMP  stored
+
+tripleloop:
+	VBROADCASTSD (R9)(CX*8), Y0
+	BLOCKK((R11), Y1, Y10)
+	BLOCKK((R12), Y2, Y11)
+	BLOCKK((R11)(R10*2), Y3, Y12)
+	TESTQ        R14, R14
+	JZ           triplenext
+	NORMK
+
+triplenext:
+	ADDQ $16, R11
+	ADDQ $16, R12
+	INCQ CX
+	CMPQ CX, DX
+	JLT  tripleloop
+	MOVQ $3, R8
+	JMP  stored
+
+quadloop:
+	VBROADCASTSD (R9)(CX*8), Y0
+	BLOCKK((R11), Y1, Y10)
+	BLOCKK((R12), Y2, Y11)
+	BLOCKK((R11)(R10*2), Y3, Y12)
+	BLOCKK((R12)(R10*2), Y4, Y13)
+	TESTQ        R14, R14
+	JZ           quadnext
+	NORMK
+
+quadnext:
+	ADDQ $16, R11
+	ADDQ $16, R12
+	INCQ CX
+	CMPQ CX, DX
+	JLT  quadloop
+	MOVQ $4, R8
+
+stored:
+	// The pass scored R8 blocks: store their chains and step past them.
+	VMOVUPD Y10, 0(DI)
+	CMPQ    R8, $2
+	JLT     advance
+	VMOVUPD Y11, 32(DI)
+	CMPQ    R8, $3
+	JLT     advance
+	VMOVUPD Y12, 64(DI)
+	CMPQ    R8, $4
+	JLT     advance
+	VMOVUPD Y13, 96(DI)
+
+advance:
+	SUBQ  R8, BX
+	MOVQ  R8, R13
+	SHLQ  $5, R13   // 32 bytes of dots per block
+	ADDQ  R13, DI
+	IMULQ R10, R8   // and R10 bytes of blocks
+	ADDQ  R8, AX
+	XORQ  R14, R14
+	JMP   passes
+
+done:
+	VMOVSD X9, 0(DI)
 	VZEROUPPER
 	RET
 
@@ -126,6 +217,25 @@ scaleloop:
 
 	VZEROUPPER
 	RET
+
+// ADD4T adds four chains' products into acc, lane j being chain j: Y1–Y4
+// hold chains 0–3's products of elements k…k+3, one chain per register.
+// They are transposed so that the four VADDPDs add elements k, k+1, k+2,
+// k+3 in that order — the Go loop's chain, four chains at a time. It
+// clobbers Y1–Y8.
+#define ADD4T(acc) \
+	VUNPCKLPD Y2, Y1, Y5; \
+	VUNPCKHPD Y2, Y1, Y6; \
+	VUNPCKLPD Y4, Y3, Y7; \
+	VUNPCKHPD Y4, Y3, Y8; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x20, Y8, Y6, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3; \
+	VPERM2F128 $0x31, Y8, Y6, Y4; \
+	VADDPD  Y1, acc, acc; \
+	VADDPD  Y2, acc, acc; \
+	VADDPD  Y3, acc, acc; \
+	VADDPD  Y4, acc, acc
 
 // NORM1 widens elements k…k+3 of one cell exactly and leaves their squares
 // in y.

@@ -7,7 +7,7 @@ import "unsafe"
 // useAVX2 is false off amd64: the Go loops are the only kernels.
 var useAVX2 = false
 
-func dots8AVX2(q *float32, dim int, rows *[8]*float32, out *[9]float64, norm bool) {
+func blocksAVX2(q *float32, q64 *float64, dim int, blocks *float32, nblk int, dots *float64) {
 	panic("vecmath: AVX2 kernel called off amd64")
 }
 

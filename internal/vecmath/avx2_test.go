@@ -40,44 +40,49 @@ func specialRows(r *rand.Rand, n, dim int, spiked bool) (vec []float32, rows [][
 	return vec, rows
 }
 
+// blocksOf interleaves rows into fresh probe blocks whose unused tail
+// holds a NaN, so a kernel that reads past the blocks it was given shows.
+func blocksOf(rows [][]float32) []float32 {
+	if len(rows) == 0 {
+		return nil
+	}
+	n := BlocksLen(len(rows), len(rows[0]))
+	blocks := make([]float32, n+BlockRows)
+	for i := n; i < len(blocks); i++ {
+		blocks[i] = float32(math.NaN())
+	}
+	Interleave(blocks, rows)
+	return blocks[:n]
+}
+
 // TestAVX2KernelsMatchGo holds the AVX2 kernels to the Go loops bit for bit
-// (a NaN to any NaN): the raw dots8AVX2 sums against dots4f and, on the
-// first block, the query's Σq² against SquaredNorm; and CosinesRows,
-// DotsRows and Scale with the kernels on and off, over 1…40 float32 rows at
-// the kernel's dimensions, on plain and on spiked inputs. A dimension that
-// is not a multiple of 4 must take the Go path.
+// (a NaN to any NaN): the raw blocksAVX2 sums and the query's Σq² against
+// the Go block loop and SquaredNorm; CosinesBlocks and DotsBlocks with the
+// kernels on and off; and Scale. The block kernels run over 1…40 rows,
+// so paired, single and padded last blocks all occur, at dimensions that
+// are and are not a multiple of 4, on plain and on spiked inputs.
 func TestAVX2KernelsMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this machine: only the Go loops exist")
 	}
 	r := rand.New(rand.NewPCG(30, 8))
-	for _, dim := range []int{4, 8, 252, 256, 6, 255} {
+	var s, sGo BlockScratch
+	for _, dim := range []int{1, 3, 4, 8, 252, 256, 6, 255} {
 		for n := 1; n <= 40; n++ {
 			for _, spiked := range []bool{false, true} {
 				vec, rows := specialRows(r, n, dim, spiked)
-				if kernelFits(vec, rows) != (dim%4 == 0) {
-					t.Fatalf("dim=%d: kernelFits %v", dim, !(dim%4 == 0))
+				blocks := blocksOf(rows)
+				dots, norm2 := s.blockDots(vec, blocks, n)
+				var ref []float64
+				var refNorm2 float64
+				goPath(func() { ref, refNorm2 = sGo.blockDots(vec, blocks, n) })
+				for i := range n {
+					if !same64(dots[i], ref[i]) {
+						t.Fatalf("dim=%d n=%d spiked=%v row %d: blocksAVX2 %x, Go %x", dim, n, spiked, i, math.Float64bits(dots[i]), math.Float64bits(ref[i]))
+					}
 				}
-				if dim%4 == 0 {
-					// Each row's Go chain, from the four-row blocks of the Go path.
-					ref := make([]float64, n)
-					var d [9]float64
-					for i := 0; i < n; i += 4 {
-						dotBlock(vec, rows, i, false, &d)
-						copy(ref[i:min(i+4, n)], d[:4])
-					}
-					for i := 0; i < n; i += 8 {
-						dotBlock(vec, rows, i, true, &d)
-						for j := range 8 {
-							want := ref[min(i+j, n-1)]
-							if !same64(d[j], want) {
-								t.Fatalf("dim=%d n=%d spiked=%v row %d: dots8AVX2 %x, Go %x", dim, n, spiked, i+j, math.Float64bits(d[j]), math.Float64bits(want))
-							}
-						}
-						if want := SquaredNorm(vec); i == 0 && !same64(d[8], want) {
-							t.Fatalf("dim=%d n=%d spiked=%v: query norm %x, SquaredNorm %x", dim, n, spiked, math.Float64bits(d[8]), math.Float64bits(want))
-						}
-					}
+				if want := SquaredNorm(vec); !same64(norm2, want) || !same64(refNorm2, want) {
+					t.Fatalf("dim=%d n=%d spiked=%v: query norm %x (Go %x), SquaredNorm %x", dim, n, spiked, math.Float64bits(norm2), math.Float64bits(refNorm2), math.Float64bits(want))
 				}
 				snorm := make([]float64, n)
 				for i, row := range rows {
@@ -85,18 +90,18 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 				}
 				gotCos, wantCos := make([]float32, n), make([]float32, n)
 				gotDot, wantDot := make([]float32, n), make([]float32, n)
-				CosinesRows(vec, rows, snorm, gotCos)
-				DotsRows(vec, rows, gotDot)
+				CosinesBlocks(vec, blocks, snorm, gotCos, &s)
+				DotsBlocks(vec, blocks, gotDot, &s)
 				goPath(func() {
-					CosinesRows(vec, rows, snorm, wantCos)
-					DotsRows(vec, rows, wantDot)
+					CosinesBlocks(vec, blocks, snorm, wantCos, &sGo)
+					DotsBlocks(vec, blocks, wantDot, &sGo)
 				})
 				for i := range n {
 					if !same32(gotCos[i], wantCos[i]) {
-						t.Fatalf("dim=%d n=%d spiked=%v row %d: CosinesRows %x, Go %x", dim, n, spiked, i, math.Float32bits(gotCos[i]), math.Float32bits(wantCos[i]))
+						t.Fatalf("dim=%d n=%d spiked=%v row %d: CosinesBlocks %x, Go %x", dim, n, spiked, i, math.Float32bits(gotCos[i]), math.Float32bits(wantCos[i]))
 					}
 					if !same32(gotDot[i], wantDot[i]) {
-						t.Fatalf("dim=%d n=%d spiked=%v row %d: DotsRows %x, Go %x", dim, n, spiked, i, math.Float32bits(gotDot[i]), math.Float32bits(wantDot[i]))
+						t.Fatalf("dim=%d n=%d spiked=%v row %d: DotsBlocks %x, Go %x", dim, n, spiked, i, math.Float32bits(gotDot[i]), math.Float32bits(wantDot[i]))
 					}
 				}
 			}
@@ -117,18 +122,18 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 	}
 }
 
-// FuzzCosinesRows holds CosinesRows, the probe kernel a client runs, to its
-// Go loop bit for bit (a NaN to any NaN) over fuzzed dimensions (1…300), row
-// counts (1…20) and raw float32 bits, the query first and then the entries
-// row by row, the input's words repeating as needed; the entries are the
-// kernel's rows, as a cache layer's are. Where every input is
-// finite it must also equal Cosine(vec, entry) bit for bit. Off AVX2 only
-// that comparison runs. The corpus is seeded from the specialRows grid of
-// TestAVX2KernelsMatchGo.
+// FuzzCosinesRows holds CosinesBlocks, the probe kernel a client runs, on
+// rows interleaved as a staged cache layer's are, to per-row Cosine bit for
+// bit, with AVX2 on and off (a NaN to any NaN on both). It fuzzes the
+// dimension (1…300, multiples of 4 and not), the row count (1…17, so that
+// paired, single and padded last blocks all run) and raw float32 bits, the
+// query first and then the rows one by one, the input's words repeating as
+// needed. The corpus is seeded from the specialRows grid of
+// TestAVX2KernelsMatchGo, float32 specials included.
 func FuzzCosinesRows(f *testing.F) {
 	r := rand.New(rand.NewPCG(30, 9))
 	for _, dim := range []int{4, 8, 252, 256, 6, 255} {
-		for _, n := range []int{1, 7, 8, 9, 20} {
+		for _, n := range []int{1, 4, 5, 8, 17} {
 			for _, spiked := range []bool{false, true} {
 				vec, rows := specialRows(r, n, dim, spiked)
 				data := make([]byte, 0, 4*dim*(n+1))
@@ -149,12 +154,9 @@ func FuzzCosinesRows(f *testing.F) {
 		if words == 0 {
 			t.Skip("no float32 words")
 		}
-		dim, n := 1+int(dimSeed)%300, 1+int(nSeed)%20
-		finite := true
+		dim, n := 1+int(dimSeed)%300, 1+int(nSeed)%17
 		next := func(k int) float32 {
-			x := math.Float32frombits(binary.LittleEndian.Uint32(data[4*(k%words):]))
-			finite = finite && !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0)
-			return x
+			return math.Float32frombits(binary.LittleEndian.Uint32(data[4*(k%words):]))
 		}
 		vec := make([]float32, dim)
 		for k := range vec {
@@ -170,23 +172,14 @@ func FuzzCosinesRows(f *testing.F) {
 		norm2, snorm := make([]float64, n), make([]float64, n)
 		SquaredNorms(entries, norm2)
 		SqrtNorms(norm2, snorm)
-		got := make([]float32, n)
-		CosinesRows(vec, entries, snorm, got)
-		if useAVX2 {
-			want := make([]float32, n)
-			goPath(func() { CosinesRows(vec, entries, snorm, want) })
-			for i := range n {
-				if !same32(got[i], want[i]) {
-					t.Fatalf("dim=%d n=%d row %d: CosinesRows %x, Go %x", dim, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-				}
-			}
-		}
-		if !finite {
-			return
-		}
+		blocks := blocksOf(entries)
+		var s BlockScratch
+		got, gotGo := make([]float32, n), make([]float32, n)
+		CosinesBlocks(vec, blocks, snorm, got, &s)
+		goPath(func() { CosinesBlocks(vec, blocks, snorm, gotGo, &s) })
 		for i, e := range entries {
-			if want := Cosine(vec, e); math.Float32bits(got[i]) != math.Float32bits(want) {
-				t.Fatalf("dim=%d n=%d row %d: CosinesRows %x, Cosine %x", dim, n, i, math.Float32bits(got[i]), math.Float32bits(want))
+			if want := Cosine(vec, e); !same32(got[i], want) || !same32(gotGo[i], want) {
+				t.Fatalf("dim=%d n=%d row %d: CosinesBlocks %x (Go %x), Cosine %x", dim, n, i, math.Float32bits(got[i]), math.Float32bits(gotGo[i]), math.Float32bits(want))
 			}
 		}
 	})
@@ -383,29 +376,40 @@ func TestWeightedSumIntoExactAlias(t *testing.T) {
 	}
 }
 
-// BenchmarkCosinesRows scores a float32 query against n staged 256-wide
-// rows, the probe of a window's cache layer, on the AVX2 kernel and on the
-// Go loops.
-func BenchmarkCosinesRows(b *testing.B) {
+// BenchmarkCosinesBlocks scores a float32 query against n staged 256-wide
+// rows interleaved into probe blocks, on the AVX2 kernel and on the Go
+// loops: the probe of a cache layer at the entry counts the workloads probe
+// (cos), and the prediction head's scan of 50 final-layer prototypes
+// (head).
+func BenchmarkCosinesBlocks(b *testing.B) {
 	r := rand.New(rand.NewPCG(31, 9))
-	for _, n := range []int{7, 8, 50} {
-		vec, rows := specialRows(r, n, 256, false)
-		snorm := make([]float64, n)
-		out := make([]float32, n)
+	for _, tc := range []struct {
+		op string
+		n  int
+	}{{"cos", 5}, {"cos", 8}, {"cos", 9}, {"cos", 15}, {"cos", 48}, {"head", 50}} {
+		vec, rows := specialRows(r, tc.n, 256, false)
+		blocks := blocksOf(rows)
+		snorm := make([]float64, tc.n)
+		for i, row := range rows {
+			snorm[i] = math.Sqrt(SquaredNorm(row))
+		}
+		out := make([]float32, tc.n)
 		for _, kernel := range []bool{true, false} {
 			if kernel && !useAVX2 {
 				continue
 			}
-			name := "go"
-			if kernel {
-				name = "avx2"
-			}
-			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
+			name := map[bool]string{true: "avx2", false: "go"}[kernel]
+			b.Run(fmt.Sprintf("%s/n=%d/%s", tc.op, tc.n, name), func(b *testing.B) {
 				saved := useAVX2
 				useAVX2 = kernel
 				defer func() { useAVX2 = saved }()
-				for i := 0; i < b.N; i++ {
-					CosinesRows(vec, rows, snorm, out)
+				var s BlockScratch
+				for b.Loop() {
+					if tc.op == "head" {
+						DotsBlocks(vec, blocks, out, &s)
+					} else {
+						CosinesBlocks(vec, blocks, snorm, out, &s)
+					}
 				}
 			})
 		}

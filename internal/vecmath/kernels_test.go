@@ -49,22 +49,26 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	vec64 := make([]float64, 64)
 	norm2, snorm := make([]float64, 12), make([]float64, 12)
 	out := make([]float32, 12)
+	blocks := make([]float32, BlocksLen(12, 64))
+	var s BlockScratch
+	CosinesBlocks(vec, blocks, snorm, out, &s) // warm the scratch
 	if n := testing.AllocsPerRun(200, func() {
 		WidenVec(vec, vec64)
 		SquaredNorms(entries, norm2)
 		SqrtNorms(norm2, snorm)
-		CosinesRows(vec, entries, snorm, out)
-		DotsRows(vec, entries, out)
+		Interleave(blocks, entries)
+		CosinesBlocks(vec, blocks, snorm, out, &s)
+		DotsBlocks(vec, blocks, out, &s)
 		Scale(0.5, out)
 	}); n != 0 {
 		t.Errorf("probe kernels allocate %v/op, want 0", n)
 	}
 }
 
-// TestStagedRowCosineBitwise locks the staging contract: the row-based
-// staged kernels (SquaredNorms, then CosinesRows on the float32 rows, or
-// CosinesWidenedRows on widened query and rows) must reproduce scalar
-// Cosine bit for bit across awkward shapes — dimensions around the
+// TestStagedRowCosineBitwise locks the staging contract: the staged
+// kernels (SquaredNorms, then CosinesBlocks on the rows interleaved into
+// blocks, or CosinesWidenedRows on widened query and rows) must reproduce
+// scalar Cosine bit for bit across awkward shapes — dimensions around the
 // tile widths (including 1 and non-multiples of the tile), entry counts
 // exercising every tail-loop combination.
 func TestStagedRowCosineBitwise(t *testing.T) {
@@ -90,29 +94,33 @@ func TestStagedRowCosineBitwise(t *testing.T) {
 			out := make([]float32, n)
 			CosinesWidenedRows(vec64, math.Sqrt(vn), widenRows(entries), snorm, out)
 			out32 := make([]float32, n)
-			CosinesRows(vec, entries, snorm, out32)
+			var s BlockScratch
+			CosinesBlocks(vec, blocksOf(entries), snorm, out32, &s)
 			for i, e := range entries {
 				if want := Cosine(vec, e); want != out[i] || want != out32[i] {
-					t.Fatalf("dim=%d n=%d entry %d: Cosine %v, CosinesWidenedRows %v, CosinesRows %v", dim, n, i, want, out[i], out32[i])
+					t.Fatalf("dim=%d n=%d entry %d: Cosine %v, CosinesWidenedRows %v, CosinesBlocks %v", dim, n, i, want, out[i], out32[i])
 				}
 			}
 		}
 	}
 }
 
-// TestDotsRowsBitwise checks the row dot kernel (the prediction head's
-// logits scan) against Dot.
-func TestDotsRowsBitwise(t *testing.T) {
+// TestDotsBlocksBitwise checks the block dot kernel (the prediction head's
+// logits scan) against Dot, on the kernel and on the Go loop.
+func TestDotsBlocksBitwise(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 13))
-	for _, n := range []int{1, 3, 4, 5, 11} {
+	var s BlockScratch
+	for _, n := range []int{1, 3, 4, 5, 11, 50} {
 		for _, dim := range []int{1, 5, 96, 130} {
 			entries := kernelVectors(r, n, dim)
 			vec := kernelVectors(r, 1, dim)[0]
-			out := make([]float32, n)
-			DotsRows(vec, entries, out)
+			blocks := blocksOf(entries)
+			out, outGo := make([]float32, n), make([]float32, n)
+			DotsBlocks(vec, blocks, out, &s)
+			goPath(func() { DotsBlocks(vec, blocks, outGo, &s) })
 			for i, e := range entries {
-				if want := Dot(vec, e); want != out[i] {
-					t.Fatalf("n=%d dim=%d entry %d: Dot %v != DotsRows %v", n, dim, i, want, out[i])
+				if want := Dot(vec, e); want != out[i] || want != outGo[i] {
+					t.Fatalf("n=%d dim=%d entry %d: Dot %v, DotsBlocks %v (Go %v)", n, dim, i, want, out[i], outGo[i])
 				}
 			}
 		}
@@ -132,11 +140,14 @@ func TestStagedKernelsZeroAlloc(t *testing.T) {
 	qrow := make([]float64, 64)
 	qsnorm := math.Sqrt(WidenVec(query, qrow))
 	out := make([]float32, len(entries))
+	blocks := blocksOf(entries)
+	var s BlockScratch
+	CosinesBlocks(query, blocks, snorm, out, &s) // warm the scratch
 	if n := testing.AllocsPerRun(200, func() {
 		SqrtNorms(norm2, snorm)
 		CosinesWidenedRows(qrow, qsnorm, rows, snorm, out)
-		CosinesRows(query, entries, snorm, out)
-		DotsRows(query, entries, out)
+		CosinesBlocks(query, blocks, snorm, out, &s)
+		DotsBlocks(query, blocks, out, &s)
 	}); n != 0 {
 		t.Errorf("staged kernels allocate %v/op, want 0", n)
 	}

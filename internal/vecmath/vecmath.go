@@ -232,105 +232,122 @@ func SqrtNorms(norm2, snorm []float64) {
 	}
 }
 
-// DotsRows fills out[i] with Dot(vec, rows[i]). Widening is exact and each
-// chain accumulates in index order, so results are bitwise identical to
-// Dot, on the AVX2 kernel (see CosinesRows) or off it. Used by the
-// prediction head against the space's final-layer prototypes.
-// Allocation-free.
-func DotsRows(vec []float32, rows [][]float32, out []float32) {
-	n := len(rows)
-	if len(out) < n {
-		panic(fmt.Sprintf("vecmath: DotsRows out length %d < %d", len(out), n))
+// BlockRows is how many rows one probe block interleaves.
+const BlockRows = 4
+
+// BlocksLen returns how many float32s n rows of dim elements take as probe
+// blocks: n rounded up to whole blocks of BlockRows rows, times dim.
+func BlocksLen(n, dim int) int {
+	return (n + BlockRows - 1) / BlockRows * BlockRows * dim
+}
+
+// Interleave writes rows into dst as column-interleaved probe blocks: block
+// b holds rows 4b…4b+3, and its element k*4+j is row 4b+j's element k, so
+// the kernel widens element k of four rows with one load. Padding rows of
+// the last block are zero. Every row must be as long as rows[0], and dst
+// must hold BlocksLen(len(rows), len(rows[0])) floats; it panics otherwise.
+func Interleave(dst []float32, rows [][]float32) {
+	if len(rows) == 0 {
+		return
 	}
-	fits := kernelFits(vec, rows)
-	var d [9]float64
-	for i := 0; i < n; {
-		w := dotBlock(vec, rows, i, fits, &d)
-		for j, dot := range d[:min(w, n-i)] {
-			out[i+j] = float32(dot)
+	dim := len(rows[0])
+	if need := BlocksLen(len(rows), dim); len(dst) < need {
+		panic(fmt.Sprintf("vecmath: Interleave dst length %d < %d", len(dst), need))
+	}
+	for i, row := range rows {
+		if len(row) != dim {
+			panic(fmt.Sprintf("vecmath: Interleave row %d length %d != %d", i, len(row), dim))
 		}
-		i += w
+		blk := dst[i/BlockRows*BlockRows*dim:]
+		for k, x := range row {
+			blk[k*BlockRows+i%BlockRows] = x
+		}
+	}
+	for i := len(rows); i%BlockRows != 0; i++ {
+		blk := dst[i/BlockRows*BlockRows*dim:]
+		for k := range dim {
+			blk[k*BlockRows+i%BlockRows] = 0
+		}
 	}
 }
 
-// CosinesRows fills out[i] with Cosine(vec, rows[i]), where snorm[i] is the
-// square root of rows[i]'s squared norm — the probe staging of cache layers.
-// Query and rows are widened in registers, never into memory, and with
-// AVX2 the query's squared norm is accumulated beside the dots, so the
-// query is read once. Each chain is added in index order on either path,
-// and the results are bitwise identical to Cosine. Allocation-free.
-func CosinesRows(vec []float32, rows [][]float32, snorm []float64, out []float32) {
-	n := len(rows)
-	if len(snorm) < n || len(out) < n {
-		panic(fmt.Sprintf("vecmath: CosinesRows snorm/out length %d/%d < %d", len(snorm), len(out), n))
-	}
-	fits := kernelFits(vec, rows)
-	var sq float64
-	if !fits {
-		sq = math.Sqrt(SquaredNorm(vec))
-	}
-	var d [9]float64
-	for i := 0; i < n; {
-		w := dotBlock(vec, rows, i, fits, &d)
-		if fits && i == 0 {
-			sq = math.Sqrt(d[8])
-		}
-		for j, dot := range d[:min(w, n-i)] {
-			out[i+j] = cosineFromSqrts(dot, sq, snorm[i+j])
-		}
-		i += w
-	}
+// BlockScratch is the per-prober scratch of the block kernels: the query
+// widened once into float64 and the float64 dots of one call. The zero
+// value is ready; it grows to the largest call and is then reused, so
+// steady-state calls are allocation-free. It is not safe for concurrent
+// use.
+type BlockScratch struct {
+	q64, dots []float64
 }
 
-// kernelFits reports whether dots8AVX2 may score vec against rows: AVX2 is
-// on, the dimension is a positive multiple of 4 and no row is shorter than
-// the query. Anything else takes the Go loop, which panics on a short row.
-func kernelFits(vec []float32, rows [][]float32) bool {
-	if !useAVX2 || len(vec) == 0 || len(vec)%4 != 0 {
-		return false
+// blockDots scores vec against the n rows interleaved in blocks and returns
+// their float64 dots and Σvec². With AVX2 one blocksAVX2 call does it all;
+// the Go loop below is its reference, operation for operation.
+func (s *BlockScratch) blockDots(vec, blocks []float32, n int) ([]float64, float64) {
+	dim := len(vec)
+	nblk := (n + BlockRows - 1) / BlockRows
+	if need := BlocksLen(n, dim); len(blocks) < need {
+		panic(fmt.Sprintf("vecmath: blocks length %d < %d for %d rows of %d", len(blocks), need, n, dim))
 	}
-	for _, row := range rows {
-		if len(row) < len(vec) {
-			return false
-		}
+	if cap(s.q64) < dim {
+		s.q64 = make([]float64, dim)
 	}
-	return true
-}
-
-// dotBlock writes the dots of vec with the rows from i on into d: eight per
-// dots8AVX2 call when the kernel fits, which on the first block (i == 0)
-// also leaves the query's squared norm in d[8], and four per dots4f call
-// otherwise. Rows past the end point at the last row; the caller drops
-// their sums. It returns how many sums it wrote.
-func dotBlock(vec []float32, rows [][]float32, i int, fits bool, d *[9]float64) int {
-	last := len(rows) - 1
-	if fits {
-		var p [8]*float32
-		for j := range p {
-			p[j] = &rows[min(i+j, last)][0]
-		}
-		dots8AVX2(&vec[0], len(vec), &p, d, i == 0)
-		return 8
+	if cap(s.dots) < nblk*BlockRows+1 {
+		s.dots = make([]float64, nblk*BlockRows+1)
 	}
-	d[0], d[1], d[2], d[3] = dots4f(vec, rows[i], rows[min(i+1, last)], rows[min(i+2, last)], rows[min(i+3, last)])
-	return 4
-}
-
-// dots4f is dots4r on float32 operands, each widened element by element —
-// the Go loop dots8AVX2 reproduces.
-func dots4f(vec, e0, e1, e2, e3 []float32) (d0, d1, d2, d3 float64) {
-	e0 = e0[:len(vec)]
-	e1 = e1[:len(vec)]
-	e2 = e2[:len(vec)]
-	e3 = e3[:len(vec)]
+	q64, d := s.q64[:dim], s.dots[:nblk*BlockRows+1]
+	if useAVX2 && dim > 0 && nblk > 0 {
+		blocksAVX2(&vec[0], &q64[0], dim, &blocks[0], nblk, &d[0])
+		return d[:n], d[nblk*BlockRows]
+	}
+	var norm2 float64
 	for k, x := range vec {
 		xv := float64(x)
-		d0 += xv * float64(e0[k])
-		d1 += xv * float64(e1[k])
-		d2 += xv * float64(e2[k])
-		d3 += xv * float64(e3[k])
+		q64[k] = xv
+		norm2 += xv * xv
 	}
-	return
+	for b := 0; b < nblk; b++ {
+		blk := blocks[b*BlockRows*dim : (b+1)*BlockRows*dim]
+		var d0, d1, d2, d3 float64
+		for k, q := range q64 {
+			e := blk[k*BlockRows : k*BlockRows+BlockRows : k*BlockRows+BlockRows]
+			d0 += q * float64(e[0])
+			d1 += q * float64(e[1])
+			d2 += q * float64(e[2])
+			d3 += q * float64(e[3])
+		}
+		d[b*BlockRows], d[b*BlockRows+1], d[b*BlockRows+2], d[b*BlockRows+3] = d0, d1, d2, d3
+	}
+	return d[:n], norm2
+}
+
+// CosinesBlocks fills out[i] with Cosine(vec, row i) for the len(out) rows
+// interleaved in blocks, where snorm[i] is the square root of row i's
+// squared norm — the probe of a staged cache layer. The query is widened
+// once, its squared norm is summed beside the first pass's dots, and every
+// chain is added in index order, so the results are bitwise identical to
+// Cosine on either path. blocks must hold BlocksLen(len(out), len(vec))
+// floats. Allocation-free once s is warm.
+func CosinesBlocks(vec, blocks []float32, snorm []float64, out []float32, s *BlockScratch) {
+	if len(snorm) < len(out) {
+		panic(fmt.Sprintf("vecmath: CosinesBlocks snorm length %d < %d", len(snorm), len(out)))
+	}
+	dots, norm2 := s.blockDots(vec, blocks, len(out))
+	sq := math.Sqrt(norm2)
+	for i, dot := range dots {
+		out[i] = cosineFromSqrts(dot, sq, snorm[i])
+	}
+}
+
+// DotsBlocks fills out[i] with Dot(vec, row i) for the len(out) rows
+// interleaved in blocks, bitwise identical to Dot on either path: the
+// prediction head's scan of the final-layer prototypes. Allocation-free
+// once s is warm.
+func DotsBlocks(vec, blocks []float32, out []float32, s *BlockScratch) {
+	dots, _ := s.blockDots(vec, blocks, len(out))
+	for i, dot := range dots {
+		out[i] = float32(dot)
+	}
 }
 
 // WidenRow returns a freshly allocated widened mirror of one entry and its
