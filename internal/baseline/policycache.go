@@ -81,7 +81,7 @@ func (p *PolicyCache) rebuild() error {
 	if err != nil {
 		return err
 	}
-	local.StageBlocks(make([]float32, local.BlocksLen()))
+	local.StageBlocks(new(cache.Blocks))
 	p.local = local
 	p.dirty = false
 	return nil

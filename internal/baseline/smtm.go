@@ -109,7 +109,7 @@ func (s *SMTM) BeginRound() error {
 	if err != nil {
 		return fmt.Errorf("baseline: SMTM cache rebuild: %w", err)
 	}
-	local.StageBlocks(make([]float32, local.BlocksLen()))
+	local.StageBlocks(new(cache.Blocks))
 	s.local = local
 	return nil
 }

@@ -81,30 +81,37 @@ type Layer struct {
 	// float32 entries.
 	Wide [][]float64
 
-	// snorm[i] is math.Sqrt(Norm2[i]), the second half of each entry's
-	// cosine staging (computed by Stage; see vecmath.cosineFromSqrts).
-	snorm []float64
-	// blocks holds the entries as column-interleaved probe blocks
-	// (vecmath.Interleave), in a buffer the prober owns (StageBlocks); nil
-	// until staged, and again after DropBlocks.
-	blocks []float32
+	// probe is the layer's probe staging in the Blocks it was staged into
+	// (Local.StageBlocks); nil until then, and again once those Blocks
+	// let the layer go.
+	probe *layerProbe
 	// maxCls caches the largest class id (valid when staged is set), so
 	// probes size their accumulator without an O(n) scan per sample.
 	maxCls int
 	staged bool
 }
 
+// layerProbe is what the block kernel reads for one layer: its entries as
+// column-interleaved probe blocks (vecmath.Interleave) and snorm[i] =
+// math.Sqrt(Norm2[i]), each entry's half of the cosine's denominator (see
+// vecmath.CosinesBlocks).
+type layerProbe struct {
+	blocks []float32
+	snorm  []float64
+}
+
 // Len returns the number of entries at this layer.
 func (l *Layer) Len() int { return len(l.Classes) }
 
-// Staged reports whether the layer carries probe staging.
+// Staged reports whether the layer carries its squared norms and max
+// class id.
 func (l *Layer) Staged() bool { return l.staged }
 
-// Stage computes the layer's probe staging — squared norms, their square
-// roots and the max class id — and marks the layer staged. Norms handed in
-// by the allocation path (Norm2 covering every entry) are kept: recomputing
-// could only reproduce them. Stage must complete before a layer is probed
-// concurrently; staged layers are read-only thereafter.
+// Stage computes the layer's squared norms and max class id and marks the
+// layer staged. Norms handed in by the allocation path (Norm2 covering
+// every entry) are kept: recomputing could only reproduce them. Stage must
+// complete before a layer is probed concurrently; staged layers are
+// read-only thereafter.
 func (l *Layer) Stage() {
 	if l.staged {
 		return
@@ -113,40 +120,79 @@ func (l *Layer) Stage() {
 		l.Norm2 = make([]float64, len(l.Entries))
 		vecmath.SquaredNorms(l.Entries, l.Norm2)
 	}
-	l.snorm = make([]float64, len(l.Norm2))
-	vecmath.SqrtNorms(l.Norm2, l.snorm)
 	l.maxCls = l.maxClass()
 	l.staged = true
 }
 
-// BlocksLen returns how many float32s the layer's probe blocks take.
-func (l *Layer) BlocksLen() int {
-	if len(l.Entries) == 0 {
-		return 0
-	}
-	return vecmath.BlocksLen(len(l.Entries), len(l.Entries[0]))
+// Blocks is a prober's probe staging: the probe blocks and square-root
+// norms of the layers of one Local at a time, in buffers that are reused
+// when it is staged into the next Local. The zero value is ready. It is not
+// safe for concurrent use, and must outlive the probes of the Local it is
+// staged into.
+type Blocks struct {
+	local  *Local // staged into, or nil
+	probes []layerProbe
+	blocks []float32
+	snorm  []float64
 }
 
-// StageBlocks stages the layer (Stage) and interleaves its entries into the
-// front of buf as column-interleaved probe blocks, which probes score from
-// then on; it returns the rest of buf. The layer aliases buf until
-// DropBlocks, so buf must outlive the probes and stay unwritten meanwhile.
-// Like Stage, it must complete before the layer is probed concurrently.
-func (l *Layer) StageBlocks(buf []float32) []float32 {
-	l.Stage()
-	n := l.BlocksLen()
-	if n == 0 {
-		return buf
+// StageBlocks stages c's layers into b, so that probes score them with the
+// block kernel: every layer with entries gets them interleaved into probe
+// blocks, and their norms' square roots, in b's buffers, which grow to
+// exactly what c needs when they are short. The Local b was staged into
+// before lets go of it first (Drop), so no cache scores blocks that are
+// being rewritten. Like Stage, it must complete before c is probed
+// concurrently.
+func (c *Local) StageBlocks(b *Blocks) {
+	b.Drop()
+	layers, blocks, entries := 0, 0, 0
+	for i := range c.layers {
+		if n := c.layers[i].Len(); n > 0 {
+			layers++
+			blocks += vecmath.BlocksLen(n, len(c.layers[i].Entries[0]))
+			entries += n
+		}
 	}
-	l.blocks = buf[:n:n]
-	vecmath.Interleave(l.blocks, l.Entries)
-	return buf[n:]
+	if cap(b.probes) < layers {
+		b.probes = make([]layerProbe, layers)
+	}
+	if cap(b.blocks) < blocks {
+		b.blocks = make([]float32, blocks)
+	}
+	if cap(b.snorm) < entries {
+		b.snorm = make([]float64, entries)
+	}
+	probes, buf, snorm := b.probes[:layers], b.blocks[:blocks], b.snorm[:entries]
+	for i := range c.layers {
+		l := &c.layers[i]
+		n := l.Len()
+		if n == 0 {
+			continue
+		}
+		p := &probes[0]
+		probes = probes[1:]
+		k := vecmath.BlocksLen(n, len(l.Entries[0]))
+		p.blocks, buf = buf[:k:k], buf[k:]
+		p.snorm, snorm = snorm[:n:n], snorm[n:]
+		vecmath.Interleave(p.blocks, l.Entries)
+		vecmath.SqrtNorms(l.Norm2, p.snorm)
+		l.probe = p
+	}
+	b.local = c
 }
 
-// DropBlocks detaches the layer from its probe blocks, so their buffer can
-// be reused; probes then score entry by entry with vecmath.Cosine, bitwise
-// the same.
-func (l *Layer) DropBlocks() { l.blocks = nil }
+// Drop lets go of the Local b is staged into: its layers are probed entry
+// by entry with Cosine from then on, bitwise the same, and b may be staged
+// into another Local or handed to another prober.
+func (b *Blocks) Drop() {
+	if b.local == nil {
+		return
+	}
+	for i := range b.local.layers {
+		b.local.layers[i].probe = nil
+	}
+	b.local = nil
+}
 
 // Local is a client's allocated cache: a sparse sub-table of the global
 // cache, stored as activated layers in ascending site order.
@@ -205,34 +251,6 @@ func (c *Local) NumEntries() int {
 		n += c.layers[i].Len()
 	}
 	return n
-}
-
-// BlocksLen returns how many float32s StageBlocks needs for every layer.
-func (c *Local) BlocksLen() int {
-	n := 0
-	for i := range c.layers {
-		n += c.layers[i].BlocksLen()
-	}
-	return n
-}
-
-// StageBlocks stages every layer's probe blocks into buf, which must hold
-// BlocksLen floats (Layer.StageBlocks; the layers alias buf until
-// DropBlocks). It panics if buf is short.
-func (c *Local) StageBlocks(buf []float32) {
-	if need := c.BlocksLen(); len(buf) < need {
-		panic(fmt.Sprintf("cache: StageBlocks buffer length %d < %d", len(buf), need))
-	}
-	for i := range c.layers {
-		buf = c.layers[i].StageBlocks(buf)
-	}
-}
-
-// DropBlocks detaches every layer from the buffer StageBlocks filled.
-func (c *Local) DropBlocks() {
-	for i := range c.layers {
-		c.layers[i].DropBlocks()
-	}
 }
 
 // Sites returns the activated site indices in ascending order.
@@ -382,13 +400,13 @@ func (l *Lookup) Probe(layer *Layer, vec []float32) Result {
 		l.scores = make([]float32, n)
 	}
 	scores := l.scores[:n]
-	if layer.blocks != nil {
+	if p := layer.probe; p != nil {
 		// Keep Cosine's failure mode for a query that does not match the
 		// entries instead of silently scoring a truncated dot.
 		if dim := len(layer.Entries[0]); len(vec) != dim {
 			panic(fmt.Sprintf("cache: Probe query length %d != entry dim %d", len(vec), dim))
 		}
-		vecmath.CosinesBlocks(vec, layer.blocks, layer.snorm, scores, &l.blk)
+		vecmath.CosinesBlocks(vec, p.blocks, p.snorm, scores, &l.blk)
 	} else {
 		for i, e := range layer.Entries {
 			scores[i] = vecmath.Cosine(vec, e)

@@ -77,44 +77,76 @@ func TestLayerAtAndNumEntries(t *testing.T) {
 	}
 }
 
-// TestLocalStageBlocks pins the block buffer's shape and lifetime: a local
-// needs whole 4-row blocks per layer, StageBlocks refuses a short buffer,
-// the layers alias the buffer it was given, and DropBlocks lets them go.
+// stagedLayer returns a copy of layer, staged with its probe blocks in a
+// Local of its own.
+func stagedLayer(t testing.TB, layer Layer) *Layer {
+	t.Helper()
+	l, err := NewLocal([]Layer{layer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.StageBlocks(new(Blocks))
+	return &l.Layers()[0]
+}
+
+// TestLocalStageBlocks pins the probe staging's shape and lifetime: its
+// buffers hold exactly a local's whole 4-row blocks and entry norms, every
+// layer with entries reads its own slice of them, and staging the Blocks
+// into another local, or Drop, lets the first local go.
 func TestLocalStageBlocks(t *testing.T) {
 	a, b := unit(1), unit(2)
 	l, err := NewLocal([]Layer{
 		layerOf(4, []int{0, 1, 2, 3, 4}, [][]float32{a, b, a, b, a}),
+		layerOf(6, nil, nil),
 		layerOf(9, []int{0}, [][]float32{a}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (8 + 4) * len(a); l.BlocksLen() != want {
-		t.Fatalf("BlocksLen = %d, want %d", l.BlocksLen(), want)
+	var st Blocks
+	l.StageBlocks(&st)
+	if want := (8 + 4) * len(a); len(st.blocks) != want || cap(st.blocks) != want {
+		t.Fatalf("block buffer %d/%d floats, want exactly %d", len(st.blocks), cap(st.blocks), want)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("StageBlocks accepted a short buffer")
-			}
-		}()
-		l.StageBlocks(make([]float32, l.BlocksLen()-1))
-	}()
-	buf := make([]float32, l.BlocksLen())
-	l.StageBlocks(buf)
-	off := 0
+	if len(st.snorm) != 6 || len(st.probes) != 2 {
+		t.Fatalf("staged %d norms for %d layers, want 6 for 2", len(st.snorm), len(st.probes))
+	}
+	blocksAt, snormAt := 0, 0
 	for i := range l.Layers() {
 		layer := &l.Layers()[i]
-		if len(layer.blocks) != layer.BlocksLen() || &layer.blocks[0] != &buf[off] {
-			t.Fatalf("layer %d does not stage into its slice of the buffer", i)
+		if layer.Len() == 0 {
+			if layer.probe != nil {
+				t.Fatalf("empty layer %d staged", i)
+			}
+			continue
 		}
-		off += layer.BlocksLen()
+		p := layer.probe
+		if p == nil || &p.blocks[0] != &st.blocks[blocksAt] || &p.snorm[0] != &st.snorm[snormAt] {
+			t.Fatalf("layer %d does not stage into its slice of the buffers", i)
+		}
+		for k, n2 := range layer.Norm2 {
+			if p.snorm[k] != math.Sqrt(n2) {
+				t.Fatalf("layer %d entry %d: snorm %v, want Sqrt(%v)", i, k, p.snorm[k], n2)
+			}
+		}
+		blocksAt, snormAt = blocksAt+len(p.blocks), snormAt+len(p.snorm)
 	}
-	l.DropBlocks()
+	next, err := NewLocal([]Layer{layerOf(1, []int{0}, [][]float32{b})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.StageBlocks(&st)
 	for i := range l.Layers() {
-		if l.Layers()[i].blocks != nil {
-			t.Fatalf("layer %d still aliases the buffer after DropBlocks", i)
+		if l.Layers()[i].probe != nil {
+			t.Fatalf("layer %d still reads the staging after it moved to another local", i)
 		}
+	}
+	if next.Layers()[0].probe == nil {
+		t.Fatal("the second local was not staged")
+	}
+	st.Drop()
+	if next.Layers()[0].probe != nil {
+		t.Fatal("Drop left the local reading the staging")
 	}
 }
 
@@ -334,15 +366,11 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 			staged := NewLookup(cfg)
 			for trial := 0; trial < 5; trial++ {
 				layer := randLayer(r, 0, entries, dim, 10)
-				stagedLayer := Layer{Site: layer.Site, Classes: layer.Classes, Entries: layer.Entries}
-				buf := make([]float32, stagedLayer.BlocksLen()+1)
-				if rest := stagedLayer.StageBlocks(buf); len(rest) != 1 {
-					t.Fatalf("dim=%d n=%d: StageBlocks left %d floats of %d, want 1", dim, entries, len(rest), len(buf))
-				}
-				dropped := stagedLayer
-				dropped.DropBlocks()
-				if !stagedLayer.Staged() || stagedLayer.maxCls != layer.maxClass() {
-					t.Fatalf("dim=%d n=%d: staging lost the max class (%d != %d)", dim, entries, stagedLayer.maxCls, layer.maxClass())
+				withBlocks := stagedLayer(t, Layer{Site: layer.Site, Classes: layer.Classes, Entries: layer.Entries})
+				dropped := *withBlocks
+				dropped.probe = nil
+				if withBlocks.probe == nil || !withBlocks.Staged() || withBlocks.maxCls != layer.maxClass() {
+					t.Fatalf("dim=%d n=%d: staging lost the max class (%d != %d)", dim, entries, withBlocks.maxCls, layer.maxClass())
 				}
 				plain.Reset()
 				staged.Reset()
@@ -353,7 +381,7 @@ func TestStagedProbeMatchesUnstaged(t *testing.T) {
 						v[d] = float32(r.NormFloat64())
 					}
 					want := plain.Probe(&layer, v)
-					got := staged.Probe(&stagedLayer, v)
+					got := staged.Probe(withBlocks, v)
 					if want != got {
 						t.Fatalf("dim=%d n=%d trial %d probe %d: unstaged %+v != staged %+v", dim, entries, trial, probe, want, got)
 					}
@@ -376,9 +404,9 @@ func TestSequentialStagedProbeZeroAlloc(t *testing.T) {
 	layer.Norm2 = make([]float64, layer.Len())
 	vecmath.SquaredNorms(layer.Entries, layer.Norm2)
 	handed := &layer.Norm2[0]
-	layer.StageBlocks(make([]float32, layer.BlocksLen()))
-	if &layer.Norm2[0] != handed {
-		t.Fatal("StageBlocks recomputed a layer whose norms were handed in")
+	staged := stagedLayer(t, layer)
+	if &staged.Norm2[0] != handed {
+		t.Fatal("staging recomputed a layer whose norms were handed in")
 	}
 	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
 	v := make([]float32, 64)
@@ -386,10 +414,10 @@ func TestSequentialStagedProbeZeroAlloc(t *testing.T) {
 		v[d] = float32(r.NormFloat64())
 	}
 	lk.Reset()
-	lk.Probe(&layer, v) // grow scratch
+	lk.Probe(staged, v) // grow scratch
 	if allocs := testing.AllocsPerRun(100, func() {
 		lk.Reset()
-		lk.Probe(&layer, v)
+		lk.Probe(staged, v)
 	}); allocs != 0 {
 		t.Errorf("steady-state staged probe: %.1f allocs/op, want 0", allocs)
 	}
@@ -400,8 +428,7 @@ func TestSequentialStagedProbeZeroAlloc(t *testing.T) {
 // must panic, never score a silently truncated dot.
 func TestStagedProbeRejectsMismatchedQuery(t *testing.T) {
 	r := rand.New(rand.NewPCG(61, 67))
-	layer := randLayer(r, 0, 5, 32, 10)
-	layer.StageBlocks(make([]float32, layer.BlocksLen()))
+	layer := stagedLayer(t, randLayer(r, 0, 5, 32, 10))
 	lk := NewLookup(Config{Alpha: DefaultAlpha, Theta: 0.01})
 	lk.Reset()
 	short := make([]float32, 16)
@@ -411,7 +438,7 @@ func TestStagedProbeRejectsMismatchedQuery(t *testing.T) {
 				t.Error("staged Probe accepted a short query")
 			}
 		}()
-		lk.Probe(&layer, short)
+		lk.Probe(layer, short)
 	}()
 }
 
@@ -424,8 +451,7 @@ func benchProbe(b *testing.B, n int) {
 		entries[i] = xrand.NormalVector(xrand.New(uint64(i)), dim)
 		vecmath.Normalize(entries[i])
 	}
-	layer := layerOf(0, classes, entries)
-	layer.StageBlocks(make([]float32, layer.BlocksLen()))
+	layer := stagedLayer(b, layerOf(0, classes, entries))
 	lk := NewLookup(Config{Alpha: 0.5, Theta: 0.02})
 	v := xrand.NormalVector(xrand.New(777), dim)
 	vecmath.Normalize(v)
@@ -433,7 +459,7 @@ func benchProbe(b *testing.B, n int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lk.Reset()
-		lk.Probe(&layer, v)
+		lk.Probe(layer, v)
 	}
 }
 

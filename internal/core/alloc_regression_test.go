@@ -15,7 +15,9 @@ import (
 	"slices"
 	"testing"
 
+	"coca/internal/dataset"
 	"coca/internal/model"
+	"coca/internal/semantics"
 	"coca/internal/vecmath"
 	"coca/internal/xrand"
 )
@@ -334,6 +336,48 @@ func TestAllocViewFullApplyBytes(t *testing.T) {
 	perApply := (after.TotalAlloc - before.TotalAlloc) / runs
 	if max := uint64(4*n*model.Dim + sites*(96*classes+1024)); perApply > max {
 		t.Errorf("Full delta of %d %d-float cells into a fresh view: %d bytes per apply, want <= %d", n, model.Dim, perApply, max)
+	}
+}
+
+// TestJoinWithoutInferBytes pins what a client that joins and leaves
+// without inferring costs (join-churn's op: NewClient, a Full BeginRound,
+// Close): probe staging is the prober's and waits for the first Infer, so
+// the join allocates the view's 4·N·Dim bytes of cells plus, per cell, the
+// bookkeeping of both sides of the in-process session (under 100 bytes,
+// twice that under the race detector) and 24 KiB for the session, the
+// client and its status vectors. Staging the N cells' probe blocks at the
+// join would add at least another 4·N·Dim.
+func TestJoinWithoutInferBytes(t *testing.T) {
+	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
+	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
+	cells := 0
+	join := func(id int) {
+		c, err := NewClient(context.Background(), space, srv, ClientConfig{ID: id, Theta: 0.012, Budget: 150, RoundFrames: 120})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.BeginRound(); err != nil {
+			t.Fatal(err)
+		}
+		cells = c.View().NumCells()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	join(0)
+	const runs = 50
+	// One P, as testing.AllocsPerRun runs, so other goroutines' garbage
+	// stays out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		join(i + 1)
+	}
+	runtime.ReadMemStats(&after)
+	perJoin := (after.TotalAlloc - before.TotalAlloc) / runs
+	if max := uint64(4*cells*model.Dim + 192*cells + 24<<10); perJoin > max {
+		t.Errorf("join of %d %d-float cells without Infer: %d bytes, want <= %d", cells, model.Dim, perJoin, max)
 	}
 }
 

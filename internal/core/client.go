@@ -235,7 +235,11 @@ func (c *Client) View() *AllocView { return c.view }
 // block buffer to the pool; the cache it was staged for keeps probing,
 // entry by entry, bitwise the same.
 func (c *Client) Close() error {
-	c.scratch.releaseBlocks()
+	if b := c.scratch.blocks; b != nil {
+		b.Drop()
+		blockPool.Put(b)
+		c.scratch.blocks = nil
+	}
 	return c.sess.Close()
 }
 
@@ -497,47 +501,12 @@ type inferScratch struct {
 	flat   []float32      // vector store backing: one row per active ordinal
 	agree  []int          // per-ordinal raw layer winner
 	absorb []float32      // deep-site regeneration buffer
-	blocks *[]float32     // local's probe blocks, from blockBufs; nil until the first Infer
+	blocks *cache.Blocks  // local's probe staging, from blockPool at the first Infer
 }
 
-// blockBufs recycles the probe block buffers of closed clients, so a stream
-// of short-lived clients stages into a few buffers instead of one each.
-var blockBufs sync.Pool // of *[]float32
-
-// stageBlocks stages the probe blocks of the client's current allocation.
-// The previous allocation's layers let go of the buffer first, so no cache
-// the client handed out scores blocks that are being rewritten. A buffer
-// that is too short is dropped for a pooled one that fits, or for a new one
-// of exactly the length needed.
-func (sc *inferScratch) stageBlocks(local *cache.Local) {
-	if sc.local != nil {
-		sc.local.DropBlocks()
-	}
-	need := local.BlocksLen()
-	if need == 0 {
-		return
-	}
-	if sc.blocks == nil || cap(*sc.blocks) < need {
-		buf, _ := blockBufs.Get().(*[]float32)
-		if buf == nil || cap(*buf) < need {
-			b := make([]float32, need)
-			buf = &b
-		}
-		sc.blocks = buf
-	}
-	local.StageBlocks((*sc.blocks)[:need])
-}
-
-// releaseBlocks detaches the staged layers from the block buffer and
-// returns it to the pool.
-func (sc *inferScratch) releaseBlocks() {
-	if sc.blocks == nil {
-		return
-	}
-	sc.local.DropBlocks()
-	blockBufs.Put(sc.blocks)
-	sc.blocks = nil
-}
+// blockPool recycles the probe staging of closed clients, so a stream of
+// short-lived clients stages into a few buffers instead of one each.
+var blockPool = sync.Pool{New: func() any { return new(cache.Blocks) }}
 
 // shape points the scratch at the activated non-empty layers of the
 // client's current allocation and stages their probe blocks.
@@ -547,7 +516,10 @@ func (c *Client) shape() {
 		sc.sem = c.space.NewScratch()
 		sc.absorb = make([]float32, model.Dim)
 	}
-	sc.stageBlocks(c.local)
+	if sc.blocks == nil {
+		sc.blocks = blockPool.Get().(*cache.Blocks)
+	}
+	c.local.StageBlocks(sc.blocks)
 	sc.local = c.local
 	sc.active = sc.active[:0]
 	layers := c.local.Layers()

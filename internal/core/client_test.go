@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 
+	"coca/internal/cache"
 	"coca/internal/dataset"
+	"coca/internal/engine"
 	"coca/internal/model"
 	"coca/internal/semantics"
 	"coca/internal/stream"
@@ -438,4 +441,119 @@ func BenchmarkInferencePath(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestClosedClientLetsGoOfProbeStaging: Close returns the client's probe
+// staging to the pool, and its cache stops reading it. A second client
+// that stages a different allocation into the same buffers and infers must
+// not change what the closed client's Cache() scores.
+func TestClosedClientLetsGoOfProbeStaging(t *testing.T) {
+	first, gen := inferTestStack(t, ClientConfig{})
+	if err := first.BeginRound(); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 50; f++ {
+		first.Infer(gen.Next())
+	}
+	staging := first.scratch.blocks
+	if staging == nil {
+		t.Fatal("Infer staged no probe blocks")
+	}
+	layers := first.Cache().Layers()
+	if len(layers) == 0 {
+		t.Fatal("the first allocation activated no layer")
+	}
+	// Each layer probed with the vectors of a few frames, on a fresh lookup.
+	smps := gen.Take(4)
+	scores := func() []cache.Result {
+		var out []cache.Result
+		sc := first.space.NewScratch()
+		for _, smp := range smps {
+			lk := cache.NewLookup(cache.Config{Alpha: cache.DefaultAlpha, Theta: first.cfg.Theta})
+			for i := range layers {
+				vec := make([]float32, model.Dim)
+				first.space.SampleVectorInto(vec, smp, layers[i].Site, nil, sc)
+				out = append(out, lk.Probe(&layers[i], vec))
+			}
+		}
+		return out
+	}
+	want := scores()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, gen2 := inferTestStack(t, ClientConfig{Budget: 60})
+	second.scratch.blocks = staging // the pool's choice, made certain
+	if err := second.BeginRound(); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 50; f++ {
+		second.Infer(gen2.Next())
+	}
+	if second.scratch.blocks != staging {
+		t.Fatal("the second client did not stage into the closed client's buffers")
+	}
+	if got := scores(); !slices.Equal(got, want) {
+		t.Fatalf("the closed client's cache scores changed once its staging was reused:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestProbeStagingPoolAcrossGoroutines runs short-lived clients on several
+// goroutines at once, each closing and so handing its probe staging to the
+// next through the shared pool, and requires every client to infer exactly
+// what the same client inferred alone (run it with -race).
+func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
+	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
+	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
+	part, err := stream.NewPartition(stream.Config{
+		Dataset: space.DS, NumClients: 4, SceneMeanFrames: 20,
+		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// life runs one client (budget by id, so allocations differ in size)
+	// for a round of 40 frames and closes it.
+	life := func(id int) ([]engine.Result, error) {
+		c, err := NewClient(context.Background(), space, srv, ClientConfig{ID: id, Theta: 0.012, Budget: 60 + 30*id, RoundFrames: 40, DisableCollection: true})
+		if err != nil {
+			return nil, err
+		}
+		defer c.Close()
+		if err := c.BeginRound(); err != nil {
+			return nil, err
+		}
+		gen := part.Client(id)
+		out := make([]engine.Result, 40)
+		for f := range out {
+			out[f] = c.Infer(gen.Next())
+		}
+		return out, nil
+	}
+	want := make([][]engine.Result, 4)
+	for id := range want {
+		if want[id], err = life(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for id := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				got, err := life(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want[id]) {
+					t.Errorf("client %d inferred differently on a pooled staging", id)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -357,18 +357,18 @@ func CumulativeHitProfile(space *semantics.Space, table *gtable.Sharded, lookupC
 		allClasses[i] = i
 	}
 	layers := make([]cache.Layer, L)
-	blocks := 0
 	for j := 0; j < L; j++ {
 		cls, entries, _ := table.ExtractLayerEntriesInto(j, allClasses, nil, nil, nil)
 		layers[j] = cache.Layer{Site: j, Classes: cls, Entries: entries}
-		blocks += layers[j].BlocksLen()
 	}
 	// Stage once up front: the workers below share the layers read-only
 	// and probe each of them `samples` times.
-	buf := make([]float32, blocks)
-	for j := range layers {
-		buf = layers[j].StageBlocks(buf)
+	local, err := cache.NewLocal(layers)
+	if err != nil {
+		panic(err.Error()) // one layer per site, classes and entries extracted together
 	}
+	local.StageBlocks(new(cache.Blocks))
+	layers = local.Layers()
 	// Sample classes are drawn sequentially (the draw order is part of the
 	// deterministic contract); the per-sample probes are then independent,
 	// so they fan out across workers, each with its own lookup state and

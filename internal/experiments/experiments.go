@@ -326,7 +326,7 @@ func newFixedEngine(space *semantics.Space, env *semantics.Env, table *gtable.Sh
 	if err != nil {
 		return nil, err
 	}
-	local.StageBlocks(make([]float32, local.BlocksLen()))
+	local.StageBlocks(new(cache.Blocks))
 	return &fixedEngine{
 		space:  space,
 		env:    env,

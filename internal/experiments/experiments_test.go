@@ -120,3 +120,26 @@ func TestTable2Ordering(t *testing.T) {
 	// Only the two orderings against Edge-Only are asserted: CoCa against
 	// SMTM is not checked here, and no test checks it at full scale.
 }
+
+// TestSemanticNoteFollowsTheNumbers: the routing note explains semantic
+// placement's concentration effect only when semantic beats both other
+// policies, and otherwise names the ones it does not beat.
+func TestSemanticNoteFollowsTheNumbers(t *testing.T) {
+	const why = "concentrates each server's global table"
+	for _, tc := range []struct {
+		semantic, hash, random float64
+		explains               bool
+		beaten                 string
+	}{
+		{0.86, 0.84, 0.85, true, ""},
+		{0.8328, 0.82, 0.8425, false, "does not beat random placement"},
+		{0.83, 0.84, 0.82, false, "does not beat hash placement"},
+		{0.8367, 0.85, 0.8558, false, "does not beat hash or random placement"},
+		{0.85, 0.85, 0.80, false, "does not beat hash placement"},
+	} {
+		note := semanticNote(tc.semantic, tc.hash, tc.random)
+		if strings.Contains(note, why) != tc.explains || !strings.Contains(note, tc.beaten) {
+			t.Errorf("semantic %.4f, hash %.4f, random %.4f: note %q", tc.semantic, tc.hash, tc.random, note)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 
 	"coca/internal/core"
 	"coca/internal/dataset"
@@ -290,8 +291,7 @@ func RoutingExp(opts Options) (*Result, error) {
 	}
 
 	if h := hitByArm["semantic (rebalance=2)"]; h > 0 {
-		out.AddNote("semantic placement hits %.2f%% vs %.2f%% hash / %.2f%% random — grouping profile-similar clients concentrates each server's global table on the classes its fleet actually streams",
-			100*h, 100*hitByArm["consistent-hash"], 100*hitByArm["random placement"])
+		out.AddNote("%s", semanticNote(h, hitByArm["consistent-hash"], hitByArm["random placement"]))
 	}
 	if dipRound >= 0 {
 		if recoverRound >= 0 {
@@ -309,6 +309,24 @@ func RoutingExp(opts Options) (*Result, error) {
 	}
 	out.AddNote("fixed seed reproduces identical rows run-to-run (placement, workload and breaker schedule are all deterministic)")
 	return &Result{ID: "routing", Table: out}, nil
+}
+
+// semanticNote compares semantic placement's fleet hit ratio with hash and
+// random placement's. It explains a win only where there is one, and
+// otherwise names the policies semantic placement does not beat.
+func semanticNote(semantic, hash, random float64) string {
+	cmp := fmt.Sprintf("semantic placement hits %.2f%% vs %.2f%% hash / %.2f%% random", 100*semantic, 100*hash, 100*random)
+	var beaten []string
+	if semantic <= hash {
+		beaten = append(beaten, "hash")
+	}
+	if semantic <= random {
+		beaten = append(beaten, "random")
+	}
+	if len(beaten) == 0 {
+		return cmp + " — grouping profile-similar clients concentrates each server's global table on the classes its fleet actually streams"
+	}
+	return cmp + " — it does not beat " + strings.Join(beaten, " or ") + " placement here"
 }
 
 // brownOutRecovery scans per-round fleet hit ratios for the post-trip

@@ -47,7 +47,7 @@ func blocksOf(rows [][]float32) []float32 {
 		return nil
 	}
 	n := BlocksLen(len(rows), len(rows[0]))
-	blocks := make([]float32, n+BlockRows)
+	blocks := make([]float32, n+blockRows)
 	for i := n; i < len(blocks); i++ {
 		blocks[i] = float32(math.NaN())
 	}

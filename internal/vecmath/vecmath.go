@@ -232,13 +232,14 @@ func SqrtNorms(norm2, snorm []float64) {
 	}
 }
 
-// BlockRows is how many rows one probe block interleaves.
-const BlockRows = 4
+// blockRows is how many rows one probe block interleaves: one VCVTPS2PD
+// widens element k of all of them.
+const blockRows = 4
 
 // BlocksLen returns how many float32s n rows of dim elements take as probe
-// blocks: n rounded up to whole blocks of BlockRows rows, times dim.
+// blocks: n rounded up to whole blocks of blockRows rows, times dim.
 func BlocksLen(n, dim int) int {
-	return (n + BlockRows - 1) / BlockRows * BlockRows * dim
+	return (n + blockRows - 1) / blockRows * blockRows * dim
 }
 
 // Interleave writes rows into dst as column-interleaved probe blocks: block
@@ -258,15 +259,15 @@ func Interleave(dst []float32, rows [][]float32) {
 		if len(row) != dim {
 			panic(fmt.Sprintf("vecmath: Interleave row %d length %d != %d", i, len(row), dim))
 		}
-		blk := dst[i/BlockRows*BlockRows*dim:]
+		blk := dst[i/blockRows*blockRows*dim:]
 		for k, x := range row {
-			blk[k*BlockRows+i%BlockRows] = x
+			blk[k*blockRows+i%blockRows] = x
 		}
 	}
-	for i := len(rows); i%BlockRows != 0; i++ {
-		blk := dst[i/BlockRows*BlockRows*dim:]
+	for i := len(rows); i%blockRows != 0; i++ {
+		blk := dst[i/blockRows*blockRows*dim:]
 		for k := range dim {
-			blk[k*BlockRows+i%BlockRows] = 0
+			blk[k*blockRows+i%blockRows] = 0
 		}
 	}
 }
@@ -285,20 +286,20 @@ type BlockScratch struct {
 // the Go loop below is its reference, operation for operation.
 func (s *BlockScratch) blockDots(vec, blocks []float32, n int) ([]float64, float64) {
 	dim := len(vec)
-	nblk := (n + BlockRows - 1) / BlockRows
+	nblk := (n + blockRows - 1) / blockRows
 	if need := BlocksLen(n, dim); len(blocks) < need {
 		panic(fmt.Sprintf("vecmath: blocks length %d < %d for %d rows of %d", len(blocks), need, n, dim))
 	}
 	if cap(s.q64) < dim {
 		s.q64 = make([]float64, dim)
 	}
-	if cap(s.dots) < nblk*BlockRows+1 {
-		s.dots = make([]float64, nblk*BlockRows+1)
+	if cap(s.dots) < nblk*blockRows+1 {
+		s.dots = make([]float64, nblk*blockRows+1)
 	}
-	q64, d := s.q64[:dim], s.dots[:nblk*BlockRows+1]
+	q64, d := s.q64[:dim], s.dots[:nblk*blockRows+1]
 	if useAVX2 && dim > 0 && nblk > 0 {
 		blocksAVX2(&vec[0], &q64[0], dim, &blocks[0], nblk, &d[0])
-		return d[:n], d[nblk*BlockRows]
+		return d[:n], d[nblk*blockRows]
 	}
 	var norm2 float64
 	for k, x := range vec {
@@ -307,16 +308,16 @@ func (s *BlockScratch) blockDots(vec, blocks []float32, n int) ([]float64, float
 		norm2 += xv * xv
 	}
 	for b := 0; b < nblk; b++ {
-		blk := blocks[b*BlockRows*dim : (b+1)*BlockRows*dim]
+		blk := blocks[b*blockRows*dim : (b+1)*blockRows*dim]
 		var d0, d1, d2, d3 float64
 		for k, q := range q64 {
-			e := blk[k*BlockRows : k*BlockRows+BlockRows : k*BlockRows+BlockRows]
+			e := blk[k*blockRows : k*blockRows+blockRows : k*blockRows+blockRows]
 			d0 += q * float64(e[0])
 			d1 += q * float64(e[1])
 			d2 += q * float64(e[2])
 			d3 += q * float64(e[3])
 		}
-		d[b*BlockRows], d[b*BlockRows+1], d[b*BlockRows+2], d[b*BlockRows+3] = d0, d1, d2, d3
+		d[b*blockRows], d[b*blockRows+1], d[b*blockRows+2], d[b*blockRows+3] = d0, d1, d2, d3
 	}
 	return d[:n], norm2
 }
