@@ -292,9 +292,8 @@ type Lookup struct {
 	epoch   uint64
 	touched []int // classes accumulated since Reset, in first-touch order
 
-	// scores is the block-probe scratch: the query's per-entry cosine
-	// scores, grown once to the high-water entry count; blk is the block
-	// kernel's.
+	// scores is the probe scratch: the query's per-entry cosine scores,
+	// grown once to the high-water entry count; blk is the block kernel's.
 	scores []float32
 	blk    vecmath.BlockScratch
 }
@@ -387,7 +386,7 @@ func (layer *Layer) maxClass() int {
 
 // Probe runs the Eq. 1 / Eq. 2 update for one activated layer against the
 // sample's semantic vector at that layer. A layer with probe blocks
-// (StageBlocks) is scored by the block kernel, vecmath.CosinesBlocks, which
+// (Local.StageBlocks) is scored by the block kernel, vecmath.CosinesBlocks, which
 // reuses the entries' staged norms instead of Cosine re-deriving both norms
 // per pair; any other layer is scored entry by entry with Cosine. Results
 // are bitwise identical either way. Steady-state calls are allocation-free.

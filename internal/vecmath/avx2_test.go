@@ -59,8 +59,9 @@ func blocksOf(rows [][]float32) []float32 {
 // (a NaN to any NaN): the raw blocksAVX2 sums and the query's Σq² against
 // the Go block loop and SquaredNorm; CosinesBlocks and DotsBlocks with the
 // kernels on and off; and Scale. The block kernels run over 1…40 rows,
-// so paired, single and padded last blocks all occur, at dimensions that
-// are and are not a multiple of 4, on plain and on spiked inputs.
+// so passes of one to four blocks and padded last blocks all occur, at
+// dimensions that are and are not a multiple of 4, on plain and on spiked
+// inputs.
 func TestAVX2KernelsMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this machine: only the Go loops exist")
@@ -126,10 +127,10 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 // rows interleaved as a staged cache layer's are, to per-row Cosine bit for
 // bit, with AVX2 on and off (a NaN to any NaN on both). It fuzzes the
 // dimension (1…300, multiples of 4 and not), the row count (1…17, so that
-// paired, single and padded last blocks all run) and raw float32 bits, the
-// query first and then the rows one by one, the input's words repeating as
-// needed. The corpus is seeded from the specialRows grid of
-// TestAVX2KernelsMatchGo, float32 specials included.
+// passes of one to four blocks and padded last blocks all run) and raw
+// float32 bits, the query first and then the rows one by one, the input's
+// words repeating as needed. The corpus is seeded from the specialRows grid
+// of TestAVX2KernelsMatchGo, float32 specials included.
 func FuzzCosinesRows(f *testing.F) {
 	r := rand.New(rand.NewPCG(30, 9))
 	for _, dim := range []int{4, 8, 252, 256, 6, 255} {
