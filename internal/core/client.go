@@ -146,7 +146,8 @@ type Client struct {
 	local   *cache.Local
 	scratch inferScratch
 	view    *AllocView
-	frozen  *Allocation // first allocation, when DisableDynamicAllocation
+	store   *clientStore // backs view and scratch.blocks; nil once closed
+	frozen  *Allocation  // first allocation, when DisableDynamicAllocation
 
 	tau      []int
 	freq     *gtable.Frequencies
@@ -192,13 +193,17 @@ func NewClient(ctx context.Context, space *semantics.Space, coord Coordinator, c
 		return nil, fmt.Errorf("core: client %d model/dataset mismatch with server (%d×%d vs %d×%d)",
 			cfg.ID, space.DS.NumClasses, space.Arch.NumLayers, info.NumClasses, info.NumLayers)
 	}
+	// Only a client that opened takes storage, so a redirect or a mismatch
+	// has nothing to give back.
+	st := storePool.Get().(*clientStore)
 	c := &Client{
 		cfg:         cfg,
 		space:       space,
 		ctx:         ctx,
 		sess:        sess,
 		local:       cache.Empty(),
-		view:        NewAllocView(),
+		view:        &st.view,
+		store:       st,
 		tau:         make([]int, space.DS.NumClasses),
 		freq:        gtable.NewFrequencies(space.DS.NumClasses),
 		upd:         gtable.NewUpdateTable(cfg.Beta, model.Dim),
@@ -209,6 +214,7 @@ func NewClient(ctx context.Context, space *semantics.Space, coord Coordinator, c
 	// NewLookup surfaces invalid lookup parameters here rather than at
 	// first inference.
 	c.scratch.lk = cache.NewLookup(cache.Config{Alpha: cfg.Alpha, Theta: cfg.Theta})
+	c.scratch.blocks = &st.blocks
 	if cfg.EnvBiasWeight != 0 || cfg.DriftWeight != 0 {
 		c.env = semantics.NewEnv(cfg.EnvSeed, cfg.EnvBiasWeight)
 		c.env.DriftWeight = cfg.DriftWeight
@@ -219,7 +225,9 @@ func NewClient(ctx context.Context, space *semantics.Space, coord Coordinator, c
 // Config returns the client's configuration.
 func (c *Client) Config() ClientConfig { return c.cfg }
 
-// Cache returns the currently loaded local cache (diagnostics).
+// Cache returns the currently loaded local cache (diagnostics). It reads
+// the view's storage, so it is valid until the next BeginRound or Close;
+// after Close it is empty.
 func (c *Client) Cache() *cache.Local { return c.local }
 
 // Collection returns the accumulated collection statistics.
@@ -229,16 +237,25 @@ func (c *Client) Collection() CollectionStats { return c.collect }
 func (c *Client) Env() *semantics.Env { return c.env }
 
 // View returns the client's materialized allocation view (diagnostics).
+// After Close it is an empty view: version 0, no cells.
 func (c *Client) View() *AllocView { return c.view }
 
-// Close releases the client's coordination session and returns its probe
-// block buffer to the pool; the cache it was staged for keeps probing,
-// entry by entry, bitwise the same.
+// Close releases the client's coordination session and hands its storage
+// to the next client that opens: the view is reset, the probe staging
+// dropped, and both go back to storePool together. From then on Cache() is
+// empty and View() has version 0 and no cells; what Layers, Allocation or
+// Cache returned before is no longer valid, since another client rewrites
+// that storage (a holder that needs it longer takes Allocation.Clone()
+// first). A second Close hands nothing back.
 func (c *Client) Close() error {
-	if b := c.scratch.blocks; b != nil {
-		b.Drop()
-		blockPool.Put(b)
-		c.scratch.blocks = nil
+	if st := c.store; st != nil {
+		st.blocks.Drop()
+		st.view.reset()
+		storePool.Put(st)
+		// The closed client keeps working on storage of its own.
+		c.store, c.view, c.local = nil, NewAllocView(), cache.Empty()
+		clear(c.scratch.active)
+		c.scratch.local, c.scratch.active, c.scratch.blocks = nil, c.scratch.active[:0], new(cache.Blocks)
 	}
 	return c.sess.Close()
 }
@@ -501,12 +518,21 @@ type inferScratch struct {
 	flat   []float32      // vector store backing: one row per active ordinal
 	agree  []int          // per-ordinal raw layer winner
 	absorb []float32      // deep-site regeneration buffer
-	blocks *cache.Blocks  // local's probe staging, from blockPool at the first Infer
+	blocks *cache.Blocks  // local's probe staging, staged at the first Infer
 }
 
-// blockPool recycles the probe staging of closed clients, so a stream of
-// short-lived clients stages into a few buffers instead of one each.
-var blockPool = sync.Pool{New: func() any { return new(cache.Blocks) }}
+// clientStore is the storage a closed client hands to the next one that
+// opens: its allocation view, reset, and its probe staging, dropped. Both
+// keep their buffers, so a stream of short-lived clients parks each cold
+// join's Full allocation in buffers a closed client left, and stages its
+// probe blocks into them, instead of allocating both per client.
+type clientStore struct {
+	view   AllocView
+	blocks cache.Blocks
+}
+
+// storePool holds the storage of closed clients.
+var storePool = sync.Pool{New: func() any { return new(clientStore) }}
 
 // shape points the scratch at the activated non-empty layers of the
 // client's current allocation and stages their probe blocks.
@@ -515,9 +541,6 @@ func (c *Client) shape() {
 	if sc.sem == nil {
 		sc.sem = c.space.NewScratch()
 		sc.absorb = make([]float32, model.Dim)
-	}
-	if sc.blocks == nil {
-		sc.blocks = blockPool.Get().(*cache.Blocks)
 	}
 	c.local.StageBlocks(sc.blocks)
 	sc.local = c.local

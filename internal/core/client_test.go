@@ -443,66 +443,98 @@ func BenchmarkInferencePath(b *testing.B) {
 	}
 }
 
-// TestClosedClientLetsGoOfProbeStaging: Close returns the client's probe
-// staging to the pool, and its cache stops reading it. A second client
-// that stages a different allocation into the same buffers and infers must
-// not change what the closed client's Cache() scores.
-func TestClosedClientLetsGoOfProbeStaging(t *testing.T) {
-	first, gen := inferTestStack(t, ClientConfig{})
-	if err := first.BeginRound(); err != nil {
+// TestClosedClientStagingGoesToThePool: Close hands the client's view and
+// probe staging to the pool and leaves the client with an empty Cache() and
+// View(). What it held is the next client's to rewrite, so only a Clone taken
+// before Close outlives it: the clone must score bitwise what the live cache
+// scored, after a second client has taken the pooled storage, applied a
+// smaller allocation into it and inferred.
+func TestClosedClientStagingGoesToThePool(t *testing.T) {
+	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
+	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
+	part, err := stream.NewPartition(stream.Config{
+		Dataset: space.DS, NumClients: 2, SceneMeanFrames: 20,
+		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for f := 0; f < 50; f++ {
-		first.Infer(gen.Next())
+	open := func(id, budget int) *Client {
+		c, err := NewClient(context.Background(), space, srv, ClientConfig{ID: id, Theta: 0.012, Budget: budget, RoundFrames: 120})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.BeginRound(); err != nil {
+			t.Fatal(err)
+		}
+		gen := part.Client(id)
+		for f := 0; f < 50; f++ {
+			c.Infer(gen.Next())
+		}
+		return c
 	}
-	staging := first.scratch.blocks
-	if staging == nil {
-		t.Fatal("Infer staged no probe blocks")
-	}
-	layers := first.Cache().Layers()
-	if len(layers) == 0 {
-		t.Fatal("the first allocation activated no layer")
-	}
-	// Each layer probed with the vectors of a few frames, on a fresh lookup.
-	smps := gen.Take(4)
-	scores := func() []cache.Result {
+	// Each layer of ls probed with the vectors of a few frames, on a fresh
+	// lookup per frame.
+	smps := part.Client(0).Take(4)
+	scores := func(ls []cache.Layer) []cache.Result {
 		var out []cache.Result
-		sc := first.space.NewScratch()
+		sc := space.NewScratch()
 		for _, smp := range smps {
-			lk := cache.NewLookup(cache.Config{Alpha: cache.DefaultAlpha, Theta: first.cfg.Theta})
-			for i := range layers {
+			lk := cache.NewLookup(cache.Config{Alpha: cache.DefaultAlpha, Theta: 0.012})
+			for i := range ls {
 				vec := make([]float32, model.Dim)
-				first.space.SampleVectorInto(vec, smp, layers[i].Site, nil, sc)
-				out = append(out, lk.Probe(&layers[i], vec))
+				space.SampleVectorInto(vec, smp, ls[i].Site, nil, sc)
+				out = append(out, lk.Probe(&ls[i], vec))
 			}
 		}
 		return out
 	}
-	want := scores()
-	if err := first.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// The pool may drop what it is handed (it does so at random under the race
+	// detector), so try until the second client takes the first one's storage.
+	for try := 0; try < 200; try++ {
+		first := open(0, 150)
+		live := first.Cache().Layers()
+		if len(live) == 0 {
+			t.Fatal("the first allocation activated no layer")
+		}
+		want := scores(live)
+		kept, err := cache.NewLocal(first.View().Allocation().Clone().Layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := first.store
+		if err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := first.Cache().NumEntries(); n != 0 {
+			t.Fatalf("closed client's Cache() holds %d entries", n)
+		}
+		if v := first.View(); v.Version() != 0 || v.NumCells() != 0 || len(v.Layers()) != 0 || len(first.scratch.active) != 0 {
+			t.Fatalf("closed client's View() has version %d and %d cells, %d active layers", v.Version(), v.NumCells(), len(first.scratch.active))
+		}
 
-	second, gen2 := inferTestStack(t, ClientConfig{Budget: 60})
-	second.scratch.blocks = staging // the pool's choice, made certain
-	if err := second.BeginRound(); err != nil {
-		t.Fatal(err)
+		second := open(1, 60)
+		if second.store != st {
+			_ = second.Close()
+			continue
+		}
+		if n, m := second.View().NumCells(), ownedBuffers(&st.view); n >= m {
+			t.Fatalf("second client holds %d cells in a view of %d buffers, want a smaller allocation", n, m)
+		}
+		if got := scores(kept.Layers()); !slices.Equal(got, want) {
+			t.Fatalf("the clone changed once the closed client's storage was reused:\n got %v\nwant %v", got, want)
+		}
+		_ = second.Close()
+		return
 	}
-	for f := 0; f < 50; f++ {
-		second.Infer(gen2.Next())
-	}
-	if second.scratch.blocks != staging {
-		t.Fatal("the second client did not stage into the closed client's buffers")
-	}
-	if got := scores(); !slices.Equal(got, want) {
-		t.Fatalf("the closed client's cache scores changed once its staging was reused:\n got %v\nwant %v", got, want)
-	}
+	t.Skip("the pool never handed the storage back")
 }
 
 // TestProbeStagingPoolAcrossGoroutines runs short-lived clients on several
-// goroutines at once, each closing and so handing its probe staging to the
-// next through the shared pool, and requires every client to infer exactly
-// what the same client inferred alone (run it with -race).
+// goroutines at once, each closing and so handing its view and probe staging
+// to the next through the shared pool. No two open clients may hold the same
+// storage, every client must infer exactly what the same client inferred
+// alone, and a closed one must hold an empty view (run it with -race).
 func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
 	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
 	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
@@ -513,6 +545,8 @@ func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	holder := map[*clientStore]int{}
 	// life runs one client (budget by id, so allocations differ in size)
 	// for a round of 40 frames and closes it.
 	life := func(id int) ([]engine.Result, error) {
@@ -520,7 +554,16 @@ func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		defer c.Close()
+		if v := c.View(); v.Version() != 0 || v.NumCells() != 0 {
+			t.Errorf("client %d opened on a view of version %d with %d cells", id, v.Version(), v.NumCells())
+		}
+		st := c.store
+		mu.Lock()
+		if other, dup := holder[st]; dup {
+			t.Errorf("clients %d and %d hold the same storage", id, other)
+		}
+		holder[st] = id
+		mu.Unlock()
 		if err := c.BeginRound(); err != nil {
 			return nil, err
 		}
@@ -528,6 +571,15 @@ func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
 		out := make([]engine.Result, 40)
 		for f := range out {
 			out[f] = c.Infer(gen.Next())
+		}
+		mu.Lock()
+		delete(holder, st)
+		mu.Unlock()
+		if err := c.Close(); err != nil {
+			return nil, err
+		}
+		if v := c.View(); v.Version() != 0 || v.NumCells() != 0 || c.Cache().NumEntries() != 0 {
+			t.Errorf("client %d closed with view version %d, %d cells, %d cached entries", id, v.Version(), v.NumCells(), c.Cache().NumEntries())
 		}
 		return out, nil
 	}
@@ -556,4 +608,83 @@ func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDoubleClosePoolsStorageOnce: a client closed twice hands its storage
+// to the pool once. Two clients opened after it hold no cell buffer, view or
+// staging in common, and each infers bitwise what a client on storage of its
+// own infers.
+func TestDoubleClosePoolsStorageOnce(t *testing.T) {
+	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
+	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
+	part, err := stream.NewPartition(stream.Config{
+		Dataset: space.DS, NumClients: 2, SceneMeanFrames: 20,
+		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// open opens client id and runs its first BeginRound; with own set, on
+	// storage of its own instead of the pool's.
+	open := func(id int, own bool) *Client {
+		c, err := NewClient(context.Background(), space, srv, ClientConfig{ID: id, Theta: 0.012, Budget: 90 + 30*id, RoundFrames: 40, DisableCollection: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if own {
+			c.store, c.view, c.scratch.blocks = nil, NewAllocView(), new(cache.Blocks)
+		}
+		if err := c.BeginRound(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// What client id infers over 40 frames on storage nothing else had.
+	want := make([][]engine.Result, 2)
+	for id := range want {
+		c := open(id, true)
+		gen := part.Client(id)
+		for range 40 {
+			want[id] = append(want[id], c.Infer(gen.Next()))
+		}
+		_ = c.Close()
+	}
+
+	first := open(0, false)
+	first.Infer(part.Client(0).Next())
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	a, b := open(0, false), open(1, false)
+	defer a.Close()
+	defer b.Close()
+	if a.store == b.store || a.scratch.blocks == b.scratch.blocks {
+		t.Fatal("two open clients hold the same pooled storage")
+	}
+	bufs := map[*float32]bool{}
+	for _, c := range []*Client{a, b} {
+		for _, l := range c.View().Layers() {
+			for _, e := range l.Entries {
+				if bufs[&e[0]] {
+					t.Fatalf("a cell buffer at site %d is in both open clients' views", l.Site)
+				}
+				bufs[&e[0]] = true
+			}
+		}
+	}
+	gens := []*stream.Generator{part.Client(0), part.Client(1)}
+	got := make([][]engine.Result, 2)
+	for range 40 { // interleaved, so shared storage would show
+		for id, c := range []*Client{a, b} {
+			got[id] = append(got[id], c.Infer(gens[id].Next()))
+		}
+	}
+	for id := range got {
+		if !slices.Equal(got[id], want[id]) {
+			t.Errorf("client %d inferred differently after a double Close", id)
+		}
+	}
 }

@@ -107,7 +107,9 @@ type Delta struct {
 // buffers as the most cells it held at once (≤ sites × classes). Each buffer
 // has cap == len, so an append through Layers cannot reach a neighbouring
 // cell. Layers and Allocation hand out the view's own slices, valid until
-// the next Apply.
+// the next Apply or Close. A client's view goes back to the pool on the
+// client's Close, buffers and all, and the next client that opens applies
+// its Full delta into them.
 type AllocView struct {
 	version uint64
 	classes []int
@@ -144,8 +146,8 @@ func (v *AllocView) NumCells() int { return v.ncells }
 // The delta's slices are borrowed (server sessions and wire decoders reuse
 // them between calls), so Apply copies every vector into view-owned storage
 // and the delta may be invalidated freely once it returns. What Layers and
-// Allocation returned before is invalidated by Apply: a holder that needs it
-// longer takes a Clone.
+// Allocation returned before is invalidated by Apply (and by the owning
+// client's Close): a holder that needs it longer takes a Clone.
 // Delta.Sites is ascending by contract (the wire format and the server both
 // guarantee it); a delta that breaks it is rejected.
 func (v *AllocView) Apply(d Delta) error {
@@ -325,9 +327,20 @@ func (v *AllocView) stage(d Delta) {
 	}
 }
 
+// reset empties the view the way a Full delta does: every cell is released,
+// its buffer parked in spare, and the parallel slices keep their capacity, so
+// a Full delta of as many cells into the reset view allocates no slab.
+func (v *AllocView) reset() {
+	for i := range v.sites {
+		v.release(&v.sites[i], 0, v.sites[i].layer.Len())
+	}
+	v.version, v.classes, v.layers = 0, v.classes[:0], v.layers[:0]
+}
+
 // Layers materializes the view as cache layers (sites ascending, classes
 // ascending within a site), the shape cache.NewLocal consumes, staged. The
-// layers alias the view's storage and are valid until the next Apply.
+// layers alias the view's storage and are valid until the next Apply or
+// Close.
 func (v *AllocView) Layers() []cache.Layer {
 	out := v.layers[:0]
 	for i := range v.sites {
@@ -341,14 +354,15 @@ func (v *AllocView) Layers() []cache.Layer {
 
 // Allocation materializes the view as a full allocation (used by
 // frozen-allocation refreshes). Like Layers, it is valid until the next
-// Apply.
+// Apply or Close.
 func (v *AllocView) Allocation() Allocation {
 	return Allocation{Classes: v.classes, Layers: v.Layers()}
 }
 
 // Clone returns a copy of the allocation's shape and entry vectors that
 // shares nothing with the view it was materialized from, for holders that
-// outlive that view's next Apply. Staging is left to whoever probes the copy.
+// outlive that view's next Apply or Close. Staging is left to whoever probes
+// the copy.
 func (a Allocation) Clone() Allocation {
 	out := Allocation{Classes: slices.Clone(a.Classes), Layers: make([]cache.Layer, len(a.Layers))}
 	for i, l := range a.Layers {

@@ -3,6 +3,7 @@ package coca
 import (
 	"context"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +66,75 @@ func TestServeAndDialFleet(t *testing.T) {
 	}
 	if sessions != 0 {
 		t.Fatalf("%d sessions still open after client closes", sessions)
+	}
+}
+
+// TestClientDoubleCloseThenDial: a client closed twice hands its storage
+// back once, and reads an empty view after it. Two clients dialed next, open
+// at once and run round by round in turn, hold no cell buffer in common and
+// report exactly what the first pair reported on a fresh server in the same
+// order.
+func TestClientDoubleCloseThenDial(t *testing.T) {
+	ctx := context.Background()
+	opts := serveOpts()
+	opts.NumClients = 2
+	// pair serves a fresh server, dials clients 0 and 1 and runs three rounds
+	// each, alternating; it returns the open clients and their round reports.
+	pair := func() ([]*Client, [][]Report) {
+		srv, err := Serve(ctx, "127.0.0.1:0", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(sctx)
+		})
+		clients := make([]*Client, opts.NumClients)
+		for id := range clients {
+			if clients[id], err = Dial(ctx, srv.Addr(), id, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reps := make([][]Report, len(clients))
+		for range 3 {
+			for id, cl := range clients {
+				rep, err := cl.Run(ctx, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reps[id] = append(reps[id], rep)
+			}
+		}
+		return clients, reps
+	}
+	first, want := pair()
+	for _, cl := range first {
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = first[0].Close() // the connection is gone: an error, if anything
+	if v := first[0].ViewVersion(); v != 0 {
+		t.Fatalf("closed client reads view version %d, want 0", v)
+	}
+	second, got := pair()
+	bufs := map[*float32]int{}
+	for id, cl := range second {
+		for _, l := range cl.client.View().Layers() {
+			for _, e := range l.Entries {
+				if other, dup := bufs[&e[0]]; dup {
+					t.Fatalf("clients %d and %d hold the same cell buffer", other, id)
+				}
+				bufs[&e[0]] = id
+			}
+		}
+	}
+	for _, cl := range second {
+		_ = cl.Close()
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("clients dialed after a double Close report\n%v\nwant\n%v", got, want)
 	}
 }
 
