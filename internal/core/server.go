@@ -276,8 +276,9 @@ func NewServerFrom(space *semantics.Space, cfg ServerConfig, init *ServerInit) *
 // semantic centers averaged over perClass unbiased samples, each cell at
 // version 1 with support perClass. It is what the paper's server computes
 // from "the global shared dataset" and is also the starting point for the
-// single-client baselines (SMTM, policy caches); each takes its own copy
-// with gtable.ShardedFromTable, and nothing writes to the table itself.
+// single-client baselines (SMTM, policy caches); each takes its own table
+// with gtable.ShardedFromTable, sharing the immutable vectors, and nothing
+// writes to the table itself.
 //
 // Classes are independent, so the build fans out across GOMAXPROCS
 // workers, each generating vectors through its own allocation-free
