@@ -342,11 +342,26 @@ func TestClientDisableCollectionUploadsNothing(t *testing.T) {
 	}
 }
 
-// inferTestStack builds an isolated server+client+generator trio.
-func inferTestStack(t testing.TB, ccfg ClientConfig) (*Client, *stream.Generator) {
+// serverStack builds the space, server and stream partition (one stream
+// per client) that the inference tests run clients on.
+func serverStack(t testing.TB, clients int) (*semantics.Space, *Server, *stream.Partition) {
 	t.Helper()
 	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
 	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
+	part, err := stream.NewPartition(stream.Config{
+		Dataset: space.DS, NumClients: clients, SceneMeanFrames: 20,
+		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space, srv, part
+}
+
+// inferTestStack builds an isolated server+client+generator trio.
+func inferTestStack(t testing.TB, ccfg ClientConfig) (*Client, *stream.Generator) {
+	t.Helper()
+	space, srv, part := serverStack(t, 1)
 	if ccfg.Theta == 0 {
 		ccfg.Theta = 0.012
 	}
@@ -357,13 +372,6 @@ func inferTestStack(t testing.TB, ccfg ClientConfig) (*Client, *stream.Generator
 		ccfg.RoundFrames = 120
 	}
 	client, err := NewClient(context.Background(), space, srv, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := stream.NewPartition(stream.Config{
-		Dataset: space.DS, NumClients: 1, SceneMeanFrames: 20,
-		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,15 +458,7 @@ func BenchmarkInferencePath(b *testing.B) {
 // scored, after a second client has taken the pooled storage, applied a
 // smaller allocation into it and inferred.
 func TestClosedClientStagingGoesToThePool(t *testing.T) {
-	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
-	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
-	part, err := stream.NewPartition(stream.Config{
-		Dataset: space.DS, NumClients: 2, SceneMeanFrames: 20,
-		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	space, srv, part := serverStack(t, 2)
 	open := func(id, budget int) *Client {
 		c, err := NewClient(context.Background(), space, srv, ClientConfig{ID: id, Theta: 0.012, Budget: budget, RoundFrames: 120})
 		if err != nil {
@@ -536,15 +536,7 @@ func TestClosedClientStagingGoesToThePool(t *testing.T) {
 // storage, every client must infer exactly what the same client inferred
 // alone, and a closed one must hold an empty view (run it with -race).
 func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
-	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
-	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
-	part, err := stream.NewPartition(stream.Config{
-		Dataset: space.DS, NumClients: 4, SceneMeanFrames: 20,
-		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	space, srv, part := serverStack(t, 4)
 	var mu sync.Mutex
 	holder := map[*clientStore]int{}
 	// life runs one client (budget by id, so allocations differ in size)
@@ -585,6 +577,7 @@ func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
 	}
 	want := make([][]engine.Result, 4)
 	for id := range want {
+		var err error
 		if want[id], err = life(id); err != nil {
 			t.Fatal(err)
 		}
@@ -615,15 +608,7 @@ func TestProbeStagingPoolAcrossGoroutines(t *testing.T) {
 // staging in common, and each infers bitwise what a client on storage of its
 // own infers.
 func TestDoubleClosePoolsStorageOnce(t *testing.T) {
-	space := semantics.NewSpace(dataset.UCF101().Subset(30), model.ResNet50())
-	srv := NewServer(space, ServerConfig{Theta: 0.012, Seed: 7})
-	part, err := stream.NewPartition(stream.Config{
-		Dataset: space.DS, NumClients: 2, SceneMeanFrames: 20,
-		WorkingSetSize: 10, WorkingSetChurn: 0.05, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	space, srv, part := serverStack(t, 2)
 	// open opens client id and runs its first BeginRound; with own set, on
 	// storage of its own instead of the pool's.
 	open := func(id int, own bool) *Client {

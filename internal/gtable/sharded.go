@@ -73,11 +73,12 @@ func NewSharded(classes, layers, dim int) *Sharded {
 // populated cell the initial support count (the evidence behind the
 // shared-dataset centers) and version 1: how a server, or a single-client
 // baseline, starts from the shared-dataset table. The vectors are shared
-// with t, as published cells are immutable. Copying them once kept the
-// heap large enough that connection-per-op joins collected less often:
-// while a join made ≈ 330 KiB of garbage, sharing read −7 % `join-churn`
-// ops/s. With closed clients' views recycled (≈ 21 KiB per join), sharing
-// read +2.0 % ops/s (3 of 4 pairs) and −15.6 % peak RSS (4 of 4).
+// with t, as published cells are immutable. Copying them kept the heap
+// large enough that connection-per-op joins collected less often, which
+// paid while a join made ≈ 930 KiB of garbage: sharing read −7 %
+// `join-churn` ops/s on a 2-vCPU Xeon. Since closed clients' views are
+// recycled (≈ 21 KiB per join), sharing reads +2.0 % ops/s there (3 of 4
+// pairs) and −15.6 % peak RSS (4 of 4).
 func ShardedFromTable(t *Sharded, initialSupport float64) *Sharded {
 	s := t.Snapshot()
 	for c := range s.rows {
