@@ -154,7 +154,6 @@ type Client struct {
 	upd      *gtable.UpdateTable
 	report   UpdateReport // EndRound's upload, rebuilt in place
 	hitRatio []float64    // cumulative per-layer estimate R_k
-	savedMs  []float64
 
 	// per-round hit observation (cumulative by construction).
 	roundHitsBy []int
@@ -208,7 +207,6 @@ func NewClient(ctx context.Context, space *semantics.Space, coord Coordinator, c
 		freq:        gtable.NewFrequencies(space.DS.NumClasses),
 		upd:         gtable.NewUpdateTable(cfg.Beta, model.Dim),
 		hitRatio:    append([]float64(nil), info.ProfileHitRatio...),
-		savedMs:     append([]float64(nil), info.SavedMs...),
 		roundHitsBy: make([]int, space.Arch.NumLayers),
 	}
 	// NewLookup surfaces invalid lookup parameters here rather than at
@@ -295,7 +293,8 @@ func (c *Client) reqCtx() (context.Context, context.CancelFunc) {
 }
 
 // allocate requests a delta for the given status, folds it into the view
-// and returns the materialized allocation.
+// and returns the materialized allocation. A delta the client's model cannot
+// hold is refused whole, and the view stays as it was.
 func (c *Client) allocate(status StatusReport) (Allocation, error) {
 	status.LastVersion = c.view.Version()
 	ctx, cancel := c.reqCtx()
@@ -304,7 +303,11 @@ func (c *Client) allocate(status StatusReport) (Allocation, error) {
 	if err != nil {
 		return Allocation{}, err
 	}
-	if err := c.view.Apply(delta); err != nil {
+	err = delta.Check(c.space.DS.NumClasses, c.space.Arch.NumLayers)
+	if err == nil {
+		err = c.view.Apply(delta)
+	}
+	if err != nil {
 		return Allocation{}, fmt.Errorf("core: client %d delta: %w", c.cfg.ID, err)
 	}
 	return c.view.Allocation(), nil

@@ -132,7 +132,9 @@ type RegisterInfo struct {
 	// ProfileHitRatio is the server's cumulative per-layer hit-ratio
 	// profile R (length NumLayers).
 	ProfileHitRatio []float64
-	// SavedMs is Υ: compute saved by a hit at each layer.
+	// SavedMs is Υ: compute saved by a hit at each layer. No client reads
+	// it, and a wire session does not keep it; it stays on the wire until
+	// the next protocol version drops it.
 	SavedMs []float64
 }
 

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"coca/internal/cache"
+	"coca/internal/model"
 	"coca/internal/vecmath"
 )
 
@@ -88,6 +89,30 @@ type Delta struct {
 	Cells []DeltaCell
 	// Evict are the cells to drop (never set with Full).
 	Evict []CellRef
+}
+
+// Check refuses a delta a client of numClasses × numLayers cannot hold: a
+// site outside [0, numLayers), in Sites or at a cell; a cell class outside
+// [0, numClasses); or a cell vector that is not model.Dim long. The wire
+// decoder and AllocView.Apply take any of these, and the client's probe
+// indexes by all three, so a client checks every delta before applying it.
+func (d Delta) Check(numClasses, numLayers int) error {
+	for _, s := range d.Sites {
+		if s < 0 || s >= numLayers {
+			return fmt.Errorf("core: delta site %d outside the model's %d layers", s, numLayers)
+		}
+	}
+	for _, c := range d.Cells {
+		switch {
+		case c.Site < 0 || c.Site >= numLayers:
+			return fmt.Errorf("core: delta cell (%d,%d) outside the model's %d layers", c.Site, c.Class, numLayers)
+		case c.Class < 0 || c.Class >= numClasses:
+			return fmt.Errorf("core: delta cell (%d,%d) outside the model's %d classes", c.Site, c.Class, numClasses)
+		case len(c.Vec) != model.Dim:
+			return fmt.Errorf("core: delta cell (%d,%d) has %d dimensions, want %d", c.Site, c.Class, len(c.Vec), model.Dim)
+		}
+	}
+	return nil
 }
 
 // AllocView is a client-side materialized view of its current allocation:

@@ -7,6 +7,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"coca/internal/dataset"
@@ -56,8 +57,8 @@ type RunConfig struct {
 	// excluding cold-start transients (cache warm-up) the way the
 	// paper's steady-state measurements do. The frames still run.
 	SkipRounds int
-	// Concurrent drives the clients of each round in parallel, one
-	// goroutine per client: BeginRound (allocation) and the round's
+	// Concurrent drives the clients of each round in parallel, on up to
+	// GOMAXPROCS goroutines: BeginRound (allocation) and the round's
 	// frames run concurrently across clients, then EndRound (upload)
 	// runs at the round barrier in client order. Allocations only read
 	// global coordinator state and frames only touch client-local state,
@@ -70,85 +71,11 @@ type RunConfig struct {
 // RunRounds into a steppable form so multi-server orchestrators (the
 // federation cluster) can interleave their own work — peer cache syncs —
 // between rounds while reusing the exact same per-round machinery.
-//
-// Concurrent runners own a persistent worker pool: workers are spawned
-// once (lazily, at the first concurrent round) and pinned to fixed client
-// shards for the runner's lifetime, so a round dispatch is one channel
-// send per worker instead of a goroutine spawn per client per round, and
-// each client's engine state stays with the same worker across rounds.
-// Close releases the pool; a closed runner re-spawns it on demand.
 type Runner struct {
 	engines   []Engine
 	gens      []*stream.Generator
 	cfg       RunConfig
 	perClient []*metrics.Accumulator
-	pool      *workerPool
-}
-
-// workerPool is the persistent round-execution pool of a concurrent
-// Runner. Worker w owns the client shard {k : k mod workers == w}; the
-// shard map never changes, so scheduling is deterministic and per-client
-// state (engine scratch, stream position) has a stable home goroutine.
-// Errors are written to the per-client errs slots — disjoint across
-// workers, read only after the round barrier.
-type workerPool struct {
-	workers int
-	start   []chan roundJob // one channel per worker: its round trigger
-	done    chan struct{}   // one tick per worker per round
-	errs    []error         // per client, written by the owning worker
-}
-
-// roundJob is one round dispatch.
-type roundJob struct {
-	round  int
-	record bool
-}
-
-// spawn builds the pool and starts its workers.
-func (r *Runner) spawn() *workerPool {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(r.engines) {
-		workers = len(r.engines)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	p := &workerPool{
-		workers: workers,
-		start:   make([]chan roundJob, workers),
-		done:    make(chan struct{}, workers),
-		errs:    make([]error, len(r.engines)),
-	}
-	for w := 0; w < workers; w++ {
-		p.start[w] = make(chan roundJob, 1)
-		go r.worker(p, w)
-	}
-	return p
-}
-
-// worker runs one pool worker: for every dispatched round it drives its
-// pinned client shard sequentially, then ticks the barrier. Closing the
-// worker's start channel ends it.
-func (r *Runner) worker(p *workerPool, w int) {
-	for job := range p.start[w] {
-		for k := w; k < len(r.engines); k += p.workers {
-			p.errs[k] = runClientRound(r.engines[k], r.gens[k], r.perClient[k], r.cfg, k, job.round, job.record)
-		}
-		p.done <- struct{}{}
-	}
-}
-
-// Close releases the runner's worker pool (idempotent; a later concurrent
-// round re-spawns it). Runners that never ran a concurrent round have
-// nothing to release.
-func (r *Runner) Close() {
-	if r.pool == nil {
-		return
-	}
-	for _, ch := range r.pool.start {
-		close(ch)
-	}
-	r.pool = nil
 }
 
 // NewRunner validates the configuration and prepares per-client metric
@@ -219,7 +146,6 @@ func RunRounds(engines []Engine, gens []*stream.Generator, cfg RunConfig) (perCl
 	if err != nil {
 		return nil, nil, err
 	}
-	defer r.Close()
 	for round := 0; round < cfg.Rounds; round++ {
 		if err := r.RunRound(round); err != nil {
 			return nil, nil, err
@@ -253,8 +179,6 @@ func recordObs(acc *metrics.Accumulator, smp dataset.Sample, res Result, record 
 		Correct:   res.Pred == smp.Class,
 		Hit:       res.Hit,
 		HitLayer:  res.HitLayer,
-		TrueClass: smp.Class,
-		Pred:      res.Pred,
 	})
 }
 
@@ -279,26 +203,29 @@ func runRoundSequential(engines []Engine, gens []*stream.Generator, perClient []
 	return nil
 }
 
-// runRoundConcurrent dispatches the round's begin-and-infer phase to the
-// persistent worker pool (spawning it on first use), waits for every
-// worker at the barrier, then applies the uploads in client order.
+// runRoundConcurrent runs the round's begin-and-infer phase on one
+// goroutine per shard {k : k mod W = w}, W = min(GOMAXPROCS, clients),
+// waits for all of them, then applies the uploads in client order.
 // Ordered uploads keep the global merge sequence — and therefore every
 // metric — deterministic while allocations and inference, the bulk of a
-// round, run in parallel across the pinned client shards; results are
-// identical to the sequential schedule because per-client round work
-// touches only client-local state and the shared coordinator reads.
+// round, run in parallel; results are identical to the sequential
+// schedule because per-client round work touches only client-local state
+// and the shared coordinator reads.
 func (r *Runner) runRoundConcurrent(round int, record bool) error {
-	if r.pool == nil {
-		r.pool = r.spawn()
+	workers := min(runtime.GOMAXPROCS(0), len(r.engines))
+	errs := make([]error, len(r.engines))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; k < len(r.engines); k += workers {
+				errs[k] = runClientRound(r.engines[k], r.gens[k], r.perClient[k], r.cfg, k, round, record)
+			}
+		}()
 	}
-	p := r.pool
-	for _, ch := range p.start {
-		ch <- roundJob{round: round, record: record}
-	}
-	for i := 0; i < p.workers; i++ {
-		<-p.done
-	}
-	for _, err := range p.errs {
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}

@@ -119,11 +119,10 @@ func TestRunRoundsHookErrorsAbort(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolMatchesSequential pins the persistent pool's determinism
-// contract: a concurrent run over the pool must produce exactly the
-// metrics of the sequential schedule (per-client work is client-local;
-// the upload barrier orders the rest), across client counts around the
-// pool's shard widths.
+// TestWorkerPoolMatchesSequential pins the concurrent round's determinism
+// contract: a concurrent run must produce exactly the metrics of the
+// sequential schedule (per-client work is client-local; the upload barrier
+// orders the rest), across client counts around the shard widths.
 func TestWorkerPoolMatchesSequential(t *testing.T) {
 	for _, clients := range []int{1, 2, 5, 9} {
 		run := func(concurrent bool) []float64 {
@@ -148,36 +147,8 @@ func TestWorkerPoolMatchesSequential(t *testing.T) {
 		con := run(true)
 		for i := range seq {
 			if seq[i] != con[i] {
-				t.Fatalf("clients=%d metric %d: sequential %v != pooled %v", clients, i, seq[i], con[i])
+				t.Fatalf("clients=%d metric %d: sequential %v != concurrent %v", clients, i, seq[i], con[i])
 			}
-		}
-	}
-}
-
-// TestRunnerCloseRespawns checks the pool lifecycle: Close is idempotent
-// and a closed runner transparently re-spawns its pool on the next
-// concurrent round.
-func TestRunnerCloseRespawns(t *testing.T) {
-	engines := make([]Engine, 3)
-	for i := range engines {
-		engines[i] = &scriptedEngine{correctness: true}
-	}
-	r, err := NewRunner(engines, gens(t, 3), RunConfig{Rounds: 2, FramesPerRound: 3, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RunRound(0); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	r.Close() // idempotent
-	if err := r.RunRound(1); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	for _, e := range engines {
-		if se := e.(*scriptedEngine); se.begins != 2 || se.ends != 2 {
-			t.Fatalf("engine saw %d begins / %d ends, want 2/2", se.begins, se.ends)
 		}
 	}
 }

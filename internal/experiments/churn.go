@@ -12,6 +12,7 @@ import (
 	"coca/internal/model"
 	"coca/internal/protocol"
 	"coca/internal/semantics"
+	"coca/internal/transport"
 	"coca/internal/xrand"
 )
 
@@ -67,13 +68,50 @@ func runChurnRounds(ctx context.Context, nodes []*federation.Node, topo *federat
 	return nil
 }
 
-// runChurnRoundsAE is runChurnRounds plus one pull anti-entropy
-// exchange per node per round: each node reconciles ledgers with a
-// sampled peer over the digest/pull frames — the wire fleet's
-// -anti-entropy cadence compressed into the in-process experiment.
-// Peer sampling draws from its own rng so the upload script stays
+// pipePeerSets gives every node a PeerSet over the rest of the fleet, as
+// a wire deployment runs one per server: node i answers at "n<i>", and
+// dialing it hands out an in-memory transport.Pipe whose far end
+// protocol.ServeConn serves against node i until the set closes its link
+// or ctx ends. Pull sampling is seeded by seed.
+func pipePeerSets(ctx context.Context, nodes []*federation.Node, seed uint64) []*federation.PeerSet {
+	byAddr := make(map[string]*federation.Node, len(nodes))
+	addrs := make([]string, len(nodes))
+	for i, n := range nodes {
+		addrs[i] = fmt.Sprintf("n%d", i)
+		byAddr[addrs[i]] = n
+	}
+	dial := func(_ context.Context, addr string) (transport.Conn, error) {
+		n, ok := byAddr[addr]
+		if !ok {
+			return nil, fmt.Errorf("churn: no node at %q", addr)
+		}
+		c, s := transport.Pipe()
+		go func() { _ = protocol.ServeConn(ctx, s, n) }()
+		return c, nil
+	}
+	sets := make([]*federation.PeerSet, len(nodes))
+	for i, n := range nodes {
+		peers := append(append([]string(nil), addrs[:i]...), addrs[i+1:]...)
+		sets[i] = federation.NewPeerSetWith(n, peers, federation.PeerSetConfig{Dial: dial, Seed: seed})
+	}
+	return sets
+}
+
+// runChurnRoundsAE is runChurnRounds plus one pull anti-entropy round per
+// node per round, over the wire: each node's PeerSet samples a peer and
+// reconciles ledgers with it over the digest/pull frames — the wire
+// fleet's -anti-entropy cadence compressed into the experiment's rounds.
+// Peer sampling is the PeerSet's own, so the upload script stays
 // byte-identical to a runChurnRounds arm driven by the same rng seed.
-func runChurnRoundsAE(ctx context.Context, nodes []*federation.Node, topo *federation.Topology, rounds int, rng, aeRng *rand.Rand) error {
+func runChurnRoundsAE(ctx context.Context, nodes []*federation.Node, topo *federation.Topology, rounds int, rng *rand.Rand, seed uint64) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sets := pipePeerSets(ctx, nodes, seed)
+	defer func() {
+		for _, ps := range sets {
+			ps.Close()
+		}
+	}()
 	for r := 0; r < rounds; r++ {
 		for _, n := range nodes {
 			if err := churnUpload(ctx, n, rng); err != nil {
@@ -83,9 +121,8 @@ func runChurnRoundsAE(ctx context.Context, nodes []*federation.Node, topo *feder
 		if err := federation.SyncNodes(nodes, topo); err != nil {
 			return err
 		}
-		for i := range nodes {
-			peer := nodes[(i+1+aeRng.IntN(len(nodes)-1))%len(nodes)]
-			if _, err := federation.AntiEntropyExchange(nodes[i], peer); err != nil {
+		for _, ps := range sets {
+			if _, err := ps.AntiEntropyOnce(ctx); err != nil {
 				return err
 			}
 		}
@@ -194,7 +231,7 @@ func ChurnExp(opts Options) (*Result, error) {
 	}
 	div := float64(aeN) * float64(rounds) * 1024
 	tagged := churnFleet(aeN, aeTopo.Forwarding(), space, cfg, init)
-	if err := runChurnRoundsAE(ctx, tagged, aeTopo, rounds, xrand.New(opts.Seed, 0xC0CA, 0xA17E), xrand.New(opts.Seed, 0xAE, 0xA17E)); err != nil {
+	if err := runChurnRoundsAE(ctx, tagged, aeTopo, rounds, xrand.New(opts.Seed, 0xC0CA, 0xA17E), opts.Seed); err != nil {
 		return nil, fmt.Errorf("churn anti-entropy: %w", err)
 	}
 	push, digest, pull := fleetByteSplit(tagged)

@@ -83,7 +83,7 @@ func Registry() []Experiment {
 	return []Experiment{
 		{ID: "fig1a", Title: "Fig. 1(a): latency/accuracy vs cache size", Shape: "latency dips to a minimum near 10% cache size then creeps up; accuracy stable", Run: Fig1a},
 		{ID: "fig1b", Title: "Fig. 1(b): per-layer hit ratio and hit accuracy", Shape: "hit ratio high shallow+deep, low mid; hit accuracy lower at shallow/deep than middle", Run: Fig1b},
-		{ID: "fig2", Title: "Fig. 2: global updates vs cluster quality (t-SNE)", Shape: "with global updates, cache centers align with sample clusters (higher margin/silhouette)", Run: Fig2},
+		{ID: "fig2", Title: "Fig. 2: global updates vs cluster alignment (center cosine, silhouette)", Shape: "with global updates, cache centers align with sample clusters (higher center→cluster cosine and silhouette)", Run: Fig2},
 		{ID: "table1", Title: "Table I: hot-spot class count sweep", Shape: "latency minimal near the true hot-spot count; accuracy collapses below it, stabilizes above", Run: Table1},
 		{ID: "fig5", Title: "Fig. 5: threshold Θ sweep", Shape: "hit ratio falls with Θ; hit/total accuracy and latency rise", Run: Fig5},
 		{ID: "fig6", Title: "Fig. 6: collection thresholds Γ and Δ", Shape: "absorption ratio falls, collected-sample accuracy rises with both thresholds", Run: Fig6},

@@ -9,7 +9,6 @@ import (
 	"coca/internal/metrics"
 	"coca/internal/model"
 	"coca/internal/semantics"
-	"coca/internal/tsne"
 	"coca/internal/vecmath"
 )
 
@@ -19,7 +18,9 @@ import (
 // merges into the global cache (Eq. 4/5). After the rounds, the cached
 // semantic centers at the middle cache layer are compared against fresh
 // sample clusters, with and without the global-update mechanism, via the
-// same t-SNE/cosine analysis the paper plots.
+// center→cluster cosine and the centers' silhouette against those
+// clusters, the two numbers behind what the paper's t-SNE plot shows. No
+// embedding is computed: the plot itself is not reproduced.
 func Fig2(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	ds := dataset.UCF101().Subset(20)
@@ -94,12 +95,10 @@ func Fig2(opts Options) (*Result, error) {
 		// Fresh samples from the current (drifted) distribution.
 		envs[0].DriftEpoch = finalEpoch
 		var vecs [][]float32
-		var labels []int
 		for _, class := range probeClasses {
 			for i := 0; i < samplesPerClass; i++ {
 				smp := ds.NewSample(class, opts.Seed, 0xF16, uint64(class), uint64(i))
 				vecs = append(vecs, space.SampleVector(smp, layer, envs[0]))
-				labels = append(labels, class)
 			}
 		}
 		table := srv.Table()
@@ -141,16 +140,6 @@ func Fig2(opts Options) (*Result, error) {
 			}
 		}
 		centerSil /= float64(len(probeClasses))
-
-		// The joint t-SNE embedding the figure plots; run to confirm it
-		// is computable on this data.
-		joint := append([][]float32(nil), vecs...)
-		for _, class := range probeClasses {
-			joint = append(joint, table.Get(class, layer))
-		}
-		if _, err := tsne.Run(joint, tsne.Config{Iterations: 150, Seed: opts.Seed}); err != nil {
-			return nil, err
-		}
 
 		name := "without global updates"
 		if updates {

@@ -436,66 +436,3 @@ func (n *Node) noteAntiEntropy(digestBytes, pullBytes int) {
 	telemetry.FedDigestBytes.Add(uint64(digestBytes))
 	telemetry.FedPullBytes.Add(uint64(pullBytes))
 }
-
-// AntiEntropyExchange runs one full pull anti-entropy round between two
-// in-process nodes — the deterministic counterpart of
-// PeerSet.AntiEntropyOnce. Every frame is encoded through the real wire
-// codec so byte accounting matches what a networked round would cost;
-// membership gossip rides both directions. Returns the number of cells
-// the initiator repaired.
-func AntiEntropyExchange(a, b *Node) (int, error) {
-	buf := syncFrameBuf.Get().(*[]byte)
-	defer syncFrameBuf.Put(buf)
-	enc := func(m *protocol.Message) (int, error) {
-		frame, err := protocol.AppendEncode((*buf)[:0], m)
-		if err != nil {
-			return 0, err
-		}
-		*buf = frame[:0]
-		return len(frame), nil
-	}
-	q := a.BuildDigestRequest()
-	q.Gossip = a.members.GossipEntries(a.cfg.ID, "")
-	d1, err := enc(&protocol.Message{Type: protocol.TypePeerDigestRequest, PeerDigestRequest: q})
-	if err != nil {
-		return 0, fmt.Errorf("federation: encode digest request %d→%d: %w", a.ID(), b.ID(), err)
-	}
-	dg, err := b.HandlePeerDigestRequest(q)
-	if err != nil {
-		return 0, err
-	}
-	d2, err := enc(&protocol.Message{Type: protocol.TypePeerDigest, PeerDigest: dg})
-	if err != nil {
-		return 0, fmt.Errorf("federation: encode digest %d→%d: %w", b.ID(), a.ID(), err)
-	}
-	a.members.ApplyGossip(a.cfg.ID, dg.Gossip)
-	digestBytes := d1 + d2
-	pullBytes := 0
-	repaired := 0
-	if wants := a.BuildWants(dg); len(wants) > 0 {
-		q2 := &protocol.PeerDigestRequest{
-			NodeID: int32(a.cfg.ID),
-			Wants:  wants,
-			Gossip: a.members.GossipEntries(a.cfg.ID, ""),
-		}
-		d3, err := enc(&protocol.Message{Type: protocol.TypePeerDigestRequest, PeerDigestRequest: q2})
-		if err != nil {
-			return 0, fmt.Errorf("federation: encode pull request %d→%d: %w", a.ID(), b.ID(), err)
-		}
-		pr, err := b.HandlePeerPull(q2)
-		if err != nil {
-			return 0, err
-		}
-		d4, err := enc(&protocol.Message{Type: protocol.TypePeerPullResponse, PeerPullResponse: pr})
-		if err != nil {
-			return 0, fmt.Errorf("federation: encode pull response %d→%d: %w", b.ID(), a.ID(), err)
-		}
-		digestBytes += d3
-		pullBytes = d4
-		if repaired, err = a.ApplyPull(b.ID(), pr); err != nil {
-			return repaired, err
-		}
-	}
-	a.noteAntiEntropy(digestBytes, pullBytes)
-	return repaired, nil
-}

@@ -258,7 +258,6 @@ func (c *Cluster) Combined() *metrics.Accumulator {
 // migrations land at each client's next allocation, the following round's
 // begin. It returns the fleet-combined metrics.
 func (c *Cluster) Run() (*metrics.Accumulator, error) {
-	defer c.runner.Close()
 	for round := 0; round < c.cfg.Rounds; round++ {
 		if err := c.runner.RunRound(round); err != nil {
 			return nil, fmt.Errorf("federation: round %d: %w", round, err)

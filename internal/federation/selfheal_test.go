@@ -36,11 +36,45 @@ func snapshotCells(n *Node) []fullSnap {
 	return out
 }
 
+// pipePeerSet gives node a PeerSet over the named nodes, the way bench's
+// fed-mesh wires its fleet: dialing an address hands out a transport.Pipe
+// whose far end protocol.ServeConn serves against that node until the link
+// closes or the test ends. The set is closed at cleanup.
+func pipePeerSet(t *testing.T, node *Node, remotes map[string]*Node, cfg PeerSetConfig) *PeerSet {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	addrs := make([]string, 0, len(remotes))
+	for addr := range remotes {
+		addrs = append(addrs, addr)
+	}
+	cfg.Dial = func(_ context.Context, addr string) (transport.Conn, error) {
+		c, s := transport.Pipe()
+		go func() { _ = protocol.ServeConn(ctx, s, remotes[addr]) }()
+		return c, nil
+	}
+	ps := NewPeerSetWith(node, addrs, cfg)
+	t.Cleanup(func() {
+		ps.Close()
+		cancel()
+	})
+	return ps
+}
+
+// pullOnce runs one wire anti-entropy round from ps's node.
+func pullOnce(t *testing.T, ps *PeerSet) int {
+	t.Helper()
+	repaired, err := ps.AntiEntropyOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return repaired
+}
+
 // TestPullRepairsPartitionedMinority is the tentpole property: a node
 // that missed every push (total partition, push disabled outright) pulls
 // itself back to bitwise equality with its peer in ONE anti-entropy
-// round, without a single push frame in either direction — and a second
-// round finds nothing left to repair.
+// round over the wire, without a single push frame in either direction —
+// and a second round finds nothing left to repair.
 func TestPullRepairsPartitionedMinority(t *testing.T) {
 	space := testSpace()
 	cfg := testServerConfig()
@@ -57,10 +91,8 @@ func TestPullRepairsPartitionedMinority(t *testing.T) {
 		t.Fatal("fixture broken: uploads did not diverge the tables")
 	}
 
-	repaired, err := AntiEntropyExchange(minority, healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pulls := pipePeerSet(t, minority, map[string]*Node{"healthy": healthy}, PeerSetConfig{})
+	repaired := pullOnce(t, pulls)
 	if repaired == 0 {
 		t.Fatal("anti-entropy round repaired nothing")
 	}
@@ -85,10 +117,7 @@ func TestPullRepairsPartitionedMinority(t *testing.T) {
 	// Quiescence: the digests now agree, so round two negotiates in
 	// digest frames alone — no wants, no pull payload, nothing repaired.
 	before := minority.Stats()
-	repaired, err = AntiEntropyExchange(minority, healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repaired = pullOnce(t, pulls)
 	after := minority.Stats()
 	if repaired != 0 || after.CellsRepaired != before.CellsRepaired {
 		t.Fatalf("second round repaired %d cells on converged tables", repaired)
@@ -116,12 +145,8 @@ func TestPullMergesConcurrentEvidence(t *testing.T) {
 	uploadCell(t, b, 2, 5, unitVec(7))
 	evA, evB := evTotalOf(a, 2, 5), evTotalOf(b, 2, 5)
 
-	if _, err := AntiEntropyExchange(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AntiEntropyExchange(b, a); err != nil {
-		t.Fatal(err)
-	}
+	pullOnce(t, pipePeerSet(t, a, map[string]*Node{"b": b}, PeerSetConfig{}))
+	pullOnce(t, pipePeerSet(t, b, map[string]*Node{"a": a}, PeerSetConfig{}))
 	// Both start from the same construction baseline, so the converged
 	// ledger must hold exactly baseline + a's growth + b's growth.
 	baseline := evTotalOf(NewNode(core.NewServer(space, cfg), NodeConfig{ID: 99}), 2, 5)
@@ -299,16 +324,8 @@ func TestWireAntiEntropySkipsDownPeers(t *testing.T) {
 		"n1": NewNode(core.NewServer(space, cfg), NodeConfig{ID: 1}),
 		"n2": NewNode(core.NewServer(space, cfg), NodeConfig{ID: 2}),
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	peers := NewPeerSetWith(local, []string{"n1", "n2"}, PeerSetConfig{
-		Dial: func(_ context.Context, addr string) (transport.Conn, error) {
-			c, s := transport.Pipe()
-			go func() { _ = protocol.ServeConn(ctx, s, remotes[addr]) }()
-			return c, nil
-		},
-	})
-	defer peers.Close()
+	ctx := context.Background()
+	peers := pipePeerSet(t, local, remotes, PeerSetConfig{})
 	// One push round dials and identifies both peers; the epoch is then 1.
 	if _, err := peers.SyncOnce(ctx); err != nil {
 		t.Fatal(err)

@@ -23,8 +23,6 @@ type Obs struct {
 	Hit bool
 	// HitLayer is the serving cache site, or -1 on a miss.
 	HitLayer int
-	// TrueClass and Pred record the labels for confusion analyses.
-	TrueClass, Pred int
 }
 
 // Accumulator aggregates observations. The zero value is ready to use.

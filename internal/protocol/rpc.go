@@ -36,6 +36,8 @@ type SessionClient struct {
 	// when free is empty and returns what is free at Close.
 	enc  []byte
 	free []*Decoder
+
+	closed atomic.Bool // set by the first Close
 }
 
 // replyDecoders recycles reply decoders (*Decoder) between connections: a
@@ -139,19 +141,24 @@ func (c *SessionClient) Open(ctx context.Context, clientID int) (core.Session, e
 		return nil, fmt.Errorf("protocol: server did not assign a session id")
 	}
 	// The decoded ack lives in decoder scratch that goes back to the pool;
-	// the session retains its registration info, so copy it out.
+	// the session retains its registration info, so copy it out. No client
+	// reads SavedMs, so it is not kept.
 	sess.id = m.SessionID
 	sess.info = *m.HelloAck
 	sess.info.ProfileHitRatio = append([]float64(nil), m.HelloAck.ProfileHitRatio...)
-	sess.info.SavedMs = append([]float64(nil), m.HelloAck.SavedMs...)
+	sess.info.SavedMs = nil
 	return sess, nil
 }
 
 // Close releases the connection (and with it every session opened on it),
 // and returns what the connection pooled to the process: its free reply
 // decoders — not one a session still holds, whose reply may be being read —
-// and the transport's receive buffer.
+// and the transport's receive buffer. Only the first call does this; a
+// later one returns nil.
 func (c *SessionClient) Close() error {
+	if c.closed.Swap(true) {
+		return nil
+	}
 	err := c.conn.Close() // a round trip stalled in the transport fails now
 	c.mu.Lock()           // and none is in flight past this line: no frame is being decoded
 	defer c.mu.Unlock()

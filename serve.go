@@ -449,7 +449,8 @@ func (c *Client) Addr() string { return c.addr }
 // Migrations counts the redirects this client has followed mid-stream.
 func (c *Client) Migrations() int { return c.migrations }
 
-// Close ends the coordination session and the connection.
+// Close ends the coordination session and the connection. A second Close
+// returns nil.
 func (c *Client) Close() error {
 	_ = c.client.Close()
 	return c.conn.Close()

@@ -70,7 +70,8 @@ func TestServeAndDialFleet(t *testing.T) {
 }
 
 // TestClientDoubleCloseThenDial: a client closed twice hands its storage
-// back once, and reads an empty view after it. Two clients dialed next, open
+// back once, its second Close returns nil, and it reads an empty view after
+// it. Two clients dialed next, open
 // at once and run round by round in turn, hold no cell buffer in common and
 // report exactly what the first pair reported on a fresh server in the same
 // order.
@@ -114,7 +115,9 @@ func TestClientDoubleCloseThenDial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_ = first[0].Close() // the connection is gone: an error, if anything
+	if err := first[0].Close(); err != nil {
+		t.Fatalf("second Close: %v, want nil", err)
+	}
 	if v := first[0].ViewVersion(); v != 0 {
 		t.Fatalf("closed client reads view version %d, want 0", v)
 	}
