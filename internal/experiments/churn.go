@@ -52,22 +52,6 @@ func churnUpload(ctx context.Context, n *federation.Node, rng *rand.Rand) error 
 	})
 }
 
-// runChurnRounds drives the scripted workload: every node uploads one
-// cell per round, then the fleet syncs once over topo.
-func runChurnRounds(ctx context.Context, nodes []*federation.Node, topo *federation.Topology, rounds int, rng *rand.Rand) error {
-	for r := 0; r < rounds; r++ {
-		for _, n := range nodes {
-			if err := churnUpload(ctx, n, rng); err != nil {
-				return err
-			}
-		}
-		if err := federation.SyncNodes(nodes, topo); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pipePeerSets gives every node a PeerSet over the rest of the fleet, as
 // a wire deployment runs one per server: node i answers at "n<i>", and
 // dialing it hands out an in-memory transport.Pipe whose far end
@@ -81,12 +65,8 @@ func pipePeerSets(ctx context.Context, nodes []*federation.Node, seed uint64) []
 		byAddr[addrs[i]] = n
 	}
 	dial := func(_ context.Context, addr string) (transport.Conn, error) {
-		n, ok := byAddr[addr]
-		if !ok {
-			return nil, fmt.Errorf("churn: no node at %q", addr)
-		}
 		c, s := transport.Pipe()
-		go func() { _ = protocol.ServeConn(ctx, s, n) }()
+		go func() { _ = protocol.ServeConn(ctx, s, byAddr[addr]) }()
 		return c, nil
 	}
 	sets := make([]*federation.PeerSet, len(nodes))
@@ -97,21 +77,13 @@ func pipePeerSets(ctx context.Context, nodes []*federation.Node, seed uint64) []
 	return sets
 }
 
-// runChurnRoundsAE is runChurnRounds plus one pull anti-entropy round per
-// node per round, over the wire: each node's PeerSet samples a peer and
-// reconciles ledgers with it over the digest/pull frames — the wire
-// fleet's -anti-entropy cadence compressed into the experiment's rounds.
-// Peer sampling is the PeerSet's own, so the upload script stays
-// byte-identical to a runChurnRounds arm driven by the same rng seed.
-func runChurnRoundsAE(ctx context.Context, nodes []*federation.Node, topo *federation.Topology, rounds int, rng *rand.Rand, seed uint64) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sets := pipePeerSets(ctx, nodes, seed)
-	defer func() {
-		for _, ps := range sets {
-			ps.Close()
-		}
-	}()
+// runChurnRounds drives the scripted workload: every node uploads one
+// cell per round, then the fleet syncs once over topo. With pulls, every
+// node's PeerSet then runs one pull anti-entropy round over the wire — the
+// wire fleet's -anti-entropy cadence compressed into the experiment's
+// rounds. Peer sampling is the PeerSet's own, so the upload script stays
+// byte-identical to an arm without pulls driven by the same rng seed.
+func runChurnRounds(ctx context.Context, nodes []*federation.Node, topo *federation.Topology, rounds int, rng *rand.Rand, pulls []*federation.PeerSet) error {
 	for r := 0; r < rounds; r++ {
 		for _, n := range nodes {
 			if err := churnUpload(ctx, n, rng); err != nil {
@@ -121,7 +93,7 @@ func runChurnRoundsAE(ctx context.Context, nodes []*federation.Node, topo *feder
 		if err := federation.SyncNodes(nodes, topo); err != nil {
 			return err
 		}
-		for _, ps := range sets {
+		for _, ps := range pulls {
 			if _, err := ps.AntiEntropyOnce(ctx); err != nil {
 				return err
 			}
@@ -199,7 +171,7 @@ func ChurnExp(opts Options) (*Result, error) {
 			}
 			nodes := churnFleet(n, topo.Forwarding(), space, cfg, init)
 			rng := xrand.New(opts.Seed, 0xC0CA, uint64(n))
-			if err := runChurnRounds(ctx, nodes, topo, rounds, rng); err != nil {
+			if err := runChurnRounds(ctx, nodes, topo, rounds, rng, nil); err != nil {
 				return nil, fmt.Errorf("churn %s n=%d: %w", arm, n, err)
 			}
 			total := fleetBytes(nodes)
@@ -231,7 +203,14 @@ func ChurnExp(opts Options) (*Result, error) {
 	}
 	div := float64(aeN) * float64(rounds) * 1024
 	tagged := churnFleet(aeN, aeTopo.Forwarding(), space, cfg, init)
-	if err := runChurnRoundsAE(ctx, tagged, aeTopo, rounds, xrand.New(opts.Seed, 0xC0CA, 0xA17E), opts.Seed); err != nil {
+	pullCtx, stopPulls := context.WithCancel(ctx)
+	pulls := pipePeerSets(pullCtx, tagged, opts.Seed)
+	err = runChurnRounds(ctx, tagged, aeTopo, rounds, xrand.New(opts.Seed, 0xC0CA, 0xA17E), pulls)
+	for _, ps := range pulls {
+		ps.Close()
+	}
+	stopPulls()
+	if err != nil {
 		return nil, fmt.Errorf("churn anti-entropy: %w", err)
 	}
 	push, digest, pull := fleetByteSplit(tagged)
@@ -247,7 +226,7 @@ func ChurnExp(opts Options) (*Result, error) {
 	}
 	nodes := churnFleet(n0, false, space, cfg, init)
 	rng := xrand.New(opts.Seed, 0xC0CA, 0xFEED)
-	if err := runChurnRounds(ctx, nodes, topo, rounds, rng); err != nil {
+	if err := runChurnRounds(ctx, nodes, topo, rounds, rng, nil); err != nil {
 		return nil, fmt.Errorf("churn history: %w", err)
 	}
 	historyPerNode := float64(fleetBytes(nodes)) / float64(n0) / 1024
@@ -285,7 +264,7 @@ func ChurnExp(opts Options) (*Result, error) {
 	}
 	preCrash := fleetBytes(survivors)
 	crashRounds := opts.rounds(2)
-	if err := runChurnRounds(ctx, survivors, crashTopo, crashRounds, rng); err != nil {
+	if err := runChurnRounds(ctx, survivors, crashTopo, crashRounds, rng, nil); err != nil {
 		return nil, fmt.Errorf("churn post-crash: %w", err)
 	}
 	postKiB := float64(fleetBytes(survivors)-preCrash) / float64(len(survivors)) / float64(crashRounds) / 1024
