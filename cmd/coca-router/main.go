@@ -14,10 +14,9 @@
 //
 // A redirect-only front door never sees a session after placement, so it
 // degrades under overload through its rate limit and breakers alone.
-// Queue-depth load shedding, live migration and the semantic placement
-// policy (which needs per-client class profiles) run in the in-process
+// Queue-depth load shedding and live migration run in the in-process
 // routed deployment (coca.Options.Routing), where the router holds the
-// backend servers themselves; -route semantic is refused here.
+// backend servers themselves.
 //
 // Live observability: -pprof exposes net/http/pprof and a JSON /stats
 // page (admissions, rejections by cause, per-backend breaker state and
@@ -59,7 +58,7 @@ func main() {
 	var (
 		listen  = flag.String("listen", ":7069", "listen address")
 		servers = flag.String("servers", "", "comma-separated backend coca-server addresses (host:port,...)")
-		route   = flag.String("route", "hash", "placement policy (static, hash, random; semantic needs the in-process routed deployment)")
+		route   = flag.String("route", "hash", "placement policy (static, hash or random)")
 		shard   = flag.Int("shard", 0, "shuffle-shard size per client (0 = min(3, servers))")
 		vnodes  = flag.Int("vnodes", 0, "virtual nodes per server on the hash ring (0 = default)")
 		seed    = flag.Uint64("seed", 1, "placement hash seed (must match across router replicas)")
@@ -85,10 +84,6 @@ func main() {
 	policy, err := routing.ParsePolicy(*route)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if policy == routing.PolicySemantic {
-		log.Fatal("coca-router: -route semantic needs per-client class profiles, which never reach a redirect-only front door; " +
-			"run semantic placement in the in-process routed deployment (coca.Options.Routing)")
 	}
 	fd := routing.NewFrontDoor(addrs, routing.Config{
 		Policy:    policy,

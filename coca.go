@@ -200,8 +200,8 @@ type FederationOptions struct {
 type RoutingOptions struct {
 	// Servers is the edge-server count (default 4).
 	Servers int
-	// Policy is the placement policy: "hash" (default), "semantic",
-	// "static" or "random".
+	// Policy is the placement policy: "hash" (default), "static" or
+	// "random".
 	Policy string
 	// ShardSize bounds each client's shuffle shard (default
 	// min(3, Servers)).
@@ -209,9 +209,6 @@ type RoutingOptions struct {
 	// SyncEvery runs a federation peer-sync round after every N-th round
 	// barrier (0 disables peer sync).
 	SyncEvery int
-	// RebalanceEvery runs a semantic rebalance pass after every N-th
-	// round barrier (0 disables; only meaningful under "semantic").
-	RebalanceEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -350,7 +347,6 @@ func NewSystem(opts Options) (*System, error) {
 		}
 		cfg.Routing = &routing.Config{Policy: policy, ShardSize: r.ShardSize, Seed: opts.Seed}
 		cfg.SyncEvery = r.SyncEvery
-		cfg.RebalanceEvery = r.RebalanceEvery
 	}
 	cluster, err := federation.NewCluster(space, cfg)
 	if err != nil {
@@ -380,9 +376,8 @@ type Report struct {
 type RoutingReport struct {
 	// Servers is the edge-server count behind the router.
 	Servers int
-	// Migrations counts live client moves (breaker trips, failovers and
-	// committed rebalances); Rebalanced counts the semantic subset.
-	Migrations, Rebalanced int
+	// Migrations counts live client moves (breaker trips and failovers).
+	Migrations int
 }
 
 // ClientReport is one client's slice of the run.
@@ -432,7 +427,6 @@ func (s *System) Run() (Report, error) {
 		rep.Routing = &RoutingReport{
 			Servers:    c.Router.NumServers(),
 			Migrations: st.Migrations,
-			Rebalanced: st.Rebalanced,
 		}
 	}
 	for k, acc := range c.PerClient() {

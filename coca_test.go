@@ -3,6 +3,8 @@ package coca
 import (
 	"strings"
 	"testing"
+
+	"coca/internal/routing"
 )
 
 func TestNewSystemDefaults(t *testing.T) {
@@ -105,7 +107,7 @@ func TestNewSystemRouted(t *testing.T) {
 		Model: "VGG16_BN", Dataset: "ESC-50", Classes: 12,
 		NumClients: 8, RoundFrames: 40, Rounds: 3, Budget: 40,
 		NonIIDLevel: 4,
-		Routing:     &RoutingOptions{Servers: 4, Policy: "semantic", RebalanceEvery: 1},
+		Routing:     &RoutingOptions{Servers: 4, Policy: "random"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,5 +134,11 @@ func TestNewSystemRoutedBadPolicy(t *testing.T) {
 	_, err := NewSystem(Options{Routing: &RoutingOptions{Policy: "nearest"}})
 	if err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("bad policy error: %v", err)
+	}
+	// "semantic" names no policy: NewSystem returns the parser's refusal.
+	_, want := routing.ParsePolicy("semantic")
+	_, err = NewSystem(Options{Routing: &RoutingOptions{Policy: "semantic"}})
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("semantic policy error: %v, want %v", err, want)
 	}
 }

@@ -13,7 +13,7 @@ type RedirectError struct {
 	// Addr is the target to dial (wire deployments) — empty for
 	// in-process routing where the router re-targets internally.
 	Addr string
-	// Reason is a short diagnostic ("breaker-open", "rebalance", ...).
+	// Reason is a short diagnostic ("placement", "breaker-open", ...).
 	Reason string
 }
 

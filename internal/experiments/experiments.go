@@ -95,7 +95,7 @@ func Registry() []Experiment {
 		{ID: "fig10a", Title: "Fig. 10(a): update cycle F sweep", Shape: "latency falls then stabilizes for F ≥ 300; accuracy declines slightly with F", Run: Fig10a},
 		{ID: "fig10b", Title: "Fig. 10(b): cache-request response latency vs clients", Shape: "response latency grows mildly with client count (~+7% from 60 to 160)", Run: Fig10b},
 		{ID: "federation", Title: "Federation: multi-edge-server peer delta-sync (beyond the paper)", Shape: "federated per-server hit ratio recovers toward the single-server oracle; partitioned no-sync lags; per-server sync bytes grow with fleet size (+70 % from 2 to 4 servers at full scale, seed 1; +61 % at -scale 0.15, seed 3)", Run: FederationExp},
-		{ID: "routing", Title: "Routing: placement policies, brown-out migration and recovery (beyond the paper)", Shape: "semantic, hash and random placement within ≈ 2 points of fleet hit ratio, semantic never above random; brown-out migrations recover within a few rounds; migrated allocations bitwise-identical to uninterrupted runs", Run: RoutingExp},
+		{ID: "routing", Title: "Routing: placement policies, brown-out migration and recovery (beyond the paper)", Shape: "random and hash placement within ≈ 2 points of fleet hit ratio; a tripped server's clients migrate and the fleet hit ratio recovers to its pre-trip level before the run ends; migrated allocations bitwise-identical to an uninterrupted run", Run: RoutingExp},
 		{ID: "churn", Title: "Churn: gossip vs mesh sync bytes and elastic membership (beyond the paper)", Shape: "gossip per-node sync bytes stay near-flat while mesh grows with fleet size; a snapshot join costs a fraction of history replay; a crash never stalls the survivors", Run: ChurnExp},
 		{ID: "drills", Title: "Drills: flash-crowd overload and brown-out degradation (beyond the paper)", Shape: "under 2× overload goodput stays within 20% of capacity while the uncontrolled arm collapses; expired work is dropped at dequeue with bounded p99; a brown-out is served stale within the staleness bound at a near-healthy hit ratio", Run: DrillsExp},
 	}

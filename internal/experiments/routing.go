@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 
 	"coca/internal/core"
 	"coca/internal/dataset"
@@ -15,14 +14,6 @@ import (
 	"coca/internal/stream"
 	"coca/internal/xrand"
 )
-
-// routingArm is one placement-policy configuration of the routing
-// experiment.
-type routingArm struct {
-	name           string
-	policy         routing.Policy
-	rebalanceEvery int
-}
 
 // routingWorkload is the regime where placement matters: strongly
 // non-IID clients (each has a skewed class profile a server could
@@ -42,10 +33,11 @@ func routingWorkload(ds *dataset.Spec, clients int, seed uint64) stream.Config {
 	}
 }
 
-// runRoutingArm builds and runs one routed fleet, returning the fleet
+// runRoutingArm builds and runs one routed fleet under the given placement
+// policy, returning the fleet
 // summary, the router stats and (when trackRounds) the per-round fleet
 // hit ratios collected at each round barrier.
-func runRoutingArm(opts Options, arm routingArm, servers, clients, rounds, skip, frames, budget int, init *core.ServerInit, onRound func(*federation.Cluster, int)) (metrics.Summary, routing.Stats, []float64, error) {
+func runRoutingArm(opts Options, policy routing.Policy, servers, clients, rounds, skip, frames, budget int, init *core.ServerInit, onRound func(*federation.Cluster, int)) (metrics.Summary, routing.Stats, []float64, error) {
 	ds := dataset.UCF101().Subset(30)
 	arch := model.ResNet101()
 	space := newSpace(ds, arch)
@@ -54,12 +46,11 @@ func runRoutingArm(opts Options, arm routingArm, servers, clients, rounds, skip,
 	var roundHits []float64
 	var prevFrames, prevHits float64
 	cfg := federation.ClusterConfig{
-		ServerInit:     init,
-		NumServers:     servers,
-		NumClients:     clients,
-		Routing:        &routing.Config{Policy: arm.policy, ShardSize: servers, Seed: opts.Seed},
-		RebalanceEvery: arm.rebalanceEvery,
-		SyncEvery:      0,
+		ServerInit: init,
+		NumServers: servers,
+		NumClients: clients,
+		Routing:    &routing.Config{Policy: policy, ShardSize: servers, Seed: opts.Seed},
+		SyncEvery:  0,
 		Client: core.ClientConfig{
 			Theta: theta, Budget: budget, RoundFrames: frames,
 			EnvBiasWeight: 0.05,
@@ -214,9 +205,8 @@ func migrationEquivalence(seed uint64) (divergent int, rounds int, err error) {
 }
 
 // RoutingExp evaluates the routing/admission tier (beyond the paper):
-// the placement-policy comparison — random vs consistent-hash vs
-// semantic-aware placement of a strongly non-IID fleet over partitioned
-// servers — plus a simulated brown-out measuring migration cost and
+// the placement-policy comparison — random vs consistent-hash placement
+// of a strongly non-IID fleet over partitioned servers — plus a simulated brown-out measuring migration cost and
 // time-to-recover, and the live-migration bitwise-equivalence check.
 func RoutingExp(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
@@ -239,27 +229,26 @@ func RoutingExp(opts Options) (*Result, error) {
 	}
 
 	out := metrics.NewTable("Routing tier — placement policy, admission and live migration (ResNet101, UCF101-30, no peer sync)",
-		"Arm", "Lat.(ms)", "p95(ms)", "Acc.(%)", "Hit(%)", "Migrations", "Rebalanced")
+		"Arm", "Lat.(ms)", "p95(ms)", "Acc.(%)", "Hit(%)", "Migrations")
 
-	arms := []routingArm{
-		{name: "random placement", policy: routing.PolicyRandom},
-		{name: "consistent-hash", policy: routing.PolicyHash},
-		{name: "semantic (rebalance=2)", policy: routing.PolicySemantic, rebalanceEvery: 2},
+	arms := []struct {
+		name   string
+		policy routing.Policy
+	}{
+		{"random placement", routing.PolicyRandom},
+		{"consistent-hash", routing.PolicyHash},
 	}
-	hitByArm := map[string]float64{}
 	for _, arm := range arms {
-		sum, st, _, err := runRoutingArm(opts, arm, servers, clients, rounds, skip, frames, budget, init, nil)
+		sum, st, _, err := runRoutingArm(opts, arm.policy, servers, clients, rounds, skip, frames, budget, init, nil)
 		if err != nil {
 			return nil, fmt.Errorf("routing arm %q: %w", arm.name, err)
 		}
-		hitByArm[arm.name] = sum.HitRatio
 		out.AddRow(arm.name,
 			metrics.Fmt(sum.AvgLatencyMs, 2),
 			metrics.Fmt(sum.P95LatencyMs, 2),
 			metrics.Pct(sum.Accuracy, 2),
 			metrics.Pct(sum.HitRatio, 2),
 			fmt.Sprintf("%d", st.Migrations),
-			fmt.Sprintf("%d", st.Rebalanced),
 		)
 	}
 
@@ -269,7 +258,7 @@ func RoutingExp(opts Options) (*Result, error) {
 	// resync and their new servers learn their classes) and recovers.
 	brownAt := rounds / 3
 	var brownStats routing.Stats
-	_, brownStats, roundHits, err := runRoutingArm(opts, routingArm{policy: routing.PolicyHash}, servers, clients, rounds, 0, frames, budget, init,
+	_, brownStats, roundHits, err := runRoutingArm(opts, routing.PolicyHash, servers, clients, rounds, 0, frames, budget, init,
 		func(c *federation.Cluster, round int) {
 			if round == brownAt {
 				c.Router.TripBreaker(0)
@@ -282,7 +271,6 @@ func RoutingExp(opts Options) (*Result, error) {
 	out.AddRow("brown-out (hash, trip@"+fmt.Sprint(brownAt)+")",
 		"", "", "", metrics.Pct(dip, 2),
 		fmt.Sprintf("%d", brownStats.Migrations),
-		fmt.Sprintf("%d", brownStats.Rebalanced),
 	)
 
 	divergent, eqRounds, err := migrationEquivalence(opts.Seed)
@@ -290,9 +278,6 @@ func RoutingExp(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("routing migration equivalence: %w", err)
 	}
 
-	if h := hitByArm["semantic (rebalance=2)"]; h > 0 {
-		out.AddNote("%s", semanticNote(h, hitByArm["consistent-hash"], hitByArm["random placement"]))
-	}
 	if dipRound >= 0 {
 		if recoverRound >= 0 {
 			out.AddNote("brown-out at round %d: fleet hit ratio dips to %.1f%% (round %d) and recovers to the pre-trip level in %d round(s) — migrated sessions resync their allocation via the delta protocol's version-0 full table",
@@ -309,24 +294,6 @@ func RoutingExp(opts Options) (*Result, error) {
 	}
 	out.AddNote("fixed seed reproduces identical rows run-to-run (placement, workload and breaker schedule are all deterministic)")
 	return &Result{ID: "routing", Table: out}, nil
-}
-
-// semanticNote compares semantic placement's fleet hit ratio with hash and
-// random placement's. It explains a win only where there is one, and
-// otherwise names the policies semantic placement does not beat.
-func semanticNote(semantic, hash, random float64) string {
-	cmp := fmt.Sprintf("semantic placement hits %.2f%% vs %.2f%% hash / %.2f%% random", 100*semantic, 100*hash, 100*random)
-	var beaten []string
-	if semantic <= hash {
-		beaten = append(beaten, "hash")
-	}
-	if semantic <= random {
-		beaten = append(beaten, "random")
-	}
-	if len(beaten) == 0 {
-		return cmp + " — grouping profile-similar clients concentrates each server's global table on the classes its fleet actually streams"
-	}
-	return cmp + " — it does not beat " + strings.Join(beaten, " or ") + " placement here"
 }
 
 // brownOutRecovery scans per-round fleet hit ratios for the post-trip

@@ -16,7 +16,7 @@ import (
 // ClusterConfig assembles an in-process CoCa deployment: N federated
 // servers (one is the paper's single edge server), a fleet of clients
 // placed on them statically or through the routing tier, a shared workload
-// partition, and the peer-sync and rebalance cadences.
+// partition, and the peer-sync cadence.
 type ClusterConfig struct {
 	// NumServers is the edge-server count.
 	NumServers int
@@ -29,16 +29,11 @@ type ClusterConfig struct {
 	Assignment AssignPolicy
 	// Routing, when set, fronts the servers with a routing.Router (policy,
 	// shards, breakers, admission): every client opens its session through
-	// it, so placement is dynamic — clients migrate live on breaker trips
-	// and semantic rebalances.
+	// it, so placement is dynamic — clients migrate live on breaker trips.
 	Routing *routing.Config
 	// SyncEvery runs a federation sync round after every SyncEvery-th
 	// round barrier; 0 disables peer sync (the partitioned baseline).
 	SyncEvery int
-	// RebalanceEvery runs a router rebalance pass after every N-th round
-	// barrier; 0 disables (needs Routing; only PolicySemantic moves
-	// clients).
-	RebalanceEvery int
 	// Fanout is the gossip push fanout (Topology Gossip only; ≤ 0 =
 	// DefaultGossipFanout). GossipSeed drives the per-round peer
 	// sampling.
@@ -51,8 +46,8 @@ type ClusterConfig struct {
 	// partition/heal property tests drive. Faulted deltas stay pending
 	// and are resent once the predicate relents (see syncNodes).
 	SyncFault func(round, from, to int) bool
-	// OnRound, when set, runs after every round barrier, before sync and
-	// rebalance — the experiment hook for breaker trips and probes.
+	// OnRound, when set, runs after every round barrier, before sync —
+	// the experiment hook for breaker trips and probes.
 	OnRound func(round int)
 	// RemoteFreqWeight is the NodeConfig.RemoteFreqWeight applied to
 	// every node (0 = default discount, negative = no frequency sync).
@@ -114,14 +109,11 @@ func NewCluster(space *semantics.Space, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("federation: cluster rounds %d < 1", cfg.Rounds)
 	}
-	if cfg.SyncEvery < 0 || cfg.RebalanceEvery < 0 {
-		return nil, fmt.Errorf("federation: negative cadence (sync %d, rebalance %d)", cfg.SyncEvery, cfg.RebalanceEvery)
+	if cfg.SyncEvery < 0 {
+		return nil, fmt.Errorf("federation: negative sync cadence %d", cfg.SyncEvery)
 	}
 	if cfg.Routing != nil && cfg.Assignment != "" {
 		return nil, errors.New("federation: Routing and Assignment both set: placement is either routed or static")
-	}
-	if cfg.Routing == nil && cfg.RebalanceEvery > 0 {
-		return nil, errors.New("federation: RebalanceEvery needs Routing")
 	}
 	if cfg.Topology == "" {
 		cfg.Topology = Mesh
@@ -253,10 +245,10 @@ func (c *Cluster) Combined() *metrics.Accumulator {
 }
 
 // Run executes the configured rounds. Each round the runner drives every
-// client, then the OnRound hook fires, peers sync at the SyncEvery cadence
-// and the router rebalances at the RebalanceEvery cadence — ordered
-// migrations land at each client's next allocation, the following round's
-// begin. It returns the fleet-combined metrics.
+// client, then the OnRound hook fires and peers sync at the SyncEvery
+// cadence; a breaker tripped in the hook moves its clients at their next
+// allocation, the following round's begin. It returns the fleet-combined
+// metrics.
 func (c *Cluster) Run() (*metrics.Accumulator, error) {
 	for round := 0; round < c.cfg.Rounds; round++ {
 		if err := c.runner.RunRound(round); err != nil {
@@ -273,9 +265,6 @@ func (c *Cluster) Run() (*metrics.Accumulator, error) {
 			if err := syncNodes(c.Nodes, c.topo, fault); err != nil {
 				return nil, err
 			}
-		}
-		if c.cfg.RebalanceEvery > 0 && (round+1)%c.cfg.RebalanceEvery == 0 {
-			c.Router.Rebalance()
 		}
 	}
 	return c.Combined(), nil

@@ -26,7 +26,6 @@ func TestClusterValidation(t *testing.T) {
 		"client-count mismatch": {NumServers: 1, NumClients: 2, Rounds: 1, Stream: stream.Config{NumClients: 5}},
 		"routed and assigned": {NumServers: 2, NumClients: 2, Rounds: 1,
 			Routing: &routing.Config{}, Assignment: AssignRoundRobin},
-		"rebalance without routing": {NumServers: 2, NumClients: 2, Rounds: 1, RebalanceEvery: 1},
 	} {
 		if _, err := NewCluster(space, cfg); err == nil {
 			t.Errorf("%s accepted", name)
@@ -111,9 +110,7 @@ func TestClusterDeterministic(t *testing.T) {
 		t.Fatalf("single-server runs not deterministic: %v vs %v", a, b)
 	}
 	routed := func() float64 {
-		cfg := routedConfig(routing.PolicySemantic)
-		cfg.RebalanceEvery = 1
-		cl, err := NewCluster(routedSpace(), cfg)
+		cl, err := NewCluster(routedSpace(), routedConfig(routing.PolicyRandom))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,12 +128,11 @@ func TestClusterDeterministic(t *testing.T) {
 
 // goldenClusterHash pins the runner's output for three fleets — one
 // server; a 3-node mesh whose 0→1 link is cut on odd rounds; a 4-node
-// routed semantic fleet rebalanced every round with breaker 0 tripped at
-// round 2 — as a SHA-256 over each fleet's combined summary, each server's
+// routed hash-placed fleet with breaker 0 tripped at round 2 — as a SHA-256 over each fleet's combined summary, each server's
 // summary (static placement only) and each node's ledger sum. It was
 // captured from the three runners (single-server, federated, routed) this
 // one replaced; any change to what the runner computes moves it.
-const goldenClusterHash = "06ea2507909432ad18d1061e9aac6cce9cbc1192aafa395de4896301fc353717"
+const goldenClusterHash = "130f3257b589db85174dddc87d70de2eabd2f9eded5c1fc792b9a2fbe48df2ed"
 
 func TestClusterGolden(t *testing.T) {
 	h := sha256.New()
@@ -184,8 +180,7 @@ func TestClusterGolden(t *testing.T) {
 	mesh.SyncFault = func(round, from, to int) bool { return round%2 == 1 && from == 0 && to == 1 }
 	run("mesh", space, mesh, nil)
 
-	routed := routedConfig(routing.PolicySemantic)
-	routed.RebalanceEvery = 1
+	routed := routedConfig(routing.PolicyHash)
 	routed.Rounds = 5
 	run("routed", routedSpace(), routed, func(cl *Cluster) func(int) {
 		return func(round int) {
@@ -230,12 +225,9 @@ func routedConfig(policy routing.Policy) ClusterConfig {
 // forced-migration TCP run at the repo root.
 func TestRoutingSmoke(t *testing.T) {
 	space := routedSpace()
-	for _, policy := range []routing.Policy{routing.PolicyHash, routing.PolicySemantic} {
+	for _, policy := range []routing.Policy{routing.PolicyHash, routing.PolicyRandom} {
 		cfg := routedConfig(policy)
 		cfg.ServerInit = core.BuildServerInit(space, cfg.Server)
-		if policy == routing.PolicySemantic {
-			cfg.RebalanceEvery = 2
-		}
 		cluster, err := NewCluster(space, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)

@@ -16,10 +16,6 @@ import (
 // backend itself. Placement, breakers and rate limiting are exactly
 // the Router's; health is fed by HealthCheck probes since no backend
 // traffic flows through the front door.
-//
-// Profiles never reach a front door (clients talk to their backend
-// directly after the redirect), so the semantic policy degrades to
-// hash placement here; semantic steering needs the in-process Router.
 type FrontDoor struct {
 	r     *Router
 	addrs []string

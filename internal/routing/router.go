@@ -3,15 +3,12 @@ package routing
 import (
 	"context"
 	"errors"
-	"math"
-	"sort"
 	"strconv"
 	"sync"
 
 	"coca/internal/core"
 	"coca/internal/overload"
 	"coca/internal/telemetry"
-	"coca/internal/vecmath"
 	"coca/internal/xrand"
 )
 
@@ -32,8 +29,7 @@ var ErrShed = errors.New("routing: shed by queue-depth overload control")
 // Router exactly as they would against a single server; the Router
 // places each on a backend per Config.Policy, gates it through the
 // target's circuit breaker and the client's token bucket, and migrates
-// the session transparently when a breaker opens or a semantic
-// Rebalance reassigns it.
+// the session transparently when a breaker opens.
 type Router struct {
 	cfg      Config
 	targets  []core.Coordinator
@@ -48,19 +44,17 @@ type Router struct {
 	clients map[int]*clientState
 	stats   Stats
 	// maxClients bounds the client table (0 = unbounded). The in-process
-	// Router's records are owned by live sessions and carry their class
-	// profiles; a FrontDoor never sees a Close and takes ids from untrusted
-	// sockets, so it sets a bound and client() evicts at it.
+	// Router's records are owned by live sessions; a FrontDoor never sees
+	// a Close and takes ids from untrusted sockets, so it sets a bound and
+	// client() evicts at it.
 	maxClients int
 }
 
 // clientState is the router's per-client record.
 type clientState struct {
-	shard   []int
-	server  int // current placement, -1 before first admission
-	pending int // migration target ordered by Rebalance, -1 none
-	profile []float64
-	bkt     bucket
+	shard  []int
+	server int // current placement, -1 before first admission
+	bkt    bucket
 }
 
 func (st *clientState) inShard(s int) bool {
@@ -134,20 +128,6 @@ func (r *Router) Lookup(clientID int) int {
 	return -1
 }
 
-// Occupancy returns how many known clients are currently placed on
-// each server.
-func (r *Router) Occupancy() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	occ := make([]int, len(r.targets))
-	for _, st := range r.clients {
-		if st.server >= 0 {
-			occ[st.server]++
-		}
-	}
-	return occ
-}
-
 // client returns (creating if needed) the per-client record. Caller
 // holds r.mu.
 func (r *Router) client(clientID int) *clientState {
@@ -157,9 +137,8 @@ func (r *Router) client(clientID int) *clientState {
 			r.evict()
 		}
 		st = &clientState{
-			shard:   ShuffleShard(clientID, len(r.targets), r.cfg.ShardSize, r.cfg.Seed),
-			server:  -1,
-			pending: -1,
+			shard:  ShuffleShard(clientID, len(r.targets), r.cfg.ShardSize, r.cfg.Seed),
+			server: -1,
 		}
 		r.clients[clientID] = st
 	}
@@ -289,7 +268,7 @@ func (r *Router) place(clientID int, st *clientState, exclude int) int {
 				return s
 			}
 		}
-	default: // hash, semantic: ring walk within the shuffle shard
+	default: // hash: ring walk within the shuffle shard
 		return r.ring.Walk(clientID, func(s int) bool {
 			return st.inShard(s) && allow(s)
 		})
@@ -318,28 +297,21 @@ func (r *Router) Open(ctx context.Context, clientID int) (core.Session, error) {
 }
 
 // checkMigration reports whether the client must move before its next
-// allocation: a pending Rebalance order, or its current server's
-// breaker rejecting traffic.
-func (r *Router) checkMigration(clientID, cur int) (tgt int, reason string, ok bool) {
+// allocation because its current server's breaker rejects traffic.
+func (r *Router) checkMigration(clientID, cur int) (tgt int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, found := r.clients[clientID]
 	if !found {
-		return 0, "", false
-	}
-	if st.pending >= 0 {
-		tgt, st.pending = st.pending, -1
-		if tgt != cur {
-			return tgt, "rebalance", true
-		}
+		return 0, false
 	}
 	if !r.breakers[cur].Allow() {
 		r.stats.BreakerDenials++
 		if s := r.place(clientID, st, cur); s >= 0 {
-			return s, "breaker-open", true
+			return s, true
 		}
 	}
-	return 0, "", false
+	return 0, false
 }
 
 // failover re-places a client after a backend error on cur. It returns
@@ -366,12 +338,8 @@ func (r *Router) noteMigration(clientID, tgt int, reason string) {
 	if st, ok := r.clients[clientID]; ok {
 		from = st.server
 		st.server = tgt
-		st.pending = -1
 	}
 	r.stats.Migrations++
-	if reason == "rebalance" {
-		r.stats.Rebalanced++
-	}
 	telemetry.RoutingMigrations.Inc()
 	if tr := telemetry.Trace(); tr != nil {
 		tr.Emit("migration",
@@ -380,157 +348,6 @@ func (r *Router) noteMigration(clientID, tgt int, reason string) {
 			telemetry.Int("to", tgt),
 			telemetry.Str("reason", reason))
 	}
-}
-
-// observe folds one upload's class-frequency vector into the client's
-// profile EMA: profile = decay·profile + freq.
-func (r *Router) observe(clientID int, freq []float64) {
-	if len(freq) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.clients[clientID]
-	if !ok {
-		return
-	}
-	if len(st.profile) != len(freq) {
-		st.profile = make([]float64, len(freq))
-	}
-	d := r.cfg.ProfileDecay
-	for i, f := range freq {
-		st.profile[i] = d*st.profile[i] + f
-	}
-}
-
-// Rebalance runs one pass of semantic placement: every client's class
-// profile is scored against the aggregate profile of each shard
-// member's resident fleet (leave-one-out for its own cell) with the
-// staged cosine kernels, and clients whose footprint matches another
-// cell by more than RebalanceMargin — and whose target cell is under
-// the headroom capacity — get a pending migration, honored at their
-// next allocation. Returns the number of migrations ordered. A no-op
-// under non-semantic policies.
-func (r *Router) Rebalance() int {
-	if r.cfg.Policy != PolicySemantic {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	ids := make([]int, 0, len(r.clients))
-	for id := range r.clients {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
-	n := len(r.targets)
-	occ := make([]int, n)
-	var dim int
-	for _, id := range ids {
-		st := r.clients[id]
-		if st.server >= 0 {
-			occ[st.server]++
-		}
-		if len(st.profile) > dim {
-			dim = len(st.profile)
-		}
-	}
-	if dim == 0 {
-		return 0
-	}
-	capacity := (len(ids) + n - 1) / n
-	capacity += int(math.Ceil(float64(capacity) * r.cfg.CellHeadroom))
-
-	// Per-server aggregate profiles of the resident fleets.
-	agg := make([][]float64, n)
-	for i := range agg {
-		agg[i] = make([]float64, dim)
-	}
-	for _, id := range ids {
-		st := r.clients[id]
-		if st.server < 0 || len(st.profile) == 0 {
-			continue
-		}
-		addInto(agg[st.server], st.profile)
-	}
-
-	moved := 0
-	rows := make([][]float64, 0, n)
-	norm2 := make([]float64, 0, n)
-	snorm := make([]float64, 0, n)
-	cos := make([]float32, 0, n)
-	loo := make([]float64, dim)
-	for _, id := range ids {
-		st := r.clients[id]
-		if st.server < 0 || len(st.profile) == 0 || st.pending >= 0 {
-			continue
-		}
-		pn2 := dotSelf(st.profile)
-		if pn2 == 0 {
-			continue
-		}
-		// Candidate rows: one per shard member; the client's own cell is
-		// scored leave-one-out so its presence doesn't anchor it.
-		rows, norm2, snorm, cos = rows[:0], norm2[:0], snorm[:0], cos[:0]
-		for _, s := range st.shard {
-			row := agg[s]
-			if s == st.server {
-				copy(loo, row)
-				subFrom(loo, st.profile)
-				row = loo
-			}
-			rows = append(rows, row)
-			norm2 = append(norm2, dotSelf(row))
-			snorm = append(snorm, 0)
-			cos = append(cos, 0)
-		}
-		vecmath.SqrtNorms(norm2, snorm)
-		vecmath.CosinesWidenedRows(st.profile, math.Sqrt(pn2), rows, snorm, cos)
-
-		cur, best, bestScore := float32(-2), -1, float32(-2)
-		for i, s := range st.shard {
-			if s == st.server {
-				cur = cos[i]
-				continue
-			}
-			if r.breakers[s].State() == BreakerOpen || occ[s] >= capacity {
-				continue
-			}
-			if cos[i] > bestScore {
-				best, bestScore = s, cos[i]
-			}
-		}
-		if best >= 0 && float64(bestScore) > float64(cur)+r.cfg.RebalanceMargin {
-			st.pending = best
-			occ[st.server]--
-			occ[best]++
-			subFrom(agg[st.server], st.profile)
-			addInto(agg[best], st.profile)
-			moved++
-		}
-	}
-	return moved
-}
-
-func addInto(dst, src []float64) {
-	for i := range src {
-		dst[i] += src[i]
-	}
-}
-
-func subFrom(dst, src []float64) {
-	for i := range src {
-		dst[i] -= src[i]
-	}
-}
-
-func dotSelf(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return s
 }
 
 // routedSession wraps one backend session with migration awareness.
@@ -545,14 +362,14 @@ type routedSession struct {
 // Info returns the current backend session's registration payload.
 func (s *routedSession) Info() core.RegisterInfo { return s.sess.Info() }
 
-// Allocate forwards to the placed backend, first honoring any ordered
-// migration, and failing over (once) to another shard member on a
-// backend error. After a migration the backend session is fresh, so
+// Allocate forwards to the placed backend, first migrating off a server
+// whose breaker has opened, and failing over (once) to another shard
+// member on a backend error. After a migration the backend session is fresh, so
 // the allocation arrives as a Full delta regardless of the version the
 // client reports — the version-0 resync that makes migration safe.
 func (s *routedSession) Allocate(ctx context.Context, status core.StatusReport) (core.Delta, error) {
-	if tgt, reason, ok := s.r.checkMigration(s.clientID, s.server); ok {
-		if err := s.migrate(ctx, tgt, reason); err != nil {
+	if tgt, ok := s.r.checkMigration(s.clientID, s.server); ok {
+		if err := s.migrate(ctx, tgt, "breaker-open"); err != nil {
 			return core.Delta{}, err
 		}
 	}
@@ -575,14 +392,10 @@ func (s *routedSession) Allocate(ctx context.Context, status core.StatusReport) 
 	return d, nil
 }
 
-// Upload forwards the round update and, under the semantic policy,
-// feeds its class-frequency vector into the client's routing profile.
+// Upload forwards the round update.
 func (s *routedSession) Upload(ctx context.Context, upd core.UpdateReport) error {
 	err := s.sess.Upload(ctx, upd)
 	s.r.breakers[s.server].Record(err == nil)
-	if err == nil && s.r.cfg.Policy == PolicySemantic {
-		s.r.observe(s.clientID, upd.Freq)
-	}
 	return err
 }
 

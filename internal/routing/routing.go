@@ -1,7 +1,7 @@
 // Package routing is the control-plane tier in front of a CoCa edge
 // fleet: it owns client→server placement and admission, sitting between
 // "a client" and "a server" where the static federation assignment
-// (federation.Assign) cannot react to load, failure or class affinity.
+// (federation.Assign) cannot react to load or failure.
 //
 // Placement combines a consistent-hash ring (Ring) with shuffle
 // sharding (ShuffleShard): every client maps deterministically onto a
@@ -18,15 +18,6 @@
 // member and the versioned delta machinery resynchronizes the client's
 // allocation view with a full (version-0) delta — no client-side state
 // is lost.
-//
-// The semantic policy adds class-affinity steering: the router folds
-// every session's upload summaries (per-class frequency vectors) into
-// per-client observed class profiles and, on Rebalance, scores each
-// client against the aggregate profile of each shard member's resident
-// fleet with the staged cosine kernels of internal/vecmath, migrating
-// clients whose class footprint clearly overlaps another cell's. The
-// paper's premise — co-located clients sharing cacheable classes
-// multiply hit ratio — becomes a placement objective.
 package routing
 
 import (
@@ -47,9 +38,6 @@ const (
 	// PolicyHash places every client by consistent-hash ring walk within
 	// its shuffle shard.
 	PolicyHash Policy = "hash"
-	// PolicySemantic starts from hash placement and steers clients with
-	// overlapping class profiles onto the same cell at every Rebalance.
-	PolicySemantic Policy = "semantic"
 	// PolicyRandom places every client uniformly at random (seeded,
 	// deterministic per client) within its shard — the experiment's
 	// class- and hash-blind control arm.
@@ -61,10 +49,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch Policy(s) {
 	case "":
 		return PolicyHash, nil
-	case PolicyStatic, PolicyHash, PolicySemantic, PolicyRandom:
+	case PolicyStatic, PolicyHash, PolicyRandom:
 		return Policy(s), nil
 	}
-	return "", fmt.Errorf("routing: unknown policy %q (want static, hash, semantic or random)", s)
+	return "", fmt.Errorf("routing: unknown policy %q (want static, hash or random)", s)
 }
 
 // Config parametrizes a Router or FrontDoor.
@@ -74,8 +62,8 @@ type Config struct {
 	// ShardSize bounds every client's shuffle shard — the subset of
 	// servers it may ever be placed on. 0 defaults to min(3, servers);
 	// values are clamped to the server count. Smaller shards shrink the
-	// blast radius of a bad server, larger shards give the semantic
-	// policy and failover more freedom.
+	// blast radius of a bad server, larger shards give failover more
+	// freedom.
 	ShardSize int
 	// VNodes is the number of ring points per server (default 32).
 	VNodes int
@@ -93,18 +81,6 @@ type Config struct {
 	// targets implementing overload.LoadReporter; targets that do not
 	// report load are never shed. The zero value disables shedding.
 	Shed overload.ShedConfig
-	// ProfileDecay is the semantic policy's per-observation decay on
-	// client class profiles: profile = decay·profile + freq. Values in
-	// (0,1); default 0.5 (recent rounds dominate, history breaks ties).
-	ProfileDecay float64
-	// RebalanceMargin is the minimum profile-similarity improvement
-	// (cosine points) before Rebalance migrates a client — hysteresis
-	// against ping-ponging between near-equal cells. Default 0.05.
-	RebalanceMargin float64
-	// CellHeadroom bounds semantic cell occupancy at
-	// ceil(clients/servers · (1+headroom)): affinity may skew placement
-	// but never collapses the fleet onto one server. Default 0.5.
-	CellHeadroom float64
 	// Now is the clock (test hook; defaults to time.Now). Breakers and
 	// rate limiters share it.
 	Now func() time.Time
@@ -127,15 +103,6 @@ func (c Config) withDefaults(servers int) Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ProfileDecay == 0 {
-		c.ProfileDecay = 0.5
-	}
-	if c.RebalanceMargin == 0 {
-		c.RebalanceMargin = 0.05
-	}
-	if c.CellHeadroom == 0 {
-		c.CellHeadroom = 0.5
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -152,11 +119,9 @@ func (c Config) withDefaults(servers int) Config {
 type Stats struct {
 	// Opens is the number of admitted session opens.
 	Opens int
-	// Migrations counts live session migrations (breaker-driven failover
-	// plus semantic rebalance moves).
+	// Migrations counts live session migrations (breaker-driven moves
+	// and failovers after a backend error).
 	Migrations int
-	// Rebalanced counts migrations ordered by Rebalance specifically.
-	Rebalanced int
 	// RateLimited counts opens rejected by the token bucket.
 	RateLimited int
 	// BreakerDenials counts placement attempts that skipped a server
