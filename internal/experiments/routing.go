@@ -34,9 +34,8 @@ func routingWorkload(ds *dataset.Spec, clients int, seed uint64) stream.Config {
 }
 
 // runRoutingArm builds and runs one routed fleet under the given placement
-// policy, returning the fleet
-// summary, the router stats and (when trackRounds) the per-round fleet
-// hit ratios collected at each round barrier.
+// policy, returning the fleet summary, the router stats and (when skip is
+// 0) the per-round fleet hit ratios collected at each round barrier.
 func runRoutingArm(opts Options, policy routing.Policy, servers, clients, rounds, skip, frames, budget int, init *core.ServerInit, onRound func(*federation.Cluster, int)) (metrics.Summary, routing.Stats, []float64, error) {
 	ds := dataset.UCF101().Subset(30)
 	arch := model.ResNet101()
@@ -206,8 +205,9 @@ func migrationEquivalence(seed uint64) (divergent int, rounds int, err error) {
 
 // RoutingExp evaluates the routing/admission tier (beyond the paper):
 // the placement-policy comparison — random vs consistent-hash placement
-// of a strongly non-IID fleet over partitioned servers — plus a simulated brown-out measuring migration cost and
-// time-to-recover, and the live-migration bitwise-equivalence check.
+// of a strongly non-IID fleet over partitioned servers — plus a simulated
+// brown-out measuring migration cost and time-to-recover, and the
+// live-migration bitwise-equivalence check.
 func RoutingExp(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	const (

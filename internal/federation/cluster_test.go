@@ -128,8 +128,9 @@ func TestClusterDeterministic(t *testing.T) {
 
 // goldenClusterHash pins the runner's output for three fleets — one
 // server; a 3-node mesh whose 0→1 link is cut on odd rounds; a 4-node
-// routed hash-placed fleet with breaker 0 tripped at round 2 — as a SHA-256 over each fleet's combined summary, each server's
-// summary (static placement only) and each node's ledger sum. It was
+// routed hash-placed fleet with breaker 0 tripped at round 2 — as a
+// SHA-256 over each fleet's combined summary, each server's summary
+// (static placement only) and each node's ledger sum. It was
 // captured from the three runners (single-server, federated, routed) this
 // one replaced; any change to what the runner computes moves it.
 const goldenClusterHash = "130f3257b589db85174dddc87d70de2eabd2f9eded5c1fc792b9a2fbe48df2ed"

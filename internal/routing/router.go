@@ -364,9 +364,10 @@ func (s *routedSession) Info() core.RegisterInfo { return s.sess.Info() }
 
 // Allocate forwards to the placed backend, first migrating off a server
 // whose breaker has opened, and failing over (once) to another shard
-// member on a backend error. After a migration the backend session is fresh, so
-// the allocation arrives as a Full delta regardless of the version the
-// client reports — the version-0 resync that makes migration safe.
+// member on a backend error. After a migration the backend session is
+// fresh, so the allocation arrives as a Full delta regardless of the
+// version the client reports — the version-0 resync that makes migration
+// safe.
 func (s *routedSession) Allocate(ctx context.Context, status core.StatusReport) (core.Delta, error) {
 	if tgt, ok := s.r.checkMigration(s.clientID, s.server); ok {
 		if err := s.migrate(ctx, tgt, "breaker-open"); err != nil {

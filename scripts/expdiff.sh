@@ -5,10 +5,10 @@
 # -seed 3 with each, then -exp churn at full scale, seed 3 (at -scale
 # 0.15 churn's anti-entropy arm runs 4 nodes for 2 rounds, too few to show
 # a change to its peer sampling), and diffs the two outputs with the
-# "completed in" timing lines removed. A refactor that claims unchanged behaviour must
-# show an empty diff; a change that moves an output shows exactly which
-# rows and notes moved. Exits 0 when the outputs are identical and 1 when
-# they differ.
+# "completed in" timing lines removed. A refactor that claims unchanged
+# behaviour must show an empty diff; a change that moves an output shows
+# exactly which rows and notes moved. Exits 0 when the outputs are
+# identical and 1 when they differ.
 #
 # Usage: scripts/expdiff.sh <rev>
 # Needs bash, git and go. <rev> is unpacked with git archive into a
