@@ -192,13 +192,12 @@ func dots4r(vec, e0, e1, e2, e3 []float64) (d0, d1, d2, d3 float64) {
 
 // CosinesWidenedRows is CosinesRows for float64 operands: out[i] is the
 // cosine of vec64 and rows[i], given snorm[i], the SQUARE ROOT of rows[i]'s
-// squared norm, and sqrtVecNorm, the query's, computed once per call. Its
-// one caller is the benchmark's vecmath.cosines_ns_per_entry timing over a
-// layer's widened rows. Rows are tiled four at a time with a convert-free
-// inner loop; every per-pair chain accumulates in index order and the
-// cosine is finished from the same Sqrt values Cosine would compute, so for
-// widened float32 operands the results are bitwise identical to Cosine.
-// Allocation-free.
+// squared norm, and sqrtVecNorm, the query's, computed once per call. Only
+// the benchmark's widened-row timing calls it. Rows are tiled four at a
+// time with a convert-free inner loop; every per-pair chain accumulates in
+// index order and the cosine is finished from the same Sqrt values Cosine
+// would compute, so for widened float32 operands the results are bitwise
+// identical to Cosine. Allocation-free.
 func CosinesWidenedRows(vec64 []float64, sqrtVecNorm float64, rows [][]float64, snorm []float64, out []float32) {
 	n := len(rows)
 	if len(snorm) < n || len(out) < n {
