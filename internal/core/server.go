@@ -641,12 +641,20 @@ func (s *Server) upload(clientID int, upd UpdateReport) error {
 		if err := checkNorms(clientID, upd.Cells); err != nil {
 			return err
 		}
-		for _, cell := range upd.Cells {
-			if err := s.table.Merge(cell.Class, cell.Layer, cell.Vec, s.cfg.Gamma, float64(cell.Count), s.cfg.SupportCap); err != nil {
-				return fmt.Errorf("core: client %d merge (%d,%d): %w", clientID, cell.Class, cell.Layer, err)
+		// Four cells per gtable.MergeGroup call: the group's Eq. 4
+		// combinations are normalized by one vecmath.SquaredNorms call.
+		var group [4]gtable.Update
+		for i := 0; i < len(upd.Cells); i += len(group) {
+			cells := upd.Cells[i:min(i+len(group), len(upd.Cells))]
+			for j, c := range cells {
+				group[j] = gtable.Update{Class: c.Class, Layer: c.Layer, Vec: c.Vec, LocalFreq: float64(c.Count)}
 			}
-			s.merges.Add(1)
-			telemetry.CoreUploadMerges.Inc()
+			n, err := s.table.MergeGroup(group[:len(cells)], s.cfg.Gamma, s.cfg.SupportCap)
+			s.merges.Add(int64(n))
+			telemetry.CoreUploadMerges.Add(uint64(n))
+			if err != nil {
+				return fmt.Errorf("core: client %d merge (%d,%d): %w", clientID, cells[n].Class, cells[n].Layer, err)
+			}
 		}
 	}
 	s.freqMu.Lock()

@@ -143,6 +143,7 @@ type AllocView struct {
 	spare   [][]float32   // owned buffers no cell uses
 	slab    []float32     // the running Apply's slab, less what it has carved
 	layers  []cache.Layer // what Layers hands out
+	plan    applyPlan
 }
 
 // viewSite is one site's cells, classes ascending; grow counts the cells the
@@ -151,6 +152,31 @@ type viewSite struct {
 	layer cache.Layer
 	grow  int
 }
+
+// applyPlan is Apply's working memory, kept from one delta to the next: the
+// delta's cells at active sites and its evictions, grouped by their site's
+// position in Delta.Sites and ascending by class within a group, and the
+// buffers the delta needs per dimension.
+type applyPlan struct {
+	// keys holds the grouped cells, then the grouped evictions: a cell is
+	// classKey(Class) | its index in Delta.Cells, an eviction classKey alone.
+	keys []uint64
+	// at holds, for the n sites of Delta.Sites, the cells' group bounds
+	// (group r is keys[at[r]:at[r+1]]), the evictions' (n+2 on), and each
+	// site's position in AllocView.sites or -1 (2n+4 on).
+	at   []int32
+	need []dimNeed
+}
+
+// dimNeed counts the buffers of one dimension the running Apply takes.
+type dimNeed struct{ dim, n int }
+
+// classKey maps a class in the int32 range a delta carries to the upper
+// half of a sort key, in the same order.
+func classKey(class int) uint64 { return uint64(uint32(class)^1<<31) << 32 }
+
+// keyClass is the class part of a key.
+const keyClass = ^uint64(1<<32 - 1)
 
 // NewAllocView returns an empty view (version 0: nothing allocated yet).
 func NewAllocView() *AllocView { return &AllocView{} }
@@ -174,7 +200,15 @@ func (v *AllocView) NumCells() int { return v.ncells }
 // Allocation returned before is invalidated by Apply (and by the owning
 // client's Close): a holder that needs it longer takes a Clone.
 // Delta.Sites is ascending by contract (the wire format and the server both
-// guarantee it); a delta that breaks it is rejected.
+// guarantee it); a delta that breaks it is rejected, and so is a cell whose
+// class lies outside the int32 range the wire carries.
+//
+// Apply visits each touched site once: it drops the rows the delta evicts,
+// counts the buffers the delta needs and sizes one slab for what the parked
+// buffers do not cover, then merges the site's cells into its rows from the
+// back, copying each vector and staging its squared norm four cells per
+// vecmath.SquaredNorms call. A cell the delta names twice keeps its last
+// vector.
 func (v *AllocView) Apply(d Delta) error {
 	if !slices.IsSorted(d.Sites) {
 		return fmt.Errorf("core: delta sites %v not ascending", d.Sites)
@@ -186,102 +220,229 @@ func (v *AllocView) Apply(d Delta) error {
 		if len(c.Vec) == 0 {
 			return fmt.Errorf("core: delta cell (%d,%d) has empty vector", c.Site, c.Class)
 		}
-	}
-	// The view is an exact function of the delta's declared shape: cells at
-	// a site it does not activate are dropped, and never materialized.
-	for i := range v.sites {
-		if s := &v.sites[i]; d.Full || !activeSite(d.Sites, s.layer.Site) {
-			v.release(s, 0, s.layer.Len())
+		if c.Class != int(int32(c.Class)) {
+			return fmt.Errorf("core: delta cell (%d,%d) has a class outside int32", c.Site, c.Class)
 		}
 	}
-	for _, ref := range d.Evict {
-		if si, ok := v.site(ref.Site); ok {
-			if i, ok := slices.BinarySearch(v.sites[si].layer.Classes, ref.Class); ok {
-				v.release(&v.sites[si], i, i+1)
+	if d.Full {
+		for i := range v.sites {
+			v.release(&v.sites[i])
+		}
+		d.Evict = nil
+	}
+	p := &v.plan
+	p.group(d)
+	// The view is an exact function of the delta's declared shape: a site it
+	// does not activate is dropped, and a cell there never materialized.
+	n := len(d.Sites)
+	cellAt, evictAt, siteAt := p.at[:n+1], p.at[n+2:2*n+3], p.at[2*n+4:]
+	v.sites = slices.Grow(v.sites, v.missingSites(d.Sites, cellAt))
+	p.need = p.need[:0]
+	vi := 0
+	for r, site := range d.Sites {
+		for ; vi < len(v.sites) && v.sites[vi].layer.Site < site; vi++ {
+			v.release(&v.sites[vi])
+		}
+		siteAt[r] = -1
+		cells, evict := p.keys[cellAt[r]:cellAt[r+1]], p.keys[evictAt[r]:evictAt[r+1]]
+		if vi == len(v.sites) || v.sites[vi].layer.Site != site {
+			if len(cells) == 0 {
+				continue
 			}
+			v.sites = slices.Insert(v.sites, vi, viewSite{layer: cache.Layer{Site: site}})
+		}
+		siteAt[r] = int32(vi)
+		if len(cells)+len(evict) > 0 {
+			v.sweep(&v.sites[vi], evict, cells, d.Cells)
+		}
+		vi++
+	}
+	for ; vi < len(v.sites); vi++ {
+		v.release(&v.sites[vi])
+	}
+	v.reserve()
+	var g normGather
+	for r, vi := range siteAt {
+		if cells := p.keys[cellAt[r]:cellAt[r+1]]; vi >= 0 && len(cells) > 0 {
+			v.place(&v.sites[vi], cells, d.Cells, &g)
 		}
 	}
-	v.reserve(d)
-	for _, c := range d.Cells {
-		if activeSite(d.Sites, c.Site) {
-			v.upsert(c)
-		}
-	}
-	v.stage(d)
+	g.flush()
 	v.version = d.Version
 	v.classes = append(v.classes[:0], d.Classes...)
 	return nil
 }
 
-// activeSite reports whether site is in the ascending list sites.
-func activeSite(sites []int, site int) bool {
-	_, ok := slices.BinarySearch(sites, site)
-	return ok
-}
-
-// site returns the position of site in v.sites and whether it is there. It
-// compares by index: a comparison callback would take each viewSite by value.
-func (v *AllocView) site(site int) (int, bool) {
-	lo, hi := 0, len(v.sites)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if v.sites[m].layer.Site < site {
-			lo = m + 1
-		} else {
-			hi = m
+// group fills p.keys and p.at from d: a counting pass and a placing pass over
+// the cells and then the evictions, each finding its site's position in
+// d.Sites once per run of entries at one site (a delta lists its cells site
+// by site), and one sort of plain keys per group.
+func (p *applyPlan) group(d Delta) {
+	n := len(d.Sites)
+	if m := 3*n + 4; cap(p.at) < m {
+		p.at = make([]int32, m)
+	} else {
+		p.at = p.at[:m]
+		clear(p.at)
+	}
+	if m := len(d.Cells) + len(d.Evict); cap(p.keys) < m {
+		p.keys = make([]uint64, m)
+	}
+	// Counts land two places up, so that the prefix sums leave group r's
+	// start at r+1, where placing advances it to group r's end.
+	cellAt, evictAt := p.at[:n+2], p.at[n+2:2*n+4]
+	rank := sitePos{sites: d.Sites}
+	for _, c := range d.Cells {
+		if r := rank.of(c.Site); r >= 0 {
+			cellAt[r+2]++
 		}
 	}
-	return lo, lo < len(v.sites) && v.sites[lo].layer.Site == site
+	rank = sitePos{sites: d.Sites}
+	for _, e := range d.Evict {
+		if r := rank.of(e.Site); r >= 0 && e.Class == int(int32(e.Class)) {
+			evictAt[r+2]++
+		}
+	}
+	for r := 2; r < n+2; r++ {
+		cellAt[r] += cellAt[r-1]
+	}
+	evictAt[0], evictAt[1] = cellAt[n+1], cellAt[n+1] // the evictions follow the cells
+	for r := 2; r < n+2; r++ {
+		evictAt[r] += evictAt[r-1]
+	}
+	rank = sitePos{sites: d.Sites}
+	for i, c := range d.Cells {
+		if r := rank.of(c.Site); r >= 0 {
+			p.keys[cellAt[r+1]] = classKey(c.Class) | uint64(i)
+			cellAt[r+1]++
+		}
+	}
+	rank = sitePos{sites: d.Sites}
+	for _, e := range d.Evict {
+		if r := rank.of(e.Site); r >= 0 && e.Class == int(int32(e.Class)) {
+			p.keys[evictAt[r+1]] = classKey(e.Class)
+			evictAt[r+1]++
+		}
+	}
+	for r := range n {
+		slices.Sort(p.keys[cellAt[r]:cellAt[r+1]])
+		slices.Sort(p.keys[evictAt[r]:evictAt[r+1]])
+	}
 }
 
-// release takes cells [i, j) of a site out of the view; their buffers are
+// sitePos finds sites' positions in an ascending site list, remembering the
+// last one: it searches once per run of entries at one site.
+type sitePos struct {
+	sites     []int
+	site, pos int
+	looked    bool
+}
+
+// of returns site's position in the list, or -1 when the list lacks it.
+func (s *sitePos) of(site int) int {
+	if !s.looked || site != s.site {
+		i, ok := slices.BinarySearch(s.sites, site)
+		if !ok {
+			i = -1
+		}
+		s.site, s.pos, s.looked = site, i, true
+	}
+	return s.pos
+}
+
+// missingSites counts the sites of the delta that get a cell (their group
+// in cellAt is not empty) and are not in the view yet.
+func (v *AllocView) missingSites(sites []int, cellAt []int32) int {
+	missing, vi := 0, 0
+	for r, site := range sites {
+		for vi < len(v.sites) && v.sites[vi].layer.Site < site {
+			vi++
+		}
+		if cellAt[r+1] > cellAt[r] && (vi == len(v.sites) || v.sites[vi].layer.Site != site) {
+			missing++
+		}
+	}
+	return missing
+}
+
+// release takes every cell of a site out of the view; their buffers are
 // parked in v.spare.
-func (v *AllocView) release(s *viewSite, i, j int) {
+func (v *AllocView) release(s *viewSite) {
 	l := &s.layer
-	v.spare = append(v.spare, l.Entries[i:j]...)
-	l.Classes = slices.Delete(l.Classes, i, j)
-	l.Entries = slices.Delete(l.Entries, i, j)
-	l.Norm2 = slices.Delete(l.Norm2, i, j)
-	v.ncells -= j - i
+	v.spare = append(v.spare, l.Entries...)
+	clear(l.Entries)
+	v.ncells -= len(l.Classes)
+	l.Classes, l.Entries, l.Norm2 = l.Classes[:0], l.Entries[:0], l.Norm2[:0]
 }
 
-// reserve sizes the view for the cells d adds, so that upserting them
-// allocates nothing: every site's parallel slices grow once, and the cells
-// that neither lie in a buffer nor find a parked one of their dimension get
-// theirs from one slab.
-func (v *AllocView) reserve(d Delta) {
-	parked, floats := 0, 0 // spare[:parked] is spoken for
-	for _, c := range d.Cells {
-		if !activeSite(d.Sites, c.Site) {
+// sweep is the first half of applying a delta to one site, a forward walk of
+// its rows beside the site's evictions and cells, both sorted by class. It
+// compacts out the rows the delta evicts and does not write again, parking
+// their buffers; parks the buffer of a held cell whose new vector has
+// another dimension; and counts in s.grow the cells the delta adds, noting
+// the buffers they and the outgrown cells will take.
+func (v *AllocView) sweep(s *viewSite, evict, cells []uint64, dc []DeltaCell) {
+	l := &s.layer
+	w, e, k := 0, 0, 0
+	adds := func(below uint64) {
+		for ; k < len(cells) && cells[k]&keyClass < below; k++ {
+			if k+1 == len(cells) || cells[k+1]&keyClass != cells[k]&keyClass {
+				s.grow++
+				v.plan.needs(len(dc[uint32(cells[k])].Vec))
+			}
+		}
+	}
+	for i, class := range l.Classes {
+		key := classKey(class)
+		adds(key)
+		written := -1 // the last write of this cell
+		for ; k < len(cells) && cells[k]&keyClass == key; k++ {
+			written = int(uint32(cells[k]))
+		}
+		for e < len(evict) && evict[e] < key {
+			e++
+		}
+		if written < 0 && e < len(evict) && evict[e] == key {
+			v.spare = append(v.spare, l.Entries[i])
 			continue
 		}
-		si, ok := v.site(c.Site)
-		if !ok {
-			v.sites = slices.Insert(v.sites, si, viewSite{layer: cache.Layer{Site: c.Site}})
+		l.Classes[w], l.Entries[w], l.Norm2[w] = class, l.Entries[i], l.Norm2[i]
+		if written >= 0 && len(l.Entries[w]) != len(dc[written].Vec) {
+			v.spare = append(v.spare, l.Entries[w])
+			l.Entries[w] = nil
+			v.plan.needs(len(dc[written].Vec))
 		}
-		s := &v.sites[si]
-		i, held := slices.BinarySearch(s.layer.Classes, c.Class)
-		if !held {
-			s.grow++
-		}
-		if held && len(s.layer.Entries[i]) == len(c.Vec) {
-			continue // the cell's buffer fits
-		}
-		if j := slices.IndexFunc(v.spare[parked:], func(b []float32) bool { return len(b) == len(c.Vec) }); j >= 0 {
-			v.spare[parked], v.spare[parked+j] = v.spare[parked+j], v.spare[parked]
-			parked++
-		} else {
-			floats += len(c.Vec)
+		w++
+	}
+	adds(^uint64(0))
+	clear(l.Entries[w:])
+	v.ncells -= len(l.Classes) - w
+	l.Classes, l.Entries, l.Norm2 = l.Classes[:w], l.Entries[:w], l.Norm2[:w]
+}
+
+// needs counts one buffer of dimension dim that the running Apply takes.
+func (p *applyPlan) needs(dim int) {
+	for i := range p.need {
+		if p.need[i].dim == dim {
+			p.need[i].n++
+			return
 		}
 	}
-	for i := range v.sites {
-		if s := &v.sites[i]; s.grow > 0 {
-			l := &s.layer
-			l.Classes = slices.Grow(l.Classes, s.grow)
-			l.Entries = slices.Grow(l.Entries, s.grow)
-			l.Norm2 = slices.Grow(l.Norm2, s.grow)
-			s.grow = 0
+	p.need = append(p.need, dimNeed{dim, 1})
+}
+
+// reserve makes the running Apply's slab: per dimension, room for the
+// buffers it takes beyond those parked.
+func (v *AllocView) reserve() {
+	floats := 0
+	for _, nd := range v.plan.need {
+		parked := 0
+		for _, b := range v.spare {
+			if len(b) == nd.dim {
+				parked++
+			}
 		}
+		floats += max(nd.n-parked, 0) * nd.dim
 	}
 	v.slab = make([]float32, floats)
 }
@@ -299,57 +460,65 @@ func (v *AllocView) take(n int) []float32 {
 	return b
 }
 
-// upsert stores one delta cell, in place when the view already holds it.
-func (v *AllocView) upsert(c DeltaCell) {
-	si, _ := v.site(c.Site)
-	l := &v.sites[si].layer
-	i, ok := slices.BinarySearch(l.Classes, c.Class)
-	if !ok {
-		l.Classes = slices.Insert(l.Classes, i, c.Class)
-		l.Entries = slices.Insert(l.Entries, i, nil)
-		l.Norm2 = slices.Insert(l.Norm2, i, 0)
-		v.ncells++
-	}
-	// The view keeps a copy — in the buffer this cell already has, else in
-	// one nothing uses — and stage takes its squared norm once the delta's
-	// cells are all in, once per changed cell, for every probe until the
-	// cell changes again.
-	if len(l.Entries[i]) != len(c.Vec) {
-		if l.Entries[i] != nil {
-			v.spare = append(v.spare, l.Entries[i]) // the buffer the cell outgrew
+// place is the second half: it merges the site's cells, sorted by class,
+// into its rows from the back. Every row the cells land beyond moves once,
+// to where it ends; a held cell is overwritten where it ends and a new one
+// written there, in a buffer it has or takes; and each written row's squared
+// norm is left to g.
+func (v *AllocView) place(s *viewSite, cells []uint64, dc []DeltaCell, g *normGather) {
+	l := &s.layer
+	i, n := len(l.Classes)-1, len(l.Classes)+s.grow
+	l.Classes = slices.Grow(l.Classes, s.grow)[:n]
+	l.Entries = slices.Grow(l.Entries, s.grow)[:n]
+	l.Norm2 = slices.Grow(l.Norm2, s.grow)[:n]
+	v.ncells += s.grow
+	s.grow = 0
+	t := n - 1
+	for j := len(cells) - 1; j >= 0; j, t = j-1, t-1 {
+		key := cells[j] & keyClass
+		c := &dc[uint32(cells[j])]
+		for j > 0 && cells[j-1]&keyClass == key {
+			j-- // an earlier write of the same cell
 		}
-		l.Entries[i] = v.take(len(c.Vec))
+		for ; i >= 0 && classKey(l.Classes[i]) > key; i, t = i-1, t-1 {
+			l.Classes[t], l.Entries[t], l.Norm2[t] = l.Classes[i], l.Entries[i], l.Norm2[i]
+		}
+		if i >= 0 && classKey(l.Classes[i]) == key {
+			l.Classes[t], l.Entries[t] = l.Classes[i], l.Entries[i]
+			i--
+		} else {
+			l.Classes[t], l.Entries[t] = c.Class, nil
+		}
+		if l.Entries[t] == nil {
+			l.Entries[t] = v.take(len(c.Vec))
+		}
+		copy(l.Entries[t], c.Vec)
+		g.add(l.Entries[t], &l.Norm2[t])
 	}
-	copy(l.Entries[i], c.Vec)
 }
 
-// stage computes the squared norms of the cells of d once every upsert is
-// in, four per vecmath.SquaredNorms call, and files each at its cell: no
-// insertion moves a cell after this. A cell the delta names twice is summed
-// twice from what it holds at the end.
-func (v *AllocView) stage(d Delta) {
-	var (
-		vecs  [4][]float32
-		norm2 [4]*float64
-	)
-	n := 0
-	for k, c := range d.Cells {
-		if activeSite(d.Sites, c.Site) {
-			si, _ := v.site(c.Site)
-			l := &v.sites[si].layer
-			i, _ := slices.BinarySearch(l.Classes, c.Class)
-			vecs[n], norm2[n] = l.Entries[i], &l.Norm2[i]
-			n++
-		}
-		if n == len(vecs) || n > 0 && k == len(d.Cells)-1 {
-			var out [4]float64
-			vecmath.SquaredNorms(vecs[:n], out[:n])
-			for j, p := range norm2[:n] {
-				*p = out[j]
-			}
-			n = 0
-		}
+// normGather stages written cells' squared norms four per
+// vecmath.SquaredNorms call, filing each at its row once no row moves.
+type normGather struct {
+	vecs [4][]float32
+	dst  [4]*float64
+	n    int
+}
+
+func (g *normGather) add(vec []float32, dst *float64) {
+	g.vecs[g.n], g.dst[g.n] = vec, dst
+	if g.n++; g.n == len(g.vecs) {
+		g.flush()
 	}
+}
+
+func (g *normGather) flush() {
+	var out [4]float64
+	vecmath.SquaredNorms(g.vecs[:g.n], out[:g.n])
+	for j, p := range g.dst[:g.n] {
+		*p = out[j]
+	}
+	g.n = 0
 }
 
 // reset empties the view the way a Full delta does: every cell is released,
@@ -357,7 +526,7 @@ func (v *AllocView) stage(d Delta) {
 // a Full delta of as many cells into the reset view allocates no slab.
 func (v *AllocView) reset() {
 	for i := range v.sites {
-		v.release(&v.sites[i], 0, v.sites[i].layer.Len())
+		v.release(&v.sites[i])
 	}
 	v.version, v.classes, v.layers = 0, v.classes[:0], v.layers[:0]
 }

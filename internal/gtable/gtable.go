@@ -29,18 +29,40 @@ const (
 	DefaultGamma = 0.99
 )
 
-// mergeEntry is the Eq. 4 combination behind Sharded.Merge and MergePeer,
-// written into dst, a fresh vector (published cells are immutable, so dst
-// shares no memory with old or update, one of the two cases
-// vecmath.WeightedSumInto allows): the old entry weighted γ·Φ/(Φ+φ)
-// against the update weighted φ/(Φ+φ), re-normalized. It returns the norm of
-// the combination: 0 on perfect cancellation, where callers keep the previous
-// entry rather than a degenerate zero; not usable when the update is refused.
-func mergeEntry(dst, old, update []float32, gamma, globalFreq, localFreq float64) float32 {
+// combine returns a fresh vector (published cells are immutable) holding the
+// Eq. 4 combination before normalization: a copy of update when the cell is
+// absent (old nil), else old weighted γ·Φ/(Φ+φ) against update weighted
+// φ/(Φ+φ), where Φ is globalFreq and φ localFreq. The fresh vector shares no
+// memory with old or update, one of the two cases vecmath.WeightedSumInto
+// allows.
+func combine(old, update []float32, gamma, globalFreq, localFreq float64) []float32 {
+	v := make([]float32, len(update))
+	if old == nil {
+		copy(v, update)
+		return v
+	}
 	wOld := float32(gamma * globalFreq / (globalFreq + localFreq))
 	wNew := float32(localFreq / (globalFreq + localFreq))
-	vecmath.WeightedSumInto(dst, wOld, old, wNew, update)
-	return vecmath.Normalize(dst)
+	vecmath.WeightedSumInto(v, wOld, old, wNew, update)
+	return v
+}
+
+// publish finishes a merge from v, combine's result, and its squared norm
+// (vecmath.SquaredNorm, or the same chain from vecmath.SquaredNorms): v
+// scaled to unit norm, as vecmath.Normalize scales it, or old itself on
+// perfect cancellation (it still counts as evidence). A zero update into an
+// absent cell, or a combination with a NaN or an Inf, is refused before
+// anything is written.
+func publish(op string, class, layer int, old, v []float32, norm2 float64) ([]float32, error) {
+	n := float32(math.Sqrt(norm2))
+	if n == 0 && old != nil {
+		return old, nil
+	}
+	if !usable(n) {
+		return nil, rejected(op, class, layer, n)
+	}
+	vecmath.Scale(1/n, v)
+	return v, nil
 }
 
 // usable reports whether n, the norm of a vector about to be published, is

@@ -141,55 +141,150 @@ func (s *Sharded) CellVersion(class, layer int) uint64 {
 // re-normalized, where Φ is the cell's stored support and φ is localFreq.
 // The support is then advanced by φ and capped at supportCap (no cap when
 // supportCap <= 0), and the cell version is bumped. Absent cells store the
-// update directly.
+// update directly. It is MergeGroup's one-cell case.
 func (s *Sharded) Merge(class, layer int, update []float32, gamma, localFreq, supportCap float64) error {
-	if err := s.check(class, layer); err != nil {
+	one := [1]Update{{Class: class, Layer: layer, Vec: update, LocalFreq: localFreq}}
+	_, err := s.MergeGroup(one[:], gamma, supportCap)
+	return err
+}
+
+// Update is one cell a client's upload merges: its update vector and the
+// local frequency φ behind it.
+type Update struct {
+	Class, Layer int
+	Vec          []float32
+	LocalFreq    float64
+}
+
+// mergeGroupMax is how many cells a group merge forms at once: the cells
+// vecmath.SquaredNorms sums per kernel call.
+const mergeGroupMax = 4
+
+// MergeGroup merges updates in order, each as Merge would, and returns how
+// many it merged: all of them, or those before the one whose error it
+// returns. It takes them four at a time: it locks the group's rows once,
+// in ascending class order, forms the four Eq. 4 combinations, sums their
+// squared norms in one vecmath.SquaredNorms call and installs the cells in
+// order, stopping at the first it refuses. Cells are independent, so the
+// table, the error and the rejected-vector count are bitwise what successive
+// Merge calls leave; a group that names a cell twice is merged one cell at a
+// time, each merge seeing the last.
+func (s *Sharded) MergeGroup(updates []Update, gamma, supportCap float64) (int, error) {
+	for i := 0; i < len(updates); i += mergeGroupMax {
+		group := updates[i:min(i+mergeGroupMax, len(updates))]
+		valid := len(group)
+		var err error
+		for j := range group {
+			if err = s.checkUpdate(&group[j], gamma); err != nil {
+				valid = j
+				break
+			}
+		}
+		n, merr := s.mergeGroup(group[:valid], gamma, supportCap)
+		if merr != nil {
+			return i + n, merr
+		}
+		if err != nil {
+			return i + valid, err
+		}
+	}
+	return len(updates), nil
+}
+
+// checkUpdate refuses, as Merge does, an update outside the table, of the
+// wrong dimension, with a γ outside [0,1] or with a non-positive φ.
+func (s *Sharded) checkUpdate(u *Update, gamma float64) error {
+	if err := s.check(u.Class, u.Layer); err != nil {
 		return err
 	}
-	if len(update) != s.dim {
-		return fmt.Errorf("gtable: Merge dim %d, want %d", len(update), s.dim)
+	if len(u.Vec) != s.dim {
+		return fmt.Errorf("gtable: Merge dim %d, want %d", len(u.Vec), s.dim)
 	}
 	if gamma < 0 || gamma > 1 {
 		return fmt.Errorf("gtable: Merge gamma %v outside [0,1]", gamma)
 	}
-	if localFreq <= 0 {
-		return fmt.Errorf("gtable: Merge local frequency φ=%v invalid", localFreq)
+	if u.LocalFreq <= 0 {
+		return fmt.Errorf("gtable: Merge local frequency φ=%v invalid", u.LocalFreq)
 	}
-	row := &s.rows[class]
-	row.mu.Lock()
-	defer row.mu.Unlock()
-	v, err := merged("Merge", class, layer, row.vecs[layer], update, gamma, row.support[layer], localFreq)
-	if err != nil {
-		return err
-	}
-	row.vecs[layer] = v
-	row.support[layer] += localFreq
-	if supportCap > 0 && row.support[layer] > supportCap {
-		row.support[layer] = supportCap
-	}
-	row.evtotal[layer] += localFreq
-	row.vers[layer]++
 	return nil
 }
 
-// merged returns the vector that folding update into old publishes: the
-// normalized update when the cell is absent, else the Eq. 4 combination — or
-// old itself on perfect cancellation (it still counts as evidence). A zero
-// update into an absent cell, or one with a NaN or an Inf, is refused before
-// anything is written.
+// mergeGroup merges up to mergeGroupMax checked updates, as one group when
+// they name distinct cells and one by one when they do not.
+func (s *Sharded) mergeGroup(group []Update, gamma, supportCap float64) (int, error) {
+	for j := range group {
+		for k := range j {
+			if group[k].Class == group[j].Class && group[k].Layer == group[j].Layer {
+				for m := range group {
+					if _, err := s.mergeDistinct(group[m:m+1], gamma, supportCap); err != nil {
+						return m, err
+					}
+				}
+				return len(group), nil
+			}
+		}
+	}
+	return s.mergeDistinct(group, gamma, supportCap)
+}
+
+// mergeDistinct merges up to mergeGroupMax checked updates of distinct cells
+// under their rows' locks, taken in ascending class order, each row once.
+func (s *Sharded) mergeDistinct(group []Update, gamma, supportCap float64) (int, error) {
+	var (
+		rows  [mergeGroupMax]int
+		nrows int
+	)
+	for _, u := range group {
+		i := 0
+		for i < nrows && rows[i] < u.Class {
+			i++
+		}
+		if i < nrows && rows[i] == u.Class {
+			continue
+		}
+		copy(rows[i+1:nrows+1], rows[i:nrows])
+		rows[i] = u.Class
+		nrows++
+	}
+	for _, c := range rows[:nrows] {
+		s.rows[c].mu.Lock()
+	}
+	defer func() {
+		for _, c := range rows[:nrows] {
+			s.rows[c].mu.Unlock()
+		}
+	}()
+	var (
+		vecs  [mergeGroupMax][]float32
+		norm2 [mergeGroupMax]float64
+	)
+	for j, u := range group {
+		row := &s.rows[u.Class]
+		vecs[j] = combine(row.vecs[u.Layer], u.Vec, gamma, row.support[u.Layer], u.LocalFreq)
+	}
+	vecmath.SquaredNorms(vecs[:len(group)], norm2[:len(group)])
+	for j, u := range group {
+		row, layer := &s.rows[u.Class], u.Layer
+		v, err := publish("Merge", u.Class, layer, row.vecs[layer], vecs[j], norm2[j])
+		if err != nil {
+			return j, err
+		}
+		row.vecs[layer] = v
+		row.support[layer] += u.LocalFreq
+		if supportCap > 0 && row.support[layer] > supportCap {
+			row.support[layer] = supportCap
+		}
+		row.evtotal[layer] += u.LocalFreq
+		row.vers[layer]++
+	}
+	return len(group), nil
+}
+
+// merged returns the vector that folding update into old publishes (see
+// combine and publish), for a merge of one cell.
 func merged(op string, class, layer int, old, update []float32, gamma, globalFreq, localFreq float64) ([]float32, error) {
-	v := make([]float32, len(update))
-	var n float32
-	if old == nil {
-		copy(v, update)
-		n = vecmath.Normalize(v)
-	} else if n = mergeEntry(v, old, update, gamma, globalFreq, localFreq); n == 0 {
-		return old, nil
-	}
-	if !usable(n) {
-		return nil, rejected(op, class, layer, n)
-	}
-	return v, nil
+	v := combine(old, update, gamma, globalFreq, localFreq)
+	return publish(op, class, layer, old, v, vecmath.SquaredNorm(v))
 }
 
 // MergePeer folds a peer server's cell into (class, layer) under the
