@@ -255,10 +255,8 @@ func RoutingExp(opts Options) (*Result, error) {
 	// Brown-out: hash placement, server 0's breaker force-opened after
 	// round brownAt. Every client placed there migrates at its next
 	// allocation; the per-round fleet hit ratio dips (migrated clients
-	// resync and their new servers learn their classes) and recovers. The
-	// trip waits for round 1 at least (a run has two rounds or more), so
-	// that a small run has a round before it to dip from.
-	brownAt := max(1, rounds/3)
+	// resync and their new servers learn their classes) and recovers.
+	brownAt := rounds / 3
 	var brownStats routing.Stats
 	_, brownStats, roundHits, err := runRoutingArm(opts, routing.PolicyHash, servers, clients, rounds, 0, frames, budget, init,
 		func(c *federation.Cluster, round int) {

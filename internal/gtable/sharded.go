@@ -280,13 +280,6 @@ func (s *Sharded) mergeDistinct(group []Update, gamma, supportCap float64) (int,
 	return len(group), nil
 }
 
-// merged returns the vector that folding update into old publishes (see
-// combine and publish), for a merge of one cell.
-func merged(op string, class, layer int, old, update []float32, gamma, globalFreq, localFreq float64) ([]float32, error) {
-	v := combine(old, update, gamma, globalFreq, localFreq)
-	return publish(op, class, layer, old, v, vecmath.SquaredNorm(v))
-}
-
 // MergePeer folds a peer server's cell into (class, layer) under the
 // row's lock — the federation-tier merge. Unlike Merge (a client upload,
 // which the paper decays by γ), a peer cell is an aggregated estimate
@@ -330,7 +323,8 @@ func (s *Sharded) MergePeer(class, layer int, update []float32, evidence, sinceE
 	if localRecent < 0 {
 		localRecent = 0
 	}
-	v, err := merged("MergePeer", class, layer, row.vecs[layer], update, 1, localRecent+inertia, evidence)
+	v := combine(row.vecs[layer], update, 1, localRecent+inertia, evidence)
+	v, err := publish("MergePeer", class, layer, row.vecs[layer], v, vecmath.SquaredNorm(v))
 	if err != nil {
 		return 0, 0, err
 	}
